@@ -1,10 +1,7 @@
 GO ?= go
 FUZZTIME ?= 10s
-# The -mc (multi-core) snapshots are informational and never eligible as
-# the gate baseline, whatever their date sorts to.
-BENCH_BASELINE ?= $(lastword $(sort $(filter-out %-mc.json,$(wildcard BENCH_*.json))))
 
-.PHONY: build test test-race fuzz-short fuzz-race bench bench-quick bench-mc bench-compare perf-gate obs-check lint lint-json check
+.PHONY: build test test-wire test-race fuzz-short fuzz-race bench perf obs-check lint lint-json loc check
 
 build:
 	$(GO) build ./...
@@ -24,6 +21,17 @@ lint:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "gofmt -l found unformatted files:"; echo "$$out"; exit 1; fi
 	$(GO) vet ./...
 	$(GO) run ./cmd/streamvet -escape -budget internal/analysis/suppressions.txt ./... ./cmd
+
+# Non-test line budget (internal/analysis/loc_budget.txt, beside the
+# suppression budget): fails when a package holds more non-test Go lines than
+# its committed count.
+loc:
+	@fail=0; while read -r pkg max; do \
+		case "$$pkg" in ''|'#'*) continue;; esac; \
+		n=$$(find internal/$$pkg -name '*.go' ! -name '*_test.go' | xargs cat | wc -l); \
+		if [ "$$n" -gt "$$max" ]; then echo "loc: internal/$$pkg has $$n non-test lines, budget $$max"; fail=1; \
+		else echo "loc: internal/$$pkg $$n/$$max"; fi; \
+	done < internal/analysis/loc_budget.txt; exit $$fail
 
 # Machine-readable diagnostics: the full streamvet finding list as JSON,
 # suppressed findings included and flagged with their //streamvet:ignore
@@ -48,9 +56,10 @@ fuzz-race:
 	$(GO) test -race -count=1 -run '^Fuzz' ./internal/core ./internal/fault ./internal/wire
 
 # The one-stop pre-commit target: every static gate plus the full test suite,
-# the race-enabled wire/transport suite, the race-mode fuzz-corpus replay,
-# and the machine-readable diagnostics artifact ($(STREAMVET_JSON)).
-check: lint test test-wire fuzz-race lint-json
+# the line budget, the race-enabled wire/transport suite, the race-mode
+# fuzz-corpus replay, and the machine-readable diagnostics artifact
+# ($(STREAMVET_JSON)).
+check: lint loc test test-wire fuzz-race lint-json
 
 # Tier 2: the same suite under the race detector (the chaos tests exercise
 # panic recovery, revive, and the failure supervisor concurrently), with the
@@ -73,44 +82,13 @@ fuzz-short:
 bench:
 	$(GO) test -bench . -benchtime 1x ./...
 
-# Short benchmark pass recorded as a dated JSON snapshot (BENCH_<date>.json)
-# so the repo accumulates a perf trajectory; see DESIGN.md on reading it.
-bench-quick:
-	$(GO) run ./cmd/benchjson -bench Observe -benchtime 0.5s
-
-# Multi-core benchmark lane: the engine and pipeline benchmarks under
-# GOMAXPROCS=4 (override with MC_PROCS), recorded as BENCH_<date>-mc.json.
-# The snapshot header stamps the GOMAXPROCS it ran at, and BENCH_BASELINE
-# filters `-mc` snapshots out so the lane never becomes the single-core
-# perf-gate baseline, whatever dates exist.
-MC_PROCS ?= 4
-bench-mc:
-	GOMAXPROCS=$(MC_PROCS) $(GO) run ./cmd/benchjson -bench 'Observe|PipelineThroughput' \
-		-benchtime 0.5s -samples 3 -label mc-gomaxprocs$(MC_PROCS) -o BENCH_$$(date +%F)-mc.json
-
-# Side-by-side delta table between two committed snapshots (informational;
-# never fails): make bench-compare OLD=BENCH_a.json NEW=BENCH_b.json
-bench-compare:
-	@test -n "$(OLD)" && test -n "$(NEW)" || { echo "usage: make bench-compare OLD=BENCH_a.json NEW=BENCH_b.json"; exit 1; }
-	$(GO) run ./cmd/benchjson -compare $(OLD) $(NEW)
-
-# Perf regression gate: re-measures the per-observation engine benchmarks
-# (Observe, ObserveBlock — ns/op, lower is better) and the end-to-end
-# pipeline + wire throughput (tuples/s, higher is better) and fails if any
-# entry is >20% worse than the newest committed BENCH_*.json baseline. The
-# same run holds three intra-run contracts: ObserveInstrumented/d-* must stay
-# within 5% of the *uninstrumented* Observe/d-* baseline and allocate
-# nothing, ObserveBlock's ns/row must undercut the sequential Observe ns/op
-# at every d ≥ 400 point (the block path has to actually amortize), and
-# WireThroughput must reach 0.90× of PipelineThroughput/batched-64 measured
-# in the same run (the coalesced wire transport has to stay within its tax
-# budget). The trailing bench-mc lane is informational only — the `-` prefix
-# means a multi-core wobble never fails the gate, but the numbers land in
-# the log next to the gated single-core run.
-perf-gate:
-	@test -n "$(BENCH_BASELINE)" || { echo "perf-gate: no committed BENCH_*.json baseline"; exit 1; }
-	$(GO) run ./cmd/benchjson -bench 'Observe|PipelineThroughput|WireThroughput' -benchtime 0.5s -samples 3 -gate $(BENCH_BASELINE)
-	-$(MAKE) bench-mc
+# Performance claims rest on the repo benchmark (BENCHMARK.json, benchmark/
+# — see benchmark/README.md), not on the microbenchmarks above. Produce two
+# result files with `go run -C benchmark streampca/benchmark` at the two
+# commits, in alternating order, then:  make perf OLD=a.json NEW=b.json
+perf:
+	@test -n "$(OLD)" && test -n "$(NEW)" || { echo "usage: make perf OLD=a.json NEW=b.json"; exit 1; }
+	$(GO) run -C benchmark streampca/benchmark compare $(abspath $(OLD)) $(abspath $(NEW))
 
 # End-to-end observability acceptance: build cmd/streampca, run an
 # instrumented pipeline with -obs, and validate the JSON snapshot, Prometheus

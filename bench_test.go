@@ -11,7 +11,6 @@ package streampca_test
 import (
 	"context"
 	"fmt"
-	"os"
 	"testing"
 
 	"streampca"
@@ -160,64 +159,11 @@ func BenchmarkParallelPipeline(b *testing.B) {
 	}
 }
 
-// BenchmarkPipelineThroughput is the end-to-end proof for the micro-batched
-// transport: the same 4-engine analysis graph at the paper's d=400 operating
-// point, once with one-tuple-per-message transport and once with 64-tuple
-// frames feeding the engines' block-incremental update. The tuples/s metric
-// is gated by `make perf-gate` against the committed baseline.
-func BenchmarkPipelineThroughput(b *testing.B) {
-	// The stream is precomputed so the measurement is the pipeline —
-	// transport, split, engines — not the synthetic signal generator (whose
-	// ~8µs/tuple would dilute both variants equally).
-	const streamLen = 20000
-	gen, err := streampca.NewSignalGenerator(streampca.SignalConfig{Dim: 400, Signals: 5, Seed: 1})
-	if err != nil {
-		b.Fatal(err)
-	}
-	xs := make([][]float64, streamLen)
-	for i := range xs {
-		x, _ := gen.Next()
-		xs[i] = append([]float64(nil), x...)
-	}
-	run := func(b *testing.B, batch int, adaptive bool) {
-		var tuples, seconds float64
-		for i := 0; i < b.N; i++ {
-			var n int64
-			res, err := streampca.RunPipeline(context.Background(), streampca.PipelineConfig{
-				Engine:        streampca.Config{Dim: 400, Components: 5, Alpha: 1 - 1.0/5000},
-				NumEngines:    4,
-				Batch:         batch,
-				AdaptiveBatch: adaptive,
-				Source: func() ([]float64, []bool, bool) {
-					if n >= streamLen {
-						return nil, nil, false
-					}
-					n++
-					return xs[n-1], nil, true
-				},
-			})
-			if err != nil {
-				b.Fatal(err)
-			}
-			tuples += float64(res.TuplesIn)
-			seconds += res.Elapsed.Seconds()
-		}
-		// Mean over all iterations, not the last run's sample.
-		b.ReportMetric(tuples/seconds, "tuples/s")
-	}
-	b.Run("unbatched", func(b *testing.B) { run(b, 1, false) })
-	b.Run("batched-64", func(b *testing.B) { run(b, 64, false) })
-	// The adaptive lane starts from the same 64-capacity frames but lets the
-	// runtime retune width and deadline from its own instruments — the
-	// closed-loop configuration a deployment would actually run.
-	b.Run("adaptive-64", func(b *testing.B) { run(b, 64, true) })
-}
-
 // BenchmarkObserveBlock measures the block-incremental update against the
 // sequential path at the same operating points as BenchmarkObserve: one call
 // absorbs a 64-row batch, and the reported ns/row metric (ns/op ÷ 64) is the
 // per-observation figure that compares directly with BenchmarkObserve's
-// ns/op — the comparison `make perf-gate` enforces at d ≥ 400.
+// ns/op.
 func BenchmarkObserveBlock(b *testing.B) {
 	for _, d := range []int{250, 400, 1000} {
 		b.Run(fmt.Sprintf("d-%d", d), func(b *testing.B) {
@@ -250,42 +196,6 @@ func BenchmarkObserveBlock(b *testing.B) {
 				}
 			}
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(int64(b.N)*batch), "ns/row")
-		})
-	}
-}
-
-// BenchmarkObserveInstrumented is BenchmarkObserve with a full observability
-// bundle attached — the cost of every gauge store, counter increment and
-// eigenvalue publish on the per-observation hot path. The perf gate compares
-// each d-point against the *uninstrumented* Observe baseline and fails above
-// 5% overhead or any allocation, which is the subsystem's "free to leave on"
-// contract.
-func BenchmarkObserveInstrumented(b *testing.B) {
-	for _, d := range []int{400, 1000} {
-		b.Run(fmt.Sprintf("d-%d", d), func(b *testing.B) {
-			gen, err := streampca.NewSignalGenerator(streampca.SignalConfig{Dim: d, Signals: 5, Seed: 1})
-			if err != nil {
-				b.Fatal(err)
-			}
-			en, err := streampca.NewEngine(streampca.Config{Dim: d, Components: 5, Alpha: 1 - 1.0/5000})
-			if err != nil {
-				b.Fatal(err)
-			}
-			en.SetInstruments(streampca.NewObsSet().Engine(0))
-			xs := make([][]float64, 256)
-			for i := range xs {
-				xs[i], _ = gen.Next()
-			}
-			for i := 0; i <= en.Config().InitSize; i++ {
-				en.Observe(xs[i%len(xs)])
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := en.Observe(xs[i%len(xs)]); err != nil {
-					b.Fatal(err)
-				}
-			}
 		})
 	}
 }
@@ -356,73 +266,4 @@ func BenchmarkObserve(b *testing.B) {
 			}
 		})
 	}
-}
-
-// TestMain lets BenchmarkWireThroughput re-execute this test binary as a
-// wire worker process (LaunchWorkers sets the harness environment variable;
-// a clean invocation runs the suite as usual).
-func TestMain(m *testing.M) {
-	if ran, err := streampca.WireWorkerFromEnv(context.Background()); ran {
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "wire worker:", err)
-			os.Exit(1)
-		}
-		os.Exit(0)
-	}
-	os.Exit(m.Run())
-}
-
-// BenchmarkWireThroughput is the distributed counterpart of
-// BenchmarkPipelineThroughput/batched-64: the identical d=400 four-engine
-// workload, but with every engine in its own OS process behind a TCP wire
-// edge. The tuples/s metric measures what the length-prefixed frame codec,
-// the coalescing send lanes and the reconnecting edges cost against the
-// in-process transport; the acceptance bar for the wire layer is ≥90% of
-// the single-process baseline, enforced as a same-run ratio by benchjson's
-// wire gate. Batch 32 gets calibrated per-edge lane depths (the computed
-// distributed queue floor) ahead of each socket, and the stream is long
-// enough to amortise the TCP window ramp of fresh connections.
-func BenchmarkWireThroughput(b *testing.B) {
-	const streamLen = 120000
-	gen, err := streampca.NewSignalGenerator(streampca.SignalConfig{Dim: 400, Signals: 5, Seed: 1})
-	if err != nil {
-		b.Fatal(err)
-	}
-	xs := make([][]float64, 4096)
-	for i := range xs {
-		x, _ := gen.Next()
-		xs[i] = append([]float64(nil), x...)
-	}
-	// The workers serve one coordinator session per iteration; spawning
-	// them (and the synthetic stream above) stays outside the timer.
-	cl, err := streampca.LaunchWorkers(context.Background(), 4, streampca.WorkerSpec{
-		Dim: 400, Components: 5, Alpha: 1 - 1.0/5000, Batch: 32,
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer cl.Shutdown()
-	b.ResetTimer()
-	var tuples, seconds float64
-	for i := 0; i < b.N; i++ {
-		var n int64
-		res, err := streampca.RunCoordinator(context.Background(), streampca.DistConfig{
-			Engine:  streampca.Config{Dim: 400, Components: 5, Alpha: 1 - 1.0/5000},
-			Workers: cl.Addrs,
-			Batch:   32,
-			Source: func() ([]float64, []bool, bool) {
-				if n >= streamLen {
-					return nil, nil, false
-				}
-				n++
-				return xs[n&4095], nil, true
-			},
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		tuples += float64(res.TuplesIn)
-		seconds += res.Elapsed.Seconds()
-	}
-	b.ReportMetric(tuples/seconds, "tuples/s")
 }

@@ -43,7 +43,6 @@ func main() {
 	syncEvery := flag.Duration("sync", 8*time.Millisecond, "sync throttle period (0 disables)")
 	strategy := flag.String("strategy", "broadcast", "sync strategy: ring, broadcast, group, p2p")
 	batch := flag.Int("batch", 32, "micro-batch size for the transport")
-	adaptive := flag.Bool("adaptive", false, "let the coordinator retune batch width and cork deadline from its own instruments")
 	seed := flag.Uint64("seed", 1, "seed")
 	outliers := flag.Float64("outliers", 0.02, "synthetic outlier rate")
 	reset := flag.Float64("reset", 0, "per-write probability of an injected connection reset")
@@ -102,15 +101,14 @@ func main() {
 	}
 
 	res, err := streampca.RunCoordinator(ctx, streampca.DistConfig{
-		Engine:        streampca.Config{Dim: *d, Components: *p, Alpha: alpha},
-		Workers:       cl.Addrs,
-		Source:        source,
-		Seed:          *seed,
-		SyncEvery:     *syncEvery,
-		SyncStrategy:  strat,
-		Batch:         *batch,
-		AdaptiveBatch: *adaptive,
-		Chaos:         chaos,
+		Engine:       streampca.Config{Dim: *d, Components: *p, Alpha: alpha},
+		Workers:      cl.Addrs,
+		Source:       source,
+		Seed:         *seed,
+		SyncEvery:    *syncEvery,
+		SyncStrategy: strat,
+		Batch:        *batch,
+		Chaos:        chaos,
 		Retry: streampca.RetryPolicy{
 			MaxAttempts: 60, Base: time.Millisecond,
 			Cap: 100 * time.Millisecond, Factor: 2, Jitter: 0.2,
@@ -122,10 +120,6 @@ func main() {
 
 	fmt.Printf("stream: %d tuples in %v (%.0f tuples/s)\n",
 		res.TuplesIn, res.Elapsed.Round(time.Millisecond), res.Throughput())
-	if *adaptive {
-		fmt.Printf("adaptive: %d retunes, final batch %d, final flush %v\n",
-			res.Retunes, res.FinalBatch, res.FinalFlush)
-	}
 	var processed int64
 	for _, st := range res.Engines {
 		processed += st.Processed

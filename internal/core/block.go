@@ -13,7 +13,7 @@ import (
 // d·(2k + k²): the O(d·k²) basis rebuild amortizes over the chunk while the
 // new O(d·c²) Y·Yᵀ term and the (k+c)³ eigensolve grow with it, so an
 // interior optimum exists near c ≈ √2·k. The width an engine actually uses,
-// en.blockC ≤ blockMax, comes from the calibrated cost model (mat.BlockSize)
+// en.blockC ≤ blockMax, comes from the cost model (mat.BlockSize)
 // unless Config.BlockSize pins it. Larger chunks also widen the window in
 // which projections use a stale (chunk-start) basis, so the cap stays small
 // and caller batches of any size are processed as a sequence of ≤ en.blockC

@@ -94,10 +94,11 @@ type Config struct {
 	Workers int
 
 	// BlockSize overrides the rank-c chunk width of ObserveBlock, in
-	// [1, 16]. 0 (the default) picks the width from the calibrated per-row
-	// cost model (mat.BlockSize), which balances basis-update amortization
-	// against the O(d·c²) Y·Yᵀ corner and the (k+c)³ eigensolve; set it
-	// explicitly to reproduce a historical run exactly.
+	// [1, 16]. 0 (the default) picks the width from the per-row cost model
+	// (mat.BlockSize, a pure function of Dim and Components+Extra), which
+	// balances basis-update amortization against the O(d·c²) Y·Yᵀ corner
+	// and the (k+c)³ eigensolve. The width changes low-order digits of the
+	// result; set it explicitly to reproduce a run made at another width.
 	BlockSize int
 }
 

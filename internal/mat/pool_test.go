@@ -246,7 +246,7 @@ func TestPoolCloseDegradesToSerial(t *testing.T) {
 	}
 }
 
-// TestBlockSizeModel sanity-checks the calibrated chunk-width argmin:
+// TestBlockSizeModel sanity-checks the cost-model chunk-width argmin:
 // in-range, deterministic, and scaling the way the cost surface says it
 // should (more basis amortization pressure at larger k ⇒ never a smaller c).
 func TestBlockSizeModel(t *testing.T) {
@@ -268,6 +268,21 @@ func TestBlockSizeModel(t *testing.T) {
 	}
 	if c := BlockSize(400, 5, 2); c != 2 {
 		t.Fatalf("BlockSize cap: got %d want 2", c)
+	}
+}
+
+// TestBlockSizePinned: the chunk width reaches the engine's numeric output,
+// so it is a pure function of (d, k) — the same table on every machine and on
+// every call, whatever the host's timings are.
+func TestBlockSizePinned(t *testing.T) {
+	for _, tc := range []struct{ d, want int }{
+		{16, 4}, {400, 11}, {1000, 15}, {2000, 16}, {4000, 16},
+	} {
+		for call := 0; call < 2; call++ {
+			if c := BlockSize(tc.d, 5, 16); c != tc.want {
+				t.Fatalf("call %d: BlockSize(%d,5,16) = %d, want %d", call, tc.d, c, tc.want)
+			}
+		}
 	}
 }
 

@@ -68,11 +68,6 @@ const (
 	// EvWireEOS: a remote edge received the peer's clean end-of-stream frame.
 	// Node = edge name, Engine = peer engine index, N = tuples received.
 	EvWireEOS
-	// EvAdaptRetune: the adaptive transport tuner moved the frame width or
-	// flush deadline. Engine = -1 (the decision is source-level),
-	// N = the new frame width, A = the new flush deadline in ns,
-	// B = the tuples/s observed over the evaluation window that drove it.
-	EvAdaptRetune
 )
 
 // String returns the stable lowercase name used in JSON and Prometheus
@@ -113,8 +108,6 @@ func (k EventKind) String() string {
 		return "wire-down"
 	case EvWireEOS:
 		return "wire-eos"
-	case EvAdaptRetune:
-		return "adapt-retune"
 	default:
 		return "unknown"
 	}

@@ -57,11 +57,6 @@ type DistConfig struct {
 	Batch         int
 	FlushEvery    time.Duration
 	Buffer        int
-	// AdaptiveBatch mirrors Config.AdaptiveBatch: when true (and Batch > 1)
-	// the coordinator retunes the packer's frame width and flush deadline
-	// from the wire-send operators' queue-depth and latency histograms, and
-	// drives each edge's coalescing cork deadline from the same signal.
-	AdaptiveBatch bool
 	// BarrierEvery, when positive, weaves a checkpoint barrier into the
 	// data stream every that many tuples; the split broadcasts it to every
 	// engine, which snapshots its state on arrival.
@@ -99,35 +94,6 @@ func routePort(msg stream.Message) int {
 	}
 }
 
-// statsFromReport converts the wire form of an engine report back into the
-// pipeline's result type.
-func statsFromReport(r wire.EngineReport) EngineStats {
-	return EngineStats{
-		Engine:                r.Engine,
-		Processed:             r.Processed,
-		Outliers:              r.Outliers,
-		SnapshotsSent:         r.SnapshotsSent,
-		MergesApplied:         r.MergesApplied,
-		Restarts:              r.Restarts,
-		ResumedFromCheckpoint: r.Resumed,
-		Final:                 r.Final,
-	}
-}
-
-// reportFromStats is the worker-side inverse of statsFromReport.
-func reportFromStats(st EngineStats) wire.EngineReport {
-	return wire.EngineReport{
-		Engine:        st.Engine,
-		Processed:     st.Processed,
-		Outliers:      st.Outliers,
-		SnapshotsSent: st.SnapshotsSent,
-		MergesApplied: st.MergesApplied,
-		Restarts:      st.Restarts,
-		Resumed:       st.ResumedFromCheckpoint,
-		Final:         st.Final,
-	}
-}
-
 // wireRouter is the coordinator's sync-plane switchboard. Inputs: ports
 // 0..n-1 carry worker traffic (snapshots, reports) up their edges, port n
 // carries controller commands over a loop edge. Outputs: ports 0..n-1 feed
@@ -150,7 +116,7 @@ func (r *wireRouter) Process(port int, msg stream.Message, emit stream.Emit) {
 			emit(m.To, m)
 		}
 	case wire.EngineReport:
-		emit(r.n, stream.Result{Engine: m.Engine, Seq: m.Processed, Payload: statsFromReport(m)})
+		emit(r.n, stream.Result{Engine: m.Engine, Seq: m.Processed, Payload: EngineStats(m)})
 	// Clock probes never reach the router: the edge answers them at the
 	// transport layer (recvLoop stamps and replies through the sender's
 	// priority slot), so the echo cannot be lost to a full send queue the
@@ -166,12 +132,11 @@ func (r *wireRouter) Process(port int, msg stream.Message, emit stream.Emit) {
 func (r *wireRouter) Flush(stream.Emit) {}
 
 // wireLaneFrames sizes a wire send node's queue in frames: enough to keep
-// the edge busy through one socket stall. The budget is 32 calibrated
-// kernel blocks' worth of tuples — the engine-side unit of work the lane
-// must be able to feed without draining — converted to frames at the
-// packer's batch width and clamped to [4, 64]. At the measured reference
-// point (d=400, batch=32, calibrated block 16) this reproduces the
-// 16-frame floor the hardcoded heuristic used.
+// the edge busy through one socket stall. The budget is 32 kernel blocks'
+// worth of tuples — the engine-side unit of work the lane must be able to
+// feed without draining — converted to frames at the packer's batch width
+// and clamped to [4, 64]. At the measured reference point (d=400, batch=32,
+// block 16) this reproduces the 16-frame floor the hardcoded heuristic used.
 func wireLaneFrames(engCfg core.Config, batch int) int {
 	c := engCfg.BlockSize
 	if c <= 0 {
@@ -185,6 +150,27 @@ func wireLaneFrames(engCfg core.Config, batch int) int {
 		frames = 64
 	}
 	return frames
+}
+
+// wireQueues returns the coordinator's queue depths in messages: wireBuf for
+// the split and each edge's send ring, syncBuf for the nodes that also carry
+// the control plane.
+//
+// The in-process queue heuristic (nodeBuf, as shallow as 2 frames) is tuned
+// for operators whose consumer is a local goroutine. A wire send node's
+// consumer is a TCP socket: its writes block for the whole window-update
+// round trip whenever the kernel buffer fills, and with a 2-deep queue that
+// stall backs up through the split and idles every other edge (and, on a
+// saturated host, the engines themselves). The floor that keeps each edge's
+// lane full across those stalls scales with how much work one engine absorbs
+// per kernel call, so it is derived from the block width rather than
+// hardcoded. The router and the send operators also carry the control plane
+// over droppable loop edges; their queues must additionally not be so
+// shallow that data backpressure squeezes every snapshot out.
+func wireQueues(p *plan) (wireBuf, syncBuf int) {
+	lane := wireLaneFrames(p.Engine, p.batch)
+	wireBuf = max(p.nodeBuf, lane)
+	return wireBuf, max(wireBuf, 2*lane)
 }
 
 // corkFromFlush maps the packer's flush deadline to a wire cork deadline:
@@ -203,6 +189,29 @@ func corkFromFlush(d time.Duration) time.Duration {
 	return c
 }
 
+// edgeOptions builds the coordinator's end of engine i's edge. Batching has
+// one control, Batch/FlushEvery: under batched transport the edge's
+// coalescing cork is derived from the flush deadline, and without it a lone
+// message is never held back.
+func edgeOptions(p *plan, cfg *DistConfig, i, sendLane int) wire.EdgeOptions {
+	opt := wire.EdgeOptions{
+		Name: fmt.Sprintf("wire-%d", i),
+		// The coordinator's hello assigns the worker its engine index.
+		Hello:       wire.Hello{Engine: i, Dim: p.Engine.Dim, Batch: p.batch, Epoch: 1},
+		Retry:       cfg.Retry,
+		DialTimeout: cfg.DialTimeout,
+		Chaos:       cfg.Chaos[i],
+		Obs:         p.Obs,
+		// The send ring is the coalescing bound; the caller matches it to
+		// the node queue so one writev can gather a full lane.
+		SendLane: sendLane,
+	}
+	if p.batch > 1 {
+		opt.Cork = corkFromFlush(p.FlushEvery)
+	}
+	return opt
+}
+
 // RunCoordinator drives a distributed run against already-listening
 // workers and blocks until every worker reported its final state. The
 // returned Result matches Run's, with Wire carrying per-edge transport
@@ -212,52 +221,16 @@ func RunCoordinator(ctx context.Context, cfg DistConfig) (*Result, error) {
 	if n == 0 {
 		return nil, errors.New("pipeline: no workers")
 	}
-	if cfg.Source == nil {
-		return nil, errors.New("pipeline: Source is required")
-	}
-	engCfg := cfg.Engine
-	if err := engCfg.Validate(); err != nil {
+	p, err := newPlan(Config{
+		Engine: cfg.Engine, NumEngines: n, Source: cfg.Source,
+		Split: cfg.Split, Seed: cfg.Seed,
+		SyncEvery: cfg.SyncEvery, SyncStrategy: cfg.SyncStrategy,
+		SyncGroupSize: cfg.SyncGroupSize, SyncFactor: cfg.SyncFactor,
+		Batch: cfg.Batch, FlushEvery: cfg.FlushEvery, Buffer: cfg.Buffer,
+		Obs: cfg.Obs,
+	})
+	if err != nil {
 		return nil, err
-	}
-	if cfg.SyncFactor == 0 {
-		cfg.SyncFactor = 1.5
-	}
-	if cfg.Buffer <= 0 {
-		cfg.Buffer = 64
-	}
-	batch := cfg.Batch
-	if batch < 1 {
-		batch = 1
-	}
-	nodeBuf := cfg.Buffer
-	if batch > 1 {
-		nodeBuf = (cfg.Buffer + batch - 1) / batch
-		if nodeBuf < 2 {
-			nodeBuf = 2
-		}
-	}
-	// The in-process queue heuristic (nodeBuf, as shallow as 2 frames) is
-	// tuned for operators whose consumer is a local goroutine. A wire send
-	// node's consumer is a TCP socket: its writes block for the whole
-	// window-update round trip whenever the kernel buffer fills, and with a
-	// 2-deep queue that stall backs up through the split and idles every
-	// other edge (and, on a saturated host, the engines themselves). The
-	// floor that keeps each edge's lane full across those stalls scales
-	// with how much work one engine absorbs per kernel call, so it is
-	// derived from the calibrated block width rather than hardcoded —
-	// wireLaneFrames reproduces the previously measured 16-frame floor at
-	// the d=400, batch=32 reference point.
-	wireBuf := nodeBuf
-	lane := wireLaneFrames(engCfg, batch)
-	if wireBuf < lane {
-		wireBuf = lane
-	}
-	// The router and the send operators also carry the control plane over
-	// droppable loop edges; their queues must additionally not be so shallow
-	// that data backpressure squeezes every snapshot out.
-	syncBuf := wireBuf
-	if syncBuf < 2*lane {
-		syncBuf = 2 * lane
 	}
 	for i, plan := range cfg.Chaos {
 		if plan == nil {
@@ -268,189 +241,69 @@ func RunCoordinator(ctx context.Context, cfg DistConfig) (*Result, error) {
 		}
 	}
 
+	edges := make([]*wire.Edge, n)
+	defer func() {
+		for _, e := range edges {
+			if e != nil {
+				e.Close()
+			}
+		}
+	}()
+	wireBuf, syncBuf := wireQueues(p)
+	// Lane i is a TCP edge to worker i: the split feeds its send half, its
+	// receive half feeds the router, and the router switches sync traffic
+	// back down the edges and engine reports on to the sink.
+	attach := func(_ context.Context, g *stream.Graph, split stream.NodeID,
+		_ *tuplePool, ctl *syncctl.Controller) (control, results []port, err error) {
+		routerID := g.Add("wire-router", &wireRouter{n: n, cluster: cfg.Cluster},
+			stream.WithBuffer(syncBuf))
+		for i, addr := range cfg.Workers {
+			opt := edgeOptions(p, &cfg, i, wireBuf)
+			if ctl != nil {
+				// Exclude unreachable engines from sync plans while their link
+				// is down — the distributed analogue of MarkFailed on crash.
+				opt.OnState = func(up bool) {
+					if up {
+						ctl.MarkRecovered(i)
+					} else {
+						ctl.MarkFailed(i)
+					}
+				}
+			}
+			edges[i] = wire.DialEdge(addr, opt)
+			sendID := g.Add(fmt.Sprintf("wire-send-%d", i), edges[i].Operator(),
+				stream.WithBuffer(syncBuf))
+			if err := g.Connect(split, i, sendID, 0); err != nil {
+				return nil, nil, err
+			}
+			recvID := g.AddSource(fmt.Sprintf("wire-recv-%d", i), edges[i].Source(nil))
+			if err := g.Connect(recvID, 0, routerID, i); err != nil {
+				return nil, nil, err
+			}
+			// Sync traffic back down an edge rides a loop edge: droppable, and
+			// outside the EOS accounting (the data path ends the stream, not
+			// the control plane).
+			if err := g.ConnectLoop(routerID, i, sendID, 0); err != nil {
+				return nil, nil, err
+			}
+		}
+		// Port n is the router's controller input and its report output.
+		at := []port{{routerID, n}}
+		return at, at, nil
+	}
+
 	// The frame pool is safe here even under chaos: the wire fault layer
 	// duplicates encoded bytes, never the frame store, and the send
 	// operator releases each frame exactly once after Encode.
-	var fpool *framePool
-	var tpool *tuplePool
-	if batch > 1 {
-		fpool = newFramePool(engCfg.Dim, batch)
-	} else {
-		tpool = newTuplePool(engCfg.Dim)
-	}
-
-	var ctl *syncctl.Controller
-	if cfg.SyncEvery > 0 && n > 1 {
-		ctl = &syncctl.Controller{N: n, Strategy: cfg.SyncStrategy, GroupSize: cfg.SyncGroupSize}
-		if cfg.Obs != nil {
-			ctl.Inst = cfg.Obs.Sync()
-		}
-	}
-
-	// Adaptive batching reads the wire-send operators' histograms, so the
-	// runtime must be instrumented even when the caller did not ask for
-	// observability — a private set keeps that invisible outside the run
-	// (the same arrangement Run uses with the engine operators).
-	flushEff := cfg.FlushEvery
-	if flushEff <= 0 {
-		flushEff = 2 * time.Millisecond
-	}
-	obsSet := cfg.Obs
-	var tuner *adaptiveTuner
-	if cfg.AdaptiveBatch && batch > 1 {
-		if obsSet == nil {
-			obsSet = obs.NewSet()
-		}
-		insts := make([]*obs.OpInstruments, n)
-		for i := range insts {
-			insts[i] = obsSet.Op(fmt.Sprintf("wire-send-%d", i))
-		}
-		tuner = newAdaptiveTuner(batch, cfg.FlushEvery, insts, obsSet.Journal(),
-			time.Now().UnixNano())
-	}
-
-	edges := make([]*wire.Edge, n)
-	for i, addr := range cfg.Workers {
-		opt := wire.EdgeOptions{
-			Name: fmt.Sprintf("wire-%d", i),
-			// The coordinator's hello assigns the worker its engine index.
-			Hello:       wire.Hello{Engine: i, Dim: engCfg.Dim, Batch: batch, Epoch: 1},
-			Retry:       cfg.Retry,
-			DialTimeout: cfg.DialTimeout,
-			Chaos:       cfg.Chaos[i],
-			Obs:         obsSet,
-			// The send ring is the coalescing bound; match it to the node
-			// queue so one writev can gather a full lane.
-			SendLane: wireBuf,
-		}
-		if tuner != nil {
-			// The cork deadline tracks the tuner's flush target: when the
-			// tuner stretches the deadline to fill frames, the cork stretches
-			// with it (clamped — see corkFromFlush).
-			opt.CorkFn = func() time.Duration { return corkFromFlush(tuner.targetFlush()) }
-		} else if batch > 1 {
-			opt.Cork = corkFromFlush(flushEff)
-		}
-		if ctl != nil {
-			// Exclude unreachable engines from sync plans while their link
-			// is down — the distributed analogue of MarkFailed on crash.
-			opt.OnState = func(up bool) {
-				if up {
-					ctl.MarkRecovered(i)
-				} else {
-					ctl.MarkFailed(i)
-				}
-			}
-		}
-		edges[i] = wire.DialEdge(addr, opt)
-	}
-	defer func() {
-		for _, e := range edges {
-			e.Close()
-		}
-	}()
-
-	g := stream.NewGraph()
-	var tuplesIn int64
-	srcFn := sourceFunc(cfg.Source, engCfg.Dim, batch, cfg.FlushEvery, fpool, tpool, &tuplesIn, cfg.BarrierEvery, tuner)
-	src := g.AddSource("source", srcFn)
-	split := g.Add("split", &stream.Split{N: n, Policy: cfg.Split, Seed: cfg.Seed},
-		stream.WithBuffer(wireBuf))
-	if err := g.Connect(src, 0, split, 0); err != nil {
+	res, err := p.run(ctx, lanes{
+		pooled: true, splitBuf: wireBuf, barrierEvery: cfg.BarrierEvery, attach: attach,
+	})
+	if err != nil {
 		return nil, err
 	}
-
-	router := &wireRouter{n: n, cluster: cfg.Cluster}
-	routerID := g.Add("wire-router", router, stream.WithBuffer(syncBuf))
-	sendIDs := make([]stream.NodeID, n)
-	for i := range edges {
-		sendIDs[i] = g.Add(fmt.Sprintf("wire-send-%d", i), edges[i].Operator(),
-			stream.WithBuffer(syncBuf))
-		if err := g.Connect(split, i, sendIDs[i], 0); err != nil {
-			return nil, err
-		}
-		recvID := g.AddSource(fmt.Sprintf("wire-recv-%d", i), edges[i].Source(nil))
-		if err := g.Connect(recvID, 0, routerID, i); err != nil {
-			return nil, err
-		}
-		// Sync traffic back down an edge rides a loop edge: droppable, and
-		// outside the EOS accounting (the data path ends the stream, not
-		// the control plane).
-		if err := g.ConnectLoop(routerID, i, sendIDs[i], 0); err != nil {
-			return nil, err
-		}
-	}
-	if ctl != nil {
-		tick := g.AddSource("sync-ticker", stream.Ticker(cfg.SyncEvery))
-		ctlID := g.Add("sync-controller", ctl)
-		if err := g.Connect(tick, 0, ctlID, 0); err != nil {
-			return nil, err
-		}
-		if err := g.ConnectLoop(ctlID, 0, routerID, n); err != nil {
-			return nil, err
-		}
-	}
-
-	runCtx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	var final []EngineStats
-	sink := &stream.Collect{
-		OnItem: func(msg stream.Message) {
-			res := msg.(stream.Result)
-			final = append(final, res.Payload.(EngineStats))
-		},
-		OnFlush: cancel,
-	}
-	snk := g.Add("sink", sink)
-	if err := g.Connect(routerID, n, snk, 0); err != nil {
-		return nil, err
-	}
-
-	if obsSet != nil {
-		g.Instrument(obsSet)
-	}
-
-	start := time.Now()
-	err := g.Run(runCtx)
-	elapsed := time.Since(start)
-	if err != nil && !errors.Is(err, context.Canceled) {
-		return nil, err
-	}
-	if ctxErr := ctx.Err(); ctxErr != nil {
-		return nil, ctxErr
-	}
-
-	res := &Result{
-		Engines:  make([]EngineStats, n),
-		Metrics:  g.Metrics(),
-		Elapsed:  elapsed,
-		TuplesIn: tuplesIn,
-		Failures: g.Failures(),
-		Wire:     make([]wire.EdgeStats, n),
-	}
+	res.Wire = make([]wire.EdgeStats, n)
 	for i, e := range edges {
 		res.Wire[i] = e.Stats()
-	}
-	if tuner != nil {
-		res.Retunes = tuner.Retunes()
-		res.FinalBatch = tuner.targetBatch()
-		res.FinalFlush = tuner.targetFlush()
-	}
-	for _, st := range final {
-		if st.Engine >= 0 && st.Engine < n {
-			res.Engines[st.Engine] = st
-		}
-	}
-	var systems []*core.Eigensystem
-	for _, st := range res.Engines {
-		if st.Final != nil {
-			systems = append(systems, st.Final)
-		}
-	}
-	if len(systems) > 0 {
-		if merged, mErr := core.MergeMany(systems); mErr == nil {
-			res.Merged = merged
-		}
 	}
 	return res, nil
 }
@@ -490,7 +343,7 @@ type reportOp struct{}
 func (reportOp) Process(_ int, msg stream.Message, emit stream.Emit) {
 	switch m := msg.(type) {
 	case stream.Result:
-		emit(0, reportFromStats(m.Payload.(EngineStats)))
+		emit(0, wire.EngineReport(m.Payload.(EngineStats)))
 	case stream.Snapshot:
 		emit(0, m)
 	}
@@ -589,27 +442,19 @@ func ServeWorkerSession(ctx context.Context, ln *wire.Listener, cfg WorkerConfig
 		return nil, err
 	}
 	id := hello.Engine
-	en, err := core.NewEngine(engCfg)
-	if err != nil {
-		return nil, err
-	}
-	op := &pcaOperator{id: id, engine: en, syncFactor: cfg.SyncFactor, cfg: engCfg}
-	// Park the kernel pool when the session ends (restore may have swapped
-	// the engine, so close through the operator's current pointer).
-	defer func() { op.engine.Close() }()
 	// Telemetry needs an instrument set to report from; make a private one
 	// when the caller turned on reporting without providing observability.
 	obsSet := cfg.Obs
 	if cfg.ReportEvery > 0 && obsSet == nil {
 		obsSet = obs.NewSet()
 	}
-	if obsSet != nil {
-		inst := obsSet.Engine(max(id, 0))
-		op.inst = inst
-		op.journal = obsSet.Journal()
-		op.e2e = obsSet.E2E()
-		en.SetInstruments(inst)
+	op, err := newPCAOperator(id, engCfg, cfg.SyncFactor, obsSet)
+	if err != nil {
+		return nil, err
 	}
+	// Park the kernel pool when the session ends (restore may have swapped
+	// the engine, so close through the operator's current pointer).
+	defer func() { op.engine.Close() }()
 	var tel *telemetryOp
 	if cfg.ReportEvery > 0 {
 		clock := &wire.ClockState{}
@@ -642,7 +487,6 @@ func ServeWorkerSession(ctx context.Context, ln *wire.Listener, cfg WorkerConfig
 			return nil, err
 		}
 	}
-	var st EngineStats
 	trans := g.Add("wire-report", reportOp{})
 	if err := g.Connect(pcaID, portResult, trans, 0); err != nil {
 		return nil, err
@@ -668,20 +512,12 @@ func ServeWorkerSession(ctx context.Context, ln *wire.Listener, cfg WorkerConfig
 		}
 	}
 	if obsSet != nil {
-		g.Instrument(obsSet)
+		instrument(g, obsSet)
 	}
 	if err := g.Run(ctx); err != nil && !errors.Is(err, context.Canceled) {
 		return nil, err
 	}
-	st = EngineStats{
-		Engine:                id,
-		Processed:             op.processed,
-		Outliers:              op.outliers,
-		SnapshotsSent:         op.sent,
-		MergesApplied:         op.merged,
-		Restarts:              op.restarts,
-		ResumedFromCheckpoint: op.resumed,
-	}
+	st := op.stats()
 	return &st, ctx.Err()
 }
 
@@ -723,120 +559,4 @@ func RunWorker(ctx context.Context, addr string, sessions int, cfg WorkerConfig,
 		}
 	}
 	return nil
-}
-
-// sourceFunc builds the graph source shared by the in-process and
-// distributed runtimes: the micro-batching frame packer (batch > 1) or the
-// per-tuple emitter, optionally weaving checkpoint barriers into the data
-// stream every barrierEvery tuples. A non-nil tuner makes the frame width
-// and flush deadline adaptive: the packer re-reads both targets every tuple
-// and ticks the tuner so it can retune at window boundaries (frame stores
-// are allocated at the configured maximum, so a narrower target just means
-// partial fill — never a realloc).
-func sourceFunc(src Source, dim, batch int, flushEvery time.Duration, fpool *framePool, pool *tuplePool, tuplesIn *int64, barrierEvery int64, tuner *adaptiveTuner) stream.SourceFunc {
-	if batch > 1 {
-		if flushEvery <= 0 {
-			flushEvery = 2 * time.Millisecond
-		}
-		return func(ctx context.Context, emit stream.Emit) error {
-			var fs *frameStore
-			var opened time.Time
-			var sinceBarrier, epoch int64
-			flush := func() {
-				// The trace stamp reuses the frame-open timestamp the flush
-				// deadline already tracks — zero extra clock reads on the hot
-				// path. Origin 0: the packer always runs in the stamping
-				// (coordinator or single) process.
-				fr := stream.Frame{
-					Seq:    fs.tuples[0].Seq,
-					Tuples: fs.tuples,
-					Trace:  stream.Trace{IngestNs: opened.UnixNano()},
-				}
-				if fpool != nil {
-					s := fs
-					fr.Release = func() { fpool.put(s) }
-				}
-				emit(0, fr)
-				fs = nil
-			}
-			for seq := int64(0); ; seq++ {
-				vec, mask, ok := src()
-				if !ok {
-					if fs != nil && len(fs.tuples) > 0 {
-						flush()
-					}
-					return nil
-				}
-				select {
-				case <-ctx.Done():
-					return ctx.Err()
-				default:
-				}
-				*tuplesIn++
-				if fs == nil {
-					if fpool != nil {
-						fs = fpool.get()
-					} else {
-						fs = &frameStore{
-							dim:    dim,
-							buf:    make([]float64, batch*dim),
-							tuples: make([]stream.Tuple, 0, batch),
-						}
-					}
-					opened = time.Now()
-				}
-				fs.add(seq, vec, mask)
-				width, deadline := batch, flushEvery
-				now := time.Now()
-				if tuner != nil {
-					width, deadline = tuner.targetBatch(), tuner.targetFlush()
-				}
-				if len(fs.tuples) >= width || now.Sub(opened) >= deadline {
-					flush()
-				}
-				if tuner != nil {
-					tuner.tick(*tuplesIn, now.UnixNano())
-				}
-				if barrierEvery > 0 {
-					if sinceBarrier++; sinceBarrier >= barrierEvery {
-						if fs != nil && len(fs.tuples) > 0 {
-							flush()
-						}
-						epoch++
-						emit(0, stream.Barrier{Epoch: epoch})
-						sinceBarrier = 0
-					}
-				}
-			}
-		}
-	}
-	return func(ctx context.Context, emit stream.Emit) error {
-		var sinceBarrier, epoch int64
-		for seq := int64(0); ; seq++ {
-			vec, mask, ok := src()
-			if !ok {
-				return nil
-			}
-			select {
-			case <-ctx.Done():
-				return ctx.Err()
-			default:
-			}
-			*tuplesIn++
-			if pool != nil {
-				vec = pool.getVec(vec)
-				if mask != nil {
-					mask = pool.getMask(mask)
-				}
-			}
-			emit(0, stream.Tuple{Seq: seq, Vec: vec, Mask: mask})
-			if barrierEvery > 0 {
-				if sinceBarrier++; sinceBarrier >= barrierEvery {
-					epoch++
-					emit(0, stream.Barrier{Epoch: epoch})
-					sinceBarrier = 0
-				}
-			}
-		}
-	}
 }

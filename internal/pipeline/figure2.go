@@ -1,0 +1,302 @@
+package pipeline
+
+import (
+	"context"
+	"errors"
+	"time"
+
+	"streampca/internal/core"
+	"streampca/internal/obs"
+	"streampca/internal/stream"
+	"streampca/internal/syncctl"
+)
+
+// This file is the one assembly of the paper's Figure-2 graph:
+//
+//	source ─ split ─┬─ lane 0 ─┬─ sink
+//	                ├─   …     │
+//	 ticker ─ ctl ─▷└─ lane n-1┘
+//
+// Run and RunCoordinator normalise their configuration into a plan, describe
+// their engine lanes (a local pcaOperator each, or a TCP edge to a worker
+// process each) and hand both to plan.run, which builds and runs everything
+// the two deployments share.
+
+// plan is a Config after normalisation: every default filled in, the engine
+// configuration validated, and the transport sizes derived from it.
+type plan struct {
+	Config
+	// batch is Config.Batch floored at 1 (1 = one tuple per message).
+	batch int
+	// nodeBuf is the per-node queue depth in messages. Buffer is denominated
+	// in tuples; under batched transport one queued message holds a whole
+	// frame, so the depth shrinks by the batch factor. Without this, Batch
+	// would silently multiply the pipeline's buffered-tuple capacity
+	// ~batch-fold — tens of megabytes of in-flight frame stores whose cache
+	// churn erases the transport win.
+	nodeBuf int
+}
+
+// newPlan validates cfg and fills in its defaults. NumEngines ≤ 0 means 1.
+func newPlan(cfg Config) (*plan, error) {
+	if cfg.Source == nil {
+		return nil, errors.New("pipeline: Source is required")
+	}
+	if cfg.NumEngines <= 0 {
+		cfg.NumEngines = 1
+	}
+	if cfg.SyncFactor == 0 {
+		cfg.SyncFactor = 1.5
+	}
+	if cfg.Buffer <= 0 {
+		cfg.Buffer = 64
+	}
+	if cfg.FlushEvery <= 0 {
+		cfg.FlushEvery = 2 * time.Millisecond
+	}
+	if err := cfg.Engine.Validate(); err != nil {
+		return nil, err
+	}
+	p := &plan{Config: cfg, batch: max(cfg.Batch, 1), nodeBuf: cfg.Buffer}
+	if p.batch > 1 {
+		p.nodeBuf = max((cfg.Buffer+p.batch-1)/p.batch, 2)
+	}
+	return p, nil
+}
+
+// port names one end of a graph edge.
+type port struct {
+	node stream.NodeID
+	port int
+}
+
+// lanes is what differs between the two deployments of the graph: how the N
+// engine lanes hang between the split and the sink.
+type lanes struct {
+	// pooled recycles tuple and frame buffers between the source and the
+	// lanes' consumers.
+	pooled bool
+	// splitBuf is the split's queue depth in messages.
+	splitBuf int
+	// barrierEvery, when positive, weaves a checkpoint barrier into the data
+	// stream every that many tuples.
+	barrierEvery int64
+	// attach adds the lanes to g — lane i consumes split output i — and
+	// returns where sync-controller commands enter them (loop-edge targets;
+	// unused when ctl is nil, i.e. sync is off) and where the engines'
+	// flush-time Results leave them. ctx is cancelled when the run ends;
+	// tpool is the per-tuple buffer pool (nil when frames carry the data or
+	// pooling is off).
+	attach func(ctx context.Context, g *stream.Graph, split stream.NodeID,
+		tpool *tuplePool, ctl *syncctl.Controller) (control, results []port, err error)
+}
+
+// run builds the graph around ln's lanes, runs it until the source is
+// exhausted and every engine has reported, and assembles the Result.
+func (p *plan) run(ctx context.Context, ln lanes) (*Result, error) {
+	n, dim := p.NumEngines, p.Engine.Dim
+	var fpool *framePool
+	var tpool *tuplePool
+	if ln.pooled {
+		if p.batch > 1 {
+			fpool = newFramePool(dim, p.batch)
+		} else {
+			tpool = newTuplePool(dim)
+		}
+	}
+	// The controller exists before the lanes do: they report engine
+	// failures and link loss to it so sync plans exclude unreachable engines.
+	var ctl *syncctl.Controller
+	if p.SyncEvery > 0 && n > 1 {
+		ctl = &syncctl.Controller{N: n, Strategy: p.SyncStrategy, GroupSize: p.SyncGroupSize}
+		if p.Obs != nil {
+			ctl.Inst = p.Obs.Sync()
+		}
+	}
+
+	runCtx, cancel := context.WithCancel(ctx)
+	defer cancel()
+
+	g := stream.NewGraph()
+	var tuplesIn int64
+	src := g.AddSource("source", sourceFunc(p.Source, dim, p.batch, p.FlushEvery,
+		fpool, tpool, &tuplesIn, ln.barrierEvery))
+	split := g.Add("split", &stream.Split{N: n, Policy: p.Split, Seed: p.Seed},
+		stream.WithBuffer(ln.splitBuf))
+	if err := g.Connect(src, 0, split, 0); err != nil {
+		return nil, err
+	}
+	control, results, err := ln.attach(runCtx, g, split, tpool, ctl)
+	if err != nil {
+		return nil, err
+	}
+
+	// Synchronization fabric: ticker → controller → lanes. Commands ride loop
+	// edges — droppable, and outside the EOS accounting (the data path ends
+	// the stream, not the control plane).
+	if ctl != nil {
+		tick := g.AddSource("sync-ticker", stream.Ticker(p.SyncEvery))
+		ctlID := g.Add("sync-controller", ctl)
+		if err := g.Connect(tick, 0, ctlID, 0); err != nil {
+			return nil, err
+		}
+		for _, to := range control {
+			if err := g.ConnectLoop(ctlID, 0, to.node, to.port); err != nil {
+				return nil, err
+			}
+		}
+	}
+
+	// Result sink: collects each engine's flush-time Result and cancels the
+	// run once every result edge has drained — Flush fires even when a
+	// crashed engine never emitted its Result, so graphs with a live sync
+	// ticker still terminate deterministically.
+	engines := make([]EngineStats, n)
+	snk := g.Add("sink", &stream.Collect{
+		OnItem: func(msg stream.Message) {
+			st := msg.(stream.Result).Payload.(EngineStats)
+			// The index may have crossed a socket; don't trust it blindly.
+			if st.Engine >= 0 && st.Engine < n {
+				engines[st.Engine] = st
+			}
+		},
+		OnFlush: cancel,
+	})
+	for _, from := range results {
+		if err := g.Connect(from.node, from.port, snk, 0); err != nil {
+			return nil, err
+		}
+	}
+	if p.Obs != nil {
+		instrument(g, p.Obs)
+	}
+
+	start := time.Now()
+	err = g.Run(runCtx)
+	elapsed := time.Since(start)
+	if err != nil && !errors.Is(err, context.Canceled) {
+		return nil, err
+	}
+	if ctxErr := ctx.Err(); ctxErr != nil {
+		return nil, ctxErr
+	}
+
+	res := &Result{
+		Engines:  engines,
+		Metrics:  g.Metrics(),
+		Elapsed:  elapsed,
+		TuplesIn: tuplesIn,
+		Failures: g.Failures(),
+	}
+	var systems []*core.Eigensystem
+	for _, st := range engines {
+		if st.Final != nil {
+			systems = append(systems, st.Final)
+		}
+	}
+	if len(systems) > 0 {
+		if merged, mErr := core.MergeMany(systems); mErr == nil {
+			res.Merged = merged
+		}
+	}
+	return res, nil
+}
+
+// instrument attaches set's per-operator histograms to g's runtime, and a
+// counter adapter so the exposition layer can serve live message/tuple/drop
+// tallies without obs importing stream.
+func instrument(g *stream.Graph, set *obs.Set) {
+	g.Instrument(set)
+	set.SetOpCounters(func() []obs.OpCounters {
+		ms := g.Metrics()
+		out := make([]obs.OpCounters, len(ms))
+		for i, m := range ms {
+			out[i] = obs.OpCounters{
+				Name: m.Name, In: m.In, Out: m.Out,
+				TuplesIn: m.TuplesIn, TuplesOut: m.TuplesOut,
+				Dropped: m.Dropped, BusyNs: int64(m.Busy),
+				QueueLen: int64(m.QueueLen),
+			}
+		}
+		return out
+	})
+}
+
+// sourceFunc builds the graph source. With batch > 1 it is the micro-batching
+// frame packer, which closes a frame at batch tuples or flushEvery after it
+// was opened; otherwise it emits one tuple per message. Either way it can
+// weave a checkpoint barrier into the data stream every barrierEvery tuples.
+func sourceFunc(src Source, dim, batch int, flushEvery time.Duration, fpool *framePool, pool *tuplePool, tuplesIn *int64, barrierEvery int64) stream.SourceFunc {
+	return func(ctx context.Context, emit stream.Emit) error {
+		var fs *frameStore // the open frame; never empty while non-nil
+		var opened time.Time
+		var sinceBarrier, epoch int64
+		flush := func() {
+			if fs == nil {
+				return
+			}
+			// The trace stamp reuses the frame-open timestamp the flush
+			// deadline already tracks — zero extra clock reads on the hot
+			// path. Origin 0: the packer always runs in the stamping
+			// (coordinator or single) process.
+			fr := stream.Frame{
+				Seq:    fs.tuples[0].Seq,
+				Tuples: fs.tuples,
+				Trace:  stream.Trace{IngestNs: opened.UnixNano()},
+			}
+			if fpool != nil {
+				s := fs
+				fr.Release = func() { fpool.put(s) }
+			}
+			emit(0, fr)
+			fs = nil
+		}
+		for seq := int64(0); ; seq++ {
+			vec, mask, ok := src()
+			if !ok {
+				flush()
+				return nil
+			}
+			select {
+			case <-ctx.Done():
+				return ctx.Err()
+			default:
+			}
+			*tuplesIn++
+			if batch > 1 {
+				if fs == nil {
+					if fpool != nil {
+						fs = fpool.get()
+					} else {
+						fs = &frameStore{
+							dim:    dim,
+							buf:    make([]float64, batch*dim),
+							tuples: make([]stream.Tuple, 0, batch),
+						}
+					}
+					opened = time.Now()
+				}
+				fs.add(seq, vec, mask)
+				if len(fs.tuples) >= batch || time.Since(opened) >= flushEvery {
+					flush()
+				}
+			} else {
+				if pool != nil {
+					vec = pool.getVec(vec)
+					if mask != nil {
+						mask = pool.getMask(mask)
+					}
+				}
+				emit(0, stream.Tuple{Seq: seq, Vec: vec, Mask: mask})
+			}
+			if barrierEvery > 0 {
+				if sinceBarrier++; sinceBarrier >= barrierEvery {
+					flush()
+					epoch++
+					emit(0, stream.Barrier{Epoch: epoch})
+					sinceBarrier = 0
+				}
+			}
+		}
+	}
+}

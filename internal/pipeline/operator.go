@@ -69,6 +69,26 @@ type pcaOperator struct {
 	resumed             bool
 }
 
+// newPCAOperator builds engine id's operator around a fresh core.Engine. A
+// non-nil set receives the engine's algorithm gauges, its control-plane
+// events and the end-to-end latency of every traced frame.
+func newPCAOperator(id int, cfg core.Config, syncFactor float64, set *obs.Set) (*pcaOperator, error) {
+	en, err := core.NewEngine(cfg)
+	if err != nil {
+		return nil, err
+	}
+	op := &pcaOperator{id: id, engine: en, syncFactor: syncFactor, cfg: cfg}
+	if set != nil {
+		// A worker's id is whatever its peer's hello said; one that assigned
+		// no index (-1) publishes as engine 0.
+		op.inst = set.Engine(max(id, 0))
+		op.journal = set.Journal()
+		op.e2e = set.E2E()
+		en.SetInstruments(op.inst)
+	}
+	return op, nil
+}
+
 // Process implements stream.Operator.
 func (p *pcaOperator) Process(port int, msg stream.Message, emit stream.Emit) {
 	switch port {
@@ -334,9 +354,9 @@ func (p *pcaOperator) absorb(snap stream.Snapshot) {
 	p.merged++
 }
 
-// Flush implements stream.Operator: it reports the engine's final state.
-func (p *pcaOperator) Flush(emit stream.Emit) {
-	st := EngineStats{
+// stats returns the engine's counters so far (Final is left to Flush).
+func (p *pcaOperator) stats() EngineStats {
+	return EngineStats{
 		Engine:                p.id,
 		Processed:             p.processed,
 		Outliers:              p.outliers,
@@ -345,6 +365,11 @@ func (p *pcaOperator) Flush(emit stream.Emit) {
 		Restarts:              p.restarts,
 		ResumedFromCheckpoint: p.resumed,
 	}
+}
+
+// Flush implements stream.Operator: it reports the engine's final state.
+func (p *pcaOperator) Flush(emit stream.Emit) {
+	st := p.stats()
 	if snap, err := p.engine.Snapshot(); err == nil {
 		st.Final = snap
 	}

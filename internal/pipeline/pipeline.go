@@ -8,8 +8,8 @@ package pipeline
 
 import (
 	"context"
-	"errors"
 	"fmt"
+	"slices"
 	"strings"
 	"sync/atomic"
 	"time"
@@ -68,15 +68,6 @@ type Config struct {
 	// to source progress — a source that blocks indefinitely holds its
 	// partial frame with it.
 	FlushEvery time.Duration
-	// AdaptiveBatch, when true (and Batch > 1), lets the runtime retune the
-	// frame width and flush deadline while the stream runs: a controller on
-	// the source goroutine reads the engines' own latency and queue-depth
-	// histograms, hill-climbs the width within [2, Batch] toward the best
-	// measured tuples/s (growing it outright under standing backpressure),
-	// and tracks the flush deadline to the engines' measured per-message
-	// latency. Every move is journaled as an adapt-retune event. Batch then
-	// acts as the capacity ceiling rather than a hand-tuned operating point.
-	AdaptiveBatch bool
 	// Buffer is the per-node channel buffer (default 64).
 	Buffer int
 	// Chaos, when non-nil, injects deterministic faults into the run.
@@ -107,7 +98,8 @@ type ChaosConfig struct {
 	CheckpointEvery int64
 }
 
-// EngineStats summarizes one engine's run.
+// EngineStats summarizes one engine's run. wire.EngineReport mirrors it field
+// for field: a worker's stats cross the socket by plain conversion.
 type EngineStats struct {
 	// Engine is the engine index.
 	Engine int
@@ -150,12 +142,6 @@ type Result struct {
 	// Wire holds the per-edge transport counters of a distributed run
 	// (nil for the in-process runtime).
 	Wire []wire.EdgeStats
-	// Retunes counts adaptive-batching moves (0 unless AdaptiveBatch).
-	Retunes int64
-	// FinalBatch and FinalFlush are the adaptive tuner's last operating
-	// point (zero unless AdaptiveBatch).
-	FinalBatch int
-	FinalFlush time.Duration
 }
 
 // Throughput returns tuples per second over the whole run.
@@ -169,23 +155,10 @@ func (r *Result) Throughput() float64 {
 // Run executes the pipeline until the source is exhausted, then returns the
 // per-engine and merged results. ctx cancels an in-flight run.
 func Run(ctx context.Context, cfg Config) (*Result, error) {
-	if cfg.Source == nil {
-		return nil, errors.New("pipeline: Source is required")
-	}
-	if cfg.NumEngines <= 0 {
-		cfg.NumEngines = 1
-	}
-	if cfg.SyncFactor == 0 {
-		cfg.SyncFactor = 1.5
-	}
-	if cfg.Buffer <= 0 {
-		cfg.Buffer = 64
-	}
-	engCfg := cfg.Engine
-	if err := engCfg.Validate(); err != nil {
+	p, err := newPlan(cfg)
+	if err != nil {
 		return nil, err
 	}
-
 	chaos := cfg.Chaos
 	var ckptEvery int64
 	if chaos != nil {
@@ -205,55 +178,7 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 		}
 	}
 
-	// Tuple and frame buffers are pooled between the source and the engines
-	// unless a chaos plan is active (injectors may duplicate messages, which
-	// breaks the single-consumer ownership the pools rely on — see tuplePool).
-	batch := cfg.Batch
-	if batch < 1 {
-		batch = 1
-	}
-	// Buffer is denominated in tuples; under batched transport one queued
-	// message holds a whole frame, so the per-node channel depth shrinks by
-	// the batch factor. Without this, Batch would silently multiply the
-	// pipeline's buffered-tuple capacity ~batch-fold — tens of megabytes of
-	// in-flight frame stores whose cache churn erases the transport win.
-	nodeBuf := cfg.Buffer
-	if batch > 1 {
-		nodeBuf = (cfg.Buffer + batch - 1) / batch
-		if nodeBuf < 2 {
-			nodeBuf = 2
-		}
-	}
-	var pool *tuplePool
-	var fpool *framePool
-	if chaos == nil {
-		if batch > 1 {
-			fpool = newFramePool(engCfg.Dim, batch)
-		} else {
-			pool = newTuplePool(engCfg.Dim)
-		}
-	}
-
-	// Adaptive batching needs the runtime instrumented even when the caller
-	// did not ask for observability: the tuner's signals ARE the per-operator
-	// histograms. A private set keeps the instrumentation invisible outside
-	// the run; when the caller provides one, the retune trail lands in their
-	// journal alongside the sync and failure events.
-	obsSet := cfg.Obs
-	var tuner *adaptiveTuner
-	if cfg.AdaptiveBatch && batch > 1 {
-		if obsSet == nil {
-			obsSet = obs.NewSet()
-		}
-		insts := make([]*obs.OpInstruments, cfg.NumEngines)
-		for i := range insts {
-			insts[i] = obsSet.Op(fmt.Sprintf("pca%d", i))
-		}
-		tuner = newAdaptiveTuner(batch, cfg.FlushEvery, insts, obsSet.Journal(),
-			time.Now().UnixNano())
-	}
-
-	n := cfg.NumEngines
+	n := p.NumEngines
 	engines := make([]*pcaOperator, n)
 	// Engines own parked kernel-pool workers; park them when the run ends —
 	// through each operator's current pointer, since restore swaps engines.
@@ -264,119 +189,77 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 			}
 		}
 	}()
-	for i := 0; i < n; i++ {
-		en, err := core.NewEngine(engCfg)
-		if err != nil {
-			return nil, err
-		}
-		engines[i] = &pcaOperator{
-			id: i, engine: en, syncFactor: cfg.SyncFactor,
-			cfg: engCfg, ckptEvery: ckptEvery, pool: pool,
-		}
-		if cfg.Obs != nil {
-			inst := cfg.Obs.Engine(i)
-			engines[i].inst = inst
-			engines[i].journal = cfg.Obs.Journal()
-			// In-process both stamps read the same clock, so end-to-end
-			// latency needs no offset correction (clock stays nil).
-			engines[i].e2e = cfg.Obs.E2E()
-			en.SetInstruments(inst)
-		}
-	}
-
-	g := stream.NewGraph()
-	var tuplesIn int64
-	srcFn := sourceFunc(cfg.Source, engCfg.Dim, batch, cfg.FlushEvery, fpool, pool, &tuplesIn, 0, tuner)
-	src := g.AddSource("source", srcFn)
-	split := g.Add("split", &stream.Split{N: n, Policy: cfg.Split, Seed: cfg.Seed},
-		stream.WithBuffer(nodeBuf))
-	if err := g.Connect(src, 0, split, 0); err != nil {
-		return nil, err
-	}
-
-	engIDs := make([]stream.NodeID, n)
 	injectors := make([]*fault.Injector, n)
-	for i, op := range engines {
-		opts := []stream.Option{stream.WithBuffer(nodeBuf)}
-		if cfg.FuseEnginesPerPE > 0 {
-			opts = append(opts, stream.WithPE(i/cfg.FuseEnginesPerPE))
-		}
-		var node stream.Operator = op
-		if chaos != nil {
-			if plan, ok := chaos.Engine[i]; ok {
-				node = fault.WrapOperator(op, plan)
-			}
-		}
-		engIDs[i] = g.Add(fmt.Sprintf("pca%d", i), node, opts...)
-		if err := g.Connect(split, i, engIDs[i], portData); err != nil {
-			return nil, err
-		}
-		if chaos != nil {
-			if plan, ok := chaos.Edge[i]; ok {
-				inj := fault.NewInjector(plan)
-				if err := g.TapEdge(split, i, engIDs[i], portData, inj); err != nil {
-					return nil, err
-				}
-				injectors[i] = inj
-			}
-		}
-	}
-
-	// Synchronization fabric: ticker → controller → engines (control), and
-	// engine → engine snapshot loop edges. The controller is kept visible to
-	// the failure supervisor so crashed engines are excluded from sync plans.
-	var ctl *syncctl.Controller
-	if cfg.SyncEvery > 0 && n > 1 {
-		tick := g.AddSource("sync-ticker", stream.Ticker(cfg.SyncEvery))
-		ctl = &syncctl.Controller{
-			N: n, Strategy: cfg.SyncStrategy, GroupSize: cfg.SyncGroupSize,
-		}
-		if cfg.Obs != nil {
-			ctl.Inst = cfg.Obs.Sync()
-		}
-		ctlID := g.Add("sync-controller", ctl)
-		if err := g.Connect(tick, 0, ctlID, 0); err != nil {
-			return nil, err
-		}
-		for i := range engines {
-			// Control commands reach every engine over loop edges (the
-			// controller is upstream of nothing in the data sense).
-			if err := g.ConnectLoop(ctlID, 0, engIDs[i], portControl); err != nil {
-				return nil, err
-			}
-			// Snapshots fan out to all peers; receivers filter on To.
-			for j := range engines {
-				if i == j {
-					continue
-				}
-				if err := g.ConnectLoop(engIDs[i], portSnapshotOut, engIDs[j], portSnapshot); err != nil {
-					return nil, err
-				}
-			}
-		}
-	}
-
-	runCtx, cancel := context.WithCancel(ctx)
-	defer cancel()
-
-	// Failure supervisor: a crashed engine is excluded from sync plans
-	// immediately; if RestartAfter is set, it is revived from its last
-	// checkpoint on its own PE goroutine and re-enters the sync rotation.
-	// Registered whenever chaos or observability is on — an instrumented
-	// run journals failures and revivals even without injected faults.
 	var restarts atomic.Int64
-	if chaos != nil || cfg.Obs != nil {
-		engineOf := make(map[stream.NodeID]int, n)
-		for i, id := range engIDs {
-			engineOf[id] = i
+	// Lane i is engine i's operator on the split's output i, with its chaos
+	// taps; snapshots travel engine → engine over loop edges.
+	attach := func(runCtx context.Context, g *stream.Graph, split stream.NodeID,
+		tpool *tuplePool, ctl *syncctl.Controller) (control, results []port, err error) {
+		engIDs := make([]stream.NodeID, n)
+		for i := range engines {
+			// In-process both e2e stamps read the same clock, so end-to-end
+			// latency needs no offset correction (op.clock stays nil).
+			op, err := newPCAOperator(i, p.Engine, p.SyncFactor, p.Obs)
+			if err != nil {
+				return nil, nil, err
+			}
+			op.ckptEvery, op.pool = ckptEvery, tpool
+			engines[i] = op
+			opts := []stream.Option{stream.WithBuffer(p.nodeBuf)}
+			if cfg.FuseEnginesPerPE > 0 {
+				opts = append(opts, stream.WithPE(i/cfg.FuseEnginesPerPE))
+			}
+			var node stream.Operator = op
+			if chaos != nil {
+				if plan, ok := chaos.Engine[i]; ok {
+					node = fault.WrapOperator(op, plan)
+				}
+			}
+			engIDs[i] = g.Add(fmt.Sprintf("pca%d", i), node, opts...)
+			if err := g.Connect(split, i, engIDs[i], portData); err != nil {
+				return nil, nil, err
+			}
+			if chaos != nil {
+				if plan, ok := chaos.Edge[i]; ok {
+					inj := fault.NewInjector(plan)
+					if err := g.TapEdge(split, i, engIDs[i], portData, inj); err != nil {
+						return nil, nil, err
+					}
+					injectors[i] = inj
+				}
+			}
+			control = append(control, port{engIDs[i], portControl})
+			results = append(results, port{engIDs[i], portResult})
+		}
+		if ctl != nil {
+			// Snapshots fan out to all peers; receivers filter on To.
+			for i := range engIDs {
+				for j := range engIDs {
+					if i == j {
+						continue
+					}
+					if err := g.ConnectLoop(engIDs[i], portSnapshotOut, engIDs[j], portSnapshot); err != nil {
+						return nil, nil, err
+					}
+				}
+			}
+		}
+
+		// Failure supervisor: a crashed engine is excluded from sync plans
+		// immediately; if RestartAfter is set, it is revived from its last
+		// checkpoint on its own PE goroutine and re-enters the sync rotation.
+		// Registered whenever chaos or observability is on — an instrumented
+		// run journals failures and revivals even without injected faults.
+		if chaos == nil && p.Obs == nil {
+			return control, results, nil
 		}
 		var journal *obs.Journal
-		if cfg.Obs != nil {
-			journal = cfg.Obs.Journal()
+		if p.Obs != nil {
+			journal = p.Obs.Journal()
 		}
 		g.OnNodeFailure(func(f stream.NodeFailure) {
-			idx, ok := engineOf[f.Node]
-			if !ok {
+			idx := slices.Index(engIDs, f.Node)
+			if idx < 0 {
 				return
 			}
 			if journal != nil {
@@ -414,70 +297,17 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 				}
 			}()
 		})
+		return control, results, nil
 	}
 
-	// Result sink: collects each engine's flush-time Result and cancels the
-	// run once every result edge has drained — Flush fires even when a
-	// crashed engine never emitted its Result, so graphs with a live sync
-	// ticker still terminate deterministically.
-	var final []EngineStats
-	sink := &stream.Collect{
-		OnItem: func(msg stream.Message) {
-			res := msg.(stream.Result)
-			final = append(final, res.Payload.(EngineStats))
-		},
-		OnFlush: cancel,
-	}
-	snk := g.Add("sink", sink)
-	for i := range engines {
-		if err := g.Connect(engIDs[i], portResult, snk, 0); err != nil {
-			return nil, err
-		}
-	}
-
-	if obsSet != nil {
-		// Per-operator histograms on the runtime, and a counter adapter so
-		// the exposition layer can serve live message/tuple/drop tallies
-		// without obs importing stream.
-		g.Instrument(obsSet)
-		obsSet.SetOpCounters(func() []obs.OpCounters {
-			ms := g.Metrics()
-			out := make([]obs.OpCounters, len(ms))
-			for i, m := range ms {
-				out[i] = obs.OpCounters{
-					Name: m.Name, In: m.In, Out: m.Out,
-					TuplesIn: m.TuplesIn, TuplesOut: m.TuplesOut,
-					Dropped: m.Dropped, BusyNs: int64(m.Busy),
-					QueueLen: int64(m.QueueLen),
-				}
-			}
-			return out
-		})
-	}
-
-	start := time.Now()
-	err := g.Run(runCtx)
-	elapsed := time.Since(start)
-	if err != nil && !errors.Is(err, context.Canceled) {
+	// Tuple and frame buffers are pooled between the source and the engines
+	// unless a chaos plan is active (injectors may duplicate messages, which
+	// breaks the single-consumer ownership the pools rely on — see tuplePool).
+	res, err := p.run(ctx, lanes{pooled: chaos == nil, splitBuf: p.nodeBuf, attach: attach})
+	if err != nil {
 		return nil, err
 	}
-	if ctxErr := ctx.Err(); ctxErr != nil {
-		return nil, ctxErr
-	}
-
-	res := &Result{
-		Engines:  make([]EngineStats, n),
-		Metrics:  g.Metrics(),
-		Elapsed:  elapsed,
-		TuplesIn: tuplesIn,
-		Failures: g.Failures(),
-		Restarts: restarts.Load(),
-	}
-	if tuner != nil {
-		res.Retunes = tuner.Retunes()
-		res.FinalBatch = tuner.targetBatch()
-		res.FinalFlush = tuner.targetFlush()
-	}
+	res.Restarts = restarts.Load()
 	if chaos != nil {
 		var b strings.Builder
 		for i, inj := range injectors {
@@ -488,21 +318,6 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 			b.WriteString(inj.Log())
 		}
 		res.FaultLog = b.String()
-	}
-	for _, st := range final {
-		res.Engines[st.Engine] = st
-	}
-	var systems []*core.Eigensystem
-	for _, st := range res.Engines {
-		if st.Final != nil {
-			systems = append(systems, st.Final)
-		}
-	}
-	if len(systems) > 0 {
-		merged, mErr := core.MergeMany(systems)
-		if mErr == nil {
-			res.Merged = merged
-		}
 	}
 	return res, nil
 }

@@ -637,7 +637,7 @@ func (e *Encoder) assembleSnapshot(s stream.Snapshot) error {
 
 func (e *Encoder) assembleReport(r EngineReport) error {
 	var flags byte
-	if r.Resumed {
+	if r.ResumedFromCheckpoint {
 		flags |= flagResumed
 	}
 	e.snap.Reset()
@@ -1138,13 +1138,13 @@ func (d *Decoder) decodeReport(flags byte, n int) (stream.Message, error) {
 		return nil, err
 	}
 	r := EngineReport{
-		Engine:        int(int32(binary.LittleEndian.Uint32(p[0:]))),
-		Processed:     int64(binary.LittleEndian.Uint64(p[8:])),
-		Outliers:      int64(binary.LittleEndian.Uint64(p[16:])),
-		SnapshotsSent: int64(binary.LittleEndian.Uint64(p[24:])),
-		MergesApplied: int64(binary.LittleEndian.Uint64(p[32:])),
-		Restarts:      int64(binary.LittleEndian.Uint64(p[40:])),
-		Resumed:       flags&flagResumed != 0,
+		Engine:                int(int32(binary.LittleEndian.Uint32(p[0:]))),
+		Processed:             int64(binary.LittleEndian.Uint64(p[8:])),
+		Outliers:              int64(binary.LittleEndian.Uint64(p[16:])),
+		SnapshotsSent:         int64(binary.LittleEndian.Uint64(p[24:])),
+		MergesApplied:         int64(binary.LittleEndian.Uint64(p[32:])),
+		Restarts:              int64(binary.LittleEndian.Uint64(p[40:])),
+		ResumedFromCheckpoint: flags&flagResumed != 0,
 	}
 	if flags&flagFinal != 0 {
 		es, err := core.ReadEigensystem(bytes.NewReader(p[48:]))

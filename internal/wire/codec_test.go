@@ -229,11 +229,11 @@ func TestSnapshotRoundTrip(t *testing.T) {
 func TestReportRoundTrip(t *testing.T) {
 	r := EngineReport{
 		Engine: 3, Processed: 1000, Outliers: 17, SnapshotsSent: 4,
-		MergesApplied: 6, Restarts: 1, Resumed: true, Final: testEigensystem(4, 2),
+		MergesApplied: 6, Restarts: 1, ResumedFromCheckpoint: true, Final: testEigensystem(4, 2),
 	}
 	got := roundTrip(t, r, nil).(EngineReport)
 	if got.Engine != 3 || got.Processed != 1000 || got.Outliers != 17 ||
-		got.SnapshotsSent != 4 || got.MergesApplied != 6 || got.Restarts != 1 || !got.Resumed {
+		got.SnapshotsSent != 4 || got.MergesApplied != 6 || got.Restarts != 1 || !got.ResumedFromCheckpoint {
 		t.Fatalf("counter mismatch: %+v", got)
 	}
 	if got.Final == nil || got.Final.Count != 123 {

@@ -56,10 +56,6 @@ type EdgeOptions struct {
 	// this long to pick up a following burst. 0 disables corking (a lone
 	// message flushes immediately).
 	Cork time.Duration
-	// CorkFn, when non-nil, supplies the coalescing deadline dynamically
-	// (read once per lone-message stall) and overrides Cork — the hook the
-	// pipeline's adaptive tuner drives from its flush-deadline signal.
-	CorkFn func() time.Duration
 }
 
 // Edge is one full-duplex TCP link a graph splices in place of a channel
@@ -560,15 +556,6 @@ func (e *Edge) lane(n int) int {
 	return n
 }
 
-// corkFor returns the current coalescing deadline: CorkFn when set, else
-// the static Cork option (0 disables corking).
-func (e *Edge) corkFor() time.Duration {
-	if e.opt.CorkFn != nil {
-		return e.opt.CorkFn()
-	}
-	return e.opt.Cork
-}
-
 // isTransport reports whether err is a connection failure worth a
 // reconnect, as opposed to an assembly error worth abandoning one message.
 // Transport errors surface as net.Error (*net.OpError wraps
@@ -708,7 +695,7 @@ func (e *Edge) sendLoop(r *spscRing) {
 		}
 		if n == 1 {
 			if _, isEOS := buf[0].(EOS); !isEOS {
-				if d := e.corkFor(); d > 0 {
+				if d := e.opt.Cork; d > 0 {
 					n += e.corkWait(r, &cork, d, buf[1:])
 				}
 			}

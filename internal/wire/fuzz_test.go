@@ -146,7 +146,7 @@ func FuzzSyncMessage(f *testing.F) {
 	f.Add(encodeAll(f, stream.Control{Round: 3, Sender: 1, Receivers: []int{0, 2, 3}}))
 	f.Add(encodeAll(f, stream.Snapshot{Round: 4, From: 2, To: 0, State: es}))
 	f.Add(encodeCoalesced(f, perturbedSnapshots(4)...))
-	f.Add(encodeAll(f, EngineReport{Engine: 1, Processed: 10, Resumed: true, Final: es}))
+	f.Add(encodeAll(f, EngineReport{Engine: 1, Processed: 10, ResumedFromCheckpoint: true, Final: es}))
 	f.Add(encodeAll(f, EngineReport{Engine: 0}))
 	// Telemetry-plane kinds: a clock probe/echo pair and an obs report whose
 	// body is opaque JSON to the wire layer.

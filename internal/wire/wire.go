@@ -100,8 +100,9 @@ type Hello struct {
 
 // EngineReport is a worker engine's end-of-stream report — the wire form
 // of the pipeline's per-engine statistics. It is wire's own type (not the
-// pipeline's) so the protocol layer stays application-neutral; the
-// coordinator converts it back.
+// pipeline's) so the protocol layer stays application-neutral, with
+// pipeline.EngineStats's fields in the same order so that each converts to
+// the other directly.
 type EngineReport struct {
 	// Engine is the reporting engine index.
 	Engine int
@@ -111,8 +112,9 @@ type EngineReport struct {
 	SnapshotsSent, MergesApplied int64
 	// Restarts counts crash recoveries.
 	Restarts int64
-	// Resumed reports whether the latest restart replayed a checkpoint.
-	Resumed bool
+	// ResumedFromCheckpoint reports whether the latest restart replayed a
+	// checkpoint.
+	ResumedFromCheckpoint bool
 	// Final is the engine's final eigensystem, nil when it never
 	// initialized.
 	Final *core.Eigensystem
