@@ -198,6 +198,41 @@ func BenchmarkObserveBlock(b *testing.B) {
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(int64(b.N)*batch), "ns/row")
 		})
 	}
+	// The science case: SDSS-like spectra, 30% of the rows gappy and patched
+	// inside their chunks. For local iteration; the repo benchmark's
+	// spectra-gappy-d1000 workload is the gate.
+	b.Run("gappy30-d1000", func(b *testing.B) {
+		const d, batch = 1000, 64
+		gen, err := streampca.NewSpectraGenerator(streampca.SpectraConfig{Grid: streampca.SDSSGrid(d), Rank: 4, GapRate: 0.3, Seed: 1})
+		if err != nil {
+			b.Fatal(err)
+		}
+		en, err := streampca.NewEngine(streampca.Config{Dim: d, Components: 5, Alpha: 1 - 1.0/5000})
+		if err != nil {
+			b.Fatal(err)
+		}
+		blocks := make([][][]float64, 4)
+		masks := make([][][]bool, len(blocks))
+		for j := range blocks {
+			for i := 0; i < batch; i++ {
+				o := gen.Next()
+				blocks[j], masks[j] = append(blocks[j], o.Flux), append(masks[j], o.Mask)
+			}
+		}
+		for i := 0; !en.Ready(); i++ {
+			en.ObserveMasked(blocks[0][i%batch], masks[0][i%batch])
+		}
+		out := make([]streampca.Update, 0, batch)
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			var err error
+			out, err = en.ObserveBlockMasked(blocks[i%len(blocks)], masks[i%len(blocks)], out[:0])
+			if err != nil {
+				b.Fatal(err)
+			}
+		}
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(int64(b.N)*batch), "ns/row")
+	})
 }
 
 // BenchmarkMergeAblation compares the exact (eq. 15) and approximate

@@ -20,85 +20,90 @@ import (
 // chunks.
 const blockMax = 16
 
-// ObserveBlock absorbs a batch of complete observation vectors, behaving like
-// one Observe call per row — identical per-row weights, M-scale and running-sum
-// recursions, in order — except that the eigensystem rebuilds are folded: up
-// to en.blockC consecutive rank-one updates collapse into a single structured
-// rank-c rebuild (one (k+c)×(k+c) eigenproblem and one pass over the basis per
-// chunk instead of c). Within a chunk the projections Eᵀy use the chunk-start
-// basis, which is the approximation that buys the speedup; a batch of one
-// reduces exactly to the sequential path.
-//
-// Updates are appended to out (pass a reused buffer with spare capacity for a
-// zero-allocation steady state) and one Update is returned per absorbed row.
-// Rows that fail validation — wrong length, non-finite entries (use
-// ObserveMasked for gappy data) — or whose warm-up step fails are skipped,
-// mirroring how the pipeline drops malformed tuples; the first such error is
-// returned after the rest of the batch has been processed.
+// ObserveBlock absorbs a batch of complete observation vectors: the all-nil
+// case of ObserveBlockMasked, rejecting any row with a non-finite entry.
 //
 //streampca:noalloc
 func (en *Engine) ObserveBlock(xs [][]float64, out []Update) ([]Update, error) {
+	return en.ObserveBlockMasked(xs, nil, out)
+}
+
+// ObserveBlockMasked absorbs a batch of observation vectors, behaving like
+// one Observe (masks[i] == nil, or masks == nil for the whole batch) or
+// ObserveMasked (masks[i] marks the observed bins of xs[i]) call per row —
+// identical per-row weights, M-scale and running-sum recursions, in order —
+// except that the eigensystem rebuilds are folded: up to en.blockC
+// consecutive rank-one updates collapse into a single structured rank-c
+// rebuild (one (k+c)×(k+c) eigenproblem and one pass over the basis per
+// chunk instead of c). Within a chunk the projections Eᵀy, and the gap
+// patches fitted from them (patchProject), use the chunk-start basis, which
+// is the approximation that buys the speedup; a batch of one reduces exactly
+// to the scalar entry points. Gappy rows never narrow a chunk, and neither xs
+// nor masks is written.
+//
+// Updates are appended to out (pass a reused buffer with spare capacity for a
+// zero-allocation steady state) and one Update is returned per absorbed row.
+// Rows that fail validation — wrong length, non-finite entries outside a
+// masked bin, a wrong-length or (nearly) all-false mask — or whose warm-up
+// step fails are skipped, mirroring how the pipeline drops malformed tuples;
+// the first such error is returned after the rest of the batch has been
+// processed.
+//
+//streampca:noalloc
+func (en *Engine) ObserveBlockMasked(xs [][]float64, masks [][]bool, out []Update) ([]Update, error) {
+	if masks != nil && len(masks) != len(xs) {
+		return out, errMaskLength
+	}
 	var firstErr error
 	i := 0
 	for i < len(xs) {
-		if !en.ready {
-			// Warm-up buffers row by row; initialization can complete
-			// mid-batch, so readiness is re-checked per row.
-			u, err := en.Observe(xs[i])
-			if err != nil {
-				if firstErr == nil {
-					firstErr = err
-				}
-			} else {
-				//streamvet:ignore noalloc appends into the caller-provided Update buffer; steady state passes spare capacity (AllocsPerRun-verified)
-				out = append(out, u)
-			}
-			i++
-			continue
-		}
 		// Chunk on the cheap length check only: observeChunk's fused pass
 		// already visits every entry, so non-finite rows are detected there
 		// from the residual norm instead of a separate validation scan.
+		var err error
 		c := 0
-		for c < en.blockC && i+c < len(xs) && len(xs[i+c]) == en.cfg.Dim {
+		for en.ready && c < en.blockC && i+c < len(xs) && len(xs[i+c]) == en.cfg.Dim {
 			c++
 		}
-		if c == 0 {
-			if firstErr == nil {
-				firstErr = validateObservation(xs[i], en.cfg.Dim)
+		if c > 1 {
+			var cm [][]bool
+			if masks != nil {
+				cm = masks[i : i+c]
 			}
-			i++
-			continue
-		}
-		if c == 1 {
-			// The rank-one fast path has no fused finiteness check, so a
-			// lone row still takes the full validation scan.
-			if err := validateObservation(xs[i], en.cfg.Dim); err != nil {
-				if firstErr == nil {
-					firstErr = err
-				}
-			} else {
-				//streamvet:ignore noalloc appends into the caller-provided Update buffer; steady state passes spare capacity (AllocsPerRun-verified)
-				out = append(out, en.update(xs[i]))
-			}
-		} else {
-			var err error
-			out, err = en.observeChunk(xs[i:i+c], out)
+			out, err = en.observeChunk(xs[i:i+c], cm, out)
 			if err != nil && firstErr == nil {
 				firstErr = err
 			}
+			i += c
+			continue
 		}
-		i += c
+		// A lone row takes the scalar entry points: warm-up buffers row by
+		// row (initialization can complete mid-batch, so readiness is
+		// re-checked per row), the rank-one fast path has no fused
+		// finiteness check, and a wrong-length row only needs its error.
+		var u Update
+		if masks != nil && masks[i] != nil {
+			u, err = en.ObserveMasked(xs[i], masks[i])
+		} else {
+			u, err = en.Observe(xs[i])
+		}
+		if err == nil {
+			//streamvet:ignore noalloc appends into the caller-provided Update buffer; steady state passes spare capacity (AllocsPerRun-verified)
+			out = append(out, u)
+		} else if firstErr == nil {
+			firstErr = err
+		}
+		i++
 	}
 	return out, firstErr
 }
 
-// observeChunk folds 2 ≤ len(xs) ≤ en.blockC length-checked observations
-// into the engine with one deferred rank-c eigensystem rebuild. Every scalar
-// recursion of updateAlpha — weights, M-scale, rescue, mean, running sums —
-// runs exactly per row; only the covariance update is deferred. Sequentially,
-// each firing row m applies C ← γ2_m·C + yCoef_m·y_m·y_mᵀ, so the chunk
-// composes to
+// observeChunk folds 1 ≤ len(xs) ≤ en.blockC length-checked observations
+// (masks nil, or one possibly-nil mask per row) into the engine with one
+// deferred rank-c eigensystem rebuild. Every scalar recursion of updateAlpha
+// — weights, M-scale, rescue, mean, running sums — runs exactly per row; only
+// the covariance update is deferred. Sequentially, each firing row m applies
+// C ← γ2_m·C + yCoef_m·y_m·y_mᵀ, so the chunk composes to
 //
 //	C ← g·C + Σ_m b_m·y_m·y_mᵀ,  g = Π γ2_m,  b_m = yCoef_m·Π_{j>m} γ2_j
 //
@@ -107,11 +112,12 @@ func (en *Engine) ObserveBlock(xs [][]float64, out []Update) ([]Update, error) {
 // each firing row scales g and every already-folded b by its γ2.
 //
 // Rows with non-finite entries surface as a non-finite residual norm in the
-// fused pass and are skipped before any state is touched; the first such error
-// is returned after the chunk completes.
+// fused pass and are skipped before any state is touched, as are rows whose
+// mask patchProject rejects; the first such error is returned after the chunk
+// completes.
 //
 //streampca:noalloc
-func (en *Engine) observeChunk(xs [][]float64, out []Update) ([]Update, error) {
+func (en *Engine) observeChunk(xs [][]float64, masks [][]bool, out []Update) ([]Update, error) {
 	st := &en.state
 	cfg := &en.cfg
 	ws := en.ws
@@ -131,18 +137,26 @@ func (en *Engine) observeChunk(xs [][]float64, out []Update) ([]Update, error) {
 	cd := ws.coefs.Data()
 	mean := st.Mean
 
-	for _, x := range xs {
-		// Fused center/project pass (the same pooled kernel updateAlpha uses,
-		// so batch-of-one stays bitwise equal to Observe), writing into the
-		// next firing slot; non-firing rows leave the slot to be reused.
+	for r, x := range xs {
+		// Fused center/project pass (the same pooled kernel updateAlpha uses),
+		// writing into the next firing slot; non-firing rows leave the slot to
+		// be reused.
 		y := yd[nf*d : (nf+1)*d]
 		coef := cd[nf*k : (nf+1)*k]
-		ny2 := en.pool.CenterProject(y, coef, x, mean, st.Vectors, ws.cpPart)
-		if math.IsNaN(ny2) || math.IsInf(ny2, 0) {
-			// A NaN or ±Inf anywhere in x propagates into ‖y‖²; the slot is
-			// left to be overwritten and no recursion has run yet.
+		var ny2 float64
+		var err error
+		row, patched := x, 0 // row is what the recursions absorb: x or its patched copy
+		if masks == nil || masks[r] == nil {
+			if ny2 = en.pool.CenterProject(y, coef, x, mean, st.Vectors, ws.cpPart); math.IsNaN(ny2) || math.IsInf(ny2, 0) {
+				err = errNonFinite // a NaN or ±Inf anywhere in x propagates into ‖y‖²
+			}
+		} else if ny2, patched, err = en.patchProject(nf, x, masks[r]); patched > 0 {
+			row = ws.xPatch
+		}
+		if err != nil {
+			// The slot is left to be overwritten; no recursion has run yet.
 			if firstErr == nil {
-				firstErr = errNonFinite
+				firstErr = err
 			}
 			continue
 		}
@@ -189,7 +203,7 @@ func (en *Engine) observeChunk(xs [][]float64, out []Update) ([]Update, error) {
 		vNew := alpha*st.SumV + w
 		if vNew > 0 {
 			gamma1 := alpha * st.SumV / vNew
-			mat.Lerp(st.Mean, gamma1, st.Mean, 1-gamma1, x)
+			mat.Lerp(st.Mean, gamma1, st.Mean, 1-gamma1, row)
 		}
 
 		qNew := alpha*st.SumQ + w*r2
@@ -222,6 +236,7 @@ func (en *Engine) observeChunk(xs [][]float64, out []Update) ([]Update, error) {
 			T:         t,
 			Sigma2:    sigma2New,
 			Outlier:   t > cfg.OutlierT,
+			Patched:   patched,
 		})
 	}
 

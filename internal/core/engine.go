@@ -235,19 +235,17 @@ func (en *Engine) Observe(x []float64) (Update, error) {
 // ObserveAuto routes complete vectors to Observe and vectors containing NaN
 // entries to ObserveMasked with the NaN positions treated as gaps.
 func (en *Engine) ObserveAuto(x []float64) (Update, error) {
-	hasGap := false
-	for _, v := range x {
-		if math.IsNaN(v) {
-			hasGap = true
-			break
+	if len(x) != en.cfg.Dim {
+		return en.Observe(x) // rejected there for its length
+	}
+	mask, gaps := en.ws.autoMask, 0
+	for i, v := range x {
+		if mask[i] = !math.IsNaN(v); !mask[i] {
+			gaps++
 		}
 	}
-	if !hasGap {
+	if gaps == 0 {
 		return en.Observe(x)
-	}
-	mask := make([]bool, len(x))
-	for i, v := range x {
-		mask[i] = !math.IsNaN(v)
 	}
 	return en.ObserveMasked(x, mask)
 }

@@ -69,6 +69,16 @@ type workspace struct {
 	eNew   *mat.Dense             // d×k staging buffer for the rebuilt basis
 	bgram  []*mat.Dense           // [c] → (k+c)×(k+c) analytic Gram, c = 2..blockC
 	bsym   []*eig.SymEigWorkspace // [c] → matching eigensolver workspace
+
+	// gap-patch scratch (patchProject): the missing-bin indices of the row
+	// being patched, the engine-owned copy that receives the fills (caller
+	// rows stay read-only), and the k×k observed-bin Gram with its Cholesky
+	// factor (rowTmp serves the substitution). autoMask is ObserveAuto's mask.
+	gapIdx   []int
+	xPatch   []float64
+	gapG     *mat.Dense
+	gapL     *mat.Dense
+	autoMask []bool
 }
 
 func newWorkspace(d, k, blockC int) *workspace {
@@ -101,6 +111,12 @@ func newWorkspace(d, k, blockC int) *workspace {
 		eNew:   mat.NewDense(d, k),
 		bgram:  make([]*mat.Dense, blockC+1),
 		bsym:   make([]*eig.SymEigWorkspace, blockC+1),
+
+		gapIdx:   make([]int, d),
+		xPatch:   make([]float64, d),
+		gapG:     mat.NewDense(k, k),
+		gapL:     mat.NewDense(k, k),
+		autoMask: make([]bool, d),
 	}
 	for c := 2; c <= blockC; c++ {
 		ws.bgram[c] = mat.NewDense(k+c, k+c)

@@ -174,6 +174,7 @@ type BinaryStream struct {
 	r    io.Reader
 	dim  int
 	line int
+	raw  []byte // one record's bytes, reused by every Next
 }
 
 // NewBinaryStream wraps r as a binary observation stream of the given
@@ -182,14 +183,15 @@ func NewBinaryStream(r io.Reader, dim int) *BinaryStream {
 	if dim <= 0 {
 		panic("ingest: BinaryStream dim must be positive")
 	}
-	return &BinaryStream{r: bufio.NewReader(r), dim: dim}
+	return &BinaryStream{r: bufio.NewReader(r), dim: dim, raw: make([]byte, 8*dim)}
 }
 
-// Next implements Stream.
+// Next implements Stream. The record is read into the stream's own scratch
+// and decoded in one pass that also finds the NaNs; vec and mask are fresh
+// per call because callers may retain them.
 func (b *BinaryStream) Next() ([]float64, []bool, error) {
 	b.line++
-	vec := make([]float64, b.dim)
-	if err := binary.Read(b.r, binary.LittleEndian, vec); err != nil {
+	if _, err := io.ReadFull(b.r, b.raw); err != nil {
 		if errors.Is(err, io.EOF) {
 			return nil, nil, io.EOF
 		}
@@ -198,8 +200,11 @@ func (b *BinaryStream) Next() ([]float64, []bool, error) {
 		}
 		return nil, nil, err
 	}
+	vec := make([]float64, b.dim)
 	var mask []bool
-	for i, v := range vec {
+	for i := range vec {
+		v := math.Float64frombits(binary.LittleEndian.Uint64(b.raw[8*i:]))
+		vec[i] = v
 		if math.IsNaN(v) {
 			if mask == nil {
 				mask = fullMask(b.dim)

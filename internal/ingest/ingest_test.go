@@ -14,6 +14,7 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+	"testing/iotest"
 	"time"
 )
 
@@ -152,6 +153,34 @@ func TestBinaryStreamTruncated(t *testing.T) {
 	var rec *RecordError
 	if !errors.As(err, &rec) {
 		t.Fatalf("want RecordError for truncation, got %v", err)
+	}
+}
+
+// TestBinaryStreamRecordsAreFresh pins the Stream contract the one-pass
+// decoder must keep: the byte scratch is reused, the returned vec and mask
+// are not, and a transport error other than EOF passes through unchanged.
+func TestBinaryStreamRecordsAreFresh(t *testing.T) {
+	var buf bytes.Buffer
+	binary.Write(&buf, binary.LittleEndian, []float64{1, math.NaN(), 3})
+	binary.Write(&buf, binary.LittleEndian, []float64{math.NaN(), 5, math.Inf(-1)})
+	boom := errors.New("boom")
+	s := NewBinaryStream(io.MultiReader(&buf, iotest.ErrReader(boom)), 3)
+	v1, m1, err := s.Next()
+	if err != nil {
+		t.Fatal(err)
+	}
+	v2, m2, err := s.Next()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v1[0] != 1 || !math.IsNaN(v1[1]) || v1[2] != 3 || !m1[0] || m1[1] || !m1[2] {
+		t.Fatalf("first record overwritten by the second: %v %v", v1, m1)
+	}
+	if !math.IsNaN(v2[0]) || v2[1] != 5 || !math.IsInf(v2[2], -1) || m2[0] || !m2[1] || !m2[2] {
+		t.Fatalf("second record: %v %v (only NaN marks a gap)", v2, m2)
+	}
+	if _, _, err := s.Next(); err != boom {
+		t.Fatalf("transport error = %v, want it passed through", err)
 	}
 }
 

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"streampca/internal/spectra"
+	"streampca/internal/stream"
 	"streampca/internal/syncctl"
 )
 
@@ -113,8 +114,8 @@ func TestBatchedPipelineSkipsMalformedTuples(t *testing.T) {
 }
 
 // TestBatchedPipelineGappySpectra routes masked observations through the
-// batched transport: gappy rows break the engine's clean runs and take the
-// scalar masked path, so convergence must match the unbatched gappy test.
+// batched transport: gappy rows are patched inside the engine's chunks, so
+// convergence must match the unbatched gappy test.
 func TestBatchedPipelineGappySpectra(t *testing.T) {
 	gen, err := spectra.NewGenerator(spectra.GeneratorConfig{
 		Grid: spectra.SDSSGrid(120), Rank: 3, Seed: 6, GapRate: 0.3, NoiseSigma: 0.02,
@@ -136,6 +137,70 @@ func TestBatchedPipelineGappySpectra(t *testing.T) {
 	}
 	if aff := res.Merged.SubspaceAffinity(gen.TrueBasis()); aff < 0.85 {
 		t.Fatalf("batched gappy spectra affinity = %v", aff)
+	}
+}
+
+// TestBatchedGappyProcessedMatchesUnbatched pins drop accounting on the
+// gappy block path: the same stream — gappy spectra with unusable rows planted
+// in it — reports the same Processed per engine batched and unbatched. The
+// split is round-robin (tuples unbatched, whole frames batched) with frames
+// that never close on the deadline, and the unusable rows sit where both
+// routings agree on the engine (i%2 == (i/batch)%2), so the per-engine counts
+// are comparable at all.
+func TestBatchedGappyProcessedMatchesUnbatched(t *testing.T) {
+	const (
+		n     = 8192
+		batch = 32
+		dim   = 120
+	)
+	run := func(b int) (*Result, float64) {
+		gen, err := spectra.NewGenerator(spectra.GeneratorConfig{
+			Grid: spectra.SDSSGrid(dim), Rank: 3, Seed: 6, GapRate: 0.3, NoiseSigma: 0.02,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		inner := spectraSource(gen, n)
+		i := -1
+		src := func() ([]float64, []bool, bool) {
+			vec, mask, ok := inner()
+			if !ok {
+				return nil, nil, false
+			}
+			switch i++; i % (2 * batch) {
+			case 0: // two observed bins cannot fit the basis
+				mask = make([]bool, dim)
+				mask[3], mask[70] = true, true
+			case batch + 1: // NaN in a bin the mask calls observed
+				mask = make([]bool, dim)
+				for j := 10; j < dim; j++ {
+					mask[j] = true
+				}
+				vec[40] = math.NaN()
+			}
+			return vec, mask, true
+		}
+		cfg := engineConfig(dim, 3, 500)
+		cfg.Extra = 2
+		res, err := Run(context.Background(), Config{
+			Engine: cfg, NumEngines: 2, Source: src, Batch: b,
+			Split: stream.SplitRoundRobin, Seed: 5, FlushEvery: time.Hour,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res, res.Merged.SubspaceAffinity(gen.TrueBasis())
+	}
+	plain, affPlain := run(0)
+	batched, affBatched := run(batch)
+	const want = n/2 - n/(2*batch) // each engine sees one kind of unusable row
+	for e := range plain.Engines {
+		if p, b := plain.Engines[e].Processed, batched.Engines[e].Processed; p != want || b != want {
+			t.Fatalf("engine %d processed %d unbatched, %d batched, want %d both ways", e, p, b, want)
+		}
+	}
+	if affPlain < 0.85 || math.Abs(affPlain-affBatched) > 0.02 {
+		t.Fatalf("affinity %v unbatched, %v batched", affPlain, affBatched)
 	}
 }
 

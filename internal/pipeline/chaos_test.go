@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"streampca/internal/fault"
+	"streampca/internal/mat"
 	"streampca/internal/spectra"
 	"streampca/internal/syncctl"
 )
@@ -187,6 +188,56 @@ func TestChaosBatchedTransport(t *testing.T) {
 	}
 	if again := run(); again.FaultLog != res.FaultLog {
 		t.Fatal("same-seed batched chaos runs produced different fault logs")
+	}
+}
+
+// TestChaosBatchedGappyDuplication: gappy frames under duplication. A
+// duplicated frame shares its backing storage with the original, so this only
+// works because the engine patches gaps in its own workspace and never
+// writes a caller's row; the replays must show up as extra processed tuples
+// and the run must still converge, deterministically.
+func TestChaosBatchedGappyDuplication(t *testing.T) {
+	var truth *mat.Dense
+	run := func() *Result {
+		gen, err := spectra.NewGenerator(spectra.GeneratorConfig{
+			Grid: spectra.SDSSGrid(120), Rank: 3, Seed: 6, GapRate: 0.3, NoiseSigma: 0.02,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		truth = gen.TrueBasis()
+		cfg := engineConfig(120, 3, 500)
+		cfg.Extra = 2
+		res, err := Run(context.Background(), Config{
+			Engine:     cfg,
+			NumEngines: 2,
+			Source:     spectraSource(gen, 8000),
+			Batch:      16,
+			FlushEvery: time.Minute, // full frames only: a deterministic fault schedule
+			Seed:       9,
+			Chaos: &ChaosConfig{Edge: map[int]fault.Plan{
+				0: {Seed: 21, Duplicate: 0.2},
+				1: {Seed: 22, Duplicate: 0.2, Reorder: 0.05},
+			}},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	res := run()
+	var processed int64
+	for _, eng := range res.Engines {
+		processed += eng.Processed
+	}
+	if processed < res.TuplesIn+500 {
+		t.Fatalf("processed %d of %d pulled: duplicated frames were not replayed", processed, res.TuplesIn)
+	}
+	if aff := res.Merged.SubspaceAffinity(truth); aff < 0.85 {
+		t.Fatalf("gappy run under duplication: affinity %v", aff)
+	}
+	if again := run(); again.FaultLog != res.FaultLog {
+		t.Fatal("same-seed gappy chaos runs produced different fault logs")
 	}
 }
 

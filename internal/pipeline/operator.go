@@ -56,12 +56,13 @@ type pcaOperator struct {
 	e2e   *obs.Histogram
 	clock *wire.ClockState
 
-	// runBuf and updBuf are the frame path's reusable scratch: consecutive
-	// clean rows of a frame are collected into runBuf and handed to
-	// ObserveBlock with updBuf as the append target, so the steady state
-	// absorbs whole frames without allocating.
-	runBuf [][]float64
-	updBuf []core.Update
+	// runBuf, maskBuf and updBuf are the frame path's reusable scratch: the
+	// well-formed rows of a frame and their masks are collected into runBuf
+	// and maskBuf and handed to ObserveBlockMasked with updBuf as the append
+	// target, so the steady state absorbs whole frames without allocating.
+	runBuf  [][]float64
+	maskBuf [][]bool
+	updBuf  []core.Update
 
 	processed, outliers int64
 	sent, merged        int64
@@ -149,39 +150,38 @@ func (p *pcaOperator) observeTuple(t stream.Tuple) {
 	}
 }
 
-// observeFrame absorbs a micro-batch. Consecutive clean rows — complete,
-// right-length, NaN-free — are handed to the engine's block-incremental
-// update in one call; masked, gappy or malformed tuples break the run and
-// take the scalar route, preserving the exact per-tuple semantics of the
-// unbatched transport (including drop accounting). The frame's storage is
-// released back to the transport pool once every row has been consumed.
+// observeFrame absorbs a micro-batch: every run of well-formed rows — right
+// length, carrying either a full-length mask or no mask and no NaN — goes to
+// the engine's block-incremental update in one call, gappy rows included
+// (the engine patches them inside its chunks). Only malformed tuples and
+// unmasked rows containing NaN (which no ingest source produces) break the
+// run and take the scalar route, which drops or gap-fills them exactly as the
+// unbatched transport would. The frame's storage is released back to the
+// transport pool once every row has been consumed.
 func (p *pcaOperator) observeFrame(f stream.Frame) {
 	prev := p.processed
 	dim := p.cfg.Dim
-	run := p.runBuf[:0]
+	run, masks := p.runBuf[:0], p.maskBuf[:0]
 	flush := func() {
-		if len(run) == 0 {
-			return
-		}
-		out, _ := p.engine.ObserveBlock(run, p.updBuf[:0])
+		out, _ := p.engine.ObserveBlockMasked(run, masks, p.updBuf[:0])
 		p.processed += int64(len(out))
 		for _, u := range out {
 			if u.Outlier {
 				p.outliers++
 			}
 		}
-		run = run[:0]
+		run, masks, p.updBuf = run[:0], masks[:0], out[:0]
 	}
 	for _, t := range f.Tuples {
-		if t.Mask == nil && len(t.Vec) == dim && !hasNaN(t.Vec) {
-			run = append(run, t.Vec)
+		if len(t.Vec) == dim && (len(t.Mask) == dim || t.Mask == nil && !hasNaN(t.Vec)) {
+			run, masks = append(run, t.Vec), append(masks, t.Mask)
 			continue
 		}
 		flush()
 		p.observeTuple(t)
 	}
 	flush()
-	p.runBuf = run[:0]
+	p.runBuf, p.maskBuf = run, masks
 	p.recordE2E(f)
 	if f.Release != nil {
 		f.Release()
@@ -213,7 +213,7 @@ func (p *pcaOperator) recordE2E(f stream.Frame) {
 	p.e2e.Record(lat)
 }
 
-// hasNaN reports whether the vector needs the gap-aware scalar route.
+// hasNaN reports whether an unmasked vector needs ObserveAuto to derive its mask.
 func hasNaN(x []float64) bool {
 	for _, v := range x {
 		if math.IsNaN(v) {

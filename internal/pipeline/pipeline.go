@@ -57,9 +57,9 @@ type Config struct {
 	// Batch, when > 1, turns on micro-batched transport: the source packs up
 	// to Batch tuples into one stream.Frame, so every channel hop, split
 	// decision and operator dispatch is paid once per frame instead of once
-	// per tuple, and the engines absorb each frame's clean runs through the
-	// block-incremental update (core.Engine.ObserveBlock). 0 or 1 keeps the
-	// one-tuple-per-message transport.
+	// per tuple, and the engines absorb each frame's rows, gappy or not, through
+	// the block-incremental update (core.Engine.ObserveBlockMasked). 0 or 1
+	// keeps the one-tuple-per-message transport.
 	Batch int
 	// FlushEvery bounds how long a partially filled frame may accumulate
 	// before it is emitted anyway, keeping tail latency bounded when the

@@ -404,10 +404,11 @@ func (e *Encoder) assemble(msg stream.Message) error {
 }
 
 // frameShape validates that f fits the dense-frame layout: at least one
-// tuple, uniform dimension, consecutive sequence numbers, uniform
-// mask-ness, no ground-truth outlier labels (those only exist on synthetic
-// test streams and would be silently lost). It returns the dimension and
-// whether a mask block is present.
+// tuple, uniform dimension, consecutive sequence numbers, full-length masks
+// where present, no ground-truth outlier labels (those only exist on
+// synthetic test streams and would be silently lost). It returns the
+// dimension and whether any tuple carries a mask, in which case the frame
+// gets a mask block and its unmasked rows are written as all-observed.
 func frameShape(f stream.Frame) (dim int, masked, ok bool) {
 	if len(f.Tuples) == 0 {
 		return 0, false, false
@@ -416,14 +417,16 @@ func frameShape(f stream.Frame) (dim int, masked, ok bool) {
 	if dim == 0 {
 		return 0, false, false
 	}
-	masked = f.Tuples[0].Mask != nil
 	for i := range f.Tuples {
 		t := &f.Tuples[i]
 		if len(t.Vec) != dim || t.Outlier || t.Seq != f.Seq+int64(i) {
 			return 0, false, false
 		}
-		if hasMask := t.Mask != nil; hasMask != masked || (hasMask && len(t.Mask) != dim) {
-			return 0, false, false
+		if t.Mask != nil {
+			if len(t.Mask) != dim {
+				return 0, false, false
+			}
+			masked = true
 		}
 	}
 	return dim, masked, true
@@ -433,8 +436,9 @@ func (e *Encoder) assembleFrame(f stream.Frame) error {
 	dim, masked, ok := frameShape(f)
 	if !ok {
 		// Irregular frame (mixed shapes, outlier labels, seq gaps): send the
-		// tuples individually. Semantics are identical — the engine's block
-		// path is bitwise-equal to the scalar path — only batching is lost.
+		// tuples individually. Every tuple still arrives, in order; what is
+		// lost is batching, and with it the receiving engine's rank-c chunks
+		// (only a batch of one is bitwise-equal to the scalar path).
 		for _, t := range f.Tuples {
 			if err := e.assembleTuple(t); err != nil {
 				return err
@@ -500,8 +504,10 @@ func (e *Encoder) assembleFrame(f stream.Frame) error {
 	}
 	if masked {
 		for _, t := range f.Tuples {
-			for _, b := range t.Mask {
-				if b {
+			// A complete row in a gappy frame is all-observed, which the
+			// engine treats exactly as a nil mask.
+			for i := 0; i < dim; i++ {
+				if t.Mask == nil || t.Mask[i] {
 					buf[pos] = 1
 				} else {
 					buf[pos] = 0

@@ -150,6 +150,57 @@ func TestFrameRoundTripMasked(t *testing.T) {
 	}
 }
 
+// mixedMaskFrame is what every frame of a gappy survey looks like: complete
+// rows (nil mask) beside gappy ones.
+func mixedMaskFrame() stream.Frame {
+	f := contiguousFrame(30, 4, 3)
+	f.Tuples[1].Mask = []bool{true, false, true}
+	f.Tuples[1].Vec[1] = math.NaN()
+	f.Tuples[3].Mask = []bool{false, true, true}
+	f.Tuples[3].Vec[0] = math.NaN()
+	return f
+}
+
+// TestFrameRoundTripMixedMasks pins that a frame mixing complete and gappy
+// rows keeps its batching on the wire: exactly one KindFrame message, the
+// gappy rows' masks intact and the complete rows all-observed.
+func TestFrameRoundTripMixedMasks(t *testing.T) {
+	f := mixedMaskFrame()
+	var buf bytes.Buffer
+	if err := NewEncoder(&buf, false).Encode(f); err != nil {
+		t.Fatal(err)
+	}
+	if k := Kind(buf.Bytes()[2]); k != KindFrame {
+		t.Fatalf("first message is kind %d, want one KindFrame", k)
+	}
+	dec := NewDecoder(&buf, nil, 0)
+	got, err := dec.Decode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	gf, ok := got.(stream.Frame)
+	if !ok || len(gf.Tuples) != len(f.Tuples) {
+		t.Fatalf("decoded %T with %d tuples, want a %d-tuple frame", got, len(gf.Tuples), len(f.Tuples))
+	}
+	for i, tp := range gf.Tuples {
+		want := f.Tuples[i].Mask
+		if want == nil {
+			want = []bool{true, true, true}
+		}
+		if tp.Seq != f.Tuples[i].Seq || !reflect.DeepEqual(tp.Mask, want) {
+			t.Fatalf("tuple %d: seq %d mask %v, want seq %d mask %v", i, tp.Seq, tp.Mask, f.Tuples[i].Seq, want)
+		}
+		for j, v := range tp.Vec {
+			if w := f.Tuples[i].Vec[j]; v != w && !(math.IsNaN(v) && math.IsNaN(w)) {
+				t.Fatalf("tuple %d bin %d: %v, want %v", i, j, v, w)
+			}
+		}
+	}
+	if _, err := dec.Decode(); err != io.EOF {
+		t.Fatalf("trailing message after the frame: %v", err)
+	}
+}
+
 func TestIrregularFrameFallsBackToTuples(t *testing.T) {
 	// A sequence gap disqualifies the dense layout; the encoder must emit
 	// individual tuples instead.

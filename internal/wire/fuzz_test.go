@@ -66,6 +66,7 @@ func FuzzFrameCodec(f *testing.F) {
 	masked.Tuples[0].Mask = []bool{true, false, true}
 	masked.Tuples[1].Mask = []bool{false, false, false}
 	f.Add(encodeAll(f, masked))
+	f.Add(encodeAll(f, mixedMaskFrame()))
 	// A traced frame: the flagTrace header bit and the 32-byte pre-block
 	// carrying origin node and ingest stamp.
 	traced := contiguousFrame(7, 4, 3)
