@@ -66,7 +66,7 @@ check: lint loc test test-wire fuzz-race lint-json
 # blocked-kernel property and zero-alloc contracts called out explicitly so a
 # scoped run still covers the hot-path guarantees.
 test-race:
-	$(GO) test -race -run 'Blocked|GramParallel|ZeroAllocs|Workspace|ForcedParallelism|Panel|ObserveBlock|TridiagSym' ./internal/mat ./internal/eig ./internal/core
+	$(GO) test -race -run 'Blocked|ZeroAllocs|Workspace|AcrossGOMAXPROCS|Panel|ObserveBlock|TridiagSym' ./internal/mat ./internal/eig ./internal/core
 	$(GO) test -race -count=2 -run 'Chaos' ./...
 	$(GO) test -race ./...
 

@@ -16,7 +16,6 @@ var lifecyclePkgs = []string{
 	"internal/pipeline",
 	"internal/ingest",
 	"internal/wire",
-	"internal/mat", // the kernel worker pool's parked goroutines (Pool.Close)
 }
 
 // GoroutineLifecycle requires every go statement in the stream/pipeline
@@ -27,8 +26,8 @@ var lifecyclePkgs = []string{
 // otherwise Revive and shutdown can leak the worker forever.
 var GoroutineLifecycle = &Analyzer{
 	Name: "goroutine-lifecycle",
-	Doc: "require every go statement in the stream, pipeline, ingest, wire and " +
-		"mat layers to be tied to a WaitGroup, stop channel, or context",
+	Doc: "require every go statement in the stream, pipeline, ingest and wire " +
+		"layers to be tied to a WaitGroup, stop channel, or context",
 	Match: func(pkgPath string) bool {
 		for _, p := range lifecyclePkgs {
 			if strings.HasSuffix(pkgPath, p) {

@@ -138,7 +138,7 @@ func (en *Engine) observeChunk(xs [][]float64, masks [][]bool, out []Update) ([]
 	mean := st.Mean
 
 	for r, x := range xs {
-		// Fused center/project pass (the same pooled kernel updateAlpha uses),
+		// Fused center/project pass (the same kernel updateAlpha uses),
 		// writing into the next firing slot; non-firing rows leave the slot to
 		// be reused.
 		y := yd[nf*d : (nf+1)*d]
@@ -282,8 +282,7 @@ func (en *Engine) observeChunk(xs [][]float64, masks [][]bool, out []Update) ([]
 // source row at a time (two-stream passes the prefetcher handles; a fused
 // per-row gather over all c panel rows measures ~20% slower at c = 16). All
 // three d-proportional kernels — Syrk, Mul and the panel accumulation — run
-// on the engine's worker pool when the calibrated crossover says the dispatch
-// pays; results are bitwise independent of the worker count. ws.yMat,
+// through the engine's kernel context on its own goroutine. ws.yMat,
 // ws.coefs and ws.bvals must hold the c firing rows.
 //
 //streampca:noalloc
@@ -384,8 +383,7 @@ func (en *Engine) rebuildEigensystemBlock(g float64, c int) {
 		}
 	}
 	// Staged basis rebuild: E_new = E·M (register-tiled), += Yᵀ·W (panel
-	// accumulation), then install. Each stage is a pooled kernel with a
-	// bitwise partition-independent reduction order.
+	// accumulation), then install.
 	en.pool.Mul(ws.eNew, st.Vectors, ws.mMat)
 	en.pool.AddMulTARows(ws.eNew, ws.yMat, ws.wMat, c)
 	st.Vectors.CopyFrom(ws.eNew)

@@ -83,16 +83,6 @@ type Config struct {
 	// disables the rescue.
 	RescueStreak int
 
-	// Workers sizes the engine's persistent kernel worker pool, which
-	// parallelizes the d-proportional inner loops (the fused center/project
-	// pass, the rank-c panel products, the basis update) when the startup
-	// calibration says the dispatch pays for itself. 0 selects GOMAXPROCS;
-	// 1 forces serial execution. Results are bitwise identical for every
-	// setting — the kernels partition output elements only — so Workers is
-	// purely a resource knob. Engines with Workers ≥ 2 own parked goroutines
-	// and should be Closed when discarded.
-	Workers int
-
 	// BlockSize overrides the rank-c chunk width of ObserveBlock, in
 	// [1, 16]. 0 (the default) picks the width from the per-row cost model
 	// (mat.BlockSize, a pure function of Dim and Components+Extra), which
@@ -182,12 +172,6 @@ func (c *Config) Validate() error {
 		if c.RescueStreak < 32 {
 			c.RescueStreak = 32
 		}
-	}
-	if c.Workers < 0 {
-		return fmt.Errorf("core: Workers must be non-negative, got %d", c.Workers)
-	}
-	if c.Workers > 1024 {
-		return fmt.Errorf("core: Workers unreasonably large (%d)", c.Workers)
 	}
 	if c.BlockSize < 0 || c.BlockSize > blockMax {
 		return fmt.Errorf("core: BlockSize must lie in [0,%d], got %d", blockMax, c.BlockSize)

@@ -85,14 +85,13 @@ type Engine struct {
 	ws *workspace
 
 	// pool runs the d-proportional kernels (fused center/project, rank-c
-	// panels, basis updates), dispatching across its parked workers when the
-	// calibrated crossover says the handoff pays; blockC is the rank-c chunk
-	// width ObserveBlock folds at (Config.BlockSize, or the mat.BlockSize
-	// cost-model pick). Results are bitwise independent of the pool's width
-	// and crossover; they do depend on blockC (a different fold width rounds
-	// differently — fourth digit at d=400 between c=11 and c=12), which is
-	// why mat.BlockSize is a pure function of (d, k) and never timed.
-	pool   *mat.Pool
+	// panels, basis updates) on the engine's own goroutine and owns their
+	// scratch; blockC is the rank-c chunk width ObserveBlock folds at
+	// (Config.BlockSize, or the mat.BlockSize cost-model pick). Results
+	// depend on blockC (a different fold width rounds differently — fourth
+	// digit at d=400 between c=11 and c=12), which is why mat.BlockSize is a
+	// pure function of (d, k) and never timed.
+	pool   mat.Pool
 	blockC int
 
 	// inst, when non-nil (SetInstruments), receives algorithm-level gauges
@@ -111,29 +110,21 @@ func NewEngine(cfg Config) (*Engine, error) {
 	if blockC <= 0 {
 		blockC = mat.BlockSize(cfg.Dim, k, blockMax)
 	}
-	pool := mat.NewPool(cfg.Workers)
-	pool.Reserve(k + blockC)
-	return &Engine{
+	en := &Engine{
 		cfg:    cfg,
 		k:      k,
 		warmup: make([][]float64, 0, cfg.InitSize),
 		ws:     newWorkspace(cfg.Dim, k, blockC),
-		pool:   pool,
 		blockC: blockC,
-	}, nil
+	}
+	en.pool.Reserve(k + blockC)
+	return en, nil
 }
 
-// Close parks the engine permanently: it releases the kernel worker pool's
-// goroutines (a no-op for Workers ≤ 1). The engine remains usable afterwards
-// — every kernel degrades to its serial twin with identical results — so
-// Close is about resource hygiene, not correctness. Safe on nil and safe to
-// call twice.
-func (en *Engine) Close() {
-	if en == nil {
-		return
-	}
-	en.pool.Close()
-}
+// Close is a no-op: an engine runs every kernel on the caller's goroutine
+// and holds nothing beyond memory. It is kept so callers that close engines
+// they discard still compile. Safe on nil.
+func (en *Engine) Close() {}
 
 // Config returns the validated configuration the engine runs with.
 func (en *Engine) Config() Config { return en.cfg }
@@ -501,8 +492,6 @@ func (en *Engine) updateAlpha(x []float64, alpha float64) Update {
 	// from a single streaming read of x, µ and the contiguous rows of E —
 	// one memory sweep instead of the three separate SubTo/MulVecT/Dot
 	// kernels, which is what the per-observation cost is made of at large d.
-	// The pooled kernel splits that sweep across workers above the crossover;
-	// its fixed-panel reduction order makes the result identical either way.
 	coef := ws.coef
 	ny2 := en.pool.CenterProject(ws.y, coef, x, st.Mean, st.Vectors, ws.cpPart)
 	ws.ny2 = ny2

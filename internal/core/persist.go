@@ -180,17 +180,15 @@ func ResumeEngine(cfg Config, es *Eigensystem) (*Engine, error) {
 	if blockC <= 0 {
 		blockC = mat.BlockSize(cfg.Dim, k, blockMax)
 	}
-	pool := mat.NewPool(cfg.Workers)
-	pool.Reserve(k + blockC)
 	en := &Engine{
 		cfg:    cfg,
 		k:      k,
 		state:  *es.Clone(),
 		ready:  true,
 		ws:     newWorkspace(cfg.Dim, k, blockC),
-		pool:   pool,
 		blockC: blockC,
 	}
+	en.pool.Reserve(k + blockC)
 	en.minSigma2 = 1e-12*es.Sigma2 + math.SmallestNonzeroFloat64
 	return en, nil
 }

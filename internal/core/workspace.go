@@ -39,8 +39,8 @@ type workspace struct {
 	rowTmp []float64  // one basis row, copied before overwrite (length k)
 
 	// cpPart holds the fused center/project pass's panel-partial sums:
-	// mat.CenterProjectPanels(d) panels × (k+1) accumulators. The panel
-	// reduction is the canonical (serial = parallel) accumulation order.
+	// mat.CenterProjectPanels(d) panels × (k+1) accumulators, folded in
+	// panel order.
 	cpPart []float64
 
 	// explicit-SVD rebuild scratch: the materialized d×(k+1) matrix A and

@@ -46,9 +46,6 @@ type ThinSVDWorkspace struct {
 	invs []float64 // per-column inverse singular values for row-wise scaling
 	cand []float64 // fillOrthonormalColumn probe scratch
 	othr []float64
-	// gramParts sizes the parallel Gram reduction when the input is large
-	// enough to split across cores; nil means the serial kernel is used.
-	gramParts []*mat.Dense
 }
 
 // NewThinSVDWorkspace preallocates for r×c inputs.
@@ -67,12 +64,6 @@ func NewThinSVDWorkspace(r, c int) *ThinSVDWorkspace {
 		cand: make([]float64, r),
 		othr: make([]float64, r),
 	}
-	if nw := mat.GramWorkers(r, c); nw > 0 {
-		ws.gramParts = make([]*mat.Dense, nw)
-		for i := range ws.gramParts {
-			ws.gramParts[i] = mat.NewDense(c, c)
-		}
-	}
 	return ws
 }
 
@@ -90,26 +81,20 @@ func thinSVD(a *mat.Dense, ws *ThinSVDWorkspace) (SVD, bool) {
 	if r < c {
 		panic("eig: ThinSVD requires rows >= cols")
 	}
-	var g, u *mat.Dense
+	var u *mat.Dense
 	var s []float64
 	var lam []float64
 	var v *mat.Dense
 	var ok bool
 	if ws != nil {
-		g, u, s = ws.g, ws.u, ws.s
-		if ws.gramParts != nil {
-			g = mat.GramParallelScratch(g, a, ws.gramParts)
-		} else {
-			g = mat.Gram(g, a)
-		}
+		u, s = ws.u, ws.s
 		// The Gram matrix is (p+1)×(p+1) on the streaming path — small
 		// enough that the allocation-free Jacobi beats the tridiagonal
 		// route SymEig would pick.
-		lam, v, ok = JacobiSym(g, ws.sym)
+		lam, v, ok = JacobiSym(mat.Gram(ws.g, a), ws.sym)
 	} else {
 		s = make([]float64, c)
-		g = mat.GramParallel(g, a)
-		lam, v, ok = SymEig(g)
+		lam, v, ok = SymEig(mat.Gram(nil, a))
 	}
 	for i, l := range lam {
 		if l > 0 {
@@ -118,7 +103,7 @@ func thinSVD(a *mat.Dense, ws *ThinSVDWorkspace) (SVD, bool) {
 			s[i] = 0
 		}
 	}
-	u = mat.MulParallel(u, a, v)
+	u = mat.Mul(u, a, v)
 	// Normalize columns of u; rebuild numerically-null columns. The scaling
 	// runs row-wise (one pass over u's contiguous storage with per-column
 	// inverse factors) instead of column-wise strided copies.

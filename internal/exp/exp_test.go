@@ -175,12 +175,24 @@ func TestSyncAblation(t *testing.T) {
 	if always.Syncs <= ring.Syncs {
 		t.Fatalf("unconditioned regime should sync more often: %d vs %d", always.Syncs, ring.Syncs)
 	}
-	for name, r := range rows {
-		// (iii) Every regime converges.
+	// The unconditioned regime only has to converge. Merging correlated
+	// eigensystems without the criterion is the effect the criterion exists
+	// to prevent, and how much accuracy it costs depends on how many 1 ms
+	// ticks the run spans: 18–64 syncs in-process end at merged affinity
+	// 0.959–0.999, 146–323 under -race at 0.889–0.981. The floor is the
+	// lowest of ≥100 runs at each of GOMAXPROCS 1 and 2, plain and -race
+	// (0.889), minus 0.01.
+	if always.MergedAff < 0.879 || always.MeanAff < 0.879 {
+		t.Fatalf("ring-always: merged affinity %v, mean %v", always.MergedAff, always.MeanAff)
+	}
+	for _, name := range []string{"no-sync", "ring-1.5N", "broadcast-1.5N"} {
+		r := rows[name]
+		// (iii) Every regime that respects the criterion converges.
 		if r.MergedAff < 0.99 || r.MeanAff < 0.98 {
 			t.Fatalf("%s: merged affinity %v, mean %v", name, r.MergedAff, r.MeanAff)
 		}
-		// (iv) Synchronising never hurts the engines it protects.
+		// (iv) Synchronising under the criterion never hurts the engines it
+		// protects.
 		if r.MeanAff < none.MeanAff-1e-3 || r.WorstAff < none.WorstAff-1e-3 {
 			t.Fatalf("%s: mean/worst affinity %v/%v fell below no-sync's %v/%v",
 				name, r.MeanAff, r.WorstAff, none.MeanAff, none.WorstAff)

@@ -182,3 +182,55 @@ func mulBTBlocked(dst, a, b *Dense) {
 		}
 	}
 }
+
+// eigToMulAdd is E in BlockSize's cost model: the cost of one n³ unit of the
+// (k+c)-sized tridiagonal eigensolve in blocked-product multiply-adds. It is
+// a constant, not a measurement, because the chunk width reaches the engine's
+// output (the rank-c fold rounds differently at c=11 and c=12 — fourth digit
+// at d=400) and so must be the same on every machine and in every process of
+// a run. 8 gives the widths a timed ratio picked most often (4 at d=16, 11 at
+// d=400, 15 at d=1000, 16 from d=2000 up, k=5); the timed ratio itself moved
+// the d=400 pick between 10 and 13 from process to process. A c-sweep on a
+// 2-core host is flat within ±10% for c ∈ [8,14] at d=400 and c ∈ [12,16] at
+// d=1000, so no measurable speed rides on the exact figure.
+const eigToMulAdd = 8
+
+// BlockSize returns the cost-model-optimal rank-c chunk width for a d×k
+// engine, in [2, max]. Per absorbed row the block path costs
+//
+//	d·(c+1)/8         Y·Yᵀ inner products (SyrkRows)
+//	4·d·k²/c + d·k    basis rebuild E·M product + Yᵀ·W accumulation, over c
+//	E·(k+c)³/c        the (k+c)-sized eigensolve, amortized over c
+//
+// in panel-kernel multiply-add equivalents, with E the eigensolver/multiply-add
+// cost ratio (eigToMulAdd). Two terms carry efficiency weights relative to
+// the square blocked product: SyrkRows
+// streams two unit-stride rows per dot with no packing or panel bookkeeping
+// and retires multiply-adds ≈4× faster (weight ⅛ instead of ½), while the
+// E·M rebuild product is k-skinny — a d×k by k×k product at k≈5 never fills
+// the 2×4 register tile — and runs ≈4× slower (weight 4). Both factors come
+// from the c-sweep benchmark (c ∈ {4..16}, d ∈ {250..1000}): the unweighted
+// model argmins at c≈6 where measurement favors c≈12–16.
+// The d·(k+2) center/project term is c-independent and excluded. Small c
+// wastes the amortization; large c pays quadratically in the Syrk corner and
+// cubically in the eigensolve — the argmin replaces the hardcoded chunk
+// width the engine used before.
+func BlockSize(d, k, max int) int {
+	if max < 2 {
+		return max
+	}
+	best := 2
+	bestCost := blockCost(d, k, 2)
+	for c := 3; c <= max; c++ {
+		if cost := blockCost(d, k, c); cost < bestCost {
+			best, bestCost = c, cost
+		}
+	}
+	return best
+}
+
+func blockCost(d, k, c int) float64 {
+	fd, fk, fc := float64(d), float64(k), float64(c)
+	kc := fk + fc
+	return fd*(fc+1)/8 + 4*fd*fk*fk/fc + fd*fk + eigToMulAdd*kc*kc*kc/fc
+}

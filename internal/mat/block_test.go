@@ -46,9 +46,6 @@ func TestBlockedMulMatchesNaive(t *testing.T) {
 		if !Mul(nil, a, b).EqualApprox(want, 1e-12) {
 			t.Fatalf("Mul mismatch at %dx%dx%d", m, k, n)
 		}
-		if !MulParallel(nil, a, b).EqualApprox(want, 1e-12) {
-			t.Fatalf("MulParallel mismatch at %dx%dx%d", m, k, n)
-		}
 	}
 	for _, s := range kernelShapes {
 		check(s.m, s.k, s.n)
@@ -58,8 +55,8 @@ func TestBlockedMulMatchesNaive(t *testing.T) {
 	}
 }
 
-// TestBlockedMulPartialRows asserts the row-ranged blocked kernel (the unit
-// MulParallel partitions across goroutines) fills exactly its assigned rows.
+// TestBlockedMulPartialRows asserts the row-ranged blocked kernel fills
+// exactly its assigned rows.
 func TestBlockedMulPartialRows(t *testing.T) {
 	rng := rand.New(rand.NewPCG(101, 2))
 	a := randDense(rng, 23, 11)
@@ -107,26 +104,6 @@ func TestBlockedTransposeKernels(t *testing.T) {
 		mulBTBlocked(gotBT, c, d)
 		if !gotBT.EqualApprox(wantBT, 1e-11) {
 			t.Fatalf("mulBTBlocked mismatch at m=%d k=%d n=%d", m, r, n)
-		}
-	}
-}
-
-// TestGramParallelScratch asserts the scratch-driven parallel Gram matches
-// the serial kernel for awkward worker counts.
-func TestGramParallelScratch(t *testing.T) {
-	rng := rand.New(rand.NewPCG(101, 4))
-	for _, shape := range []struct{ r, c int }{{1, 3}, {7, 5}, {100, 13}, {257, 8}} {
-		a := randDense(rng, shape.r, shape.c)
-		want := Gram(nil, a)
-		for _, nw := range []int{1, 2, 3, 8} {
-			partials := make([]*Dense, nw)
-			for i := range partials {
-				partials[i] = NewDense(shape.c, shape.c)
-			}
-			got := GramParallelScratch(NewDense(shape.c, shape.c), a, partials)
-			if !got.EqualApprox(want, 1e-12) {
-				t.Fatalf("GramParallelScratch mismatch at %dx%d nw=%d", shape.r, shape.c, nw)
-			}
 		}
 	}
 }

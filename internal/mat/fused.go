@@ -1,18 +1,15 @@
 package mat
 
-// Fused span kernels for the streaming PCA hot path. These are the
-// output-partitioned bodies the worker Pool dispatches; each computes a
-// half-open output range with a fixed per-element instruction sequence so
-// any partition of the output produces bitwise-identical results (the
-// determinism contract of pool.go).
+// Fused span kernels for the streaming PCA hot path: the bodies behind the
+// Pool and panel methods. Each computes a half-open output range with a
+// fixed per-element instruction sequence, and every caller passes the full
+// range on its own goroutine, so results depend only on the inputs.
 
 // cpPanel is the row granularity of the fused center/project reduction: the
 // d-dimensional accumulation of coef = Eᵀy is cut into fixed panels of this
 // many rows, each reduced independently into k+1 partial sums and folded in
-// panel order. Panels are the unit of parallelism AND the canonical serial
-// reduction, so worker count never changes the float result. 256 rows × k
-// columns keeps a panel's basis slice L1-resident while giving a d=512
-// stream two panels to split.
+// panel order — the canonical reduction order of the engine's projections.
+// 256 rows × k columns keeps a panel's basis slice L1-resident.
 const cpPanel = 256
 
 // CenterProjectPanels returns the number of reduction panels the fused

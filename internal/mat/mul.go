@@ -1,15 +1,5 @@
 package mat
 
-import (
-	"runtime"
-	"sync"
-)
-
-// parallelThreshold is the number of scalar multiply-adds below which the
-// products run single-threaded; spawning goroutines for tiny matrices costs
-// more than it saves.
-const parallelThreshold = 1 << 17
-
 // Mul computes C = A·B and returns C. If dst is non-nil it is used as C and
 // must have shape A.Rows()×B.Cols(); dst must not alias A or B. With a
 // provided dst, Mul performs no heap allocations. Large products go through
@@ -25,62 +15,6 @@ func Mul(dst, a, b *Dense) *Dense {
 		mulRows(dst, a, b, 0, a.rows)
 	}
 	return dst
-}
-
-// MulParallel computes C = A·B using up to GOMAXPROCS goroutines when the
-// problem is large enough to benefit. Semantics match Mul; the serial
-// fallback (small products or GOMAXPROCS=1) performs no heap allocations
-// when dst is provided.
-func MulParallel(dst, a, b *Dense) *Dense {
-	if a.cols != b.rows {
-		panic("mat: MulParallel inner dimension mismatch")
-	}
-	dst = prepDst(dst, a.rows, b.cols)
-	work := a.rows * a.cols * b.cols
-	nw := runtime.GOMAXPROCS(0)
-	blocked := useBlocked(a.rows, a.cols, b.cols)
-	if work < parallelThreshold || nw < 2 || a.rows < 2 {
-		if blocked {
-			mulBlocked(dst, a, b, 0, a.rows)
-		} else {
-			mulRows(dst, a, b, 0, a.rows)
-		}
-		return dst
-	}
-	// The goroutine fan-out lives in a separate function: a closure that
-	// escapes forces its captures to the heap at function entry, which
-	// would make even the serial fast path above allocate.
-	mulParallelSpawn(dst, a, b, nw, blocked)
-	return dst
-}
-
-func mulParallelSpawn(dst, a, b *Dense, nw int, blocked bool) {
-	if nw > a.rows {
-		nw = a.rows
-	}
-	chunk := (a.rows + nw - 1) / nw
-	// Align worker boundaries to the row-pair tile so every goroutine runs
-	// the full micro-kernel on its interior.
-	if blocked && chunk%4 != 0 {
-		chunk += 4 - chunk%4
-	}
-	var wg sync.WaitGroup
-	for lo := 0; lo < a.rows; lo += chunk {
-		hi := lo + chunk
-		if hi > a.rows {
-			hi = a.rows
-		}
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			if blocked {
-				mulBlocked(dst, a, b, lo, hi)
-			} else {
-				mulRows(dst, a, b, lo, hi)
-			}
-		}(lo, hi)
-	}
-	wg.Wait()
 }
 
 // mulRows computes rows [lo,hi) of dst = a·b with an ikj loop order that
@@ -212,112 +146,6 @@ func Gram(dst, a *Dense) *Dense {
 		}
 	}
 	return dst
-}
-
-// GramParallel computes G = AᵀA using up to GOMAXPROCS goroutines: workers
-// accumulate partial Gram matrices over row blocks and the results are
-// reduced. Falls back to the serial kernel for small inputs. It implements
-// the paper's stated improvement of "using a multithreaded SVD processing
-// algorithm to distribute the computation load to all the node processor
-// cores" — the Gram accumulation is the dominant term of the thin SVD.
-func GramParallel(dst, a *Dense) *Dense {
-	k := a.cols
-	nw := GramWorkers(a.rows, k)
-	if nw == 0 {
-		return Gram(dst, a)
-	}
-	dst = prepDst(dst, k, k)
-	partials := make([]*Dense, nw)
-	for w := range partials {
-		partials[w] = NewDense(k, k)
-	}
-	return GramParallelScratch(dst, a, partials)
-}
-
-// GramWorkers returns the number of partial accumulators GramParallel would
-// use for a rows×cols input under the current GOMAXPROCS, or 0 when the
-// serial kernel wins. Workspace owners size their scratch with it so hot
-// paths can call GramParallelScratch without allocating.
-func GramWorkers(rows, cols int) int {
-	work := rows * cols * cols
-	nw := runtime.GOMAXPROCS(0)
-	if work < parallelThreshold || nw < 2 || rows < 2*nw {
-		return 0
-	}
-	if nw > rows {
-		nw = rows
-	}
-	return nw
-}
-
-// GramParallelScratch is GramParallel with caller-owned partial accumulators:
-// one k×k matrix per worker (k = a.Cols()), overwritten on entry. It performs
-// no heap allocations beyond goroutine spawns, making it suitable for
-// workspace-driven hot paths that still want the parallel reduction.
-func GramParallelScratch(dst, a *Dense, partials []*Dense) *Dense {
-	k := a.cols
-	dst = prepDst(dst, k, k)
-	nw := len(partials)
-	if nw == 0 || a.rows == 0 {
-		return Gram(dst, a)
-	}
-	for _, part := range partials {
-		if part.rows != k || part.cols != k {
-			panic("mat: GramParallelScratch partial shape mismatch")
-		}
-		part.Zero()
-	}
-	gramSpawn(dst, a, partials)
-	return dst
-}
-
-// gramSpawn is the goroutine fan-out of GramParallelScratch, split out so
-// the serial fallback path in the caller stays allocation free (escaping
-// closures heap-allocate their captures at function entry).
-func gramSpawn(dst, a *Dense, partials []*Dense) {
-	k := a.cols
-	nw := len(partials)
-	chunk := (a.rows + nw - 1) / nw
-	var wg sync.WaitGroup
-	used := 0
-	for w := 0; w < nw; w++ {
-		lo := w * chunk
-		if lo >= a.rows {
-			break
-		}
-		hi := lo + chunk
-		if hi > a.rows {
-			hi = a.rows
-		}
-		used++
-		wg.Add(1)
-		go func(part *Dense, lo, hi int) {
-			defer wg.Done()
-			for r := lo; r < hi; r++ {
-				row := a.Row(r)
-				for i := 0; i < k; i++ {
-					if row[i] == 0 {
-						continue
-					}
-					gi := part.data[i*k : (i+1)*k]
-					v := row[i]
-					for j := i; j < k; j++ {
-						gi[j] += v * row[j]
-					}
-				}
-			}
-		}(partials[w], lo, hi)
-	}
-	wg.Wait()
-	dst.Zero()
-	for _, part := range partials[:used] {
-		Axpy(1, part.data, dst.data)
-	}
-	for i := 0; i < k; i++ {
-		for j := i + 1; j < k; j++ {
-			dst.data[j*k+i] = dst.data[i*k+j]
-		}
-	}
 }
 
 // RankOneUpdate performs C += alpha·x·yᵀ in place.

@@ -2,7 +2,6 @@ package mat
 
 import (
 	"math/rand/v2"
-	"runtime"
 	"testing"
 )
 
@@ -39,18 +38,6 @@ func TestMulMatchesNaive(t *testing.T) {
 		a, b := randDense(rng, m, k), randDense(rng, k, n)
 		if got, want := Mul(nil, a, b), naiveMul(a, b); !got.EqualApprox(want, 1e-10) {
 			t.Fatalf("Mul mismatch at %dx%dx%d", m, k, n)
-		}
-	}
-}
-
-func TestMulParallelMatchesSerial(t *testing.T) {
-	rng := rand.New(rand.NewPCG(11, 21))
-	for _, dims := range [][3]int{{3, 4, 5}, {64, 64, 64}, {200, 50, 120}, {1, 1, 1}} {
-		a, b := randDense(rng, dims[0], dims[1]), randDense(rng, dims[1], dims[2])
-		s := Mul(nil, a, b)
-		p := MulParallel(nil, a, b)
-		if !p.EqualApprox(s, 1e-10) {
-			t.Fatalf("MulParallel mismatch at %v", dims)
 		}
 	}
 }
@@ -207,16 +194,6 @@ func BenchmarkMulSerial(b *testing.B) {
 	}
 }
 
-func BenchmarkMulParallel(b *testing.B) {
-	rng := rand.New(rand.NewPCG(1, 1))
-	a, x := randDense(rng, 256, 256), randDense(rng, 256, 256)
-	dst := NewDense(256, 256)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		MulParallel(dst, a, x)
-	}
-}
-
 func BenchmarkGramTall(b *testing.B) {
 	rng := rand.New(rand.NewPCG(1, 1))
 	a := randDense(rng, 2000, 6)
@@ -224,56 +201,6 @@ func BenchmarkGramTall(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		Gram(dst, a)
-	}
-}
-
-func TestGramParallelMatchesSerial(t *testing.T) {
-	rng := rand.New(rand.NewPCG(60, 61))
-	for _, dims := range [][2]int{{3, 2}, {100, 6}, {5000, 8}, {64, 64}} {
-		a := randDense(rng, dims[0], dims[1])
-		s := Gram(nil, a)
-		p := GramParallel(nil, a)
-		if !p.EqualApprox(s, 1e-10*(1+s.MaxAbs())) {
-			t.Fatalf("GramParallel mismatch at %v", dims)
-		}
-		if !p.IsSymmetric(0) {
-			t.Fatalf("GramParallel not symmetric at %v", dims)
-		}
-	}
-}
-
-func BenchmarkGramParallelTall(b *testing.B) {
-	rng := rand.New(rand.NewPCG(1, 1))
-	a := randDense(rng, 20000, 8)
-	dst := NewDense(8, 8)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		GramParallel(dst, a)
-	}
-}
-
-func TestParallelKernelsUnderForcedParallelism(t *testing.T) {
-	// On single-core machines the parallel branches never trigger; force
-	// GOMAXPROCS up so the goroutine paths are exercised and verified.
-	old := runtime.GOMAXPROCS(4)
-	defer runtime.GOMAXPROCS(old)
-
-	rng := rand.New(rand.NewPCG(70, 71))
-	a, b := randDense(rng, 300, 300), randDense(rng, 300, 300)
-	s := Mul(nil, a, b)
-	p := MulParallel(nil, a, b)
-	if !p.EqualApprox(s, 1e-9*(1+s.MaxAbs())) {
-		t.Fatal("forced MulParallel mismatch")
-	}
-
-	tall := randDense(rng, 30000, 8)
-	gs := Gram(nil, tall)
-	gp := GramParallel(nil, tall)
-	if !gp.EqualApprox(gs, 1e-9*(1+gs.MaxAbs())) {
-		t.Fatal("forced GramParallel mismatch")
-	}
-	if !gp.IsSymmetric(0) {
-		t.Fatal("forced GramParallel not symmetric")
 	}
 }
 

@@ -5,125 +5,6 @@ import (
 	"testing"
 )
 
-// poolForcedAll builds one pool per worker count with the crossover forced
-// open, runs f against each, and closes them.
-func poolForcedAll(t *testing.T, reserve int, f func(t *testing.T, p *Pool)) {
-	t.Helper()
-	for _, nw := range []int{2, 3, 4, 7} {
-		p := NewPool(nw)
-		p.SetMinWork(0)
-		p.Reserve(reserve)
-		f(t, p)
-		p.Close()
-	}
-}
-
-// TestPoolKernelsForcedParallelism checks the determinism contract: with the
-// crossover forced open, every pooled kernel must be BITWISE equal to its
-// serial twin for every worker count — the parallel rebuild may not perturb
-// the estimator by a single ulp.
-func TestPoolKernelsForcedParallelism(t *testing.T) {
-	rng := rand.New(rand.NewPCG(77, 78))
-	dims := []struct{ d, k, r int }{
-		{5, 2, 1}, {63, 5, 3}, {256, 7, 8}, {400, 5, 6}, {517, 9, 16},
-	}
-	for _, dim := range dims {
-		d, k, r := dim.d, dim.k, dim.r
-		vecs := randDense(rng, d, k)
-		mt := randDense(rng, k, k)
-		y := randDense(rng, r, d)
-		w := randDense(rng, r, k)
-		x := make([]float64, d)
-		mean := make([]float64, d)
-		yv := make([]float64, d)
-		yw := make([]float64, k)
-		for i := range x {
-			x[i] = rng.NormFloat64()
-			mean[i] = rng.NormFloat64()
-			yv[i] = rng.NormFloat64()
-		}
-		for j := range yw {
-			yw[j] = rng.NormFloat64()
-		}
-		np := CenterProjectPanels(d)
-		part := make([]float64, np*(k+1))
-
-		// Serial references from a nil pool (plus explicitly reserved scratch
-		// via a 1-participant pool for the scratch-needing kernels).
-		ser := NewPool(1)
-		ser.Reserve(k + r)
-		wantMul := ser.Mul(nil, y, vecs) // r×d · d×k
-		wantAdd := randDense(rng, d, k)
-		addInit := wantAdd.Clone()
-		ser.AddMulTARows(wantAdd, y, w, r)
-		wantSyrk := NewDense(r, r)
-		ser.SyrkRows(wantSyrk, y, r)
-		wantBasis := vecs.Clone()
-		ser.BasisUpdate(wantBasis, mt, y, w, r)
-		wantBasisVec := vecs.Clone()
-		ser.BasisUpdateVec(wantBasisVec, mt, yv, yw)
-		wantY := make([]float64, d)
-		wantCoef := make([]float64, k)
-		wantNy2 := ser.CenterProject(wantY, wantCoef, x, mean, vecs, part)
-
-		poolForcedAll(t, k+r, func(t *testing.T, p *Pool) {
-			if got := p.Mul(nil, y, vecs); !bitwiseEqual(got, wantMul) {
-				t.Fatalf("nw=%d d=%d: Pool.Mul differs from serial", p.Workers(), d)
-			}
-			gotAdd := addInit.Clone()
-			p.AddMulTARows(gotAdd, y, w, r)
-			if !bitwiseEqual(gotAdd, wantAdd) {
-				t.Fatalf("nw=%d d=%d: Pool.AddMulTARows differs from serial", p.Workers(), d)
-			}
-			gotSyrk := NewDense(r, r)
-			p.SyrkRows(gotSyrk, y, r)
-			if !bitwiseEqual(gotSyrk, wantSyrk) {
-				t.Fatalf("nw=%d d=%d: Pool.SyrkRows differs from serial", p.Workers(), d)
-			}
-			gotBasis := vecs.Clone()
-			p.BasisUpdate(gotBasis, mt, y, w, r)
-			if !bitwiseEqual(gotBasis, wantBasis) {
-				t.Fatalf("nw=%d d=%d: Pool.BasisUpdate differs from serial", p.Workers(), d)
-			}
-			gotBasisVec := vecs.Clone()
-			p.BasisUpdateVec(gotBasisVec, mt, yv, yw)
-			if !bitwiseEqual(gotBasisVec, wantBasisVec) {
-				t.Fatalf("nw=%d d=%d: Pool.BasisUpdateVec differs from serial", p.Workers(), d)
-			}
-			gotY := make([]float64, d)
-			gotCoef := make([]float64, k)
-			gotNy2 := p.CenterProject(gotY, gotCoef, x, mean, vecs, part)
-			if gotNy2 != wantNy2 {
-				t.Fatalf("nw=%d d=%d: Pool.CenterProject ny2 %v != %v", p.Workers(), d, gotNy2, wantNy2)
-			}
-			for i := range gotY {
-				if gotY[i] != wantY[i] {
-					t.Fatalf("nw=%d d=%d: Pool.CenterProject y[%d] differs", p.Workers(), d, i)
-				}
-			}
-			for j := range gotCoef {
-				if gotCoef[j] != wantCoef[j] {
-					t.Fatalf("nw=%d d=%d: Pool.CenterProject coef[%d] differs", p.Workers(), d, j)
-				}
-			}
-		})
-		ser.Close()
-	}
-}
-
-func bitwiseEqual(a, b *Dense) bool {
-	if a.Rows() != b.Rows() || a.Cols() != b.Cols() {
-		return false
-	}
-	ad, bd := a.Data(), b.Data()
-	for i := range ad {
-		if ad[i] != bd[i] {
-			return false
-		}
-	}
-	return true
-}
-
 // TestPoolKernelsMatchReference checks correctness (not just internal
 // consistency) against the independent Mul/MulTA/MulBT reference kernels.
 func TestPoolKernelsMatchReference(t *testing.T) {
@@ -134,9 +15,7 @@ func TestPoolKernelsMatchReference(t *testing.T) {
 	y := randDense(rng, r, d)
 	w := randDense(rng, r, k)
 
-	p := NewPool(3)
-	defer p.Close()
-	p.SetMinWork(0)
+	p := NewPool(1)
 	p.Reserve(k + r)
 
 	// BasisUpdate vs staged E·M + Yᵀ·W with an explicit M = mtᵀ.
@@ -180,9 +59,9 @@ func TestPoolKernelsMatchReference(t *testing.T) {
 	}
 }
 
-// TestPoolZeroAllocs pins the zero-allocation contract of the parallel
-// steady state: once the pool exists and scratch is reserved, dispatching
-// every kernel allocates nothing.
+// TestPoolZeroAllocs pins the zero-allocation contract of the engine's
+// steady state: once scratch is reserved, every pool kernel allocates
+// nothing.
 func TestPoolZeroAllocs(t *testing.T) {
 	rng := rand.New(rand.NewPCG(55, 56))
 	d, k, r := 512, 6, 8
@@ -206,43 +85,17 @@ func TestPoolZeroAllocs(t *testing.T) {
 	part := make([]float64, CenterProjectPanels(d)*(k+1))
 	mulDst := NewDense(r, k)
 
-	for _, nw := range []int{1, 4} {
-		p := NewPool(nw)
-		p.SetMinWork(0)
-		p.Reserve(k + r)
-		if allocs := testing.AllocsPerRun(50, func() {
-			p.Mul(mulDst, y, vecs)
-			p.AddMulTARows(dst, y, w, r)
-			p.SyrkRows(syrk, y, r)
-			p.BasisUpdate(vecs, mt, y, w, r)
-			p.BasisUpdateVec(vecs, mt, yv, yw)
-			p.CenterProject(yOut, coef, x, mean, vecs, part)
-		}); allocs != 0 {
-			t.Fatalf("nw=%d: pooled kernels allocate %.1f/op, want 0", nw, allocs)
-		}
-		p.Close()
-	}
-}
-
-// TestPoolCloseDegradesToSerial: a closed pool must still produce correct
-// (serial) results rather than deadlock or panic.
-func TestPoolCloseDegradesToSerial(t *testing.T) {
-	rng := rand.New(rand.NewPCG(31, 32))
-	a, b := randDense(rng, 32, 16), randDense(rng, 16, 8)
-	p := NewPool(4)
-	p.SetMinWork(0)
-	want := Mul(nil, a, b)
-	p.Close()
-	p.Close() // idempotent
-	if got := p.Mul(nil, a, b); !bitwiseEqual(got, want) {
-		t.Fatalf("closed pool Mul differs from serial")
-	}
-	var nilPool *Pool
-	if got := nilPool.Mul(nil, a, b); !bitwiseEqual(got, want) {
-		t.Fatalf("nil pool Mul differs from serial")
-	}
-	if nilPool.Workers() != 1 {
-		t.Fatalf("nil pool Workers = %d", nilPool.Workers())
+	p := NewPool(1)
+	p.Reserve(k + r)
+	if allocs := testing.AllocsPerRun(50, func() {
+		p.Mul(mulDst, y, vecs)
+		p.AddMulTARows(dst, y, w, r)
+		p.SyrkRows(syrk, y, r)
+		p.BasisUpdate(vecs, mt, y, w, r)
+		p.BasisUpdateVec(vecs, mt, yv, yw)
+		p.CenterProject(yOut, coef, x, mean, vecs, part)
+	}); allocs != 0 {
+		t.Fatalf("pool kernels allocate %.1f/op, want 0", allocs)
 	}
 }
 
@@ -283,15 +136,5 @@ func TestBlockSizePinned(t *testing.T) {
 				t.Fatalf("call %d: BlockSize(%d,5,16) = %d, want %d", call, tc.d, c, tc.want)
 			}
 		}
-	}
-}
-
-// TestPoolCrossoverCalibrated: a multi-participant pool must come out of
-// construction with a finite, floored crossover.
-func TestPoolCrossoverCalibrated(t *testing.T) {
-	p := NewPool(2)
-	defer p.Close()
-	if p.MinWork() < 1<<14 || p.MinWork() > 1<<30 {
-		t.Fatalf("calibrated MinWork %d outside clamp", p.MinWork())
 	}
 }

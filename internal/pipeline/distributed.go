@@ -452,9 +452,6 @@ func ServeWorkerSession(ctx context.Context, ln *wire.Listener, cfg WorkerConfig
 	if err != nil {
 		return nil, err
 	}
-	// Park the kernel pool when the session ends (restore may have swapped
-	// the engine, so close through the operator's current pointer).
-	defer func() { op.engine.Close() }()
 	var tel *telemetryOp
 	if cfg.ReportEvery > 0 {
 		clock := &wire.ClockState{}

@@ -275,7 +275,6 @@ func (p *pcaOperator) restore() {
 	if p.lastCkpt != nil {
 		if es, err := core.ReadEigensystem(bytes.NewReader(p.lastCkpt)); err == nil {
 			if en, rerr := core.ResumeEngine(p.cfg, es); rerr == nil {
-				p.engine.Close() // park the crashed engine's kernel pool
 				p.engine = en
 				p.resumed = true
 				return
@@ -283,7 +282,6 @@ func (p *pcaOperator) restore() {
 		}
 	}
 	if en, err := core.NewEngine(p.cfg); err == nil {
-		p.engine.Close()
 		p.engine = en
 	}
 }

@@ -180,15 +180,6 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 
 	n := p.NumEngines
 	engines := make([]*pcaOperator, n)
-	// Engines own parked kernel-pool workers; park them when the run ends —
-	// through each operator's current pointer, since restore swaps engines.
-	defer func() {
-		for _, op := range engines {
-			if op != nil {
-				op.engine.Close()
-			}
-		}
-	}()
 	injectors := make([]*fault.Injector, n)
 	var restarts atomic.Int64
 	// Lane i is engine i's operator on the split's output i, with its chaos
