@@ -351,7 +351,7 @@ func runWire(bin string, timeout time.Duration) error {
 	}
 	fmt.Println("obscheck: workers on", strings.Join(addrs, " "))
 
-	// Batched transport so frames carry trace stamps (the per-tuple path is
+	// Batched transport so frames carry trace stamps (frames of one are
 	// untraced), sync on so the journal and sync plane have content, and
 	// -obswait so every probe reads the drained cluster.
 	cmd := exec.Command(bin,

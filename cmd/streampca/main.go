@@ -71,7 +71,7 @@ func main() {
 	worker := flag.Bool("worker", false, "run as a distributed PCA worker; -listen is its wire TCP address")
 	peers := flag.String("peers", "", "comma-separated worker addresses: run as the distributed coordinator")
 	sessions := flag.Int("sessions", 0, "worker mode: coordinator sessions to serve before exiting (0 = forever)")
-	batch := flag.Int("batch", 0, "micro-batch size for the transport (0 = per-tuple)")
+	batch := flag.Int("batch", 0, "micro-batch size for the transport (0 or 1 = frames of one)")
 	report := flag.Duration("report", 0, "worker mode: ship an observability report to the coordinator this often (0 disables)")
 	flag.Parse()
 

@@ -168,7 +168,7 @@ func TestMixedAnalyticsGraph(t *testing.T) {
 	src := g.AddSource("src", stream.CounterSource(int64(len(xs)), func(seq int64) stream.Message {
 		x := xs[seq]
 		i++
-		return stream.Tuple{Seq: seq, Vec: x}
+		return stream.Frame{Seq: seq, Tuples: []stream.Tuple{{Seq: seq, Vec: x}}}
 	}))
 	fan := g.Add("fan", &stream.FuncOperator{
 		OnMessage: func(_ int, msg stream.Message, emit stream.Emit) {
@@ -178,12 +178,12 @@ func TestMixedAnalyticsGraph(t *testing.T) {
 	})
 	pcaOp := g.Add("pca", &stream.FuncOperator{
 		OnMessage: func(_ int, msg stream.Message, _ stream.Emit) {
-			pca.Observe(msg.(stream.Tuple).Vec)
+			pca.Observe(msg.(stream.Frame).Tuples[0].Vec)
 		},
 	})
 	locOp := g.Add("loc", &stream.FuncOperator{
 		OnMessage: func(_ int, msg stream.Message, _ stream.Emit) {
-			loc.Observe(msg.(stream.Tuple).Vec)
+			loc.Observe(msg.(stream.Frame).Tuples[0].Vec)
 		},
 	})
 	for _, e := range [][3]stream.NodeID{{src, fan, 0}, {fan, pcaOp, 0}} {

@@ -159,7 +159,7 @@ func LatencyBounds() []int64 {
 }
 
 // SizeBounds is the batch-size layout: power-of-two buckets 1..4096 —
-// bare tuples land in the first bucket, frames by their tuple count.
+// frames land by their tuple count, frames of one in the first bucket.
 func SizeBounds() []int64 {
 	b := make([]int64, 13)
 	v := int64(1)

@@ -254,7 +254,7 @@ func RunCoordinator(ctx context.Context, cfg DistConfig) (*Result, error) {
 	// receive half feeds the router, and the router switches sync traffic
 	// back down the edges and engine reports on to the sink.
 	attach := func(_ context.Context, g *stream.Graph, split stream.NodeID,
-		_ *tuplePool, ctl *syncctl.Controller) (control, results []port, err error) {
+		ctl *syncctl.Controller) (control, results []port, err error) {
 		routerID := g.Add("wire-router", &wireRouter{n: n, cluster: cfg.Cluster},
 			stream.WithBuffer(syncBuf))
 		for i, addr := range cfg.Workers {
@@ -314,7 +314,8 @@ type WorkerConfig struct {
 	Engine core.Config
 	// SyncFactor is the independence criterion multiplier (default 1.5).
 	SyncFactor float64
-	// Batch sizes the receive pool (frames allocate per message when 0).
+	// Batch sizes the receive pool in rows per frame, floored at 1: frames
+	// of up to Batch rows decode into recycled storage, larger ones allocate.
 	Batch int
 	// Buffer is the per-node channel buffer (default 64).
 	Buffer int

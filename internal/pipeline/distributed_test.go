@@ -136,6 +136,67 @@ func TestDistributedFourWorkers(t *testing.T) {
 	}
 }
 
+// TestDistributedDropsOnlyMalformedRows pins that a malformed row costs the
+// same over TCP as in process — that row and nothing else. The packer drops a
+// row whose mask has the wrong length before it joins a frame, so no edge
+// ever has an unencodable message to abandon, for frames of one (Batch 0)
+// and batched frames alike.
+func TestDistributedDropsOnlyMalformedRows(t *testing.T) {
+	const n, dim = 4000, 20
+	source := func() Source {
+		gen, err := spectra.NewSignalGenerator(spectra.SignalConfig{Dim: dim, Signals: 2, Seed: 31})
+		if err != nil {
+			t.Fatal(err)
+		}
+		inner, i := signalSource(gen, n), 0
+		return func() ([]float64, []bool, bool) {
+			vec, mask, ok := inner()
+			if i++; i%100 == 0 {
+				mask = make([]bool, 7)
+			}
+			return vec, mask, ok
+		}
+	}
+	processed := func(res *Result) (sum int64) {
+		for _, st := range res.Engines {
+			sum += st.Processed
+		}
+		return sum
+	}
+	const want = n - n/100
+	for _, batch := range []int{0, 16} {
+		t.Run(fmt.Sprintf("batch%d", batch), func(t *testing.T) {
+			ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
+			defer cancel()
+			local, err := Run(ctx, Config{
+				Engine: engineConfig(dim, 2, 300), NumEngines: 2, Source: source(), Batch: batch, Seed: 3,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			cl := launchCluster(t, 2, WorkerSpec{Dim: dim, Components: 2, Alpha: 1 - 1.0/300, Batch: batch})
+			dist, err := RunCoordinator(ctx, DistConfig{
+				Engine: engineConfig(dim, 2, 300), Workers: cl.Addrs, Source: source(), Batch: batch, Seed: 3,
+				Retry: distRetry,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if l, d := processed(local), processed(dist); l != want || d != want {
+				t.Fatalf("processed %d in process, %d over TCP, want %d both ways", l, d, want)
+			}
+			if local.TuplesIn != n || dist.TuplesIn != n {
+				t.Fatalf("TuplesIn %d in process, %d over TCP, want %d", local.TuplesIn, dist.TuplesIn, n)
+			}
+			for i, ws := range dist.Wire {
+				if ws.Abandoned != 0 {
+					t.Fatalf("edge %d abandoned %d messages", i, ws.Abandoned)
+				}
+			}
+		})
+	}
+}
+
 // TestDistributedChaosConvergence is the chaos integration test: four
 // worker processes over localhost TCP with injected connection resets and
 // partition windows on two of the four edges. The run must complete, never

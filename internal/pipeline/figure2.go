@@ -26,7 +26,7 @@ import (
 // configuration validated, and the transport sizes derived from it.
 type plan struct {
 	Config
-	// batch is Config.Batch floored at 1 (1 = one tuple per message).
+	// batch is Config.Batch floored at 1 (1 = frames of one).
 	batch int
 	// nodeBuf is the per-node queue depth in messages. Buffer is denominated
 	// in tuples; under batched transport one queued message holds a whole
@@ -73,8 +73,8 @@ type port struct {
 // lanes is what differs between the two deployments of the graph: how the N
 // engine lanes hang between the split and the sink.
 type lanes struct {
-	// pooled recycles tuple and frame buffers between the source and the
-	// lanes' consumers.
+	// pooled recycles frame stores between the source and the lanes'
+	// consumers.
 	pooled bool
 	// splitBuf is the split's queue depth in messages.
 	splitBuf int
@@ -84,25 +84,18 @@ type lanes struct {
 	// attach adds the lanes to g — lane i consumes split output i — and
 	// returns where sync-controller commands enter them (loop-edge targets;
 	// unused when ctl is nil, i.e. sync is off) and where the engines'
-	// flush-time Results leave them. ctx is cancelled when the run ends;
-	// tpool is the per-tuple buffer pool (nil when frames carry the data or
-	// pooling is off).
+	// flush-time Results leave them. ctx is cancelled when the run ends.
 	attach func(ctx context.Context, g *stream.Graph, split stream.NodeID,
-		tpool *tuplePool, ctl *syncctl.Controller) (control, results []port, err error)
+		ctl *syncctl.Controller) (control, results []port, err error)
 }
 
 // run builds the graph around ln's lanes, runs it until the source is
 // exhausted and every engine has reported, and assembles the Result.
 func (p *plan) run(ctx context.Context, ln lanes) (*Result, error) {
 	n, dim := p.NumEngines, p.Engine.Dim
-	var fpool *framePool
-	var tpool *tuplePool
+	store := func() *frameStore { return newFrameStore(dim, p.batch) }
 	if ln.pooled {
-		if p.batch > 1 {
-			fpool = newFramePool(dim, p.batch)
-		} else {
-			tpool = newTuplePool(dim)
-		}
+		store = newFramePool(dim, p.batch).get
 	}
 	// The controller exists before the lanes do: they report engine
 	// failures and link loss to it so sync plans exclude unreachable engines.
@@ -120,13 +113,13 @@ func (p *plan) run(ctx context.Context, ln lanes) (*Result, error) {
 	g := stream.NewGraph()
 	var tuplesIn int64
 	src := g.AddSource("source", sourceFunc(p.Source, dim, p.batch, p.FlushEvery,
-		fpool, tpool, &tuplesIn, ln.barrierEvery))
+		store, &tuplesIn, ln.barrierEvery))
 	split := g.Add("split", &stream.Split{N: n, Policy: p.Split, Seed: p.Seed},
 		stream.WithBuffer(ln.splitBuf))
 	if err := g.Connect(src, 0, split, 0); err != nil {
 		return nil, err
 	}
-	control, results, err := ln.attach(runCtx, g, split, tpool, ctl)
+	control, results, err := ln.attach(runCtx, g, split, ctl)
 	if err != nil {
 		return nil, err
 	}
@@ -222,36 +215,38 @@ func instrument(g *stream.Graph, set *obs.Set) {
 	})
 }
 
-// sourceFunc builds the graph source. With batch > 1 it is the micro-batching
-// frame packer, which closes a frame at batch tuples or flushEvery after it
-// was opened; otherwise it emits one tuple per message. Either way it can
-// weave a checkpoint barrier into the data stream every barrierEvery tuples.
-func sourceFunc(src Source, dim, batch int, flushEvery time.Duration, fpool *framePool, pool *tuplePool, tuplesIn *int64, barrierEvery int64) stream.SourceFunc {
+// sourceFunc builds the graph source: the frame packer, which fills stores
+// from store and closes a frame at batch tuples or, when batch > 1,
+// flushEvery after it was opened. It is the one place row shape is checked:
+// a row whose vector is not dim long, or whose mask is non-nil and not dim
+// long, counts in tuplesIn and is dropped, so every frame in the graph is
+// regular — equal-length rows, full-length masks, consecutive Seq. It can
+// also weave a checkpoint barrier into the data stream every barrierEvery
+// tuples.
+func sourceFunc(src Source, dim, batch int, flushEvery time.Duration, store func() *frameStore, tuplesIn *int64, barrierEvery int64) stream.SourceFunc {
+	// Frames of one close as they open, so they need no deadline and carry
+	// no trace stamp: a per-tuple clock read and 16 wire bytes would be a tax.
+	timed := batch > 1
 	return func(ctx context.Context, emit stream.Emit) error {
 		var fs *frameStore // the open frame; never empty while non-nil
 		var opened time.Time
-		var sinceBarrier, epoch int64
+		var seq, sinceBarrier, epoch int64
 		flush := func() {
 			if fs == nil {
 				return
 			}
-			// The trace stamp reuses the frame-open timestamp the flush
-			// deadline already tracks — zero extra clock reads on the hot
-			// path. Origin 0: the packer always runs in the stamping
-			// (coordinator or single) process.
-			fr := stream.Frame{
-				Seq:    fs.tuples[0].Seq,
-				Tuples: fs.tuples,
-				Trace:  stream.Trace{IngestNs: opened.UnixNano()},
-			}
-			if fpool != nil {
-				s := fs
-				fr.Release = func() { fpool.put(s) }
+			fr := stream.Frame{Seq: fs.tuples[0].Seq, Tuples: fs.tuples, Release: fs.release}
+			if timed {
+				// The trace stamp reuses the frame-open timestamp the flush
+				// deadline already tracks — zero extra clock reads on the hot
+				// path. Origin 0: the packer always runs in the stamping
+				// (coordinator or single) process.
+				fr.Trace = stream.Trace{IngestNs: opened.UnixNano()}
 			}
 			emit(0, fr)
 			fs = nil
 		}
-		for seq := int64(0); ; seq++ {
+		for {
 			vec, mask, ok := src()
 			if !ok {
 				flush()
@@ -263,31 +258,19 @@ func sourceFunc(src Source, dim, batch int, flushEvery time.Duration, fpool *fra
 			default:
 			}
 			*tuplesIn++
-			if batch > 1 {
-				if fs == nil {
-					if fpool != nil {
-						fs = fpool.get()
-					} else {
-						fs = &frameStore{
-							dim:    dim,
-							buf:    make([]float64, batch*dim),
-							tuples: make([]stream.Tuple, 0, batch),
-						}
-					}
+			if len(vec) != dim || mask != nil && len(mask) != dim {
+				continue
+			}
+			if fs == nil {
+				fs = store()
+				if timed {
 					opened = time.Now()
 				}
-				fs.add(seq, vec, mask)
-				if len(fs.tuples) >= batch || time.Since(opened) >= flushEvery {
-					flush()
-				}
-			} else {
-				if pool != nil {
-					vec = pool.getVec(vec)
-					if mask != nil {
-						mask = pool.getMask(mask)
-					}
-				}
-				emit(0, stream.Tuple{Seq: seq, Vec: vec, Mask: mask})
+			}
+			fs.add(seq, vec, mask)
+			seq++
+			if len(fs.tuples) >= batch || timed && time.Since(opened) >= flushEvery {
+				flush()
 			}
 			if barrierEvery > 0 {
 				if sinceBarrier++; sinceBarrier >= barrierEvery {

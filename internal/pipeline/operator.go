@@ -2,7 +2,6 @@ package pipeline
 
 import (
 	"bytes"
-	"math"
 	"time"
 
 	"streampca/internal/core"
@@ -14,7 +13,7 @@ import (
 // Engine operator port layout. Data and results are forward edges; control
 // and snapshots ride the loop fabric.
 const (
-	portData     = 0 // in: stream.Tuple from the split
+	portData     = 0 // in: stream.Frame (and stream.Barrier) from the split
 	portControl  = 1 // in: stream.Control from the sync controller
 	portSnapshot = 2 // in: stream.Snapshot from peer engines
 	portClock    = 3 // in (worker recv only): wire.ClockEcho toward telemetry
@@ -38,10 +37,6 @@ type pcaOperator struct {
 	ckptEvery int64
 	lastCkpt  []byte
 
-	// pool, when non-nil, receives the tuple's buffers back once Observe has
-	// consumed them (the engine never retains an observation past the call).
-	pool *tuplePool
-
 	// inst and journal, when non-nil (Config.Obs), receive algorithm gauges
 	// and control-plane events. restore re-attaches inst to the replacement
 	// engine so gauges survive a crash.
@@ -57,9 +52,9 @@ type pcaOperator struct {
 	clock *wire.ClockState
 
 	// runBuf, maskBuf and updBuf are the frame path's reusable scratch: the
-	// well-formed rows of a frame and their masks are collected into runBuf
-	// and maskBuf and handed to ObserveBlockMasked with updBuf as the append
-	// target, so the steady state absorbs whole frames without allocating.
+	// rows of a frame and their masks are collected into runBuf and maskBuf
+	// and handed to ObserveBlockMasked with updBuf as the append target, so
+	// the steady state absorbs whole frames without allocating.
 	runBuf  [][]float64
 	maskBuf [][]bool
 	updBuf  []core.Update
@@ -95,8 +90,6 @@ func (p *pcaOperator) Process(port int, msg stream.Message, emit stream.Emit) {
 	switch port {
 	case portData:
 		switch t := msg.(type) {
-		case stream.Tuple:
-			p.observe(t)
 		case stream.Frame:
 			p.observeFrame(t)
 		case stream.Barrier:
@@ -121,67 +114,28 @@ func (p *pcaOperator) Process(port int, msg stream.Message, emit stream.Emit) {
 	}
 }
 
-func (p *pcaOperator) observe(t stream.Tuple) {
-	prev := p.processed
-	p.observeTuple(t)
-	if p.pool != nil {
-		p.pool.put(t.Vec, t.Mask)
-	}
-	p.maybeCheckpoint(prev)
-}
-
-// observeTuple feeds one tuple through the engine and updates the counters.
-// Malformed or degenerate tuples are dropped; the robust estimator treats
-// data quality as a statistical property, not a fatal one.
-func (p *pcaOperator) observeTuple(t stream.Tuple) {
-	var u core.Update
-	var err error
-	if t.Mask != nil {
-		u, err = p.engine.ObserveMasked(t.Vec, t.Mask)
-	} else {
-		u, err = p.engine.ObserveAuto(t.Vec)
-	}
-	if err != nil {
-		return
-	}
-	p.processed++
-	if u.Outlier {
-		p.outliers++
-	}
-}
-
-// observeFrame absorbs a micro-batch: every run of well-formed rows — right
-// length, carrying either a full-length mask or no mask and no NaN — goes to
-// the engine's block-incremental update in one call, gappy rows included
-// (the engine patches them inside its chunks). Only malformed tuples and
-// unmasked rows containing NaN (which no ingest source produces) break the
-// run and take the scalar route, which drops or gap-fills them exactly as the
-// unbatched transport would. The frame's storage is released back to the
-// transport pool once every row has been consumed.
+// observeFrame absorbs a frame — a frame of one included — in one call to the
+// engine's block-incremental update, gappy rows and all (the engine patches
+// them inside its chunks). The packer checked every row's shape and gave
+// every NaN-bearing row its mask, so the rows go in as they are; rows the
+// engine still rejects (non-finite observed bins, too few observed bins, or
+// a hostile peer's malformed frame) are dropped there, the robust estimator
+// treating data quality as a statistical property, not a fatal one. The
+// frame's storage is released back to the transport pool afterwards.
 func (p *pcaOperator) observeFrame(f stream.Frame) {
 	prev := p.processed
-	dim := p.cfg.Dim
-	run, masks := p.runBuf[:0], p.maskBuf[:0]
-	flush := func() {
-		out, _ := p.engine.ObserveBlockMasked(run, masks, p.updBuf[:0])
-		p.processed += int64(len(out))
-		for _, u := range out {
-			if u.Outlier {
-				p.outliers++
-			}
-		}
-		run, masks, p.updBuf = run[:0], masks[:0], out[:0]
-	}
+	rows, masks := p.runBuf[:0], p.maskBuf[:0]
 	for _, t := range f.Tuples {
-		if len(t.Vec) == dim && (len(t.Mask) == dim || t.Mask == nil && !hasNaN(t.Vec)) {
-			run, masks = append(run, t.Vec), append(masks, t.Mask)
-			continue
-		}
-		flush()
-		p.observeTuple(t)
+		rows, masks = append(rows, t.Vec), append(masks, t.Mask)
 	}
-	flush()
-	p.runBuf, p.maskBuf = run, masks
+	out, _ := p.engine.ObserveBlockMasked(rows, masks, p.updBuf[:0])
+	p.processed += int64(len(out))
+	for _, u := range out {
+		if u.Outlier {
+			p.outliers++
+		}
+	}
+	p.runBuf, p.maskBuf, p.updBuf = rows[:0], masks[:0], out[:0]
 	p.recordE2E(f)
 	if f.Release != nil {
 		f.Release()
@@ -211,16 +165,6 @@ func (p *pcaOperator) recordE2E(f stream.Frame) {
 		lat = 0 // clock skew beyond θ's error bound; clamp, don't corrupt
 	}
 	p.e2e.Record(lat)
-}
-
-// hasNaN reports whether an unmasked vector needs ObserveAuto to derive its mask.
-func hasNaN(x []float64) bool {
-	for _, v := range x {
-		if math.IsNaN(v) {
-			return true
-		}
-	}
-	return false
 }
 
 // maybeCheckpoint saves engine state when the processed count crossed a

@@ -54,12 +54,12 @@ type Config struct {
 	// FuseEnginesPerPE, when > 0, places that many engines on each
 	// processing element (operator fusion); 0 gives each engine its own PE.
 	FuseEnginesPerPE int
-	// Batch, when > 1, turns on micro-batched transport: the source packs up
-	// to Batch tuples into one stream.Frame, so every channel hop, split
+	// Batch is how many tuples the source packs into one stream.Frame. Above
+	// 1 it turns on micro-batched transport: every channel hop, split
 	// decision and operator dispatch is paid once per frame instead of once
-	// per tuple, and the engines absorb each frame's rows, gappy or not, through
-	// the block-incremental update (core.Engine.ObserveBlockMasked). 0 or 1
-	// keeps the one-tuple-per-message transport.
+	// per tuple, and the engines absorb each frame's rows, gappy or not,
+	// through the block-incremental update (core.Engine.ObserveBlockMasked).
+	// 0 or 1 sends frames of one.
 	Batch int
 	// FlushEvery bounds how long a partially filled frame may accumulate
 	// before it is emitted anyway, keeping tail latency bounded when the
@@ -130,7 +130,7 @@ type Result struct {
 	Metrics []stream.MetricsSnapshot
 	// Elapsed is the wall-clock duration of the run.
 	Elapsed time.Duration
-	// TuplesIn counts tuples the source emitted.
+	// TuplesIn counts tuples the source returned, malformed ones included.
 	TuplesIn int64
 	// Failures lists operator failures observed during the run.
 	Failures []stream.NodeFailure
@@ -185,7 +185,7 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 	// Lane i is engine i's operator on the split's output i, with its chaos
 	// taps; snapshots travel engine → engine over loop edges.
 	attach := func(runCtx context.Context, g *stream.Graph, split stream.NodeID,
-		tpool *tuplePool, ctl *syncctl.Controller) (control, results []port, err error) {
+		ctl *syncctl.Controller) (control, results []port, err error) {
 		engIDs := make([]stream.NodeID, n)
 		for i := range engines {
 			// In-process both e2e stamps read the same clock, so end-to-end
@@ -194,7 +194,7 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 			if err != nil {
 				return nil, nil, err
 			}
-			op.ckptEvery, op.pool = ckptEvery, tpool
+			op.ckptEvery = ckptEvery
 			engines[i] = op
 			opts := []stream.Option{stream.WithBuffer(p.nodeBuf)}
 			if cfg.FuseEnginesPerPE > 0 {
@@ -291,9 +291,9 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 		return control, results, nil
 	}
 
-	// Tuple and frame buffers are pooled between the source and the engines
-	// unless a chaos plan is active (injectors may duplicate messages, which
-	// breaks the single-consumer ownership the pools rely on — see tuplePool).
+	// Frame stores are pooled between the source and the engines unless a
+	// chaos plan is active (injectors may duplicate messages, which breaks the
+	// single-consumer ownership the pool relies on — see framePool).
 	res, err := p.run(ctx, lanes{pooled: chaos == nil, splitBuf: p.nodeBuf, attach: attach})
 	if err != nil {
 		return nil, err

@@ -1,126 +1,90 @@
 package pipeline
 
 import (
+	"math"
 	"sync"
 
 	"streampca/internal/stream"
 )
 
-// tuplePool recycles tuple payload buffers between the source and the engine
-// operators. The source goroutine copies every emitted vector (and mask) into
-// a pooled buffer — so sources are free to reuse their own scratch between
-// calls — and the consuming engine returns the buffers once Observe is done
-// with them, since the core engine never retains an observation past the
-// call. Without the pool every tuple costs one d-sized allocation that lives
-// exactly as long as its trip through the split; with it the same handful of
-// buffers cycle through the graph.
-//
-// The pool is disabled under chaos: fault injectors may duplicate a tuple,
-// and two deliveries sharing one backing slice would let the first engine's
-// release recycle a buffer the duplicate still reads.
-type tuplePool struct {
-	dim   int
-	vecs  sync.Pool
-	masks sync.Pool
-}
-
-func newTuplePool(dim int) *tuplePool {
-	tp := &tuplePool{dim: dim}
-	tp.vecs.New = func() any {
-		b := make([]float64, dim)
-		return &b
-	}
-	tp.masks.New = func() any {
-		b := make([]bool, dim)
-		return &b
-	}
-	return tp
-}
-
-// getVec copies src into a pooled buffer. Vectors of the wrong length are
-// copied into a fresh slice instead (the engine rejects them; release skips
-// them), so malformed tuples still flow through for error accounting.
-func (tp *tuplePool) getVec(src []float64) []float64 {
-	if len(src) != tp.dim {
-		out := make([]float64, len(src))
-		copy(out, src)
-		return out
-	}
-	b := *(tp.vecs.Get().(*[]float64))
-	copy(b, src)
-	//streamvet:ignore workspace-escape intentional lending: the consuming engine returns the buffer via put once Observe is done
-	return b
-}
-
-// getMask copies a non-nil mask into a pooled buffer, with the same
-// wrong-length escape hatch as getVec.
-func (tp *tuplePool) getMask(src []bool) []bool {
-	if len(src) != tp.dim {
-		out := make([]bool, len(src))
-		copy(out, src)
-		return out
-	}
-	b := *(tp.masks.Get().(*[]bool))
-	copy(b, src)
-	//streamvet:ignore workspace-escape intentional lending: the consuming engine returns the buffer via put once Observe is done
-	return b
-}
-
-// frameStore is the recyclable storage behind one micro-batch frame: a
-// single contiguous batch×dim vector buffer (one allocation serving every
-// tuple in the frame, cache-friendly for the engine's block path), a lazily
-// allocated mask buffer for gappy streams, and the tuple headers themselves.
+// frameStore is the recyclable storage behind one frame: a single contiguous
+// batch×dim vector buffer (one allocation serving every tuple in the frame,
+// cache-friendly for the engine's block path), a lazily allocated mask buffer
+// for gappy streams, and the tuple headers themselves. Copying every row in
+// also frees sources to reuse their own scratch between calls. release, set
+// once when a pool creates the store, is the frame's Release; it is nil for
+// unpooled stores.
 type frameStore struct {
-	dim    int
-	buf    []float64
-	masks  []bool
-	tuples []stream.Tuple
+	dim     int
+	buf     []float64
+	masks   []bool
+	tuples  []stream.Tuple
+	release func()
 }
 
-// add copies one observation into the store's next slot. Wrong-length
-// vectors and masks take the same fresh-copy escape hatch as tuplePool, so
-// malformed tuples still flow through for error accounting.
+func newFrameStore(dim, batch int) *frameStore {
+	return &frameStore{
+		dim:    dim,
+		buf:    make([]float64, batch*dim),
+		tuples: make([]stream.Tuple, 0, batch),
+	}
+}
+
+// add copies one row into the store's next slot. The packer has already
+// checked its shape: vec is dim long and mask nil or dim long. An unmasked
+// row containing NaN gets its mask derived in the same copy pass (NaN =
+// missing), so every row leaves the packer complete or explicitly masked.
 func (fs *frameStore) add(seq int64, vec []float64, mask []bool) {
 	i := len(fs.tuples)
-	var v []float64
-	if len(vec) == fs.dim {
-		v = fs.buf[i*fs.dim : (i+1)*fs.dim : (i+1)*fs.dim]
-		copy(v, vec)
-	} else {
-		v = append([]float64(nil), vec...)
-	}
+	v := fs.buf[i*fs.dim : (i+1)*fs.dim : (i+1)*fs.dim]
 	var m []bool
 	if mask != nil {
-		if len(mask) == fs.dim {
-			if fs.masks == nil {
-				fs.masks = make([]bool, cap(fs.tuples)*fs.dim)
+		copy(v, vec)
+		m = fs.maskSlot(i)
+		copy(m, mask)
+	} else {
+		for j, x := range vec {
+			v[j] = x
+			if math.IsNaN(x) {
+				if m == nil {
+					m = fs.maskSlot(i)
+					for k := range j {
+						m[k] = true
+					}
+				}
+				m[j] = false
+			} else if m != nil {
+				m[j] = true
 			}
-			m = fs.masks[i*fs.dim : (i+1)*fs.dim : (i+1)*fs.dim]
-			copy(m, mask)
-		} else {
-			m = append([]bool(nil), mask...)
 		}
 	}
 	fs.tuples = append(fs.tuples, stream.Tuple{Seq: seq, Vec: v, Mask: m})
 }
 
-// framePool recycles frame stores between the source and the engines under
-// the same single-consumer ownership contract as tuplePool: the receiving
-// engine calls Frame.Release exactly once when done, returning the whole
-// store. Disabled under chaos for the same duplication reason.
+// maskSlot returns row i's slice of the mask buffer, allocating the buffer
+// the first time a row in this store carries a mask.
+func (fs *frameStore) maskSlot(i int) []bool {
+	if fs.masks == nil {
+		fs.masks = make([]bool, cap(fs.tuples)*fs.dim)
+	}
+	return fs.masks[i*fs.dim : (i+1)*fs.dim : (i+1)*fs.dim]
+}
+
+// framePool recycles frame stores between the source and the engines: the
+// receiving engine calls Frame.Release exactly once when done, returning the
+// whole store. Disabled under chaos: fault injectors may duplicate a frame,
+// and two deliveries sharing one store would let the first engine's release
+// recycle storage the duplicate still reads.
 type framePool struct {
-	dim, batch int
-	pool       sync.Pool
+	pool sync.Pool
 }
 
 func newFramePool(dim, batch int) *framePool {
-	fp := &framePool{dim: dim, batch: batch}
+	fp := &framePool{}
 	fp.pool.New = func() any {
-		return &frameStore{
-			dim:    dim,
-			buf:    make([]float64, batch*dim),
-			tuples: make([]stream.Tuple, 0, batch),
-		}
+		fs := newFrameStore(dim, batch)
+		fs.release = func() { fp.put(fs) }
+		return fs
 	}
 	return fp
 }
@@ -133,17 +97,4 @@ func (fp *framePool) get() *frameStore {
 func (fp *framePool) put(fs *frameStore) {
 	fs.tuples = fs.tuples[:0]
 	fp.pool.Put(fs)
-}
-
-// put returns a tuple's buffers after the engine has consumed it. Only
-// exactly dim-sized slices re-enter the pool; anything else was a pass-through
-// copy from the wrong-length path. The &slice boxing costs one slice header
-// per recycle — small against the d-sized payload it saves.
-func (tp *tuplePool) put(vec []float64, mask []bool) {
-	if len(vec) == tp.dim {
-		tp.vecs.Put(&vec)
-	}
-	if mask != nil && len(mask) == tp.dim {
-		tp.masks.Put(&mask)
-	}
 }

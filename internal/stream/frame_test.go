@@ -7,8 +7,7 @@ import (
 
 // TestFrameTupleWeightedMetrics pins the micro-batch accounting: a Frame
 // moves as one message (In/Out count 1) but weighs as its batch size in the
-// TuplesIn/TuplesOut counters, bare tuples weigh one, and control-plane
-// messages weigh zero.
+// TuplesIn/TuplesOut counters, and control-plane messages weigh zero.
 func TestFrameTupleWeightedMetrics(t *testing.T) {
 	const frames, batch = 25, 16
 	g := NewGraph()

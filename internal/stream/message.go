@@ -18,8 +18,8 @@ package stream
 // operators dispatch on tuple types.
 type Message any
 
-// Tuple is a data observation flowing from a source toward the analysis
-// engines.
+// Tuple is one data observation: a row of a Frame, which is how every
+// observation travels from a source toward the analysis engines.
 type Tuple struct {
 	// Seq is a strictly increasing sequence number stamped by the source.
 	Seq int64
@@ -27,9 +27,6 @@ type Tuple struct {
 	Vec []float64
 	// Mask is nil for complete observations, else true = observed.
 	Mask []bool
-	// Outlier carries ground truth when the source knows it (testing and
-	// experiment workloads); engines must not read it for inference.
-	Outlier bool
 }
 
 // Trace is the compact cross-process trace context stamped on a frame at
@@ -48,12 +45,13 @@ type Trace struct {
 	IngestNs int64
 }
 
-// Frame is a micro-batch of tuples moving as one message: the source
-// accumulates up to a configured batch size (bounded by a flush deadline so a
-// slow stream still has bounded tail latency) and every edge hop, split
-// decision and operator dispatch is then paid once per frame instead of once
-// per tuple. Operators that understand frames iterate Tuples in place;
-// Split forwards the frame whole, so a batch never straddles engines.
+// Frame is the data message: a micro-batch of tuples moving as one. The
+// source accumulates up to a configured batch size (bounded by a flush
+// deadline so a slow stream still has bounded tail latency) and every edge
+// hop, split decision and operator dispatch is then paid once per frame
+// instead of once per tuple; unbatched transport sends frames of one.
+// Operators iterate Tuples in place; Split forwards the frame whole, so a
+// batch never straddles engines.
 //
 // Ownership: a frame belongs to the receiving operator once delivered. If
 // Release is non-nil the consumer must call it exactly once when finished

@@ -26,15 +26,11 @@ type OpMetrics struct {
 }
 
 // tupleWeight is the number of observations a message carries: a Frame
-// counts its batched tuples, a bare Tuple counts one, and control-plane
-// messages count zero. It keeps the tuple-rate counters meaningful whether
-// or not the transport batches.
+// counts its batched tuples and control-plane messages count zero. It keeps
+// the tuple-rate counters meaningful whatever the batch size.
 func tupleWeight(msg Message) int64 {
-	switch m := msg.(type) {
-	case Frame:
-		return int64(len(m.Tuples))
-	case Tuple:
-		return 1
+	if f, ok := msg.(Frame); ok {
+		return int64(len(f.Tuples))
 	}
 	return 0
 }
@@ -49,8 +45,8 @@ type MetricsSnapshot struct {
 	// traffic, not observation throughput.
 	In, Out int64
 	// TuplesIn and TuplesOut count observations: frames weigh as their
-	// batch size, bare tuples as one, control messages as zero. These are
-	// the throughput numbers batching is meant to improve.
+	// batch size, control messages as zero. These are the throughput
+	// numbers batching is meant to improve.
 	TuplesIn, TuplesOut int64
 	// Dropped counts messages this node lost: full loop edges, discards by
 	// a fault-injection Tap on an outgoing edge, and messages delivered to

@@ -126,7 +126,7 @@ func (c *chaosOp) Flush(Emit) {}
 func TestMetricsConsistencyUnderChaos(t *testing.T) {
 	g := NewGraph()
 	src := g.AddSource("src", CounterSource(-1, func(seq int64) Message {
-		return Tuple{Seq: seq, Vec: []float64{float64(seq)}}
+		return Frame{Seq: seq, Tuples: []Tuple{{Seq: seq, Vec: []float64{float64(seq)}}}}
 	}))
 	mid := g.Add("mid", &chaosOp{period: 100})
 	snk := g.Add("sink", &Collect{})

@@ -630,14 +630,14 @@ func TestSplitZeroOutputsIsSafe(t *testing.T) {
 
 func TestSplitBroadcastsBarriers(t *testing.T) {
 	// Checkpoint barriers must reach every output port so all engines cut a
-	// consistent checkpoint; data tuples still go to exactly one port.
+	// consistent checkpoint; data frames still go to exactly one port.
 	sp := &Split{N: 3, Policy: SplitRoundRobin}
 	got := map[int][]Message{}
 	emit := func(port int, msg Message) { got[port] = append(got[port], msg) }
-	sp.Process(0, Tuple{Seq: 1}, emit)
+	sp.Process(0, Frame{Seq: 1, Tuples: []Tuple{{Seq: 1}}}, emit)
 	sp.Process(0, Barrier{Epoch: 7}, emit)
-	sp.Process(0, Tuple{Seq: 2}, emit)
-	barriers, tuples := 0, 0
+	sp.Process(0, Frame{Seq: 2, Tuples: []Tuple{{Seq: 2}}}, emit)
+	barriers, frames := 0, 0
 	for p := 0; p < 3; p++ {
 		sawBarrier := false
 		for _, m := range got[p] {
@@ -648,15 +648,15 @@ func TestSplitBroadcastsBarriers(t *testing.T) {
 				}
 				sawBarrier = true
 				barriers++
-			case Tuple:
-				tuples++
+			case Frame:
+				frames++
 			}
 		}
 		if !sawBarrier {
 			t.Fatalf("port %d missed the barrier", p)
 		}
 	}
-	if barriers != 3 || tuples != 2 {
-		t.Fatalf("barriers=%d tuples=%d, want 3 and 2", barriers, tuples)
+	if barriers != 3 || frames != 2 {
+		t.Fatalf("barriers=%d frames=%d, want 3 and 2", barriers, frames)
 	}
 }

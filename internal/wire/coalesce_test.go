@@ -19,11 +19,11 @@ func (w *countingWriter) Write(b []byte) (int, error) {
 }
 
 // coalesceMessages is a representative mixed batch: dense zero-copy frames,
-// a tuple, control-plane traffic and a barrier.
+// a masked frame of one, control-plane traffic and a barrier.
 func coalesceMessages() []stream.Message {
 	return []stream.Message{
 		contiguousFrame(0, 4, 3),
-		stream.Tuple{Seq: 4, Vec: []float64{1.5, -2.5, 3.25}},
+		stream.Frame{Seq: 4, Tuples: []stream.Tuple{{Seq: 4, Vec: []float64{1.5, -2.5, 3.25}, Mask: []bool{true, true, false}}}},
 		stream.Control{Round: 7, Sender: 1, Receivers: []int{0, 2}},
 		contiguousFrame(5, 2, 3),
 		stream.Barrier{Epoch: 9},

@@ -42,8 +42,6 @@ const (
 
 	// flagMask on a KindFrame header marks a trailing mask block.
 	flagMask = 1 << 0
-	// flagOutlier on a KindTuple header carries the ground-truth label.
-	flagOutlier = 1 << 1
 	// flagResumed / flagFinal on a KindReport header.
 	flagResumed = 1 << 0
 	// flagFinal marks a trailing eigensystem block on a KindReport.
@@ -225,7 +223,7 @@ func (e *Encoder) view(b []byte) {
 }
 
 // Append assembles one message onto the pending batch. Supported kinds:
-// stream.Frame, stream.Tuple, stream.Control, stream.Snapshot (State must
+// stream.Frame, stream.Control, stream.Snapshot (State must
 // be a *core.Eigensystem), stream.Barrier, Hello, EngineReport, ClockProbe,
 // ClockEcho, ObsReport and EOS.
 // Anything else is an error, and on error the batch is exactly as it was
@@ -348,8 +346,6 @@ func (e *Encoder) assemble(msg stream.Message) error {
 	switch m := msg.(type) {
 	case stream.Frame:
 		return e.assembleFrame(m)
-	case stream.Tuple:
-		return e.assembleTuple(m)
 	case stream.Control:
 		return e.assembleControl(m)
 	case stream.Snapshot:
@@ -403,48 +399,39 @@ func (e *Encoder) assemble(msg stream.Message) error {
 	}
 }
 
+// errIrregularFrame rejects a frame the dense layout cannot carry. The
+// pipeline's packer and the decoder only produce regular frames.
+var errIrregularFrame = errors.New("wire: irregular frame (empty, ragged rows or masks, or a sequence gap)")
+
 // frameShape validates that f fits the dense-frame layout: at least one
-// tuple, uniform dimension, consecutive sequence numbers, full-length masks
-// where present, no ground-truth outlier labels (those only exist on
-// synthetic test streams and would be silently lost). It returns the
-// dimension and whether any tuple carries a mask, in which case the frame
-// gets a mask block and its unmasked rows are written as all-observed.
-func frameShape(f stream.Frame) (dim int, masked, ok bool) {
-	if len(f.Tuples) == 0 {
-		return 0, false, false
+// tuple, uniform nonzero dimension, consecutive sequence numbers, full-length
+// masks where present. It returns the dimension and whether any tuple carries
+// a mask, in which case the frame gets a mask block and its unmasked rows are
+// written as all-observed.
+func frameShape(f stream.Frame) (dim int, masked bool, err error) {
+	if len(f.Tuples) == 0 || len(f.Tuples[0].Vec) == 0 {
+		return 0, false, errIrregularFrame
 	}
 	dim = len(f.Tuples[0].Vec)
-	if dim == 0 {
-		return 0, false, false
-	}
 	for i := range f.Tuples {
 		t := &f.Tuples[i]
-		if len(t.Vec) != dim || t.Outlier || t.Seq != f.Seq+int64(i) {
-			return 0, false, false
+		if len(t.Vec) != dim || t.Seq != f.Seq+int64(i) {
+			return 0, false, errIrregularFrame
 		}
 		if t.Mask != nil {
 			if len(t.Mask) != dim {
-				return 0, false, false
+				return 0, false, errIrregularFrame
 			}
 			masked = true
 		}
 	}
-	return dim, masked, true
+	return dim, masked, nil
 }
 
 func (e *Encoder) assembleFrame(f stream.Frame) error {
-	dim, masked, ok := frameShape(f)
-	if !ok {
-		// Irregular frame (mixed shapes, outlier labels, seq gaps): send the
-		// tuples individually. Every tuple still arrives, in order; what is
-		// lost is batching, and with it the receiving engine's rank-c chunks
-		// (only a batch of one is bitwise-equal to the scalar path).
-		for _, t := range f.Tuples {
-			if err := e.assembleTuple(t); err != nil {
-				return err
-			}
-		}
-		return nil
+	dim, masked, err := frameShape(f)
+	if err != nil {
+		return err
 	}
 	count := len(f.Tuples)
 	floats := count * dim
@@ -515,43 +502,6 @@ func (e *Encoder) assembleFrame(f stream.Frame) error {
 				pos++
 			}
 		}
-	}
-	e.span(off, headerLen+payload)
-	return nil
-}
-
-func (e *Encoder) assembleTuple(t stream.Tuple) error {
-	n := len(t.Vec)
-	if n > maxWireDim {
-		return fmt.Errorf("wire: tuple dimension %d exceeds the wire limit", n)
-	}
-	payload := 16 + n*8
-	var flags byte
-	if t.Mask != nil {
-		if len(t.Mask) != n {
-			return fmt.Errorf("wire: tuple mask length %d != vector length %d", len(t.Mask), n)
-		}
-		flags |= flagMask
-		payload += n
-	}
-	if t.Outlier {
-		flags |= flagOutlier
-	}
-	off := e.reserve(headerLen + payload)
-	buf := e.arena[off:]
-	putHeader(buf, KindTuple, flags, payload)
-	binary.LittleEndian.PutUint64(buf[8:], uint64(t.Seq))
-	binary.LittleEndian.PutUint32(buf[16:], uint32(n))
-	binary.LittleEndian.PutUint32(buf[20:], 0)
-	putFloatsLE(buf[24:24+n*8], t.Vec)
-	pos := 24 + n*8
-	for _, b := range t.Mask {
-		if b {
-			buf[pos] = 1
-		} else {
-			buf[pos] = 0
-		}
-		pos++
 	}
 	e.span(off, headerLen+payload)
 	return nil
@@ -703,23 +653,30 @@ type RecvPool struct {
 	pool       sync.Pool
 }
 
+// recvStore is one pooled frame's storage. release, built once when the pool
+// creates the store, is the decoded frame's Release.
 type recvStore struct {
-	buf    []float64
-	masks  []bool
-	tuples []stream.Tuple
+	buf     []float64
+	tuples  []stream.Tuple
+	release func()
 }
 
-// NewRecvPool returns a pool for count≤batch frames of dimension dim.
+// NewRecvPool returns a pool for unmasked frames of dimension dim and at most
+// batch rows, batch floored at 1 so frames of one are pooled too. It returns
+// nil (no pooling) when dim ≤ 0.
 func NewRecvPool(dim, batch int) *RecvPool {
-	if dim <= 0 || batch <= 0 {
+	if dim <= 0 {
 		return nil
 	}
+	batch = max(batch, 1)
 	rp := &RecvPool{dim: dim, batch: batch}
 	rp.pool.New = func() any {
-		return &recvStore{
+		rs := &recvStore{
 			buf:    make([]float64, batch*dim),
 			tuples: make([]stream.Tuple, 0, batch),
 		}
+		rs.release = func() { rp.put(rs) }
+		return rs
 	}
 	return rp
 }
@@ -818,8 +775,6 @@ func (d *Decoder) Decode() (stream.Message, error) {
 			return nil, err
 		}
 		return parseHelloPayload(p), nil
-	case KindTuple:
-		return d.decodeTuple(flags, n)
 	case KindFrame:
 		return d.decodeFrame(flags, n)
 	case KindControl:
@@ -876,37 +831,6 @@ func (d *Decoder) Decode() (stream.Message, error) {
 	}
 }
 
-func (d *Decoder) decodeTuple(flags byte, n int) (stream.Message, error) {
-	if n < 16 {
-		return nil, fmt.Errorf("wire: tuple payload %d too short", n)
-	}
-	p, err := d.readPayload(n)
-	if err != nil {
-		return nil, err
-	}
-	dim := int(binary.LittleEndian.Uint32(p[8:]))
-	want := 16 + dim*8
-	if flags&flagMask != 0 {
-		want += dim
-	}
-	if dim > maxWireDim || n != want {
-		return nil, fmt.Errorf("wire: tuple shape dim=%d does not match payload %d", dim, n)
-	}
-	t := stream.Tuple{
-		Seq:     int64(binary.LittleEndian.Uint64(p[0:])),
-		Vec:     make([]float64, dim),
-		Outlier: flags&flagOutlier != 0,
-	}
-	getFloatsLE(t.Vec, p[16:16+dim*8])
-	if flags&flagMask != 0 {
-		t.Mask = make([]bool, dim)
-		for i, b := range p[16+dim*8:] {
-			t.Mask[i] = b != 0
-		}
-	}
-	return t, nil
-}
-
 func (d *Decoder) decodeFrame(flags byte, n int) (stream.Message, error) {
 	preLen := 16
 	traced := flags&flagTrace != 0
@@ -959,7 +883,7 @@ func (d *Decoder) decodeFrame(flags byte, n int) (stream.Message, error) {
 			Seq:     baseSeq,
 			Tuples:  rs.tuples,
 			Trace:   trace,
-			Release: func() { rp.put(rs) },
+			Release: rs.release,
 		}, nil
 	}
 	// Unpooled path: payload bytes are read chunk-bounded before the float

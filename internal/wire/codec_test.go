@@ -5,6 +5,8 @@ import (
 	"io"
 	"math"
 	"reflect"
+	"runtime/debug"
+	"slices"
 	"testing"
 
 	"streampca/internal/core"
@@ -48,6 +50,11 @@ func contiguousFrame(baseSeq int64, count, dim int) stream.Frame {
 		}
 	}
 	return stream.Frame{Seq: baseSeq, Tuples: tuples}
+}
+
+// frameOfOne is the unbatched transport's message: one one-bin observation.
+func frameOfOne(seq int64, v float64) stream.Frame {
+	return stream.Frame{Seq: seq, Tuples: []stream.Tuple{{Seq: seq, Vec: []float64{v}}}}
 }
 
 func roundTrip(t *testing.T, msg stream.Message, pool *RecvPool) stream.Message {
@@ -105,6 +112,40 @@ func TestFrameRoundTripPooled(t *testing.T) {
 	f2 := contiguousFrame(50, 4, 5)
 	got2 := roundTrip(t, f2, pool).(stream.Frame)
 	sameTuples(t, got2.Tuples, f2.Tuples)
+}
+
+// raceBuild reports whether the test binary runs under the race detector,
+// whose sync.Pool drops a random share of Puts (so Gets allocate).
+func raceBuild() bool {
+	bi, ok := debug.ReadBuildInfo()
+	return ok && slices.Contains(bi.Settings, debug.BuildSetting{Key: "-race", Value: "true"})
+}
+
+// releaseHandoff stands in for the goroutine a frame's Release escapes to.
+var releaseHandoff func()
+
+// TestRecvPoolCycleAllocatesNothing: at steady state a pooled receive store's
+// whole trip — get, fill a row, hand its Release to the consumer, Release —
+// allocates nothing, because the Release closure is built once per store.
+// Batch 0 is floored at 1, so a worker pools frames of one too.
+func TestRecvPoolCycleAllocatesNothing(t *testing.T) {
+	if raceBuild() {
+		t.Skip("the race detector's sync.Pool drops Puts")
+	}
+	rp := NewRecvPool(3, 0)
+	if rp == nil {
+		t.Fatal("a batch-0 receive pool must pool frames of one")
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		rs := rp.get()
+		rs.tuples = append(rs.tuples, stream.Tuple{Seq: 1, Vec: rs.buf[:3:3]})
+		f := stream.Frame{Seq: 1, Tuples: rs.tuples, Release: rs.release}
+		releaseHandoff = f.Release
+		releaseHandoff()
+	})
+	if allocs != 0 {
+		t.Fatalf("pooled get → fill → Release allocates %v per frame, want 0", allocs)
+	}
 }
 
 func TestFrameRoundTripNonContiguous(t *testing.T) {
@@ -201,49 +242,40 @@ func TestFrameRoundTripMixedMasks(t *testing.T) {
 	}
 }
 
-func TestIrregularFrameFallsBackToTuples(t *testing.T) {
-	// A sequence gap disqualifies the dense layout; the encoder must emit
-	// individual tuples instead.
-	f := stream.Frame{Seq: 0, Tuples: []stream.Tuple{
-		{Seq: 0, Vec: []float64{1, 2}},
-		{Seq: 5, Vec: []float64{3, 4}},
-	}}
-	var buf bytes.Buffer
-	if err := NewEncoder(&buf, false).Encode(f); err != nil {
-		t.Fatal(err)
-	}
-	dec := NewDecoder(&buf, nil, 0)
-	for i, want := range f.Tuples {
-		got, err := dec.Decode()
+// TestIrregularFrameIsAnAssemblyError: a frame the dense layout cannot carry
+// — empty, ragged rows or masks, a sequence gap — fails to assemble and
+// leaves the pending batch untouched, so the edge abandons and counts exactly
+// that message.
+func TestIrregularFrameIsAnAssemblyError(t *testing.T) {
+	good := contiguousFrame(0, 2, 2)
+	ragged := contiguousFrame(0, 2, 2)
+	ragged.Tuples[1].Vec = []float64{3}
+	shortMask := contiguousFrame(0, 2, 2)
+	shortMask.Tuples[0].Mask = []bool{true}
+	gap := contiguousFrame(0, 2, 2)
+	gap.Tuples[1].Seq = 5
+	for name, f := range map[string]stream.Frame{
+		"empty": {}, "ragged rows": ragged, "short mask": shortMask, "sequence gap": gap,
+	} {
+		var buf bytes.Buffer
+		enc := NewEncoder(&buf, false)
+		if err := enc.Append(good); err != nil {
+			t.Fatal(err)
+		}
+		if err := enc.Append(f); err == nil {
+			t.Fatalf("%s: irregular frame assembled", name)
+		}
+		if err := enc.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		got, err := NewDecoder(&buf, nil, 0).Decode()
 		if err != nil {
-			t.Fatalf("decode %d: %v", i, err)
+			t.Fatalf("%s: %v", name, err)
 		}
-		tp, ok := got.(stream.Tuple)
-		if !ok {
-			t.Fatalf("decode %d: got %T, want Tuple", i, got)
+		sameTuples(t, got.(stream.Frame).Tuples, good.Tuples)
+		if buf.Len() != 0 {
+			t.Fatalf("%s: %d bytes of the irregular frame reached the writer", name, buf.Len())
 		}
-		if tp.Seq != want.Seq || !reflect.DeepEqual(tp.Vec, want.Vec) {
-			t.Fatalf("decode %d mismatch", i)
-		}
-	}
-}
-
-func TestTupleRoundTrip(t *testing.T) {
-	tp := stream.Tuple{
-		Seq:     42,
-		Vec:     []float64{1.5, math.NaN(), -3},
-		Mask:    []bool{true, false, true},
-		Outlier: true,
-	}
-	got := roundTrip(t, tp, nil).(stream.Tuple)
-	if got.Seq != 42 || !got.Outlier {
-		t.Fatalf("seq/outlier lost: %+v", got)
-	}
-	if !reflect.DeepEqual(got.Mask, tp.Mask) {
-		t.Fatal("mask mismatch")
-	}
-	if got.Vec[0] != 1.5 || !math.IsNaN(got.Vec[1]) || got.Vec[2] != -3 {
-		t.Fatalf("vec mismatch: %v", got.Vec)
 	}
 }
 
@@ -324,9 +356,13 @@ func TestEncodeRejectsUnknown(t *testing.T) {
 
 func TestDecodeRejectsAdversarialHeaders(t *testing.T) {
 	cases := map[string][]byte{
-		"bad magic":       {0x00, Version, byte(KindEOS), 0, 0, 0, 0, 0},
-		"bad version":     {magicByte, 99, byte(KindEOS), 0, 0, 0, 0, 0},
-		"unknown kind":    {magicByte, Version, 0xEE, 0, 0, 0, 0, 0},
+		"bad magic":    {0x00, Version, byte(KindEOS), 0, 0, 0, 0, 0},
+		"bad version":  {magicByte, 99, byte(KindEOS), 0, 0, 0, 0, 0},
+		"unknown kind": {magicByte, Version, 0xEE, 0, 0, 0, 0, 0},
+		// A well-formed one-bin observation in the retired kind-2 layout
+		// (seq, dim=1, reserved, one float).
+		"retired kind 2": {magicByte, Version, 2, 0, 24, 0, 0, 0,
+			7, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0xF0, 0x3F},
 		"oversize claim":  {magicByte, Version, byte(KindFrame), 0, 0xFF, 0xFF, 0xFF, 0x7F},
 		"eos with bytes":  {magicByte, Version, byte(KindEOS), 0, 4, 0, 0, 0},
 		"short hello":     {magicByte, Version, byte(KindHello), 0, 3, 0, 0, 0, 1, 2, 3},

@@ -29,8 +29,8 @@ type EdgeOptions struct {
 	Name string
 	// Hello is announced to the peer on every (re)connect.
 	Hello Hello
-	// Dim and Batch size the receive pool; 0 disables pooling (frames then
-	// allocate per message — correct, just slower).
+	// Dim and Batch size the receive pool (see NewRecvPool); Dim 0 disables
+	// pooling (frames then allocate per message — correct, just slower).
 	Dim, Batch int
 	// Retry is the reconnect backoff policy (ingest defaults apply).
 	Retry ingest.RetryPolicy
@@ -575,15 +575,12 @@ func (e *Edge) markSent(msg stream.Message) {
 	if _, isEOS := msg.(EOS); !isEOS {
 		e.msgsOut.Add(1)
 	}
-	switch m := msg.(type) {
-	case stream.Frame:
+	if f, ok := msg.(stream.Frame); ok {
 		e.framesOut.Add(1)
-		e.tuplesOut.Add(int64(len(m.Tuples)))
-		if m.Release != nil {
-			m.Release()
+		e.tuplesOut.Add(int64(len(f.Tuples)))
+		if f.Release != nil {
+			f.Release()
 		}
-	case stream.Tuple:
-		e.tuplesOut.Add(1)
 	}
 }
 
@@ -1015,8 +1012,6 @@ func (e *Edge) recvLoop(r *spscRing, done chan struct{}) {
 		case stream.Frame:
 			e.framesIn.Add(1)
 			e.tuplesIn.Add(int64(len(m.Tuples)))
-		case stream.Tuple:
-			e.tuplesIn.Add(1)
 		}
 		e.msgsIn.Add(1)
 		if !r.push(msg) {

@@ -220,8 +220,8 @@ func TestEdgeDialExhaustionDropsNotWedges(t *testing.T) {
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		op.Process(0, stream.Tuple{Seq: 1, Vec: []float64{1}}, nil)
-		op.Process(0, stream.Tuple{Seq: 2, Vec: []float64{2}}, nil)
+		op.Process(0, frameOfOne(1, 1), nil)
+		op.Process(0, frameOfOne(2, 2), nil)
 		op.Flush(nil)
 	}()
 	select {
@@ -230,7 +230,7 @@ func TestEdgeDialExhaustionDropsNotWedges(t *testing.T) {
 		t.Fatal("send wedged on an unreachable peer")
 	}
 	if got := dial.Stats().Abandoned; got != 3 {
-		t.Fatalf("abandoned %d messages, want 3 (2 tuples + EOS)", got)
+		t.Fatalf("abandoned %d messages, want 3 (2 frames + EOS)", got)
 	}
 }
 
@@ -256,8 +256,8 @@ func TestEdgePartitionWindowDelaysDial(t *testing.T) {
 	defer cancel()
 	wait, _ := runSource(ctx, worker)
 	op := dial.Operator()
-	op.Process(0, stream.Tuple{Seq: 1, Vec: []float64{1}}, nil)
-	// The sender goroutine abandons the tuple once the dial loop exhausts
+	op.Process(0, frameOfOne(1, 1), nil)
+	// The sender goroutine abandons the frame once the dial loop exhausts
 	// its attempts against the never-closing partition window.
 	deadline := time.Now().Add(25 * time.Second)
 	for dial.Stats().Abandoned != 1 {

@@ -60,7 +60,7 @@ func perturbedSnapshots(n int) []stream.Message {
 func FuzzFrameCodec(f *testing.F) {
 	f.Add(encodeAll(f, contiguousFrame(0, 4, 3)))
 	f.Add(encodeAll(f, contiguousFrame(9, 1, 1), stream.Barrier{Epoch: 2}, EOS{}))
-	f.Add(encodeAll(f, stream.Tuple{Seq: 5, Vec: []float64{1, 2}, Mask: []bool{true, false}, Outlier: true}))
+	f.Add(encodeAll(f, stream.Frame{Seq: 5, Tuples: []stream.Tuple{{Seq: 5, Vec: []float64{1, 2}, Mask: []bool{true, false}}}}))
 	f.Add(encodeAll(f, Hello{Engine: -1, Dim: 400, Batch: 64, Epoch: 1}))
 	masked := contiguousFrame(0, 2, 3)
 	masked.Tuples[0].Mask = []bool{true, false, true}
@@ -76,7 +76,7 @@ func FuzzFrameCodec(f *testing.F) {
 	// a frame whose shape prefix disagrees with the payload length.
 	f.Add([]byte{magicByte, Version, byte(KindFrame)})
 	f.Add([]byte{magicByte, Version, byte(KindFrame), 0, 0xFF, 0xFF, 0xFF, 0xFF})
-	f.Add([]byte{0xAA, Version, byte(KindTuple), 0, 8, 0, 0, 0, 1, 2, 3, 4, 5, 6, 7, 8})
+	f.Add([]byte{0xAA, Version, 2, 0, 8, 0, 0, 0, 1, 2, 3, 4, 5, 6, 7, 8})
 	shapeLie := make([]byte, headerLen+16)
 	putHeader(shapeLie, KindFrame, 0, 16)
 	binary.LittleEndian.PutUint32(shapeLie[headerLen+8:], 1<<19)
@@ -124,7 +124,7 @@ func FuzzFrameCodec(f *testing.F) {
 				if m.Release != nil {
 					m.Release()
 				}
-			case stream.Tuple, stream.Control, stream.Barrier, stream.Snapshot, Hello, EOS:
+			case stream.Control, stream.Barrier, stream.Snapshot, Hello, EOS:
 				if err := enc.Encode(m); err != nil {
 					t.Fatalf("re-encode decoded %T: %v", m, err)
 				}

@@ -45,10 +45,12 @@ const (
 	// KindHello is the connection preamble: each side announces its engine
 	// index, data shape and session epoch immediately after connecting.
 	KindHello Kind = iota + 1
-	// KindTuple is a single observation (the unbatched / gappy fallback).
-	KindTuple
-	// KindFrame is a dense micro-batch: count×dim float64 payload with
-	// consecutive sequence numbers, optionally carrying a mask block.
+	// Value 2 is reserved (it once carried a bare tuple); decoders reject
+	// it as an unknown kind.
+	_
+	// KindFrame is the only data message: count×dim float64 payload with
+	// consecutive sequence numbers, optionally carrying a mask block. A
+	// frame of one is the unbatched transport.
 	KindFrame
 	// KindControl is a syncctl command (round, sender, receivers).
 	KindControl
