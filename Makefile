@@ -66,18 +66,19 @@ check: lint loc test test-wire fuzz-race lint-json
 # blocked-kernel property and zero-alloc contracts called out explicitly so a
 # scoped run still covers the hot-path guarantees.
 test-race:
-	$(GO) test -race -run 'Blocked|ZeroAllocs|Workspace|AcrossGOMAXPROCS|Panel|ObserveBlock|TridiagSym' ./internal/mat ./internal/eig ./internal/core
+	$(GO) test -race -run 'Blocked|ZeroAllocs|Workspace|AcrossGOMAXPROCS|Panel|ObserveBlock|TridiagSym|ArrowSym' ./internal/mat ./internal/eig ./internal/core
 	$(GO) test -race -count=2 -run 'Chaos' ./...
 	$(GO) test -race ./...
 
-# Tier 2: short fuzzing passes over the checkpoint reader and the fault
-# injector. Each target fuzzes for $(FUZZTIME); seed corpora alone run in
-# plain `make test`.
+# Tier 2: short fuzzing passes over the checkpoint reader, the fault
+# injector, the wire codecs and the arrowhead eigensolver. Each target fuzzes
+# for $(FUZZTIME); seed corpora alone run in plain `make test`.
 fuzz-short:
 	$(GO) test -run '^$$' -fuzz '^FuzzReadEigensystem$$' -fuzztime $(FUZZTIME) ./internal/core
 	$(GO) test -run '^$$' -fuzz '^FuzzInjector$$' -fuzztime $(FUZZTIME) ./internal/fault
 	$(GO) test -run '^$$' -fuzz '^FuzzFrameCodec$$' -fuzztime $(FUZZTIME) ./internal/wire
 	$(GO) test -run '^$$' -fuzz '^FuzzSyncMessage$$' -fuzztime $(FUZZTIME) ./internal/wire
+	$(GO) test -run '^$$' -fuzz '^FuzzArrowSym$$' -fuzztime $(FUZZTIME) ./internal/eig
 
 bench:
 	$(GO) test -bench . -benchtime 1x ./...

@@ -334,9 +334,9 @@ func (en *Engine) rebuildEigensystemBlock(g float64, c int) {
 			gd[(k+m)*kc+(k+m2)] = sb * bs[m2] * srow[m2]
 		}
 	}
-	// The (k+c)-sized system sits past the Jacobi/QL crossover, so the block
-	// path uses the tridiagonal solver; the rank-one rebuild keeps Jacobi for
-	// its (k+1)-sized systems.
+	// The (k+c)-sized Gram has a c×c dense corner, not an arrowhead, and sits
+	// past the Jacobi/QL crossover, so the block path uses the tridiagonal
+	// solver; only the rank-one rebuild (c = 1) is an arrowhead for ArrowSym.
 	lam, v, ok := eig.TridiagSym(gram, ws.bsym[c])
 	if !ok {
 		// Keep the previous eigensystem; the decayed sums still advanced.

@@ -66,9 +66,6 @@ type Engine struct {
 	// disableWarmupRefine is a test hook for A/B-ing the gappy warm-up
 	// refinement.
 	disableWarmupRefine bool
-	// useSVDRebuild routes the eigensystem update through the explicit
-	// thin-SVD reference instead of the structured fast path (test hook).
-	useSVDRebuild bool
 
 	// time-based window state (Config.TimeWindow)
 	lastObserved time.Time
@@ -585,7 +582,7 @@ func (en *Engine) updateAlpha(x []float64, alpha float64) Update {
 // Λ = S²). ws.y and ws.coef must already hold the centered vector and its
 // projections from updateAlpha's fused pass.
 //
-// The fast path never materializes A. Writing A = [E·D | √yCoef·y] with
+// A is never materialized. Writing A = [E·D | √yCoef·y] with
 // D = diag(√(γ2·λⱼ)) and using EᵀE = I (maintained by construction and by
 // the periodic re-orthonormalization), the Gram matrix of the thin-SVD
 // route is known analytically:
@@ -594,48 +591,34 @@ func (en *Engine) updateAlpha(x []float64, alpha float64) Update {
 //	      ⎣ (√yCoef·Eᵀy)ᵀ·D   yCoef·‖y‖² ⎦
 //
 // and Eᵀy is exactly ws.coef, ‖y‖² exactly ws.ny2 — both already paid for.
-// The (k+1)×(k+1) eigenproblem gives Λ directly, and the new basis is one
-// fused row-wise pass E ← E·Mᵀ + y·wᵀ with M the k×k map V·S⁻¹ restricted
-// to the top-k columns. Per observation this removes two O(d·k²) kernels
-// (the explicit Gram accumulation and the A·V product) plus all A traffic;
-// only the O(d·k) basis pass remains. rebuildEigensystemSVD keeps the
-// explicit route for verification.
+// That matrix is a symmetric arrowhead, whose eigenproblem eig.ArrowSym
+// solves in O(k²) through its secular equation. It gives Λ directly, and the
+// new basis is one fused row-wise pass E ← E·Mᵀ + y·wᵀ with M the k×k map
+// V·S⁻¹ restricted to the top-k columns, so the only O(d·k) work per
+// observation is that pass and the fused center/project pass before it.
 //
 //streampca:noalloc
 func (en *Engine) rebuildEigensystem(gamma2, yCoef float64) {
-	if en.useSVDRebuild {
-		en.rebuildEigensystemSVD(gamma2, yCoef)
-		return
-	}
 	st := &en.state
 	d := en.cfg.Dim
 	k := en.k
 	ws := en.ws
 	scale := ws.scale
+	if yCoef < 0 {
+		yCoef = 0
+	}
+	sy := math.Sqrt(yCoef)
 	for j := 0; j < k; j++ {
 		lj := st.Values[j]
 		if lj < 0 {
 			lj = 0
 		}
 		scale[j] = math.Sqrt(gamma2 * lj)
+		ws.arrowD[j] = scale[j] * scale[j]
+		ws.arrowZ[j] = scale[j] * sy * ws.coef[j]
 	}
-	if yCoef < 0 {
-		yCoef = 0
-	}
-	sy := math.Sqrt(yCoef)
 	kc := k + 1
-	gd := ws.gram.Data()
-	for i := range gd {
-		gd[i] = 0
-	}
-	for j := 0; j < k; j++ {
-		gd[j*kc+j] = scale[j] * scale[j]
-		c := scale[j] * sy * ws.coef[j]
-		gd[j*kc+k] = c
-		gd[k*kc+j] = c
-	}
-	gd[k*kc+k] = yCoef * ws.ny2
-	lam, v, ok := eig.JacobiSym(ws.gram, ws.sym)
+	lam, v, ok := eig.ArrowSym(ws.arrowD, ws.arrowZ, yCoef*ws.ny2, ws.arrow)
 	if !ok {
 		// Keep the previous eigensystem; the decayed sums still advance so
 		// a single pathological vector cannot wedge the stream.
@@ -680,57 +663,6 @@ func (en *Engine) rebuildEigensystem(gamma2, yCoef float64) {
 		// Degenerate directions (collapsed spectrum) were zeroed; complete
 		// them to an orthonormal set like the thin-SVD route does.
 		eig.OrthonormalizeWS(st.Vectors, ws.orth)
-	}
-}
-
-// rebuildEigensystemSVD is the explicit reference route: materialize A,
-// run the workspace thin SVD, install U. The structured fast path above is
-// property-tested against it; it also serves streams that have disabled
-// re-orthonormalization, where the EᵀE = I assumption erodes.
-//
-//streampca:noalloc
-func (en *Engine) rebuildEigensystemSVD(gamma2, yCoef float64) {
-	st := &en.state
-	d := en.cfg.Dim
-	k := en.k
-	ws := en.ws
-	scale := ws.scale
-	for j := 0; j < k; j++ {
-		lj := st.Values[j]
-		if lj < 0 {
-			lj = 0
-		}
-		scale[j] = math.Sqrt(gamma2 * lj)
-	}
-	if yCoef < 0 {
-		yCoef = 0
-	}
-	sy := math.Sqrt(yCoef)
-	kc := k + 1
-	ad := ws.aMat.Data()
-	vd := st.Vectors.Data()
-	y := ws.y
-	for i := 0; i < d; i++ {
-		arow := ad[i*kc : i*kc+kc]
-		vrow := vd[i*k : i*k+k]
-		for j, v := range vrow {
-			arow[j] = scale[j] * v
-		}
-		arow[k] = sy * y[i]
-	}
-	dec, ok := ws.svd.Decompose(ws.aMat)
-	if !ok {
-		return
-	}
-	if en.inst != nil {
-		en.inst.RecordRebuild(obs.RebuildSVD)
-	}
-	for j := 0; j < k; j++ {
-		st.Values[j] = dec.S[j] * dec.S[j]
-	}
-	ud := dec.U.Data()
-	for i := 0; i < d; i++ {
-		copy(vd[i*k:i*k+k], ud[i*kc:i*kc+k])
 	}
 }
 

@@ -17,22 +17,24 @@ const rejectedCap = 64
 //
 // Aliasing rules: y holds the centered observation and is read by
 // rebuildEigensystem after updateAlpha fills it — the two must not be
-// reordered. aMat is rebuilt from scratch on every call, and the SVD
-// workspace's returned U/S/V are only read between Decompose and the end of
-// rebuildEigensystem. Nothing in the workspace is valid across Observe
-// calls; it is scratch, not state.
+// reordered. The eigensolvers' returned values and vectors live in their
+// workspaces and are only read until the end of the rebuild that produced
+// them. Nothing in the workspace is valid across Observe calls; it is
+// scratch, not state.
 type workspace struct {
 	y     []float64 // centered observation x − µ (length d)
 	coef  []float64 // projection coefficients Eᵀy (length k)
 	ny2   float64   // ‖y‖² from the same fused pass that filled y and coef
 	scale []float64 // per-column √(γ2·λⱼ) factors of A (length k+1)
 
-	// structured-rebuild scratch: the small Gram system and the k×k update
-	// map of the fast path (see rebuildEigensystem). mt holds the TRANSPOSED
-	// map Mᵀ the rank-one route's fused basis kernel dots rows against; the
-	// rank-c route builds its map in natural orientation (mMat below).
-	gram   *mat.Dense // (k+1)×(k+1) AᵀA, built analytically
-	sym    *eig.SymEigWorkspace
+	// rank-one rebuild scratch (see rebuildEigensystem): the arrowhead Gram
+	// AᵀA = [[diag(arrowD), arrowZ], [arrowZᵀ, yCoef·‖y‖²]], its solver, and
+	// the k×k update map. mt holds the TRANSPOSED map Mᵀ the rank-one
+	// route's fused basis kernel dots rows against; the rank-c route builds
+	// its map in natural orientation (mMat below).
+	arrowD []float64 // γ2·λⱼ (length k)
+	arrowZ []float64 // √(γ2·λⱼ)·√yCoef·coefⱼ (length k)
+	arrow  *eig.ArrowWorkspace
 	mt     *mat.Dense // k×k transposed update map Mᵀ
 	yw     []float64  // per-column y coefficients of the update (length k)
 	invs   []float64  // inverse singular values (length k)
@@ -42,12 +44,6 @@ type workspace struct {
 	// mat.CenterProjectPanels(d) panels × (k+1) accumulators, folded in
 	// panel order.
 	cpPart []float64
-
-	// explicit-SVD rebuild scratch: the materialized d×(k+1) matrix A and
-	// its thin-SVD workspace, used by the reference route the structured
-	// path is verified against (and by tests).
-	aMat *mat.Dense
-	svd  *eig.ThinSVDWorkspace
 
 	orth *eig.OrthoWorkspace
 	med  []float64 // rescue-median sort scratch (capacity rejectedCap)
@@ -89,15 +85,14 @@ func newWorkspace(d, k, blockC int) *workspace {
 		y:      make([]float64, d),
 		coef:   make([]float64, k),
 		scale:  make([]float64, k+1),
-		gram:   mat.NewDense(k+1, k+1),
-		sym:    eig.NewSymEigWorkspace(k + 1),
+		arrowD: make([]float64, k),
+		arrowZ: make([]float64, k),
+		arrow:  eig.NewArrowWorkspace(k),
 		mt:     mat.NewDense(k, k),
 		yw:     make([]float64, k),
 		invs:   make([]float64, k),
 		rowTmp: make([]float64, k),
 		cpPart: make([]float64, mat.CenterProjectPanels(d)*(k+1)),
-		aMat:   mat.NewDense(d, k+1),
-		svd:    eig.NewThinSVDWorkspace(d, k+1),
 		orth:   eig.NewOrthoWorkspace(d),
 		med:    make([]float64, rejectedCap),
 

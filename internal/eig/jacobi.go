@@ -1,10 +1,11 @@
 // Package eig implements the dense eigenvalue and singular-value solvers
-// streampca needs: a cyclic Jacobi eigensolver for symmetric matrices, thin
-// SVD for tall matrices (via the Gram matrix and via one-sided Jacobi), and
-// Householder QR. All solvers are deterministic and allocation-light; the
-// hot path of the streaming PCA engine is ThinSVD on a d×(p+1) matrix with
-// p+1 ≪ d, for which the Gram route costs O(d·(p+1)²) flops plus a tiny
-// (p+1)×(p+1) eigenproblem.
+// streampca needs: symmetric eigensolvers (cyclic Jacobi, Householder
+// tridiagonalization with implicit QL, and an O(k²) secular-equation solver
+// for arrowhead matrices), the Gram-route thin SVD of tall matrices, and
+// Gram–Schmidt orthonormalization. All solvers are deterministic. The
+// streaming engine's per-observation rank-one update is one ArrowSym call on
+// a (k+1)×(k+1) arrowhead; its rank-c block update is one TridiagSym call on
+// a (k+c)×(k+c) Gram; warm-up and merges run ThinSVD.
 package eig
 
 import (
@@ -25,62 +26,17 @@ const jacobiMaxSweeps = 60
 // of V. a is not modified. ok is false when the iteration failed to
 // converge (NaN/Inf inputs).
 func SymEig(a *mat.Dense) (values []float64, v *mat.Dense, ok bool) {
-	n := a.Rows()
-	if a.Cols() != n {
+	if a.Cols() != a.Rows() {
 		panic("eig: SymEig requires a square matrix")
 	}
-	// Work on a symmetric copy.
-	w := mat.NewDense(n, n)
-	for i := 0; i < n; i++ {
-		for j := i; j < n; j++ {
-			x := a.At(i, j)
-			w.Set(i, j, x)
-			w.Set(j, i, x)
-		}
-	}
-	v = mat.Identity(n)
-	if n == 0 {
-		return nil, v, true
-	}
-	if n == 1 {
-		return []float64{w.At(0, 0)}, v, !math.IsNaN(w.At(0, 0))
-	}
-
-	for _, x := range w.Data() {
-		if math.IsNaN(x) || math.IsInf(x, 0) {
-			values = make([]float64, n)
-			for i := 0; i < n; i++ {
-				values[i] = w.At(i, i)
-			}
-			return values, v, false
-		}
-	}
-
 	// Beyond a few dozen rows the tridiagonal route (tred2/tql2) is far
-	// faster than cyclic Jacobi; fall back to Jacobi if QL fails to
+	// faster than cyclic Jacobi, which it falls back to if QL fails to
 	// converge (essentially never for finite input).
 	const tridiagThreshold = 32
-	if n > tridiagThreshold {
-		if tv, tvec, tok := symEigTridiag(w); tok {
-			return tv, tvec, true
-		}
+	if a.Rows() > tridiagThreshold {
+		return TridiagSym(a, nil)
 	}
-	return jacobiSweeps(w, v)
-}
-
-// symEigJacobi runs the cyclic Jacobi path unconditionally (benchmarks and
-// cross-checks); same contract as SymEig.
-func symEigJacobi(a *mat.Dense) (values []float64, v *mat.Dense, ok bool) {
-	n := a.Rows()
-	w := mat.NewDense(n, n)
-	for i := 0; i < n; i++ {
-		for j := i; j < n; j++ {
-			x := a.At(i, j)
-			w.Set(i, j, x)
-			w.Set(j, i, x)
-		}
-	}
-	return jacobiSweeps(w, mat.Identity(n))
+	return JacobiSym(a, nil)
 }
 
 // SymEigWorkspace holds the working copy, eigenvector accumulator and value
@@ -111,66 +67,56 @@ func NewSymEigWorkspace(n int) *SymEigWorkspace {
 // JacobiSym is the workspace-accepting variant of SymEig: it computes the
 // eigendecomposition of the symmetric matrix a (upper triangle read, a
 // unmodified) entirely inside ws, performing zero heap allocations. It always
-// runs cyclic Jacobi — the right tool for the small (p+1)×(p+1) Gram systems
-// on the streaming hot path; for matrices beyond a few dozen rows prefer
-// SymEig, whose tridiagonal route is asymptotically faster. A nil ws is
-// allowed and behaves like SymEig restricted to the Jacobi path.
+// runs cyclic Jacobi; for matrices beyond a dozen rows TridiagSym is faster.
+// A nil ws is allowed and allocates a fresh workspace.
 func JacobiSym(a *mat.Dense, ws *SymEigWorkspace) (values []float64, v *mat.Dense, ok bool) {
-	n := a.Rows()
-	if a.Cols() != n {
-		panic("eig: JacobiSym requires a square matrix")
-	}
-	if ws == nil {
-		ws = NewSymEigWorkspace(n)
-	}
-	if ws.n != n {
-		panic("eig: JacobiSym workspace dimension mismatch")
-	}
-	// Symmetrize into the working copy and reset the accumulator to I,
-	// touching the backing slices directly.
-	wd, vd := ws.w.Data(), ws.v.Data()
-	ad := a.Data()
-	for i := 0; i < n; i++ {
-		wd[i*n+i] = ad[i*n+i]
-		for j := i + 1; j < n; j++ {
-			x := ad[i*n+j]
-			wd[i*n+j] = x
-			wd[j*n+i] = x
-		}
-	}
+	ws, finite := loadSym(a, ws)
+	n, vd := ws.n, ws.v.Data()
 	for i := range vd {
 		vd[i] = 0
 	}
 	for i := 0; i < n; i++ {
 		vd[i*n+i] = 1
 	}
-	if n == 0 {
-		return ws.values, ws.v, true
-	}
-	if n == 1 {
-		ws.values[0] = wd[0]
-		return ws.values, ws.v, !math.IsNaN(wd[0])
-	}
-	for _, x := range wd {
-		if math.IsNaN(x) || math.IsInf(x, 0) {
-			for i := 0; i < n; i++ {
-				ws.values[i] = wd[i*n+i]
-			}
-			return ws.values, ws.v, false
-		}
+	if !finite {
+		return ws.values, ws.v, false
 	}
 	_, _, ok = jacobiSweepsInto(ws.w, ws.v, ws.values)
 	return ws.values, ws.v, ok
 }
 
-// jacobiSweeps runs threshold-cyclic Jacobi on the symmetric working copy
-// w, accumulating rotations into v. Both are consumed.
-func jacobiSweeps(w, v *mat.Dense) (values []float64, vv *mat.Dense, ok bool) {
-	return jacobiSweepsInto(w, v, make([]float64, w.Rows()))
+// loadSym returns ws (allocated when nil) with a's upper triangle mirrored
+// into the working copy w and a's diagonal in values, and reports whether
+// every entry is finite.
+func loadSym(a *mat.Dense, ws *SymEigWorkspace) (*SymEigWorkspace, bool) {
+	n := a.Rows()
+	if a.Cols() != n {
+		panic("eig: symmetric eigensolver requires a square matrix")
+	}
+	if ws == nil {
+		ws = NewSymEigWorkspace(n)
+	}
+	if ws.n != n {
+		panic("eig: symmetric eigensolver workspace dimension mismatch")
+	}
+	wd, ad := ws.w.Data(), a.Data()
+	for i := 0; i < n; i++ {
+		ws.values[i] = ad[i*n+i]
+		for j := i; j < n; j++ {
+			wd[i*n+j], wd[j*n+i] = ad[i*n+j], ad[i*n+j]
+		}
+	}
+	for _, x := range wd {
+		if math.IsNaN(x) || math.IsInf(x, 0) {
+			return ws, false
+		}
+	}
+	return ws, true
 }
 
-// jacobiSweepsInto is jacobiSweeps with a caller-owned eigenvalue buffer; it
-// performs no heap allocations.
+// jacobiSweepsInto runs threshold-cyclic Jacobi on the symmetric working
+// copy w, accumulating rotations into v (both consumed) and writing the
+// eigenvalues into values; it performs no heap allocations.
 func jacobiSweepsInto(w, v *mat.Dense, values []float64) ([]float64, *mat.Dense, bool) {
 	n := w.Rows()
 	ok := false
@@ -244,7 +190,7 @@ func symSchur(app, apq, aqq float64) (c, s float64) {
 // applyJacobi applies the rotation J(p,q,θ) as w ← JᵀwJ and accumulates
 // v ← vJ. It indexes the backing slices directly — the rotation runs O(n)
 // times per sweep, so per-element bounds checks would dominate the small
-// eigenproblems on the streaming hot path.
+// eigenproblems Jacobi serves.
 func applyJacobi(w, v *mat.Dense, p, q int, c, s float64) {
 	n := w.Rows()
 	wd := w.Data()
@@ -294,8 +240,8 @@ func diagNorm(w *mat.Dense) float64 {
 
 // sortEigenDescending reorders values (and the corresponding columns of v)
 // in place so values are descending. Selection sort with in-place column
-// swaps: allocation free and deterministic, and n is small everywhere this
-// runs (p+1 on the hot path). Exactly-tied eigenvalues may emerge in either
+// swaps: allocation free and deterministic, and n is small on every
+// per-observation path (k+1 or k+c). Exactly-tied eigenvalues may emerge in either
 // order — their eigenspace basis is arbitrary regardless.
 func sortEigenDescending(values []float64, v *mat.Dense) {
 	n := len(values)

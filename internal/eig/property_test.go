@@ -45,7 +45,7 @@ func TestQuickThinSVDReconstructs(t *testing.T) {
 			return false
 		}
 		tol := 1e-7 * (1 + a.MaxAbs())
-		return dec.Reconstruct().EqualApprox(a, tol)
+		return reconstruct(dec).EqualApprox(a, tol)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Fatal(err)
@@ -82,6 +82,8 @@ func TestQuickSymEigTraceInvariant(t *testing.T) {
 	}
 }
 
+// TestQuickQROrthogonality checks Orthonormalize as the Q of a Gram–Schmidt
+// QR: Q has orthonormal columns and R = QᵀA is upper triangular with Q·R = A.
 func TestQuickQROrthogonality(t *testing.T) {
 	rng := rand.New(rand.NewPCG(950, 1))
 	f := func(seed uint64) bool {
@@ -96,11 +98,19 @@ func TestQuickQROrthogonality(t *testing.T) {
 				a.Set(i, j, rng.NormFloat64())
 			}
 		}
-		qr := HouseholderQR(a)
-		if OrthonormalityError(qr.Q) > 1e-11 {
+		q := a.Clone()
+		if Orthonormalize(q) != 0 || OrthonormalityError(q) > 1e-11 {
 			return false
 		}
-		return mat.Mul(nil, qr.Q, qr.R).EqualApprox(a, 1e-9*(1+a.MaxAbs()))
+		rr := mat.MulTA(nil, q, a)
+		for i := 0; i < c; i++ {
+			for j := 0; j < i; j++ {
+				if math.Abs(rr.At(i, j)) > 1e-9*(1+a.MaxAbs()) {
+					return false
+				}
+			}
+		}
+		return mat.Mul(nil, q, rr).EqualApprox(a, 1e-9*(1+a.MaxAbs()))
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Fatal(err)

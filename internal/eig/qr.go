@@ -6,92 +6,6 @@ import (
 	"streampca/internal/mat"
 )
 
-// QR holds a thin QR decomposition A = Q·R of an r×c matrix with r ≥ c:
-// Q is r×c with orthonormal columns and R is c×c upper triangular.
-type QR struct {
-	Q *mat.Dense
-	R *mat.Dense
-}
-
-// HouseholderQR computes the thin QR decomposition of a (r×c, r ≥ c) using
-// Householder reflections. a is not modified.
-func HouseholderQR(a *mat.Dense) QR {
-	r, c := a.Dims()
-	if r < c {
-		panic("eig: HouseholderQR requires rows >= cols")
-	}
-	work := a.Clone()
-	// vs[k] is the Householder vector for step k (length r, leading zeros).
-	vs := make([][]float64, c)
-	for k := 0; k < c; k++ {
-		// Build reflector for column k below the diagonal.
-		v := make([]float64, r)
-		var norm float64
-		for i := k; i < r; i++ {
-			v[i] = work.At(i, k)
-		}
-		norm = mat.Norm2(v[k:])
-		if norm == 0 {
-			vs[k] = nil
-			continue
-		}
-		if v[k] >= 0 {
-			v[k] += norm
-		} else {
-			v[k] -= norm
-		}
-		vn := mat.Norm2(v[k:])
-		if vn == 0 {
-			vs[k] = nil
-			continue
-		}
-		mat.Scale(1/vn, v[k:])
-		vs[k] = v
-		// Apply H = I − 2vvᵀ to columns k..c-1 of work.
-		for j := k; j < c; j++ {
-			var dot float64
-			for i := k; i < r; i++ {
-				dot += v[i] * work.At(i, j)
-			}
-			dot *= 2
-			for i := k; i < r; i++ {
-				work.Add(i, j, -dot*v[i])
-			}
-		}
-	}
-
-	rr := mat.NewDense(c, c)
-	for i := 0; i < c; i++ {
-		for j := i; j < c; j++ {
-			rr.Set(i, j, work.At(i, j))
-		}
-	}
-
-	// Form thin Q by applying reflectors in reverse to the first c columns
-	// of the identity.
-	q := mat.NewDense(r, c)
-	for j := 0; j < c; j++ {
-		q.Set(j, j, 1)
-	}
-	for k := c - 1; k >= 0; k-- {
-		v := vs[k]
-		if v == nil {
-			continue
-		}
-		for j := 0; j < c; j++ {
-			var dot float64
-			for i := k; i < r; i++ {
-				dot += v[i] * q.At(i, j)
-			}
-			dot *= 2
-			for i := k; i < r; i++ {
-				q.Add(i, j, -dot*v[i])
-			}
-		}
-	}
-	return QR{Q: q, R: rr}
-}
-
 // OrthoWorkspace holds the column scratch for OrthonormalizeWS so periodic
 // re-orthonormalization on the streaming hot path runs without heap
 // allocations. Not safe for concurrent use.

@@ -7,49 +7,6 @@ import (
 	"streampca/internal/mat"
 )
 
-func TestHouseholderQRReconstruction(t *testing.T) {
-	rng := rand.New(rand.NewPCG(31, 32))
-	for _, dims := range [][2]int{{4, 2}, {10, 5}, {50, 8}, {3, 3}, {7, 1}} {
-		a := randTall(rng, dims[0], dims[1])
-		qr := HouseholderQR(a)
-		if err := OrthonormalityError(qr.Q); err > 1e-12 {
-			t.Fatalf("%v Q not orthonormal: %v", dims, err)
-		}
-		rec := mat.Mul(nil, qr.Q, qr.R)
-		if !rec.EqualApprox(a, 1e-10*(1+a.MaxAbs())) {
-			t.Fatalf("%v QR != A", dims)
-		}
-		// R upper triangular
-		for i := 0; i < qr.R.Rows(); i++ {
-			for j := 0; j < i; j++ {
-				if qr.R.At(i, j) != 0 {
-					t.Fatalf("R not upper triangular at (%d,%d)", i, j)
-				}
-			}
-		}
-	}
-}
-
-func TestHouseholderQRZeroColumn(t *testing.T) {
-	a := mat.NewDense(5, 3)
-	a.Set(0, 0, 1)
-	a.Set(1, 2, 2) // middle column all zero
-	qr := HouseholderQR(a)
-	rec := mat.Mul(nil, qr.Q, qr.R)
-	if !rec.EqualApprox(a, 1e-12) {
-		t.Fatal("QR != A with zero column")
-	}
-}
-
-func TestHouseholderQRWidePanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	HouseholderQR(mat.NewDense(2, 4))
-}
-
 func TestOrthonormalize(t *testing.T) {
 	rng := rand.New(rand.NewPCG(33, 34))
 	a := randTall(rng, 20, 6)

@@ -23,8 +23,7 @@ type SVD struct {
 //
 // Accuracy: singular values below √ε·‖A‖ are not resolved (the classic
 // Gram-route limitation), which is far below the statistical noise of the
-// streaming estimator. Use JacobiSVD when full relative accuracy of tiny
-// singular values matters.
+// streaming estimator.
 func ThinSVD(a *mat.Dense) (SVD, bool) {
 	return thinSVD(a, nil)
 }
@@ -44,7 +43,7 @@ type ThinSVDWorkspace struct {
 	col  []float64
 	sym  *SymEigWorkspace
 	invs []float64 // per-column inverse singular values for row-wise scaling
-	cand []float64 // fillOrthonormalColumn probe scratch
+	cand []float64 // fillOrthonormalColumnInto probe scratch
 	othr []float64
 }
 
@@ -151,127 +150,10 @@ func thinSVD(a *mat.Dense, ws *ThinSVDWorkspace) (SVD, bool) {
 	return SVD{U: u, S: s, V: v}, ok
 }
 
-// JacobiSVD computes the thin SVD of a (r×c, r ≥ c) by one-sided Jacobi
-// rotations: columns of a working copy are orthogonalized pairwise; the
-// final column norms are the singular values, the normalized columns form
-// U, and the accumulated rotations form V. Slower than ThinSVD but accurate
-// for small singular values; used as a cross-check and for ill-conditioned
-// merges.
-func JacobiSVD(a *mat.Dense) (SVD, bool) {
-	r, c := a.Dims()
-	if r < c {
-		panic("eig: JacobiSVD requires rows >= cols")
-	}
-	u := a.Clone()
-	v := mat.Identity(c)
-	if c == 0 {
-		return SVD{U: u, S: nil, V: v}, true
-	}
-
-	const maxSweeps = 60
-	// Frobenius-scaled convergence tolerance for pairwise orthogonality.
-	eps := 1e-15
-	converged := false
-	colI := make([]float64, r)
-	colJ := make([]float64, r)
-	for sweep := 0; sweep < maxSweeps; sweep++ {
-		rotations := 0
-		for i := 0; i < c-1; i++ {
-			for j := i + 1; j < c; j++ {
-				u.Col(i, colI)
-				u.Col(j, colJ)
-				aii := mat.Dot(colI, colI)
-				ajj := mat.Dot(colJ, colJ)
-				aij := mat.Dot(colI, colJ)
-				if math.Abs(aij) <= eps*math.Sqrt(aii*ajj) || aij == 0 {
-					continue
-				}
-				// Two-sided rotation of the column pair.
-				tau := (ajj - aii) / (2 * aij)
-				var t float64
-				if tau >= 0 {
-					t = 1 / (tau + math.Sqrt(1+tau*tau))
-				} else {
-					t = -1 / (-tau + math.Sqrt(1+tau*tau))
-				}
-				cs := 1 / math.Sqrt(1+t*t)
-				sn := t * cs
-				for k := 0; k < r; k++ {
-					ui, uj := colI[k], colJ[k]
-					colI[k] = cs*ui - sn*uj
-					colJ[k] = sn*ui + cs*uj
-				}
-				u.SetCol(i, colI)
-				u.SetCol(j, colJ)
-				for k := 0; k < c; k++ {
-					vi, vj := v.At(k, i), v.At(k, j)
-					v.Set(k, i, cs*vi-sn*vj)
-					v.Set(k, j, sn*vi+cs*vj)
-				}
-				rotations++
-			}
-		}
-		if rotations == 0 {
-			converged = true
-			break
-		}
-	}
-
-	s := make([]float64, c)
-	for j := 0; j < c; j++ {
-		u.Col(j, colI)
-		s[j] = mat.Norm2(colI)
-	}
-	// Sort descending by singular value, permuting U and V columns.
-	order := sortedOrderDesc(s)
-	us := mat.NewDense(r, c)
-	vs := mat.NewDense(c, c)
-	ss := make([]float64, c)
-	vcol := make([]float64, c)
-	for newJ, oldJ := range order {
-		ss[newJ] = s[oldJ]
-		us.SetCol(newJ, u.Col(oldJ, colI))
-		vs.SetCol(newJ, v.Col(oldJ, vcol))
-	}
-	smax := ss[0]
-	tol := 1e-13 * smax * math.Sqrt(float64(r))
-	for j := 0; j < c; j++ {
-		if ss[j] > tol && ss[j] > 0 {
-			us.Col(j, colI)
-			mat.Scale(1/ss[j], colI)
-			us.SetCol(j, colI)
-			continue
-		}
-		ss[j] = 0
-		fillOrthonormalColumn(us, j)
-	}
-	return SVD{U: us, S: ss, V: vs}, converged
-}
-
-func sortedOrderDesc(s []float64) []int {
-	order := make([]int, len(s))
-	for i := range order {
-		order[i] = i
-	}
-	// insertion sort: c is small (p+1) on the hot path
-	for i := 1; i < len(order); i++ {
-		for j := i; j > 0 && s[order[j]] > s[order[j-1]]; j-- {
-			order[j], order[j-1] = order[j-1], order[j]
-		}
-	}
-	return order
-}
-
-// fillOrthonormalColumn replaces column j of u with a unit vector orthogonal
-// to all other columns, using randomized-free deterministic probing of the
-// standard basis followed by Gram–Schmidt.
-func fillOrthonormalColumn(u *mat.Dense, j int) {
-	r := u.Rows()
-	fillOrthonormalColumnInto(u, j, make([]float64, r), make([]float64, r))
-}
-
-// fillOrthonormalColumnInto is fillOrthonormalColumn with caller-owned
-// probe scratch (both length u.Rows()); it performs no heap allocations.
+// fillOrthonormalColumnInto replaces column j of u with a unit vector
+// orthogonal to all other columns, probing the standard basis with
+// Gram–Schmidt in caller-owned scratch (both length u.Rows()); it performs no
+// heap allocations.
 func fillOrthonormalColumnInto(u *mat.Dense, j int, cand, other []float64) {
 	r, c := u.Dims()
 	for probe := 0; probe < r; probe++ {
@@ -298,17 +180,4 @@ func fillOrthonormalColumnInto(u *mat.Dense, j int, cand, other []float64) {
 		cand[k] = 0
 	}
 	u.SetCol(j, cand)
-}
-
-// Reconstruct returns U·diag(S)·Vᵀ, the matrix the decomposition represents.
-func (d SVD) Reconstruct() *mat.Dense {
-	r := d.U.Rows()
-	us := mat.NewDense(r, len(d.S))
-	col := make([]float64, r)
-	for j := range d.S {
-		d.U.Col(j, col)
-		mat.Scale(d.S[j], col)
-		us.SetCol(j, col)
-	}
-	return mat.MulBT(nil, us, d.V)
 }

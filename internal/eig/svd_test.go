@@ -38,9 +38,21 @@ func checkSVD(t *testing.T, a *mat.Dense, d SVD, tol float64) {
 	if err := OrthonormalityError(d.V); err > tol {
 		t.Fatalf("V not orthogonal: %v", err)
 	}
-	if rec := d.Reconstruct(); !rec.EqualApprox(a, tol*(1+a.MaxAbs())*10) {
+	if rec := reconstruct(d); !rec.EqualApprox(a, tol*(1+a.MaxAbs())*10) {
 		t.Fatalf("reconstruction error %v", recErr(rec, a))
 	}
+}
+
+// reconstruct returns U·diag(S)·Vᵀ, the matrix the decomposition represents.
+func reconstruct(d SVD) *mat.Dense {
+	us := d.U.Clone()
+	for i := 0; i < us.Rows(); i++ {
+		row := us.Row(i)
+		for j, s := range d.S {
+			row[j] *= s
+		}
+	}
+	return mat.MulBT(nil, us, d.V)
 }
 
 func recErr(a, b *mat.Dense) float64 {
@@ -61,29 +73,22 @@ func TestThinSVDRandom(t *testing.T) {
 	}
 }
 
-func TestJacobiSVDRandom(t *testing.T) {
-	rng := rand.New(rand.NewPCG(23, 24))
-	for _, dims := range [][2]int{{3, 1}, {5, 2}, {10, 4}, {80, 6}, {4, 4}} {
-		a := randTall(rng, dims[0], dims[1])
-		d, ok := JacobiSVD(a)
-		if !ok {
-			t.Fatalf("%v did not converge", dims)
-		}
-		checkSVD(t, a, d, 1e-9)
-	}
-}
-
+// TestSVDRoutesAgree checks ThinSVD's Gram route (the c×c AᵀA) against the
+// outer product AAᵀ, an r×r matrix solved by a different eigensolver route,
+// whose top c eigenvalues are the same S².
 func TestSVDRoutesAgree(t *testing.T) {
 	rng := rand.New(rand.NewPCG(25, 26))
 	for trial := 0; trial < 10; trial++ {
 		a := randTall(rng, 30+rng.IntN(40), 1+rng.IntN(6))
 		g, ok1 := ThinSVD(a)
-		j, ok2 := JacobiSVD(a)
+		outer, _, ok2 := SymEig(mat.MulBT(nil, a, a))
 		if !ok1 || !ok2 {
 			t.Fatal("convergence failure")
 		}
-		if !mat.EqualApproxVec(g.S, j.S, 1e-7*(1+g.S[0])) {
-			t.Fatalf("singular values disagree:\n gram  %v\n jacobi %v", g.S, j.S)
+		for i, s := range g.S {
+			if got := math.Sqrt(math.Max(outer[i], 0)); math.Abs(got-s) > 1e-7*(1+g.S[0]) {
+				t.Fatalf("singular value %d disagrees: gram %v, outer %v", i, s, got)
+			}
 		}
 	}
 }
@@ -147,15 +152,6 @@ func TestThinSVDWideInputPanics(t *testing.T) {
 	ThinSVD(mat.NewDense(2, 3))
 }
 
-func TestJacobiSVDWideInputPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	JacobiSVD(mat.NewDense(2, 3))
-}
-
 func TestSVDSingularValuesMatchEigenOfGram(t *testing.T) {
 	rng := rand.New(rand.NewPCG(27, 28))
 	a := randTall(rng, 50, 5)
@@ -201,17 +197,6 @@ func BenchmarkThinSVDHotPath(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, ok := ThinSVD(a); !ok {
-			b.Fatal("no convergence")
-		}
-	}
-}
-
-func BenchmarkJacobiSVDHotPath(b *testing.B) {
-	rng := rand.New(rand.NewPCG(1, 1))
-	a := randTall(rng, 500, 6)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, ok := JacobiSVD(a); !ok {
 			b.Fatal("no convergence")
 		}
 	}

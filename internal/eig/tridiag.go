@@ -12,32 +12,6 @@ import (
 // order of magnitude faster than cyclic Jacobi while achieving comparable
 // accuracy; SymEig dispatches here automatically for larger inputs.
 
-// symEigTridiag computes the full eigendecomposition of the symmetric
-// matrix a (upper triangle read), returning descending eigenvalues and the
-// corresponding eigenvector columns. ok is false when the QL iteration
-// fails to converge.
-func symEigTridiag(a *mat.Dense) (values []float64, v *mat.Dense, ok bool) {
-	n := a.Rows()
-	// Working copy (symmetrized) that tred2 turns into the accumulated
-	// orthogonal transformation.
-	z := mat.NewDense(n, n)
-	for i := 0; i < n; i++ {
-		for j := i; j < n; j++ {
-			x := a.At(i, j)
-			z.Set(i, j, x)
-			z.Set(j, i, x)
-		}
-	}
-	d := make([]float64, n) // diagonal
-	e := make([]float64, n) // sub-diagonal
-	tred2(z, d, e)
-	if !tql2(z, d, e) {
-		return d, z, false
-	}
-	sortEigenDescending(d, z)
-	return d, z, true
-}
-
 // TridiagSym is the workspace-accepting variant of the tridiagonal route: it
 // computes the eigendecomposition of the symmetric matrix a (upper triangle
 // read, a unmodified) entirely inside ws with zero heap allocations, running
@@ -49,38 +23,15 @@ func symEigTridiag(a *mat.Dense) (values []float64, v *mat.Dense, ok bool) {
 // input) QL convergence failure it falls back to JacobiSym on the same
 // workspace.
 func TridiagSym(a *mat.Dense, ws *SymEigWorkspace) (values []float64, v *mat.Dense, ok bool) {
-	n := a.Rows()
-	if a.Cols() != n {
-		panic("eig: TridiagSym requires a square matrix")
-	}
-	if ws == nil {
-		ws = NewSymEigWorkspace(n)
-	}
-	if ws.n != n {
-		panic("eig: TridiagSym workspace dimension mismatch")
-	}
-	if n <= 1 {
+	// loadSym leaves the symmetrized copy in ws.w, which tred2 then
+	// overwrites with the accumulated orthogonal transformation (so ws.w,
+	// not ws.v, is returned).
+	ws, finite := loadSym(a, ws)
+	if ws.n <= 1 {
 		return JacobiSym(a, ws)
 	}
-	// Symmetrize into the working copy, which tred2 then overwrites with the
-	// accumulated orthogonal transformation (so ws.w, not ws.v, is returned).
-	wd := ws.w.Data()
-	ad := a.Data()
-	for i := 0; i < n; i++ {
-		wd[i*n+i] = ad[i*n+i]
-		for j := i + 1; j < n; j++ {
-			x := ad[i*n+j]
-			wd[i*n+j] = x
-			wd[j*n+i] = x
-		}
-	}
-	for _, x := range wd {
-		if math.IsNaN(x) || math.IsInf(x, 0) {
-			for i := 0; i < n; i++ {
-				ws.values[i] = wd[i*n+i]
-			}
-			return ws.values, ws.w, false
-		}
+	if !finite {
+		return ws.values, ws.w, false
 	}
 	tred2(ws.w, ws.values, ws.sub)
 	if !tql2(ws.w, ws.values, ws.sub) {

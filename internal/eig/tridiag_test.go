@@ -13,17 +13,12 @@ func TestTridiagMatchesJacobi(t *testing.T) {
 	rng := rand.New(rand.NewPCG(900, 1))
 	for _, n := range []int{2, 5, 16, 33, 64, 100} {
 		a := randSym(rng, n)
-		tv, tvec, ok := symEigTridiag(a)
+		tv, tvec, ok := TridiagSym(a, nil)
 		if !ok {
 			t.Fatalf("n=%d: tridiag did not converge", n)
 		}
 		// Eigenvalues must match Jacobi's to high accuracy.
-		jv, _, jok := func() ([]float64, *mat.Dense, bool) {
-			// force the Jacobi path by calling on a small copy via SymEig
-			// for n<=32, else compute Jacobi-style reference from
-			// reconstruction checks below.
-			return SymEig(a)
-		}()
+		jv, _, jok := JacobiSym(a, nil)
 		if !jok {
 			t.Fatalf("n=%d: reference did not converge", n)
 		}
@@ -56,7 +51,7 @@ func TestTridiagKnownSpectrum(t *testing.T) {
 	rng := rand.New(rand.NewPCG(901, 2))
 	want := []float64{50, 20, 5, 1, 0.1, -3, -10}
 	a, _ := symFromSpectrum(rng, want)
-	vals, _, ok := symEigTridiag(a)
+	vals, _, ok := TridiagSym(a, nil)
 	if !ok {
 		t.Fatal("did not converge")
 	}
@@ -72,7 +67,7 @@ func TestTridiagDegenerateSpectra(t *testing.T) {
 	rng := rand.New(rand.NewPCG(902, 3))
 	want := []float64{4, 4, 4, 0, 0, 1}
 	a, _ := symFromSpectrum(rng, want)
-	vals, v, ok := symEigTridiag(a)
+	vals, v, ok := TridiagSym(a, nil)
 	if !ok {
 		t.Fatal("did not converge")
 	}
@@ -89,12 +84,12 @@ func TestTridiagDiagonalAndZero(t *testing.T) {
 	for i := 0; i < 40; i++ {
 		dia.Set(i, i, float64(40-i))
 	}
-	vals, _, ok := symEigTridiag(dia)
+	vals, _, ok := TridiagSym(dia, nil)
 	if !ok || vals[0] != 40 || vals[39] != 1 {
 		t.Fatalf("diagonal spectrum wrong: %v %v", vals[0], vals[39])
 	}
 	zero := mat.NewDense(35, 35)
-	vals, v, ok := symEigTridiag(zero)
+	vals, v, ok := TridiagSym(zero, nil)
 	if !ok {
 		t.Fatal("zero matrix did not converge")
 	}
@@ -142,11 +137,11 @@ func benchSymEig(b *testing.B, n int, forceJacobi bool) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if forceJacobi {
-			if _, _, ok := symEigJacobi(a); !ok {
+			if _, _, ok := JacobiSym(a, nil); !ok {
 				b.Fatal("no convergence")
 			}
 		} else {
-			if _, _, ok := symEigTridiag(a); !ok {
+			if _, _, ok := TridiagSym(a, nil); !ok {
 				b.Fatal("no convergence")
 			}
 		}

@@ -171,7 +171,7 @@ func TestThinSVDWorkspaceMatchesPlain(t *testing.T) {
 			if !mat.EqualApproxVec(got.S, plain.S, 1e-9) {
 				t.Fatalf("singular values diverge\n got %v\nwant %v", got.S, plain.S)
 			}
-			if !got.Reconstruct().EqualApprox(a, 1e-8) {
+			if !reconstruct(got).EqualApprox(a, 1e-8) {
 				t.Fatal("workspace decomposition does not reconstruct input")
 			}
 			if e := OrthonormalityError(got.U); e > 1e-10 {

@@ -381,6 +381,15 @@ func (s *TCPServer) acceptLoop(opts CSVOptions) {
 				}
 				var rec *RecordError
 				terminal := err != nil && !errors.As(err, &rec)
+				// Close closes closing before any producer conn, so a read
+				// that failed because Close shut the conn sees it closed
+				// here; without this check the buffered send below could win
+				// the select and deliver that error after Close.
+				select {
+				case <-s.closing:
+					return
+				default:
+				}
 				select {
 				case s.records <- tcpRecord{vec, mask, err}:
 				case <-s.closing:
