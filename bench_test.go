@@ -163,40 +163,47 @@ func BenchmarkParallelPipeline(b *testing.B) {
 // sequential path at the same operating points as BenchmarkObserve: one call
 // absorbs a 64-row batch, and the reported ns/row metric (ns/op ÷ 64) is the
 // per-observation figure that compares directly with BenchmarkObserve's
-// ns/op.
+// ns/op. The d-*/c-* lanes pin Config.BlockSize to re-check the cost model's
+// chunk width (mat.BlockSize picks 11 at d=400 and 15 at d=1000).
 func BenchmarkObserveBlock(b *testing.B) {
+	lane := func(b *testing.B, d, c int) {
+		gen, err := streampca.NewSignalGenerator(streampca.SignalConfig{Dim: d, Signals: 5, Seed: 1})
+		if err != nil {
+			b.Fatal(err)
+		}
+		en, err := streampca.NewEngine(streampca.Config{Dim: d, Components: 5, Alpha: 1 - 1.0/5000, BlockSize: c})
+		if err != nil {
+			b.Fatal(err)
+		}
+		const batch = 64
+		blocks := make([][][]float64, 4)
+		for j := range blocks {
+			blocks[j] = make([][]float64, batch)
+			for i := range blocks[j] {
+				blocks[j][i], _ = gen.Next()
+			}
+		}
+		for i := 0; i <= en.Config().InitSize; i++ {
+			en.Observe(blocks[0][i%batch])
+		}
+		out := make([]streampca.Update, 0, batch)
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			var err error
+			out, err = en.ObserveBlock(blocks[i%len(blocks)], out[:0])
+			if err != nil {
+				b.Fatal(err)
+			}
+		}
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(int64(b.N)*batch), "ns/row")
+	}
 	for _, d := range []int{250, 400, 1000} {
-		b.Run(fmt.Sprintf("d-%d", d), func(b *testing.B) {
-			gen, err := streampca.NewSignalGenerator(streampca.SignalConfig{Dim: d, Signals: 5, Seed: 1})
-			if err != nil {
-				b.Fatal(err)
-			}
-			en, err := streampca.NewEngine(streampca.Config{Dim: d, Components: 5, Alpha: 1 - 1.0/5000})
-			if err != nil {
-				b.Fatal(err)
-			}
-			const batch = 64
-			blocks := make([][][]float64, 4)
-			for j := range blocks {
-				blocks[j] = make([][]float64, batch)
-				for i := range blocks[j] {
-					blocks[j][i], _ = gen.Next()
-				}
-			}
-			for i := 0; i <= en.Config().InitSize; i++ {
-				en.Observe(blocks[0][i%batch])
-			}
-			out := make([]streampca.Update, 0, batch)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				var err error
-				out, err = en.ObserveBlock(blocks[i%len(blocks)], out[:0])
-				if err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(int64(b.N)*batch), "ns/row")
-		})
+		b.Run(fmt.Sprintf("d-%d", d), func(b *testing.B) { lane(b, d, 0) })
+	}
+	for _, d := range []int{400, 1000} {
+		for _, c := range []int{4, 6, 8, 11, 12, 15, 16} {
+			b.Run(fmt.Sprintf("d-%d/c-%d", d, c), func(b *testing.B) { lane(b, d, c) })
+		}
 	}
 	// The science case: SDSS-like spectra, 30% of the rows gappy and patched
 	// inside their chunks. For local iteration; the repo benchmark's

@@ -57,9 +57,9 @@ func (en *Engine) ObserveBlockMasked(xs [][]float64, masks [][]bool, out []Updat
 	var firstErr error
 	i := 0
 	for i < len(xs) {
-		// Chunk on the cheap length check only: observeChunk's fused pass
-		// already visits every entry, so non-finite rows are detected there
-		// from the residual norm instead of a separate validation scan.
+		// Chunk on the cheap length check only: observeChunk's center/project
+		// pass already visits every entry, so non-finite rows are detected
+		// there from the residual norm instead of a separate validation scan.
 		var err error
 		c := 0
 		for en.ready && c < en.blockC && i+c < len(xs) && len(xs[i+c]) == en.cfg.Dim {
@@ -112,9 +112,9 @@ func (en *Engine) ObserveBlockMasked(xs [][]float64, masks [][]bool, out []Updat
 // each firing row scales g and every already-folded b by its γ2.
 //
 // Rows with non-finite entries surface as a non-finite residual norm in the
-// fused pass and are skipped before any state is touched, as are rows whose
-// mask patchProject rejects; the first such error is returned after the chunk
-// completes.
+// center/project pass and are skipped before any state is touched, as are
+// rows whose mask patchProject rejects; the first such error is returned
+// after the chunk completes.
 //
 //streampca:noalloc
 func (en *Engine) observeChunk(xs [][]float64, masks [][]bool, out []Update) ([]Update, error) {
@@ -131,23 +131,24 @@ func (en *Engine) observeChunk(xs [][]float64, masks [][]bool, out []Update) ([]
 
 	var firstErr error
 	g := 1.0
-	nf := 0 // firing rows folded so far
+	nf := 0         // firing rows folded so far
+	ny2First := 0.0 // ‖y‖² of the first firing row, for a lone-firing chunk
 	bv := ws.bvals
 	yd := ws.yMat.Data()
 	cd := ws.coefs.Data()
 	mean := st.Mean
 
 	for r, x := range xs {
-		// Fused center/project pass (the same kernel updateAlpha uses),
-		// writing into the next firing slot; non-firing rows leave the slot to
-		// be reused.
+		// Center/project pass (the same kernel updateAlpha uses), writing
+		// into the next firing slot; non-firing rows leave the slot to be
+		// reused.
 		y := yd[nf*d : (nf+1)*d]
 		coef := cd[nf*k : (nf+1)*k]
 		var ny2 float64
 		var err error
 		row, patched := x, 0 // row is what the recursions absorb: x or its patched copy
 		if masks == nil || masks[r] == nil {
-			if ny2 = en.pool.CenterProject(y, coef, x, mean, st.Vectors, ws.cpPart); math.IsNaN(ny2) || math.IsInf(ny2, 0) {
+			if ny2 = mat.CenterProject(y, coef, x, mean, en.basis); math.IsNaN(ny2) || math.IsInf(ny2, 0) {
 				err = errNonFinite // a NaN or ±Inf anywhere in x propagates into ‖y‖²
 			}
 		} else if ny2, patched, err = en.patchProject(nf, x, masks[r]); patched > 0 {
@@ -214,6 +215,9 @@ func (en *Engine) observeChunk(xs [][]float64, masks [][]bool, out []Update) ([]
 				bv[m] *= gamma2
 			}
 			bv[nf] = sigma2New * w / qNew
+			if nf == 0 {
+				ny2First = ny2
+			}
 			nf++
 		}
 
@@ -242,13 +246,10 @@ func (en *Engine) observeChunk(xs [][]float64, masks [][]bool, out []Update) ([]
 
 	if nf > 0 {
 		if nf == 1 {
-			// A single firing row is exactly the rank-one system; reuse the
-			// cheaper (k+1)-sized fast path. Its y/coef inputs live in the
-			// block slots, so copy them into the rank-one scratch.
-			copy(ws.y, yd[:d])
-			copy(ws.coef, cd[:k])
-			ws.ny2 = mat.Dot(ws.y, ws.y)
-			en.rebuildEigensystem(g, bv[0])
+			// A single firing row is exactly the rank-one system; its y and
+			// projections already sit in slot 0, where the cheaper
+			// (k+1)-sized fast path reads them.
+			en.rebuildEigensystem(g, bv[0], ny2First)
 		} else {
 			en.rebuildEigensystemBlock(g, nf)
 		}
@@ -259,7 +260,7 @@ func (en *Engine) observeChunk(xs [][]float64, masks [][]bool, out []Update) ([]
 		}
 	}
 	if cfg.ReorthEvery > 0 && en.updatesSince >= cfg.ReorthEvery {
-		eig.OrthonormalizeWS(st.Vectors, ws.orth)
+		en.reorthonormalize()
 		en.updatesSince = 0
 	}
 	return out, firstErr
@@ -273,22 +274,16 @@ func (en *Engine) observeChunk(xs [][]float64, masks [][]bool, out []Update) ([]
 //	AᵀA = ⎡ diag(g·λⱼ)          diag(√(g·λ))·Cᵀ·D_b ⎤
 //	      ⎣ D_b·C·diag(√(g·λ))   D_b·(Y·Yᵀ)·D_b     ⎦
 //
-// with C the c×k projections Eᵀy_m already paid for by the fused pass and
-// D_b = diag(√b_m); only the c×c inner products Y·Yᵀ cost fresh O(d·c²/2)
-// work (SyrkRows). The eigen decomposition V then yields the new basis as
-// E_new = E·M + Yᵀ·W with M[l][j] = √(g·λ_l)·V[l][j]/s_j and
-// W[m][j] = √b_m·V[k+m][j]/s_j, staged through the eNew buffer: the register-
-// tiled Mul kernel streams E·M, AddMulTARows folds in the Yᵀ·W panel one
-// source row at a time (two-stream passes the prefetcher handles; a fused
-// per-row gather over all c panel rows measures ~20% slower at c = 16). All
-// three d-proportional kernels — Syrk, Mul and the panel accumulation — run
-// through the engine's kernel context on its own goroutine. ws.yMat,
-// ws.coefs and ws.bvals must hold the c firing rows.
+// with C the c×k projections Eᵀy_m already paid for by the center/project
+// pass and D_b = diag(√b_m); only the c×c inner products Y·Yᵀ cost fresh
+// O(d·c²/2) work (SyrkRows). The eigen decomposition V then yields the new
+// basis in one product over the stacked operand [B; Y] (installRebuild), so
+// the d-proportional work per chunk is that product and the Syrk, both on
+// d-long rows. ws.yMat, ws.coefs and ws.bvals must hold the c firing rows.
 //
 //streampca:noalloc
 func (en *Engine) rebuildEigensystemBlock(g float64, c int) {
 	st := &en.state
-	d := en.cfg.Dim
 	k := en.k
 	ws := en.ws
 	scale := ws.scale
@@ -299,15 +294,15 @@ func (en *Engine) rebuildEigensystemBlock(g float64, c int) {
 		}
 		scale[j] = math.Sqrt(g * lj)
 	}
-	bs := ws.bscale
-	for m := 0; m < c; m++ {
+	bs := scale[k : k+c]
+	for m := range bs {
 		b := ws.bvals[m]
 		if b < 0 {
 			b = 0
 		}
 		bs[m] = math.Sqrt(b)
 	}
-	en.pool.SyrkRows(ws.syrk, ws.yMat, c)
+	mat.SyrkRows(ws.syrk, ws.yMat, c)
 
 	// Both solvers below (TridiagSym, and its JacobiSym fallback) read only
 	// the upper triangle, so the Gram assembly writes only that: the lower
@@ -345,51 +340,5 @@ func (en *Engine) rebuildEigensystemBlock(g float64, c int) {
 	if en.inst != nil {
 		en.inst.RecordRebuild(obs.RebuildRankC)
 	}
-	smax := 0.0
-	if lam[0] > 0 {
-		smax = math.Sqrt(lam[0])
-	}
-	tol := 1e-13 * smax * math.Sqrt(float64(d))
-	tol2 := tol * tol
-	null := 0
-	for j := 0; j < k; j++ {
-		if lam[j] > tol2 && lam[j] > 0 {
-			st.Values[j] = lam[j]
-			ws.invs[j] = 1 / math.Sqrt(lam[j])
-		} else {
-			st.Values[j] = 0
-			ws.invs[j] = 0 // zeroes the column; completed below
-			null++
-		}
-	}
-	// Build the update map M = diag(√(g·λ))·V[:k,:k]·diag(1/s) in natural
-	// orientation for the tiled Mul kernel, and the panel coefficients W.
-	vdat := v.Data()
-	md := ws.mMat.Data()
-	for l := 0; l < k; l++ {
-		sl := scale[l]
-		mrow := md[l*k : l*k+k]
-		for j := 0; j < k; j++ {
-			mrow[j] = sl * vdat[l*kc+j] * ws.invs[j]
-		}
-	}
-	wd := ws.wMat.Data()
-	for m := 0; m < c; m++ {
-		sb := bs[m]
-		vrow := vdat[(k+m)*kc : (k+m)*kc+k]
-		wrow := wd[m*k : m*k+k]
-		for j := 0; j < k; j++ {
-			wrow[j] = sb * vrow[j] * ws.invs[j]
-		}
-	}
-	// Staged basis rebuild: E_new = E·M (register-tiled), += Yᵀ·W (panel
-	// accumulation), then install.
-	en.pool.Mul(ws.eNew, st.Vectors, ws.mMat)
-	en.pool.AddMulTARows(ws.eNew, ws.yMat, ws.wMat, c)
-	st.Vectors.CopyFrom(ws.eNew)
-	if null > 0 {
-		// Degenerate directions (collapsed spectrum) were zeroed; complete
-		// them to an orthonormal set like the rank-one route does.
-		eig.OrthonormalizeWS(st.Vectors, ws.orth)
-	}
+	en.installRebuild(lam, v, c)
 }

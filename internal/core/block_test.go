@@ -178,3 +178,74 @@ func TestObserveBlockZeroAllocs(t *testing.T) {
 		t.Fatalf("steady-state ObserveBlock allocated %v times per run", allocs)
 	}
 }
+
+// TestObserveBlockMatchesObserveAcrossWidths is the chunk-width oracle: the
+// same 3000 post-warm-up rows through scalar Observe and through ObserveBlock
+// (64-row batches) at each Config.BlockSize c. The block path projects a
+// chunk's rows on its chunk-start basis, so widths differ in rounding and in
+// that approximation; each case's |Δaffinity| to the planted basis, largest
+// relative eigenvalue gap and relative σ² gap against Observe must stay under
+// 10× the values measured when the table below was committed (logged with
+// -v). The gaps grow with c: that is the chunk-start-basis approximation, not
+// rounding.
+func TestObserveBlockMatchesObserveAcrossWidths(t *testing.T) {
+	const rows = 3000
+	// {d, c}: {|Δaffinity|, eigenvalue gap, σ² gap}, rounded up.
+	measured := map[[2]int][3]float64{
+		{16, 2}:    {1.6e-8, 9.4e-5, 6.5e-5},
+		{16, 4}:    {1.3e-8, 3.5e-4, 1.3e-4},
+		{16, 8}:    {2e-8, 1.3e-3, 5.6e-4},
+		{16, 11}:   {4.5e-8, 2.1e-3, 1e-3},
+		{16, 15}:   {9.1e-9, 3.5e-3, 1.8e-3},
+		{16, 16}:   {6.5e-8, 4.3e-3, 2e-3},
+		{400, 2}:   {3.9e-8, 1.2e-4, 4.9e-5},
+		{400, 4}:   {9.7e-8, 3.2e-4, 1.5e-4},
+		{400, 8}:   {3.8e-7, 1.3e-3, 5.6e-4},
+		{400, 11}:  {5.1e-7, 1.8e-3, 7.8e-4},
+		{400, 15}:  {6.6e-7, 2.5e-3, 1.1e-3},
+		{400, 16}:  {7.8e-7, 2.6e-3, 1.1e-3},
+		{1000, 2}:  {1.1e-7, 2.8e-4, 1.1e-4},
+		{1000, 4}:  {6e-7, 8.4e-4, 3.3e-4},
+		{1000, 8}:  {1.8e-6, 2.3e-3, 8.5e-4},
+		{1000, 11}: {1.8e-6, 2.4e-3, 9.3e-4},
+		{1000, 15}: {2.7e-6, 3.4e-3, 1.4e-3},
+		{1000, 16}: {3.2e-6, 4.1e-3, 1.6e-3},
+	}
+	for _, d := range []int{16, 400, 1000} {
+		rng := rand.New(rand.NewPCG(49, uint64(d)))
+		m := newModel(rng, d, 5, []float64{25, 16, 9, 4, 1}, 0.1)
+		m.outlier = 0.05
+		cfg := Config{Dim: d, Components: 5, Alpha: 1 - 1.0/2000}
+		xs := m.samples(cfg.Components*4 + rows) // InitSize defaults to 4k
+		seq, err := NewEngine(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, x := range xs {
+			if _, err := seq.Observe(x); err != nil {
+				t.Fatal(err)
+			}
+		}
+		ss := seq.Eigensystem()
+		affSeq := ss.SubspaceAffinity(m.basis)
+		for _, c := range []int{2, 4, 8, 11, 15, 16} {
+			cfg.BlockSize = c
+			blk, err := NewEngine(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			feedBlocks(t, blk, xs, 64)
+			sb := blk.Eigensystem()
+			dAff := math.Abs(sb.SubspaceAffinity(m.basis) - affSeq)
+			var dVal float64
+			for j := range ss.Values {
+				dVal = math.Max(dVal, math.Abs(sb.Values[j]-ss.Values[j])/ss.Values[j])
+			}
+			dSigma := math.Abs(sb.Sigma2-ss.Sigma2) / ss.Sigma2
+			t.Logf("d=%4d c=%2d: |Δaffinity| %.2e  eigenvalue gap %.2e  σ² gap %.2e", d, c, dAff, dVal, dSigma)
+			if m := measured[[2]int{d, c}]; dAff > 10*m[0] || dVal > 10*m[1] || dSigma > 10*m[2] {
+				t.Errorf("d=%d c=%d: block path off scalar Observe beyond 10× %v", d, c, m)
+			}
+		}
+	}
+}

@@ -48,9 +48,16 @@ type Engine struct {
 	cfg Config
 	k   int // p+q maintained components
 
-	state     Eigensystem
-	minSigma2 float64
-	ready     bool
+	// state is the eigensystem; its Vectors (d×k) is only the export of
+	// basis, refreshed by exportBasis wherever the d×k layout is read.
+	state Eigensystem
+	// basis is the live eigenbasis, component-major: a k×d matrix whose row j
+	// is eigenvector j (Eᵀ), so every per-row kernel streams d-long rows. It
+	// is the only basis the update paths read or write; next is the buffer a
+	// rebuild writes into before the two swap.
+	basis, next *mat.Dense
+	minSigma2   float64
+	ready       bool
 
 	warmup [][]float64
 	// warmupMasks[i] is non-nil when warmup[i] arrived gappy; its masked
@@ -81,14 +88,11 @@ type Engine struct {
 	// workspace for the aliasing rules.
 	ws *workspace
 
-	// pool runs the d-proportional kernels (fused center/project, rank-c
-	// panels, basis updates) on the engine's own goroutine and owns their
-	// scratch; blockC is the rank-c chunk width ObserveBlock folds at
+	// blockC is the rank-c chunk width ObserveBlock folds at
 	// (Config.BlockSize, or the mat.BlockSize cost-model pick). Results
-	// depend on blockC (a different fold width rounds differently — fourth
-	// digit at d=400 between c=11 and c=12), which is why mat.BlockSize is a
-	// pure function of (d, k) and never timed.
-	pool   mat.Pool
+	// depend on blockC (a different fold width rounds differently; see
+	// TestObserveBlockMatchesObserveAcrossWidths), which is why
+	// mat.BlockSize is a pure function of (d, k) and never timed.
 	blockC int
 
 	// inst, when non-nil (SetInstruments), receives algorithm-level gauges
@@ -102,20 +106,27 @@ func NewEngine(cfg Config) (*Engine, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
+	en := newEngine(cfg)
+	en.warmup = make([][]float64, 0, cfg.InitSize)
+	return en, nil
+}
+
+// newEngine allocates an engine for a validated cfg: its basis buffers,
+// workspace and chunk width.
+func newEngine(cfg Config) *Engine {
 	k := cfg.Components + cfg.Extra
 	blockC := cfg.BlockSize
 	if blockC <= 0 {
 		blockC = mat.BlockSize(cfg.Dim, k, blockMax)
 	}
-	en := &Engine{
+	return &Engine{
 		cfg:    cfg,
 		k:      k,
-		warmup: make([][]float64, 0, cfg.InitSize),
+		basis:  mat.NewDense(k, cfg.Dim),
+		next:   mat.NewDense(k, cfg.Dim),
 		ws:     newWorkspace(cfg.Dim, k, blockC),
 		blockC: blockC,
 	}
-	en.pool.Reserve(k + blockC)
-	return en, nil
 }
 
 // Close is a no-op: an engine runs every kernel on the caller's goroutine
@@ -174,16 +185,45 @@ func (en *Engine) Snapshot() (*Eigensystem, error) {
 	if !en.ready {
 		return nil, errors.New("core: engine not initialized yet")
 	}
+	en.exportBasis()
 	return en.state.Clone(), nil
 }
 
-// Eigensystem returns the live (shared, not copied) state for read-only
-// inspection; it panics when warm-up has not completed.
+// Eigensystem returns the engine's eigensystem as of the last update, for
+// read-only inspection without a copy; it panics when warm-up has not
+// completed. The result is engine-owned: each call refreshes its Vectors from
+// the live basis, and later updates advance its other fields in place, so
+// call it again after updating rather than holding it across updates.
 func (en *Engine) Eigensystem() *Eigensystem {
 	if !en.ready {
 		panic("core: engine not initialized yet")
 	}
+	en.exportBasis()
 	return &en.state
+}
+
+// exportBasis refreshes state.Vectors (d×k) from the component-major basis:
+// the seam where the engine's layout meets the d×k one of Eigensystem,
+// checkpoints and snapshots.
+//
+//streampca:noalloc
+func (en *Engine) exportBasis() { en.state.Vectors.TransposeFrom(en.basis) }
+
+// loadBasis installs state.Vectors as the component-major basis, after
+// initialization, a resume or a merge wrote a new d×k one.
+//
+//streampca:noalloc
+func (en *Engine) loadBasis() { en.basis.TransposeFrom(en.state.Vectors) }
+
+// reorthonormalize restores an orthonormal basis (completing any zeroed
+// direction) through its d×k export, so one orthonormalizer serves every
+// caller; it costs O(d·k) beyond the orthonormalization itself.
+//
+//streampca:noalloc
+func (en *Engine) reorthonormalize() {
+	en.exportBasis()
+	eig.OrthonormalizeWS(en.state.Vectors, en.ws.orth)
+	en.loadBasis()
 }
 
 // errNonFinite is the shared rejection for complete-vector entry points fed
@@ -334,6 +374,7 @@ func (en *Engine) initialize() error {
 			SumQ:    u * meanWR2,
 			Count:   int64(n0),
 		}
+		en.loadBasis()
 		en.sinceSync = int64(n0)
 		en.ready = true
 		en.warmup = nil
@@ -417,6 +458,7 @@ func (en *Engine) classicInitialize(u float64) error {
 		SumQ:    u * meanR2,
 		Count:   int64(n0),
 	}
+	en.loadBasis()
 	en.sinceSync = int64(n0)
 	en.ready = true
 	en.warmup = nil
@@ -484,14 +526,12 @@ func (en *Engine) updateAlpha(x []float64, alpha float64) Update {
 	p := cfg.Components
 	ws := en.ws
 
-	// Residual against the previous eigensystem (eq. 4), fused into one
-	// pass: centering, the k projection coefficients Eᵀy and ‖y‖² all come
-	// from a single streaming read of x, µ and the contiguous rows of E —
-	// one memory sweep instead of the three separate SubTo/MulVecT/Dot
-	// kernels, which is what the per-observation cost is made of at large d.
-	coef := ws.coef
-	ny2 := en.pool.CenterProject(ws.y, coef, x, st.Mean, st.Vectors, ws.cpPart)
-	ws.ny2 = ny2
+	// Residual against the previous eigensystem (eq. 4): centering, ‖y‖²
+	// and the k projection coefficients B·y in one kernel that streams x, µ
+	// and the d-long basis rows, into chunk slot 0 where the rank-one
+	// rebuild reads them.
+	coef := ws.coefs.Row(0)
+	ny2 := mat.CenterProject(ws.yMat.Row(0), coef, x, st.Mean, en.basis)
 	r2 := ny2
 	for j := 0; j < p; j++ {
 		r2 -= coef[j] * coef[j]
@@ -548,7 +588,7 @@ func (en *Engine) updateAlpha(x []float64, alpha float64) Update {
 	qNew := alpha*st.SumQ + w*r2
 	if qNew > 0 && w > 0 {
 		gamma2 := alpha * st.SumQ / qNew
-		en.rebuildEigensystem(gamma2, sigma2New*w/qNew)
+		en.rebuildEigensystem(gamma2, sigma2New*w/qNew, ny2)
 	}
 
 	st.Sigma2 = sigma2New
@@ -561,7 +601,7 @@ func (en *Engine) updateAlpha(x []float64, alpha float64) Update {
 	en.sinceSync++
 	en.updatesSince++
 	if cfg.ReorthEvery > 0 && en.updatesSince >= cfg.ReorthEvery {
-		eig.OrthonormalizeWS(st.Vectors, ws.orth)
+		en.reorthonormalize()
 		en.updatesSince = 0
 	}
 
@@ -579,8 +619,9 @@ func (en *Engine) updateAlpha(x []float64, alpha float64) Update {
 // rebuildEigensystem performs the rank-one eigensystem update of eqs. 1–3:
 // conceptually it decomposes the d×(k+1) matrix A with columns eⱼ·√(γ2·λⱼ)
 // and y·√(yCoef) and installs the top-k left singular system (E = U,
-// Λ = S²). ws.y and ws.coef must already hold the centered vector and its
-// projections from updateAlpha's fused pass.
+// Λ = S²). Chunk slot 0 of ws.yMat and ws.coefs must already hold the
+// centered vector and its projections from updateAlpha's pass, and ny2 its
+// ‖y‖².
 //
 // A is never materialized. Writing A = [E·D | √yCoef·y] with
 // D = diag(√(γ2·λⱼ)) and using EᵀE = I (maintained by construction and by
@@ -590,20 +631,18 @@ func (en *Engine) updateAlpha(x []float64, alpha float64) Update {
 //	AᵀA = ⎡ D²            D·(√yCoef·Eᵀy) ⎤
 //	      ⎣ (√yCoef·Eᵀy)ᵀ·D   yCoef·‖y‖² ⎦
 //
-// and Eᵀy is exactly ws.coef, ‖y‖² exactly ws.ny2 — both already paid for.
-// That matrix is a symmetric arrowhead, whose eigenproblem eig.ArrowSym
-// solves in O(k²) through its secular equation. It gives Λ directly, and the
-// new basis is one fused row-wise pass E ← E·Mᵀ + y·wᵀ with M the k×k map
-// V·S⁻¹ restricted to the top-k columns, so the only O(d·k) work per
-// observation is that pass and the fused center/project pass before it.
+// and Eᵀy is exactly the projections, ‖y‖² exactly ny2 — both already paid
+// for. That matrix is a symmetric arrowhead, whose eigenproblem eig.ArrowSym
+// solves in O(k²) through its secular equation. It gives Λ directly, and
+// installRebuild forms the new basis in one O(d·k) pass.
 //
 //streampca:noalloc
-func (en *Engine) rebuildEigensystem(gamma2, yCoef float64) {
+func (en *Engine) rebuildEigensystem(gamma2, yCoef, ny2 float64) {
 	st := &en.state
-	d := en.cfg.Dim
 	k := en.k
 	ws := en.ws
 	scale := ws.scale
+	coef := ws.coefs.Row(0)
 	if yCoef < 0 {
 		yCoef = 0
 	}
@@ -615,10 +654,10 @@ func (en *Engine) rebuildEigensystem(gamma2, yCoef float64) {
 		}
 		scale[j] = math.Sqrt(gamma2 * lj)
 		ws.arrowD[j] = scale[j] * scale[j]
-		ws.arrowZ[j] = scale[j] * sy * ws.coef[j]
+		ws.arrowZ[j] = scale[j] * sy * coef[j]
 	}
-	kc := k + 1
-	lam, v, ok := eig.ArrowSym(ws.arrowD, ws.arrowZ, yCoef*ws.ny2, ws.arrow)
+	scale[k] = sy
+	lam, v, ok := eig.ArrowSym(ws.arrowD, ws.arrowZ, yCoef*ny2, ws.arrow)
 	if !ok {
 		// Keep the previous eigensystem; the decayed sums still advance so
 		// a single pathological vector cannot wedge the stream.
@@ -627,12 +666,33 @@ func (en *Engine) rebuildEigensystem(gamma2, yCoef float64) {
 	if en.inst != nil {
 		en.inst.RecordRebuild(obs.RebuildRankOne)
 	}
-	// Λ = S² with the same numerical-null threshold as the thin-SVD route.
+	en.installRebuild(lam, v, 1)
+}
+
+// installRebuild is the shared tail of the rank-one and rank-c rebuilds:
+// given the eigenpairs (lam, v) of the (k+c)×(k+c) Gram of
+// A = [E·diag(scale[:k]) | Yᵀ·diag(scale[k:k+c])], it installs Λ = S² (with
+// a numerical-null threshold) and the top-k left singular vectors
+// U = A·V·S⁻¹. In the component-major layout that is one product over the
+// stacked operand [B; Y[:c]] (mat.MulStack):
+//
+//	B_new = Mᵀ·B + Wᵀ·Y,  (Mᵀ | Wᵀ)[j][t] = scale_t·V[t][j]/s_j
+//
+// written into en.next, which then swaps with en.basis. Directions whose
+// singular value falls under the threshold are zeroed and completed to an
+// orthonormal set.
+//
+//streampca:noalloc
+func (en *Engine) installRebuild(lam []float64, v *mat.Dense, c int) {
+	st := &en.state
+	ws := en.ws
+	k := en.k
+	kc := k + c
 	smax := 0.0
 	if lam[0] > 0 {
 		smax = math.Sqrt(lam[0])
 	}
-	tol := 1e-13 * smax * math.Sqrt(float64(d))
+	tol := 1e-13 * smax * math.Sqrt(float64(en.cfg.Dim))
 	tol2 := tol * tol
 	null := 0
 	for j := 0; j < k; j++ {
@@ -641,28 +701,24 @@ func (en *Engine) rebuildEigensystem(gamma2, yCoef float64) {
 			ws.invs[j] = 1 / math.Sqrt(lam[j])
 		} else {
 			st.Values[j] = 0
-			ws.invs[j] = 0 // zeroes the column; rebuilt below
+			ws.invs[j] = 0 // zeroes the direction; completed below
 			null++
 		}
 	}
-	// Mᵀ[j][l] = scale_l·V[l][j]/s_j and w[j] = √yCoef·V[k][j]/s_j, so the
-	// new j-th basis column is Σ_l e_l·Mᵀ[j][l] + y·w[j] — installed with
-	// one streaming pass over the contiguous basis rows.
 	vdat := v.Data()
-	mtd := ws.mt.Data()
+	ad := ws.amap.Data()
+	an := ws.amap.Cols()
 	for j := 0; j < k; j++ {
 		inv := ws.invs[j]
-		row := mtd[j*k : j*k+k]
-		for l := 0; l < k; l++ {
-			row[l] = scale[l] * vdat[l*kc+j] * inv
+		row := ad[j*an : j*an+kc]
+		for t := range row {
+			row[t] = ws.scale[t] * vdat[t*kc+j] * inv
 		}
-		ws.yw[j] = sy * vdat[k*kc+j] * inv
 	}
-	en.pool.BasisUpdateVec(st.Vectors, ws.mt, ws.y, ws.yw)
+	mat.MulStack(en.next, ws.amap, en.basis, ws.yMat, c)
+	en.basis, en.next = en.next, en.basis
 	if null > 0 {
-		// Degenerate directions (collapsed spectrum) were zeroed; complete
-		// them to an orthonormal set like the thin-SVD route does.
-		eig.OrthonormalizeWS(st.Vectors, ws.orth)
+		en.reorthonormalize()
 	}
 }
 

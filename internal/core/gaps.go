@@ -71,25 +71,26 @@ func (en *Engine) ObserveMasked(x []float64, mask []bool) (Update, error) {
 	return ub[0], err
 }
 
-// patchProject is the fused center/project pass for a row that carries a
-// mask: it leaves in chunk slot `slot` of ws.yMat and ws.coefs what
-// CenterProject would produce for the gap-patched row, and returns that row's
-// ‖y‖² and the number of bins patched. The row is copied into ws.xPatch with
-// the current mean in its missing bins, so there y = 0 and one pass yields
-// coef = E_obsᵀ·y_obs and ‖y_obs‖². The least-squares coefficients solve
-// G_obs·c = coef, the k×k Gram of the observed basis rows accumulated over
-// whichever side of the mask is smaller (EᵀE = I is an engine invariant, so
-// G_obs = I − Σ_missing eᵢeᵢᵀ). Missing bins then take y[i] = eᵢ·c and
+// patchProject is the center/project pass for a row that carries a mask: it
+// leaves in chunk slot `slot` of ws.yMat and ws.coefs what CenterProject
+// would produce for the gap-patched row, and returns that row's ‖y‖² and the
+// number of bins patched. The row is copied into ws.xPatch with the current
+// mean in its missing bins, so there y = 0 and one pass yields
+// coef = B_obs·y_obs and ‖y_obs‖². The least-squares coefficients solve
+// G_obs·c = coef with G_obs the k×k Gram of the observed basis columns,
+// formed from whichever side of the mask is smaller: that side's columns of
+// the k×d basis are gathered into a k×n panel P, and G_obs = P·Pᵀ over the
+// observed bins or I − P·Pᵀ over the missing ones (BBᵀ = I is an engine
+// invariant). Missing bins then take y[i] = c·B[:,i] and
 // ws.xPatch[i] = µ[i] + y[i], and coef becomes c — exactly the patched row's
 // projection coef + (I − G_obs)·c. A mask without gaps is the plain pass on x
 // itself, bitwise, and leaves ws.xPatch alone.
 //
 //streampca:noalloc
 func (en *Engine) patchProject(slot int, x []float64, mask []bool) (ny2 float64, nMiss int, err error) {
-	st := &en.state
 	ws := en.ws
 	d, k := en.cfg.Dim, en.k
-	y, coef := ws.yMat.Data()[slot*d:(slot+1)*d], ws.coefs.Data()[slot*k:(slot+1)*k]
+	y, coef := ws.yMat.Row(slot), ws.coefs.Row(slot)
 	if len(mask) != d {
 		return 0, 0, errMaskLength
 	}
@@ -100,8 +101,7 @@ func (en *Engine) patchProject(slot int, x []float64, mask []bool) (ny2 float64,
 			nMiss++
 		}
 	}
-	idx = idx[:nMiss]
-	mean := st.Mean
+	mean := en.state.Mean
 	xp := x
 	if nMiss > 0 {
 		if d-nMiss <= k {
@@ -109,11 +109,11 @@ func (en *Engine) patchProject(slot int, x []float64, mask []bool) (ny2 float64,
 		}
 		xp = ws.xPatch
 		copy(xp, x)
-		for _, i := range idx {
+		for _, i := range idx[:nMiss] {
 			xp[i] = mean[i]
 		}
 	}
-	ny2 = en.pool.CenterProject(y, coef, xp, mean, st.Vectors, ws.cpPart)
+	ny2 = mat.CenterProject(y, coef, xp, mean, en.basis)
 	if math.IsNaN(ny2) || math.IsInf(ny2, 0) {
 		return 0, 0, errGapNonFinite
 	}
@@ -121,30 +121,44 @@ func (en *Engine) patchProject(slot int, x []float64, mask []bool) (ny2 float64,
 		return ny2, 0, nil
 	}
 
-	vd := st.Vectors.Data()
-	gd := ws.gapG.Data()
-	for i := range gd {
-		gd[i] = 0
-	}
-	if 2*nMiss <= d {
-		for a := 0; a < k; a++ {
-			gd[a*k+a] = 1
-		}
-		for _, i := range idx {
-			addOuterLower(gd, -1, vd[i*k:i*k+k])
-		}
-	} else {
+	side, sign := idx[:nMiss], -1.0
+	if 2*nMiss > d { // fewer observed bins: list those after the missing ones
+		side, sign = idx[nMiss:], 1
+		t := 0
 		for i, ok := range mask {
 			if ok {
-				addOuterLower(gd, 1, vd[i*k:i*k+k])
+				side[t] = i
+				t++
 			}
 		}
 	}
-	if !solveSPDInto(coef, ws.gapG, coef, ws.gapL, ws.rowTmp) {
+	n := len(side)
+	bd := en.basis.Data()
+	pd := ws.gapP[:k*n]
+	for j := 0; j < k; j++ {
+		row, pj := bd[j*d:(j+1)*d], pd[j*n:(j+1)*n]
+		for t, i := range side {
+			pj[t] = row[i]
+		}
+	}
+	gd := ws.gapG.Data() // lower triangle only: all solveSPDInto reads
+	for a := 0; a < k; a++ {
+		pa := pd[a*n : (a+1)*n]
+		for b := 0; b <= a; b++ {
+			gd[a*k+b] = sign * mat.Dot(pa, pd[b*n:(b+1)*n])
+		}
+		if sign < 0 {
+			gd[a*k+a]++
+		}
+	}
+	if !solveSPDInto(coef, ws.gapG, coef, ws.gapL, ws.gapTmp) {
 		return 0, 0, errCholesky
 	}
-	for _, i := range idx {
-		v := mat.Dot(vd[i*k:i*k+k], coef)
+	for _, i := range idx[:nMiss] {
+		var v float64
+		for j, cj := range coef {
+			v += bd[j*d+i] * cj
+		}
 		y[i] = v
 		xp[i] = mean[i] + v
 		ny2 += v * v
@@ -170,6 +184,7 @@ func (en *Engine) PatchVector(x []float64, mask []bool) (patched, coef []float64
 	if !en.ready {
 		return nil, nil, errors.New("core: engine not initialized yet")
 	}
+	en.exportBasis()
 	return patchLS(en.state.Vectors, en.state.Mean, x, mask)
 }
 

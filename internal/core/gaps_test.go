@@ -17,6 +17,35 @@ func randomMask(rng *rand.Rand, d int, pMask float64) []bool {
 	return mask
 }
 
+// TestPatchProjectMatchesPatchLS checks the in-chunk patch against the
+// explicit least-squares patch of PatchVector on light and heavy masks, so
+// both sides of patchProject's Gram (I − P·Pᵀ over the missing bins, P·Pᵀ
+// over the observed ones) are exercised.
+func TestPatchProjectMatchesPatchLS(t *testing.T) {
+	rng := rand.New(rand.NewPCG(300, 2))
+	const d = 60
+	m := newModel(rng, d, 3, []float64{9, 4, 1}, 0.05)
+	en, _ := NewEngine(testConfig(d, 3))
+	feedN(t, en, m, 2000)
+	for _, rate := range []float64{0.2, 0.7} {
+		for trial := 0; trial < 10; trial++ {
+			x, _ := m.sample()
+			mask := randomMask(rng, d, rate)
+			want, wantCoef, err := en.PatchVector(x, mask)
+			if err != nil {
+				t.Fatal(err)
+			}
+			_, nMiss, err := en.patchProject(0, x, mask)
+			if err != nil || nMiss == 0 {
+				t.Fatal(nMiss, err)
+			}
+			if !mat.EqualApproxVec(en.ws.xPatch, want, 1e-9) || !mat.EqualApproxVec(en.ws.coefs.Row(0), wantCoef, 1e-9) {
+				t.Fatalf("gap rate %.1f trial %d: patchProject deviates from the least-squares patch", rate, trial)
+			}
+		}
+	}
+}
+
 func TestPatchVectorRecoversMissingBins(t *testing.T) {
 	rng := rand.New(rand.NewPCG(300, 1))
 	m := newModel(rng, 40, 3, []float64{9, 4, 1}, 0.02)

@@ -153,14 +153,15 @@ func TestMergeApproxAgreesWithExactWhenMeansMatch(t *testing.T) {
 	m := newModel(rng, 25, 3, []float64{9, 4, 1}, 0.05)
 	cfg := testConfig(25, 3)
 	a1, _ := NewEngine(cfg)
-	a2, _ := NewEngine(cfg)
 	b, _ := NewEngine(cfg)
 	feedN(t, a1, m, 2000)
 	feedN(t, b, m, 2000)
 	// a2 replays a1's state.
 	s1, _ := a1.Snapshot()
-	a2.state = *s1.Clone()
-	a2.ready = true
+	a2, err := ResumeEngine(cfg, s1)
+	if err != nil {
+		t.Fatal(err)
+	}
 	sb, _ := b.Snapshot()
 	if err := a1.MergeSnapshot(sb); err != nil {
 		t.Fatal(err)

@@ -153,6 +153,7 @@ func (en *Engine) SaveCheckpoint(w io.Writer) error {
 	if !en.ready {
 		return errors.New("core: engine not initialized yet")
 	}
+	en.exportBasis()
 	return WriteEigensystem(w, &en.state)
 }
 
@@ -176,19 +177,10 @@ func ResumeEngine(cfg Config, es *Eigensystem) (*Engine, error) {
 	if !es.checkFinite() {
 		return nil, errors.New("core: refusing to resume from non-finite eigensystem")
 	}
-	blockC := cfg.BlockSize
-	if blockC <= 0 {
-		blockC = mat.BlockSize(cfg.Dim, k, blockMax)
-	}
-	en := &Engine{
-		cfg:    cfg,
-		k:      k,
-		state:  *es.Clone(),
-		ready:  true,
-		ws:     newWorkspace(cfg.Dim, k, blockC),
-		blockC: blockC,
-	}
-	en.pool.Reserve(k + blockC)
+	en := newEngine(cfg)
+	en.state = *es.Clone()
+	en.ready = true
+	en.loadBasis()
 	en.minSigma2 = 1e-12*es.Sigma2 + math.SmallestNonzeroFloat64
 	return en, nil
 }

@@ -2,12 +2,14 @@ package core
 
 import (
 	"bytes"
+	"fmt"
 	"math"
 	"math/rand/v2"
 	"strings"
 	"testing"
 
 	"streampca/internal/mat"
+	"streampca/internal/spectra"
 )
 
 func trainedEngine(t *testing.T, seed uint64) (*Engine, *model) {
@@ -172,5 +174,129 @@ func TestResumeWithRetunedParameters(t *testing.T) {
 	feedN(t, resumed, m, 500)
 	if aff := resumed.Eigensystem().SubspaceAffinity(m.basis); aff < 0.9 {
 		t.Fatalf("retuned resume degraded: %v", aff)
+	}
+}
+
+// esBytes is es in the checkpoint serialization.
+func esBytes(t *testing.T, es *Eigensystem) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := WriteEigensystem(&buf, es); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// TestExportLoadSeamByteEqual pins the one place the engine's component-major
+// basis meets the d×k layout of Eigensystem, checkpoints and snapshots. After
+// scalar, block, gappy-block and merge updates, four exports must serialize
+// byte-equal — Snapshot(), Eigensystem(), SaveCheckpoint, and the Snapshot of
+// an engine resumed from that checkpoint — and an Eigensystem() read between
+// two updates must show the later one.
+func TestExportLoadSeamByteEqual(t *testing.T) {
+	for _, d := range []int{16, 400, 1000} {
+		t.Run(fmt.Sprintf("d%d", d), func(t *testing.T) {
+			_, rows := spectraRows(t, d, 700, 13)
+			var complete [][]float64
+			for _, o := range rows {
+				if !hasGap(o.Mask) {
+					complete = append(complete, o.Flux)
+				}
+			}
+			cfg := Config{Dim: d, Components: 4, Extra: 1, Alpha: 1 - 1.0/500}
+			en, err := NewEngine(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			check := func(stage string) {
+				t.Helper()
+				snap, err := en.Snapshot()
+				if err != nil {
+					t.Fatal(err)
+				}
+				want := esBytes(t, snap)
+				if !bytes.Equal(esBytes(t, en.Eigensystem()), want) {
+					t.Fatalf("%s: Eigensystem() differs from Snapshot()", stage)
+				}
+				ckpt := eigensystemBytes(t, en)
+				if !bytes.Equal(ckpt, want) {
+					t.Fatalf("%s: SaveCheckpoint differs from Snapshot()", stage)
+				}
+				back, err := ReadEigensystem(bytes.NewReader(ckpt))
+				if err != nil {
+					t.Fatal(err)
+				}
+				resumed, err := ResumeEngine(cfg, back)
+				if err != nil {
+					t.Fatal(err)
+				}
+				rs, err := resumed.Snapshot()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(esBytes(t, rs), want) {
+					t.Fatalf("%s: resumed engine's Snapshot() differs", stage)
+				}
+			}
+
+			for _, x := range complete[:200] {
+				if _, err := en.Observe(x); err != nil {
+					t.Fatal(err)
+				}
+			}
+			check("Observe")
+
+			before := esBytes(t, en.Eigensystem())
+			if _, err := en.Observe(complete[200]); err != nil {
+				t.Fatal(err)
+			}
+			after := esBytes(t, en.Eigensystem())
+			snap, _ := en.Snapshot()
+			if bytes.Equal(after, before) || !bytes.Equal(after, esBytes(t, snap)) {
+				t.Fatal("Eigensystem() read between two updates does not show the later one")
+			}
+
+			for i := 201; i+64 <= len(complete); i += 64 {
+				if _, err := en.ObserveBlock(complete[i:i+64], nil); err != nil {
+					t.Fatal(err)
+				}
+			}
+			check("ObserveBlock")
+
+			// Gappy spectra in 64-row batches; at d = 16 a gap can leave too few
+			// bins to fit, and such rows are skipped.
+			masked := func(en *Engine, rows []spectra.Observation) {
+				for i := 0; i < len(rows); i += 64 {
+					var xs [][]float64
+					var ms [][]bool
+					for _, o := range rows[i:min(i+64, len(rows))] {
+						xs, ms = append(xs, o.Flux), append(ms, o.Mask)
+					}
+					if _, err := en.ObserveBlockMasked(xs, ms, nil); err != nil && err != errFewObserved {
+						t.Fatal(err)
+					}
+				}
+			}
+			masked(en, rows)
+			check("ObserveBlockMasked")
+
+			peer, err := NewEngine(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			masked(peer, rows[350:])
+			ps, err := peer.Snapshot()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := en.MergeSnapshot(ps); err != nil {
+				t.Fatal(err)
+			}
+			check("MergeSnapshot")
+			if err := en.MergeApprox(ps); err != nil {
+				t.Fatal(err)
+			}
+			check("MergeApprox")
+		})
 	}
 }

@@ -14,9 +14,11 @@ import (
 // the d×(k+1) matrix A = [E·diag(√(γ2·λⱼ)) | √yCoef·y] and take the top k of
 // eig.ThinSVD(A). γ2 and yCoef are recovered from the running sum q and the
 // update report exactly as the engine forms them, and y is the centered
-// vector the engine left in its workspace. Each step starts from the same
-// state on both sides, so the tolerances are per-step round-off, not
-// accumulated drift; steps that re-orthonormalize the basis are skipped.
+// vector the engine left in chunk slot 0 of its workspace. Each step starts
+// from the same state on both sides, so the tolerances are per-step
+// round-off, not accumulated drift; steps that re-orthonormalize the basis
+// are skipped. Eigensystem() is re-read after the step: it exports the
+// component-major basis as of the last update.
 func TestStructuredRebuildMatchesSVD(t *testing.T) {
 	rng := rand.New(rand.NewPCG(41, 1))
 	d, p := 120, 4
@@ -47,13 +49,15 @@ func TestStructuredRebuildMatchesSVD(t *testing.T) {
 		if upd.Weight == 0 || en.updatesSince == 0 {
 			continue
 		}
+		st = en.Eigensystem()
+		y := en.ws.yMat.Row(0)
 		gamma2 := alpha * q0 / st.SumQ
 		yCoef := upd.Sigma2 * upd.Weight / st.SumQ
 		for r := 0; r < d; r++ {
 			for j := 0; j < k; j++ {
 				a.Set(r, j, e0.At(r, j)*math.Sqrt(gamma2*lam0[j]))
 			}
-			a.Set(r, k, math.Sqrt(yCoef)*en.ws.y[r])
+			a.Set(r, k, math.Sqrt(yCoef)*y[r])
 		}
 		ref, ok := eig.ThinSVD(a)
 		if !ok {

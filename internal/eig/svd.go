@@ -25,76 +25,12 @@ type SVD struct {
 // Gram-route limitation), which is far below the statistical noise of the
 // streaming estimator.
 func ThinSVD(a *mat.Dense) (SVD, bool) {
-	return thinSVD(a, nil)
-}
-
-// ThinSVDWorkspace holds the reusable buffers of ThinSVD for hot paths
-// that decompose same-shaped matrices repeatedly (the streaming engine
-// does one per observation). A Decompose through the workspace performs
-// zero heap allocations: the Gram accumulation, the symmetric
-// eigendecomposition (via JacobiSym) and the column normalization all run
-// in preallocated scratch. Not safe for concurrent use; the returned
-// decomposition's U, S and V are workspace-owned and valid until the next
-// Decompose.
-type ThinSVDWorkspace struct {
-	r, c int
-	g, u *mat.Dense
-	s    []float64
-	col  []float64
-	sym  *SymEigWorkspace
-	invs []float64 // per-column inverse singular values for row-wise scaling
-	cand []float64 // fillOrthonormalColumnInto probe scratch
-	othr []float64
-}
-
-// NewThinSVDWorkspace preallocates for r×c inputs.
-func NewThinSVDWorkspace(r, c int) *ThinSVDWorkspace {
-	if r < c || c < 0 {
-		panic("eig: workspace requires rows >= cols >= 0")
-	}
-	ws := &ThinSVDWorkspace{
-		r: r, c: c,
-		g:    mat.NewDense(c, c),
-		u:    mat.NewDense(r, c),
-		s:    make([]float64, c),
-		col:  make([]float64, r),
-		sym:  NewSymEigWorkspace(c),
-		invs: make([]float64, c),
-		cand: make([]float64, r),
-		othr: make([]float64, r),
-	}
-	return ws
-}
-
-// Decompose runs ThinSVD reusing the workspace buffers. a must have the
-// workspace's shape.
-func (ws *ThinSVDWorkspace) Decompose(a *mat.Dense) (SVD, bool) {
-	if r, c := a.Dims(); r != ws.r || c != ws.c {
-		panic("eig: workspace shape mismatch")
-	}
-	return thinSVD(a, ws)
-}
-
-func thinSVD(a *mat.Dense, ws *ThinSVDWorkspace) (SVD, bool) {
 	r, c := a.Dims()
 	if r < c {
 		panic("eig: ThinSVD requires rows >= cols")
 	}
-	var u *mat.Dense
-	var s []float64
-	var lam []float64
-	var v *mat.Dense
-	var ok bool
-	if ws != nil {
-		u, s = ws.u, ws.s
-		// The Gram matrix is (p+1)×(p+1) on the streaming path — small
-		// enough that the allocation-free Jacobi beats the tridiagonal
-		// route SymEig would pick.
-		lam, v, ok = JacobiSym(mat.Gram(ws.g, a), ws.sym)
-	} else {
-		s = make([]float64, c)
-		lam, v, ok = SymEig(mat.Gram(nil, a))
-	}
+	s := make([]float64, c)
+	lam, v, ok := SymEig(mat.Gram(nil, a))
 	for i, l := range lam {
 		if l > 0 {
 			s[i] = math.Sqrt(l)
@@ -102,7 +38,7 @@ func thinSVD(a *mat.Dense, ws *ThinSVDWorkspace) (SVD, bool) {
 			s[i] = 0
 		}
 	}
-	u = mat.Mul(u, a, v)
+	u := mat.Mul(nil, a, v)
 	// Normalize columns of u; rebuild numerically-null columns. The scaling
 	// runs row-wise (one pass over u's contiguous storage with per-column
 	// inverse factors) instead of column-wise strided copies.
@@ -111,12 +47,7 @@ func thinSVD(a *mat.Dense, ws *ThinSVDWorkspace) (SVD, bool) {
 		smax = s[0]
 	}
 	tol := 1e-13 * smax * math.Sqrt(float64(r))
-	var invs []float64
-	if ws != nil {
-		invs = ws.invs
-	} else {
-		invs = make([]float64, c)
-	}
+	invs := make([]float64, c)
 	null := 0
 	for j := 0; j < c; j++ {
 		if s[j] > tol && s[j] > 0 {
@@ -134,13 +65,7 @@ func thinSVD(a *mat.Dense, ws *ThinSVDWorkspace) (SVD, bool) {
 		}
 	}
 	if null > 0 {
-		var cand, othr []float64
-		if ws != nil {
-			cand, othr = ws.cand, ws.othr
-		} else {
-			cand = make([]float64, r)
-			othr = make([]float64, r)
-		}
+		cand, othr := make([]float64, r), make([]float64, r)
 		for j := 0; j < c; j++ {
 			if s[j] == 0 {
 				fillOrthonormalColumnInto(u, j, cand, othr)

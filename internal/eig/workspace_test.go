@@ -134,53 +134,6 @@ func TestTridiagSymZeroAllocs(t *testing.T) {
 	}
 }
 
-// TestThinSVDWorkspaceZeroAllocs asserts a workspace Decompose of the
-// engine's hot d×(p+1) shape is allocation free, including when null
-// columns force orthonormal completion.
-func TestThinSVDWorkspaceZeroAllocs(t *testing.T) {
-	rng := rand.New(rand.NewPCG(21, 3))
-	a := randTall(rng, 50, 6)
-	ws := NewThinSVDWorkspace(50, 6)
-	if n := testing.AllocsPerRun(50, func() { ws.Decompose(a) }); n != 0 {
-		t.Fatalf("Decompose allocated %v times per run", n)
-	}
-	// Rank-deficient input: column 5 duplicates column 0, forcing the
-	// null-column rebuild path.
-	def := a.Clone()
-	for i := 0; i < 50; i++ {
-		def.Set(i, 5, def.At(i, 0))
-	}
-	if n := testing.AllocsPerRun(50, func() { ws.Decompose(def) }); n != 0 {
-		t.Fatalf("rank-deficient Decompose allocated %v times per run", n)
-	}
-}
-
-// TestThinSVDWorkspaceMatchesPlain asserts workspace and plain ThinSVD
-// agree on singular values and reconstruction.
-func TestThinSVDWorkspaceMatchesPlain(t *testing.T) {
-	rng := rand.New(rand.NewPCG(21, 4))
-	for _, shape := range []struct{ r, c int }{{6, 6}, {50, 6}, {200, 8}} {
-		ws := NewThinSVDWorkspace(shape.r, shape.c)
-		for trial := 0; trial < 4; trial++ {
-			a := randTall(rng, shape.r, shape.c)
-			plain, okP := ThinSVD(a)
-			got, okW := ws.Decompose(a)
-			if okP != okW {
-				t.Fatalf("ok mismatch: %v vs %v", okW, okP)
-			}
-			if !mat.EqualApproxVec(got.S, plain.S, 1e-9) {
-				t.Fatalf("singular values diverge\n got %v\nwant %v", got.S, plain.S)
-			}
-			if !reconstruct(got).EqualApprox(a, 1e-8) {
-				t.Fatal("workspace decomposition does not reconstruct input")
-			}
-			if e := OrthonormalityError(got.U); e > 1e-10 {
-				t.Fatalf("workspace U not orthonormal: %g", e)
-			}
-		}
-	}
-}
-
 // TestOrthonormalizeWS asserts the scratch variant matches Orthonormalize
 // and is allocation free.
 func TestOrthonormalizeWS(t *testing.T) {

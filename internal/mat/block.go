@@ -43,7 +43,7 @@ func mulBlocked(dst, a, b *Dense, lo, hi int) {
 		}
 		i := lo
 		for ; i+1 < hi; i += 2 {
-			mulPanel2x4(dst, a, b, i, j0, j1)
+			mulPanel2x4(dst, a, b, b, kk, i, j0, j1)
 		}
 		for ; i < hi; i++ {
 			ci := dst.data[i*n+j0 : i*n+j1]
@@ -58,17 +58,52 @@ func mulBlocked(dst, a, b *Dense, lo, hi int) {
 	}
 }
 
-// mulPanel2x4 accumulates dst[i..i+1, j0:j1] += a[i..i+1, :]·b[:, j0:j1],
-// consuming four reduction steps per pass: each visit to a C element folds in
-// four B rows, so C read-modify-write traffic drops 4× and every B segment
-// load feeds two rows.
+// MulStack computes dst = A·S over the stacked operand S = [b; y[:r]] — the
+// b.rows rows of b followed by the first r rows of y — reading the leading
+// b.rows+r columns of a, without materializing S. dst is m×n, a is
+// m×(≥ b.rows+r), b and y have n columns. It is the component-major basis
+// rebuild B_new = Mᵀ·B + Wᵀ·Y with a = [Mᵀ | Wᵀ]: the 2×4 register tile of
+// Mul, run along the n-long basis rows. It performs no heap allocations.
 //
 //streampca:noalloc
-func mulPanel2x4(dst, a, b *Dense, i, j0, j1 int) {
-	n := b.cols
-	kk := a.cols
-	a0 := a.data[i*kk : (i+1)*kk]
-	a1 := a.data[(i+1)*kk : (i+2)*kk]
+func MulStack(dst, a, b, y *Dense, r int) {
+	kk := b.rows + r
+	n := dst.cols
+	if r < 0 || r > y.rows || a.rows != dst.rows || a.cols < kk || b.cols != n || y.cols != n {
+		panic("mat: MulStack shape mismatch")
+	}
+	dst.Zero()
+	for j0 := 0; j0 < n; j0 += ncBlock {
+		j1 := min(j0+ncBlock, n)
+		i := 0
+		for ; i+1 < dst.rows; i += 2 {
+			mulPanel2x4(dst, a, b, y, kk, i, j0, j1)
+		}
+		if i < dst.rows {
+			mulPanel1x4(dst, a, b, y, kk, i, j0, j1)
+		}
+	}
+}
+
+// stackRow returns columns [j0, j1) of row t of the stacked operand [b; y].
+func stackRow(b, y *Dense, t, j0, j1 int) []float64 {
+	if t < b.rows {
+		return b.data[t*b.cols+j0 : t*b.cols+j1]
+	}
+	t -= b.rows
+	return y.data[t*y.cols+j0 : t*y.cols+j1]
+}
+
+// mulPanel2x4 accumulates dst[i..i+1, j0:j1] += a[i..i+1, :kk]·S[:kk, j0:j1]
+// with S = [b; y] (see stackRow), consuming four reduction steps per pass:
+// each visit to a C element folds in four S rows, so C read-modify-write
+// traffic drops 4× and every S segment load feeds two rows.
+//
+//streampca:noalloc
+func mulPanel2x4(dst, a, b, y *Dense, kk, i, j0, j1 int) {
+	n := dst.cols
+	a0 := a.data[i*a.cols : i*a.cols+kk]
+	a1 := a.data[(i+1)*a.cols : (i+1)*a.cols+kk]
 	w := j1 - j0
 	c0 := dst.data[i*n+j0 : i*n+j1][:w]
 	c1 := dst.data[(i+1)*n+j0 : (i+1)*n+j1][:w]
@@ -76,10 +111,10 @@ func mulPanel2x4(dst, a, b *Dense, i, j0, j1 int) {
 	for ; k+3 < kk; k += 4 {
 		v00, v01, v02, v03 := a0[k], a0[k+1], a0[k+2], a0[k+3]
 		v10, v11, v12, v13 := a1[k], a1[k+1], a1[k+2], a1[k+3]
-		bk0 := b.data[k*n+j0 : k*n+j1][:w]
-		bk1 := b.data[(k+1)*n+j0 : (k+1)*n+j1][:w]
-		bk2 := b.data[(k+2)*n+j0 : (k+2)*n+j1][:w]
-		bk3 := b.data[(k+3)*n+j0 : (k+3)*n+j1][:w]
+		bk0 := stackRow(b, y, k, j0, j1)[:w]
+		bk1 := stackRow(b, y, k+1, j0, j1)[:w]
+		bk2 := stackRow(b, y, k+2, j0, j1)[:w]
+		bk3 := stackRow(b, y, k+3, j0, j1)[:w]
 		for j, b0 := range bk0 {
 			b1, b2, b3 := bk1[j], bk2[j], bk3[j]
 			c0[j] += v00*b0 + v01*b1 + v02*b2 + v03*b3
@@ -91,11 +126,35 @@ func mulPanel2x4(dst, a, b *Dense, i, j0, j1 int) {
 		if v0 == 0 && v1 == 0 {
 			continue
 		}
-		bk := b.data[k*n+j0 : k*n+j1][:w]
+		bk := stackRow(b, y, k, j0, j1)[:w]
 		for j, bv := range bk {
 			c0[j] += v0 * bv
 			c1[j] += v1 * bv
 		}
+	}
+}
+
+// mulPanel1x4 is mulPanel2x4 for a lone destination row.
+//
+//streampca:noalloc
+func mulPanel1x4(dst, a, b, y *Dense, kk, i, j0, j1 int) {
+	n := dst.cols
+	a0 := a.data[i*a.cols : i*a.cols+kk]
+	w := j1 - j0
+	c0 := dst.data[i*n+j0 : i*n+j1][:w]
+	k := 0
+	for ; k+3 < kk; k += 4 {
+		v0, v1, v2, v3 := a0[k], a0[k+1], a0[k+2], a0[k+3]
+		bk0 := stackRow(b, y, k, j0, j1)[:w]
+		bk1 := stackRow(b, y, k+1, j0, j1)[:w]
+		bk2 := stackRow(b, y, k+2, j0, j1)[:w]
+		bk3 := stackRow(b, y, k+3, j0, j1)[:w]
+		for j, b0 := range bk0 {
+			c0[j] += v0*b0 + v1*bk1[j] + v2*bk2[j] + v3*bk3[j]
+		}
+	}
+	for ; k < kk; k++ {
+		Axpy(a0[k], stackRow(b, y, k, j0, j1), c0)
 	}
 }
 
@@ -189,10 +248,12 @@ func mulBTBlocked(dst, a, b *Dense) {
 // output (the rank-c fold rounds differently at c=11 and c=12 — fourth digit
 // at d=400) and so must be the same on every machine and in every process of
 // a run. 8 gives the widths a timed ratio picked most often (4 at d=16, 11 at
-// d=400, 15 at d=1000, 16 from d=2000 up, k=5); the timed ratio itself moved
-// the d=400 pick between 10 and 13 from process to process. A c-sweep on a
-// 2-core host is flat within ±10% for c ∈ [8,14] at d=400 and c ∈ [12,16] at
-// d=1000, so no measurable speed rides on the exact figure.
+// d=400, 15 at d=1000, 16 from d=2000 up, k=5) under the former row-major
+// basis kernels. Under the component-major kernels the pick is no longer the
+// fastest everywhere: a c-sweep (BenchmarkObserveBlock's d-*/c-* lanes, 2-core
+// Xeon, -cpu 1) reads c ∈ [6,11] within ±10% at d=400, but c=15 about 15%
+// slower than c=8 at d=1000. The refit waits until the wire lane depth, which
+// is derived from the same width, is decoupled from it.
 const eigToMulAdd = 8
 
 // BlockSize returns the cost-model-optimal rank-c chunk width for a d×k
@@ -204,13 +265,12 @@ const eigToMulAdd = 8
 //
 // in panel-kernel multiply-add equivalents, with E the eigensolver/multiply-add
 // cost ratio (eigToMulAdd). Two terms carry efficiency weights relative to
-// the square blocked product: SyrkRows
-// streams two unit-stride rows per dot with no packing or panel bookkeeping
-// and retires multiply-adds ≈4× faster (weight ⅛ instead of ½), while the
-// E·M rebuild product is k-skinny — a d×k by k×k product at k≈5 never fills
-// the 2×4 register tile — and runs ≈4× slower (weight 4). Both factors come
-// from the c-sweep benchmark (c ∈ {4..16}, d ∈ {250..1000}): the unweighted
-// model argmins at c≈6 where measurement favors c≈12–16.
+// the square blocked product, both fitted to the former row-major kernels by
+// a c-sweep (c ∈ {4..16}, d ∈ {250..1000}): SyrkRows retired multiply-adds
+// ≈4× faster (weight ⅛ instead of ½), and the E·M rebuild product over a
+// d×k basis with k≈5-long rows ran ≈4× slower (weight 4). The component-major
+// rebuild (MulStack) runs along d-long rows and no longer pays that factor;
+// the weights stay until the refit eigToMulAdd describes.
 // The d·(k+2) center/project term is c-independent and excluded. Small c
 // wastes the amortization; large c pays quadratically in the Syrk corner and
 // cubically in the eigensolve — the argmin replaces the hardcoded chunk

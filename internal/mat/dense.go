@@ -154,13 +154,24 @@ func (m *Dense) ScaleAll(alpha float64) {
 // T returns a newly allocated transpose of m.
 func (m *Dense) T() *Dense {
 	t := NewDense(m.cols, m.rows)
-	for i := 0; i < m.rows; i++ {
-		ri := m.data[i*m.cols : (i+1)*m.cols]
+	t.TransposeFrom(m)
+	return t
+}
+
+// TransposeFrom overwrites m with the transpose of src, which must be
+// m.Cols()×m.Rows() and must not alias m. It performs no heap allocations.
+//
+//streampca:noalloc
+func (m *Dense) TransposeFrom(src *Dense) {
+	if m.rows != src.cols || m.cols != src.rows {
+		panic("mat: TransposeFrom shape mismatch")
+	}
+	for i := 0; i < src.rows; i++ {
+		ri := src.data[i*src.cols : (i+1)*src.cols]
 		for j, v := range ri {
-			t.data[j*t.cols+i] = v
+			m.data[j*m.cols+i] = v
 		}
 	}
-	return t
 }
 
 // MaxAbs returns the maximum absolute entry (0 for an empty matrix).

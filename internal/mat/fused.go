@@ -1,80 +1,66 @@
 package mat
 
-// Fused span kernels for the streaming PCA hot path: the bodies behind the
-// Pool and panel methods. Each computes a half-open output range with a
-// fixed per-element instruction sequence, and every caller passes the full
-// range on its own goroutine, so results depend only on the inputs.
+// Fused kernels for the streaming PCA hot path. The engine holds its basis
+// component-major — a k×d matrix whose row j is eigenvector j — so every
+// d-proportional loop here runs along a contiguous d-long row instead of
+// across k ≈ 5 entries. Each kernel runs a fixed per-element instruction
+// sequence on its caller's goroutine, so results depend only on the inputs.
 
-// cpPanel is the row granularity of the fused center/project reduction: the
-// d-dimensional accumulation of coef = Eᵀy is cut into fixed panels of this
-// many rows, each reduced independently into k+1 partial sums and folded in
-// panel order — the canonical reduction order of the engine's projections.
-// 256 rows × k columns keeps a panel's basis slice L1-resident.
-const cpPanel = 256
-
-// CenterProjectPanels returns the number of reduction panels the fused
-// center/project pass uses for dimension d; workspace owners size their
-// partial-sum buffer as CenterProjectPanels(d)·(k+1).
-func CenterProjectPanels(d int) int {
-	return (d + cpPanel - 1) / cpPanel
-}
-
-// centerProjectSpan computes panels [p0, p1) of the fused center/project
-// pass: for each row i of the panel, y[i] = x[i] − mean[i], and the panel's
-// partial sums part[pi*(k+1) : pi*(k+1)+k] += y[i]·E[i,:] with ‖y‖²'s panel
-// share at part[pi*(k+1)+k]. Rows are consumed in pairs so each pass over
-// the k partial accumulators folds two basis rows — half the read-modify-
-// write traffic of the row-at-a-time loop.
+// CenterProject is the per-row pass of the engine: y = x − mean and ‖y‖² in
+// one sweep, then coef[j] = y·basis[j,:] for the k×d component-major basis,
+// two components per sweep over y with split accumulators. It returns ‖y‖²;
+// y and coef are overwritten. A NaN or ±Inf in x surfaces in the result.
 //
 //streampca:noalloc
-func centerProjectSpan(y, x, mean []float64, vecs *Dense, part []float64, p0, p1 int) {
-	d := vecs.rows
-	k := vecs.cols
-	vd := vecs.data
-	for pi := p0; pi < p1; pi++ {
-		lo := pi * cpPanel
-		hi := lo + cpPanel
-		if hi > d {
-			hi = d
-		}
-		pp := part[pi*(k+1) : pi*(k+1)+k+1]
-		for j := range pp {
-			pp[j] = 0
-		}
-		pc := pp[:k]
-		var ny2 float64
-		i := lo
-		for ; i+1 < hi; i += 2 {
-			y0 := x[i] - mean[i]
-			y1 := x[i+1] - mean[i+1]
-			y[i] = y0
-			y[i+1] = y1
-			ny2 += y0*y0 + y1*y1
-			v0 := vd[i*k : i*k+k]
-			v1 := vd[(i+1)*k : (i+1)*k+k]
-			for j, v0j := range v0 {
-				pc[j] += y0*v0j + y1*v1[j]
-			}
-		}
-		for ; i < hi; i++ {
-			yi := x[i] - mean[i]
-			y[i] = yi
-			ny2 += yi * yi
-			vrow := vd[i*k : i*k+k]
-			for j, vij := range vrow {
-				pc[j] += yi * vij
-			}
-		}
-		pp[k] = ny2
+func CenterProject(y, coef, x, mean []float64, basis *Dense) float64 {
+	k, d := basis.rows, basis.cols
+	if len(x) != d || len(y) != d || len(mean) != d || len(coef) != k {
+		panic("mat: CenterProject length mismatch")
 	}
+	y, mean = y[:len(x)], mean[:len(x)]
+	var s0, s1 float64
+	for i := 1; i < len(x); i += 2 {
+		y0 := x[i-1] - mean[i-1]
+		y1 := x[i] - mean[i]
+		y[i-1], y[i] = y0, y1
+		s0 += y0 * y0
+		s1 += y1 * y1
+	}
+	if d%2 == 1 {
+		yi := x[d-1] - mean[d-1]
+		y[d-1] = yi
+		s0 += yi * yi
+	}
+	bd := basis.data
+	j := 0
+	for ; j+1 < k; j += 2 {
+		b0 := bd[j*d : (j+1)*d][:len(y)]
+		b1 := bd[(j+1)*d : (j+2)*d][:len(y)]
+		var a0, a1, c0, c1 float64
+		for i := 1; i < len(y); i += 2 {
+			y0, y1 := y[i-1], y[i]
+			a0 += y0 * b0[i-1]
+			a1 += y1 * b0[i]
+			c0 += y0 * b1[i-1]
+			c1 += y1 * b1[i]
+		}
+		if d%2 == 1 {
+			a0 += y[d-1] * b0[d-1]
+			c0 += y[d-1] * b1[d-1]
+		}
+		coef[j], coef[j+1] = a0+a1, c0+c1
+	}
+	if j < k {
+		coef[j] = Dot(y, bd[j*d:(j+1)*d])
+	}
+	return s0 + s1
 }
 
 // basisUpdateSpan applies rows [lo, hi) of the fused in-place rank-c basis
-// update E ← E·M + Yᵀ·W: per basis row i, the old row is copied into
-// scratch, the r panel values Y[m][i] are gathered, and each new entry is
-// one Dot against Mᵀ's row plus the ordered rank-c correction. The per-
-// element reduction order (k-dot first, then m = 0..r−1) is fixed, so the
-// result is bitwise partition-independent. scratch needs k+r floats.
+// update E ← E·M + Yᵀ·W on a d×k basis: per basis row i, the old row is
+// copied into scratch, the r panel values Y[m][i] are gathered, and each new
+// entry is one Dot against Mᵀ's row plus the ordered rank-c correction.
+// scratch needs k+r floats.
 //
 //streampca:noalloc
 func basisUpdateSpan(vecs, mt, y, w *Dense, r, lo, hi int, scratch []float64) {
@@ -99,26 +85,6 @@ func basisUpdateSpan(vecs, mt, y, w *Dense, r, lo, hi int, scratch []float64) {
 				acc += ya[m] * wd[m*wn+j]
 			}
 			vrow[j] = acc
-		}
-	}
-}
-
-// basisUpdateVecSpan is the rank-one body: rows [lo, hi) of
-// E ← E·M + y·ywᵀ, arithmetic identical to basisUpdateSpan with r = 1 and
-// to the historical inline rank-one rebuild loop. scratch needs k floats.
-//
-//streampca:noalloc
-func basisUpdateVecSpan(vecs, mt *Dense, y, yw []float64, lo, hi int, scratch []float64) {
-	k := vecs.cols
-	vd := vecs.data
-	mtd := mt.data
-	tmp := scratch[:k]
-	for i := lo; i < hi; i++ {
-		vrow := vd[i*k : i*k+k]
-		copy(tmp, vrow)
-		yi := y[i]
-		for j := range vrow {
-			vrow[j] = Dot(tmp, mtd[j*k:j*k+k]) + yi*yw[j]
 		}
 	}
 }

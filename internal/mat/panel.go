@@ -1,11 +1,12 @@
 package mat
 
-// Panel kernels for the block-incremental eigensystem update: the rank-c
-// rebuild needs the c×c inner products of the chunk's centered rows (SyrkRows)
-// and the d×k panel accumulation E += Yᵀ·W (AddMulTARows). Both operate on a
-// leading-row prefix of their inputs so a fixed-capacity workspace matrix can
-// serve every chunk size without re-slicing (which would allocate a header on
-// the hot path). Property-tested against MulBT/MulTA in panel_test.go.
+// Panel kernels on a leading-row prefix of their inputs, so a fixed-capacity
+// workspace matrix can serve every chunk size without re-slicing (which would
+// allocate a header on the hot path): SyrkRows forms the c×c inner products of
+// a chunk's centered rows for the rank-c rebuild; AddMulTARows, the d×k panel
+// accumulation E += Yᵀ·W of the former row-major basis, is kept for the repo
+// benchmark's isolated timings. Property-tested against MulBT/MulTA in
+// panel_test.go.
 
 // SyrkRows computes the leading r×r block of dst = A·Aᵀ from the first r rows
 // of a, exploiting symmetry (each off-diagonal dot is computed once and
@@ -26,9 +27,8 @@ func SyrkRows(dst, a *Dense, r int) {
 // AddMulTARows accumulates dst += Aᵀ·B using only the first r rows of a and b:
 // a is (≥r)×m, b is (≥r)×n, dst is m×n. The reduction over rows is 4-way
 // unrolled like mulTABlocked, keeping four streaming B rows live per pass over
-// the destination — this is the blocked d×k panel product of the rank-c basis
-// update E ← E·M + Yᵀ·W, where a holds the chunk's centered rows and b the
-// per-row update coefficients. It performs no heap allocations.
+// the destination. No engine path calls it; the repo benchmark times it in
+// isolation (mat.addmulta_rows_us.*). It performs no heap allocations.
 //
 //streampca:noalloc
 func AddMulTARows(dst, a, b *Dense, r int) {

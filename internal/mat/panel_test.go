@@ -80,3 +80,87 @@ func TestPanelKernelsZeroAlloc(t *testing.T) {
 		t.Fatalf("panel kernels allocated %v times per run", allocs)
 	}
 }
+
+// TestCenterProjectPanelMatchesMulVecT checks the component-major
+// center/project pass against SubTo, MulVecT over the explicit d×k transpose
+// of the basis, and Dot, across odd and even d and k.
+func TestCenterProjectPanelMatchesMulVecT(t *testing.T) {
+	rng := rand.New(rand.NewPCG(71, 4))
+	for _, d := range []int{1, 2, 3, 16, 173, 400, 1000} {
+		for _, k := range []int{1, 2, 5, 6} {
+			basis := randomDense(rng, k, d)
+			x, mean := randVec(rng, d), randVec(rng, d)
+			y, coef := make([]float64, d), make([]float64, k)
+			ny2 := CenterProject(y, coef, x, mean, basis)
+
+			wantY := SubTo(make([]float64, d), x, mean)
+			wantCoef := MulVecT(nil, basis.T(), wantY)
+			wantNy2 := Dot(wantY, wantY)
+			if !EqualApproxVec(y, wantY, 0) || !EqualApproxVec(coef, wantCoef, 1e-12*float64(d)) {
+				t.Fatalf("d=%d k=%d: CenterProject deviates from SubTo/MulVecT", d, k)
+			}
+			if diff := ny2 - wantNy2; diff > 1e-12*wantNy2 || diff < -1e-12*wantNy2 {
+				t.Fatalf("d=%d k=%d: ‖y‖² = %v, want %v", d, k, ny2, wantNy2)
+			}
+		}
+	}
+}
+
+// TestMulStackPanelMatchesMul checks the component-major basis rebuild
+// B_new = Mᵀ·B + Wᵀ·Y[:r] against its row-major statement E·M + Yᵀ·W,
+// computed with Mul and MulTA on explicit transposes, for an odd component
+// count, rows longer than one column block, and every stacked depth.
+func TestMulStackPanelMatchesMul(t *testing.T) {
+	rng := rand.New(rand.NewPCG(71, 5))
+	const capR = 16
+	for _, d := range []int{7, 400, 1000} {
+		for _, k := range []int{1, 2, 5} {
+			b := randomDense(rng, k, d)
+			y := randomDense(rng, capR, d)
+			a := randomDense(rng, k, k+capR)
+			for _, r := range []int{0, 1, 3, 4, 11, 16} {
+				mt := NewDense(k, k)
+				wr := NewDense(r, k)
+				for j := 0; j < k; j++ {
+					copy(mt.Row(j), a.Row(j)[:k])
+					for m := 0; m < r; m++ {
+						wr.Set(m, j, a.At(j, k+m))
+					}
+				}
+				yr := NewDense(r, d)
+				for m := 0; m < r; m++ {
+					copy(yr.Row(m), y.Row(m))
+				}
+				wantT := Mul(nil, b.T(), mt.T())
+				AddScaled(wantT, 1, MulTA(nil, yr, wr))
+				got := NewDense(k, d)
+				MulStack(got, a, b, y, r)
+				if !got.EqualApprox(wantT.T(), 1e-12*float64(k+r)) {
+					t.Fatalf("d=%d k=%d r=%d: MulStack deviates from Mul + MulTA", d, k, r)
+				}
+			}
+		}
+	}
+}
+
+// TestComponentMajorKernelsZeroAllocs pins the no-allocation contract of the
+// engine's per-row and per-rebuild kernels and of the export/load transpose.
+func TestComponentMajorKernelsZeroAllocs(t *testing.T) {
+	rng := rand.New(rand.NewPCG(71, 6))
+	const d, k, r = 400, 5, 11
+	basis, next := randomDense(rng, k, d), NewDense(k, d)
+	y := randomDense(rng, 16, d)
+	a := randomDense(rng, k, k+16)
+	x, mean := randVec(rng, d), randVec(rng, d)
+	yv, coef := make([]float64, d), make([]float64, k)
+	export := NewDense(d, k)
+	allocs := testing.AllocsPerRun(50, func() {
+		CenterProject(yv, coef, x, mean, basis)
+		MulStack(next, a, basis, y, r)
+		export.TransposeFrom(next)
+		basis.TransposeFrom(export)
+	})
+	if allocs != 0 {
+		t.Fatalf("component-major kernels allocated %v times per run", allocs)
+	}
+}

@@ -19,7 +19,6 @@ type OpSnapshot struct {
 type RebuildCounts struct {
 	RankOne int64 `json:"rank_one"`
 	RankC   int64 `json:"rank_c"`
-	SVD     int64 `json:"svd"`
 }
 
 // EngineSnapshot is one engine's algorithm-level view.
@@ -151,7 +150,6 @@ func (s *Set) Snapshot() Snapshot {
 			Rebuilds: RebuildCounts{
 				RankOne: e.RankOne.Load(),
 				RankC:   e.RankC.Load(),
-				SVD:     e.SVD.Load(),
 			},
 		}
 		if obsN > 0 {

@@ -24,7 +24,7 @@ func populate(s *Set) {
 	e.Observations.Add(100)
 	e.Outliers.Add(4)
 	e.RecordRebuild(RebuildRankOne)
-	e.RecordRebuild(RebuildSVD)
+	e.RecordRebuild(RebuildRankC)
 
 	s.Sync().RecordPlan(3, 4, 1)
 	s.Journal().Append(Event{Kind: EvSyncSend, Engine: 0, N: 3, A: 96, B: 64})
@@ -60,7 +60,7 @@ func TestSnapshotContents(t *testing.T) {
 	if e.OutlierRate != 0.04 {
 		t.Errorf("outlier rate = %g, want 0.04", e.OutlierRate)
 	}
-	if e.Rebuilds.RankOne != 1 || e.Rebuilds.SVD != 1 {
+	if e.Rebuilds.RankOne != 1 || e.Rebuilds.RankC != 1 {
 		t.Errorf("rebuilds = %+v", e.Rebuilds)
 	}
 	if snap.Sync.Rounds != 1 || snap.Sync.Commands != 4 || snap.Sync.Excluded != 1 {
@@ -69,7 +69,7 @@ func TestSnapshotContents(t *testing.T) {
 	if snap.Sync.StalenessNs <= 0 {
 		t.Errorf("staleness = %d, want > 0", snap.Sync.StalenessNs)
 	}
-	// journal: sync-plan, rebuild-shift (rank-one→svd), sync-send
+	// journal: sync-plan, rebuild-shift (rank-one→rank-c), sync-send
 	if snap.Journal.Len != 3 {
 		t.Errorf("journal len = %d, want 3 (recent: %+v)", snap.Journal.Len, snap.Journal.Recent)
 	}
@@ -87,17 +87,17 @@ func TestRebuildShiftJournalsTransitionsOnly(t *testing.T) {
 	if got := s.Journal().Len(); got != 0 {
 		t.Fatalf("steady rebuilds journaled %d events, want 0", got)
 	}
-	e.RecordRebuild(RebuildSVD)
-	e.RecordRebuild(RebuildSVD)
 	e.RecordRebuild(RebuildRankC)
+	e.RecordRebuild(RebuildRankC)
+	e.RecordRebuild(RebuildRankOne)
 	evs := s.Journal().Events(0)
 	if len(evs) != 2 {
 		t.Fatalf("journal = %+v, want 2 transitions", evs)
 	}
-	if evs[0].Kind != EvRebuildShift || RebuildKind(evs[0].N) != RebuildSVD {
+	if evs[0].Kind != EvRebuildShift || RebuildKind(evs[0].N) != RebuildRankC {
 		t.Errorf("first transition = %+v", evs[0])
 	}
-	if RebuildKind(evs[1].N) != RebuildRankC || RebuildKind(int64(evs[1].A)) != RebuildSVD {
+	if RebuildKind(evs[1].N) != RebuildRankOne || RebuildKind(int64(evs[1].A)) != RebuildRankC {
 		t.Errorf("second transition = %+v", evs[1])
 	}
 }

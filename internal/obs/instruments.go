@@ -52,7 +52,6 @@ type RebuildKind int64
 const (
 	RebuildRankOne RebuildKind = 1 // structured analytic rank-one update
 	RebuildRankC   RebuildKind = 2 // block-incremental rank-c update
-	RebuildSVD     RebuildKind = 3 // full thin-SVD rebuild
 )
 
 // String returns the stable name used in exposition.
@@ -62,8 +61,6 @@ func (k RebuildKind) String() string {
 		return "rank-one"
 	case RebuildRankC:
 		return "rank-c"
-	case RebuildSVD:
-		return "svd"
 	default:
 		return "unknown"
 	}
@@ -99,10 +96,9 @@ type EngineInstruments struct {
 	Observations Counter
 	Outliers     Counter
 
-	// RankOne/RankC/SVD count eigensystem rebuilds by route.
+	// RankOne/RankC count eigensystem rebuilds by route.
 	RankOne Counter
 	RankC   Counter
-	SVD     Counter
 
 	eig      [MaxEigGauges]Gauge
 	eigCount atomic.Int64
@@ -152,8 +148,6 @@ func (e *EngineInstruments) RecordRebuild(kind RebuildKind) {
 		e.RankOne.Inc()
 	case RebuildRankC:
 		e.RankC.Inc()
-	case RebuildSVD:
-		e.SVD.Inc()
 	}
 	prev := e.lastRebuild.Swap(int64(kind))
 	if prev != int64(kind) && prev != 0 && e.journal != nil {

@@ -49,7 +49,7 @@ const (
 	// Engine = index, A = rescued σ², B = the collapsed σ² it replaced.
 	EvScaleRescue
 	// EvRebuildShift: an engine's eigensystem rebuild route changed kind
-	// (rank-one ↔ rank-c ↔ full SVD). Engine = index, N = the new kind
+	// (rank-one ↔ rank-c). Engine = index, N = the new kind
 	// (RebuildKind), A = the previous kind. Recorded on transitions only, so
 	// steady streams journal nothing while mode changes stay visible.
 	EvRebuildShift

@@ -133,7 +133,6 @@ func WritePrometheus(w io.Writer, snap Snapshot) {
 		for _, e := range snap.Engines {
 			fmt.Fprintf(w, "streampca_engine_rebuilds_total{engine=\"%d\",kind=\"rank-one\"} %d\n", e.Index, e.Rebuilds.RankOne)
 			fmt.Fprintf(w, "streampca_engine_rebuilds_total{engine=\"%d\",kind=\"rank-c\"} %d\n", e.Index, e.Rebuilds.RankC)
-			fmt.Fprintf(w, "streampca_engine_rebuilds_total{engine=\"%d\",kind=\"svd\"} %d\n", e.Index, e.Rebuilds.SVD)
 		}
 	}
 
