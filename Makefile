@@ -71,14 +71,16 @@ test-race:
 	$(GO) test -race ./...
 
 # Tier 2: short fuzzing passes over the checkpoint reader, the fault
-# injector, the wire codecs and the arrowhead eigensolver. Each target fuzzes
-# for $(FUZZTIME); seed corpora alone run in plain `make test`.
+# injector, the wire codecs, the arrowhead eigensolver and the binary record
+# reader. Each target fuzzes for $(FUZZTIME); seed corpora alone run in plain
+# `make test`.
 fuzz-short:
 	$(GO) test -run '^$$' -fuzz '^FuzzReadEigensystem$$' -fuzztime $(FUZZTIME) ./internal/core
 	$(GO) test -run '^$$' -fuzz '^FuzzInjector$$' -fuzztime $(FUZZTIME) ./internal/fault
 	$(GO) test -run '^$$' -fuzz '^FuzzFrameCodec$$' -fuzztime $(FUZZTIME) ./internal/wire
 	$(GO) test -run '^$$' -fuzz '^FuzzSyncMessage$$' -fuzztime $(FUZZTIME) ./internal/wire
 	$(GO) test -run '^$$' -fuzz '^FuzzArrowSym$$' -fuzztime $(FUZZTIME) ./internal/eig
+	$(GO) test -run '^$$' -fuzz '^FuzzBinaryStream$$' -fuzztime $(FUZZTIME) ./internal/ingest
 
 bench:
 	$(GO) test -bench . -benchtime 1x ./...

@@ -140,7 +140,8 @@ type (
 	// PipelineResult reports per-engine stats, the merged eigensystem,
 	// and stream metrics.
 	PipelineResult = pipeline.Result
-	// PipelineSource feeds observations into a pipeline.
+	// PipelineSource feeds observations into a pipeline, which copies each
+	// row before it pulls the next, so a source may reuse its storage.
 	PipelineSource = pipeline.Source
 	// EngineStats summarizes one engine's run.
 	EngineStats = pipeline.EngineStats
@@ -305,6 +306,7 @@ func SimulateCluster(cfg ClusterConfig) (*ClusterStats, error) { return cluster.
 // Ingestion types (§III-A1 input flexibility).
 type (
 	// Stream yields observations until io.EOF (CSV, binary, TCP, HTTP).
+	// Each vec and mask is valid until the next call.
 	Stream = ingest.Stream
 	// CSVOptions configures CSV parsing.
 	CSVOptions = ingest.CSVOptions
@@ -336,7 +338,9 @@ func HTTPStream(url string, opts CSVOptions) (Stream, io.Closer, error) {
 }
 
 // StreamSource adapts a Stream to a PipelineSource, skipping malformed
-// records (reported to onErr when non-nil).
+// records (reported to onErr when non-nil). Rows pass through uncopied and
+// stay valid only until the next pull; the pipeline copies each into its
+// frame first.
 func StreamSource(s Stream, onErr func(error)) PipelineSource {
 	return ingest.AsSource(s, onErr)
 }

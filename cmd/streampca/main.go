@@ -272,6 +272,7 @@ func runWorker(addr string, sessions int, cfg streampca.WorkerConfig) {
 }
 
 // runResumed restores a checkpoint into a single engine and streams into it.
+// The engine is ready and never retains a row, so src may reuse its storage.
 func runResumed(path string, cfg streampca.Config, src streampca.PipelineSource, set *streampca.ObsSet) (*streampca.Eigensystem, error) {
 	f, err := os.Open(path)
 	if err != nil {

@@ -16,25 +16,27 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
-	"sort"
 	"strconv"
 	"strings"
 	"sync"
+	"unsafe"
 )
 
 // Stream yields observations until io.EOF. Implementations are not safe
 // for concurrent use.
 type Stream interface {
 	// Next returns the next observation. mask is nil for complete vectors
-	// (true = observed otherwise). The error is io.EOF at clean end of
-	// stream; any other error describes a malformed record or transport
-	// failure.
+	// (true = observed otherwise). vec and mask are valid until the next
+	// call, as bufio.Scanner.Bytes is: a stream may reuse their storage. The
+	// error is io.EOF at clean end of stream; any other error describes a
+	// malformed record or transport failure.
 	Next() (vec []float64, mask []bool, err error)
 }
 
-// AsSource adapts a Stream to the pipeline's pull function. Malformed
-// records are skipped (reported to onErr when non-nil); the source ends at
-// io.EOF or any transport error.
+// AsSource adapts a Stream to the pipeline's pull function, passing each row
+// on uncopied (the pipeline copies it into its frame before it pulls again).
+// Malformed records are skipped (reported to onErr when non-nil); the source
+// ends at io.EOF or any transport error.
 func AsSource(s Stream, onErr func(error)) func() ([]float64, []bool, bool) {
 	return func() ([]float64, []bool, bool) {
 		for {
@@ -45,17 +47,14 @@ func AsSource(s Stream, onErr func(error)) func() ([]float64, []bool, bool) {
 			if errors.Is(err, io.EOF) {
 				return nil, nil, false
 			}
-			var rec *RecordError
-			if errors.As(err, &rec) {
-				if onErr != nil {
-					onErr(err)
-				}
-				continue // skip the bad record, keep streaming
-			}
 			if onErr != nil {
 				onErr(err)
 			}
-			return nil, nil, false
+			var rec *RecordError
+			if !errors.As(err, &rec) {
+				return nil, nil, false
+			}
+			// A malformed record is skipped; the stream keeps going.
 		}
 	}
 }
@@ -126,32 +125,17 @@ func (c *CSVStream) Next() ([]float64, []bool, error) {
 			return nil, nil, &RecordError{c.line, fmt.Sprintf("got %d values, want %d", len(fields), c.dim)}
 		}
 		vec := make([]float64, c.dim)
-		var mask []bool
 		for i, f := range fields {
-			f = strings.TrimSpace(f)
-			if f == "" || strings.EqualFold(f, "nan") {
-				vec[i] = math.NaN()
-				if mask == nil {
-					mask = fullMask(c.dim)
+			vec[i] = math.NaN() // an empty entry is missing; ParseFloat reads "NaN" in any case
+			if f = strings.TrimSpace(f); f != "" {
+				v, err := strconv.ParseFloat(f, 64)
+				if err != nil {
+					return nil, nil, &RecordError{c.line, fmt.Sprintf("column %d: %v", i+1, err)}
 				}
-				mask[i] = false
-				continue
+				vec[i] = v
 			}
-			v, err := strconv.ParseFloat(f, 64)
-			if err != nil {
-				return nil, nil, &RecordError{c.line, fmt.Sprintf("column %d: %v", i+1, err)}
-			}
-			if math.IsNaN(v) {
-				vec[i] = math.NaN()
-				if mask == nil {
-					mask = fullMask(c.dim)
-				}
-				mask[i] = false
-				continue
-			}
-			vec[i] = v
 		}
-		return vec, mask, nil
+		return vec, gapMask(vec, nil), nil
 	}
 	if err := c.sc.Err(); err != nil {
 		return nil, nil, err
@@ -159,12 +143,54 @@ func (c *CSVStream) Next() ([]float64, []bool, error) {
 	return nil, nil, io.EOF
 }
 
-func fullMask(d int) []bool {
-	m := make([]bool, d)
-	for i := range m {
-		m[i] = true
+// gapMask returns nil when vec holds no NaN, and otherwise mask (allocated
+// when nil) false exactly at vec's NaN bins.
+func gapMask(vec []float64, mask []bool) []bool {
+	i := 0
+	for i < len(vec) && !math.IsNaN(vec[i]) {
+		i++
 	}
-	return m
+	if i == len(vec) {
+		return nil
+	}
+	if mask == nil {
+		mask = make([]bool, len(vec))
+	}
+	for j, v := range vec {
+		mask[j] = !math.IsNaN(v)
+	}
+	return mask
+}
+
+// HostLE reports whether this host stores float64 little-endian, so that a
+// float64 slice's in-memory bytes are its little-endian encoding.
+var HostLE = binary.NativeEndian.Uint16([]byte{0x34, 0x12}) == 0x1234
+
+// FloatBytes reinterprets a float64 slice as its in-memory byte view.
+//
+//streampca:noalloc
+func FloatBytes(f []float64) []byte {
+	if len(f) == 0 {
+		return nil
+	}
+	return unsafe.Slice((*byte)(unsafe.Pointer(&f[0])), len(f)*8)
+}
+
+// ReadFloatsLE fills dst with len(dst) little-endian float64 values from r:
+// one io.ReadFull into dst's own bytes, byte-swapped in place on big-endian
+// hosts. Every bit pattern (NaN payloads, −0, ±Inf) comes through unchanged.
+// The error is io.ReadFull's.
+func ReadFloatsLE(r io.Reader, dst []float64) error {
+	b := FloatBytes(dst)
+	if _, err := io.ReadFull(r, b); err != nil {
+		return err
+	}
+	if !HostLE {
+		for i := range dst {
+			dst[i] = math.Float64frombits(binary.LittleEndian.Uint64(b[8*i:]))
+		}
+	}
+	return nil
 }
 
 // BinaryStream reads fixed-length records of little-endian float64 values
@@ -172,9 +198,9 @@ func fullMask(d int) []bool {
 // bins.
 type BinaryStream struct {
 	r    io.Reader
-	dim  int
 	line int
-	raw  []byte // one record's bytes, reused by every Next
+	vec  []float64 // the current record, overwritten by every Next
+	mask []bool    // the current record's gaps, overwritten by every Next
 }
 
 // NewBinaryStream wraps r as a binary observation stream of the given
@@ -183,15 +209,15 @@ func NewBinaryStream(r io.Reader, dim int) *BinaryStream {
 	if dim <= 0 {
 		panic("ingest: BinaryStream dim must be positive")
 	}
-	return &BinaryStream{r: bufio.NewReader(r), dim: dim, raw: make([]byte, 8*dim)}
+	return &BinaryStream{r: bufio.NewReader(r), vec: make([]float64, dim), mask: make([]bool, dim)}
 }
 
-// Next implements Stream. The record is read into the stream's own scratch
-// and decoded in one pass that also finds the NaNs; vec and mask are fresh
-// per call because callers may retain them.
+// Next implements Stream. The record is read straight into the stream's own
+// vector and scanned once for NaNs; only a record that has one fills the
+// mask. Both are the stream's storage and are overwritten by the next call.
 func (b *BinaryStream) Next() ([]float64, []bool, error) {
 	b.line++
-	if _, err := io.ReadFull(b.r, b.raw); err != nil {
+	if err := ReadFloatsLE(b.r, b.vec); err != nil {
 		if errors.Is(err, io.EOF) {
 			return nil, nil, io.EOF
 		}
@@ -200,19 +226,7 @@ func (b *BinaryStream) Next() ([]float64, []bool, error) {
 		}
 		return nil, nil, err
 	}
-	vec := make([]float64, b.dim)
-	var mask []bool
-	for i := range vec {
-		v := math.Float64frombits(binary.LittleEndian.Uint64(b.raw[8*i:]))
-		vec[i] = v
-		if math.IsNaN(v) {
-			if mask == nil {
-				mask = fullMask(b.dim)
-			}
-			mask[i] = false
-		}
-	}
-	return vec, mask, nil
+	return b.vec, gapMask(b.vec, b.mask), nil
 }
 
 // DirStream reads every regular file in dir (sorted by name, matching the
@@ -221,7 +235,7 @@ func (b *BinaryStream) Next() ([]float64, []bool, error) {
 type DirStream struct {
 	opts  CSVOptions
 	files []string
-	cur   Stream
+	cur   *CSVStream
 	curF  io.Closer
 }
 
@@ -232,23 +246,19 @@ func NewDirStream(dir, pattern string, opts CSVOptions) (*DirStream, error) {
 	if err != nil {
 		return nil, err
 	}
-	var files []string
-	for _, e := range entries {
-		if e.IsDir() {
-			continue
-		}
-		if pattern != "" {
-			ok, err := filepath.Match(pattern, e.Name())
-			if err != nil {
-				return nil, err
-			}
-			if !ok {
-				continue
-			}
-		}
-		files = append(files, filepath.Join(dir, e.Name()))
+	if pattern == "" {
+		pattern = "*"
 	}
-	sort.Strings(files)
+	var files []string // in name order, as os.ReadDir lists them
+	for _, e := range entries {
+		ok, err := filepath.Match(pattern, e.Name())
+		if err != nil {
+			return nil, err
+		}
+		if ok && !e.IsDir() {
+			files = append(files, filepath.Join(dir, e.Name()))
+		}
+	}
 	return &DirStream{opts: opts, files: files}, nil
 }
 
@@ -264,18 +274,14 @@ func (d *DirStream) Next() ([]float64, []bool, error) {
 			if err != nil {
 				return nil, nil, err
 			}
-			// The Dim learned from the first file carries across files so
-			// inconsistent folders surface as record errors.
-			d.cur = NewCSVStream(f, d.opts)
-			d.curF = f
+			d.cur, d.curF = NewCSVStream(f, d.opts), f
 		}
 		vec, mask, err := d.cur.Next()
 		if errors.Is(err, io.EOF) {
-			if cs, ok := d.cur.(*CSVStream); ok && d.opts.Dim == 0 {
-				d.opts.Dim = cs.dim // enforce consistency across files
-			}
-			d.curF.Close()
-			d.cur, d.curF = nil, nil
+			// The Dim learned from the first file carries across files so
+			// inconsistent folders surface as record errors.
+			d.opts.Dim = d.cur.dim
+			d.Close()
 			continue
 		}
 		return vec, mask, err

@@ -156,10 +156,11 @@ func TestBinaryStreamTruncated(t *testing.T) {
 	}
 }
 
-// TestBinaryStreamRecordsAreFresh pins the Stream contract the one-pass
-// decoder must keep: the byte scratch is reused, the returned vec and mask
-// are not, and a transport error other than EOF passes through unchanged.
-func TestBinaryStreamRecordsAreFresh(t *testing.T) {
+// TestBinaryStreamReusesRecordStorage pins the Stream contract BinaryStream
+// relies on: vec and mask are valid until the next call, which reads the next
+// record into the same storage. Only NaN marks a gap, and a transport error
+// other than EOF passes through unchanged.
+func TestBinaryStreamReusesRecordStorage(t *testing.T) {
 	var buf bytes.Buffer
 	binary.Write(&buf, binary.LittleEndian, []float64{1, math.NaN(), 3})
 	binary.Write(&buf, binary.LittleEndian, []float64{math.NaN(), 5, math.Inf(-1)})
@@ -169,19 +170,160 @@ func TestBinaryStreamRecordsAreFresh(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	if v1[0] != 1 || !math.IsNaN(v1[1]) || v1[2] != 3 || !m1[0] || m1[1] || !m1[2] {
+		t.Fatalf("first record: %v %v", v1, m1)
+	}
 	v2, m2, err := s.Next()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if v1[0] != 1 || !math.IsNaN(v1[1]) || v1[2] != 3 || !m1[0] || m1[1] || !m1[2] {
-		t.Fatalf("first record overwritten by the second: %v %v", v1, m1)
-	}
 	if !math.IsNaN(v2[0]) || v2[1] != 5 || !math.IsInf(v2[2], -1) || m2[0] || !m2[1] || !m2[2] {
 		t.Fatalf("second record: %v %v (only NaN marks a gap)", v2, m2)
+	}
+	if &v1[0] != &v2[0] || &m1[0] != &m2[0] {
+		t.Fatal("second record was not read into the first record's storage")
 	}
 	if _, _, err := s.Next(); err != boom {
 		t.Fatalf("transport error = %v, want it passed through", err)
 	}
+}
+
+// loopReader serves buf over and over, never reaching EOF.
+type loopReader struct {
+	buf []byte
+	off int
+}
+
+func (l *loopReader) Read(p []byte) (int, error) {
+	n := copy(p, l.buf[l.off:])
+	l.off = (l.off + n) % len(l.buf)
+	return n, nil
+}
+
+// binaryRecords encodes rows as one little-endian float64 record stream.
+func binaryRecords(rows [][]float64) []byte {
+	var buf bytes.Buffer
+	for _, r := range rows {
+		binary.Write(&buf, binary.LittleEndian, r)
+	}
+	return buf.Bytes()
+}
+
+// gappyRows returns n d-long rows, three in every ten (30%) with a run of
+// NaN gaps, like the redshift-cut spectra of the science workload.
+func gappyRows(n, d int) [][]float64 {
+	rows := make([][]float64, n)
+	for i := range rows {
+		rows[i] = make([]float64, d)
+		for j := range rows[i] {
+			rows[i][j] = float64(i*d+j) * 0.25
+		}
+		if i%10 < 3 {
+			for j := d / 4; j < d/4+d/10; j++ {
+				rows[i][j] = math.NaN()
+			}
+		}
+	}
+	return rows
+}
+
+// TestBinaryStreamReadsWithoutAllocating: in steady state a record costs no
+// allocation, complete or gappy.
+func TestBinaryStreamReadsWithoutAllocating(t *testing.T) {
+	const d = 1000
+	for _, tc := range []struct {
+		name string
+		rows [][]float64
+	}{
+		{"complete", gappyRows(10, d)[3:4]},
+		{"gappy", gappyRows(10, d)[:1]},
+	} {
+		s := NewBinaryStream(&loopReader{buf: binaryRecords(tc.rows)}, d)
+		if _, mask, err := s.Next(); err != nil || (mask != nil) != (tc.name == "gappy") {
+			t.Fatalf("%s: mask %v, err %v", tc.name, mask != nil, err)
+		}
+		allocs := testing.AllocsPerRun(200, func() {
+			if _, _, err := s.Next(); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs != 0 {
+			t.Errorf("%s record: %v allocations per Next, want 0", tc.name, allocs)
+		}
+	}
+}
+
+// FuzzBinaryStream holds BinaryStream to the reference decode: every whole
+// record is bitwise math.Float64frombits(binary.LittleEndian.Uint64(·)) of
+// its bytes (NaN payloads, −0 and ±Inf included), its mask is nil when it
+// holds no NaN and otherwise false exactly at the NaN bins, and a partial
+// tail is one RecordError followed by io.EOF.
+func FuzzBinaryStream(f *testing.F) {
+	word := func(bits ...uint64) []byte {
+		b := make([]byte, 0, 8*len(bits))
+		for _, u := range bits {
+			b = binary.LittleEndian.AppendUint64(b, u)
+		}
+		return b
+	}
+	negZero, inf, negInf := uint64(1)<<63, math.Float64bits(math.Inf(1)), math.Float64bits(math.Inf(-1))
+	f.Add(uint8(3), word(math.Float64bits(1), 0x7ff8000000000001, negZero, inf, negInf, 0xfff0000000000002))
+	f.Add(uint8(1), word(0x7ff0000000000001, 0x7fffffffffffffff, math.Float64bits(-2.5)))
+	f.Add(uint8(2), append(word(negZero, math.Float64bits(math.NaN())), 1, 2, 3))
+	f.Add(uint8(63), binaryRecords(gappyRows(3, 64)))
+	f.Add(uint8(0), []byte{})
+	f.Fuzz(func(t *testing.T, dimSeed uint8, data []byte) {
+		dim := 1 + int(dimSeed)%64
+		s := NewBinaryStream(bytes.NewReader(data), dim)
+		rec := 8 * dim
+		for r := 0; r < len(data)/rec; r++ {
+			vec, mask, err := s.Next()
+			if err != nil || len(vec) != dim {
+				t.Fatalf("record %d: %d values, err %v", r, len(vec), err)
+			}
+			gap := false
+			for i, v := range vec {
+				want := binary.LittleEndian.Uint64(data[r*rec+8*i:])
+				if got := math.Float64bits(v); got != want {
+					t.Fatalf("record %d bin %d: bits %#x, want %#x", r, i, got, want)
+				}
+				nan := math.IsNaN(math.Float64frombits(want))
+				gap = gap || nan
+				if mask != nil && mask[i] == nan {
+					t.Fatalf("record %d bin %d: mask %v for NaN=%v", r, i, mask[i], nan)
+				}
+			}
+			if (mask != nil) != gap || mask != nil && len(mask) != dim {
+				t.Fatalf("record %d: mask %v for a record with gaps=%v", r, mask, gap)
+			}
+		}
+		if len(data)%rec != 0 {
+			var re *RecordError
+			if _, _, err := s.Next(); !errors.As(err, &re) {
+				t.Fatalf("partial tail: err %v, want a RecordError", err)
+			}
+		}
+		if _, _, err := s.Next(); err != io.EOF {
+			t.Fatalf("after the last record: err %v, want io.EOF", err)
+		}
+	})
+}
+
+// BenchmarkBinaryStream reads d=1000 records, 30% of them gappy, through a
+// stream; one op is one record.
+func BenchmarkBinaryStream(b *testing.B) {
+	const d = 1000
+	b.Run("d-1000", func(b *testing.B) {
+		s := NewBinaryStream(&loopReader{buf: binaryRecords(gappyRows(100, d))}, d)
+		b.ReportAllocs()
+		b.SetBytes(8 * d)
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if _, _, err := s.Next(); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 }
 
 func TestBinaryStreamPanicsOnBadDim(t *testing.T) {

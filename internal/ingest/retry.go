@@ -81,13 +81,7 @@ func (b *Backoff) Next() time.Duration {
 	if b.p.Jitter > 0 {
 		d *= 1 + b.p.Jitter*(2*b.rng.Float64()-1)
 	}
-	if d > float64(b.p.Cap) {
-		d = float64(b.p.Cap)
-	}
-	if d < 0 {
-		d = 0
-	}
-	return time.Duration(d)
+	return time.Duration(min(max(d, 0), float64(b.p.Cap)))
 }
 
 // Reset restarts the schedule (the jitter stream keeps advancing, so a
@@ -101,19 +95,17 @@ func (b *Backoff) Reset() { b.attempt = 0 }
 func Retry[T any](p RetryPolicy, op func(attempt int) (T, error)) (T, error) {
 	pd := p.withDefaults()
 	b := NewBackoff(p)
-	var zero T
-	var err error
-	for attempt := 0; attempt < pd.MaxAttempts; attempt++ {
-		var v T
-		v, err = op(attempt)
+	for attempt := 0; ; attempt++ {
+		v, err := op(attempt)
 		if err == nil {
 			return v, nil
 		}
-		if attempt+1 < pd.MaxAttempts {
-			pd.Sleep(b.Next())
+		if attempt+1 == pd.MaxAttempts {
+			var zero T
+			return zero, fmt.Errorf("ingest: %d attempts failed: %w", pd.MaxAttempts, err)
 		}
+		pd.Sleep(b.Next())
 	}
-	return zero, fmt.Errorf("ingest: %d attempts failed: %w", pd.MaxAttempts, err)
 }
 
 // DialCSV connects to a TCP endpoint serving CSV observation lines — the

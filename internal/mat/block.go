@@ -252,8 +252,8 @@ func mulBTBlocked(dst, a, b *Dense) {
 // basis kernels. Under the component-major kernels the pick is no longer the
 // fastest everywhere: a c-sweep (BenchmarkObserveBlock's d-*/c-* lanes, 2-core
 // Xeon, -cpu 1) reads c ∈ [6,11] within ±10% at d=400, but c=15 about 15%
-// slower than c=8 at d=1000. The refit waits until the wire lane depth, which
-// is derived from the same width, is decoupled from it.
+// slower than c=8 at d=1000. Wire lanes are sized in bytes, so a refit changes
+// only the engine's fold; it waits for paired runs of its own.
 const eigToMulAdd = 8
 
 // BlockSize returns the cost-model-optimal rank-c chunk width for a d×k

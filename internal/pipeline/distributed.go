@@ -10,7 +10,6 @@ import (
 
 	"streampca/internal/core"
 	"streampca/internal/ingest"
-	"streampca/internal/mat"
 	"streampca/internal/obs"
 	"streampca/internal/stream"
 	"streampca/internal/syncctl"
@@ -132,24 +131,13 @@ func (r *wireRouter) Process(port int, msg stream.Message, emit stream.Emit) {
 func (r *wireRouter) Flush(stream.Emit) {}
 
 // wireLaneFrames sizes a wire send node's queue in frames: enough to keep
-// the edge busy through one socket stall. The budget is 32 kernel blocks'
-// worth of tuples — the engine-side unit of work the lane must be able to
-// feed without draining — converted to frames at the packer's batch width
-// and clamped to [4, 64]. At the measured reference point (d=400, batch=32,
-// block 16) this reproduces the 16-frame floor the hardcoded heuristic used.
-func wireLaneFrames(engCfg core.Config, batch int) int {
-	c := engCfg.BlockSize
-	if c <= 0 {
-		c = mat.BlockSize(engCfg.Dim, engCfg.Components+engCfg.Extra, 16)
-	}
-	frames := (32*c + batch - 1) / batch
-	if frames < 4 {
-		frames = 4
-	}
-	if frames > 64 {
-		frames = 64
-	}
-	return frames
+// the edge busy through one socket stall, which is one kernel socket buffer
+// (wire.SockBufBytes) of frames at the packer's batch width, clamped to
+// [4, 64]. It depends on bytes only, not on the engine's chunk width: 6
+// frames at d=400 and batch 64, 11 at batch 32.
+func wireLaneFrames(dim, batch int) int {
+	frameBytes := batch * dim * 8
+	return min(max((wire.SockBufBytes+frameBytes-1)/frameBytes, 4), 64)
 }
 
 // wireQueues returns the coordinator's queue depths in messages: wireBuf for
@@ -162,13 +150,13 @@ func wireLaneFrames(engCfg core.Config, batch int) int {
 // round trip whenever the kernel buffer fills, and with a 2-deep queue that
 // stall backs up through the split and idles every other edge (and, on a
 // saturated host, the engines themselves). The floor that keeps each edge's
-// lane full across those stalls scales with how much work one engine absorbs
-// per kernel call, so it is derived from the block width rather than
+// lane full across those stalls is one socket buffer of frames
+// (wireLaneFrames), so it scales with the frame size rather than being
 // hardcoded. The router and the send operators also carry the control plane
 // over droppable loop edges; their queues must additionally not be so
 // shallow that data backpressure squeezes every snapshot out.
 func wireQueues(p *plan) (wireBuf, syncBuf int) {
-	lane := wireLaneFrames(p.Engine, p.batch)
+	lane := wireLaneFrames(p.Engine.Dim, p.batch)
 	wireBuf = max(p.nodeBuf, lane)
 	return wireBuf, max(wireBuf, 2*lane)
 }

@@ -25,6 +25,8 @@ import (
 // Source yields the input stream: each call returns the next observation
 // (vec required; mask nil for complete vectors) and ok=false when the
 // stream is exhausted. Implementations are called from a single goroutine.
+// The pipeline copies each row into its frame before it calls again, so a
+// source may hand out the same vec and mask storage on every call.
 type Source func() (vec []float64, mask []bool, ok bool)
 
 // Config assembles a parallel streaming-PCA application.

@@ -10,9 +10,9 @@ import (
 	"math"
 	"net"
 	"sync"
-	"unsafe"
 
 	"streampca/internal/core"
+	"streampca/internal/ingest"
 	"streampca/internal/stream"
 )
 
@@ -64,25 +64,9 @@ const (
 	maxRecv    = 1 << 16
 )
 
-// hostLE reports whether this host stores float64 little-endian, enabling
-// the zero-copy reinterpretation paths; big-endian hosts take the portable
-// conversion loops.
-var hostLE = binary.NativeEndian.Uint16([]byte{0x34, 0x12}) == 0x1234
-
-// floatBytes reinterprets a float64 slice as its in-memory byte view. Only
-// meaningful as wire format on little-endian hosts (callers guard on
-// hostLE).
-//
-//streampca:noalloc
-func floatBytes(f []float64) []byte {
-	if len(f) == 0 {
-		return nil
-	}
-	return unsafe.Slice((*byte)(unsafe.Pointer(&f[0])), len(f)*8)
-}
-
 // putFloatsLE writes src into dst as little-endian float64 bytes — the
-// portable (big-endian host) encode path.
+// encode path for frames not sent as zero-copy views (big-endian hosts,
+// masked frames, single-write mode).
 //
 //streampca:noalloc
 func putFloatsLE(dst []byte, src []float64) {
@@ -448,7 +432,7 @@ func (e *Encoder) assembleFrame(f stream.Frame) error {
 		flags |= flagMask
 		payload += floats
 	}
-	if hostLE && !e.single && !masked {
+	if ingest.HostLE && !e.single && !masked {
 		// Zero-copy fast path: header+prefix plus each tuple's float
 		// storage viewed in place, gathered into the batch's writev. Each
 		// byte view stays inside its own vector's allocation (a slice
@@ -469,7 +453,7 @@ func (e *Encoder) assembleFrame(f stream.Frame) error {
 		}
 		e.span(off, headerLen+preLen)
 		for i := range f.Tuples {
-			e.view(floatBytes(f.Tuples[i].Vec))
+			e.view(ingest.FloatBytes(f.Tuples[i].Vec))
 		}
 		return nil
 	}
@@ -715,7 +699,7 @@ func NewDecoder(r io.Reader, pool *RecvPool, maxPayload int) *Decoder {
 		maxPayload = MaxPayload
 	}
 	// The reader buffer is deliberately small: dense-frame floats bypass it
-	// (readFloatsInto drains the buffer, then ReadFulls straight into the
+	// (ingest.ReadFloatsLE drains the buffer, then ReadFulls straight into the
 	// pooled store), so any byte the buffer slurps ahead of a frame payload
 	// is copied twice. 4 KiB amortises header and control-plane reads while
 	// keeping that double-copied fraction a few percent of a frame.
@@ -868,9 +852,9 @@ func (d *Decoder) decodeFrame(flags byte, n int) (stream.Message, error) {
 		// contiguous buffer (one ReadFull, no conversion on LE hosts).
 		rs := rp.get()
 		dst := rs.buf[:floats]
-		if err := d.readFloatsInto(dst); err != nil {
+		if err := ingest.ReadFloatsLE(d.br, dst); err != nil {
 			rp.put(rs)
-			return nil, err
+			return nil, fmt.Errorf("wire: reading frame payload: %w", err)
 		}
 		rs.tuples = rs.tuples[:0]
 		for i := 0; i < count; i++ {
@@ -912,33 +896,6 @@ func (d *Decoder) decodeFrame(flags byte, n int) (stream.Message, error) {
 		}
 	}
 	return stream.Frame{Seq: baseSeq, Tuples: tuples, Trace: trace}, nil
-}
-
-// readFloatsInto fills dst straight from the stream: a single ReadFull
-// into the buffer's byte view on little-endian hosts, a bounded conversion
-// loop elsewhere.
-func (d *Decoder) readFloatsInto(dst []float64) error {
-	if hostLE {
-		_, err := io.ReadFull(d.br, floatBytes(dst))
-		if err != nil {
-			return fmt.Errorf("wire: reading frame payload: %w", err)
-		}
-		return nil
-	}
-	const chunk = 1 << 11 // floats per conversion step
-	for len(dst) > 0 {
-		c := len(dst)
-		if c > chunk {
-			c = chunk
-		}
-		p, err := d.readPayload(c * 8)
-		if err != nil {
-			return err
-		}
-		getFloatsLE(dst[:c], p)
-		dst = dst[c:]
-	}
-	return nil
 }
 
 func (d *Decoder) decodeControl(n int) (stream.Message, error) {

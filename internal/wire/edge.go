@@ -423,10 +423,10 @@ func (e *Edge) repair() error {
 	}
 }
 
-// sockBufBytes is the kernel send/receive buffer size requested for edge
-// connections: ten d=400 frames instead of the ~2 the platform default
-// holds.
-const sockBufBytes = 1 << 20
+// SockBufBytes is the kernel send/receive buffer size requested for edge
+// connections: ten 32-row d=400 frames instead of the ~2 the platform
+// default holds. A coordinator's send lane queues as many bytes again.
+const SockBufBytes = 1 << 20
 
 // tuneConn widens the kernel socket buffers on real TCP connections. When
 // coordinator and workers time-slice one core, the writer can only burst
@@ -436,8 +436,8 @@ const sockBufBytes = 1 << 20
 // around them) just keep their defaults.
 func tuneConn(c net.Conn) {
 	if tc, ok := c.(*net.TCPConn); ok {
-		tc.SetReadBuffer(sockBufBytes)
-		tc.SetWriteBuffer(sockBufBytes)
+		tc.SetReadBuffer(SockBufBytes)
+		tc.SetWriteBuffer(SockBufBytes)
 	}
 }
 
