@@ -44,9 +44,10 @@ lint-json:
 
 # Tier 2: the wire layer against real TCP sockets under the race detector —
 # loopback edges, reconnect chaos, and the multi-process harness tests that
-# re-exec the test binary as worker processes.
+# re-exec the test binary as worker processes — plus the fault injector,
+# which drops and duplicates pooled frames.
 test-wire:
-	$(GO) test -race -count=1 ./internal/wire ./internal/pipeline
+	$(GO) test -race -count=1 ./internal/wire ./internal/pipeline ./internal/fault
 
 # Fuzz seed-corpus replay under the race detector: plain `go test` replays
 # committed corpora without -race, so a corpus input that trips a data race

@@ -193,8 +193,8 @@ type (
 	WireListener = wire.Listener
 	// WireHello is the connection-opening handshake frame.
 	WireHello = wire.Hello
-	// WireConnPlan injects deterministic connection faults (resets,
-	// partitions, frame drops) into an edge, via DistConfig.Chaos.
+	// WireConnPlan injects deterministic connection faults (per-message
+	// resets and dial partitions) into an edge, via DistConfig.Chaos.
 	WireConnPlan = wire.ConnPlan
 )
 

@@ -10,13 +10,13 @@ import (
 
 // WireKind enforces exhaustiveness of switch statements over the wire
 // protocol's message Kind type. Decoders and routers that switch on Kind are
-// the protocol's dispatch points; when a new kind is added (KindSnapshotDelta
-// in PR 8 was the ninth), a switch that silently falls through to a default —
-// or worse, to nothing — drops frames without an error, the one failure mode
-// a loss-free transport must not have. Every constant of the Kind type must
-// appear as a case, even when a default exists: the default is for hostile
-// input, not for kinds the build already knows about. A deliberately partial
-// switch takes a //streamvet:ignore with its justification.
+// the protocol's dispatch points; when a new kind is added (the clock and
+// obs-report kinds came after the first eight), a switch that silently falls
+// through to a default — or worse, to nothing — drops frames without an
+// error, the one failure mode a loss-free transport must not have. Every
+// Kind constant must appear as a case, even when a default exists: the
+// default is for hostile input, not for kinds the build already knows about.
+// A deliberately partial switch takes a //streamvet:ignore with its reason.
 var WireKind = &Analyzer{
 	Name: "wirekind",
 	Doc:  "require switches over the wire message Kind type to enumerate every Kind constant",

@@ -14,6 +14,7 @@ package fault
 import (
 	"fmt"
 	"math/rand/v2"
+	"slices"
 	"strings"
 
 	"streampca/internal/stream"
@@ -149,6 +150,11 @@ func (in *Injector) record(seq int64, k Kind) {
 
 // Tap implements stream.Tap: one PRNG roll decides this message's fate,
 // then any held messages whose bounded delay expired are appended.
+//
+// The injector keeps pooled frames single-owner. It releases a frame it
+// drops, and it duplicates a frame with a Release by forwarding the frame
+// itself once and a deep copy with a nil Release once, so each delivery has
+// exactly one owner and the pool sees exactly one Release.
 func (in *Injector) Tap(msg stream.Message) ([]stream.Message, int) {
 	seq := in.seq
 	in.seq++
@@ -160,9 +166,16 @@ func (in *Injector) Tap(msg stream.Message) ([]stream.Message, int) {
 	case u < p.Drop:
 		in.record(seq, Drop)
 		dropped = 1
+		if f, ok := msg.(stream.Frame); ok && f.Release != nil {
+			f.Release()
+		}
 	case u < p.Drop+p.Duplicate:
 		in.record(seq, Duplicate)
-		out = append(out, msg, msg)
+		dup := msg
+		if f, ok := msg.(stream.Frame); ok && f.Release != nil {
+			dup = cloneFrame(f)
+		}
+		out = append(out, msg, dup)
 	case u < p.Drop+p.Duplicate+p.Delay:
 		in.record(seq, Delay)
 		d := 1
@@ -201,6 +214,15 @@ func (in *Injector) Tap(msg stream.Message) ([]stream.Message, int) {
 		in.held = rest
 	}
 	return out, dropped
+}
+
+// cloneFrame deep-copies f's tuples into fresh storage with a nil Release.
+func cloneFrame(f stream.Frame) stream.Frame {
+	tuples := make([]stream.Tuple, len(f.Tuples))
+	for i, t := range f.Tuples {
+		tuples[i] = stream.Tuple{Seq: t.Seq, Vec: slices.Clone(t.Vec), Mask: slices.Clone(t.Mask)}
+	}
+	return stream.Frame{Seq: f.Seq, Tuples: tuples, Trace: f.Trace}
 }
 
 // Drain implements stream.Tap: it releases everything still held so

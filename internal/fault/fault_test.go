@@ -2,6 +2,8 @@ package fault
 
 import (
 	"context"
+	"math"
+	"slices"
 	"testing"
 
 	"streampca/internal/stream"
@@ -213,9 +215,81 @@ func TestInjectedDropsVisibleInGraphMetrics(t *testing.T) {
 	}
 }
 
+// pooledFrame builds a two-row frame holding a mask, whose Release counts
+// its calls in released[seq].
+func pooledFrame(seq int64, released map[int64]int) stream.Frame {
+	return stream.Frame{
+		Seq: seq,
+		Tuples: []stream.Tuple{
+			{Seq: seq, Vec: []float64{1, 2, 3}},
+			{Seq: seq + 1, Vec: []float64{4, math.NaN(), 6}, Mask: []bool{true, false, true}},
+		},
+		Trace:   stream.Trace{Origin: 1, IngestNs: seq + 100},
+		Release: func() { released[seq]++ },
+	}
+}
+
+// TestInjectorDuplicateOwnsItsCopy pins the ownership rule that lets chaos
+// runs keep the frame pool: a duplicated pooled frame goes out once as
+// itself and once as a deep copy with no Release, a dropped one is released
+// by the injector, and held ones are left to their eventual consumer.
+func TestInjectorDuplicateOwnsItsCopy(t *testing.T) {
+	released := map[int64]int{}
+	in := NewInjector(Plan{Seed: 1, Duplicate: 1})
+	f := pooledFrame(10, released)
+	out, _ := in.Tap(f)
+	if len(out) != 2 {
+		t.Fatalf("duplicate forwarded %d messages, want 2", len(out))
+	}
+	a, b := out[0].(stream.Frame), out[1].(stream.Frame)
+	if (a.Release == nil) == (b.Release == nil) {
+		t.Fatal("want exactly one of the two duplicates to carry the Release")
+	}
+	if a.Seq != b.Seq || a.Trace != b.Trace || len(a.Tuples) != len(b.Tuples) {
+		t.Fatalf("duplicates differ: %+v vs %+v", a, b)
+	}
+	for i := range a.Tuples {
+		ta, tb := a.Tuples[i], b.Tuples[i]
+		if ta.Seq != tb.Seq || !slices.EqualFunc(ta.Vec, tb.Vec, func(x, y float64) bool {
+			return x == y || math.IsNaN(x) && math.IsNaN(y)
+		}) || !slices.Equal(ta.Mask, tb.Mask) || (ta.Mask == nil) != (tb.Mask == nil) {
+			t.Fatalf("tuple %d differs between duplicates", i)
+		}
+		if &ta.Vec[0] == &tb.Vec[0] || ta.Mask != nil && &ta.Mask[0] == &tb.Mask[0] {
+			t.Fatalf("tuple %d: duplicates share storage", i)
+		}
+	}
+	if released[10] != 0 {
+		t.Fatal("the injector released a frame it forwarded")
+	}
+
+	in = NewInjector(Plan{Seed: 1, Drop: 1})
+	if out, d := in.Tap(pooledFrame(20, released)); len(out) != 0 || d != 1 {
+		t.Fatalf("drop forwarded %d, dropped %d", len(out), d)
+	}
+	if released[20] != 1 {
+		t.Fatalf("dropped frame released %d times, want 1", released[20])
+	}
+
+	for _, plan := range []Plan{{Seed: 1, Delay: 1, MaxDelay: 3}, {Seed: 1, Reorder: 1}} {
+		in = NewInjector(plan)
+		for seq := int64(30); seq < 40; seq++ {
+			in.Tap(pooledFrame(seq, released))
+		}
+		in.Drain()
+		for seq := int64(30); seq < 40; seq++ {
+			if released[seq] != 0 {
+				t.Fatalf("%+v: the injector released held frame %d", plan, seq)
+			}
+		}
+	}
+}
+
 // FuzzInjector hammers the injector with arbitrary plans and message
 // counts, asserting it never panics, never loses messages (conservation),
-// and stays deterministic.
+// stays deterministic, and keeps every pooled frame single-owner: each
+// frame's Release is either called once by the injector (a drop) or rides
+// exactly one forwarded message.
 func FuzzInjector(f *testing.F) {
 	f.Add(uint64(1), 0.1, 0.05, 0.08, 0.07, 5, 500)
 	f.Add(uint64(99), 0.0, 0.0, 0.0, 0.0, 0, 10)
@@ -250,15 +324,27 @@ func FuzzInjector(f *testing.F) {
 			Reorder: reorder, MaxDelay: maxDelay}
 		run := func() (int, int, string) {
 			in := NewInjector(plan)
+			released, owners := map[int64]int{}, map[int64]int{}
 			forwarded, droppedN := 0, 0
-			for i := 0; i < n; i++ {
-				out, d := in.Tap(i)
+			count := func(out []stream.Message, d int) {
 				forwarded += len(out)
 				droppedN += d
+				for _, m := range out {
+					if f := m.(stream.Frame); f.Release != nil {
+						owners[f.Seq]++
+					}
+				}
 			}
-			out, d := in.Drain()
-			forwarded += len(out)
-			droppedN += d
+			for i := 0; i < n; i++ {
+				count(in.Tap(pooledFrame(int64(i), released)))
+			}
+			count(in.Drain())
+			for i := int64(0); i < int64(n); i++ {
+				if released[i] > 1 || owners[i] > 1 || released[i]+owners[i] != 1 {
+					t.Fatalf("frame %d: released %d times by the injector, forwarded with its Release %d times",
+						i, released[i], owners[i])
+				}
+			}
 			return forwarded + droppedN - int(in.Count(Duplicate)), droppedN, in.Log()
 		}
 		total1, _, log1 := run()

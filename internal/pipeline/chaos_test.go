@@ -100,10 +100,9 @@ func TestChaosCrashWithoutRestart(t *testing.T) {
 
 // TestChaosBatchedTransport: fault injection composes with micro-batched
 // transport. Injectors act on whole frames — a dropped frame loses its whole
-// batch, a duplicated one replays it — the pool stays disabled so duplicated
-// frames never share recycled storage, and a crashed engine still recovers
-// from its checkpoint. PanicAfter counts messages, so the crash point is
-// expressed in frames here, not tuples.
+// batch, a duplicated one replays it from its own copy — and a crashed
+// engine still recovers from its checkpoint. PanicAfter counts messages, so
+// the crash point is expressed in frames here, not tuples.
 func TestChaosBatchedTransport(t *testing.T) {
 	const batch = 16
 	run := func() *Result {
@@ -191,11 +190,9 @@ func TestChaosBatchedTransport(t *testing.T) {
 	}
 }
 
-// TestChaosBatchedGappyDuplication: gappy frames under duplication. A
-// duplicated frame shares its backing storage with the original, so this only
-// works because the engine patches gaps in its own workspace and never
-// writes a caller's row; the replays must show up as extra processed tuples
-// and the run must still converge, deterministically.
+// TestChaosBatchedGappyDuplication: gappy frames under duplication and
+// reordering. The replays must show up as extra processed tuples and the run
+// must still converge, deterministically.
 func TestChaosBatchedGappyDuplication(t *testing.T) {
 	var truth *mat.Dense
 	run := func() *Result {
@@ -238,6 +235,53 @@ func TestChaosBatchedGappyDuplication(t *testing.T) {
 	}
 	if again := run(); again.FaultLog != res.FaultLog {
 		t.Fatal("same-seed gappy chaos runs produced different fault logs")
+	}
+}
+
+// TestChaosDuplicatedFramesArePooled: chaos runs keep the frame pool, so
+// duplication must hand each delivery its own owner. With every gappy frame
+// duplicated on every edge, each engine absorbs exactly twice what it absorbs
+// in the same run without faults; a duplicate sharing the original's pooled
+// store would see it recycled and refilled under its feet (the race detector
+// flags it too).
+func TestChaosDuplicatedFramesArePooled(t *testing.T) {
+	const engines = 3
+	for _, batch := range []int{16, 64} {
+		run := func(chaos *ChaosConfig) *Result {
+			gen, err := spectra.NewGenerator(spectra.GeneratorConfig{
+				Grid: spectra.SDSSGrid(120), Rank: 3, Seed: 4, GapRate: 0.3, NoiseSigma: 0.02,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			cfg := engineConfig(120, 3, 500)
+			cfg.Extra = 2
+			res, err := Run(context.Background(), Config{
+				Engine:     cfg,
+				NumEngines: engines,
+				Source:     spectraSource(gen, 4000),
+				Batch:      batch,
+				FlushEvery: time.Hour, // full frames only: identical splits in both runs
+				Seed:       3,
+				Chaos:      chaos,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			return res
+		}
+		clean := run(nil)
+		plans := map[int]fault.Plan{}
+		for i := range engines {
+			plans[i] = fault.Plan{Seed: uint64(40 + i), Duplicate: 1}
+		}
+		dup := run(&ChaosConfig{Edge: plans})
+		for i := range engines {
+			c, d := clean.Engines[i].Processed, dup.Engines[i].Processed
+			if c == 0 || d != 2*c {
+				t.Fatalf("batch %d engine %d: processed %d under duplication, want 2×%d", batch, i, d, c)
+			}
+		}
 	}
 }
 

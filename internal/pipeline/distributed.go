@@ -64,8 +64,9 @@ type DistConfig struct {
 	Retry ingest.RetryPolicy
 	// DialTimeout bounds one dial attempt per edge.
 	DialTimeout time.Duration
-	// Chaos maps an engine index to a connection fault plan on its edge —
-	// the wire analogue of ChaosConfig.Edge.
+	// Chaos maps an engine index to a connection fault plan on its edge:
+	// seeded per-message resets and dial partitions. Message-level faults
+	// stay in-process, on ChaosConfig.Edge.
 	Chaos map[int]*wire.ConnPlan
 	// Obs, when non-nil, instruments the coordinator graph and journals
 	// wire connect/down/EOS events.
@@ -280,12 +281,7 @@ func RunCoordinator(ctx context.Context, cfg DistConfig) (*Result, error) {
 		return at, at, nil
 	}
 
-	// The frame pool is safe here even under chaos: the wire fault layer
-	// duplicates encoded bytes, never the frame store, and the send
-	// operator releases each frame exactly once after Encode.
-	res, err := p.run(ctx, lanes{
-		pooled: true, splitBuf: wireBuf, barrierEvery: cfg.BarrierEvery, attach: attach,
-	})
+	res, err := p.run(ctx, lanes{splitBuf: wireBuf, barrierEvery: cfg.BarrierEvery, attach: attach})
 	if err != nil {
 		return nil, err
 	}

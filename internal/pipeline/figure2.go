@@ -73,9 +73,6 @@ type port struct {
 // lanes is what differs between the two deployments of the graph: how the N
 // engine lanes hang between the split and the sink.
 type lanes struct {
-	// pooled recycles frame stores between the source and the lanes'
-	// consumers.
-	pooled bool
 	// splitBuf is the split's queue depth in messages.
 	splitBuf int
 	// barrierEvery, when positive, weaves a checkpoint barrier into the data
@@ -93,10 +90,6 @@ type lanes struct {
 // exhausted and every engine has reported, and assembles the Result.
 func (p *plan) run(ctx context.Context, ln lanes) (*Result, error) {
 	n, dim := p.NumEngines, p.Engine.Dim
-	store := func() *frameStore { return newFrameStore(dim, p.batch) }
-	if ln.pooled {
-		store = newFramePool(dim, p.batch).get
-	}
 	// The controller exists before the lanes do: they report engine
 	// failures and link loss to it so sync plans exclude unreachable engines.
 	var ctl *syncctl.Controller
@@ -113,7 +106,7 @@ func (p *plan) run(ctx context.Context, ln lanes) (*Result, error) {
 	g := stream.NewGraph()
 	var tuplesIn int64
 	src := g.AddSource("source", sourceFunc(p.Source, dim, p.batch, p.FlushEvery,
-		store, &tuplesIn, ln.barrierEvery))
+		newFramePool(dim, p.batch).get, &tuplesIn, ln.barrierEvery))
 	split := g.Add("split", &stream.Split{N: n, Policy: p.Split, Seed: p.Seed},
 		stream.WithBuffer(ln.splitBuf))
 	if err := g.Connect(src, 0, split, 0); err != nil {

@@ -293,10 +293,7 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 		return control, results, nil
 	}
 
-	// Frame stores are pooled between the source and the engines unless a
-	// chaos plan is active (injectors may duplicate messages, which breaks the
-	// single-consumer ownership the pool relies on — see framePool).
-	res, err := p.run(ctx, lanes{pooled: chaos == nil, splitBuf: p.nodeBuf, attach: attach})
+	res, err := p.run(ctx, lanes{splitBuf: p.nodeBuf, attach: attach})
 	if err != nil {
 		return nil, err
 	}

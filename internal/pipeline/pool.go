@@ -12,8 +12,7 @@ import (
 // cache-friendly for the engine's block path), a lazily allocated mask buffer
 // for gappy streams, and the tuple headers themselves. Copying every row in
 // also frees sources to reuse their own scratch between calls. release, set
-// once when a pool creates the store, is the frame's Release; it is nil for
-// unpooled stores.
+// once when the pool creates the store, is the frame's Release.
 type frameStore struct {
 	dim     int
 	buf     []float64
@@ -70,11 +69,11 @@ func (fs *frameStore) maskSlot(i int) []bool {
 	return fs.masks[i*fs.dim : (i+1)*fs.dim : (i+1)*fs.dim]
 }
 
-// framePool recycles frame stores between the source and the engines: the
-// receiving engine calls Frame.Release exactly once when done, returning the
-// whole store. Disabled under chaos: fault injectors may duplicate a frame,
-// and two deliveries sharing one store would let the first engine's release
-// recycle storage the duplicate still reads.
+// framePool recycles frame stores between the source and the engines (or the
+// wire send edges): the final consumer calls Frame.Release exactly once when
+// done, returning the whole store. Every run pools, chaos runs included: a
+// fault injector releases the frames it drops and duplicates a pooled frame
+// as an unpooled deep copy, so no store ever has two owners.
 type framePool struct {
 	pool sync.Pool
 }

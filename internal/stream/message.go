@@ -57,8 +57,8 @@ type Trace struct {
 // Release is non-nil the consumer must call it exactly once when finished
 // with the frame and every slice reachable from it — the transport recycles
 // the backing storage. A nil Release means the frame is garbage-collected
-// ordinarily (the route used under fault injection, where duplication breaks
-// single-consumer ownership).
+// ordinarily: a decoder allocated it (a masked or oversized wire frame), or
+// a fault injector made it as the deep copy of a duplicated frame.
 type Frame struct {
 	// Seq is the sequence number of the first tuple in the frame.
 	Seq int64

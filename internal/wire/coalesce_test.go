@@ -57,8 +57,7 @@ func TestCoalesceOfOneMatchesEncode(t *testing.T) {
 
 // TestCoalescedBatchMatchesConcatenation: a multi-message batch flushed as
 // one writev must produce exactly the concatenation of the per-message
-// encodings — including the snapshot-delta chain, which must evolve
-// identically whether snapshots flush one at a time or gathered.
+// encodings.
 func TestCoalescedBatchMatchesConcatenation(t *testing.T) {
 	msgs := coalesceMessages()
 	var sequential bytes.Buffer
@@ -120,34 +119,6 @@ func TestCoalescedFlushMergesArenaRuns(t *testing.T) {
 		if _, err := dec.Decode(); err != nil {
 			t.Fatalf("decode message %d: %v", i, err)
 		}
-	}
-}
-
-// TestSingleModeWritesPerMessage: in single-write mode (chaos), Append
-// writes immediately — one Write per assembled message — and Flush is a
-// no-op, preserving the fault injector's one-write-one-message contract.
-func TestSingleModeWritesPerMessage(t *testing.T) {
-	w := &countingWriter{}
-	enc := NewEncoder(w, true)
-	msgs := []stream.Message{
-		stream.Control{Round: 1, Sender: 0},
-		stream.Barrier{Epoch: 1},
-		EOS{},
-	}
-	for i, m := range msgs {
-		if err := enc.Append(m); err != nil {
-			t.Fatalf("append %T: %v", m, err)
-		}
-		if w.writes != i+1 {
-			t.Fatalf("after message %d: %d writes, want %d", i, w.writes, i+1)
-		}
-	}
-	before := w.writes
-	if err := enc.Flush(); err != nil {
-		t.Fatalf("flush: %v", err)
-	}
-	if w.writes != before {
-		t.Fatal("single-mode Flush performed a write")
 	}
 }
 

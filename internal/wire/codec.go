@@ -66,7 +66,7 @@ const (
 
 // putFloatsLE writes src into dst as little-endian float64 bytes — the
 // encode path for frames not sent as zero-copy views (big-endian hosts,
-// masked frames, single-write mode).
+// masked frames).
 //
 //streampca:noalloc
 func putFloatsLE(dst []byte, src []float64) {
@@ -142,13 +142,6 @@ func putHeader(dst []byte, kind Kind, flags byte, payloadLen int) {
 //     coalescing changes write granularity, never layout.
 type Encoder struct {
 	w io.Writer
-	// single forces every message into its own Write call(s) (header and
-	// payload assembled contiguously) instead of the gathered writev fast
-	// path. Fault conns need it: their per-write fault rolls assume one
-	// write == one whole frame, the same reason transport pools switch off
-	// under chaos. It also disables snapshot deltas — an injector that
-	// drops or reorders whole messages would desync the delta chain.
-	single bool
 	// arena holds every assembled header/payload byte of the pending
 	// batch; parts index into it rather than aliasing it, so arena growth
 	// mid-batch never invalidates an earlier part.
@@ -165,10 +158,6 @@ type Encoder struct {
 	// valid on error too: the sender uses it to resolve a torn writev to
 	// whole delivered messages.
 	lastFlushed int
-	// deltas is the per-sender snapshot base state (see delta.go), nil
-	// until the first snapshot; deltaBuf is the delta encode scratch.
-	deltas   map[int]*deltaStream
-	deltaBuf []byte
 }
 
 // encPart is one gather segment of the pending batch: a span of the arena
@@ -178,10 +167,11 @@ type encPart struct {
 	off, n int
 }
 
-// NewEncoder returns an encoder writing to w. single selects the
-// one-write-per-message mode required when w rolls faults per write.
-func NewEncoder(w io.Writer, single bool) *Encoder {
-	return &Encoder{w: w, single: single}
+// NewEncoder returns an encoder writing to w. The bool is ignored: it once
+// selected a one-write-per-message mode, and stays only so existing callers
+// compile.
+func NewEncoder(w io.Writer, _ bool) *Encoder {
+	return &Encoder{w: w}
 }
 
 // reserve appends an n-byte span to the arena and returns its offset.
@@ -211,39 +201,31 @@ func (e *Encoder) view(b []byte) {
 // be a *core.Eigensystem), stream.Barrier, Hello, EngineReport, ClockProbe,
 // ClockEcho, ObsReport and EOS.
 // Anything else is an error, and on error the batch is exactly as it was
-// before the call. Nothing reaches the writer until Flush — except in
-// single-write mode, where each assembled span is written immediately and
-// Flush is a no-op. Zero-copy frame views stay referenced until Flush
-// returns, so callers must not release a frame store before then.
+// before the call. Nothing reaches the writer until Flush. Zero-copy frame
+// views stay referenced until Flush returns, so callers must not release a
+// frame store before then.
 func (e *Encoder) Append(msg stream.Message) error {
-	pmark, amark := len(e.parts), len(e.arena)
+	m := e.mark()
 	if err := e.assemble(msg); err != nil {
-		e.parts = e.parts[:pmark]
-		e.arena = e.arena[:amark]
+		e.rewind(m)
 		return err
 	}
-	if !e.single {
-		return nil
-	}
-	var err error
-	for _, p := range e.parts[pmark:] {
-		// Single mode never assembles ext parts (assembleFrame guards on
-		// it), so every part is an arena span.
-		b := e.arena[p.off : p.off+p.n]
-		if _, err = e.w.Write(b); err != nil {
-			break
-		}
-		e.wrote += int64(len(b))
-		e.writes++
-	}
-	e.parts = e.parts[:pmark]
-	e.arena = e.arena[:amark]
-	return err
+	return nil
+}
+
+// encMark is a position in the pending batch.
+type encMark struct{ parts, arena int }
+
+func (e *Encoder) mark() encMark { return encMark{len(e.parts), len(e.arena)} }
+
+// rewind drops everything appended since m from the pending batch.
+func (e *Encoder) rewind(m encMark) {
+	e.parts = e.parts[:m.parts]
+	e.arena = e.arena[:m.arena]
 }
 
 // Flush writes the pending batch as one gathered writev and resets the
-// assembly state. A no-op when nothing is pending (and always in
-// single-write mode, where Append already wrote). A flush error tears the
+// assembly state. A no-op when nothing is pending. A flush error tears the
 // connection — callers re-assemble on a fresh encoder after reconnecting —
 // so the pending state is discarded either way.
 func (e *Encoder) Flush() error {
@@ -432,7 +414,7 @@ func (e *Encoder) assembleFrame(f stream.Frame) error {
 		flags |= flagMask
 		payload += floats
 	}
-	if ingest.HostLE && !e.single && !masked {
+	if ingest.HostLE && !masked {
 		// Zero-copy fast path: header+prefix plus each tuple's float
 		// storage viewed in place, gathered into the batch's writev. Each
 		// byte view stays inside its own vector's allocation (a slice
@@ -509,23 +491,6 @@ func (e *Encoder) assembleControl(c stream.Control) error {
 	return nil
 }
 
-// deltaState returns (creating on first use) the snapshot base state for
-// sender from, or nil when deltas are disabled on this encoder.
-func (e *Encoder) deltaState(from int) *deltaStream {
-	if e.single {
-		return nil
-	}
-	if e.deltas == nil {
-		e.deltas = make(map[int]*deltaStream)
-	}
-	st := e.deltas[from]
-	if st == nil {
-		st = &deltaStream{}
-		e.deltas[from] = st
-	}
-	return st
-}
-
 func (e *Encoder) assembleSnapshot(s stream.Snapshot) error {
 	es, ok := s.State.(*core.Eigensystem)
 	if !ok || es == nil {
@@ -536,27 +501,6 @@ func (e *Encoder) assembleSnapshot(s stream.Snapshot) error {
 		return err
 	}
 	full := e.snap.Bytes()
-	st := e.deltaState(s.From)
-	if st != nil && st.gen > 0 && len(st.full) == len(full) && len(full)%8 == 0 {
-		if cap(e.deltaBuf) < len(full)+16 {
-			e.deltaBuf = make([]byte, len(full)+16)
-		}
-		if dn := deltaInto(e.deltaBuf[:len(full)+16], st.full, full); dn >= 0 {
-			payload := snapDeltaHeadLen + dn
-			off := e.reserve(headerLen + payload)
-			buf := e.arena[off:]
-			putHeader(buf, KindSnapshotDelta, 0, payload)
-			binary.LittleEndian.PutUint64(buf[8:], uint64(s.Round))
-			binary.LittleEndian.PutUint32(buf[16:], uint32(int32(s.From)))
-			binary.LittleEndian.PutUint32(buf[20:], uint32(int32(s.To)))
-			binary.LittleEndian.PutUint32(buf[24:], st.gen)
-			binary.LittleEndian.PutUint32(buf[28:], uint32(len(full)))
-			copy(buf[32:], e.deltaBuf[:dn])
-			e.span(off, headerLen+payload)
-			st.advance(full)
-			return nil
-		}
-	}
 	payload := 16 + len(full)
 	if payload > MaxPayload {
 		return fmt.Errorf("wire: snapshot payload %d exceeds MaxPayload", payload)
@@ -569,9 +513,6 @@ func (e *Encoder) assembleSnapshot(s stream.Snapshot) error {
 	binary.LittleEndian.PutUint32(buf[20:], uint32(int32(s.To)))
 	copy(buf[24:], full)
 	e.span(off, headerLen+payload)
-	if st != nil {
-		st.advance(full)
-	}
 	return nil
 }
 
@@ -685,10 +626,6 @@ type Decoder struct {
 	scratch []byte
 	pool    *RecvPool
 	max     int
-	// deltas is the per-sender snapshot base state mirrored from the
-	// encoder (see delta.go): every decoded snapshot, full or delta,
-	// advances the sender's generation and replaces its base bytes.
-	deltas map[int]*deltaStream
 }
 
 // NewDecoder returns a decoder reading from r, recycling dense frames via
@@ -765,8 +702,6 @@ func (d *Decoder) Decode() (stream.Message, error) {
 		return d.decodeControl(n)
 	case KindSnapshot:
 		return d.decodeSnapshot(n)
-	case KindSnapshotDelta:
-		return d.decodeSnapshotDelta(n)
 	case KindReport:
 		return d.decodeReport(flags, n)
 	case KindClockProbe:
@@ -923,20 +858,6 @@ func (d *Decoder) decodeControl(n int) (stream.Message, error) {
 	return c, nil
 }
 
-// deltaState returns (creating on first use) the snapshot base state for
-// sender from.
-func (d *Decoder) deltaState(from int) *deltaStream {
-	if d.deltas == nil {
-		d.deltas = make(map[int]*deltaStream)
-	}
-	st := d.deltas[from]
-	if st == nil {
-		st = &deltaStream{}
-		d.deltas[from] = st
-	}
-	return st
-}
-
 func (d *Decoder) decodeSnapshot(n int) (stream.Message, error) {
 	if n < 16 {
 		return nil, fmt.Errorf("wire: snapshot payload %d too short", n)
@@ -949,49 +870,9 @@ func (d *Decoder) decodeSnapshot(n int) (stream.Message, error) {
 	if err != nil {
 		return nil, fmt.Errorf("wire: snapshot eigensystem: %w", err)
 	}
-	from := int(int32(binary.LittleEndian.Uint32(p[8:])))
-	d.deltaState(from).advance(p[16:])
 	return stream.Snapshot{
 		Round: int64(binary.LittleEndian.Uint64(p[0:])),
-		From:  from,
-		To:    int(int32(binary.LittleEndian.Uint32(p[12:]))),
-		State: es,
-	}, nil
-}
-
-// decodeSnapshotDelta reconstructs a snapshot from its XOR delta against
-// the sender's base state. Same hostile-input posture as every other
-// decode path: the base-state checks reject a delta whose claimed base
-// generation or length does not match what this connection actually
-// carried, so a lying header can neither force an allocation nor make
-// applyDeltaInPlace touch bytes outside the established base.
-func (d *Decoder) decodeSnapshotDelta(n int) (stream.Message, error) {
-	if n < snapDeltaHeadLen {
-		return nil, fmt.Errorf("wire: snapshot delta payload %d too short", n)
-	}
-	p, err := d.readPayload(n)
-	if err != nil {
-		return nil, err
-	}
-	from := int(int32(binary.LittleEndian.Uint32(p[8:])))
-	baseGen := binary.LittleEndian.Uint32(p[16:])
-	fullLen := int(binary.LittleEndian.Uint32(p[20:]))
-	st := d.deltas[from]
-	if st == nil || st.gen == 0 || st.gen != baseGen ||
-		len(st.full) != fullLen || fullLen%8 != 0 {
-		return nil, errDeltaNoBase
-	}
-	if err := applyDeltaInPlace(st.full, p[snapDeltaHeadLen:]); err != nil {
-		return nil, err
-	}
-	es, err := core.ReadEigensystem(bytes.NewReader(st.full))
-	if err != nil {
-		return nil, fmt.Errorf("wire: snapshot delta eigensystem: %w", err)
-	}
-	st.gen++
-	return stream.Snapshot{
-		Round: int64(binary.LittleEndian.Uint64(p[0:])),
-		From:  from,
+		From:  int(int32(binary.LittleEndian.Uint32(p[8:]))),
 		To:    int(int32(binary.LittleEndian.Uint32(p[12:]))),
 		State: es,
 	}, nil

@@ -363,6 +363,11 @@ func TestDecodeRejectsAdversarialHeaders(t *testing.T) {
 		// (seq, dim=1, reserved, one float).
 		"retired kind 2": {magicByte, Version, 2, 0, 24, 0, 0, 0,
 			7, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0xF0, 0x3F},
+		// A well-formed XOR-delta snapshot in the retired kind-9 layout
+		// (round, from, to, base generation 1, one-word base, then one
+		// unchanged-run record).
+		"retired kind 9": {magicByte, Version, 9, 0, 26, 0, 0, 0,
+			1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 1, 0, 0, 0, 8, 0, 0, 0, 0x80, 0x01},
 		"oversize claim":  {magicByte, Version, byte(KindFrame), 0, 0xFF, 0xFF, 0xFF, 0x7F},
 		"eos with bytes":  {magicByte, Version, byte(KindEOS), 0, 4, 0, 0, 0},
 		"short hello":     {magicByte, Version, byte(KindHello), 0, 3, 0, 0, 0, 1, 2, 3},
@@ -407,7 +412,7 @@ func TestDecoderBoundedAllocation(t *testing.T) {
 
 func TestDecoderStreamsMultipleMessages(t *testing.T) {
 	var buf bytes.Buffer
-	enc := NewEncoder(&buf, true) // single-write mode, same bytes
+	enc := NewEncoder(&buf, false)
 	msgs := []stream.Message{
 		Hello{Engine: 0, Dim: 3, Batch: 4, Epoch: 1},
 		contiguousFrame(0, 4, 3),

@@ -3,39 +3,32 @@ package wire
 import (
 	"errors"
 	"math/rand/v2"
-	"net"
 	"sync"
 	"time"
-
-	"streampca/internal/fault"
 )
 
-// ConnPlan is the fault profile for one remote edge's connections —
-// internal/fault extended to the failure modes only real sockets have. The
-// message-level faults reuse fault.Plan verbatim (the injector treats each
-// whole encoded frame as one message, which is why chaos encoders run in
-// single-write mode); Reset and Partition add connection-level chaos. All
-// randomness is seeded; only partition windows touch the wall clock.
+// ConnPlan is the fault profile for one remote edge's connections: the
+// failure modes only real sockets have. Resets are rolled per message inside
+// the edge's ordinary gathered writev, so chaos runs the same frame pool,
+// zero-copy views and coalescing as clean runs. All randomness is seeded;
+// only partition windows touch the wall clock.
 type ConnPlan struct {
-	// Frames injects per-message drop/duplicate/delay/reorder on writes.
-	Frames fault.Plan
-	// Reset is the per-write probability the connection is torn down
-	// (write fails, both halves see the close, the edge reconnects).
+	// Reset is the per-message probability the connection is torn down
+	// before that message is written: the messages ahead of it in the batch
+	// go out, the socket closes, and the rest are retransmitted after the
+	// edge reconnects.
 	Reset float64
 	// Partition is the per-dial probability a partition window opens:
 	// every dial fails until the window elapses.
 	Partition float64
 	// PartitionFor is the partition window length (default 150 ms).
 	PartitionFor time.Duration
-	// Seed drives the reset/partition rolls (Frames has its own seed).
+	// Seed drives the reset/partition rolls.
 	Seed uint64
 }
 
 // Validate checks the probabilities.
 func (p ConnPlan) Validate() error {
-	if err := p.Frames.Validate(); err != nil {
-		return err
-	}
 	if p.Reset < 0 || p.Reset > 1 || p.Partition < 0 || p.Partition > 1 {
 		return errors.New("wire: Reset and Partition must be probabilities")
 	}
@@ -50,14 +43,13 @@ var ErrInjectedReset = errors.New("wire: injected connection reset")
 var errPartitioned = errors.New("wire: injected network partition")
 
 // connChaos is the seeded fault state shared by every connection of one
-// edge: the frame injector, the reset/partition PRNG and the partition
-// window survive reconnects, so the schedule is one deterministic sequence
-// per edge rather than restarting with each new socket.
+// edge: the reset/partition PRNG and the partition window survive
+// reconnects, so the schedule is one deterministic sequence per edge rather
+// than restarting with each new socket.
 type connChaos struct {
 	plan ConnPlan
 
 	mu             sync.Mutex
-	inj            *fault.Injector
 	rng            *rand.Rand
 	partitionUntil time.Time
 	resets         int64
@@ -73,7 +65,6 @@ func newConnChaos(plan ConnPlan) *connChaos {
 	}
 	return &connChaos{
 		plan: plan,
-		inj:  fault.NewInjector(plan.Frames),
 		rng:  rand.New(rand.NewPCG(plan.Seed, 0x5e7e)),
 	}
 }
@@ -95,6 +86,18 @@ func (cc *connChaos) dialGate() error {
 	return nil
 }
 
+// resetRoll rolls the reset schedule for one message about to be written
+// and reports whether the connection must be torn down ahead of it.
+func (cc *connChaos) resetRoll() bool {
+	cc.mu.Lock()
+	defer cc.mu.Unlock()
+	if cc.plan.Reset > 0 && cc.rng.Float64() < cc.plan.Reset {
+		cc.resets++
+		return true
+	}
+	return false
+}
+
 // Resets and Partitions report how many connection-level faults fired.
 func (cc *connChaos) Resets() int64 {
 	cc.mu.Lock()
@@ -106,56 +109,4 @@ func (cc *connChaos) Partitions() int64 {
 	cc.mu.Lock()
 	defer cc.mu.Unlock()
 	return cc.partitions
-}
-
-// wrap dresses one freshly established connection in the fault layer.
-func (cc *connChaos) wrap(c net.Conn) net.Conn {
-	return &faultConn{Conn: c, cc: cc}
-}
-
-// faultConn wraps a net.Conn with write-side fault injection. Each Write
-// must carry exactly one encoded wire message (edges guarantee it via the
-// encoder's single-write mode): the injector then drops, duplicates,
-// delays or reorders whole frames, and the reset roll tears the socket
-// down mid-stream. Reads pass through untouched — a frame dropped by the
-// writer is indistinguishable from one dropped before the reader.
-type faultConn struct {
-	net.Conn
-	cc *connChaos
-}
-
-func (c *faultConn) Write(p []byte) (int, error) {
-	cc := c.cc
-	cc.mu.Lock()
-	if cc.plan.Reset > 0 && cc.rng.Float64() < cc.plan.Reset {
-		cc.resets++
-		cc.mu.Unlock()
-		c.Conn.Close()
-		return 0, ErrInjectedReset
-	}
-	// The injector may hold the bytes past this call (delay/reorder), and
-	// the encoder reuses its scratch buffer — copy first. Chaos paths may
-	// allocate; only the clean path is allocation free.
-	owned := make([]byte, len(p))
-	copy(owned, p)
-	out, _ := cc.inj.Tap(owned)
-	cc.mu.Unlock()
-	for _, m := range out {
-		b, ok := m.([]byte)
-		if !ok {
-			continue
-		}
-		if _, err := c.Conn.Write(b); err != nil {
-			return 0, err
-		}
-	}
-	return len(p), nil
-}
-
-// Close closes the socket. Frames the injector still holds under a
-// logical delay stay held — in-flight bytes on a torn connection are lost,
-// and the shared chaos state may release them onto the next connection,
-// which is exactly a retransmit-after-reconnect arriving late.
-func (c *faultConn) Close() error {
-	return c.Conn.Close()
 }

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -36,7 +37,8 @@ type EdgeOptions struct {
 	Retry ingest.RetryPolicy
 	// DialTimeout bounds one dial attempt (default 2 s). Dial side only.
 	DialTimeout time.Duration
-	// Chaos, when non-nil, injects connection faults (dial side only).
+	// Chaos, when non-nil, injects seeded connection faults: resets rolled
+	// per sent message, and partitions on the dial side.
 	Chaos *ConnPlan
 	// Obs, when non-nil, journals connect/drop/EOS events and publishes
 	// the edge's syscall-amortization gauges.
@@ -353,9 +355,9 @@ func (e *Edge) link(after int) (net.Conn, *Encoder, *Decoder, int, error) {
 }
 
 // repair establishes the next connection generation: dial (with backoff
-// and chaos gates) or accept, then the hello handshake. The handshake runs
-// on the raw conn — chaos wraps only the steady-state writes, so injected
-// faults cannot wedge connection establishment itself.
+// and partition gates) or accept, then the hello handshake. Resets are
+// rolled only for steady-state messages, so injected faults cannot wedge
+// connection establishment itself.
 func (e *Edge) repair() error {
 	e.mu.Lock()
 	stale := e.conn
@@ -390,13 +392,10 @@ func (e *Edge) repair() error {
 			continue
 		}
 		wire := c
-		if e.chaos != nil {
-			wire = e.chaos.wrap(c)
-		}
 		if e.testWrapConn != nil {
-			wire = e.testWrapConn(wire)
+			wire = e.testWrapConn(c)
 		}
-		enc := NewEncoder(wire, e.chaos != nil)
+		enc := NewEncoder(wire, false)
 		dec := NewDecoder(c, e.pool, 0)
 		e.mu.Lock()
 		if e.closed {
@@ -432,8 +431,8 @@ const SockBufBytes = 1 << 20
 // coordinator and workers time-slice one core, the writer can only burst
 // until the socket buffer fills before the kernel forces a switch to the
 // reader; deeper buffers mean one switch drains a whole lane of frames
-// rather than two. Non-TCP conns (in-memory test pipes, chaos wrappers
-// around them) just keep their defaults.
+// rather than two. Non-TCP conns (in-memory test pipes) just keep their
+// defaults.
 func tuneConn(c net.Conn) {
 	if tc, ok := c.(*net.TCPConn); ok {
 		tc.SetReadBuffer(SockBufBytes)
@@ -554,16 +553,6 @@ func (e *Edge) lane(n int) int {
 		return defaultLane
 	}
 	return n
-}
-
-// isTransport reports whether err is a connection failure worth a
-// reconnect, as opposed to an assembly error worth abandoning one message.
-// Transport errors surface as net.Error (*net.OpError wraps
-// EPIPE/ECONNRESET), net.ErrClosed, or an injected reset.
-func isTransport(err error) bool {
-	var ne net.Error
-	return errors.Is(err, ErrInjectedReset) || errors.As(err, &ne) ||
-		errors.Is(err, net.ErrClosed)
 }
 
 // markSent counts one delivered message and recycles its frame storage.
@@ -817,18 +806,14 @@ func (s *edgeSender) syncWireStats(enc *Encoder, gen int) {
 func (s *edgeSender) deliver(batch []stream.Message) bool {
 	e := s.e
 	for {
-		_, enc, _, gen, err := e.link(s.after)
+		c, enc, _, gen, err := e.link(s.after)
 		if err != nil {
 			for _, m := range batch {
 				e.abandonMsg(m)
 			}
 			return false
 		}
-		if enc.single {
-			batch, err = s.deliverSingle(enc, batch)
-		} else {
-			batch, err = s.deliverGathered(enc, batch)
-		}
+		batch, err = s.deliverGathered(c, enc, batch)
 		s.syncWireStats(enc, gen)
 		if err == nil {
 			return true
@@ -838,43 +823,33 @@ func (s *edgeSender) deliver(batch []stream.Message) bool {
 	}
 }
 
-// deliverSingle writes messages one Write each — the chaos-compatible path
-// where the fault injector's one-write-one-message contract must hold. On
-// a transport error it returns the unsent remainder for retransmission.
-func (s *edgeSender) deliverSingle(enc *Encoder, batch []stream.Message) ([]stream.Message, error) {
-	e := s.e
-	for len(batch) > 0 {
-		err := enc.Append(batch[0]) // single mode: Append writes immediately
-		if err == nil {
-			e.markSent(batch[0])
-			batch = batch[1:]
-			continue
-		}
-		if !isTransport(err) {
-			e.abandonMsg(batch[0])
-			batch = batch[1:]
-			continue
-		}
-		return batch, err
-	}
-	return nil, nil
-}
-
-// deliverGathered assembles the whole batch into the encoder and flushes
-// it with one gathered writev. On a transport error it uses the flushed
-// byte count to mark the fully delivered prefix sent and returns the rest
-// for retransmission on a fresh connection — the peer's decoder tears at
-// the torn tail, so resending the first incomplete message from its start
+// deliverGathered assembles the batch into the encoder and flushes it with
+// one gathered writev. On a transport error it uses the flushed byte count
+// to mark the fully delivered prefix sent and returns the rest for
+// retransmission on a fresh connection — the peer's decoder tears at the
+// torn tail, so resending the first incomplete message from its start
 // neither duplicates nor loses anything.
-func (s *edgeSender) deliverGathered(enc *Encoder, batch []stream.Message) ([]stream.Message, error) {
+//
+// Under chaos every assembled message rolls the edge's reset schedule
+// first. The first roll that fires cuts the batch there: the messages ahead
+// of it are flushed, the socket c is closed, and that message and the rest
+// are returned with ErrInjectedReset for the same retransmission.
+func (s *edgeSender) deliverGathered(c net.Conn, enc *Encoder, batch []stream.Message) ([]stream.Message, error) {
 	e := s.e
 	sizes := s.sizes[:0]
 	kept := batch[:0]
+	var unsent []stream.Message
 	prev := 0
-	for _, m := range batch {
+	for i, m := range batch {
+		at := enc.mark()
 		if err := enc.Append(m); err != nil {
 			e.abandonMsg(m)
 			continue
+		}
+		if e.chaos != nil && e.chaos.resetRoll() {
+			enc.rewind(at)
+			unsent = batch[i:]
+			break
 		}
 		now := enc.pendingBytes()
 		sizes = append(sizes, now-prev)
@@ -882,24 +857,23 @@ func (s *edgeSender) deliverGathered(enc *Encoder, batch []stream.Message) ([]st
 		kept = append(kept, m)
 	}
 	s.sizes = sizes
-	batch = kept
-	if len(batch) == 0 {
-		return nil, nil
-	}
 	if err := enc.Flush(); err != nil {
-		flushed := enc.lastFlushed
-		done := 0
-		for done < len(batch) && flushed >= sizes[done] {
+		flushed, done := enc.lastFlushed, 0
+		for done < len(kept) && flushed >= sizes[done] {
 			flushed -= sizes[done]
 			done++
 		}
-		for _, m := range batch[:done] {
+		for _, m := range kept[:done] {
 			e.markSent(m)
 		}
-		return batch[done:], err
+		return slices.Concat(kept[done:], unsent), err
 	}
-	for _, m := range batch {
+	for _, m := range kept {
 		e.markSent(m)
+	}
+	if unsent != nil {
+		c.Close()
+		return unsent, ErrInjectedReset
 	}
 	return nil, nil
 }

@@ -9,7 +9,6 @@ import (
 	"testing"
 	"time"
 
-	"streampca/internal/fault"
 	"streampca/internal/ingest"
 	"streampca/internal/obs"
 	"streampca/internal/stream"
@@ -207,6 +206,98 @@ func TestEdgeSurvivesInjectedResets(t *testing.T) {
 	}
 }
 
+// TestEdgeResetRollsPerMessageInsideBatch pins the per-message reset
+// schedule of the gathered sender: every message rolls once, in send order,
+// whatever batch it was coalesced into. The seed is chosen so the schedule
+// fires exactly once, at frame j in the middle of a corked burst: frames
+// 0..j-1 must reach the peer on the first connection, and frame j onward
+// after the reconnect, each exactly once.
+func TestEdgeResetRollsPerMessageInsideBatch(t *testing.T) {
+	const frames, batch, reset = 8, 4, 0.1
+	// Rolls 0..frames+1 cover the first pass up to the firing frame j and the
+	// retransmitted frames j..frames-1 plus EOS.
+	var plan ConnPlan
+	j := -1
+	for seed := uint64(1); j < 0; seed++ {
+		probe := newConnChaos(ConnPlan{Reset: reset, Seed: seed})
+		fired := []int{}
+		for r := 0; r < frames+2; r++ {
+			if probe.resetRoll() {
+				fired = append(fired, r)
+			}
+		}
+		if len(fired) == 1 && fired[0] >= 2 && fired[0] <= frames-2 {
+			plan, j = ConnPlan{Reset: reset, Seed: seed}, fired[0]
+		}
+	}
+
+	var atDown atomic.Int64
+	atDown.Store(-1)
+	var worker *Edge
+	ln, err := ListenEdge("127.0.0.1:0", EdgeOptions{
+		Name: "accept", Hello: Hello{Engine: 1, Epoch: 1}, Dim: 3, Batch: batch, Retry: fastRetry,
+		// The receive loop decodes the first connection to its end before it
+		// notes the link down, so this reads what that connection carried.
+		OnState: func(up bool) {
+			if !up {
+				atDown.CompareAndSwap(-1, worker.Stats().FramesRecv)
+			}
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	worker = ln.Edge()
+	defer worker.Close()
+	dial := DialEdge(ln.Addr().String(), EdgeOptions{
+		Name:  "dial",
+		Hello: Hello{Engine: -1, Dim: 3, Batch: batch, Epoch: 1},
+		Retry: fastRetry,
+		Cork:  100 * time.Millisecond,
+		Chaos: &plan,
+	})
+	defer dial.Close()
+
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	wait, _ := runSource(ctx, worker)
+	op := dial.Operator()
+	for i := 0; i < frames; i++ {
+		op.Process(0, contiguousFrame(int64(i*batch), batch, 3), nil)
+	}
+	op.Flush(nil)
+	got, err := wait()
+	if err != nil {
+		t.Fatalf("source: %v", err)
+	}
+
+	var seqs []int64
+	for _, m := range got {
+		if f, ok := m.(stream.Frame); ok {
+			seqs = append(seqs, f.Seq)
+		}
+	}
+	if len(seqs) != frames {
+		t.Fatalf("peer received frames %v, want %d frames each exactly once", seqs, frames)
+	}
+	for i, s := range seqs {
+		if s != int64(i*batch) {
+			t.Fatalf("peer received frames %v, want seq %d at %d", seqs, i*batch, i)
+		}
+	}
+	if n := atDown.Load(); n != int64(j) {
+		t.Fatalf("first connection carried %d frames, want the %d ahead of the firing roll", n, j)
+	}
+	ds, ws := dial.Stats(), worker.Stats()
+	if ds.FramesSent != frames || ws.FramesRecv != frames {
+		t.Fatalf("frames sent/recv = %d/%d, want %d/%d", ds.FramesSent, ws.FramesRecv, frames, frames)
+	}
+	if ds.Resets != 1 || ds.Reconnects != 1 || ds.Abandoned != 0 {
+		t.Fatalf("resets/reconnects/abandoned = %d/%d/%d, want 1/1/0", ds.Resets, ds.Reconnects, ds.Abandoned)
+	}
+}
+
 func TestEdgeDialExhaustionDropsNotWedges(t *testing.T) {
 	// Nothing listens here; the dial side must give up after MaxAttempts and
 	// then drop (count) every message instead of blocking the graph.
@@ -300,58 +391,6 @@ func TestEdgeCloseUnblocksAcceptSide(t *testing.T) {
 	case <-done:
 	case <-time.After(5 * time.Second):
 		t.Fatal("accept-side source did not unblock on context cancel")
-	}
-}
-
-func TestEdgeFrameFaultsDropWholeMessages(t *testing.T) {
-	// Message-level drops via the fault injector: some frames vanish, but
-	// the byte stream stays parseable (whole messages only) and EOS arrives.
-	ln, err := ListenEdge("127.0.0.1:0", EdgeOptions{
-		Name: "accept", Hello: Hello{Engine: 1, Epoch: 1}, Dim: 2, Batch: 2, Retry: fastRetry,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ln.Close()
-	worker := ln.Edge()
-	defer worker.Close()
-	dial := DialEdge(ln.Addr().String(), EdgeOptions{
-		Name:  "dial",
-		Hello: Hello{Engine: -1, Epoch: 1},
-		Retry: fastRetry,
-		Chaos: &ConnPlan{Frames: fault.Plan{Drop: 0.3, Seed: 5}},
-	})
-	defer dial.Close()
-
-	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-	defer cancel()
-	wait, tups := runSource(ctx, worker)
-	op := dial.Operator()
-	const frames = 100
-	for i := 0; i < frames; i++ {
-		op.Process(0, contiguousFrame(int64(i*2), 2, 2), nil)
-	}
-	// The EOS write itself can be dropped by the injector; retry until the
-	// reader finishes (real runs layer EOS on Flush + connection close).
-	fin := make(chan struct{})
-	go func() {
-		defer close(fin)
-		if _, err := wait(); err != nil {
-			t.Errorf("source: %v", err)
-		}
-	}()
-	for {
-		op.Flush(nil)
-		select {
-		case <-fin:
-		case <-time.After(50 * time.Millisecond):
-			continue
-		}
-		break
-	}
-	recv := atomic.LoadInt64(tups)
-	if recv == 0 || recv >= frames*2 {
-		t.Fatalf("received %d tuples of %d sent; want some but not all with Drop=0.3", recv, frames*2)
 	}
 }
 

@@ -13,7 +13,7 @@ import (
 func encodeAll(t testing.TB, msgs ...stream.Message) []byte {
 	t.Helper()
 	var buf bytes.Buffer
-	enc := NewEncoder(&buf, true)
+	enc := NewEncoder(&buf, false)
 	for _, m := range msgs {
 		if err := enc.Encode(m); err != nil {
 			t.Fatalf("seed encode %T: %v", m, err)
@@ -22,9 +22,8 @@ func encodeAll(t testing.TB, msgs ...stream.Message) []byte {
 	return buf.Bytes()
 }
 
-// encodeCoalesced serializes msgs through the gathered Append/Flush path —
-// bit-identical to encodeAll for most kinds, but it exercises the delta
-// chain: consecutive same-sender snapshots come out as KindSnapshotDelta.
+// encodeCoalesced serializes msgs through the gathered Append/Flush path,
+// one writev for the whole batch.
 func encodeCoalesced(t testing.TB, msgs ...stream.Message) []byte {
 	t.Helper()
 	var buf bytes.Buffer
@@ -38,18 +37,6 @@ func encodeCoalesced(t testing.TB, msgs ...stream.Message) []byte {
 		t.Fatalf("seed flush: %v", err)
 	}
 	return buf.Bytes()
-}
-
-// perturbedSnapshots yields n same-sender snapshots with tiny drift — the
-// shape that produces a full snapshot followed by deltas on the wire.
-func perturbedSnapshots(n int) []stream.Message {
-	es := testEigensystem(6, 2)
-	msgs := make([]stream.Message, 0, n)
-	for round := 0; round < n; round++ {
-		msgs = append(msgs, stream.Snapshot{Round: int64(round), From: 1, To: 0, State: es})
-		es = perturb(es, 1e-9)
-	}
-	return msgs
 }
 
 // FuzzFrameCodec drives the full decoder with adversarial bytes. The
@@ -82,21 +69,18 @@ func FuzzFrameCodec(f *testing.F) {
 	binary.LittleEndian.PutUint32(shapeLie[headerLen+8:], 1<<19)
 	binary.LittleEndian.PutUint32(shapeLie[headerLen+12:], 1<<20)
 	f.Add(shapeLie)
-	// Coalesced-path seeds: a gathered mixed batch, and a snapshot chain
-	// whose second and third messages are KindSnapshotDelta.
+	// A coalesced-path seed: a gathered mixed batch.
 	f.Add(encodeCoalesced(f, contiguousFrame(0, 4, 3), stream.Control{Round: 1, Sender: 0},
 		contiguousFrame(4, 4, 3), stream.Barrier{Epoch: 1}, EOS{}))
+	// Retired kind 9 (XOR-delta snapshots): a same-sender snapshot run, the
+	// traffic deltas once compressed, now full snapshots; a hostile kind-9
+	// header, rejected as an unknown kind; and a snapshot run with a
+	// corrupted tail. The committed delta-* and snapshot-delta-chain corpus
+	// files are kind-9 streams from the delta era and must reject the same.
 	f.Add(encodeCoalesced(f, perturbedSnapshots(3)...))
-	// Hostile delta headers: a baseless delta, a delta claiming a huge base
-	// length, and a delta whose record stream is a malformed ctrl byte.
-	orphan := make([]byte, headerLen+snapDeltaHeadLen+2)
-	putHeader(orphan, KindSnapshotDelta, 0, snapDeltaHeadLen+2)
-	binary.LittleEndian.PutUint32(orphan[headerLen+16:], 1)
-	binary.LittleEndian.PutUint32(orphan[headerLen+20:], 0xFFFFFF8)
-	orphan[headerLen+snapDeltaHeadLen] = 0xC1
-	f.Add(orphan)
+	f.Add(retiredDelta(0, 0, 0, 1, 0xFFFFFF8, 0xC1, 0x01))
 	chain := encodeCoalesced(f, perturbedSnapshots(2)...)
-	chain[len(chain)-1] ^= 0xFF // corrupt the delta's record tail
+	chain[len(chain)-1] ^= 0xFF
 	f.Add(chain)
 
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -146,7 +130,8 @@ func FuzzSyncMessage(f *testing.F) {
 	es := testEigensystem(5, 2)
 	f.Add(encodeAll(f, stream.Control{Round: 3, Sender: 1, Receivers: []int{0, 2, 3}}))
 	f.Add(encodeAll(f, stream.Snapshot{Round: 4, From: 2, To: 0, State: es}))
-	f.Add(encodeCoalesced(f, perturbedSnapshots(4)...))
+	f.Add(encodeCoalesced(f, stream.Snapshot{Round: 4, From: 2, To: 0, State: es},
+		stream.Snapshot{Round: 4, From: 0, To: 2, State: testEigensystem(5, 2)}))
 	f.Add(encodeAll(f, EngineReport{Engine: 1, Processed: 10, ResumedFromCheckpoint: true, Final: es}))
 	f.Add(encodeAll(f, EngineReport{Engine: 0}))
 	// Telemetry-plane kinds: a clock probe/echo pair and an obs report whose

@@ -17,9 +17,11 @@
 //     channel edge used to be. Edges reconnect with seeded exponential
 //     backoff, keep tuple-weighted metrics across reconnects, and journal
 //     connect/drop/EOS evidence via internal/obs;
-//   - a fault-injecting net.Conn wrapper (conn.go) reusing internal/fault
-//     so the chaos suite runs unchanged against real sockets: message
-//     drop/duplicate/delay plus connection resets and timed partitions.
+//   - seeded connection faults (conn.go): per-message connection resets
+//     rolled inside the same gathered writev clean runs use, and timed
+//     partitions that fail every dial while open. Message-level drop,
+//     duplicate, delay and reorder live in internal/fault, on in-process
+//     edges.
 //
 // The wire protocol never trusts the peer: every decode path validates
 // shapes against hard caps and grows buffers only as bytes actually arrive,
@@ -65,11 +67,9 @@ const (
 	// KindEOS is the clean end-of-stream frame; the peer stops reading
 	// after it.
 	KindEOS
-	// KindSnapshotDelta carries an eigensystem as an XOR delta against the
-	// previous snapshot this connection carried for the same sender (see
-	// delta.go). Falls back to KindSnapshot on reconnect, shape change or
-	// drift.
-	KindSnapshotDelta
+	// Value 9 is reserved (it once carried an XOR-delta snapshot); decoders
+	// reject it as an unknown kind.
+	_
 	// KindClockProbe is a worker's NTP-style clock sample request: the
 	// worker's wall clock at transmit time, echoed back by the coordinator
 	// as a KindClockEcho (clock.go).
