@@ -11,7 +11,7 @@ test:
 	$(GO) test ./...
 
 # Static gates: formatting, go vet, and the streamvet analyzer suite — all
-# ten analyzers over every internal/ and cmd/ package — with the compiler
+# nine analyzers over every internal/ and cmd/ package — with the compiler
 # escape cross-check over the //streampca:noalloc hot path, the
 # unused-directive audit, and the committed suppression budget (see
 # internal/analysis and the "Static guarantees" section of DESIGN.md).

@@ -85,7 +85,6 @@ func All() []*Analyzer {
 		Framelife,
 		AtomicMix,
 		BlockingLock,
-		SPSCRole,
 		WireKind,
 	}
 }

@@ -6,7 +6,7 @@ import (
 )
 
 // AtomicMix enforces two memory-model contracts the lock-free layers (edge
-// stats, SPSC rings, obs instruments) depend on:
+// stats, obs instruments) depend on:
 //
 //  1. A struct field accessed through sync/atomic functions anywhere in the
 //     package must never be read or written plainly — a mixed access is a

@@ -1,7 +1,6 @@
 package analysis
 
 import (
-	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -16,32 +15,6 @@ func TestAtomicMixGolden(t *testing.T) {
 
 func TestBlockingLockGolden(t *testing.T) {
 	runGolden(t, "blockinglock", "golden.test/blockinglock", []*Analyzer{BlockingLock})
-}
-
-func TestSPSCRoleGolden(t *testing.T) {
-	runGolden(t, "spscrole", "golden.test/internal/wire", []*Analyzer{SPSCRole})
-}
-
-// TestSPSCRoleMatch checks the package gate: the same fixture loaded outside
-// internal/wire produces no diagnostics — roles are a wire-layer contract.
-func TestSPSCRoleMatch(t *testing.T) {
-	loader, err := NewLoader(moduleRoot)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pkg, err := loader.LoadDir(filepath.Join("testdata", "src", "spscrole"), "golden.test/other")
-	if err != nil {
-		t.Fatal(err)
-	}
-	diags, err := Run([]*Package{pkg}, []*Analyzer{SPSCRole})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, d := range diags {
-		if d.Analyzer == "spscrole" {
-			t.Errorf("spscrole fired outside internal/wire: %s", d)
-		}
-	}
 }
 
 func TestWireKindGolden(t *testing.T) {

@@ -142,7 +142,7 @@ func wireLaneFrames(dim, batch int) int {
 }
 
 // wireQueues returns the coordinator's queue depths in messages: wireBuf for
-// the split and each edge's send ring, syncBuf for the nodes that also carry
+// the split and each edge's send queue, syncBuf for the nodes that also carry
 // the control plane.
 //
 // The in-process queue heuristic (nodeBuf, as shallow as 2 frames) is tuned
@@ -191,7 +191,7 @@ func edgeOptions(p *plan, cfg *DistConfig, i, sendLane int) wire.EdgeOptions {
 		DialTimeout: cfg.DialTimeout,
 		Chaos:       cfg.Chaos[i],
 		Obs:         p.Obs,
-		// The send ring is the coalescing bound; the caller matches it to
+		// The send queue is the coalescing bound; the caller matches it to
 		// the node queue so one writev can gather a full lane.
 		SendLane: sendLane,
 	}

@@ -48,11 +48,9 @@ type EdgeOptions struct {
 	// exclude an engine from sync planning while it is unreachable. Called
 	// from edge goroutines; must be safe for concurrent use.
 	OnState func(up bool)
-	// SendLane and RecvLane size the edge's send and receive rings in
-	// messages (default 16). The sender drains up to a full lane into one
-	// coalesced writev; the receiver decodes up to a full lane ahead of
-	// the consuming operator.
-	SendLane, RecvLane int
+	// SendLane sizes the edge's send queue in messages (default 16). The
+	// sender drains up to a full lane into one coalesced writev.
+	SendLane int
 	// Cork is the coalescing deadline: when a single message is pending
 	// and nothing is queued behind it, the sender holds the writev up to
 	// this long to pick up a following burst. 0 disables corking (a lone
@@ -74,7 +72,7 @@ type Edge struct {
 	wi    *obs.WireInstruments
 
 	// closedCh closes when the edge is Closed; it wakes the send loop out
-	// of its cork and empty-ring waits.
+	// of its cork and empty-queue waits.
 	closedCh chan struct{}
 
 	// echoCh hands clock echoes from the receive loop to the send loop:
@@ -492,17 +490,11 @@ func (e *Edge) establish() (net.Conn, int, error) {
 		if closed {
 			return nil, attempt, ErrEdgeClosed
 		}
+		lastErr = nil
 		if e.chaos != nil {
-			if err := e.chaos.dialGate(); err != nil {
-				lastErr = err
-			} else {
-				c, err := net.DialTimeout("tcp", e.addr, timeout)
-				if err == nil {
-					return c, attempt, nil
-				}
-				lastErr = err
-			}
-		} else {
+			lastErr = e.chaos.dialGate()
+		}
+		if lastErr == nil {
 			c, err := net.DialTimeout("tcp", e.addr, timeout)
 			if err == nil {
 				return c, attempt, nil
@@ -542,18 +534,11 @@ func (e *Edge) handshake(c net.Conn) (Hello, error) {
 	return parseHello(raw[:])
 }
 
-// defaultLane is the send/receive ring size (messages) when the options
-// leave it zero — also the coalescing bound: at most one lane of messages
-// is gathered into a single writev.
+// defaultLane is the receive queue depth and the send queue depth when
+// SendLane is zero (messages). On receive it lets decoding run up to a lane
+// ahead of the consuming operator; on send it is also the coalescing bound:
+// at most one lane of messages is gathered into a single writev.
 const defaultLane = 16
-
-// lane resolves a ring-size option to its effective value.
-func (e *Edge) lane(n int) int {
-	if n <= 0 {
-		return defaultLane
-	}
-	return n
-}
 
 // markSent counts one delivered message and recycles its frame storage.
 // The kernel copies writev payloads synchronously, so by the time a flush
@@ -591,60 +576,73 @@ func releaseFrame(msg stream.Message) {
 }
 
 // sendOp is the send half: a stream.Operator that hands every incoming
-// message to the edge's sender goroutine through an SPSC ring, so graph
-// processing and socket writes overlap. The sender coalesces a lane of
-// pending messages into one gathered writev, retransmits across
-// reconnects, and emits the wire EOS when Flush pushes it. Messages that
+// message to the edge's sender goroutine through a buffered channel, so
+// graph processing and socket writes overlap. The sender coalesces a lane
+// of pending messages into one gathered writev, retransmits across
+// reconnects, and emits the wire EOS when Flush queues it. Messages that
 // cannot be delivered after a terminal failure are counted and dropped —
 // for the data plane this is at-least-once with possible loss on
 // abandonment, for the droppable sync plane it is exactly the loop-edge
 // contract.
 type sendOp struct {
-	e    *Edge
-	ring *spscRing
+	e *Edge
+	q chan stream.Message
+	// done closes when the sender stops taking messages, before its final
+	// drain of q; exited closes once that drain has counted the remainder.
+	done, exited chan struct{}
 }
 
 // Operator returns the edge's send half and starts its sender goroutine.
 // One graph node per edge.
 func (e *Edge) Operator() stream.Operator {
-	s := &sendOp{e: e, ring: newSPSCRing(e.lane(e.opt.SendLane))}
-	go e.sendLoop(s.ring)
+	lane := e.opt.SendLane
+	if lane <= 0 {
+		lane = defaultLane
+	}
+	s := &sendOp{e: e, q: make(chan stream.Message, lane), done: make(chan struct{}), exited: make(chan struct{})}
+	go e.sendLoop(s)
 	return s
 }
 
-// Process implements stream.Operator: enqueue for the sender, or count the
-// message abandoned if the sender has already failed terminally. The graph
-// node goroutine is the send ring's single producer.
-//
-//streamvet:spsc producer
+// Process implements stream.Operator: queue for the sender, or count the
+// message abandoned if the sender has already stopped. A message queued
+// just as the sender stopped may have missed its final drain, so once done
+// is closed the producer drains the queue too: every message is counted
+// sent or abandoned exactly once, by whichever side takes it off the queue.
 func (s *sendOp) Process(_ int, msg stream.Message, _ stream.Emit) {
-	if !s.ring.push(msg) {
+	select {
+	case s.q <- msg:
+	case <-s.done:
 		s.e.abandonMsg(msg)
+		return
+	}
+	select {
+	case <-s.done:
+		s.e.drainAbandon(s.q)
+	default:
 	}
 }
 
-// Flush implements stream.Operator: it enqueues the wire EOS and waits for
-// the sender goroutine to finish delivering everything before it. Flush runs
-// on the same graph node goroutine as Process — the ring's producer.
-//
-//streamvet:spsc producer
+// Flush implements stream.Operator: it queues the wire EOS and waits for
+// the sender goroutine to finish delivering (or abandoning) everything
+// before it, so the edge's counters are final when Flush returns.
 func (s *sendOp) Flush(stream.Emit) {
-	if !s.ring.push(EOS{}) {
-		s.e.abandoned.Add(1)
-	}
-	<-s.ring.exited
+	s.Process(0, EOS{}, nil)
+	<-s.exited
 }
 
-// sendLoop is the edge's sender goroutine: it drains the ring in lanes,
+// sendLoop is the edge's sender goroutine: it drains the queue in lanes,
 // corks lone messages briefly to let a burst accumulate, and hands each
 // batch to the delivery state machine. It exits on EOS, terminal link
-// failure, or edge close — shutting the ring down so producers fail fast.
-//
-//streamvet:spsc consumer
-func (e *Edge) sendLoop(r *spscRing) {
+// failure, or edge close, closing done before it abandons what is left.
+func (e *Edge) sendLoop(s *sendOp) {
+	defer func() {
+		close(s.done)
+		e.drainAbandon(s.q)
+		close(s.exited)
+	}()
 	snd := &edgeSender{e: e}
-	lane := e.lane(e.opt.SendLane)
-	buf := make([]stream.Message, lane)
+	buf := make([]stream.Message, 0, cap(s.q))
 	var cork *time.Timer
 	defer func() {
 		if cork != nil {
@@ -653,67 +651,60 @@ func (e *Edge) sendLoop(r *spscRing) {
 	}()
 	for {
 		// Pending clock echo first: it is one tiny message, it never waits
-		// behind a saturated data ring, and answering promptly is what keeps
+		// behind a saturated data queue, and answering promptly is what keeps
 		// the peer's sampled RTT honest.
 		select {
 		case echo := <-e.echoCh:
 			if !snd.deliver([]stream.Message{echo}) {
-				e.drainAbandon(r)
 				return
 			}
 		default:
 		}
-		n := r.pop(buf)
-		if n == 0 {
-			select {
-			case <-r.notEmpty:
-				continue
-			case echo := <-e.echoCh:
-				if !snd.deliver([]stream.Message{echo}) {
-					e.drainAbandon(r)
-					return
-				}
-				continue
-			case <-e.closedCh:
-				e.drainAbandon(r)
+		select {
+		case m := <-s.q:
+			buf = append(buf[:0], m)
+		case echo := <-e.echoCh:
+			if !snd.deliver([]stream.Message{echo}) {
 				return
 			}
+			continue
+		case <-e.closedCh:
+			return
 		}
-		if n == 1 {
+		buf = takeQueued(s.q, buf)
+		if len(buf) == 1 {
 			if _, isEOS := buf[0].(EOS); !isEOS {
 				if d := e.opt.Cork; d > 0 {
-					n += e.corkWait(r, &cork, d, buf[1:])
+					buf = e.corkWait(s.q, &cork, d, buf)
 				}
 			}
 		}
-		batch := buf[:n]
-		_, eos := batch[n-1].(EOS)
-		if !snd.deliver(batch) {
-			e.drainAbandon(r)
-			return
-		}
-		if eos {
-			e.drainAbandon(r)
+		_, eos := buf[len(buf)-1].(EOS)
+		if !snd.deliver(buf) || eos {
 			return
 		}
 	}
 }
 
+// takeQueued appends what q holds, without blocking, until buf is a full
+// lane.
+func takeQueued(q chan stream.Message, buf []stream.Message) []stream.Message {
+	for len(buf) < cap(buf) {
+		select {
+		case m := <-q:
+			buf = append(buf, m)
+		default:
+			return buf
+		}
+	}
+	return buf
+}
+
 // corkWait holds a lone message for up to d waiting for followers, then
-// pops whatever arrived into rest and returns the count. A stall (deadline
-// expired, nothing arrived) is counted — it is the signal that the cork
-// deadline exceeds the producer's inter-message gap.
-func (e *Edge) corkWait(r *spscRing, cork **time.Timer, d time.Duration, rest []stream.Message) int {
-	// Clear any stale doorbell (the message we already popped rang it),
-	// then re-poll: a racing push between the clear and here is caught by
-	// the pop, and any later push rings the now-empty doorbell.
-	select {
-	case <-r.notEmpty:
-	default:
-	}
-	if n := r.pop(rest); n > 0 {
-		return n
-	}
+// takes whatever arrived. A stall (deadline expired, nothing arrived) is
+// counted — it is the signal that the cork deadline exceeds the producer's
+// inter-message gap.
+func (e *Edge) corkWait(q chan stream.Message, cork **time.Timer, d time.Duration, buf []stream.Message) []stream.Message {
 	if *cork == nil {
 		*cork = time.NewTimer(d)
 	} else {
@@ -721,7 +712,8 @@ func (e *Edge) corkWait(r *spscRing, cork **time.Timer, d time.Duration, rest []
 	}
 	fired := false
 	select {
-	case <-r.notEmpty:
+	case m := <-q:
+		buf = append(buf, m)
 	case <-(*cork).C:
 		fired = true
 	case <-e.closedCh:
@@ -729,11 +721,11 @@ func (e *Edge) corkWait(r *spscRing, cork **time.Timer, d time.Duration, rest []
 	if !fired && !(*cork).Stop() {
 		<-(*cork).C
 	}
-	n := r.pop(rest)
-	if n == 0 {
+	buf = takeQueued(q, buf)
+	if len(buf) == 1 {
 		e.corkStalls.Add(1)
 	}
-	return n
+	return buf
 }
 
 // offerEcho parks an echo for the send loop, displacing any staler one
@@ -753,11 +745,15 @@ func (e *Edge) offerEcho(echo ClockEcho) {
 	}
 }
 
-// drainAbandon shuts the ring down and counts everything still queued as
-// abandoned.
-func (e *Edge) drainAbandon(r *spscRing) {
-	for _, m := range r.shutdown() {
-		e.abandonMsg(m)
+// drainAbandon counts everything still queued on q as abandoned.
+func (e *Edge) drainAbandon(q chan stream.Message) {
+	for {
+		select {
+		case m := <-q:
+			e.abandonMsg(m)
+		default:
+			return
+		}
 	}
 }
 
@@ -878,78 +874,64 @@ func (s *edgeSender) deliverGathered(c net.Conn, enc *Encoder, batch []stream.Me
 	return nil, nil
 }
 
-// recvEnd is the receive loop's terminal sentinel: err is nil for a clean
-// EOS or edge close, non-nil for a hard failure.
-type recvEnd struct{ err error }
-
 // Source returns the edge's receive half: a stream.SourceFunc that decodes
 // messages until the peer's EOS, reconnecting on link loss. Decoding runs
-// in its own goroutine feeding an SPSC ring, so socket reads and payload
-// decodes overlap with downstream processing. route maps each message to
-// an output port (nil routes everything to port 0). The returned func
-// closes the edge when ctx is cancelled; it runs on the graph's source
-// goroutine, which is the recv ring's single consumer.
-//
-//streamvet:spsc consumer
+// in its own goroutine feeding a buffered channel, so socket reads and
+// payload decodes overlap with downstream processing. route maps each
+// message to an output port (nil routes everything to port 0). The
+// returned func closes the edge when ctx is cancelled.
 func (e *Edge) Source(route func(stream.Message) int) stream.SourceFunc {
 	return func(ctx context.Context, emit stream.Emit) error {
 		stop := context.AfterFunc(ctx, e.Close)
 		defer stop()
-		r := newSPSCRing(e.lane(e.opt.RecvLane))
-		done := make(chan struct{})
-		go e.recvLoop(r, done)
-		defer func() {
-			// Shut the ring so a blocked recvLoop push fails fast; frames it
-			// already decoded but we never emitted go back to the pool.
-			for _, m := range r.shutdown() {
+		q := make(chan stream.Message, defaultLane)
+		gone := make(chan struct{})
+		var end error
+		go func() {
+			end = e.recvLoop(q, gone)
+			close(q)
+			// Frames decoded but never emitted go back to the pool once the
+			// source has returned.
+			<-gone
+			for m := range q {
 				releaseFrame(m)
 			}
 		}()
-		buf := make([]stream.Message, e.lane(e.opt.RecvLane))
+		defer close(gone)
 		for {
-			n := r.pop(buf)
-			if n == 0 {
-				select {
-				case <-r.notEmpty:
-					continue
-				case <-ctx.Done():
-					return ctx.Err()
-				}
-			}
-			for _, msg := range buf[:n] {
-				if end, ok := msg.(recvEnd); ok {
-					if end.err != nil && ctx.Err() != nil {
-						return ctx.Err()
+			select {
+			case msg, ok := <-q:
+				if !ok {
+					if err := ctx.Err(); err != nil {
+						return err
 					}
-					return end.err
+					return end
 				}
 				port := 0
 				if route != nil {
 					port = route(msg)
 				}
 				emit(port, msg)
+			case <-ctx.Done():
+				return ctx.Err()
 			}
 		}
 	}
 }
 
 // recvLoop is the edge's receive goroutine: it owns the decoder and the
-// reconnect loop, counts what it decodes, and pushes messages into the
-// ring. It ends by pushing a recvEnd sentinel (clean for EOS or close) and
-// closing done. It is the recv ring's single producer.
-//
-//streamvet:spsc producer
-func (e *Edge) recvLoop(r *spscRing, done chan struct{}) {
-	defer close(done)
+// reconnect loop, counts what it decodes, and queues messages on q until
+// the peer's EOS, edge close (both nil), a hard failure (its error), or
+// the source going away.
+func (e *Edge) recvLoop(q chan<- stream.Message, gone <-chan struct{}) error {
 	after := 0
 	for {
 		_, _, dec, gen, err := e.link(after)
 		if err != nil {
 			if errors.Is(err, ErrEdgeClosed) {
-				err = nil
+				return nil
 			}
-			r.push(recvEnd{err: err})
-			return
+			return err
 		}
 		msg, err := dec.Decode()
 		if err != nil {
@@ -957,8 +939,7 @@ func (e *Edge) recvLoop(r *spscRing, done chan struct{}) {
 			closed := e.closed
 			e.mu.Unlock()
 			if closed {
-				r.push(recvEnd{})
-				return
+				return nil
 			}
 			e.noteDown(gen, false)
 			after = gen
@@ -967,8 +948,7 @@ func (e *Edge) recvLoop(r *spscRing, done chan struct{}) {
 		switch m := msg.(type) {
 		case EOS:
 			e.journal(obs.EvWireEOS, e.tuplesIn.Load(), 0)
-			r.push(recvEnd{})
-			return
+			return nil
 		case Hello:
 			// Mid-stream hello: the peer restarted its session.
 			e.mu.Lock()
@@ -988,10 +968,11 @@ func (e *Edge) recvLoop(r *spscRing, done chan struct{}) {
 			e.tuplesIn.Add(int64(len(m.Tuples)))
 		}
 		e.msgsIn.Add(1)
-		if !r.push(msg) {
-			// Consumer gone (ctx cancelled): recycle and stop reading.
+		select {
+		case q <- msg:
+		case <-gone:
 			releaseFrame(msg)
-			return
+			return nil
 		}
 	}
 }

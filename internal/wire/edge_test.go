@@ -3,7 +3,9 @@ package wire
 import (
 	"context"
 	"errors"
+	"math/rand"
 	"net"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -568,4 +570,121 @@ func TestEdgeAnswersClockProbeUnderLoad(t *testing.T) {
 	}
 	dial.Close()
 	dialWG.Wait()
+}
+
+// TestEdgeSendAccountsEveryMessageOnClose closes the send side at a seeded
+// random point while one goroutine is still queueing frames and then
+// flushing. Every frame must end up counted exactly once, sent or
+// abandoned, and the EOS at most once (abandoned when the close beat it):
+// a message queued just as the sender stopped may not be stranded.
+func TestEdgeSendAccountsEveryMessageOnClose(t *testing.T) {
+	const frames = 64
+	for seed := int64(1); seed <= 8; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		closeAt := rng.Intn(frames + 2)
+		ln, err := ListenEdge("127.0.0.1:0", EdgeOptions{Name: "accept", Dim: 3, Batch: 4, Retry: fastRetry})
+		if err != nil {
+			t.Fatal(err)
+		}
+		worker := ln.Edge()
+		dial := DialEdge(ln.Addr().String(), EdgeOptions{
+			Name: "dial", Hello: Hello{Engine: 0, Dim: 3, Batch: 4, Epoch: 1}, Retry: fastRetry, SendLane: 4,
+		})
+		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+		wait, _ := runSource(ctx, worker)
+
+		fire := make(chan struct{})
+		closed := make(chan struct{})
+		go func() {
+			defer close(closed)
+			<-fire
+			dial.Close()
+		}()
+		op := dial.Operator()
+		for i := 0; i < frames; i++ {
+			if i == closeAt {
+				close(fire)
+			}
+			op.Process(0, contiguousFrame(int64(i*4), 4, 3), nil)
+		}
+		if closeAt == frames {
+			close(fire)
+		}
+		op.Flush(nil)
+		st := dial.Stats()
+		if extra := st.FramesSent + st.Abandoned - frames; extra != 0 && extra != 1 {
+			t.Fatalf("seed %d (close at %d): sent %d + abandoned %d frames/EOS for %d frames",
+				seed, closeAt, st.FramesSent, st.Abandoned, frames)
+		}
+		if closeAt > frames {
+			close(fire)
+		}
+		<-closed
+		cancel()
+		wait()
+		worker.Close()
+		ln.Close()
+	}
+}
+
+// TestEdgeSourceCancelStopsReceiver cancels a source while its peer is still
+// streaming frames: the source must return the context's error promptly and
+// its receive goroutine must exit rather than keep decoding into a queue
+// nobody reads.
+func TestEdgeSourceCancelStopsReceiver(t *testing.T) {
+	ln, err := ListenEdge("127.0.0.1:0", EdgeOptions{Name: "accept", Dim: 3, Batch: 4, Retry: fastRetry})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	worker := ln.Edge()
+	defer worker.Close()
+	dial := DialEdge(ln.Addr().String(), EdgeOptions{
+		Name: "dial", Hello: Hello{Engine: 0, Dim: 3, Batch: 4, Epoch: 1}, Retry: fastRetry,
+	})
+	defer dial.Close()
+
+	stop := make(chan struct{})
+	defer close(stop)
+	op := dial.Operator()
+	go func() {
+		for i := 0; ; i++ {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			op.Process(0, contiguousFrame(int64(i*4), 4, 3), nil)
+		}
+	}()
+	baseline := runtime.NumGoroutine()
+
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	errc := make(chan error, 1)
+	go func() {
+		errc <- worker.Source(nil)(ctx, func(_ int, msg stream.Message) { releaseFrame(msg) })
+	}()
+	for deadline := time.Now().Add(10 * time.Second); worker.Stats().FramesRecv < 32; {
+		if time.Now().After(deadline) {
+			t.Fatalf("peer delivered only %d frames", worker.Stats().FramesRecv)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	cancel()
+	select {
+	case err := <-errc:
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("source returned %v, want context.Canceled", err)
+		}
+	case <-time.After(time.Second):
+		t.Fatal("source still running 1s after its context was cancelled")
+	}
+	for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > baseline; {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines after the source returned, want the %d from before it started",
+				runtime.NumGoroutine(), baseline)
+		}
+		time.Sleep(time.Millisecond)
+	}
 }

@@ -212,10 +212,10 @@ func TestSnapshotDeltaNoGainFallsBack(t *testing.T) {
 	allFull(t, buf.Bytes())
 }
 
-// TestSingleModeNeverDeltas: NewEncoder ignores its second argument, so an
-// encoder built with true (the retired single-write mode) behaves like any
-// other and sends every snapshot in full.
-func TestSingleModeNeverDeltas(t *testing.T) {
+// TestEncoderIgnoresRetiredSingleFlag: NewEncoder ignores its second
+// argument, so an encoder built with true (the retired single-write mode)
+// writes the same whole snapshots, byte for byte, as one built with false.
+func TestEncoderIgnoresRetiredSingleFlag(t *testing.T) {
 	var buf bytes.Buffer
 	enc := NewEncoder(&buf, true)
 	es := testEigensystem(8, 2)
@@ -237,9 +237,9 @@ func TestSingleModeNeverDeltas(t *testing.T) {
 	}
 }
 
-// TestSnapshotDeltaWithoutBaseRejected: a well-formed kind-9 delta is a
-// protocol error whether or not its base snapshot arrived first.
-func TestSnapshotDeltaWithoutBaseRejected(t *testing.T) {
+// TestRetiredKind9Rejected: a well-formed kind-9 delta is a protocol error
+// whether or not its base snapshot arrived first.
+func TestRetiredKind9Rejected(t *testing.T) {
 	es := testEigensystem(8, 2)
 	full := encodeAll(t, stream.Snapshot{Round: 0, From: 0, To: 1, State: es})
 	baseLen := uint32(len(full) - headerLen) // the base snapshot's payload
@@ -258,10 +258,10 @@ func TestSnapshotDeltaWithoutBaseRejected(t *testing.T) {
 	}
 }
 
-// TestSnapshotDeltaHostileInput: truncated, garbage-tailed and
+// TestRetiredKind9HostileInputRejected: truncated, garbage-tailed and
 // malformed kind-9 payloads after a good snapshot must error without
 // panicking, and must not disturb the snapshot ahead of them.
-func TestSnapshotDeltaHostileInput(t *testing.T) {
+func TestRetiredKind9HostileInputRejected(t *testing.T) {
 	es := testEigensystem(8, 2)
 	full := encodeAll(t, stream.Snapshot{Round: 0, From: 0, To: 1, State: es})
 	baseLen := uint32(len(full) - headerLen) // the base snapshot's payload
