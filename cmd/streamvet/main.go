@@ -1,4 +1,4 @@
-// Command streamvet runs the repo's static-analysis suite: nine analyzers
+// Command streamvet runs the repo's static-analysis suite: six analyzers
 // that enforce the hot-path, determinism, concurrency, and pooled-lifetime
 // contracts the paper's claims rest on (see internal/analysis). It exits
 // non-zero when any unsuppressed diagnostic is found.

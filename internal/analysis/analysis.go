@@ -83,9 +83,6 @@ func All() []*Analyzer {
 		GoroutineLifecycle,
 		WorkspaceEscape,
 		Framelife,
-		AtomicMix,
-		BlockingLock,
-		WireKind,
 	}
 }
 

@@ -8,7 +8,7 @@ import (
 
 // Framelife enforces the pooled-object lifetime contract of the micro-batched
 // transport: a stream.Frame whose storage comes from a transport pool must be
-// Released exactly once per execution path, never touched after its release,
+// Released at most once per execution path, never touched after its release,
 // and never parked in a long-lived struct where it would outlive the pool
 // recycle. The same contract covers the pooled stores behind the frames
 // (recvStore, frameStore — any named struct type ending in "store"/"Store"):
@@ -31,7 +31,7 @@ import (
 // release.
 var Framelife = &Analyzer{
 	Name: "framelife",
-	Doc: "require pooled frames/stores to be released exactly once per path, " +
+	Doc: "require pooled frames/stores to be released at most once per path, " +
 		"never used after release, and never retained in struct fields or maps",
 	Run: runFramelife,
 }

@@ -9,16 +9,11 @@ func TestFramelifeGolden(t *testing.T) {
 	runGolden(t, "framelife", "golden.test/framelife", []*Analyzer{Framelife})
 }
 
-func TestAtomicMixGolden(t *testing.T) {
-	runGolden(t, "atomicmix", "golden.test/atomicmix", []*Analyzer{AtomicMix})
-}
-
+// TestBlockingLockGolden runs lockedsend over the blocking-I/O fixture: socket
+// and buffered I/O under a held mutex, the I/O-after-unlock negative, and the
+// suppression path.
 func TestBlockingLockGolden(t *testing.T) {
-	runGolden(t, "blockinglock", "golden.test/blockinglock", []*Analyzer{BlockingLock})
-}
-
-func TestWireKindGolden(t *testing.T) {
-	runGolden(t, "wirekind", "golden.test/internal/wire", []*Analyzer{WireKind})
+	runGolden(t, "blockinglock", "golden.test/blockinglock", []*Analyzer{LockedSend})
 }
 
 // TestFramelifeAcceptsRecvPoolLending is the cross-analyzer contract from the

@@ -9,14 +9,22 @@ import (
 // LockedSend flags channel operations and other blocking calls made while a
 // sync.Mutex or sync.RWMutex is held — the classic stream-engine deadlock: a
 // PE goroutine blocks on a full queue while holding the lock every other
-// goroutine needs to drain it. The tracker is a per-function, statement-order
-// approximation: a lock is considered held from the x.Lock() statement until
-// a matching x.Unlock() on the same receiver expression; a deferred Unlock
-// holds until the end of the function. Function literals are analyzed
-// independently with no locks held, since their call time is unknown.
+// goroutine needs to drain it. The wire layer has the same shape under
+// backpressure: a socket Write blocks on a full TCP window while holding the
+// lock the receive path needs, so neither side makes progress and the 1.5·N
+// sync evidence silently goes stale. Blocking calls are the synchronization
+// waits (WaitGroup.Wait, Cond.Wait, time.Sleep) and the I/O surface: net
+// dials, reads, writes and accepts, and the io/bufio transfers on top of them.
+//
+// The tracker is a per-function, statement-order approximation: a lock is
+// considered held from the x.Lock() statement until a matching x.Unlock() on
+// the same receiver expression; a deferred Unlock holds until the end of the
+// function; an if body that ends in return leaves the held set as it was
+// before the if. Function literals are analyzed independently with no locks
+// held, since their call time is unknown.
 var LockedSend = &Analyzer{
 	Name: "lockedsend",
-	Doc:  "forbid channel sends/receives and blocking calls while a sync.Mutex/RWMutex is held",
+	Doc:  "forbid channel sends/receives, sync waits and blocking I/O while a sync.Mutex/RWMutex is held",
 	Run:  runLockedSend,
 }
 
@@ -32,44 +40,52 @@ var unlockMethods = map[string]bool{
 	"(*sync.RWMutex).RUnlock": true,
 }
 
+// blockingFuncs maps the full name of a known blocking function or method to
+// the name reported for it.
 var blockingFuncs = map[string]string{
 	"(*sync.WaitGroup).Wait": "sync.WaitGroup.Wait",
 	"(*sync.Cond).Wait":      "sync.Cond.Wait",
 	"time.Sleep":             "time.Sleep",
+	"io.ReadFull":            "io.ReadFull",
+	"io.ReadAll":             "io.ReadAll",
+	"io.Copy":                "io.Copy",
+	"io.CopyN":               "io.CopyN",
+	"io.CopyBuffer":          "io.CopyBuffer",
+	"net.Dial":               "net.Dial",
+	"net.DialTCP":            "net.DialTCP",
+	"net.DialUDP":            "net.DialUDP",
+	"net.Listen":             "net.Listen",
+	"net.DialTimeout":        "net.DialTimeout",
+}
+
+// ioBlockingMethods are method names that block when the receiver type is
+// declared in net, io or bufio.
+var ioBlockingMethods = map[string]bool{
+	"Read": true, "Write": true, "ReadFrom": true, "WriteTo": true,
+	"Accept": true, "AcceptTCP": true, "Flush": true,
+	"ReadByte": true, "ReadFull": true, "WriteString": true,
 }
 
 func runLockedSend(pass *Pass) error {
-	runLockWalker(pass, func() *lockedSendChecker {
-		return &lockedSendChecker{pass: pass, chanOps: true, classify: syncBlockingCall(pass)}
-	})
-	return nil
-}
-
-// runLockWalker applies a fresh lock-tracking checker (built by mk) to every
-// function declaration and literal in the package. lockedsend and
-// blockinglock share this skeleton and differ only in which operations the
-// checker treats as blocking.
-func runLockWalker(pass *Pass, mk func() *lockedSendChecker) {
 	for _, f := range pass.Pkg.Files {
 		ast.Inspect(f, func(n ast.Node) bool {
 			switch n := n.(type) {
 			case *ast.FuncDecl:
 				if n.Body != nil {
-					mk().stmts(n.Body.List)
+					(&lockedSendChecker{pass: pass}).stmts(n.Body.List)
 				}
 			case *ast.FuncLit:
-				mk().stmts(n.Body.List)
+				(&lockedSendChecker{pass: pass}).stmts(n.Body.List)
 			}
 			return true
 		})
 	}
+	return nil
 }
 
 type lockedSendChecker struct {
-	pass     *Pass
-	held     []string // receiver expressions of currently held locks
-	chanOps  bool     // report channel send/recv/range/select while locked
-	classify func(*ast.CallExpr) string
+	pass *Pass
+	held []string // receiver expressions of currently held locks
 }
 
 func (ls *lockedSendChecker) holding() string {
@@ -119,7 +135,7 @@ func (ls *lockedSendChecker) stmt(s ast.Stmt) {
 			ls.expr(a)
 		}
 	case *ast.SendStmt:
-		if m := ls.holding(); m != "" && ls.chanOps {
+		if m := ls.holding(); m != "" {
 			ls.pass.Reportf(s.Pos(), "channel send while %s is locked can deadlock the stream engine", m)
 		}
 		ls.expr(s.Chan)
@@ -150,7 +166,16 @@ func (ls *lockedSendChecker) stmt(s ast.Stmt) {
 			ls.stmt(s.Init)
 		}
 		ls.expr(s.Cond)
+		// A body that ends in return hands control back to the caller, so an
+		// Unlock inside it (`if closed { mu.Unlock(); return }`) does not
+		// release the lock for the statements after the if.
+		held := append([]string(nil), ls.held...)
 		ls.stmts(s.Body.List)
+		if n := len(s.Body.List); n > 0 {
+			if _, ok := s.Body.List[n-1].(*ast.ReturnStmt); ok {
+				ls.held = held
+			}
+		}
 		if s.Else != nil {
 			ls.stmt(s.Else)
 		}
@@ -166,7 +191,7 @@ func (ls *lockedSendChecker) stmt(s ast.Stmt) {
 			ls.stmt(s.Post)
 		}
 	case *ast.RangeStmt:
-		if t := ls.pass.Pkg.Info.TypeOf(s.X); t != nil && ls.chanOps {
+		if t := ls.pass.Pkg.Info.TypeOf(s.X); t != nil {
 			if _, ok := t.Underlying().(*types.Chan); ok {
 				if m := ls.holding(); m != "" {
 					ls.pass.Reportf(s.Pos(), "range over channel while %s is locked can deadlock the stream engine", m)
@@ -182,7 +207,7 @@ func (ls *lockedSendChecker) stmt(s ast.Stmt) {
 				hasDefault = true
 			}
 		}
-		if m := ls.holding(); m != "" && !hasDefault && ls.chanOps {
+		if m := ls.holding(); m != "" && !hasDefault {
 			ls.pass.Reportf(s.Pos(), "blocking select while %s is locked can deadlock the stream engine", m)
 		}
 		for _, clause := range s.Body.List {
@@ -230,13 +255,13 @@ func (ls *lockedSendChecker) expr(e ast.Expr) {
 		case *ast.FuncLit:
 			return false
 		case *ast.UnaryExpr:
-			if n.Op == token.ARROW && ls.chanOps {
+			if n.Op == token.ARROW {
 				if m := ls.holding(); m != "" {
 					ls.pass.Reportf(n.Pos(), "channel receive while %s is locked can deadlock the stream engine", m)
 				}
 			}
 		case *ast.CallExpr:
-			if name := ls.classify(n); name != "" {
+			if name := ls.blockingCall(n); name != "" {
 				if m := ls.holding(); m != "" {
 					ls.pass.Reportf(n.Pos(), "blocking call %s while %s is locked can deadlock the stream engine", name, m)
 				}
@@ -249,34 +274,44 @@ func (ls *lockedSendChecker) expr(e ast.Expr) {
 // lockOp classifies a call as a lock or unlock on a sync mutex, returning
 // the receiver expression as the lock identity.
 func (ls *lockedSendChecker) lockOp(call *ast.CallExpr) (key, kind string) {
-	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
-	if !ok {
+	fn := calledFunc(ls.pass, call)
+	if fn == nil {
 		return "", ""
 	}
-	fn, ok := ls.pass.Pkg.Info.Uses[sel.Sel].(*types.Func)
-	if !ok {
-		return "", ""
-	}
-	full := fn.FullName()
-	switch {
+	recv := types.ExprString(ast.Unparen(call.Fun).(*ast.SelectorExpr).X)
+	switch full := fn.FullName(); {
 	case lockMethods[full]:
-		return types.ExprString(sel.X), "lock"
+		return recv, "lock"
 	case unlockMethods[full]:
-		return types.ExprString(sel.X), "unlock"
+		return recv, "unlock"
 	}
 	return "", ""
 }
 
-// syncBlockingCall classifies synchronization-layer blocking calls
-// (WaitGroup.Wait, Cond.Wait, time.Sleep) — lockedsend's original scope.
-func syncBlockingCall(pass *Pass) func(*ast.CallExpr) string {
-	return func(call *ast.CallExpr) string {
-		fn := calledFunc(pass, call)
-		if fn == nil {
-			return ""
-		}
-		return blockingFuncs[fn.FullName()]
+// blockingCall names the blocking operation a call performs, or returns "".
+// It is either a known function from blockingFuncs, or a Read/Write/Accept-
+// style method whose receiver type is declared in net, io or bufio (a
+// *net.TCPConn, an io.Reader interface value, a *bufio.Writer over a socket).
+// Methods so named on local types are not assumed to block: the wire layer
+// reaches sockets through net/io/bufio types, and those packages declare
+// every method this pass cares about.
+func (ls *lockedSendChecker) blockingCall(call *ast.CallExpr) string {
+	fn := calledFunc(ls.pass, call)
+	if fn == nil {
+		return ""
 	}
+	if name, ok := blockingFuncs[fn.FullName()]; ok {
+		return name
+	}
+	sig, ok := fn.Type().(*types.Signature)
+	if !ok || sig.Recv() == nil || !ioBlockingMethods[fn.Name()] || fn.Pkg() == nil {
+		return ""
+	}
+	switch path := fn.Pkg().Path(); path {
+	case "net", "io", "bufio":
+		return path + "." + fn.Name()
+	}
+	return ""
 }
 
 // calledFunc resolves the *types.Func a selector-style call invokes, or nil.

@@ -36,8 +36,8 @@ func TestRepoClean(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(All()) != 9 {
-		t.Errorf("analyzer suite has %d analyzers, want 9", len(All()))
+	if len(All()) != 6 {
+		t.Errorf("analyzer suite has %d analyzers, want 6", len(All()))
 	}
 	for _, d := range Unsuppressed(diags) {
 		t.Errorf("unsuppressed: %s", d)

@@ -1,5 +1,6 @@
-// Package blockinglock is a golden fixture for the blockinglock analyzer:
-// blocking I/O performed while a sync.Mutex/RWMutex is held.
+// Package blockinglock is a golden fixture for the blocking-I/O half of the
+// lockedsend analyzer: socket and buffered I/O performed while a
+// sync.Mutex/RWMutex is held.
 package blockinglock
 
 import (
@@ -14,7 +15,6 @@ type edge struct {
 	rw   sync.RWMutex
 	conn net.Conn
 	bw   *bufio.Writer
-	ch   chan int
 	buf  []byte
 }
 
@@ -59,14 +59,6 @@ func (e *edge) goodWriteAfterUnlock(p []byte) (int, error) {
 	return e.conn.Write(buf)
 }
 
-// goodChanUnderLock: channel operations are lockedsend's domain, not this
-// analyzer's; no blockinglock finding here.
-func (e *edge) goodChanUnderLock(v int) {
-	e.mu.Lock()
-	e.ch <- v
-	e.mu.Unlock()
-}
-
 // goodLitIndependent: a function literal's call time is unknown, so the held
 // set does not leak into it.
 func (e *edge) goodLitIndependent() func() (int, error) {
@@ -78,6 +70,6 @@ func (e *edge) goodLitIndependent() func() (int, error) {
 func (e *edge) suppressedWrite(p []byte) (int, error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	//streamvet:ignore blockinglock fixture exercises the suppression path
+	//streamvet:ignore lockedsend fixture exercises the suppression path
 	return e.conn.Write(p)
 }

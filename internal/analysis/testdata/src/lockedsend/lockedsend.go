@@ -1,5 +1,6 @@
 // Package lockedsend is a golden fixture for the lockedsend analyzer:
-// channel operations and blocking calls under a held mutex.
+// channel operations and sync waits under a held mutex. Blocking I/O under a
+// held mutex has its own fixture in testdata/src/blockinglock.
 package lockedsend
 
 import (
@@ -8,9 +9,10 @@ import (
 )
 
 type queue struct {
-	mu sync.Mutex
-	wg sync.WaitGroup
-	ch chan int
+	mu     sync.Mutex
+	wg     sync.WaitGroup
+	ch     chan int
+	closed bool
 }
 
 func (q *queue) badSend(v int) {
@@ -52,6 +54,20 @@ func (q *queue) badRange() {
 	for v := range q.ch { // want "range over channel while q.mu is locked"
 		_ = v
 	}
+}
+
+// badSendAfterEarlyReturn has the shape of a Close method: the Unlock in the
+// if body releases only on the path that returns, so the send after the if
+// still runs under q.mu.
+func (q *queue) badSendAfterEarlyReturn(v int) {
+	q.mu.Lock()
+	if q.closed {
+		q.mu.Unlock()
+		return
+	}
+	q.closed = true
+	q.ch <- v // want "channel send while q.mu is locked"
+	q.mu.Unlock()
 }
 
 func (q *queue) goodSendAfterUnlock(v int) {

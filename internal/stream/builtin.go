@@ -66,7 +66,7 @@ func (s *Split) Flush(Emit) {}
 
 // Ticker returns a SourceFunc that emits Control-less tick messages (the
 // message is the tick index as int64) at the given period until ctx is
-// cancelled. It backs the Throttle-driven sync signal generator (§III-B).
+// cancelled. It paces the pipeline's periodic sync rounds (§III-B).
 func Ticker(period time.Duration) SourceFunc {
 	return func(ctx context.Context, emit Emit) error {
 		t := time.NewTicker(period)
@@ -100,38 +100,6 @@ func CounterSource(n int64, next func(seq int64) Message) SourceFunc {
 		return nil
 	}
 }
-
-// Throttle is the standard rate-limiting operator: it forwards every
-// message but sleeps as needed so the output rate never exceeds Rate
-// messages per second. The paper uses it to pace synchronization tuples
-// ("Adjusting the Throttle operator timing helps finding the balance
-// between the overall cluster performance and eigensystems consistency").
-type Throttle struct {
-	// Rate is the maximum output rate in messages/second; <= 0 forwards
-	// unthrottled.
-	Rate float64
-
-	last time.Time
-}
-
-// Process implements Operator.
-func (t *Throttle) Process(_ int, msg Message, emit Emit) {
-	if t.Rate > 0 {
-		minGap := time.Duration(float64(time.Second) / t.Rate)
-		now := time.Now()
-		if !t.last.IsZero() {
-			if wait := minGap - now.Sub(t.last); wait > 0 {
-				time.Sleep(wait)
-				now = now.Add(wait)
-			}
-		}
-		t.last = now
-	}
-	emit(0, msg)
-}
-
-// Flush implements Operator.
-func (t *Throttle) Flush(Emit) {}
 
 // Collect is a sink operator appending every arriving message to a slice.
 // It is safe only for single-PE use (like any operator); read Items after

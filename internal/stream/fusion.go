@@ -74,63 +74,3 @@ func (p Placement) Imbalance(metrics []MetricsSnapshot) float64 {
 	mean := float64(total) / float64(len(loads))
 	return float64(max) / mean
 }
-
-// RateBetween returns an operator's output rate in messages/second between
-// two metric snapshots taken dt apart — the paper's throughput measurement
-// ("the number of output tuples at the operator splitting the stream ...
-// averaged in 30 seconds"). A non-positive dt or a counter regression (the
-// later snapshot reading below the earlier one, as happens when a snapshot
-// taken before a node was revived is compared against a fresh restart)
-// reports 0 rather than a negative rate, so fusion suggestions and rate
-// alarms never see impossible values.
-func RateBetween(earlier, later MetricsSnapshot, dt time.Duration) float64 {
-	if dt <= 0 || later.Out < earlier.Out {
-		return 0
-	}
-	return float64(later.Out-earlier.Out) / dt.Seconds()
-}
-
-// TupleRateBetween is RateBetween for observation throughput: tuples/second
-// between two snapshots, weighing frames as their batch size. It carries the
-// same counter-regression guard — a remote edge that reconnected mid-window
-// (or a node revived from a checkpoint) restarts its counters, and the stale
-// earlier snapshot would otherwise read as an enormous negative rate.
-func TupleRateBetween(earlier, later MetricsSnapshot, dt time.Duration) float64 {
-	if dt <= 0 || later.TuplesOut < earlier.TuplesOut {
-		return 0
-	}
-	return float64(later.TuplesOut-earlier.TuplesOut) / dt.Seconds()
-}
-
-// ImbalanceBetween reports the makespan ratio of a placement over the busy
-// time accrued between two snapshot sets (matched by node name), not over
-// the all-time counters Imbalance uses. Nodes whose busy counter regressed
-// between the snapshots — a reconnected remote edge or a revived operator
-// reset it — contribute zero rather than a negative load, the same guard
-// RateBetween applies to rates. Nodes absent from either set or from the
-// placement are ignored.
-func (p Placement) ImbalanceBetween(earlier, later []MetricsSnapshot) float64 {
-	if len(p) == 0 {
-		return 1
-	}
-	prev := make(map[string]time.Duration, len(earlier))
-	for _, m := range earlier {
-		prev[m.Name] = m.Busy
-	}
-	deltas := make([]MetricsSnapshot, 0, len(later))
-	for _, m := range later {
-		before, ok := prev[m.Name]
-		if !ok {
-			continue
-		}
-		d := m.Busy - before
-		if d < 0 {
-			// Counter reset mid-window: the node restarted between the
-			// snapshots. Its true busy time for the window is unknowable;
-			// count it as idle rather than poisoning the ratio.
-			d = 0
-		}
-		deltas = append(deltas, MetricsSnapshot{Name: m.Name, Busy: d})
-	}
-	return p.Imbalance(deltas)
-}

@@ -177,25 +177,6 @@ func TestMetricsConsistencyUnderChaos(t *testing.T) {
 	}
 }
 
-// TestRateBetweenGuards covers the revive edge cases: zero/negative dt and
-// counter regressions must never produce a negative rate.
-func TestRateBetweenGuards(t *testing.T) {
-	a := MetricsSnapshot{Name: "op", Out: 1000}
-	b := MetricsSnapshot{Name: "op", Out: 400} // post-revive restart
-	if r := RateBetween(a, b, time.Second); r != 0 {
-		t.Errorf("regressed counters gave rate %g, want 0", r)
-	}
-	if r := RateBetween(a, a, 0); r != 0 {
-		t.Errorf("dt=0 gave rate %g, want 0", r)
-	}
-	if r := RateBetween(a, a, -time.Second); r != 0 {
-		t.Errorf("dt<0 gave rate %g, want 0", r)
-	}
-	if r := RateBetween(b, a, time.Second); r != 600 {
-		t.Errorf("forward rate = %g, want 600", r)
-	}
-}
-
 func TestImbalanceIgnoresNegativeBusy(t *testing.T) {
 	p := Placement{"a": 0, "b": 1}
 	metrics := []MetricsSnapshot{

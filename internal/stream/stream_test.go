@@ -438,26 +438,6 @@ func TestMetricsCounts(t *testing.T) {
 	}
 }
 
-func TestThrottleLimitsRate(t *testing.T) {
-	g := NewGraph()
-	src := g.AddSource("src", intSource(20))
-	th := g.Add("throttle", &Throttle{Rate: 1000}) // 1ms gap
-	snk := g.Add("sink", &Collect{})
-	if err := g.Connect(src, 0, th, 0); err != nil {
-		t.Fatal(err)
-	}
-	if err := g.Connect(th, 0, snk, 0); err != nil {
-		t.Fatal(err)
-	}
-	start := time.Now()
-	if err := g.Run(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	if elapsed := time.Since(start); elapsed < 15*time.Millisecond {
-		t.Fatalf("throttle too fast: %v for 20 msgs at 1kHz", elapsed)
-	}
-}
-
 func TestTickerEmitsUntilCancel(t *testing.T) {
 	g := NewGraph()
 	src := g.AddSource("ticker", Ticker(time.Millisecond))

@@ -417,13 +417,25 @@ func TestDecoderStreamsMultipleMessages(t *testing.T) {
 		Hello{Engine: 0, Dim: 3, Batch: 4, Epoch: 1},
 		contiguousFrame(0, 4, 3),
 		stream.Control{Round: 1, Sender: 0, Receivers: []int{1}},
+		stream.Snapshot{Round: 1, From: 0, To: 1, State: testEigensystem(6, 2)},
+		EngineReport{Engine: 0, Processed: 4, Final: testEigensystem(3, 1)},
 		stream.Barrier{Epoch: 1},
+		ClockProbe{Node: 1, T1: 100},
+		ClockEcho{T1: 100, T2: 150, T3: 160},
+		ObsReport{Node: 1, Seq: 1, Body: []byte(`{}`)},
 		EOS{},
 	}
 	for _, m := range msgs {
 		if err := enc.Encode(m); err != nil {
 			t.Fatal(err)
 		}
+	}
+	// One message of every kind the protocol defines, so that a kind the
+	// decoder stops handling fails the decode loop below.
+	kinds := wireKinds(t, buf.Bytes())
+	slices.Sort(kinds)
+	if want := []Kind{1, 3, 4, 5, 6, 7, 8, 10, 11, 12}; !slices.Equal(kinds, want) {
+		t.Fatalf("encoded kinds %v, want %v", kinds, want)
 	}
 	dec := NewDecoder(&buf, nil, 0)
 	for i := range msgs {

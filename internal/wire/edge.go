@@ -115,8 +115,7 @@ type Edge struct {
 }
 
 // EdgeStats is a point-in-time copy of an edge's cumulative counters. They
-// survive reconnects: only a process restart resets them (which is what
-// stream.TupleRateBetween's regression guard tolerates).
+// survive reconnects: only a process restart resets them.
 type EdgeStats struct {
 	// Name is the edge label.
 	Name string

@@ -95,97 +95,70 @@ func allFull(t *testing.T, raw []byte) {
 	}
 }
 
+// roundTripsWhole fails the test unless every snapshot in msgs goes out in
+// full and decodes bitwise equal, whatever traffic the delta transport once
+// compressed or fell back on. coalesced gathers msgs into one flush.
+func roundTripsWhole(t *testing.T, msgs []stream.Message, coalesced bool) {
+	t.Helper()
+	raw := encodeAll(t, msgs...)
+	if coalesced {
+		raw = encodeCoalesced(t, msgs...)
+	}
+	if kinds := wireKinds(t, raw); len(kinds) != len(msgs) {
+		t.Fatalf("kinds %v, want %d messages", kinds, len(msgs))
+	}
+	allFull(t, raw)
+	dec := NewDecoder(bytes.NewReader(raw), nil, 0)
+	for i, want := range msgs {
+		got, err := dec.Decode()
+		if err != nil {
+			t.Fatalf("decode %d: %v", i, err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("snapshot %d not bitwise-equal after decode", i)
+		}
+	}
+}
+
 // TestSnapshotDeltaRoundTrip: consecutive snapshots of the same sender —
 // the traffic deltas once compressed — each go out as a full snapshot and
 // decode bitwise equal.
 func TestSnapshotDeltaRoundTrip(t *testing.T) {
-	var buf bytes.Buffer
-	enc := NewEncoder(&buf, false)
-	es := testEigensystem(12, 3)
-	var want []*core.Eigensystem
-	for round := 0; round < 5; round++ {
-		want = append(want, es)
-		if err := enc.Encode(stream.Snapshot{Round: int64(round), From: 2, To: 0, State: es}); err != nil {
-			t.Fatalf("round %d: %v", round, err)
-		}
-		es = perturb(es, 1e-9)
-	}
-	allFull(t, buf.Bytes())
-	dec := NewDecoder(&buf, nil, 0)
-	for round, wantES := range want {
-		msg, err := dec.Decode()
-		if err != nil {
-			t.Fatalf("decode round %d: %v", round, err)
-		}
-		snap := msg.(stream.Snapshot)
-		if snap.Round != int64(round) || snap.From != 2 || snap.To != 0 {
-			t.Fatalf("round %d header mismatch: %+v", round, snap)
-		}
-		if !reflect.DeepEqual(snap.State, wantES) {
-			t.Fatalf("round %d eigensystem not bitwise-equal after decode", round)
-		}
-	}
+	roundTripsWhole(t, perturbedSnapshots(5), false)
 }
 
 // TestSnapshotDeltaPerSenderChains: interleaved senders, gathered into one
 // flush, each decode to exactly what was sent.
 func TestSnapshotDeltaPerSenderChains(t *testing.T) {
-	a, b := testEigensystem(8, 2), testEigensystem(10, 2)
 	var msgs []stream.Message
+	a, b := testEigensystem(8, 2), testEigensystem(10, 2)
 	for round := 0; round < 3; round++ {
 		msgs = append(msgs,
 			stream.Snapshot{Round: int64(round), From: 0, To: 1, State: a},
 			stream.Snapshot{Round: int64(round), From: 1, To: 0, State: b})
 		a, b = perturb(a, 1e-9), perturb(b, 2e-9)
 	}
-	raw := encodeCoalesced(t, msgs...)
-	if kinds := wireKinds(t, raw); len(kinds) != len(msgs) {
-		t.Fatalf("kinds %v, want %d messages", kinds, len(msgs))
-	}
-	allFull(t, raw)
-	dec := NewDecoder(bytes.NewReader(raw), nil, 0)
-	for i, m := range msgs {
-		got, err := dec.Decode()
-		if err != nil {
-			t.Fatalf("decode %d: %v", i, err)
-		}
-		if !reflect.DeepEqual(got, m) {
-			t.Fatalf("message %d mismatch", i)
-		}
-	}
+	roundTripsWhole(t, msgs, true)
 }
 
 // TestSnapshotDeltaShapeChangeFallsBack: a sender whose eigensystem changes
 // shape between rounds sends each shape in full, and each decodes.
 func TestSnapshotDeltaShapeChangeFallsBack(t *testing.T) {
-	states := []*core.Eigensystem{
+	var msgs []stream.Message
+	for round, es := range []*core.Eigensystem{
 		testEigensystem(8, 2), testEigensystem(16, 3), perturb(testEigensystem(16, 3), 1e-9),
+	} {
+		msgs = append(msgs, stream.Snapshot{Round: int64(round), From: 0, To: 1, State: es})
 	}
-	var buf bytes.Buffer
-	enc := NewEncoder(&buf, false)
-	for round, es := range states {
-		if err := enc.Encode(stream.Snapshot{Round: int64(round), From: 0, To: 1, State: es}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	allFull(t, buf.Bytes())
-	dec := NewDecoder(&buf, nil, 0)
-	for i, want := range states {
-		msg, err := dec.Decode()
-		if err != nil {
-			t.Fatalf("decode %d: %v", i, err)
-		}
-		if !reflect.DeepEqual(msg.(stream.Snapshot).State, want) {
-			t.Fatalf("snapshot %d eigensystem mismatch", i)
-		}
-	}
+	roundTripsWhole(t, msgs, false)
 }
 
 // TestSnapshotDeltaNoGainFallsBack: uncorrelated snapshots, whose every
 // serialized word moves, go out in full like any other.
 func TestSnapshotDeltaNoGainFallsBack(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
-	fresh := func() *core.Eigensystem {
+	var msgs []stream.Message
+	for round := 0; round < 3; round++ {
 		es := testEigensystem(12, 3)
 		for i := range es.Mean {
 			es.Mean[i] = rng.NormFloat64() * 1e3
@@ -200,16 +173,9 @@ func TestSnapshotDeltaNoGainFallsBack(t *testing.T) {
 		for i := range data {
 			data[i] = rng.NormFloat64()
 		}
-		return es
+		msgs = append(msgs, stream.Snapshot{Round: int64(round), From: 0, To: 1, State: es})
 	}
-	var buf bytes.Buffer
-	enc := NewEncoder(&buf, false)
-	for round := 0; round < 3; round++ {
-		if err := enc.Encode(stream.Snapshot{Round: int64(round), From: 0, To: 1, State: fresh()}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	allFull(t, buf.Bytes())
+	roundTripsWhole(t, msgs, false)
 }
 
 // TestEncoderIgnoresRetiredSingleFlag: NewEncoder ignores its second
