@@ -26,14 +26,17 @@ lint:
 
 # Non-test line budget (internal/analysis/loc_budget.txt, beside the
 # suppression budget): fails when a package holds more non-test Go lines than
-# its committed count.
+# its committed count, or when a directory under internal/ has no count.
 loc:
 	@fail=0; while read -r pkg max; do \
 		case "$$pkg" in ''|'#'*) continue;; esac; \
 		n=$$(find internal/$$pkg -name '*.go' ! -name '*_test.go' | xargs cat | wc -l); \
 		if [ "$$n" -gt "$$max" ]; then echo "loc: internal/$$pkg has $$n non-test lines, budget $$max"; fail=1; \
 		else echo "loc: internal/$$pkg $$n/$$max"; fi; \
-	done < internal/analysis/loc_budget.txt; exit $$fail
+	done < internal/analysis/loc_budget.txt; \
+	for dir in internal/*/; do pkg=$$(basename $$dir); \
+		if ! grep -q "^$$pkg " internal/analysis/loc_budget.txt; then echo "loc: internal/$$pkg has no budget line"; fail=1; fi; \
+	done; exit $$fail
 
 # Machine-readable diagnostics: the full streamvet finding list as JSON,
 # suppressed findings included and flagged with their //streamvet:ignore
@@ -60,9 +63,9 @@ fuzz-race:
 
 # The one-stop pre-commit target: every static gate plus the full test suite,
 # the line budget, the race-enabled wire/transport suite, the race-mode
-# fuzz-corpus replay, and the machine-readable diagnostics artifact
-# ($(STREAMVET_JSON)).
-check: lint loc test test-wire fuzz-race lint-json
+# fuzz-corpus replay, the end-to-end observability probe, and the
+# machine-readable diagnostics artifact ($(STREAMVET_JSON)).
+check: lint loc test test-wire fuzz-race obs-check lint-json
 
 # Tier 2: the same suite under the race detector (the chaos tests exercise
 # panic recovery, revive, and the failure supervisor concurrently), with the
@@ -98,9 +101,10 @@ perf:
 
 # End-to-end observability acceptance: build cmd/streampca, run an
 # instrumented pipeline with -obs, and validate the JSON snapshot, Prometheus
-# text, journal and Chrome trace endpoints over real HTTP. The -wire pass
-# re-runs it against a real 2-worker localhost TCP cluster and validates the
-# coordinator's aggregated /cluster/* surface (merged JSON, node-labeled
+# text, journal and Chrome trace endpoints over real HTTP, plus the
+# /cluster/* view of that single process as a cluster of one node. The -wire
+# pass re-runs it against a real 2-worker localhost TCP cluster and validates
+# the coordinator's aggregated /cluster/* surface (merged JSON, node-labeled
 # Prometheus, skew-corrected merged trace).
 obs-check:
 	$(GO) run ./cmd/obscheck

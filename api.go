@@ -35,7 +35,6 @@ import (
 	"io"
 	"net"
 	"net/http"
-	"time"
 
 	"streampca/internal/cluster"
 	"streampca/internal/core"
@@ -412,8 +411,6 @@ const (
 type (
 	// ObsSet is the root instrument bundle an instrumented run records into.
 	ObsSet = obs.Set
-	// ObsCollector periodically snapshots an ObsSet for cheap serving.
-	ObsCollector = obs.Collector
 	// ObsSnapshot is a point-in-time copy of every instrument in a set.
 	ObsSnapshot = obs.Snapshot
 	// ObsEvent is one control-plane journal entry (syncs, failures,
@@ -430,12 +427,14 @@ const (
 	ObsEvRecover = obs.EvRecover
 )
 
-// Cluster-observability types: the coordinator-side aggregation of worker
-// obs-reports shipped over the wire (DistConfig.Cluster +
+// Cluster-observability types: the one read path over an ObsSet, which also
+// aggregates worker obs-reports shipped over the wire (DistConfig.Cluster +
 // WorkerConfig.ReportEvery), with NTP-style clock-offset correction, merged
-// end-to-end latency histograms and a cluster-wide trace.
+// end-to-end latency histograms and a cluster-wide trace. A single process
+// is a cluster of one node.
 type (
-	// ObsClusterCollector merges worker reports into a cluster-wide view.
+	// ObsClusterCollector serves a local ObsSet as node "coordinator" and
+	// merges worker reports into a cluster-wide view.
 	ObsClusterCollector = obs.ClusterCollector
 	// ObsClusterSnapshot is the aggregated point-in-time cluster view.
 	ObsClusterSnapshot = obs.ClusterSnapshot
@@ -447,44 +446,32 @@ type (
 	ObsReporter = obs.Reporter
 )
 
-// NewObsClusterCollector returns a cluster collector whose local node is c
-// (nil for a detached aggregator); feed it to DistConfig.Cluster and serve
-// it with ObsClusterHandler.
-func NewObsClusterCollector(c *ObsCollector) *ObsClusterCollector {
-	return obs.NewClusterCollector(c)
+// NewObsClusterCollector returns a cluster collector whose local node is set
+// (nil for a detached aggregator); serve it with ServeObs, and on a
+// coordinator also feed it to DistConfig.Cluster.
+func NewObsClusterCollector(set *ObsSet) *ObsClusterCollector {
+	return obs.NewClusterCollector(set)
 }
 
 // NewObsReporter returns a reporter that folds set into periodic reports
 // for the named node (the worker side of the cluster plane).
 func NewObsReporter(set *ObsSet, node string) *ObsReporter { return obs.NewReporter(set, node) }
 
-// ObsClusterHandler returns ObsHandler's mux extended with
-// /cluster/metrics.json, /cluster/metrics and /cluster/trace.json.
-func ObsClusterHandler(cc *ObsClusterCollector) http.Handler { return obs.ClusterHandler(cc) }
-
-// ServeObsCluster binds addr and serves ObsClusterHandler(cc) in the
-// background; close the returned server to stop.
-func ServeObsCluster(addr string, cc *ObsClusterCollector) (*http.Server, error) {
-	return obs.ServeCluster(addr, cc)
-}
-
 // NewObsSet returns an empty instrument bundle; pass it as
-// PipelineConfig.Obs and serve it with ObsHandler.
+// PipelineConfig.Obs and serve it through NewObsClusterCollector.
 func NewObsSet() *ObsSet { return obs.NewSet() }
 
-// NewObsCollector wraps set in a periodic snapshotter (interval <= 0 means
-// the 1s default); call Start/Stop around the run.
-func NewObsCollector(set *ObsSet, interval time.Duration) *ObsCollector {
-	return obs.NewCollector(set, interval)
-}
+// ObsHandler returns the HTTP mux serving the local set (/metrics in
+// Prometheus text, /metrics.json, /journal, /trace.json), the cluster view
+// (/cluster/metrics, /cluster/metrics.json, /cluster/trace.json) and
+// /debug/pprof. Every request reads a fresh snapshot.
+func ObsHandler(cc *ObsClusterCollector) http.Handler { return obs.Handler(cc) }
 
-// ObsHandler returns the HTTP mux serving /metrics (Prometheus),
-// /metrics.json, /journal, /trace.json and /debug/pprof for c's set.
-func ObsHandler(c *ObsCollector) http.Handler { return obs.Handler(c) }
-
-// ServeObs binds addr and serves ObsHandler(c) in the background; close the
+// ServeObs binds addr and serves ObsHandler(cc) in the background; close the
 // returned server to stop.
-func ServeObs(addr string, c *ObsCollector) (*http.Server, error) { return obs.Serve(addr, c) }
+func ServeObs(addr string, cc *ObsClusterCollector) (*http.Server, error) {
+	return obs.Serve(addr, cc)
+}
 
 // WriteObsTrace writes set's spans and journal as a Chrome trace-event JSON
 // document (load it at chrome://tracing or https://ui.perfetto.dev).

@@ -156,10 +156,7 @@ func serveObs(addr string, st *streampca.ClusterStats, chaos *streampca.ClusterC
 		}
 	}
 
-	col := streampca.NewObsCollector(set, 0)
-	col.Start()
-	defer col.Stop()
-	srv, err := streampca.ServeObs(addr, col)
+	srv, err := streampca.ServeObs(addr, streampca.NewObsClusterCollector(set))
 	if err != nil {
 		return err
 	}

@@ -2,8 +2,9 @@
 // observability subsystem: it builds cmd/streampca, runs an instrumented
 // parallel pipeline with -obs, and validates every exposition surface over
 // real HTTP — the JSON snapshot, the Prometheus text format, the event
-// journal, and the Chrome trace document. It exits non-zero on the first
-// contract violation, which is what `make obs-check` gates on.
+// journal, the Chrome trace document, and the /cluster/* view of the one
+// process as a cluster of one node. It exits non-zero on the first contract
+// violation, which is what `make obs-check` gates on.
 //
 // With -wire it instead boots a real 2-worker localhost TCP cluster (two
 // streampca -worker processes with periodic obs-reports, one coordinator
@@ -52,7 +53,7 @@ func main() {
 		fmt.Fprintln(os.Stderr, "obscheck: FAIL:", err)
 		os.Exit(1)
 	}
-	fmt.Println("obscheck: PASS — JSON, Prometheus, journal and trace endpoints all valid")
+	fmt.Println("obscheck: PASS — JSON, Prometheus, journal, trace and cluster-of-one endpoints all valid")
 }
 
 // buildBin compiles cmd/streampca into a temp dir when no prebuilt binary
@@ -117,6 +118,7 @@ func run(bin string, timeout time.Duration) error {
 		{"prometheus", checkPrometheus},
 		{"journal", checkJournal},
 		{"trace.json", checkTrace},
+		{"cluster of one", checkClusterOfOne},
 	}
 	for _, c := range checks {
 		if err := retryUntil(deadline, func() error { return c.fn(base) }); err != nil {
@@ -325,6 +327,39 @@ func checkTrace(base string) error {
 	}
 	if counts["i"] == 0 {
 		return fmt.Errorf("no instant events (ph=i) in trace")
+	}
+	return nil
+}
+
+// checkClusterOfOne validates the cluster view of a single process: exactly
+// one node, the coordinator, in both the JSON and the Prometheus text.
+func checkClusterOfOne(base string) error {
+	body, err := get(base + "/cluster/metrics.json")
+	if err != nil {
+		return err
+	}
+	var cs clusterView
+	if err := json.Unmarshal(body, &cs); err != nil {
+		return fmt.Errorf("invalid JSON: %w", err)
+	}
+	if len(cs.Nodes) != 1 || cs.Nodes[0].Node != "coordinator" {
+		return fmt.Errorf("cluster view of one process has %d nodes, want only coordinator", len(cs.Nodes))
+	}
+	if len(cs.Nodes[0].Snapshot.Engines) != 2 {
+		return fmt.Errorf("coordinator node has %d engines, want 2", len(cs.Nodes[0].Snapshot.Engines))
+	}
+	body, err = get(base + "/cluster/metrics")
+	if err != nil {
+		return err
+	}
+	text := string(body)
+	for _, want := range []string{
+		"streampca_cluster_nodes 1\n",
+		`streampca_node_engine_sigma2{node="coordinator",engine="1"}`,
+	} {
+		if !strings.Contains(text, want) {
+			return fmt.Errorf("/cluster/metrics missing %q", want)
+		}
 	}
 	return nil
 }

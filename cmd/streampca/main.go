@@ -33,7 +33,6 @@ import (
 	"flag"
 	"fmt"
 	"net"
-	"net/http"
 	"os"
 	"os/signal"
 	"strings"
@@ -110,30 +109,17 @@ func main() {
 	if *obsAddr != "" || *traceOut != "" {
 		obsSet = streampca.NewObsSet()
 	}
+	// The local set is node "coordinator" of the served cluster view; a
+	// distributed run's workers report into the same collector.
 	var clusterObs *streampca.ObsClusterCollector
 	if *obsAddr != "" {
-		col := streampca.NewObsCollector(obsSet, 0)
-		col.Start()
-		defer col.Stop()
-		var srv *http.Server
-		var serr error
-		if *peers != "" {
-			// Coordinator of a distributed run: aggregate the workers'
-			// obs-reports next to the local view and serve both.
-			clusterObs = streampca.NewObsClusterCollector(col)
-			srv, serr = streampca.ServeObsCluster(*obsAddr, clusterObs)
-		} else {
-			srv, serr = streampca.ServeObs(*obsAddr, col)
-		}
+		clusterObs = streampca.NewObsClusterCollector(obsSet)
+		srv, serr := streampca.ServeObs(*obsAddr, clusterObs)
 		if serr != nil {
 			fatal(serr)
 		}
 		defer srv.Close()
-		extra := ""
-		if clusterObs != nil {
-			extra = ", cluster/metrics, cluster/metrics.json, cluster/trace.json"
-		}
-		fmt.Printf("observability on http://%s/ (metrics, metrics.json, journal, trace.json%s, debug/pprof)\n", srv.Addr, extra)
+		fmt.Printf("observability on http://%s/ (metrics, metrics.json, journal, trace.json, cluster/metrics, cluster/metrics.json, cluster/trace.json, debug/pprof)\n", srv.Addr)
 	}
 
 	var merged *streampca.Eigensystem

@@ -230,7 +230,7 @@ func (en *Engine) observeChunk(xs [][]float64, masks [][]bool, out []Update) ([]
 		st.Count++
 		en.sinceSync++
 		en.updatesSince++
-		en.publish(sigma2New, uNew, w, t > cfg.OutlierT)
+		en.publish(sigma2New, uNew, t > cfg.OutlierT)
 
 		//streamvet:ignore noalloc appends into the caller-provided Update buffer; steady state passes spare capacity (AllocsPerRun-verified)
 		out = append(out, Update{

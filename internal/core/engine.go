@@ -143,11 +143,11 @@ func (en *Engine) Config() Config { return en.cfg }
 // tallies, and warm-up/rescue/rebuild transitions are journaled.
 func (en *Engine) SetInstruments(inst *obs.EngineInstruments) { en.inst = inst }
 
-// publish pushes the per-update gauges to the attached instruments; w and
-// outlier describe the observation just absorbed.
+// publish pushes the per-update gauges to the attached instruments; outlier
+// describes the observation just absorbed.
 //
 //streampca:noalloc
-func (en *Engine) publish(sigma2, effN, w float64, outlier bool) {
+func (en *Engine) publish(sigma2, effN float64, outlier bool) {
 	inst := en.inst
 	if inst == nil {
 		return
@@ -155,7 +155,6 @@ func (en *Engine) publish(sigma2, effN, w float64, outlier bool) {
 	inst.Sigma2.Set(sigma2)
 	inst.EffN.Set(effN)
 	inst.SinceSync.Set(float64(en.sinceSync))
-	inst.LastWeight.Set(w)
 	inst.Observations.Inc()
 	if outlier {
 		inst.Outliers.Inc()
@@ -605,7 +604,7 @@ func (en *Engine) updateAlpha(x []float64, alpha float64) Update {
 		en.updatesSince = 0
 	}
 
-	en.publish(sigma2New, uNew, w, t > cfg.OutlierT)
+	en.publish(sigma2New, uNew, t > cfg.OutlierT)
 	return Update{
 		Seq:       st.Count,
 		Weight:    w,

@@ -3,20 +3,19 @@ package obs
 import (
 	"encoding/json"
 	"fmt"
-	"io"
-	"net/http"
 	"sort"
 	"sync"
 )
 
-// ClusterCollector is the coordinator side of the distributed observability
-// plane: it absorbs worker Reports, keeps the newest cumulative snapshot
-// per node, merges their journals by gap-free sequence number, and serves
-// the merged view (JSON, Prometheus with node labels, one skew-corrected
-// Chrome trace). The coordinator's own instrument set participates as node
-// "coordinator" with clock offset zero — its clock is the cluster timeline.
+// ClusterCollector is the one read path of the observability plane: it
+// absorbs worker Reports, keeps the newest cumulative snapshot per node,
+// merges their journals by gap-free sequence number, and serves the merged
+// view (JSON, Prometheus with node labels, one skew-corrected Chrome trace).
+// The local instrument set participates as node "coordinator" with clock
+// offset zero — its clock is the cluster timeline — so a single process is
+// a cluster of one node.
 type ClusterCollector struct {
-	local *Collector
+	local *Set
 	mu    sync.Mutex
 	nodes map[string]*clusterNode
 }
@@ -46,13 +45,11 @@ const clusterEventCap = DefaultJournalCap
 const CoordinatorNode = "coordinator"
 
 // NewClusterCollector returns a cluster collector whose local (coordinator)
-// view is read from c; a nil c is allowed and simply omits the local node.
-func NewClusterCollector(c *Collector) *ClusterCollector {
-	return &ClusterCollector{local: c, nodes: make(map[string]*clusterNode)}
+// node is set. A single process is a cluster of that one node; a nil set is
+// a detached aggregator that shows only the absorbed workers.
+func NewClusterCollector(set *Set) *ClusterCollector {
+	return &ClusterCollector{local: set, nodes: make(map[string]*clusterNode)}
 }
-
-// Local returns the coordinator's own collector (nil when detached).
-func (cc *ClusterCollector) Local() *Collector { return cc.local }
 
 // Absorb merges one worker report. Idempotent under redelivery: a report
 // whose Seq was already absorbed only bumps the node's duplicate counter,
@@ -104,6 +101,16 @@ func (cc *ClusterCollector) AbsorbJSON(body []byte) error {
 	return nil
 }
 
+// sortedNames returns the absorbed nodes' names in order; cc.mu is held.
+func (cc *ClusterCollector) sortedNames() []string {
+	names := make([]string, 0, len(cc.nodes))
+	for name := range cc.nodes {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	return names
+}
+
 // NodeSnapshot is one node's entry in the cluster view.
 type NodeSnapshot struct {
 	Node string `json:"node"`
@@ -141,7 +148,7 @@ type ClusterSnapshot struct {
 func (cc *ClusterCollector) Snapshot() ClusterSnapshot {
 	var cs ClusterSnapshot
 	if cc.local != nil {
-		local := cc.local.Refresh()
+		local := cc.local.Snapshot()
 		cs.TakenNs = local.TakenNs
 		cs.Nodes = append(cs.Nodes, NodeSnapshot{
 			Node:     CoordinatorNode,
@@ -149,12 +156,7 @@ func (cc *ClusterCollector) Snapshot() ClusterSnapshot {
 		})
 	}
 	cc.mu.Lock()
-	names := make([]string, 0, len(cc.nodes))
-	for name := range cc.nodes {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
+	for _, name := range cc.sortedNames() {
 		n := cc.nodes[name]
 		cs.Nodes = append(cs.Nodes, NodeSnapshot{
 			Node:          n.name,
@@ -182,270 +184,4 @@ func (cc *ClusterCollector) Snapshot() ClusterSnapshot {
 		cs.E2ELatency = &e2e
 	}
 	return cs
-}
-
-// WriteClusterPrometheus renders the cluster view in the Prometheus text
-// format. Every sample carries a node label; per-node e2e histograms come
-// labeled and the merged one unlabeled, so both a per-worker and a
-// cluster-wide latency objective are one query away.
-func WriteClusterPrometheus(w io.Writer, cs ClusterSnapshot) {
-	fmt.Fprintf(w, "# HELP streampca_cluster_nodes Nodes visible in the merged cluster view.\n")
-	fmt.Fprintf(w, "# TYPE streampca_cluster_nodes gauge\n")
-	fmt.Fprintf(w, "streampca_cluster_nodes %d\n", len(cs.Nodes))
-
-	fmt.Fprintf(w, "# HELP streampca_node_uptime_seconds Per-node seconds since instrument-set creation.\n")
-	fmt.Fprintf(w, "# TYPE streampca_node_uptime_seconds gauge\n")
-	for _, n := range cs.Nodes {
-		fmt.Fprintf(w, "streampca_node_uptime_seconds{node=%q} %g\n", n.Node, float64(n.Snapshot.UptimeNs)/1e9)
-	}
-
-	fmt.Fprintf(w, "# HELP streampca_node_reports_total Distinct observability reports absorbed per node.\n")
-	fmt.Fprintf(w, "# TYPE streampca_node_reports_total counter\n")
-	for _, n := range cs.Nodes {
-		fmt.Fprintf(w, "streampca_node_reports_total{node=%q} %d\n", n.Node, n.Reports)
-	}
-	fmt.Fprintf(w, "# HELP streampca_node_report_dups_total Redelivered reports discarded per node.\n")
-	fmt.Fprintf(w, "# TYPE streampca_node_report_dups_total counter\n")
-	for _, n := range cs.Nodes {
-		fmt.Fprintf(w, "streampca_node_report_dups_total{node=%q} %d\n", n.Node, n.DupReports)
-	}
-	fmt.Fprintf(w, "# HELP streampca_node_event_gaps_total Journal events the report seq chain proves lost.\n")
-	fmt.Fprintf(w, "# TYPE streampca_node_event_gaps_total counter\n")
-	for _, n := range cs.Nodes {
-		fmt.Fprintf(w, "streampca_node_event_gaps_total{node=%q} %d\n", n.Node, n.EventGaps)
-	}
-
-	fmt.Fprintf(w, "# HELP streampca_node_clock_offset_seconds Estimated node clock offset onto the coordinator clock.\n")
-	fmt.Fprintf(w, "# TYPE streampca_node_clock_offset_seconds gauge\n")
-	for _, n := range cs.Nodes {
-		fmt.Fprintf(w, "streampca_node_clock_offset_seconds{node=%q} %g\n", n.Node, float64(n.ClockOffsetNs)/1e9)
-	}
-	fmt.Fprintf(w, "# HELP streampca_node_clock_rtt_seconds Round trip of the kept clock sample (error bound = rtt/2).\n")
-	fmt.Fprintf(w, "# TYPE streampca_node_clock_rtt_seconds gauge\n")
-	for _, n := range cs.Nodes {
-		fmt.Fprintf(w, "streampca_node_clock_rtt_seconds{node=%q} %g\n", n.Node, float64(n.ClockRTTNs)/1e9)
-	}
-
-	fmt.Fprintf(w, "# HELP streampca_node_engine_observations_total Observations processed per engine per node.\n")
-	fmt.Fprintf(w, "# TYPE streampca_node_engine_observations_total counter\n")
-	for _, n := range cs.Nodes {
-		for _, e := range n.Snapshot.Engines {
-			fmt.Fprintf(w, "streampca_node_engine_observations_total{node=%q,engine=\"%d\"} %d\n",
-				n.Node, e.Index, e.Observations)
-		}
-	}
-	fmt.Fprintf(w, "# HELP streampca_node_engine_outlier_rate Outlier fraction per engine per node.\n")
-	fmt.Fprintf(w, "# TYPE streampca_node_engine_outlier_rate gauge\n")
-	for _, n := range cs.Nodes {
-		for _, e := range n.Snapshot.Engines {
-			fmt.Fprintf(w, "streampca_node_engine_outlier_rate{node=%q,engine=\"%d\"} %g\n",
-				n.Node, e.Index, e.OutlierRate)
-		}
-	}
-
-	fmt.Fprintf(w, "# HELP streampca_node_op_tuples_total Cumulative tuples through each operator, per node.\n")
-	fmt.Fprintf(w, "# TYPE streampca_node_op_tuples_total counter\n")
-	for _, n := range cs.Nodes {
-		for _, op := range n.Snapshot.Operators {
-			if op.Counters == nil {
-				continue
-			}
-			fmt.Fprintf(w, "streampca_node_op_tuples_total{node=%q,op=%q,dir=\"in\"} %d\n", n.Node, op.Name, op.Counters.TuplesIn)
-			fmt.Fprintf(w, "streampca_node_op_tuples_total{node=%q,op=%q,dir=\"out\"} %d\n", n.Node, op.Name, op.Counters.TuplesOut)
-		}
-	}
-
-	fmt.Fprintf(w, "# HELP streampca_node_op_latency_ns Per-operator Process latency in nanoseconds, per node.\n")
-	fmt.Fprintf(w, "# TYPE streampca_node_op_latency_ns histogram\n")
-	for _, n := range cs.Nodes {
-		for _, op := range n.Snapshot.Operators {
-			if op.Latency.Count > 0 {
-				promHistogram(w, "streampca_node_op_latency_ns",
-					fmt.Sprintf("node=%q,op=%q,", n.Node, op.Name), op.Latency)
-			}
-		}
-	}
-
-	// Ad-hoc gauges and counters (the wire edges' bytes_per_writev /
-	// frames_per_writev / cork_stalls land here) with node labels.
-	fmt.Fprintf(w, "# HELP streampca_node_journal_events Journal entries retained and lost per node.\n")
-	fmt.Fprintf(w, "# TYPE streampca_node_journal_events gauge\n")
-	for _, n := range cs.Nodes {
-		fmt.Fprintf(w, "streampca_node_journal_events{node=%q,state=\"retained\"} %d\n", n.Node, n.Snapshot.Journal.Len)
-		fmt.Fprintf(w, "streampca_node_journal_events{node=%q,state=\"dropped\"} %d\n", n.Node, n.Snapshot.Journal.Dropped)
-	}
-	for _, n := range cs.Nodes {
-		for _, kv := range sortedGauges(n.Snapshot.Gauges) {
-			fmt.Fprintf(w, "streampca_node_%s{node=%q} %g\n", promName(kv.k), n.Node, kv.v)
-		}
-		for _, kv := range sortedCounters(n.Snapshot.Counters) {
-			fmt.Fprintf(w, "streampca_node_%s{node=%q} %d\n", promName(kv.k), n.Node, kv.v)
-		}
-	}
-
-	if cs.E2ELatency != nil {
-		fmt.Fprintf(w, "# HELP streampca_e2e_latency_ns End-to-end tuple latency, ingest stamp to outlier decision, cluster-wide.\n")
-		fmt.Fprintf(w, "# TYPE streampca_e2e_latency_ns histogram\n")
-		promHistogram(w, "streampca_e2e_latency_ns", "", *cs.E2ELatency)
-	}
-	fmt.Fprintf(w, "# HELP streampca_node_e2e_latency_ns End-to-end tuple latency per observing node.\n")
-	fmt.Fprintf(w, "# TYPE streampca_node_e2e_latency_ns histogram\n")
-	for _, n := range cs.Nodes {
-		if n.Snapshot.E2ELatency != nil {
-			promHistogram(w, "streampca_node_e2e_latency_ns", fmt.Sprintf("node=%q,", n.Node), *n.Snapshot.E2ELatency)
-		}
-	}
-}
-
-// WriteTrace renders the merged cluster trace as one Chrome trace-event
-// document: the coordinator is pid 1 (its own spans and journal, exactly as
-// the single-process exporter draws them) and each worker gets its own pid
-// whose span and journal timestamps are shifted onto the coordinator
-// timeline by the worker's estimated clock offset. Spans are emitted in
-// corrected start order per lane, so every lane's timestamps are monotone.
-func (cc *ClusterCollector) WriteTrace(w io.Writer) error {
-	var epoch int64
-	doc := traceDoc{DisplayTimeUnit: "ms"}
-	add := func(ev traceEvent) { doc.TraceEvents = append(doc.TraceEvents, ev) }
-
-	cc.mu.Lock()
-	names := make([]string, 0, len(cc.nodes))
-	for name := range cc.nodes {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	reports := make([]Report, 0, len(names))
-	accounts := make([][]Event, 0, len(names))
-	for _, name := range names {
-		reports = append(reports, cc.nodes[name].last)
-		accounts = append(accounts, append([]Event(nil), cc.nodes[name].events...))
-	}
-	cc.mu.Unlock()
-
-	if cc.local != nil {
-		epoch = cc.local.Set().StartNs()
-	} else {
-		// Detached coordinator view: anchor the timeline at the earliest
-		// corrected worker epoch instead.
-		for _, r := range reports {
-			if s := r.StartNs + r.ClockOffsetNs; epoch == 0 || s < epoch {
-				epoch = s
-			}
-		}
-	}
-
-	if cc.local != nil {
-		set := cc.local.Set()
-		add(traceEvent{Name: "process_name", Ph: "M", Pid: 1,
-			Args: map[string]any{"name": "streampca " + CoordinatorNode}})
-		add(traceEvent{Name: "thread_name", Ph: "M", Pid: 1, Tid: 0,
-			Args: map[string]any{"name": "control-plane"}})
-		for i, op := range set.opList() {
-			tid := i + 1
-			add(traceEvent{Name: "thread_name", Ph: "M", Pid: 1, Tid: tid,
-				Args: map[string]any{"name": "op:" + op.Name}})
-			addSpanLane(add, 1, tid, op.Spans.Spans(), 0, epoch)
-		}
-		for _, ev := range set.Journal().Events(0) {
-			add(instantEvent(ev, 1, 0, epoch))
-		}
-	}
-
-	for i, r := range reports {
-		pid := i + 2
-		off := r.ClockOffsetNs
-		add(traceEvent{Name: "process_name", Ph: "M", Pid: pid,
-			Args: map[string]any{"name": "streampca " + r.Node}})
-		add(traceEvent{Name: "thread_name", Ph: "M", Pid: pid, Tid: 0,
-			Args: map[string]any{"name": "control-plane"}})
-		for j, ops := range r.Spans {
-			tid := j + 1
-			add(traceEvent{Name: "thread_name", Ph: "M", Pid: pid, Tid: tid,
-				Args: map[string]any{"name": "op:" + ops.Name}})
-			addSpanLane(add, pid, tid, ops.Spans, off, epoch)
-		}
-		for _, ev := range accounts[i] {
-			add(instantEvent(ev, pid, 0, epoch-off))
-		}
-	}
-
-	return json.NewEncoder(w).Encode(&doc)
-}
-
-// addSpanLane emits one lane's spans with timestamps shifted by offsetNs
-// onto the epoch timeline, sorted so the lane is monotone; pre-epoch and
-// torn slots are skipped.
-func addSpanLane(add func(traceEvent), pid, tid int, spans []Span, offsetNs, epoch int64) {
-	corrected := make([]Span, 0, len(spans))
-	for _, sp := range spans {
-		start := sp.StartNs + offsetNs
-		if sp.StartNs == 0 || start < epoch {
-			continue
-		}
-		corrected = append(corrected, Span{StartNs: start, DurNs: sp.DurNs})
-	}
-	sort.Slice(corrected, func(i, j int) bool { return corrected[i].StartNs < corrected[j].StartNs })
-	for _, sp := range corrected {
-		add(traceEvent{
-			Name: "process",
-			Ph:   "X",
-			Pid:  pid,
-			Tid:  tid,
-			Ts:   float64(sp.StartNs-epoch) / 1e3,
-			Dur:  float64(sp.DurNs) / 1e3,
-		})
-	}
-}
-
-// instantEvent renders one journal event as a thread-scoped instant at its
-// time relative to epoch (clamped to the timeline origin).
-func instantEvent(ev Event, pid, tid int, epoch int64) traceEvent {
-	ts := float64(ev.TimeNs-epoch) / 1e3
-	if ts < 0 {
-		ts = 0
-	}
-	args := map[string]any{"seq": ev.Seq, "n": ev.N, "a": ev.A, "b": ev.B}
-	if ev.Node != "" {
-		args["node"] = ev.Node
-	}
-	if ev.Engine >= 0 {
-		args["engine"] = ev.Engine
-	}
-	return traceEvent{
-		Name: ev.Kind.String(),
-		Ph:   "i",
-		Pid:  pid,
-		Tid:  tid,
-		Ts:   ts,
-		S:    "t",
-		Args: args,
-	}
-}
-
-// ClusterHandler returns the coordinator's full observability surface: the
-// per-process Handler over cc's local collector plus the cluster endpoints:
-//
-//	/cluster/metrics.json  merged ClusterSnapshot as JSON
-//	/cluster/metrics       cluster Prometheus text with node labels
-//	/cluster/trace.json    merged skew-corrected Chrome trace
-func ClusterHandler(cc *ClusterCollector) http.Handler {
-	mux := http.NewServeMux()
-	if cc.local != nil {
-		mux.Handle("/", Handler(cc.local))
-	}
-	mux.HandleFunc("/cluster/metrics.json", func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Type", "application/json")
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		_ = enc.Encode(cc.Snapshot())
-	})
-	mux.HandleFunc("/cluster/metrics", func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-		WriteClusterPrometheus(w, cc.Snapshot())
-	})
-	mux.HandleFunc("/cluster/trace.json", func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Type", "application/json")
-		_ = cc.WriteTrace(w)
-	})
-	return mux
 }

@@ -186,14 +186,14 @@ func TestClusterReporterRoundTrip(t *testing.T) {
 // TestClusterTraceMonotoneLanes renders a merged trace with a deliberately
 // skewed worker and checks per-lane monotonicity and offset correction.
 func TestClusterTraceMonotoneLanes(t *testing.T) {
-	local := NewCollector(NewSet(), 0)
+	local := NewSet()
 	cc := NewClusterCollector(local)
 
 	// A worker whose clock runs 1ms behind the coordinator: spans stamped on
 	// its clock shift forward by the offset.
 	s := NewSet()
 	op := s.Op("pca0")
-	base := local.Set().StartNs()
+	base := local.StartNs()
 	op.Spans.Record(base+3_000_000-1_000_000, 10_000) // out of order on purpose
 	op.Spans.Record(base+1_000_000-1_000_000, 10_000)
 	rep := NewReporter(s, "worker-0")

@@ -49,11 +49,6 @@ func (h *Histogram) Record(v int64) {
 // Count returns the total number of recorded samples.
 func (h *Histogram) Count() int64 { return h.count.Load() }
 
-// Sum returns the running total of all recorded samples (in the sample's
-// unit). Count and Sum together give windowed means by differencing two
-// reads, without paying for a full bucket Snapshot.
-func (h *Histogram) Sum() int64 { return h.sum.Load() }
-
 // HistogramSnapshot is a point-in-time copy of a histogram. Counts[i] is
 // the number of samples ≤ Bounds[i]; the final extra entry of Counts is the
 // overflow bucket.

@@ -9,15 +9,22 @@ import (
 	"strconv"
 )
 
-// Handler returns the observability HTTP surface over c:
+// Handler returns the observability HTTP surface over cc. Every request
+// reads a fresh snapshot.
 //
-//	/              index of endpoints
-//	/metrics       Prometheus text exposition (fresh snapshot)
-//	/metrics.json  full Snapshot as JSON (fresh snapshot)
-//	/journal       retained journal events as JSON (?max=N for newest N)
-//	/trace.json    Chrome trace-event export of spans + journal
-//	/debug/pprof/  standard pprof handlers
-func Handler(c *Collector) http.Handler {
+//	/                      index of endpoints
+//	/metrics               the local set in Prometheus text format
+//	/metrics.json          the local set's Snapshot as JSON
+//	/journal               the local journal as JSON (?max=N for newest N)
+//	/trace.json            Chrome trace-event export of the local spans + journal
+//	/cluster/metrics       every node in Prometheus text format, node-labeled
+//	/cluster/metrics.json  the merged ClusterSnapshot as JSON
+//	/cluster/trace.json    the merged skew-corrected Chrome trace
+//	/debug/pprof/          standard pprof handlers
+//
+// A detached collector (nil local set) serves only the /cluster/ endpoints
+// and pprof.
+func Handler(cc *ClusterCollector) http.Handler {
 	mux := http.NewServeMux()
 
 	mux.HandleFunc("/", func(w http.ResponseWriter, r *http.Request) {
@@ -27,49 +34,57 @@ func Handler(c *Collector) http.Handler {
 		}
 		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 		fmt.Fprintln(w, "streampca observability endpoints:")
-		fmt.Fprintln(w, "  /metrics       Prometheus text format")
-		fmt.Fprintln(w, "  /metrics.json  full snapshot as JSON")
-		fmt.Fprintln(w, "  /journal       control-plane event journal (?max=N)")
-		fmt.Fprintln(w, "  /trace.json    Chrome trace-event export (chrome://tracing)")
-		fmt.Fprintln(w, "  /debug/pprof/  runtime profiles")
+		fmt.Fprintln(w, "  /metrics               Prometheus text format")
+		fmt.Fprintln(w, "  /metrics.json          full snapshot as JSON")
+		fmt.Fprintln(w, "  /journal               control-plane event journal (?max=N)")
+		fmt.Fprintln(w, "  /trace.json            Chrome trace-event export (chrome://tracing)")
+		fmt.Fprintln(w, "  /cluster/metrics       every node, Prometheus text with node labels")
+		fmt.Fprintln(w, "  /cluster/metrics.json  merged cluster snapshot as JSON")
+		fmt.Fprintln(w, "  /cluster/trace.json    merged skew-corrected Chrome trace")
+		fmt.Fprintln(w, "  /debug/pprof/          runtime profiles")
 	})
 
-	mux.HandleFunc("/metrics", func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-		WritePrometheus(w, c.Refresh())
-	})
-
-	mux.HandleFunc("/metrics.json", func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Type", "application/json")
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		_ = enc.Encode(c.Refresh())
-	})
-
-	mux.HandleFunc("/journal", func(w http.ResponseWriter, r *http.Request) {
-		max := 0
-		if q := r.URL.Query().Get("max"); q != "" {
-			n, err := strconv.Atoi(q)
-			if err != nil || n < 0 {
-				http.Error(w, "max must be a non-negative integer", http.StatusBadRequest)
-				return
+	if set := cc.local; set != nil {
+		mux.HandleFunc("/metrics", func(w http.ResponseWriter, r *http.Request) {
+			w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
+			WritePrometheus(w, set.Snapshot())
+		})
+		mux.HandleFunc("/metrics.json", func(w http.ResponseWriter, r *http.Request) {
+			writeJSON(w, set.Snapshot())
+		})
+		mux.HandleFunc("/journal", func(w http.ResponseWriter, r *http.Request) {
+			max := 0
+			if q := r.URL.Query().Get("max"); q != "" {
+				n, err := strconv.Atoi(q)
+				if err != nil || n < 0 {
+					http.Error(w, "max must be a non-negative integer", http.StatusBadRequest)
+					return
+				}
+				max = n
 			}
-			max = n
-		}
-		j := c.Set().Journal()
-		w.Header().Set("Content-Type", "application/json")
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		_ = enc.Encode(struct {
-			Len     int         `json:"len"`
-			Dropped int64       `json:"dropped"`
-			Events  []EventView `json:"events"`
-		}{j.Len(), j.Dropped(), viewEvents(j.Events(max))})
-	})
+			j := set.Journal()
+			writeJSON(w, struct {
+				Len     int         `json:"len"`
+				Dropped int64       `json:"dropped"`
+				Events  []EventView `json:"events"`
+			}{j.Len(), j.Dropped(), viewEvents(j.Events(max))})
+		})
+		mux.HandleFunc("/trace.json", func(w http.ResponseWriter, r *http.Request) {
+			w.Header().Set("Content-Type", "application/json")
+			_ = WriteTrace(w, set)
+		})
+	}
 
-	mux.HandleFunc("/trace.json", func(w http.ResponseWriter, r *http.Request) {
+	mux.HandleFunc("/cluster/metrics", func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
+		WriteClusterPrometheus(w, cc.Snapshot())
+	})
+	mux.HandleFunc("/cluster/metrics.json", func(w http.ResponseWriter, r *http.Request) {
+		writeJSON(w, cc.Snapshot())
+	})
+	mux.HandleFunc("/cluster/trace.json", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "application/json")
-		_ = WriteTrace(w, c.Set())
+		_ = cc.WriteTrace(w)
 	})
 
 	mux.HandleFunc("/debug/pprof/", pprof.Index)
@@ -81,30 +96,24 @@ func Handler(c *Collector) http.Handler {
 	return mux
 }
 
-// Serve listens on addr and serves Handler(c) until the returned server is
+// writeJSON serves v as indented JSON.
+func writeJSON(w http.ResponseWriter, v any) {
+	w.Header().Set("Content-Type", "application/json")
+	enc := json.NewEncoder(w)
+	enc.SetIndent("", "  ")
+	_ = enc.Encode(v)
+}
+
+// Serve listens on addr and serves Handler(cc) until the returned server is
 // closed. It returns once the listener is bound, so a caller that curls the
 // returned address immediately will connect. The bound address (useful with
 // ":0") is Addr on the returned server.
-func Serve(addr string, c *Collector) (*http.Server, error) {
+func Serve(addr string, cc *ClusterCollector) (*http.Server, error) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return nil, err
 	}
-	srv := &http.Server{Addr: ln.Addr().String(), Handler: Handler(c)}
-	go func() {
-		_ = srv.Serve(ln)
-	}()
-	return srv, nil
-}
-
-// ServeCluster is Serve for a cluster collector: the per-process endpoints
-// plus the /cluster/* aggregated views.
-func ServeCluster(addr string, cc *ClusterCollector) (*http.Server, error) {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return nil, err
-	}
-	srv := &http.Server{Addr: ln.Addr().String(), Handler: ClusterHandler(cc)}
+	srv := &http.Server{Addr: ln.Addr().String(), Handler: Handler(cc)}
 	go func() {
 		_ = srv.Serve(ln)
 	}()

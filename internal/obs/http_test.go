@@ -26,8 +26,7 @@ func getBody(t *testing.T, srv *httptest.Server, path string) (int, string) {
 func TestHandlerEndpoints(t *testing.T) {
 	s := NewSet()
 	populate(s)
-	c := NewCollector(s, 0)
-	srv := httptest.NewServer(Handler(c))
+	srv := httptest.NewServer(Handler(NewClusterCollector(s)))
 	defer srv.Close()
 
 	code, body := getBody(t, srv, "/")
@@ -82,6 +81,13 @@ func TestHandlerEndpoints(t *testing.T) {
 		t.Error("trace.json missing traceEvents array")
 	}
 
+	// A single process is a cluster of one node.
+	code, body = getBody(t, srv, "/cluster/metrics")
+	if code != 200 || !strings.Contains(body, "streampca_cluster_nodes 1\n") ||
+		!strings.Contains(body, `streampca_node_engine_sigma2{node="coordinator",engine="0"} 1.25`) {
+		t.Errorf("/cluster/metrics: %d not a cluster of one (%d bytes)", code, len(body))
+	}
+
 	code, body = getBody(t, srv, "/debug/pprof/cmdline")
 	if code != 200 || body == "" {
 		t.Errorf("/debug/pprof/cmdline: %d", code)
@@ -95,8 +101,7 @@ func TestHandlerEndpoints(t *testing.T) {
 func TestServeBindsAndServes(t *testing.T) {
 	s := NewSet()
 	populate(s)
-	c := NewCollector(s, 0)
-	srv, err := Serve("127.0.0.1:0", c)
+	srv, err := Serve("127.0.0.1:0", NewClusterCollector(s))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -54,18 +54,6 @@ const (
 	RebuildRankC   RebuildKind = 2 // block-incremental rank-c update
 )
 
-// String returns the stable name used in exposition.
-func (k RebuildKind) String() string {
-	switch k {
-	case RebuildRankOne:
-		return "rank-one"
-	case RebuildRankC:
-		return "rank-c"
-	default:
-		return "unknown"
-	}
-}
-
 // MaxEigGauges bounds how many leading eigenvalues an engine publishes.
 const MaxEigGauges = 16
 
@@ -84,8 +72,6 @@ type EngineInstruments struct {
 	EffN Gauge
 	// SinceSync is the number of observations absorbed since the last sync.
 	SinceSync Gauge
-	// LastWeight is the most recent observation's robustness weight.
-	LastWeight Gauge
 	// Eigengap is λ_p − λ_{p+1} for the configured component count p
 	// (0 when the subspace holds no spare direction to measure against).
 	Eigengap Gauge

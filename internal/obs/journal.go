@@ -199,6 +199,24 @@ func (j *Journal) Dropped() int64 {
 func (j *Journal) EventsSince(since int64, max int) []Event {
 	j.mu.Lock()
 	defer j.mu.Unlock()
+	return j.eventsSince(since, max)
+}
+
+// Events returns the retained events in append order, oldest first. A
+// non-positive max returns everything retained; otherwise only the newest
+// max events.
+func (j *Journal) Events(max int) []Event {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	var since int64
+	if max > 0 {
+		since = j.next - int64(max)
+	}
+	return j.eventsSince(since, 0)
+}
+
+// eventsSince is EventsSince with j.mu held.
+func (j *Journal) eventsSince(since int64, max int) []Event {
 	n := int(j.next)
 	start := 0
 	if j.next >= int64(len(j.ring)) {
@@ -215,40 +233,6 @@ func (j *Journal) EventsSince(since int64, max int) []Event {
 		n -= int(skip)
 	}
 	if max > 0 && n > max {
-		n = max
-	}
-	out := make([]Event, n)
-	for i := 0; i < n; i++ {
-		out[i] = j.ring[(start+i)%len(j.ring)]
-	}
-	return out
-}
-
-// Next returns the sequence number the next appended event will get — the
-// exclusive upper bound of everything journaled so far.
-func (j *Journal) Next() int64 {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.next
-}
-
-// Events returns the retained events in append order, oldest first. A
-// non-positive max returns everything retained; otherwise only the newest
-// max events.
-func (j *Journal) Events(max int) []Event {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	n := int(j.next)
-	start := 0
-	if j.next >= int64(len(j.ring)) {
-		n = len(j.ring)
-		start = int(j.next % int64(len(j.ring)))
-	}
-	if max > 0 && max < n {
-		start = (start + n - max) % len(j.ring)
-		if j.next < int64(len(j.ring)) {
-			start = n - max
-		}
 		n = max
 	}
 	out := make([]Event, n)

@@ -1,11 +1,242 @@
 package obs
 
 import (
+	"bytes"
 	"fmt"
 	"io"
 	"sort"
 	"strings"
 )
+
+// The Prometheus text exposition (format 0.0.4) has one renderer. A view is
+// a list of nodes, each contributing the same metric families: /metrics is a
+// single unlabeled node under the streampca_ prefix, /cluster/metrics is
+// every node of the cluster under streampca_node_ with a node label, plus
+// the cluster-wide families and the merge accounting.
+
+// family is one metric family: its name after the view's prefix, its type
+// and help text, and the samples one node contributes to it.
+type family struct {
+	name, typ, help string
+	write           func(s sampler, n *NodeSnapshot)
+}
+
+// sampler writes one node's samples of one family: name is the family's
+// full name and label the node's label (`node="x",`, or empty for an
+// unlabeled node).
+type sampler struct {
+	w           io.Writer
+	name, label string
+}
+
+// sample writes one sample line; labels are further `k="v",` pairs.
+func (s sampler) sample(labels string, v any) {
+	if ls := strings.TrimSuffix(s.label+labels, ","); ls != "" {
+		fmt.Fprintf(s.w, "%s{%s} %v\n", s.name, ls, v)
+	} else {
+		fmt.Fprintf(s.w, "%s %v\n", s.name, v)
+	}
+}
+
+// histogram writes the cumulative buckets, sum and count of h.
+func (s sampler) histogram(h HistogramSnapshot) {
+	var cum int64
+	for i, bound := range h.Bounds {
+		cum += h.Counts[i]
+		fmt.Fprintf(s.w, "%s_bucket{%sle=\"%d\"} %d\n", s.name, s.label, bound, cum)
+	}
+	cum += h.Counts[len(h.Counts)-1]
+	fmt.Fprintf(s.w, "%s_bucket{%sle=\"+Inf\"} %d\n", s.name, s.label, cum)
+	fmt.Fprintf(s.w, "%s_sum{%s} %d\n", s.name, strings.TrimSuffix(s.label, ","), h.Sum)
+	fmt.Fprintf(s.w, "%s_count{%s} %d\n", s.name, strings.TrimSuffix(s.label, ","), h.Count)
+}
+
+// opFamily is a family with series per operator of the node; write sees
+// the sampler labeled with the operator.
+func opFamily(name, typ, help string, write func(s sampler, op OpSnapshot)) family {
+	return family{name, typ, help, func(s sampler, n *NodeSnapshot) {
+		label := s.label
+		for _, op := range n.Snapshot.Operators {
+			s.label = label + fmt.Sprintf("op=%q,", op.Name)
+			write(s, op)
+		}
+	}}
+}
+
+// engineFamily is a family with series per engine of the node; write sees
+// the sampler labeled with the engine.
+func engineFamily(name, typ, help string, write func(s sampler, e EngineSnapshot)) family {
+	return family{name, typ, help, func(s sampler, n *NodeSnapshot) {
+		label := s.label
+		for _, e := range n.Snapshot.Engines {
+			s.label = label + fmt.Sprintf("engine=\"%d\",", e.Index)
+			write(s, e)
+		}
+	}}
+}
+
+// e2eFamily is the end-to-end tuple-latency histogram: per node, and in the
+// cluster view also summed over every node.
+var e2eFamily = family{"e2e_latency_ns", "histogram", "End-to-end tuple latency, ingest stamp to outlier decision.",
+	func(s sampler, n *NodeSnapshot) {
+		if n.Snapshot.E2ELatency != nil {
+			s.histogram(*n.Snapshot.E2ELatency)
+		}
+	}}
+
+// nodeFamilies are the families every node contributes, in exposition order.
+var nodeFamilies = []family{
+	{"uptime_seconds", "gauge", "Seconds since the instrument set was created.",
+		func(s sampler, n *NodeSnapshot) { s.sample("", float64(n.Snapshot.UptimeNs)/1e9) }},
+	opFamily("op_latency_ns", "histogram", "Per-operator Process latency in nanoseconds.", func(s sampler, op OpSnapshot) {
+		if len(op.Latency.Bounds) > 0 {
+			s.histogram(op.Latency)
+		}
+	}),
+	opFamily("op_batch_size", "histogram", "Per-operator processed message tuple weight.", func(s sampler, op OpSnapshot) {
+		if len(op.BatchSize.Bounds) > 0 {
+			s.histogram(op.BatchSize)
+		}
+	}),
+	opFamily("op_queue_depth", "histogram", "Input backlog observed at dequeue.", func(s sampler, op OpSnapshot) {
+		if len(op.QueueDepth.Bounds) > 0 {
+			s.histogram(op.QueueDepth)
+		}
+	}),
+	opFamily("op_tuples_total", "counter", "Cumulative tuples through each operator.", func(s sampler, op OpSnapshot) {
+		if op.Counters != nil {
+			s.sample(`dir="in",`, op.Counters.TuplesIn)
+			s.sample(`dir="out",`, op.Counters.TuplesOut)
+		}
+	}),
+	opFamily("op_dropped_total", "counter", "Messages dropped on droppable edges.", func(s sampler, op OpSnapshot) {
+		if op.Counters != nil {
+			s.sample("", op.Counters.Dropped)
+		}
+	}),
+	opFamily("op_queue_len", "gauge", "Current input backlog per operator.", func(s sampler, op OpSnapshot) {
+		if op.Counters != nil {
+			s.sample("", op.Counters.QueueLen)
+		}
+	}),
+	engineFamily("engine_sigma2", "gauge", "Robust M-scale estimate per engine.",
+		func(s sampler, e EngineSnapshot) { s.sample("", e.Sigma2) }),
+	engineFamily("engine_eff_n", "gauge", "Forgetting-factor effective sample size.",
+		func(s sampler, e EngineSnapshot) { s.sample("", e.EffN) }),
+	engineFamily("engine_since_sync", "gauge", "Observations since the engine last synchronized.",
+		func(s sampler, e EngineSnapshot) { s.sample("", e.SinceSync) }),
+	engineFamily("engine_eigenvalue", "gauge", "Leading eigenvalues of the tracked subspace.", func(s sampler, e EngineSnapshot) {
+		for i, v := range e.Eigenvalues {
+			s.sample(fmt.Sprintf("rank=\"%d\",", i), v)
+		}
+	}),
+	engineFamily("engine_eigengap", "gauge", "Gap between the p-th and (p+1)-th eigenvalues.",
+		func(s sampler, e EngineSnapshot) { s.sample("", e.Eigengap) }),
+	engineFamily("engine_outlier_rate", "gauge", "Fraction of observations flagged as outliers.",
+		func(s sampler, e EngineSnapshot) { s.sample("", e.OutlierRate) }),
+	engineFamily("engine_observations_total", "counter", "Observations processed per engine.",
+		func(s sampler, e EngineSnapshot) { s.sample("", e.Observations) }),
+	engineFamily("engine_rebuilds_total", "counter", "Eigensystem rebuilds by route.", func(s sampler, e EngineSnapshot) {
+		s.sample(`kind="rank-one",`, e.Rebuilds.RankOne)
+		s.sample(`kind="rank-c",`, e.Rebuilds.RankC)
+	}),
+	{"sync_rounds_total", "counter", "Planned synchronization rounds.",
+		func(s sampler, n *NodeSnapshot) { s.sample("", n.Snapshot.Sync.Rounds) }},
+	{"sync_staleness_seconds", "gauge", "Seconds since the last planned sync round.",
+		func(s sampler, n *NodeSnapshot) { s.sample("", float64(n.Snapshot.Sync.StalenessNs)/1e9) }},
+	{"journal_events", "gauge", "Journal entries retained and lost.", func(s sampler, n *NodeSnapshot) {
+		s.sample(`state="retained",`, n.Snapshot.Journal.Len)
+		s.sample(`state="dropped",`, n.Snapshot.Journal.Dropped)
+	}},
+	e2eFamily,
+}
+
+// accountingFamilies are the cluster view's per-node merge accounting.
+var accountingFamilies = []family{
+	{"reports_total", "counter", "Distinct observability reports absorbed per node.",
+		func(s sampler, n *NodeSnapshot) { s.sample("", n.Reports) }},
+	{"report_dups_total", "counter", "Redelivered reports discarded per node.",
+		func(s sampler, n *NodeSnapshot) { s.sample("", n.DupReports) }},
+	{"event_gaps_total", "counter", "Journal events the report seq chain proves lost.",
+		func(s sampler, n *NodeSnapshot) { s.sample("", n.EventGaps) }},
+	{"clock_offset_seconds", "gauge", "Estimated node clock offset onto the coordinator clock.",
+		func(s sampler, n *NodeSnapshot) { s.sample("", float64(n.ClockOffsetNs)/1e9) }},
+	{"clock_rtt_seconds", "gauge", "Round trip of the kept clock sample (error bound = rtt/2).",
+		func(s sampler, n *NodeSnapshot) { s.sample("", float64(n.ClockRTTNs)/1e9) }},
+}
+
+// WritePrometheus renders one process's snapshot: every family unlabeled
+// under the streampca_ prefix.
+func WritePrometheus(w io.Writer, snap Snapshot) {
+	writeFamilies(w, "streampca_", nodeFamilies, []NodeSnapshot{{Snapshot: snap}})
+}
+
+// WriteClusterPrometheus renders the cluster view: the node count and the
+// merged end-to-end histogram unlabeled, then every node's families under
+// the streampca_node_ prefix with a node label, so both a per-worker and a
+// cluster-wide latency objective are one query away.
+func WriteClusterPrometheus(w io.Writer, cs ClusterSnapshot) {
+	nodes := family{"cluster_nodes", "gauge", "Nodes visible in the merged cluster view.",
+		func(s sampler, _ *NodeSnapshot) { s.sample("", len(cs.Nodes)) }}
+	whole := NodeSnapshot{Snapshot: Snapshot{E2ELatency: cs.E2ELatency}}
+	writeFamilies(w, "streampca_", []family{nodes, e2eFamily}, []NodeSnapshot{whole})
+	writeFamilies(w, "streampca_node_", append(accountingFamilies, nodeFamilies...), cs.Nodes)
+}
+
+// writeFamilies renders fams, and then the nodes' ad-hoc gauges and
+// counters, over nodes: families outer and nodes inner, so each family is
+// declared once and its samples are contiguous. A family no node has a
+// sample for is left out. A node with a name is labeled with it.
+func writeFamilies(w io.Writer, prefix string, fams []family, nodes []NodeSnapshot) {
+	fams = append(fams[:len(fams):len(fams)], namedFamilies(nodes)...)
+	var buf bytes.Buffer
+	for _, f := range fams {
+		buf.Reset()
+		s := sampler{w: &buf, name: prefix + f.name}
+		for i := range nodes {
+			s.label = ""
+			if nodes[i].Node != "" {
+				s.label = fmt.Sprintf("node=%q,", nodes[i].Node)
+			}
+			f.write(s, &nodes[i])
+		}
+		if buf.Len() > 0 {
+			fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s %s\n%s", s.name, f.help, s.name, f.typ, buf.Bytes())
+		}
+	}
+}
+
+// namedFamilies turns the nodes' ad-hoc gauges and counters into one family
+// per name, sorted by name (the wire edges' bytes_per_writev,
+// frames_per_writev and cork_stalls land here).
+func namedFamilies(nodes []NodeSnapshot) []family {
+	typ := map[string]string{}
+	for _, n := range nodes {
+		for k := range n.Snapshot.Gauges {
+			typ[k] = "gauge"
+		}
+		for k := range n.Snapshot.Counters {
+			typ[k] = "counter"
+		}
+	}
+	names := make([]string, 0, len(typ))
+	for k := range typ {
+		names = append(names, k)
+	}
+	sort.Strings(names)
+	fams := make([]family, len(names))
+	for i, k := range names {
+		fams[i] = family{promName(k), typ[k], "Ad-hoc " + typ[k] + " " + k + ".", func(s sampler, n *NodeSnapshot) {
+			if v, ok := n.Snapshot.Gauges[k]; ok {
+				s.sample("", v)
+			}
+			if v, ok := n.Snapshot.Counters[k]; ok {
+				s.sample("", v)
+			}
+		}}
+	}
+	return fams
+}
 
 // promName sanitizes an ad-hoc metric name into the Prometheus charset
 // ([a-zA-Z0-9_]); anything else becomes '_'.
@@ -22,164 +253,4 @@ func promName(s string) string {
 		}
 	}
 	return b.String()
-}
-
-func promHistogram(w io.Writer, name, labels string, h HistogramSnapshot) {
-	var cum int64
-	for i, bound := range h.Bounds {
-		cum += h.Counts[i]
-		fmt.Fprintf(w, "%s_bucket{%sle=\"%d\"} %d\n", name, labels, bound, cum)
-	}
-	cum += h.Counts[len(h.Counts)-1]
-	fmt.Fprintf(w, "%s_bucket{%sle=\"+Inf\"} %d\n", name, labels, cum)
-	fmt.Fprintf(w, "%s_sum{%s} %d\n", name, strings.TrimSuffix(labels, ","), h.Sum)
-	fmt.Fprintf(w, "%s_count{%s} %d\n", name, strings.TrimSuffix(labels, ","), h.Count)
-}
-
-// WritePrometheus renders the snapshot in the Prometheus text exposition
-// format (version 0.0.4).
-func WritePrometheus(w io.Writer, snap Snapshot) {
-	fmt.Fprintf(w, "# HELP streampca_uptime_seconds Seconds since the instrument set was created.\n")
-	fmt.Fprintf(w, "# TYPE streampca_uptime_seconds gauge\n")
-	fmt.Fprintf(w, "streampca_uptime_seconds %g\n", float64(snap.UptimeNs)/1e9)
-
-	if len(snap.Operators) > 0 {
-		fmt.Fprintf(w, "# HELP streampca_op_latency_ns Per-operator Process latency in nanoseconds.\n")
-		fmt.Fprintf(w, "# TYPE streampca_op_latency_ns histogram\n")
-		for _, op := range snap.Operators {
-			if op.Latency.Count > 0 || len(op.Latency.Bounds) > 0 {
-				promHistogram(w, "streampca_op_latency_ns", fmt.Sprintf("op=%q,", op.Name), op.Latency)
-			}
-		}
-		fmt.Fprintf(w, "# HELP streampca_op_batch_size Per-operator processed message tuple weight.\n")
-		fmt.Fprintf(w, "# TYPE streampca_op_batch_size histogram\n")
-		for _, op := range snap.Operators {
-			if len(op.BatchSize.Bounds) > 0 {
-				promHistogram(w, "streampca_op_batch_size", fmt.Sprintf("op=%q,", op.Name), op.BatchSize)
-			}
-		}
-		fmt.Fprintf(w, "# HELP streampca_op_queue_depth Input backlog observed at dequeue.\n")
-		fmt.Fprintf(w, "# TYPE streampca_op_queue_depth histogram\n")
-		for _, op := range snap.Operators {
-			if len(op.QueueDepth.Bounds) > 0 {
-				promHistogram(w, "streampca_op_queue_depth", fmt.Sprintf("op=%q,", op.Name), op.QueueDepth)
-			}
-		}
-		fmt.Fprintf(w, "# HELP streampca_op_tuples_total Cumulative tuples through each operator.\n")
-		fmt.Fprintf(w, "# TYPE streampca_op_tuples_total counter\n")
-		for _, op := range snap.Operators {
-			if op.Counters == nil {
-				continue
-			}
-			fmt.Fprintf(w, "streampca_op_tuples_total{op=%q,dir=\"in\"} %d\n", op.Name, op.Counters.TuplesIn)
-			fmt.Fprintf(w, "streampca_op_tuples_total{op=%q,dir=\"out\"} %d\n", op.Name, op.Counters.TuplesOut)
-		}
-		fmt.Fprintf(w, "# HELP streampca_op_dropped_total Messages dropped on droppable edges.\n")
-		fmt.Fprintf(w, "# TYPE streampca_op_dropped_total counter\n")
-		for _, op := range snap.Operators {
-			if op.Counters != nil {
-				fmt.Fprintf(w, "streampca_op_dropped_total{op=%q} %d\n", op.Name, op.Counters.Dropped)
-			}
-		}
-		fmt.Fprintf(w, "# HELP streampca_op_queue_len Current input backlog per operator.\n")
-		fmt.Fprintf(w, "# TYPE streampca_op_queue_len gauge\n")
-		for _, op := range snap.Operators {
-			if op.Counters != nil {
-				fmt.Fprintf(w, "streampca_op_queue_len{op=%q} %d\n", op.Name, op.Counters.QueueLen)
-			}
-		}
-	}
-
-	if len(snap.Engines) > 0 {
-		fmt.Fprintf(w, "# HELP streampca_engine_sigma2 Robust M-scale estimate per engine.\n")
-		fmt.Fprintf(w, "# TYPE streampca_engine_sigma2 gauge\n")
-		for _, e := range snap.Engines {
-			fmt.Fprintf(w, "streampca_engine_sigma2{engine=\"%d\"} %g\n", e.Index, e.Sigma2)
-		}
-		fmt.Fprintf(w, "# HELP streampca_engine_eff_n Forgetting-factor effective sample size.\n")
-		fmt.Fprintf(w, "# TYPE streampca_engine_eff_n gauge\n")
-		for _, e := range snap.Engines {
-			fmt.Fprintf(w, "streampca_engine_eff_n{engine=\"%d\"} %g\n", e.Index, e.EffN)
-		}
-		fmt.Fprintf(w, "# HELP streampca_engine_since_sync Observations since the engine last synchronized.\n")
-		fmt.Fprintf(w, "# TYPE streampca_engine_since_sync gauge\n")
-		for _, e := range snap.Engines {
-			fmt.Fprintf(w, "streampca_engine_since_sync{engine=\"%d\"} %g\n", e.Index, e.SinceSync)
-		}
-		fmt.Fprintf(w, "# HELP streampca_engine_eigenvalue Leading eigenvalues of the tracked subspace.\n")
-		fmt.Fprintf(w, "# TYPE streampca_engine_eigenvalue gauge\n")
-		for _, e := range snap.Engines {
-			for i, v := range e.Eigenvalues {
-				fmt.Fprintf(w, "streampca_engine_eigenvalue{engine=\"%d\",rank=\"%d\"} %g\n", e.Index, i, v)
-			}
-		}
-		fmt.Fprintf(w, "# HELP streampca_engine_eigengap Gap between the p-th and (p+1)-th eigenvalues.\n")
-		fmt.Fprintf(w, "# TYPE streampca_engine_eigengap gauge\n")
-		for _, e := range snap.Engines {
-			fmt.Fprintf(w, "streampca_engine_eigengap{engine=\"%d\"} %g\n", e.Index, e.Eigengap)
-		}
-		fmt.Fprintf(w, "# HELP streampca_engine_outlier_rate Fraction of observations flagged as outliers.\n")
-		fmt.Fprintf(w, "# TYPE streampca_engine_outlier_rate gauge\n")
-		for _, e := range snap.Engines {
-			fmt.Fprintf(w, "streampca_engine_outlier_rate{engine=\"%d\"} %g\n", e.Index, e.OutlierRate)
-		}
-		fmt.Fprintf(w, "# HELP streampca_engine_observations_total Observations processed per engine.\n")
-		fmt.Fprintf(w, "# TYPE streampca_engine_observations_total counter\n")
-		for _, e := range snap.Engines {
-			fmt.Fprintf(w, "streampca_engine_observations_total{engine=\"%d\"} %d\n", e.Index, e.Observations)
-		}
-		fmt.Fprintf(w, "# HELP streampca_engine_rebuilds_total Eigensystem rebuilds by route.\n")
-		fmt.Fprintf(w, "# TYPE streampca_engine_rebuilds_total counter\n")
-		for _, e := range snap.Engines {
-			fmt.Fprintf(w, "streampca_engine_rebuilds_total{engine=\"%d\",kind=\"rank-one\"} %d\n", e.Index, e.Rebuilds.RankOne)
-			fmt.Fprintf(w, "streampca_engine_rebuilds_total{engine=\"%d\",kind=\"rank-c\"} %d\n", e.Index, e.Rebuilds.RankC)
-		}
-	}
-
-	fmt.Fprintf(w, "# HELP streampca_sync_rounds_total Planned synchronization rounds.\n")
-	fmt.Fprintf(w, "# TYPE streampca_sync_rounds_total counter\n")
-	fmt.Fprintf(w, "streampca_sync_rounds_total %d\n", snap.Sync.Rounds)
-	fmt.Fprintf(w, "# HELP streampca_sync_staleness_seconds Seconds since the last planned sync round.\n")
-	fmt.Fprintf(w, "# TYPE streampca_sync_staleness_seconds gauge\n")
-	fmt.Fprintf(w, "streampca_sync_staleness_seconds %g\n", float64(snap.Sync.StalenessNs)/1e9)
-
-	fmt.Fprintf(w, "# HELP streampca_journal_events Journal entries retained and lost.\n")
-	fmt.Fprintf(w, "# TYPE streampca_journal_events gauge\n")
-	fmt.Fprintf(w, "streampca_journal_events{state=\"retained\"} %d\n", snap.Journal.Len)
-	fmt.Fprintf(w, "streampca_journal_events{state=\"dropped\"} %d\n", snap.Journal.Dropped)
-
-	for _, kv := range sortedGauges(snap.Gauges) {
-		fmt.Fprintf(w, "streampca_%s %g\n", promName(kv.k), kv.v)
-	}
-	for _, kv := range sortedCounters(snap.Counters) {
-		fmt.Fprintf(w, "streampca_%s %d\n", promName(kv.k), kv.v)
-	}
-}
-
-type gaugeKV struct {
-	k string
-	v float64
-}
-
-type counterKV struct {
-	k string
-	v int64
-}
-
-func sortedGauges(m map[string]float64) []gaugeKV {
-	out := make([]gaugeKV, 0, len(m))
-	for k, v := range m {
-		out = append(out, gaugeKV{k, v})
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].k < out[j].k })
-	return out
-}
-
-func sortedCounters(m map[string]int64) []counterKV {
-	out := make([]counterKV, 0, len(m))
-	for k, v := range m {
-		out = append(out, counterKV{k, v})
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].k < out[j].k })
-	return out
 }

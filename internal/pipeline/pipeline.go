@@ -78,7 +78,7 @@ type Config struct {
 	// layer: per-operator latency/batch/queue histograms on the stream
 	// runtime, algorithm gauges on each engine, sync telemetry on the
 	// controller, and control-plane events (syncs, failures, checkpoints)
-	// in the shared journal. Serve it with obs.Handler during the run.
+	// in the shared journal. Serve it with obs.NewClusterCollector(Obs).
 	Obs *obs.Set
 }
 
