@@ -232,19 +232,9 @@ func ListenWireEdge(addr string, opt WireEdgeOptions) (*WireListener, error) {
 	return wire.ListenEdge(addr, opt)
 }
 
-// Profiler / placement types (§III-D: profile, then fuse for balance).
-type (
-	// StreamMetrics is a point-in-time snapshot of one operator's counters.
-	StreamMetrics = stream.MetricsSnapshot
-	// Placement maps operator names to suggested processing elements.
-	Placement = stream.Placement
-)
-
-// SuggestFusion balances the measured operators across pes processing
-// elements by busy time (the paper's profile-and-fuse optimization loop).
-func SuggestFusion(metrics []StreamMetrics, pes int) Placement {
-	return stream.SuggestFusion(metrics, pes)
-}
+// StreamMetrics is a point-in-time snapshot of one operator's counters, the
+// element type of PipelineResult.Metrics (§III-D's per-operator profile).
+type StreamMetrics = stream.MetricsSnapshot
 
 // Synthetic-workload types.
 type (

@@ -2,6 +2,7 @@ package streampca_test
 
 import (
 	"context"
+	"strings"
 	"testing"
 	"time"
 
@@ -154,16 +155,23 @@ func TestPublicFusionAndMetrics(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	placement := streampca.SuggestFusion(res.Metrics, 2)
-	if len(placement) == 0 {
-		t.Fatal("empty placement")
-	}
-	for _, pe := range placement {
-		if pe < 0 || pe > 1 {
-			t.Fatalf("placement out of range: %v", placement)
+	// Every engine has its own profile row; together they absorbed the
+	// whole stream, and no queue is live once the run has returned.
+	var engines int
+	var tuples int64
+	for _, m := range res.Metrics {
+		if m.Busy < 0 || m.QueueLen != 0 || m.Dropped != 0 {
+			t.Fatalf("bad profile row %+v", m)
+		}
+		if strings.HasPrefix(m.Name, "pca") {
+			engines++
+			tuples += m.TuplesIn
+			if m.TuplesIn == 0 || m.Busy == 0 {
+				t.Fatalf("idle engine %+v", m)
+			}
 		}
 	}
-	if im := placement.Imbalance(res.Metrics); im < 1 {
-		t.Fatalf("imbalance %v below 1", im)
+	if engines != 3 || tuples != 3000 {
+		t.Fatalf("engine rows = %d absorbing %d tuples, want 3 and 3000", engines, tuples)
 	}
 }

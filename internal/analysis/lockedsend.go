@@ -8,7 +8,7 @@ import (
 
 // LockedSend flags channel operations and other blocking calls made while a
 // sync.Mutex or sync.RWMutex is held — the classic stream-engine deadlock: a
-// PE goroutine blocks on a full queue while holding the lock every other
+// operator goroutine blocks on a full queue while holding the lock every other
 // goroutine needs to drain it. The wire layer has the same shape under
 // backpressure: a socket Write blocks on a full TCP window while holding the
 // lock the receive path needs, so neither side makes progress and the 1.5·N

@@ -166,9 +166,7 @@ func (in *Injector) Tap(msg stream.Message) ([]stream.Message, int) {
 	case u < p.Drop:
 		in.record(seq, Drop)
 		dropped = 1
-		if f, ok := msg.(stream.Frame); ok && f.Release != nil {
-			f.Release()
-		}
+		stream.ReleaseFrame(msg)
 	case u < p.Drop+p.Duplicate:
 		in.record(seq, Duplicate)
 		dup := msg

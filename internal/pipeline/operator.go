@@ -195,7 +195,7 @@ func (p *pcaOperator) checkpoint() {
 // restore rebuilds the engine after a crash, replaying the last checkpoint
 // through ReadEigensystem/ResumeEngine — the same path an operator restarted
 // from disk would take. With no checkpoint yet, the engine restarts cold and
-// re-enters warm-up. Called on the node's PE goroutine via Graph.Revive, so
+// re-enters warm-up. Called on the node's own goroutine via Graph.Revive, so
 // no locking is needed.
 func (p *pcaOperator) restore() {
 	p.restarts++

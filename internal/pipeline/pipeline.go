@@ -53,9 +53,6 @@ type Config struct {
 	// engine participates in a sync only after SyncFactor·N observations
 	// since its last one. Default 1.5 (§II-C).
 	SyncFactor float64
-	// FuseEnginesPerPE, when > 0, places that many engines on each
-	// processing element (operator fusion); 0 gives each engine its own PE.
-	FuseEnginesPerPE int
 	// Batch is how many tuples the source packs into one stream.Frame. Above
 	// 1 it turns on micro-batched transport: every channel hop, split
 	// decision and operator dispatch is paid once per frame instead of once
@@ -198,17 +195,13 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 			}
 			op.ckptEvery = ckptEvery
 			engines[i] = op
-			opts := []stream.Option{stream.WithBuffer(p.nodeBuf)}
-			if cfg.FuseEnginesPerPE > 0 {
-				opts = append(opts, stream.WithPE(i/cfg.FuseEnginesPerPE))
-			}
 			var node stream.Operator = op
 			if chaos != nil {
 				if plan, ok := chaos.Engine[i]; ok {
 					node = fault.WrapOperator(op, plan)
 				}
 			}
-			engIDs[i] = g.Add(fmt.Sprintf("pca%d", i), node, opts...)
+			engIDs[i] = g.Add(fmt.Sprintf("pca%d", i), node, stream.WithBuffer(p.nodeBuf))
 			if err := g.Connect(split, i, engIDs[i], portData); err != nil {
 				return nil, nil, err
 			}
@@ -240,7 +233,7 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 
 		// Failure supervisor: a crashed engine is excluded from sync plans
 		// immediately; if RestartAfter is set, it is revived from its last
-		// checkpoint on its own PE goroutine and re-enters the sync rotation.
+		// checkpoint on its own goroutine and re-enters the sync rotation.
 		// Registered whenever chaos or observability is on — an instrumented
 		// run journals failures and revivals even without injected faults.
 		if chaos == nil && p.Obs == nil {

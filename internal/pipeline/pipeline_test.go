@@ -216,26 +216,6 @@ func TestPipelineGappySpectra(t *testing.T) {
 	}
 }
 
-func TestPipelineFusedPlacement(t *testing.T) {
-	gen, _ := spectra.NewSignalGenerator(spectra.SignalConfig{Dim: 30, Signals: 2, Seed: 7})
-	res, err := Run(context.Background(), Config{
-		Engine:           engineConfig(30, 2, 300),
-		NumEngines:       4,
-		Source:           signalSource(gen, 8000),
-		FuseEnginesPerPE: 2,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var processed int64
-	for _, st := range res.Engines {
-		processed += st.Processed
-	}
-	if processed != 8000 {
-		t.Fatalf("fused placement lost tuples: %d", processed)
-	}
-}
-
 func TestPipelineConfigErrors(t *testing.T) {
 	if _, err := Run(context.Background(), Config{}); err == nil {
 		t.Fatal("missing source should error")

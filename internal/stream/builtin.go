@@ -37,6 +37,7 @@ type Split struct {
 // Process implements Operator.
 func (s *Split) Process(_ int, msg Message, emit Emit) {
 	if s.N <= 0 {
+		ReleaseFrame(msg)
 		return
 	}
 	if _, ok := msg.(Barrier); ok {
@@ -102,8 +103,7 @@ func CounterSource(n int64, next func(seq int64) Message) SourceFunc {
 }
 
 // Collect is a sink operator appending every arriving message to a slice.
-// It is safe only for single-PE use (like any operator); read Items after
-// Run returns.
+// Like any operator it runs on one goroutine; read Items after Run returns.
 type Collect struct {
 	// Items accumulates the received messages in arrival order.
 	Items []Message

@@ -13,16 +13,7 @@ type NodeID int
 // Option configures a node at Add/AddSource time.
 type Option func(*node)
 
-// WithPE fuses the node onto processing element pe: all nodes sharing a PE
-// run on one goroutine and exchange messages by direct call ("Fusion"
-// operators, §III-D). Negative values (the default) give the node its own
-// PE. Sources ignore placement: they always run their own goroutine.
-func WithPE(pe int) Option {
-	return func(n *node) { n.pe = pe }
-}
-
-// WithBuffer sets the channel buffer contributed by this node's inbound
-// edges (default 64).
+// WithBuffer sets the capacity of the node's input queue (default 64).
 func WithBuffer(buf int) Option {
 	return func(n *node) {
 		if buf > 0 {
@@ -36,7 +27,6 @@ type node struct {
 	name string
 	op   Operator   // nil for sources
 	src  SourceFunc // nil for operators
-	pe   int        // -1 = dedicated
 	buf  int
 
 	// resolved at Run
@@ -116,7 +106,7 @@ func (g *Graph) Add(name string, op Operator, opts ...Option) NodeID {
 func (g *Graph) add(name string, op Operator, src SourceFunc, opts []Option) NodeID {
 	n := &node{
 		id: NodeID(len(g.nodes)), name: name, op: op, src: src,
-		pe: -1, buf: 64,
+		buf:     64,
 		outs:    make(map[int][]*edge),
 		metrics: &OpMetrics{Name: name},
 	}
@@ -135,7 +125,7 @@ func (g *Graph) Connect(from NodeID, fromPort int, to NodeID, toPort int) error 
 }
 
 // ConnectLoop wires a back-edge. Loop edges never block: when the receiving
-// processing element's queue is full the message is dropped and counted in
+// operator's queue is full the message is dropped and counted in
 // the sender's Dropped metric — synchronization signals are droppable by
 // design, which keeps cyclic graphs live under load.
 func (g *Graph) ConnectLoop(from NodeID, fromPort int, to NodeID, toPort int) error {
@@ -254,9 +244,9 @@ func (g *Graph) recordFailure(f NodeFailure) {
 }
 
 // Revive clears node id's failed state so it processes traffic again. fn,
-// when non-nil, runs on the node's processing element goroutine before the
-// flag clears — the safe place to restore the operator's state (e.g. resume
-// an engine from its last checkpoint). Revive is a no-op when the node is
+// when non-nil, runs on the node's own goroutine before the flag clears —
+// the safe place to restore the operator's state (e.g. resume an engine
+// from its last checkpoint). Revive is a no-op when the node is
 // not currently failed or has already flushed, and returns an error when
 // the graph is not running.
 func (g *Graph) Revive(id NodeID, fn func()) error {
@@ -273,9 +263,8 @@ func (g *Graph) Revive(id NodeID, fn func()) error {
 	if n.src != nil {
 		return fmt.Errorf("stream: cannot revive source %q", n.name)
 	}
-	p := rt.peOf[id]
 	select {
-	case p.in <- envelope{to: n, revive: true, reviveFn: fn, port: -1}:
+	case rt.ops[id].in <- envelope{revive: true, reviveFn: fn}:
 		return nil
 	case <-rt.ctx.Done():
 		return rt.ctx.Err()
@@ -295,8 +284,8 @@ func (g *Graph) Instrument(set *obs.Set) {
 }
 
 // Metrics returns a snapshot of every node's counters, in insertion order.
-// While the graph runs, QueueLen carries the node's processing-element input
-// backlog (fused nodes share a queue and report the same backlog).
+// While the graph runs, QueueLen carries the backlog of the node's input
+// queue.
 func (g *Graph) Metrics() []MetricsSnapshot {
 	g.mu.Lock()
 	rt := g.live
@@ -305,9 +294,7 @@ func (g *Graph) Metrics() []MetricsSnapshot {
 	for i, n := range g.nodes {
 		q := 0
 		if rt != nil {
-			if p := rt.peOf[n.id]; p != nil && p.in != nil {
-				q = len(p.in)
-			}
+			q = len(rt.ops[n.id].in)
 		}
 		out[i] = n.metrics.snapshot(q)
 	}

@@ -1,13 +1,14 @@
 // Package stream is a typed-tuple dataflow engine standing in for IBM
 // InfoSphere Streams (§III). It provides the primitives the paper's
 // application is built from: operators connected by buffered streams, a
-// multithreaded split, throttled control signals, network connectors, and
-// operator fusion (operators placed on the same processing element exchange
-// messages by direct call instead of a channel hop).
+// multithreaded split, throttled control signals and network connectors.
 //
-// Execution model: every processing element (PE) runs one goroutine that
-// drains a merged input queue for all operators fused into it. Sources run
-// their own goroutines. Data edges propagate end-of-stream; loop edges
+// Execution model: every operator runs on its own goroutine and drains its
+// own input queue; sources run their own goroutines too. InfoSphere's
+// operator fusion (several operators on one processing element, exchanging
+// data by direct call) has no counterpart: an in-process edge already hands
+// over a message in memory, and putting CPU-bound operators on one goroutine
+// only serializes them. Data edges propagate end-of-stream; loop edges
 // (cycles, used by the synchronization fabric) never block — a full loop
 // buffer drops the message and counts it, mirroring the droppable nature of
 // sync signals and guaranteeing liveness of cyclic graphs.
@@ -68,6 +69,14 @@ type Frame struct {
 	Trace Trace
 	// Release returns the frame's storage to the transport pool, if set.
 	Release func()
+}
+
+// ReleaseFrame releases msg if it is a Frame with a Release: the call for
+// every site that drops a message instead of delivering it.
+func ReleaseFrame(msg Message) {
+	if f, ok := msg.(Frame); ok && f.Release != nil {
+		f.Release()
+	}
 }
 
 // Barrier is a checkpoint-barrier marker injected into the data stream

@@ -36,7 +36,7 @@ func tupleWeight(msg Message) int64 {
 }
 
 // MetricsSnapshot is a point-in-time copy of a node's counters — the
-// profiler output the paper's placement optimizer consumes (§III-D).
+// per-operator profile the paper reads off InfoSphere's profiler (§III-D).
 type MetricsSnapshot struct {
 	// Name is the node name.
 	Name string
@@ -54,16 +54,15 @@ type MetricsSnapshot struct {
 	Dropped int64
 	// Busy is the cumulative time spent inside Process/Flush.
 	Busy time.Duration
-	// QueueLen is the current backlog of the node's processing-element input
-	// queue at snapshot time — nodes fused onto one PE share a queue and
-	// report the same value. Zero when the graph is not running.
+	// QueueLen is the current backlog of the node's input queue at snapshot
+	// time. Zero for sources and when the graph is not running.
 	QueueLen int
 }
 
 func (m *OpMetrics) snapshot(queueLen int) MetricsSnapshot {
 	// Output counters are loaded before input counters: every emit follows
 	// its input's increment, so this order keeps Out ≤ In (and TuplesOut ≤
-	// TuplesIn) in every live snapshot even while the PE is mid-delivery.
+	// TuplesIn) in every live snapshot even while the node is mid-delivery.
 	// The reverse order could observe an emit whose input load already
 	// happened, reporting more output than input.
 	out := m.out.Load()

@@ -176,19 +176,3 @@ func TestMetricsConsistencyUnderChaos(t *testing.T) {
 		}
 	}
 }
-
-func TestImbalanceIgnoresNegativeBusy(t *testing.T) {
-	p := Placement{"a": 0, "b": 1}
-	metrics := []MetricsSnapshot{
-		{Name: "a", Busy: 100 * time.Millisecond},
-		{Name: "b", Busy: -50 * time.Millisecond}, // reset racing a snapshot
-	}
-	if got := p.Imbalance(metrics); got != 1 {
-		// Only PE 0 has valid load → single-PE ratio is 1.
-		t.Errorf("imbalance = %g, want 1", got)
-	}
-	allNeg := []MetricsSnapshot{{Name: "a", Busy: -time.Second}}
-	if got := p.Imbalance(allNeg); got != 1 {
-		t.Errorf("all-negative imbalance = %g, want 1", got)
-	}
-}

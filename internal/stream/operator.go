@@ -8,7 +8,7 @@ import "context"
 type Emit func(port int, msg Message)
 
 // Operator is a stateful stream transformer. Implementations are invoked
-// from a single goroutine (their processing element), so they need no
+// from a single goroutine (their own), so they need no
 // internal locking — the same guarantee InfoSphere gives a non-reentrant
 // SPL operator.
 type Operator interface {

@@ -158,6 +158,36 @@ func TestOperatorPanicBecomesNodeFailure(t *testing.T) {
 	}
 }
 
+func TestFailedNodeReleasesDroppedFrames(t *testing.T) {
+	// Frames a failed node drops never reach a consumer, so the runtime
+	// must release each of them exactly once in its place.
+	var releases atomic.Int64
+	g := NewGraph()
+	src := g.AddSource("src", CounterSource(50, func(seq int64) Message {
+		return Frame{Seq: seq, Tuples: []Tuple{{Seq: seq}}, Release: func() { releases.Add(1) }}
+	}))
+	mid := g.Add("mid", &panicAt{at: 10})
+	snk := g.Add("sink", &Collect{})
+	if err := g.Connect(src, 0, mid, 0); err != nil {
+		t.Fatal(err)
+	}
+	if err := g.Connect(mid, 0, snk, 0); err != nil {
+		t.Fatal(err)
+	}
+	if err := g.Run(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	var midM MetricsSnapshot
+	for _, m := range g.Metrics() {
+		if m.Name == "mid" {
+			midM = m
+		}
+	}
+	if midM.Dropped != 40 || releases.Load() != 40 {
+		t.Fatalf("Dropped = %d, releases = %d, want 40 and 40", midM.Dropped, releases.Load())
+	}
+}
+
 func TestReviveRestoresFailedNode(t *testing.T) {
 	g := NewGraph()
 	// An endless ticker-style source keeps the graph alive until cancel;

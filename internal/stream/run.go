@@ -8,41 +8,36 @@ import (
 	"time"
 )
 
-// envelope is the unit moved through processing-element queues.
+// envelope is the unit moved through an operator's input queue.
 type envelope struct {
-	to   *node
 	port int
 	msg  Message
-	eos  bool // end-of-stream marker for one non-loop inbound edge of `to`
-	// revive clears the target node's failed state; reviveFn (optional)
-	// runs first, on the PE goroutine, to restore operator state.
+	eos  bool // end-of-stream marker for one non-loop inbound edge
+	// revive clears the operator's failed state; reviveFn (optional) runs
+	// first, on the operator's goroutine, to restore operator state.
 	revive   bool
 	reviveFn func()
 }
 
-// peRuntime executes all operators fused onto one processing element.
-type peRuntime struct {
-	in    chan envelope
-	nodes []*node
-	// pendingEOS is the number of channel-borne EOS envelopes this PE still
-	// expects (non-loop cross-PE in-edges plus bootstrap flushes); the
-	// goroutine exits when it reaches zero.
+// opRuntime executes one node. Operators drain their own input queue on
+// their own goroutine; sources run their SourceFunc and have no queue.
+type opRuntime struct {
+	n  *node
+	in chan envelope // nil for sources
+	// pendingEOS is the number of non-loop inbound edges that have not yet
+	// ended; the operator flushes and its goroutine exits when it reaches
+	// zero.
 	pendingEOS int
-	done       map[NodeID]bool
-	// failed marks nodes whose operator panicked; they drop traffic (but
-	// still honor the EOS protocol) until revived. Owned by the PE
-	// goroutine.
-	failed map[NodeID]bool
-	// eosSeen counts non-loop EOS per node (channel and fused combined).
-	eosSeen map[NodeID]int
-	run     *runtime
+	// failed marks an operator that panicked; it drops traffic (but still
+	// honors the EOS protocol) until revived. Owned by the goroutine.
+	failed bool
+	run    *runtime
 }
 
 // runtime is the live state of a running graph.
 type runtime struct {
 	g      *Graph
-	pes    map[int]*peRuntime // pe id → runtime
-	peOf   map[NodeID]*peRuntime
+	ops    []*opRuntime // indexed by NodeID
 	ctx    context.Context
 	cancel context.CancelFunc
 }
@@ -53,10 +48,12 @@ type runtime struct {
 // ctx.Err(). It may be called once.
 //
 // Termination protocol: end-of-stream travels only over non-loop edges.
-// Operators flush once all their non-loop inputs have ended; nodes whose
-// inputs are exclusively loop edges (pure synchronization fabric) never
-// flush on their own and stop at cancellation. Graphs whose control fabric
-// is driven by a non-terminating source (e.g. a sync ticker) therefore
+// Operators flush once all their non-loop inputs have ended, and operators
+// with no inputs at all flush as soon as Run starts. Operators whose inputs
+// are exclusively loop edges have no end-of-stream to wait for and never
+// run: their goroutine returns at once, so messages sent to them fill the
+// queue and are then dropped at the sender. Graphs whose control fabric is
+// driven by a non-terminating source (e.g. a sync ticker) therefore
 // terminate via ctx cancellation, which the paper's endless-stream setting
 // makes the natural mode anyway.
 func (g *Graph) Run(ctx context.Context) error {
@@ -69,89 +66,37 @@ func (g *Graph) Run(ctx context.Context) error {
 	}
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
-	rt := &runtime{
-		g: g, pes: make(map[int]*peRuntime), peOf: make(map[NodeID]*peRuntime),
-		ctx: ctx, cancel: cancel,
-	}
+	rt := &runtime{g: g, ops: make([]*opRuntime, len(g.nodes)), ctx: ctx, cancel: cancel}
 	defer func() {
 		g.mu.Lock()
 		g.live = nil
 		g.mu.Unlock()
 	}()
-
-	// Assign PEs: explicit ids share a runtime; pe < 0 and sources get
-	// dedicated ones.
-	next := 1 << 20 // dedicated ids above any plausible user id
-	for _, n := range g.nodes {
-		pe := n.pe
-		if pe < 0 || n.src != nil {
-			pe = next
-			next++
+	for i, n := range g.nodes {
+		p := &opRuntime{n: n, pendingEOS: n.nonLoop, run: rt}
+		if n.src == nil {
+			p.in = make(chan envelope, n.buf)
 		}
-		p := rt.pes[pe]
-		if p == nil {
-			p = &peRuntime{
-				done:    make(map[NodeID]bool),
-				failed:  make(map[NodeID]bool),
-				eosSeen: make(map[NodeID]int),
-				run:     rt,
-			}
-			rt.pes[pe] = p
-		}
-		p.nodes = append(p.nodes, n)
-		rt.peOf[n.id] = p
-	}
-	// Size each PE queue and count expected channel EOS.
-	for _, p := range rt.pes {
-		buf := 0
-		for _, n := range p.nodes {
-			buf += n.buf
-		}
-		if buf < 1 {
-			buf = 1
-		}
-		p.in = make(chan envelope, buf)
-	}
-	for _, e := range g.edges {
-		if e.loop {
-			continue
-		}
-		if rt.peOf[e.from.id] != rt.peOf[e.to.id] || e.from.src != nil {
-			rt.peOf[e.to.id].pendingEOS++
-		}
-	}
-	for _, n := range g.nodes {
-		if n.src == nil && n.inbound == 0 {
-			rt.peOf[n.id].pendingEOS++ // bootstrap flush below
-		}
+		rt.ops[i] = p
 	}
 
-	// Publish the runtime only after the PE maps and queues exist: Revive and
-	// the queue-aware Metrics read rt.peOf/p.in through g.live concurrently.
+	// Publish the runtime only after the queues exist: Revive and the
+	// queue-aware Metrics read rt.ops through g.live concurrently.
 	g.mu.Lock()
 	g.live = rt
 	g.mu.Unlock()
 
 	var wg sync.WaitGroup
 	errCh := make(chan error, len(g.nodes))
-
-	// Operator PEs.
-	for _, p := range rt.pes {
-		if p.isSourceOnly() {
+	for _, p := range rt.ops {
+		wg.Add(1)
+		if p.in != nil {
+			go func(p *opRuntime) {
+				defer wg.Done()
+				p.loop()
+			}(p)
 			continue
 		}
-		wg.Add(1)
-		go func(p *peRuntime) {
-			defer wg.Done()
-			p.loop()
-		}(p)
-	}
-	// Sources.
-	for _, n := range g.nodes {
-		if n.src == nil {
-			continue
-		}
-		wg.Add(1)
 		go func(n *node) {
 			defer wg.Done()
 			emit := rt.emitter(n)
@@ -170,18 +115,8 @@ func (g *Graph) Run(ctx context.Context) error {
 				errCh <- fmt.Errorf("source %q: %w", n.name, err)
 				rt.cancel()
 			}
-			rt.finishNode(n, nil)
-		}(n)
-	}
-	// Bootstrap flushes for operator nodes with no inbound edges.
-	for _, n := range g.nodes {
-		if n.src == nil && n.inbound == 0 {
-			p := rt.peOf[n.id]
-			select {
-			case p.in <- envelope{to: n, eos: true, port: -1}:
-			case <-ctx.Done():
-			}
-		}
+			rt.finishNode(n)
+		}(p.n)
 	}
 
 	wg.Wait()
@@ -196,78 +131,53 @@ func (g *Graph) Run(ctx context.Context) error {
 	return ctx.Err()
 }
 
-func (p *peRuntime) isSourceOnly() bool {
-	for _, n := range p.nodes {
-		if n.src == nil {
-			return false
-		}
+// loop is the operator goroutine body: drain envelopes until every non-loop
+// input ended or the run is cancelled.
+func (p *opRuntime) loop() {
+	if p.n.inbound == 0 {
+		p.finish() // nothing can ever arrive: flush at once
+		return
 	}
-	return true
-}
-
-// loop is the PE goroutine body: drain envelopes until every expected EOS
-// arrived or the run is cancelled.
-func (p *peRuntime) loop() {
 	for p.pendingEOS > 0 {
 		select {
 		case env := <-p.in:
-			if env.revive {
-				p.handleRevive(env.to, env.reviveFn)
-				continue
+			switch {
+			case env.revive:
+				p.revive(env.reviveFn)
+			case env.eos:
+				if p.pendingEOS--; p.pendingEOS == 0 {
+					p.finish()
+				}
+			default:
+				p.deliver(env.port, env.msg)
 			}
-			if env.eos {
-				p.pendingEOS--
-				p.handleEOS(env.to, env.port < 0)
-				continue
-			}
-			p.deliver(env.to, env.port, env.msg)
 		case <-p.run.ctx.Done():
 			return
 		}
 	}
 }
 
-// handleRevive restores a failed node: fn runs first (on this goroutine,
-// so it can safely rebuild operator state), then the failed flag clears.
-// Nodes that already flushed stay done.
-func (p *peRuntime) handleRevive(n *node, fn func()) {
-	if p.done[n.id] || !p.failed[n.id] {
+// revive restores a failed operator: fn runs first (on this goroutine, so
+// it can safely rebuild operator state), then the failed flag clears.
+func (p *opRuntime) revive(fn func()) {
+	if !p.failed {
 		return
 	}
 	if fn != nil {
 		fn()
 	}
-	delete(p.failed, n.id)
+	p.failed = false
 }
 
-// handleEOS records one non-loop inbound edge completion for n (bootstrap
-// flushes arrive with port < 0 and complete zero-input nodes directly).
-func (p *peRuntime) handleEOS(n *node, bootstrap bool) {
-	if p.done[n.id] {
-		return
-	}
-	if bootstrap {
-		if n.inbound == 0 {
-			p.finishOperator(n)
-		}
-		return
-	}
-	p.eosSeen[n.id]++
-	if n.nonLoop > 0 && p.eosSeen[n.id] >= n.nonLoop {
-		p.finishOperator(n)
-	}
-}
-
-// deliver runs one message through an operator, timing it and cascading
-// direct-call (fused) emissions. An operator panic is converted into a
-// node-failed event: the node drops traffic (counted) until revived, and
-// the process keeps running.
-func (p *peRuntime) deliver(n *node, port int, msg Message) {
-	if p.done[n.id] {
-		return // late loop traffic after flush
-	}
-	if p.failed[n.id] {
+// deliver runs one message through the operator, timing it. An operator
+// panic is converted into a node-failed event: the node drops traffic
+// (counted, and dropped frames released) until revived, and the process
+// keeps running.
+func (p *opRuntime) deliver(port int, msg Message) {
+	n := p.n
+	if p.failed {
 		n.metrics.dropped.Add(1)
+		ReleaseFrame(msg)
 		return
 	}
 	n.metrics.in.Add(1)
@@ -279,7 +189,7 @@ func (p *peRuntime) deliver(n *node, port int, msg Message) {
 	func() {
 		defer func() {
 			if r := recover(); r != nil {
-				p.fail(n, fmt.Errorf("operator %q panicked: %v", n.name, r))
+				p.fail(fmt.Errorf("operator %q panicked: %v", n.name, r))
 			}
 		}()
 		n.op.Process(port, msg, p.run.emitter(n))
@@ -291,55 +201,41 @@ func (p *peRuntime) deliver(n *node, port int, msg Message) {
 	}
 }
 
-// fail marks n failed and publishes the node-failed event.
-func (p *peRuntime) fail(n *node, err error) {
-	p.failed[n.id] = true
-	p.run.g.recordFailure(NodeFailure{Node: n.id, Name: n.name, Err: err})
+// fail marks the operator failed and publishes the node-failed event.
+func (p *opRuntime) fail(err error) {
+	p.failed = true
+	p.run.g.recordFailure(NodeFailure{Node: p.n.id, Name: p.n.name, Err: err})
 }
 
-// finishOperator flushes n and propagates EOS to its downstream non-loop
-// edges. Failed nodes skip the flush (their state is not trustworthy) but
-// still propagate EOS so the rest of the graph drains normally.
-func (p *peRuntime) finishOperator(n *node) {
-	if p.done[n.id] {
-		return
-	}
-	p.done[n.id] = true
-	if !p.failed[n.id] {
+// finish flushes the operator and propagates EOS to its downstream non-loop
+// edges. A failed operator skips the flush (its state is not trustworthy)
+// but still propagates EOS so the rest of the graph drains normally.
+func (p *opRuntime) finish() {
+	n := p.n
+	if !p.failed {
 		start := time.Now()
 		func() {
 			defer func() {
 				if r := recover(); r != nil {
-					p.fail(n, fmt.Errorf("operator %q panicked in flush: %v", n.name, r))
+					p.fail(fmt.Errorf("operator %q panicked in flush: %v", n.name, r))
 				}
 			}()
 			n.op.Flush(p.run.emitter(n))
 		}()
 		n.metrics.busyNs.Add(int64(time.Since(start)))
 	}
-	p.run.finishNode(n, p)
+	p.run.finishNode(n)
 }
 
 // finishNode sends EOS along every non-loop out-edge of n, after draining
 // any edge taps so bounded-delay faults cannot swallow messages at
-// end-of-stream. Fused same-PE edges are handled synchronously; channel
-// edges get an EOS envelope.
-func (rt *runtime) finishNode(n *node, self *peRuntime) {
+// end-of-stream.
+func (rt *runtime) finishNode(n *node) {
 	for _, es := range n.outs {
 		for _, e := range es {
-			if e.tap == nil {
-				continue
-			}
-			fwd, dropped := e.tap.Drain()
-			if dropped > 0 {
-				n.metrics.dropped.Add(int64(dropped))
-			}
-			n.metrics.out.Add(int64(len(fwd)))
-			for _, m := range fwd {
-				if w := tupleWeight(m); w > 0 {
-					n.metrics.tuplesOut.Add(w)
-				}
-				rt.sendOnEdge(n, e, m, self)
+			if e.tap != nil {
+				fwd, dropped := e.tap.Drain()
+				rt.forward(n, e, fwd, dropped)
 			}
 		}
 	}
@@ -348,49 +244,55 @@ func (rt *runtime) finishNode(n *node, self *peRuntime) {
 			if e.loop {
 				continue
 			}
-			dst := rt.peOf[e.to.id]
-			if dst == self && n.src == nil {
-				dst.handleEOS(e.to, false) // fused: synchronous, no envelope
-				continue
-			}
 			select {
-			case dst.in <- envelope{to: e.to, port: e.toPort, eos: true}:
+			case rt.ops[e.to.id].in <- envelope{port: e.toPort, eos: true}:
 			case <-rt.ctx.Done():
 			}
 		}
 	}
 }
 
-// sendOnEdge moves one message across e, honoring fusion (direct call),
-// loop-edge drop semantics, and cancellation.
-func (rt *runtime) sendOnEdge(n *node, e *edge, msg Message, self *peRuntime) {
-	dst := rt.peOf[e.to.id]
-	if dst == self && n.src == nil {
-		dst.deliver(e.to, e.toPort, msg)
-		return
+// forward charges a tap's verdict to n's metrics and sends the messages the
+// tap let through across e.
+func (rt *runtime) forward(n *node, e *edge, fwd []Message, dropped int) {
+	if dropped > 0 {
+		n.metrics.dropped.Add(int64(dropped))
 	}
-	env := envelope{to: e.to, port: e.toPort, msg: msg}
+	n.metrics.out.Add(int64(len(fwd)))
+	for _, m := range fwd {
+		if w := tupleWeight(m); w > 0 {
+			n.metrics.tuplesOut.Add(w)
+		}
+		rt.sendOnEdge(n, e, m)
+	}
+}
+
+// sendOnEdge moves one message into the queue of e's destination: blocking
+// for data edges (until cancellation), dropping for loop edges when the
+// queue is full so cycles can never deadlock. A dropped message counts
+// toward the sender's Dropped metric and its frame is released.
+func (rt *runtime) sendOnEdge(n *node, e *edge, msg Message) {
+	dst := rt.ops[e.to.id].in
+	env := envelope{port: e.toPort, msg: msg}
 	if e.loop {
 		select {
-		case dst.in <- env:
+		case dst <- env:
 		default:
 			n.metrics.dropped.Add(1)
+			ReleaseFrame(msg)
 		}
 		return
 	}
 	select {
-	case dst.in <- env:
+	case dst <- env:
 	case <-rt.ctx.Done():
 	}
 }
 
-// emitter returns the Emit closure for node n. Same-PE operator targets are
-// invoked directly (fusion); cross-PE targets go through the destination
-// queue — blocking for data edges, dropping for loop edges so cycles can
-// never deadlock. Tapped edges run every message through their Tap first;
-// discarded messages count toward the sender's Dropped metric.
+// emitter returns the Emit closure for node n. Tapped edges run every
+// message through their Tap first; discarded messages count toward the
+// sender's Dropped metric.
 func (rt *runtime) emitter(n *node) Emit {
-	self := rt.peOf[n.id]
 	return func(port int, msg Message) {
 		es := n.outs[port]
 		if len(es) == 0 {
@@ -399,23 +301,14 @@ func (rt *runtime) emitter(n *node) Emit {
 		for _, e := range es {
 			if e.tap != nil {
 				fwd, dropped := e.tap.Tap(msg)
-				if dropped > 0 {
-					n.metrics.dropped.Add(int64(dropped))
-				}
-				n.metrics.out.Add(int64(len(fwd)))
-				for _, m := range fwd {
-					if w := tupleWeight(m); w > 0 {
-						n.metrics.tuplesOut.Add(w)
-					}
-					rt.sendOnEdge(n, e, m, self)
-				}
+				rt.forward(n, e, fwd, dropped)
 				continue
 			}
 			n.metrics.out.Add(1)
 			if w := tupleWeight(msg); w > 0 {
 				n.metrics.tuplesOut.Add(w)
 			}
-			rt.sendOnEdge(n, e, msg, self)
+			rt.sendOnEdge(n, e, msg)
 		}
 	}
 }

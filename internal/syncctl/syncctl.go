@@ -80,7 +80,7 @@ type Controller struct {
 	rng   *rand.Rand
 
 	// mu guards failed: MarkFailed/MarkRecovered are called from failure
-	// handlers on other goroutines while Plan runs on the controller's PE.
+	// handlers on other goroutines while Plan runs on the controller's goroutine.
 	mu     sync.Mutex
 	failed map[int]bool
 }

@@ -562,16 +562,7 @@ func (e *Edge) markSent(msg stream.Message) {
 // prefix was already copied out), so the buffer is safe to reuse.
 func (e *Edge) abandonMsg(msg stream.Message) {
 	e.abandoned.Add(1)
-	if f, ok := msg.(stream.Frame); ok && f.Release != nil {
-		f.Release()
-	}
-}
-
-// releaseFrame recycles a frame that will be neither sent nor emitted.
-func releaseFrame(msg stream.Message) {
-	if f, ok := msg.(stream.Frame); ok && f.Release != nil {
-		f.Release()
-	}
+	stream.ReleaseFrame(msg)
 }
 
 // sendOp is the send half: a stream.Operator that hands every incoming
@@ -893,7 +884,7 @@ func (e *Edge) Source(route func(stream.Message) int) stream.SourceFunc {
 			// source has returned.
 			<-gone
 			for m := range q {
-				releaseFrame(m)
+				stream.ReleaseFrame(m)
 			}
 		}()
 		defer close(gone)
@@ -970,7 +961,7 @@ func (e *Edge) recvLoop(q chan<- stream.Message, gone <-chan struct{}) error {
 		select {
 		case q <- msg:
 		case <-gone:
-			releaseFrame(msg)
+			stream.ReleaseFrame(msg)
 			return nil
 		}
 	}

@@ -532,7 +532,7 @@ func TestEdgeAnswersClockProbeUnderLoad(t *testing.T) {
 				default:
 				}
 			}
-			releaseFrame(msg)
+			stream.ReleaseFrame(msg)
 		})
 	}()
 
@@ -663,7 +663,7 @@ func TestEdgeSourceCancelStopsReceiver(t *testing.T) {
 	defer cancel()
 	errc := make(chan error, 1)
 	go func() {
-		errc <- worker.Source(nil)(ctx, func(_ int, msg stream.Message) { releaseFrame(msg) })
+		errc <- worker.Source(nil)(ctx, func(_ int, msg stream.Message) { stream.ReleaseFrame(msg) })
 	}()
 	for deadline := time.Now().Add(10 * time.Second); worker.Stats().FramesRecv < 32; {
 		if time.Now().After(deadline) {
