@@ -1,7 +1,7 @@
 GO ?= go
 FUZZTIME ?= 10s
 
-.PHONY: build test test-wire test-race fuzz-short fuzz-race bench perf obs-check lint lint-json loc check
+.PHONY: build test test-portable test-wire test-race fuzz-short fuzz-race bench perf obs-check lint lint-json loc check
 
 build:
 	$(GO) build ./...
@@ -26,12 +26,12 @@ lint:
 
 # Non-test line budget (internal/analysis/loc_budget.txt, beside the
 # suppression budget): fails when a package, the facade (./api.go) or the
-# commands (./cmd) hold more non-test Go lines than their committed count, or
-# when a directory under internal/ has no count.
+# commands (./cmd) hold more non-test Go and assembly lines than their
+# committed count, or when a directory under internal/ has no count.
 loc:
 	@fail=0; while read -r pkg max; do \
 		case "$$pkg" in ''|'#'*) continue;; ./*) path=$$pkg;; *) path=internal/$$pkg;; esac; \
-		n=$$(find $$path -name '*.go' ! -name '*_test.go' | xargs cat | wc -l); \
+		n=$$(find $$path \( -name '*.go' ! -name '*_test.go' -o -name '*.s' \) | xargs cat | wc -l); \
 		if [ "$$n" -gt "$$max" ]; then echo "loc: $$path has $$n non-test lines, budget $$max"; fail=1; \
 		else echo "loc: $$path $$n/$$max"; fi; \
 	done < internal/analysis/loc_budget.txt; \
@@ -48,6 +48,15 @@ lint-json:
 	$(GO) run ./cmd/streamvet -json ./... > $(STREAMVET_JSON)
 	@echo "lint-json: wrote $(STREAMVET_JSON)"
 
+# Tier 1, portable path: the mat kernels have SSE2 assembly on amd64 and run
+# their Go reference loops everywhere else. The 386 run (native on an x86-64
+# Linux host) puts the Go loops under the kernel, eigensolver and engine
+# suites, including the golden engine digests both paths must hit; the arm64
+# vet compiles the generic kernel file and checks it without running it.
+test-portable:
+	GOARCH=386 $(GO) test ./internal/mat ./internal/eig ./internal/core
+	GOARCH=arm64 $(GO) vet ./internal/mat
+
 # Tier 2: the wire layer against real TCP sockets under the race detector —
 # loopback edges, reconnect chaos, and the multi-process harness tests that
 # re-exec the test binary as worker processes — plus the fault injector,
@@ -62,13 +71,14 @@ test-wire:
 # (the wire decoder runs against live sockets elsewhere) would slip the gate.
 # -run with the fuzz-target names and no -fuzz flag replays seeds only.
 fuzz-race:
-	$(GO) test -race -count=1 -run '^Fuzz' ./internal/core ./internal/fault ./internal/wire
+	$(GO) test -race -count=1 -run '^Fuzz' ./internal/core ./internal/fault ./internal/mat ./internal/wire
 
 # The one-stop pre-commit target: every static gate plus the full test suite,
-# the line budget, the race-enabled stream/wire/transport suite, the race-mode
-# fuzz-corpus replay, the end-to-end observability probe, and the
-# machine-readable diagnostics artifact ($(STREAMVET_JSON)).
-check: lint loc test test-wire fuzz-race obs-check lint-json
+# the line budget, the portable-path suite, the race-enabled
+# stream/wire/transport suite, the race-mode fuzz-corpus replay, the
+# end-to-end observability probe, and the machine-readable diagnostics
+# artifact ($(STREAMVET_JSON)).
+check: lint loc test test-portable test-wire fuzz-race obs-check lint-json
 
 # Tier 2: the same suite under the race detector (the chaos tests exercise
 # panic recovery, revive, and the failure supervisor concurrently), with the
@@ -80,8 +90,8 @@ test-race:
 	$(GO) test -race ./...
 
 # Tier 2: short fuzzing passes over the checkpoint reader, the fault
-# injector, the wire codecs, the arrowhead eigensolver and the binary record
-# reader. Each target fuzzes for $(FUZZTIME); seed corpora alone run in plain
+# injector, the wire codecs, the arrowhead eigensolver, the binary record
+# reader and the mat kernels against their Go references. Each target fuzzes for $(FUZZTIME); seed corpora alone run in plain
 # `make test`.
 fuzz-short:
 	$(GO) test -run '^$$' -fuzz '^FuzzReadEigensystem$$' -fuzztime $(FUZZTIME) ./internal/core
@@ -90,6 +100,7 @@ fuzz-short:
 	$(GO) test -run '^$$' -fuzz '^FuzzSyncMessage$$' -fuzztime $(FUZZTIME) ./internal/wire
 	$(GO) test -run '^$$' -fuzz '^FuzzArrowSym$$' -fuzztime $(FUZZTIME) ./internal/eig
 	$(GO) test -run '^$$' -fuzz '^FuzzBinaryStream$$' -fuzztime $(FUZZTIME) ./internal/ingest
+	$(GO) test -run '^$$' -fuzz '^FuzzKernelsMatchGoReference$$' -fuzztime $(FUZZTIME) ./internal/mat
 
 bench:
 	$(GO) test -bench . -benchtime 1x ./...

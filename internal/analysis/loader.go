@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"go/ast"
+	"go/build"
 	"go/importer"
 	"go/parser"
 	"go/token"
@@ -207,6 +208,13 @@ func (l *Loader) check(path, dir string) (*Package, error) {
 		name := e.Name()
 		if e.IsDir() || !strings.HasSuffix(name, ".go") ||
 			strings.HasSuffix(name, "_test.go") || strings.HasPrefix(name, ".") {
+			continue
+		}
+		// Honour _GOARCH suffixes and //go:build lines, as the compiler does:
+		// a kernel declared per architecture is otherwise declared twice.
+		if ok, err := build.Default.MatchFile(dir, name); err != nil {
+			return nil, err
+		} else if !ok {
 			continue
 		}
 		f, err := parser.ParseFile(l.Fset, filepath.Join(dir, name), nil,

@@ -109,28 +109,16 @@ func mulPanel2x4(dst, a, b, y *Dense, kk, i, j0, j1 int) {
 	c1 := dst.data[(i+1)*n+j0 : (i+1)*n+j1][:w]
 	k := 0
 	for ; k+3 < kk; k += 4 {
-		v00, v01, v02, v03 := a0[k], a0[k+1], a0[k+2], a0[k+3]
-		v10, v11, v12, v13 := a1[k], a1[k+1], a1[k+2], a1[k+3]
-		bk0 := stackRow(b, y, k, j0, j1)[:w]
-		bk1 := stackRow(b, y, k+1, j0, j1)[:w]
-		bk2 := stackRow(b, y, k+2, j0, j1)[:w]
-		bk3 := stackRow(b, y, k+3, j0, j1)[:w]
-		for j, b0 := range bk0 {
-			b1, b2, b3 := bk1[j], bk2[j], bk3[j]
-			c0[j] += v00*b0 + v01*b1 + v02*b2 + v03*b3
-			c1[j] += v10*b0 + v11*b1 + v12*b2 + v13*b3
-		}
+		panel2x4(c0, c1, a0[k:k+4], a1[k:k+4],
+			stackRow(b, y, k, j0, j1)[:w], stackRow(b, y, k+1, j0, j1)[:w],
+			stackRow(b, y, k+2, j0, j1)[:w], stackRow(b, y, k+3, j0, j1)[:w])
 	}
 	for ; k < kk; k++ {
 		v0, v1 := a0[k], a1[k]
 		if v0 == 0 && v1 == 0 {
 			continue
 		}
-		bk := stackRow(b, y, k, j0, j1)[:w]
-		for j, bv := range bk {
-			c0[j] += v0 * bv
-			c1[j] += v1 * bv
-		}
+		panel2x1(c0, c1, v0, v1, stackRow(b, y, k, j0, j1)[:w])
 	}
 }
 
@@ -144,17 +132,53 @@ func mulPanel1x4(dst, a, b, y *Dense, kk, i, j0, j1 int) {
 	c0 := dst.data[i*n+j0 : i*n+j1][:w]
 	k := 0
 	for ; k+3 < kk; k += 4 {
-		v0, v1, v2, v3 := a0[k], a0[k+1], a0[k+2], a0[k+3]
-		bk0 := stackRow(b, y, k, j0, j1)[:w]
-		bk1 := stackRow(b, y, k+1, j0, j1)[:w]
-		bk2 := stackRow(b, y, k+2, j0, j1)[:w]
-		bk3 := stackRow(b, y, k+3, j0, j1)[:w]
-		for j, b0 := range bk0 {
-			c0[j] += v0*b0 + v1*bk1[j] + v2*bk2[j] + v3*bk3[j]
-		}
+		panel1x4(c0, a0[k:k+4],
+			stackRow(b, y, k, j0, j1)[:w], stackRow(b, y, k+1, j0, j1)[:w],
+			stackRow(b, y, k+2, j0, j1)[:w], stackRow(b, y, k+3, j0, j1)[:w])
 	}
 	for ; k < kk; k++ {
 		Axpy(a0[k], stackRow(b, y, k, j0, j1), c0)
+	}
+}
+
+// panel2x4Go is mulPanel2x4's four-step loop over the len(bk0) columns:
+// c0[j] += v0[0]·bk0[j] + … + v0[3]·bk3[j], and likewise c1 with v1. Every
+// slice holds at least len(bk0) entries and v0, v1 at least four (see dotGo).
+//
+//streampca:noalloc
+func panel2x4Go(c0, c1, v0, v1, bk0, bk1, bk2, bk3 []float64) {
+	w := len(bk0)
+	c0, c1, bk1, bk2, bk3 = c0[:w], c1[:w], bk1[:w], bk2[:w], bk3[:w]
+	v00, v01, v02, v03 := v0[0], v0[1], v0[2], v0[3]
+	v10, v11, v12, v13 := v1[0], v1[1], v1[2], v1[3]
+	for j, b0 := range bk0 {
+		b1, b2, b3 := bk1[j], bk2[j], bk3[j]
+		c0[j] += v00*b0 + v01*b1 + v02*b2 + v03*b3
+		c1[j] += v10*b0 + v11*b1 + v12*b2 + v13*b3
+	}
+}
+
+// panel2x1Go is mulPanel2x4's single-step loop for the last kk%4 steps:
+// c0[j] += v0·bk[j] and c1[j] += v1·bk[j] over the len(bk) columns.
+//
+//streampca:noalloc
+func panel2x1Go(c0, c1 []float64, v0, v1 float64, bk []float64) {
+	c0, c1 = c0[:len(bk)], c1[:len(bk)]
+	for j, bv := range bk {
+		c0[j] += v0 * bv
+		c1[j] += v1 * bv
+	}
+}
+
+// panel1x4Go is panel2x4Go for mulPanel1x4's lone row.
+//
+//streampca:noalloc
+func panel1x4Go(c0, v, bk0, bk1, bk2, bk3 []float64) {
+	w := len(bk0)
+	c0, bk1, bk2, bk3 = c0[:w], bk1[:w], bk2[:w], bk3[:w]
+	v0, v1, v2, v3 := v[0], v[1], v[2], v[3]
+	for j, b0 := range bk0 {
+		c0[j] += v0*b0 + v1*bk1[j] + v2*bk2[j] + v3*bk3[j]
 	}
 }
 

@@ -8,8 +8,9 @@ package mat
 
 // CenterProject is the per-row pass of the engine: y = x − mean and ‖y‖² in
 // one sweep, then coef[j] = y·basis[j,:] for the k×d component-major basis,
-// two components per sweep over y with split accumulators. It returns ‖y‖²;
-// y and coef are overwritten. A NaN or ±Inf in x surfaces in the result.
+// each with [even, odd] split accumulators and several components per sweep
+// over y (two in Go, four on amd64). It returns ‖y‖²; y and coef are
+// overwritten. A NaN or ±Inf in x surfaces in the result.
 //
 //streampca:noalloc
 func CenterProject(y, coef, x, mean []float64, basis *Dense) float64 {
@@ -17,6 +18,15 @@ func CenterProject(y, coef, x, mean []float64, basis *Dense) float64 {
 	if len(x) != d || len(y) != d || len(mean) != d || len(coef) != k {
 		panic("mat: CenterProject length mismatch")
 	}
+	return centerProject(y, coef, x, mean, basis.data)
+}
+
+// centerProjectGo is CenterProject's loops over the k×d basis data bd, with
+// k = len(coef) and d = len(x) = len(y) = len(mean) (see dotGo).
+//
+//streampca:noalloc
+func centerProjectGo(y, coef, x, mean, bd []float64) float64 {
+	k, d := len(coef), len(x)
 	y, mean = y[:len(x)], mean[:len(x)]
 	var s0, s1 float64
 	for i := 1; i < len(x); i += 2 {
@@ -31,7 +41,6 @@ func CenterProject(y, coef, x, mean []float64, basis *Dense) float64 {
 		y[d-1] = yi
 		s0 += yi * yi
 	}
-	bd := basis.data
 	j := 0
 	for ; j+1 < k; j += 2 {
 		b0 := bd[j*d : (j+1)*d][:len(y)]
@@ -51,7 +60,7 @@ func CenterProject(y, coef, x, mean []float64, basis *Dense) float64 {
 		coef[j], coef[j+1] = a0+a1, c0+c1
 	}
 	if j < k {
-		coef[j] = Dot(y, bd[j*d:(j+1)*d])
+		coef[j] = dotGo(y, bd[j*d:(j+1)*d])
 	}
 	return s0 + s1
 }
@@ -130,22 +139,21 @@ func addMulTARowsSpan(dst, a, b *Dense, r, ilo, ihi int) {
 	}
 }
 
-// syrkRowsSpan computes rows [lo, hi) of the leading r×r block of
-// dst = A·Aᵀ (upper entries plus their mirrors); every entry is one
-// independent Dot, so any row partition is bitwise identical. The j loop is
-// 2-way unrolled: two dots per pass share the loaded a-row stream.
+// syrkRowsGo is SyrkRows' loops over the row-major data of an n-column dst
+// and a kk-column a: rows [0, r) of the leading r×r block of dst = A·Aᵀ
+// (upper entries plus their mirrors). Each entry is one independent dot;
+// the j loop is 2-way unrolled, so two dots per pass share the loaded a-row
+// stream (see dotGo).
 //
 //streampca:noalloc
-func syrkRowsSpan(dst, a *Dense, r, lo, hi int) {
-	n := dst.cols
-	kk := a.cols
-	for i := lo; i < hi; i++ {
-		ai := a.data[i*kk : (i+1)*kk]
-		di := dst.data[i*n : i*n+r]
+func syrkRowsGo(dd, ad []float64, n, kk, r int) {
+	for i := 0; i < r; i++ {
+		ai := ad[i*kk : (i+1)*kk]
+		di := dd[i*n : i*n+r]
 		j := i
 		for ; j+1 < r; j += 2 {
-			aj0 := a.data[j*kk : (j+1)*kk]
-			aj1 := a.data[(j+1)*kk : (j+2)*kk]
+			aj0 := ad[j*kk : (j+1)*kk]
+			aj1 := ad[(j+1)*kk : (j+2)*kk]
 			var s0a, s0b, s1a, s1b float64
 			m := 0
 			for ; m+1 < kk; m += 2 {
@@ -164,13 +172,13 @@ func syrkRowsSpan(dst, a *Dense, r, lo, hi int) {
 			v1 := s1a + s1b
 			di[j] = v0
 			di[j+1] = v1
-			dst.data[j*n+i] = v0
-			dst.data[(j+1)*n+i] = v1
+			dd[j*n+i] = v0
+			dd[(j+1)*n+i] = v1
 		}
 		if j < r {
-			v := Dot(ai, a.data[j*kk:(j+1)*kk])
+			v := dotGo(ai, ad[j*kk:(j+1)*kk])
 			di[j] = v
-			dst.data[j*n+i] = v
+			dd[j*n+i] = v
 		}
 	}
 }

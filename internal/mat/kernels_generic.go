@@ -1,0 +1,27 @@
+//go:build !amd64
+
+package mat
+
+// Off amd64 the kernels are their Go references.
+
+func dot(x, y []float64) float64 { return dotGo(x, y) }
+
+func lerp(dst []float64, a float64, x []float64, b float64, y []float64) {
+	lerpGo(dst, a, x, b, y)
+}
+
+func centerProject(y, coef, x, mean, bd []float64) float64 {
+	return centerProjectGo(y, coef, x, mean, bd)
+}
+
+func syrkRows(dd, ad []float64, n, kk, r int) { syrkRowsGo(dd, ad, n, kk, r) }
+
+func panel2x4(c0, c1, v0, v1, bk0, bk1, bk2, bk3 []float64) {
+	panel2x4Go(c0, c1, v0, v1, bk0, bk1, bk2, bk3)
+}
+
+func panel2x1(c0, c1 []float64, v0, v1 float64, bk []float64) {
+	panel2x1Go(c0, c1, v0, v1, bk)
+}
+
+func panel1x4(c0, v, bk0, bk1, bk2, bk3 []float64) { panel1x4Go(c0, v, bk0, bk1, bk2, bk3) }

@@ -1,0 +1,184 @@
+package mat
+
+import (
+	"encoding/binary"
+	"math"
+	"math/rand/v2"
+	"testing"
+)
+
+// kernelSpecials are the edge values the kernels must carry like their Go
+// references: both NaN encodings x86 produces (math.NaN and the default NaN
+// of Inf−Inf), infinities, both zeros, subnormals and magnitudes whose
+// products overflow.
+var kernelSpecials = []float64{
+	math.NaN(), math.Float64frombits(0xfff8000000000000),
+	math.Inf(1), math.Inf(-1), math.Copysign(0, -1), 0,
+	math.SmallestNonzeroFloat64, -2.5e-310, 1e300, -1e300, 1, -1,
+}
+
+// kernelInput hands out the values the kernel cases are filled with.
+type kernelInput func() float64
+
+// specialInput draws normals, with every fourth value on average taken from
+// kernelSpecials.
+func specialInput(rng *rand.Rand) kernelInput {
+	return func() float64 {
+		if rng.IntN(4) == 0 {
+			return kernelSpecials[rng.IntN(len(kernelSpecials))]
+		}
+		return rng.NormFloat64()
+	}
+}
+
+// vec returns n values from next, off elements into a fresh backing array, so
+// an odd off makes every 16-byte load of the kernels unaligned.
+func (next kernelInput) vec(n, off int) []float64 {
+	v := make([]float64, off+n)
+	for i := range v {
+		v[i] = next()
+	}
+	return v[off:]
+}
+
+// sameBits fails unless got and want agree bit for bit. The one exception is
+// a NaN's payload: when both operands of a multiply or add are NaN, x86
+// returns the first one's, and the Go compiler orders commutative operands
+// per instruction as register allocation falls (dotGo and panel2x4Go mix both
+// orders within one loop), so a NaN output only has to be NaN.
+func sameBits(t *testing.T, what string, got, want []float64) {
+	t.Helper()
+	for i := range want {
+		if math.IsNaN(got[i]) && math.IsNaN(want[i]) {
+			continue
+		}
+		if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+			t.Fatalf("%s[%d] = %v (%#016x), Go reference %v (%#016x)", what, i,
+				got[i], math.Float64bits(got[i]), want[i], math.Float64bits(want[i]))
+		}
+	}
+}
+
+func sameScalar(t *testing.T, what string, got, want float64) {
+	t.Helper()
+	sameBits(t, what, []float64{got}, []float64{want})
+}
+
+func clone(v []float64) []float64 { return append([]float64(nil), v...) }
+
+// checkKernels runs every kernel entry and its Go reference on n-long inputs
+// at element offset off and fails on the first output bit that differs.
+func checkKernels(t *testing.T, next kernelInput, n, off int) {
+	t.Helper()
+	x, y := next.vec(n, off), next.vec(n, off)
+	sameScalar(t, "dot", dot(x, y), dotGo(x, y))
+
+	a, b := next(), next()
+	got, want := next.vec(n, off), make([]float64, n)
+	lerp(got, a, x, b, y)
+	lerpGo(want, a, x, b, y)
+	sameBits(t, "lerp", got, want)
+	got, want = clone(x), clone(x)
+	lerp(got, a, got, b, y)
+	lerpGo(want, a, want, b, y)
+	sameBits(t, "lerp dst=x", got, want)
+	got, want = clone(y), clone(y)
+	lerp(got, a, x, b, got)
+	lerpGo(want, a, x, b, want)
+	sameBits(t, "lerp dst=y", got, want)
+
+	mean := next.vec(n, off)
+	for k := 0; k <= 9; k++ {
+		bd := next.vec(k*n, off)
+		yg, cg := next.vec(n, off), next.vec(k, off)
+		yw, cw := clone(yg), clone(cg)
+		sameScalar(t, "centerProject", centerProject(yg, cg, x, mean, bd),
+			centerProjectGo(yw, cw, x, mean, bd))
+		sameBits(t, "centerProject y", yg, yw)
+		sameBits(t, "centerProject coef", cg, cw)
+	}
+
+	for r := 0; r <= 9; r++ {
+		ad := next.vec(r*n, off)
+		cols := r + 2
+		dg := next.vec(r*cols, off)
+		dw := clone(dg)
+		syrkRows(dg, ad, cols, n, r)
+		syrkRowsGo(dw, ad, cols, n, r)
+		sameBits(t, "syrkRows", dg, dw)
+	}
+
+	v0, v1 := next.vec(4, off), next.vec(4, off)
+	bk := [4][]float64{next.vec(n, off), next.vec(n, off), next.vec(n, off), next.vec(n, off)}
+	c0g, c1g := next.vec(n, off), next.vec(n, off)
+	c0w, c1w := clone(c0g), clone(c1g)
+	panel2x4(c0g, c1g, v0, v1, bk[0], bk[1], bk[2], bk[3])
+	panel2x4Go(c0w, c1w, v0, v1, bk[0], bk[1], bk[2], bk[3])
+	sameBits(t, "panel2x4 c0", c0g, c0w)
+	sameBits(t, "panel2x4 c1", c1g, c1w)
+	panel2x1(c0g, c1g, v0[0], v1[0], bk[0])
+	panel2x1Go(c0w, c1w, v0[0], v1[0], bk[0])
+	sameBits(t, "panel2x1 c0", c0g, c0w)
+	sameBits(t, "panel2x1 c1", c1g, c1w)
+	panel1x4(c0g, v0, bk[0], bk[1], bk[2], bk[3])
+	panel1x4Go(c0w, v0, bk[0], bk[1], bk[2], bk[3])
+	sameBits(t, "panel1x4", c0g, c0w)
+}
+
+// TestKernelsMatchGoReference holds each kernel entry (assembly on amd64) to
+// its Go reference bit for bit, across every tail length up to 67, the
+// engine's d, odd d, and unaligned starts.
+func TestKernelsMatchGoReference(t *testing.T) {
+	rng := rand.New(rand.NewPCG(3, 5))
+	next := specialInput(rng)
+	lengths := []int{400, 1000, 1001}
+	for n := 0; n <= 67; n++ {
+		lengths = append(lengths, n)
+	}
+	for _, n := range lengths {
+		for _, off := range []int{0, 1, 3} {
+			checkKernels(t, next, n, off)
+		}
+	}
+	// Finite inputs only, so a lane mix-up cannot hide behind a NaN.
+	normal := kernelInput(rng.NormFloat64)
+	for _, n := range lengths {
+		checkKernels(t, normal, n, 1)
+	}
+}
+
+// FuzzKernelsMatchGoReference is TestKernelsMatchGoReference over fuzzed bit
+// patterns: data supplies the float64 values in turn (repeating when short).
+func FuzzKernelsMatchGoReference(f *testing.F) {
+	f.Add([]byte{}, uint16(0), uint8(0))
+	f.Add(binary.LittleEndian.AppendUint64(nil, math.Float64bits(1.5)), uint16(5), uint8(1))
+	seed := make([]byte, 0, 8*len(kernelSpecials))
+	for _, v := range kernelSpecials {
+		seed = binary.LittleEndian.AppendUint64(seed, math.Float64bits(v))
+	}
+	f.Add(seed, uint16(67), uint8(1))
+	f.Add(seed[8:], uint16(401), uint8(0))
+	// 61 distinct finite values: a prime count, so the cycle never lines up
+	// with a kernel's lanes and a swapped accumulator shows in the bits.
+	rng := rand.New(rand.NewPCG(7, 9))
+	varied := make([]byte, 0, 8*61)
+	for range 61 {
+		varied = binary.LittleEndian.AppendUint64(varied, math.Float64bits(rng.NormFloat64()))
+	}
+	f.Add(varied, uint16(403), uint8(3))
+	f.Fuzz(func(t *testing.T, data []byte, n uint16, off uint8) {
+		vals := make([]float64, len(data)/8)
+		for i := range vals {
+			vals[i] = math.Float64frombits(binary.LittleEndian.Uint64(data[8*i:]))
+		}
+		i := 0
+		next := kernelInput(func() float64 {
+			if len(vals) == 0 {
+				return 0
+			}
+			i++
+			return vals[(i-1)%len(vals)]
+		})
+		checkKernels(t, next, int(n%1100), int(off%4))
+	})
+}

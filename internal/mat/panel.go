@@ -21,7 +21,7 @@ func SyrkRows(dst, a *Dense, r int) {
 	if dst.rows < r || dst.cols < r {
 		panic("mat: SyrkRows destination too small")
 	}
-	syrkRowsSpan(dst, a, r, 0, r)
+	syrkRows(dst.data, a.data, dst.cols, a.cols, r)
 }
 
 // AddMulTARows accumulates dst += Aᵀ·B using only the first r rows of a and b:

@@ -17,6 +17,12 @@ func Dot(x, y []float64) float64 {
 	if len(x) != len(y) {
 		panic("mat: Dot length mismatch")
 	}
+	return dot(x, y)
+}
+
+// dotGo is Dot's loop for len(y) == len(x): the reference the amd64
+// assembly matches bit for bit, and the only path on other architectures.
+func dotGo(x, y []float64) float64 {
 	y = y[:len(x)]
 	var s0, s1, s2, s3 float64
 	i := 0
@@ -123,10 +129,15 @@ func Lerp(dst []float64, a float64, x []float64, b float64, y []float64) []float
 	if len(x) != len(y) || len(dst) != len(x) {
 		panic("mat: Lerp length mismatch")
 	}
+	lerp(dst, a, x, b, y)
+	return dst
+}
+
+// lerpGo is Lerp's loop for equal lengths (see dotGo).
+func lerpGo(dst []float64, a float64, x []float64, b float64, y []float64) {
 	for i := range dst {
 		dst[i] = a*x[i] + b*y[i]
 	}
-	return dst
 }
 
 // CopyVec copies src into a freshly allocated vector.
