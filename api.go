@@ -81,26 +81,8 @@ type (
 	Classic = robust.Classic
 )
 
-// Second partial-sum analytic: robust streaming location/scale, proving
-// the framework hosts analytics beyond PCA (§III-A2).
-type (
-	// LocationConfig parameterizes a LocationEngine.
-	LocationConfig = core.LocationConfig
-	// LocationEngine tracks a robust mean and M-scale with forgetting.
-	LocationEngine = core.LocationEngine
-	// LocationSnapshot is the engine's mergeable shared state.
-	LocationSnapshot = core.LocationSnapshot
-	// LocationUpdate reports one observation's effect.
-	LocationUpdate = core.LocationUpdate
-)
-
 // NewEngine validates cfg and returns a streaming estimator.
 func NewEngine(cfg Config) (*Engine, error) { return core.NewEngine(cfg) }
-
-// NewLocationEngine validates cfg and returns a robust location tracker.
-func NewLocationEngine(cfg LocationConfig) (*LocationEngine, error) {
-	return core.NewLocationEngine(cfg)
-}
 
 // BatchPCA is the offline classical baseline.
 func BatchPCA(xs [][]float64, p int) (*BatchResult, error) { return core.BatchPCA(xs, p) }

@@ -34,31 +34,3 @@ func TestObserveZeroAllocsSteadyState(t *testing.T) {
 		t.Fatalf("steady-state Observe allocated %v times per run", allocs)
 	}
 }
-
-// TestLocationObserveZeroAllocs asserts the location analytic's steady
-// state is also allocation free.
-func TestLocationObserveZeroAllocs(t *testing.T) {
-	rng := rand.New(rand.NewPCG(31, 2))
-	m := newModel(rng, 40, 2, []float64{4, 1}, 0.1)
-	le, err := NewLocationEngine(LocationConfig{Dim: 40})
-	if err != nil {
-		t.Fatal(err)
-	}
-	xs := m.samples(128)
-	for i := 0; i < 32; i++ {
-		if _, err := le.Observe(xs[i%len(xs)]); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if !le.Ready() {
-		t.Fatal("location engine not ready after warm-up")
-	}
-	i := 0
-	allocs := testing.AllocsPerRun(100, func() {
-		le.Observe(xs[i%len(xs)])
-		i++
-	})
-	if allocs != 0 {
-		t.Fatalf("steady-state location Observe allocated %v times per run", allocs)
-	}
-}

@@ -65,22 +65,22 @@ func (en *Engine) ObserveBlockMasked(xs [][]float64, masks [][]bool, out []Updat
 		for en.ready && c < en.blockC && i+c < len(xs) && len(xs[i+c]) == en.cfg.Dim {
 			c++
 		}
-		if c > 1 {
+		if c > 0 {
 			var cm [][]bool
 			if masks != nil {
 				cm = masks[i : i+c]
 			}
-			out, err = en.observeChunk(xs[i:i+c], cm, out)
+			out, err = en.observeChunk(xs[i:i+c], cm, out, en.cfg.Alpha)
 			if err != nil && firstErr == nil {
 				firstErr = err
 			}
 			i += c
 			continue
 		}
-		// A lone row takes the scalar entry points: warm-up buffers row by
-		// row (initialization can complete mid-batch, so readiness is
-		// re-checked per row), the rank-one fast path has no fused
-		// finiteness check, and a wrong-length row only needs its error.
+		// What is left is one row that no chunk takes: during warm-up the
+		// scalar entry points buffer it (initialization can complete
+		// mid-batch, so readiness is re-checked per row), and a wrong-length
+		// row only needs their error.
 		var u Update
 		if masks != nil && masks[i] != nil {
 			u, err = en.ObserveMasked(xs[i], masks[i])
@@ -100,9 +100,12 @@ func (en *Engine) ObserveBlockMasked(xs [][]float64, masks [][]bool, out []Updat
 
 // observeChunk folds 1 ≤ len(xs) ≤ en.blockC length-checked observations
 // (masks nil, or one possibly-nil mask per row) into the engine with one
-// deferred rank-c eigensystem rebuild. Every scalar recursion of updateAlpha
-// — weights, M-scale, rescue, mean, running sums — runs exactly per row; only
-// the covariance update is deferred. Sequentially, each firing row m applies
+// deferred rank-c eigensystem rebuild, decaying the running sums by alpha per
+// row (Config.Alpha, or ObserveAt's exp(−Δt/τ)). It is the engine's one
+// implementation of the robust update of §II (eqs. 9–14); Observe and its
+// kin run it on a chunk of one. Every scalar recursion — weights, M-scale,
+// rescue, mean, running sums — runs exactly per row; only the covariance
+// update is deferred. Sequentially, each firing row m applies
 // C ← γ2_m·C + yCoef_m·y_m·y_mᵀ, so the chunk composes to
 //
 //	C ← g·C + Σ_m b_m·y_m·y_mᵀ,  g = Π γ2_m,  b_m = yCoef_m·Π_{j>m} γ2_j
@@ -117,17 +120,13 @@ func (en *Engine) ObserveBlockMasked(xs [][]float64, masks [][]bool, out []Updat
 // after the chunk completes.
 //
 //streampca:noalloc
-func (en *Engine) observeChunk(xs [][]float64, masks [][]bool, out []Update) ([]Update, error) {
+func (en *Engine) observeChunk(xs [][]float64, masks [][]bool, out []Update, alpha float64) ([]Update, error) {
 	st := &en.state
 	cfg := &en.cfg
 	ws := en.ws
 	p := cfg.Components
 	k := en.k
 	d := cfg.Dim
-	alpha := cfg.Alpha
-	if en.pendingAlpha > 0 {
-		alpha = en.pendingAlpha
-	}
 
 	var firstErr error
 	g := 1.0
@@ -139,9 +138,8 @@ func (en *Engine) observeChunk(xs [][]float64, masks [][]bool, out []Update) ([]
 	mean := st.Mean
 
 	for r, x := range xs {
-		// Center/project pass (the same kernel updateAlpha uses), writing
-		// into the next firing slot; non-firing rows leave the slot to be
-		// reused.
+		// Center/project pass (eq. 4's residual), writing into the next
+		// firing slot; non-firing rows leave the slot to be reused.
 		y := yd[nf*d : (nf+1)*d]
 		coef := cd[nf*k : (nf+1)*k]
 		var ny2 float64

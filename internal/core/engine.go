@@ -76,7 +76,6 @@ type Engine struct {
 
 	// time-based window state (Config.TimeWindow)
 	lastObserved time.Time
-	pendingAlpha float64 // one-shot alpha override for the masked time path
 
 	// scale-collapse rescue state (see Config.RescueStreak)
 	zeroStreak int
@@ -249,14 +248,30 @@ func validateObservation(x []float64, dim int) error {
 // values; use ObserveMasked (or ObserveAuto) for gappy data.
 //
 //streampca:noalloc
-func (en *Engine) Observe(x []float64) (Update, error) {
+func (en *Engine) Observe(x []float64) (Update, error) { return en.observe(x, en.cfg.Alpha) }
+
+// observe is Observe with an explicit one-step decay factor: Config.Alpha,
+// or ObserveAt's exp(−Δt/τ).
+//
+//streampca:noalloc
+func (en *Engine) observe(x []float64, alpha float64) (Update, error) {
 	if err := validateObservation(x, en.cfg.Dim); err != nil {
 		return Update{}, err
 	}
 	if !en.ready {
-		return en.bufferWarmup(x)
+		return en.bufferWarmupMasked(x, nil)
 	}
-	return en.update(x), nil
+	return en.observeOne(x, nil, alpha)
+}
+
+// observeOne absorbs one row (mask nil when complete) into a ready engine as
+// a chunk of one, on the stack; its one append, if any, lands in ub.
+//
+//streampca:noalloc
+func (en *Engine) observeOne(x []float64, mask []bool, alpha float64) (Update, error) {
+	xs, ms, ub := [1][]float64{x}, [1][]bool{mask}, [1]Update{}
+	_, err := en.observeChunk(xs[:], ms[:], ub[:0], alpha)
+	return ub[0], err
 }
 
 // ObserveAuto routes complete vectors to Observe and vectors containing NaN
@@ -275,10 +290,6 @@ func (en *Engine) ObserveAuto(x []float64) (Update, error) {
 		return en.Observe(x)
 	}
 	return en.ObserveMasked(x, mask)
-}
-
-func (en *Engine) bufferWarmup(x []float64) (Update, error) {
-	return en.bufferWarmupMasked(x, nil)
 }
 
 func (en *Engine) bufferWarmupMasked(x []float64, mask []bool) (Update, error) {
@@ -503,123 +514,11 @@ func leftSingular(xs [][]float64, mu []float64, k int) (*mat.Dense, []float64, e
 	return dec.U.SliceCols(0, k), dec.S, nil
 }
 
-// update runs the robust incremental step of §II on a complete (possibly
-// patched) vector with the configured per-observation damping.
-//
-//streampca:noalloc
-func (en *Engine) update(x []float64) Update {
-	alpha := en.cfg.Alpha
-	if en.pendingAlpha > 0 {
-		alpha = en.pendingAlpha
-	}
-	return en.updateAlpha(x, alpha)
-}
-
-// updateAlpha is update with an explicit one-step decay factor, the hook
-// for time-based windows.
-//
-//streampca:noalloc
-func (en *Engine) updateAlpha(x []float64, alpha float64) Update {
-	st := &en.state
-	cfg := &en.cfg
-	p := cfg.Components
-	ws := en.ws
-
-	// Residual against the previous eigensystem (eq. 4): centering, ‖y‖²
-	// and the k projection coefficients B·y in one kernel that streams x, µ
-	// and the d-long basis rows, into chunk slot 0 where the rank-one
-	// rebuild reads them.
-	coef := ws.coefs.Row(0)
-	ny2 := mat.CenterProject(ws.yMat.Row(0), coef, x, st.Mean, en.basis)
-	r2 := ny2
-	for j := 0; j < p; j++ {
-		r2 -= coef[j] * coef[j]
-	}
-	if r2 < 0 {
-		r2 = 0
-	}
-
-	sigma2 := st.Sigma2
-	if sigma2 < en.minSigma2 {
-		sigma2 = en.minSigma2
-	}
-	t := r2 / sigma2
-	w := cfg.Rho.W(t)
-	wstar := cfg.Rho.WStar(t)
-
-	// Scale recursion (eqs. 11, 14).
-	uNew := alpha*st.SumU + 1
-	gamma3 := alpha * st.SumU / uNew
-	sigma2New := gamma3*st.Sigma2 + (1-gamma3)*wstar*r2/cfg.Delta
-	if sigma2New < en.minSigma2 {
-		sigma2New = en.minSigma2
-	}
-	// Scale-collapse rescue: a long unbroken run of fully rejected
-	// observations means σ² is stuck far below the stream's residual
-	// scale; jump it to the median rejected residual so learning resumes.
-	if w == 0 && cfg.RescueStreak > 0 {
-		//streamvet:ignore noalloc inlined recordRejected lazily allocates its ring buffer once, on the first rejected row
-		en.recordRejected(r2)
-		en.zeroStreak++
-		if en.zeroStreak >= cfg.RescueStreak {
-			if med := en.rejectedMedian(); med > sigma2New {
-				if en.inst != nil {
-					en.inst.RecordRescue(med, sigma2New)
-				}
-				sigma2New = med
-				en.rescues++
-			}
-			en.zeroStreak = 0
-		}
-	} else if w > 0 {
-		en.zeroStreak = 0
-	}
-
-	// Location recursion (eqs. 9, 12).
-	vNew := alpha*st.SumV + w
-	if vNew > 0 {
-		gamma1 := alpha * st.SumV / vNew
-		mat.Lerp(st.Mean, gamma1, st.Mean, 1-gamma1, x)
-	}
-
-	// Covariance recursion (eqs. 10, 13) in low-rank form (eqs. 1–3):
-	// C ≈ γ2·E·Λ·Eᵀ + (σ²·w/qNew)·y·yᵀ = A·Aᵀ.
-	qNew := alpha*st.SumQ + w*r2
-	if qNew > 0 && w > 0 {
-		gamma2 := alpha * st.SumQ / qNew
-		en.rebuildEigensystem(gamma2, sigma2New*w/qNew, ny2)
-	}
-
-	st.Sigma2 = sigma2New
-	st.SumU = uNew
-	st.SumV = vNew
-	if qNew > 0 {
-		st.SumQ = qNew
-	}
-	st.Count++
-	en.sinceSync++
-	en.updatesSince++
-	if cfg.ReorthEvery > 0 && en.updatesSince >= cfg.ReorthEvery {
-		en.reorthonormalize()
-		en.updatesSince = 0
-	}
-
-	en.publish(sigma2New, uNew, t > cfg.OutlierT)
-	return Update{
-		Seq:       st.Count,
-		Weight:    w,
-		Residual2: r2,
-		T:         t,
-		Sigma2:    sigma2New,
-		Outlier:   t > cfg.OutlierT,
-	}
-}
-
 // rebuildEigensystem performs the rank-one eigensystem update of eqs. 1–3:
 // conceptually it decomposes the d×(k+1) matrix A with columns eⱼ·√(γ2·λⱼ)
 // and y·√(yCoef) and installs the top-k left singular system (E = U,
 // Λ = S²). Chunk slot 0 of ws.yMat and ws.coefs must already hold the
-// centered vector and its projections from updateAlpha's pass, and ny2 its
+// centered vector and its projections from observeChunk's pass, and ny2 its
 // ‖y‖².
 //
 // A is never materialized. Writing A = [E·D | √yCoef·y] with

@@ -36,6 +36,12 @@ var (
 // the per-bin running mean of the observed values so the initial batch
 // decomposition stays unbiased in location.
 func (en *Engine) ObserveMasked(x []float64, mask []bool) (Update, error) {
+	return en.observeMasked(x, mask, en.cfg.Alpha)
+}
+
+// observeMasked is ObserveMasked with an explicit one-step decay factor, as
+// observe is Observe's.
+func (en *Engine) observeMasked(x []float64, mask []bool, alpha float64) (Update, error) {
 	d := en.cfg.Dim
 	if len(x) != d || len(mask) != d {
 		return Update{}, fmt.Errorf("core: masked observation length %d/%d, want %d", len(x), len(mask), d)
@@ -54,7 +60,7 @@ func (en *Engine) ObserveMasked(x []float64, mask []bool) (Update, error) {
 	case nObs == 0:
 		return Update{}, errAllMasked
 	case nObs == d:
-		return en.Observe(x)
+		return en.observe(x, alpha)
 	case nObs <= en.k:
 		return Update{}, errFewObserved
 	}
@@ -64,11 +70,7 @@ func (en *Engine) ObserveMasked(x []float64, mask []bool) (Update, error) {
 		u.Patched = d - nObs
 		return u, err
 	}
-
-	// A chunk of one, on the stack; its one append, if any, lands in ub.
-	xs, ms, ub := [1][]float64{x}, [1][]bool{mask}, [1]Update{}
-	_, err := en.observeChunk(xs[:], ms[:], ub[:0])
-	return ub[0], err
+	return en.observeOne(x, mask, alpha)
 }
 
 // patchProject is the center/project pass for a row that carries a mask: it

@@ -289,3 +289,10 @@ func TestSolveSPDEmpty(t *testing.T) {
 		t.Fatalf("empty solve: %v %v", x, err)
 	}
 }
+
+func TestPatchVectorBeforeReadyFails(t *testing.T) {
+	en, _ := NewEngine(Config{Dim: 5, Components: 1})
+	if _, _, err := en.PatchVector(make([]float64, 5), make([]bool, 5)); err == nil {
+		t.Fatal("PatchVector before warm-up should fail")
+	}
+}

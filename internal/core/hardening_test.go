@@ -1,9 +1,11 @@
 package core
 
 import (
+	"bytes"
 	"math"
 	"math/rand/v2"
 	"testing"
+	"time"
 
 	"streampca/internal/mat"
 	"streampca/internal/robust"
@@ -240,5 +242,57 @@ func TestQuickselectMedianFloat(t *testing.T) {
 	}
 	if m := quickselectMedianFloat([]float64{4, 1}); m != 1 {
 		t.Fatalf("even median = %v", m)
+	}
+}
+
+// TestOverflowingRowRejected feeds a row of finite entries whose ‖x−µ‖²
+// overflows to +Inf. Every entry point a complete row can take must reject
+// it, before any recursion runs: absorbed, it would set σ² and the location
+// sum to NaN and freeze the mean for good.
+func TestOverflowingRowRejected(t *testing.T) {
+	const d = 16
+	huge := make([]float64, d)
+	all := make([]bool, d)
+	for i := range huge {
+		huge[i], all[i] = 1e200, true
+	}
+	at := time.Unix(1e9, 0)
+	for _, tc := range []struct {
+		name    string
+		observe func(en *Engine) error
+	}{
+		{"Observe", func(en *Engine) error { _, err := en.Observe(huge); return err }},
+		{"ObserveAt", func(en *Engine) error { _, err := en.ObserveAt(huge, at); return err }},
+		{"ObserveBlock", func(en *Engine) error { _, err := en.ObserveBlock([][]float64{huge}, nil); return err }},
+		{"ObserveMasked", func(en *Engine) error { _, err := en.ObserveMasked(huge, all); return err }},
+		{"ObserveBlockMasked", func(en *Engine) error {
+			_, err := en.ObserveBlockMasked([][]float64{huge}, [][]bool{all}, nil)
+			return err
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			rng := rand.New(rand.NewPCG(509, 10))
+			m := newModel(rng, d, 2, []float64{4, 1}, 0.05)
+			cfg := testConfig(d, 2)
+			cfg.TimeWindow = time.Minute
+			en, err := NewEngine(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			feedN(t, en, m, 500)
+			var before, after bytes.Buffer
+			if err := WriteEigensystem(&before, en.Eigensystem()); err != nil {
+				t.Fatal(err)
+			}
+			if err := tc.observe(en); err == nil {
+				t.Fatal("overflowing row accepted")
+			}
+			if err := WriteEigensystem(&after, en.Eigensystem()); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(before.Bytes(), after.Bytes()) {
+				t.Fatalf("rejected row changed the eigensystem: %v", en.Eigensystem())
+			}
+		})
 	}
 }

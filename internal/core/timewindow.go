@@ -20,24 +20,17 @@ import (
 // Config.TimeWindow. It returns an error when TimeWindow is unset.
 // Timestamps should be non-decreasing; a backwards stamp is treated as
 // simultaneous (no decay). During warm-up the observation is buffered like
-// any other.
+// any other. A rejected observation leaves the clock where it was, so the
+// next accepted one decays by the whole gap since the last accepted one.
 func (en *Engine) ObserveAt(x []float64, at time.Time) (Update, error) {
 	if en.cfg.TimeWindow <= 0 {
 		return Update{}, errors.New("core: ObserveAt requires Config.TimeWindow")
 	}
-	if len(x) != en.cfg.Dim {
-		return Update{}, errors.New("core: observation length mismatch")
+	u, err := en.observe(x, en.timeDecay(at))
+	if err == nil || u.Warmup { // consumed: absorbed, or buffered in warm-up
+		en.lastObserved = at
 	}
-	for _, v := range x {
-		if math.IsNaN(v) || math.IsInf(v, 0) {
-			return Update{}, errors.New("core: observation contains non-finite values")
-		}
-	}
-	alpha := en.timeDecay(at)
-	if !en.ready {
-		return en.bufferWarmup(x)
-	}
-	return en.updateAlpha(x, alpha), nil
+	return u, err
 }
 
 // ObserveMaskedAt is the gappy counterpart of ObserveAt.
@@ -45,23 +38,23 @@ func (en *Engine) ObserveMaskedAt(x []float64, mask []bool, at time.Time) (Updat
 	if en.cfg.TimeWindow <= 0 {
 		return Update{}, errors.New("core: ObserveMaskedAt requires Config.TimeWindow")
 	}
-	alpha := en.timeDecay(at)
-	en.pendingAlpha = alpha
-	defer func() { en.pendingAlpha = 0 }()
-	return en.ObserveMasked(x, mask)
+	u, err := en.observeMasked(x, mask, en.timeDecay(at))
+	if err == nil || u.Warmup { // consumed: absorbed, or buffered in warm-up
+		en.lastObserved = at
+	}
+	return u, err
 }
 
 // timeDecay converts the gap since the previous stamped observation into a
-// one-step decay factor exp(−Δt/τ).
+// one-step decay factor exp(−Δt/τ); the first stamp decays nothing. It reads
+// the clock without moving it.
 func (en *Engine) timeDecay(at time.Time) float64 {
 	if en.lastObserved.IsZero() {
-		en.lastObserved = at
 		return 1
 	}
 	dt := at.Sub(en.lastObserved)
 	if dt < 0 {
 		dt = 0
 	}
-	en.lastObserved = at
 	return math.Exp(-dt.Seconds() / en.cfg.TimeWindow.Seconds())
 }

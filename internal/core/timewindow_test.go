@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"math"
 	"math/rand/v2"
 	"testing"
@@ -142,7 +143,105 @@ func TestObserveMaskedAtPatchesAndDecays(t *testing.T) {
 	if aff := en.Eigensystem().SubspaceAffinity(m.basis); aff < 0.9 {
 		t.Fatalf("masked time-window affinity = %v", aff)
 	}
-	if en.pendingAlpha != 0 {
-		t.Fatal("pendingAlpha leaked")
+}
+
+// stampedEntries are the two time-windowed entry points, fed a complete row
+// (ObserveMaskedAt with an all-true mask).
+var stampedEntries = []struct {
+	name    string
+	observe func(en *Engine, x []float64, at time.Time) error
+}{
+	{"ObserveAt", func(en *Engine, x []float64, at time.Time) error {
+		_, err := en.ObserveAt(x, at)
+		return err
+	}},
+	{"ObserveMaskedAt", func(en *Engine, x []float64, at time.Time) error {
+		all := make([]bool, len(x))
+		for i := range all {
+			all[i] = true
+		}
+		_, err := en.ObserveMaskedAt(x, all, at)
+		return err
+	}},
+}
+
+// TestTimeDecayUnderflowForgetsEverything: after a gap of ~2000 time
+// constants exp(−Δt/τ) underflows to 0, and the next row must still decay
+// the running sums by it — leaving an effective window of one row — rather
+// than fall back to Config.Alpha.
+func TestTimeDecayUnderflowForgetsEverything(t *testing.T) {
+	for _, tc := range stampedEntries {
+		t.Run(tc.name, func(t *testing.T) {
+			rng := rand.New(rand.NewPCG(804, 5))
+			m := newModel(rng, 20, 2, []float64{4, 1}, 0.05)
+			en, err := NewEngine(timeCfg(20, 2, time.Second))
+			if err != nil {
+				t.Fatal(err)
+			}
+			now := time.Unix(1e9, 0)
+			for i := 0; i < 500; i++ {
+				x, _ := m.sample()
+				now = now.Add(time.Millisecond)
+				if err := tc.observe(en, x, now); err != nil {
+					t.Fatal(err)
+				}
+			}
+			x, _ := m.sample()
+			if err := tc.observe(en, x, now.Add(2000*time.Second)); err != nil {
+				t.Fatal(err)
+			}
+			if w := en.Eigensystem().EffectiveWindow(); w != 1 {
+				t.Fatalf("effective window after the gap = %v, want 1", w)
+			}
+		})
+	}
+}
+
+// TestRejectedStampedRowKeepsClock: a row the engine rejects must not move
+// the window clock, so the next accepted row decays by the whole gap since
+// the last accepted one. Two engines fed the same accepted rows, one with
+// rejected rows in between, must end bitwise equal.
+func TestRejectedStampedRowKeepsClock(t *testing.T) {
+	const d = 20
+	nan := make([]float64, d)
+	nan[3] = math.NaN()
+	huge := make([]float64, d)
+	for i := range huge {
+		huge[i] = 1e200
+	}
+	run := func(t *testing.T, observe func(*Engine, []float64, time.Time) error, bad [][]float64) []byte {
+		rng := rand.New(rand.NewPCG(805, 6))
+		m := newModel(rng, d, 2, []float64{4, 1}, 0.05)
+		en, err := NewEngine(timeCfg(d, 2, time.Second))
+		if err != nil {
+			t.Fatal(err)
+		}
+		now := time.Unix(1e9, 0)
+		for i := 0; i < 300; i++ {
+			x, _ := m.sample()
+			now = now.Add(10 * time.Millisecond)
+			if i%50 == 49 {
+				for _, b := range bad {
+					if err := observe(en, b, now.Add(-5*time.Millisecond)); err == nil {
+						t.Fatal("bad row accepted")
+					}
+				}
+			}
+			if err := observe(en, x, now); err != nil {
+				t.Fatal(err)
+			}
+		}
+		var buf bytes.Buffer
+		if err := WriteEigensystem(&buf, en.Eigensystem()); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	for _, tc := range stampedEntries {
+		t.Run(tc.name, func(t *testing.T) {
+			if !bytes.Equal(run(t, tc.observe, nil), run(t, tc.observe, [][]float64{nan, huge})) {
+				t.Fatal("rejected rows moved the window clock")
+			}
+		})
 	}
 }

@@ -15,11 +15,11 @@ const rejectedCap = 64
 // and never resized: the engine's dimension, component count and chunk width
 // are fixed at construction.
 //
-// Aliasing rules: slot 0 of yMat and coefs doubles as the rank-one path's
-// centered observation and projections — updateAlpha fills it and
-// rebuildEigensystem reads it, so the two must not be reordered, and the
-// rebuild reads every firing slot of yMat as the lower rows of its stacked
-// operand. The eigensolvers' returned values and vectors live in their
+// Aliasing rules: observeChunk's center/project pass writes the m-th firing
+// row's centered observation and projections into slot m of yMat and coefs,
+// and the chunk's one rebuild reads them after its last row — slot 0 alone
+// on the rank-one path (rebuildEigensystem), every firing slot of yMat as the
+// lower rows of the stacked operand in installRebuild. The eigensolvers' returned values and vectors live in their
 // workspaces and are only read until the end of the rebuild that produced
 // them. Nothing in the workspace is valid across Observe calls; it is
 // scratch, not state.
