@@ -386,7 +386,7 @@ type (
 	// ObsSnapshot is a point-in-time copy of every instrument in a set.
 	ObsSnapshot = obs.Snapshot
 	// ObsEvent is one control-plane journal entry (syncs, failures,
-	// checkpoints, rebuild shifts).
+	// checkpoints, engine warm-ups).
 	ObsEvent = obs.Event
 )
 

@@ -141,7 +141,7 @@ func serveObs(addr string, st *streampca.ClusterStats, chaos *streampca.ClusterC
 	set.Counter("sim_crashes_total").Add(st.Crashes)
 	set.Counter("sim_recoveries_total").Add(st.Recoveries)
 	for i, n := range st.PerEngine {
-		set.Engine(i).EffN.Set(float64(n))
+		set.Engine(i).Observations.Add(n)
 	}
 	if chaos != nil {
 		for _, c := range chaos.Crashes {

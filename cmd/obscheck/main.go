@@ -270,31 +270,39 @@ func checkPrometheus(base string) error {
 }
 
 // checkJournal validates the control-plane event feed, including the ?max
-// parameter.
+// parameter, and that the full feed holds every engine's engine-init event.
 func checkJournal(base string) error {
-	body, err := get(base + "/journal?max=8")
-	if err != nil {
-		return err
-	}
-	var j struct {
-		Len    int `json:"len"`
-		Events []struct {
-			Kind string `json:"kind"`
-		} `json:"events"`
-	}
-	if err := json.Unmarshal(body, &j); err != nil {
-		return fmt.Errorf("invalid JSON: %w", err)
-	}
-	if j.Len == 0 || len(j.Events) == 0 {
-		return fmt.Errorf("journal is empty")
-	}
-	if len(j.Events) > 8 {
-		return fmt.Errorf("max=8 returned %d events", len(j.Events))
-	}
-	for _, ev := range j.Events {
-		if ev.Kind == "" {
-			return fmt.Errorf("event with empty kind")
+	inits := map[int]bool{}
+	for _, query := range []string{"", "?max=8"} {
+		body, err := get(base + "/journal" + query)
+		if err != nil {
+			return err
 		}
+		var j struct {
+			Len    int `json:"len"`
+			Events []struct {
+				Kind   string `json:"kind"`
+				Engine int    `json:"engine"`
+			} `json:"events"`
+		}
+		if err := json.Unmarshal(body, &j); err != nil {
+			return fmt.Errorf("invalid JSON: %w", err)
+		}
+		if j.Len == 0 || len(j.Events) == 0 {
+			return fmt.Errorf("journal is empty")
+		}
+		if query != "" && len(j.Events) > 8 {
+			return fmt.Errorf("max=8 returned %d events", len(j.Events))
+		}
+		for _, ev := range j.Events {
+			if ev.Kind == "" {
+				return fmt.Errorf("event with empty kind")
+			}
+			inits[ev.Engine] = inits[ev.Engine] || ev.Kind == "engine-init"
+		}
+	}
+	if !inits[0] || !inits[1] {
+		return fmt.Errorf("no engine-init event for engines 0 and 1 in /journal")
 	}
 	return nil
 }

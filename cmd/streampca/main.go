@@ -273,10 +273,10 @@ func runResumed(path string, cfg streampca.Config, src streampca.PipelineSource,
 	if err != nil {
 		return nil, err
 	}
-	if set != nil {
-		en.SetInstruments(set.Engine(0))
+	if set == nil {
+		set = streampca.NewObsSet() // a private set still tallies the run
 	}
-	var processed, outliers int64
+	inst := set.Engine(0)
 	for {
 		vec, mask, ok := src()
 		if !ok {
@@ -292,12 +292,14 @@ func runResumed(path string, cfg streampca.Config, src streampca.PipelineSource,
 		if oerr != nil {
 			continue
 		}
-		processed++
+		inst.Observations.Inc() // a row is a frame of one, published as the engine operator does
 		if u.Outlier {
-			outliers++
+			inst.Outliers.Inc()
 		}
+		vals, sigma2, effN := en.Spectrum()
+		inst.RecordEigen(sigma2, effN, en.SinceSync(), vals, cfg.Components)
 	}
-	fmt.Printf("resumed engine: processed %d more observations, %d outliers\n", processed, outliers)
+	fmt.Printf("resumed engine: processed %d more observations, %d outliers\n", inst.Observations.Load(), inst.Outliers.Load())
 	return en.Snapshot()
 }
 

@@ -5,7 +5,6 @@ import (
 
 	"streampca/internal/eig"
 	"streampca/internal/mat"
-	"streampca/internal/obs"
 )
 
 // blockMax caps the chunk width of ObserveBlock. Per observation the block
@@ -187,9 +186,6 @@ func (en *Engine) observeChunk(xs [][]float64, masks [][]bool, out []Update, alp
 			en.zeroStreak++
 			if en.zeroStreak >= cfg.RescueStreak {
 				if med := en.rejectedMedian(); med > sigma2New {
-					if en.inst != nil {
-						en.inst.RecordRescue(med, sigma2New)
-					}
 					sigma2New = med
 					en.rescues++
 				}
@@ -228,7 +224,6 @@ func (en *Engine) observeChunk(xs [][]float64, masks [][]bool, out []Update, alp
 		st.Count++
 		en.sinceSync++
 		en.updatesSince++
-		en.publish(sigma2New, uNew, t > cfg.OutlierT)
 
 		//streamvet:ignore noalloc appends into the caller-provided Update buffer; steady state passes spare capacity (AllocsPerRun-verified)
 		out = append(out, Update{
@@ -250,11 +245,6 @@ func (en *Engine) observeChunk(xs [][]float64, masks [][]bool, out []Update, alp
 			en.rebuildEigensystem(g, bv[0], ny2First)
 		} else {
 			en.rebuildEigensystemBlock(g, nf)
-		}
-		if en.inst != nil {
-			// Per-row publishes carried the chunk-start spectrum; refresh the
-			// eigen gauges now that the deferred rebuild landed.
-			en.inst.RecordEigen(st.Values, p)
 		}
 	}
 	if cfg.ReorthEvery > 0 && en.updatesSince >= cfg.ReorthEvery {
@@ -334,9 +324,6 @@ func (en *Engine) rebuildEigensystemBlock(g float64, c int) {
 	if !ok {
 		// Keep the previous eigensystem; the decayed sums still advanced.
 		return
-	}
-	if en.inst != nil {
-		en.inst.RecordRebuild(obs.RebuildRankC)
 	}
 	en.installRebuild(lam, v, c)
 }

@@ -9,7 +9,6 @@ import (
 
 	"streampca/internal/eig"
 	"streampca/internal/mat"
-	"streampca/internal/obs"
 	"streampca/internal/robust"
 )
 
@@ -93,11 +92,6 @@ type Engine struct {
 	// TestObserveBlockMatchesObserveAcrossWidths), which is why
 	// mat.BlockSize is a pure function of (d, k) and never timed.
 	blockC int
-
-	// inst, when non-nil (SetInstruments), receives algorithm-level gauges
-	// after every update plus control-plane journal events. All record paths
-	// are atomic stores, so publishing keeps the hot path allocation free.
-	inst *obs.EngineInstruments
 }
 
 // NewEngine validates cfg and returns a ready-to-feed engine.
@@ -136,31 +130,6 @@ func (en *Engine) Close() {}
 // Config returns the validated configuration the engine runs with.
 func (en *Engine) Config() Config { return en.cfg }
 
-// SetInstruments attaches (or, with nil, detaches) an observability bundle:
-// every subsequent update publishes σ², the leading eigenvalues and
-// eigengap, the effective sample size, the since-sync count and outlier
-// tallies, and warm-up/rescue/rebuild transitions are journaled.
-func (en *Engine) SetInstruments(inst *obs.EngineInstruments) { en.inst = inst }
-
-// publish pushes the per-update gauges to the attached instruments; outlier
-// describes the observation just absorbed.
-//
-//streampca:noalloc
-func (en *Engine) publish(sigma2, effN float64, outlier bool) {
-	inst := en.inst
-	if inst == nil {
-		return
-	}
-	inst.Sigma2.Set(sigma2)
-	inst.EffN.Set(effN)
-	inst.SinceSync.Set(float64(en.sinceSync))
-	inst.Observations.Inc()
-	if outlier {
-		inst.Outliers.Inc()
-	}
-	inst.RecordEigen(en.state.Values, en.cfg.Components)
-}
-
 // Ready reports whether warm-up has completed and the eigensystem exists.
 func (en *Engine) Ready() bool { return en.ready }
 
@@ -170,6 +139,13 @@ func (en *Engine) Count() int64 {
 		return int64(len(en.warmup))
 	}
 	return en.state.Count
+}
+
+// Spectrum returns the eigenvalues, the M-scale σ² and the effective sample
+// size as of the last update (zero before warm-up completes). The slice is
+// engine-owned: read it before the next update and never write it.
+func (en *Engine) Spectrum() (values []float64, sigma2, effN float64) {
+	return en.state.Values, en.state.Sigma2, en.state.SumU
 }
 
 // SinceSync returns the number of observations absorbed since the last
@@ -344,9 +320,6 @@ func (en *Engine) initialize() error {
 	// full weight), which is the standard breakdown mode of residual-based
 	// robust PCA when the buffer is barely larger than the rank.
 	seedData := filterGrossOutliers(en.warmup, en.cfg.Rho, en.cfg.Delta, en.cfg.OutlierT, en.k)
-	if en.inst != nil && len(seedData) < len(en.warmup) {
-		en.inst.RecordGrossOutliers(int64(len(en.warmup)-len(seedData)), len(en.warmup))
-	}
 
 	fit, err := robustFit(seedData, en.cfg.Components, en.k, en.cfg.Rho, en.cfg.Delta, 25)
 	if err == nil && fit.sigma2 > 0 && fit.meanW > 0 {
@@ -388,9 +361,6 @@ func (en *Engine) initialize() error {
 		en.sinceSync = int64(n0)
 		en.ready = true
 		en.warmup = nil
-		if en.inst != nil {
-			en.inst.RecordInit(int64(n0), en.state.Sigma2)
-		}
 		return nil
 	}
 	return en.classicInitialize(u)
@@ -472,9 +442,6 @@ func (en *Engine) classicInitialize(u float64) error {
 	en.sinceSync = int64(n0)
 	en.ready = true
 	en.warmup = nil
-	if en.inst != nil {
-		en.inst.RecordInit(int64(n0), en.state.Sigma2)
-	}
 	return nil
 }
 
@@ -560,9 +527,6 @@ func (en *Engine) rebuildEigensystem(gamma2, yCoef, ny2 float64) {
 		// Keep the previous eigensystem; the decayed sums still advance so
 		// a single pathological vector cannot wedge the stream.
 		return
-	}
-	if en.inst != nil {
-		en.inst.RecordRebuild(obs.RebuildRankOne)
 	}
 	en.installRebuild(lam, v, 1)
 }

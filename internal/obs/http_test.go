@@ -51,7 +51,7 @@ func TestHandlerEndpoints(t *testing.T) {
 		t.Errorf("json snapshot engines = %+v", snap.Engines)
 	}
 
-	code, body = getBody(t, srv, "/journal?max=2")
+	code, body = getBody(t, srv, "/journal?max=1")
 	if code != 200 {
 		t.Fatalf("/journal: %d", code)
 	}
@@ -62,7 +62,7 @@ func TestHandlerEndpoints(t *testing.T) {
 	if err := json.Unmarshal([]byte(body), &jr); err != nil {
 		t.Fatalf("/journal not JSON: %v", err)
 	}
-	if jr.Len != 3 || len(jr.Events) != 2 {
+	if jr.Len != 2 || len(jr.Events) != 1 {
 		t.Errorf("/journal = %+v", jr)
 	}
 	if code, _ := getBody(t, srv, "/journal?max=bogus"); code != 400 {

@@ -46,22 +46,13 @@ func (o *OpInstruments) RecordProcess(startNs, durNs, weight int64, queueLen int
 	o.Spans.Record(startNs, durNs)
 }
 
-// RebuildKind labels which eigensystem rebuild route an engine update took.
-type RebuildKind int64
-
-const (
-	RebuildRankOne RebuildKind = 1 // structured analytic rank-one update
-	RebuildRankC   RebuildKind = 2 // block-incremental rank-c update
-)
-
 // MaxEigGauges bounds how many leading eigenvalues an engine publishes.
 const MaxEigGauges = 16
 
 // EngineInstruments publishes one engine's algorithm-level state: the robust
 // M-scale, the leading eigenvalues and eigengap, the forgetting-factor
-// effective N, and outlier/rebuild tallies. Every publish is an atomic store;
-// the Observe/ObserveBlock hot path pays ~a dozen uncontended atomics per
-// update.
+// effective N, and observation/outlier tallies. The engine's operator writes
+// it once per frame; every publish is an atomic store.
 type EngineInstruments struct {
 	// Index is the engine's index in the pipeline (-1 when standalone).
 	Index int
@@ -76,28 +67,27 @@ type EngineInstruments struct {
 	// (0 when the subspace holds no spare direction to measure against).
 	Eigengap Gauge
 
-	// Observations counts processed vectors; Outliers counts those whose
-	// robustness weight fell below the outlier threshold. Their ratio is the
-	// outlier-rejection rate exposed by snapshots.
+	// Observations counts processed vectors, warm-up included; Outliers
+	// counts those whose standardized residual exceeded the outlier
+	// threshold. Their ratio is the outlier-rejection rate exposed by
+	// snapshots.
 	Observations Counter
 	Outliers     Counter
 
-	// RankOne/RankC count eigensystem rebuilds by route.
-	RankOne Counter
-	RankC   Counter
-
 	eig      [MaxEigGauges]Gauge
 	eigCount atomic.Int64
-
-	lastRebuild atomic.Int64
-	journal     *Journal
 }
 
-// RecordEigen publishes the leading eigenvalues (up to MaxEigGauges) and the
-// eigengap λ_p − λ_{p+1} for component count p.
+// RecordEigen publishes an engine's eigensystem state as of its last update:
+// the M-scale σ², the effective N, the observations since the last sync, the
+// leading eigenvalues (up to MaxEigGauges) and the eigengap λ_p − λ_{p+1}
+// for component count p.
 //
 //streampca:noalloc
-func (e *EngineInstruments) RecordEigen(vals []float64, p int) {
+func (e *EngineInstruments) RecordEigen(sigma2, effN float64, sinceSync int64, vals []float64, p int) {
+	e.Sigma2.Set(sigma2)
+	e.EffN.Set(effN)
+	e.SinceSync.Set(float64(sinceSync))
 	n := len(vals)
 	if n > MaxEigGauges {
 		n = MaxEigGauges
@@ -123,67 +113,13 @@ func (e *EngineInstruments) Eigenvalues() []float64 {
 	return out
 }
 
-// RecordRebuild tallies one eigensystem rebuild and journals an
-// EvRebuildShift when the route changes kind — steady operation journals
-// nothing, mode transitions stay visible.
-//
-//streampca:noalloc
-func (e *EngineInstruments) RecordRebuild(kind RebuildKind) {
-	switch kind {
-	case RebuildRankOne:
-		e.RankOne.Inc()
-	case RebuildRankC:
-		e.RankC.Inc()
-	}
-	prev := e.lastRebuild.Swap(int64(kind))
-	if prev != int64(kind) && prev != 0 && e.journal != nil {
-		e.journal.Append(Event{
-			Kind:   EvRebuildShift,
-			Engine: e.Index,
-			N:      int64(kind),
-			A:      float64(prev),
-		})
-	}
-}
-
-// RecordInit journals warm-up completion: n buffered observations seeded an
-// eigensystem with initial scale sigma2.
-func (e *EngineInstruments) RecordInit(n int64, sigma2 float64) {
-	if e.journal != nil {
-		e.journal.Append(Event{Kind: EvEngineInit, Engine: e.Index, N: n, A: sigma2})
-	}
-}
-
-// RecordGrossOutliers journals warm-up pre-filtering: rejected vectors
-// dropped from a buffer of bufSize.
-func (e *EngineInstruments) RecordGrossOutliers(rejected int64, bufSize int) {
-	if e.journal != nil {
-		e.journal.Append(Event{Kind: EvGrossOutliers, Engine: e.Index,
-			N: rejected, A: float64(bufSize)})
-	}
-}
-
-// RecordRescue journals one scale-collapse rescue: σ² jumped from collapsed
-// to rescued.
-//
-//streampca:noalloc
-func (e *EngineInstruments) RecordRescue(rescued, collapsed float64) {
-	if e.journal != nil {
-		e.journal.Append(Event{Kind: EvScaleRescue, Engine: e.Index,
-			A: rescued, B: collapsed})
-	}
-}
-
-// SyncInstruments publishes the synchronization controller's view: round
-// tallies and the wall time of the last plan, from which snapshots derive a
-// staleness gauge.
+// SyncInstruments publishes the synchronization controller's view: the
+// round tally and the wall time of the last plan, from which snapshots
+// derive a staleness gauge. Each round's command and exclusion counts ride
+// its sync-plan journal event.
 type SyncInstruments struct {
-	// Rounds counts planned sync rounds; Commands counts control commands
-	// issued across all rounds; Excluded counts peer slots skipped because
-	// the peer was marked failed.
-	Rounds   Counter
-	Commands Counter
-	Excluded Counter
+	// Rounds counts planned sync rounds.
+	Rounds Counter
 
 	lastPlanNs atomic.Int64
 	journal    *Journal
@@ -193,8 +129,6 @@ type SyncInstruments struct {
 // failed peers excluded.
 func (s *SyncInstruments) RecordPlan(round int64, cmds, failed int) {
 	s.Rounds.Inc()
-	s.Commands.Add(int64(cmds))
-	s.Excluded.Add(int64(failed))
 	now := time.Now().UnixNano()
 	s.lastPlanNs.Store(now)
 	if s.journal != nil {
@@ -294,7 +228,7 @@ func (s *Set) Engine(i int) *EngineInstruments {
 	defer s.mu.Unlock()
 	e, ok := s.engines[i]
 	if !ok {
-		e = &EngineInstruments{Index: i, journal: s.journal}
+		e = &EngineInstruments{Index: i}
 		s.engines[i] = e
 	}
 	return e

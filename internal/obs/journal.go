@@ -39,20 +39,12 @@ const (
 	// EvCheckpointRestore: a revived engine replayed a checkpoint.
 	// Engine = index, N = the restored observation count.
 	EvCheckpointRestore
-	// EvGrossOutliers: warm-up pre-filtering rejected buffer vectors.
-	// Engine = index, N = vectors rejected, A = buffer size before filtering.
-	EvGrossOutliers
 	// EvEngineInit: an engine completed warm-up.
 	// Engine = index, N = warm-up observations, A = initial σ².
 	EvEngineInit
-	// EvScaleRescue: the scale-collapse rescue fired.
-	// Engine = index, A = rescued σ², B = the collapsed σ² it replaced.
+	// EvScaleRescue: the scale-collapse rescue fired during a frame.
+	// Engine = index, N = the engine's rescues so far, A = σ² after the frame.
 	EvScaleRescue
-	// EvRebuildShift: an engine's eigensystem rebuild route changed kind
-	// (rank-one ↔ rank-c). Engine = index, N = the new kind
-	// (RebuildKind), A = the previous kind. Recorded on transitions only, so
-	// steady streams journal nothing while mode changes stay visible.
-	EvRebuildShift
 	// EvCrash / EvRecover: a simulated (cluster DES) engine crash/rejoin.
 	// Engine = index, A = virtual time in seconds.
 	EvCrash
@@ -90,14 +82,10 @@ func (k EventKind) String() string {
 		return "checkpoint-write"
 	case EvCheckpointRestore:
 		return "checkpoint-restore"
-	case EvGrossOutliers:
-		return "gross-outliers"
 	case EvEngineInit:
 		return "engine-init"
 	case EvScaleRescue:
 		return "scale-rescue"
-	case EvRebuildShift:
-		return "rebuild-shift"
 	case EvCrash:
 		return "crash"
 	case EvRecover:

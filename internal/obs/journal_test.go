@@ -103,8 +103,8 @@ func TestJournalConcurrentAppend(t *testing.T) {
 func TestEventKindStrings(t *testing.T) {
 	kinds := []EventKind{
 		EvSyncPlan, EvSyncSend, EvSyncSkip, EvSyncMerge, EvNodeFailure,
-		EvNodeRevive, EvCheckpointWrite, EvCheckpointRestore, EvGrossOutliers,
-		EvEngineInit, EvScaleRescue, EvRebuildShift, EvCrash, EvRecover,
+		EvNodeRevive, EvCheckpointWrite, EvCheckpointRestore,
+		EvEngineInit, EvScaleRescue, EvCrash, EvRecover,
 		EvWireConnect, EvWireDown, EvWireEOS,
 	}
 	seen := map[string]bool{}

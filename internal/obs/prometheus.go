@@ -136,10 +136,6 @@ var nodeFamilies = []family{
 		func(s sampler, e EngineSnapshot) { s.sample("", e.OutlierRate) }),
 	engineFamily("engine_observations_total", "counter", "Observations processed per engine.",
 		func(s sampler, e EngineSnapshot) { s.sample("", e.Observations) }),
-	engineFamily("engine_rebuilds_total", "counter", "Eigensystem rebuilds by route.", func(s sampler, e EngineSnapshot) {
-		s.sample(`kind="rank-one",`, e.Rebuilds.RankOne)
-		s.sample(`kind="rank-c",`, e.Rebuilds.RankC)
-	}),
 	{"sync_rounds_total", "counter", "Planned synchronization rounds.",
 		func(s sampler, n *NodeSnapshot) { s.sample("", n.Snapshot.Sync.Rounds) }},
 	{"sync_staleness_seconds", "gauge", "Seconds since the last planned sync round.",

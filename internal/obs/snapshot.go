@@ -12,32 +12,23 @@ type OpSnapshot struct {
 	QueueDepth HistogramSnapshot `json:"queue_depth"`
 }
 
-// RebuildCounts tallies eigensystem rebuilds by route.
-type RebuildCounts struct {
-	RankOne int64 `json:"rank_one"`
-	RankC   int64 `json:"rank_c"`
-}
-
 // EngineSnapshot is one engine's algorithm-level view.
 type EngineSnapshot struct {
-	Index        int           `json:"index"`
-	Sigma2       float64       `json:"sigma2"`
-	EffN         float64       `json:"eff_n"`
-	SinceSync    float64       `json:"since_sync"`
-	Eigenvalues  []float64     `json:"eigenvalues"`
-	Eigengap     float64       `json:"eigengap"`
-	Observations int64         `json:"observations"`
-	Outliers     int64         `json:"outliers"`
-	OutlierRate  float64       `json:"outlier_rate"`
-	Rebuilds     RebuildCounts `json:"rebuilds"`
+	Index        int       `json:"index"`
+	Sigma2       float64   `json:"sigma2"`
+	EffN         float64   `json:"eff_n"`
+	SinceSync    float64   `json:"since_sync"`
+	Eigenvalues  []float64 `json:"eigenvalues"`
+	Eigengap     float64   `json:"eigengap"`
+	Observations int64     `json:"observations"`
+	Outliers     int64     `json:"outliers"`
+	OutlierRate  float64   `json:"outlier_rate"`
 }
 
 // SyncSnapshot is the synchronization controller's view. StalenessNs is the
 // wall time since the last planned round (0 before the first plan).
 type SyncSnapshot struct {
 	Rounds      int64 `json:"rounds"`
-	Commands    int64 `json:"commands"`
-	Excluded    int64 `json:"excluded"`
 	LastPlanNs  int64 `json:"last_plan_ns"`
 	StalenessNs int64 `json:"staleness_ns"`
 }
@@ -142,10 +133,6 @@ func (s *Set) Snapshot() Snapshot {
 			Eigengap:     e.Eigengap.Get(),
 			Observations: obsN,
 			Outliers:     out,
-			Rebuilds: RebuildCounts{
-				RankOne: e.RankOne.Load(),
-				RankC:   e.RankC.Load(),
-			},
 		}
 		if obsN > 0 {
 			es.OutlierRate = float64(out) / float64(obsN)
@@ -155,8 +142,6 @@ func (s *Set) Snapshot() Snapshot {
 
 	sy := SyncSnapshot{
 		Rounds:     s.sync.Rounds.Load(),
-		Commands:   s.sync.Commands.Load(),
-		Excluded:   s.sync.Excluded.Load(),
 		LastPlanNs: s.sync.LastPlanNs(),
 	}
 	if sy.LastPlanNs > 0 {

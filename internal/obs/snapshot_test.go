@@ -15,14 +15,9 @@ func populate(s *Set) {
 	op.RecordProcess(s.StartNs()+50_000, 12_000, 1, 0)
 
 	e := s.Engine(0)
-	e.Sigma2.Set(1.25)
-	e.EffN.Set(512)
-	e.SinceSync.Set(96)
-	e.RecordEigen([]float64{5, 3, 1}, 2)
+	e.RecordEigen(1.25, 512, 96, []float64{5, 3, 1}, 2)
 	e.Observations.Add(100)
 	e.Outliers.Add(4)
-	e.RecordRebuild(RebuildRankOne)
-	e.RecordRebuild(RebuildRankC)
 
 	s.Sync().RecordPlan(3, 4, 1)
 	s.Journal().Append(Event{Kind: EvSyncSend, Engine: 0, N: 3, A: 96, B: 64})
@@ -45,7 +40,7 @@ func TestSnapshotContents(t *testing.T) {
 		t.Fatalf("engines = %+v", snap.Engines)
 	}
 	e := snap.Engines[0]
-	if e.Sigma2 != 1.25 || e.EffN != 512 {
+	if e.Sigma2 != 1.25 || e.EffN != 512 || e.SinceSync != 96 {
 		t.Errorf("engine gauges: %+v", e)
 	}
 	if want := []float64{5, 3, 1}; len(e.Eigenvalues) != 3 ||
@@ -58,45 +53,18 @@ func TestSnapshotContents(t *testing.T) {
 	if e.OutlierRate != 0.04 {
 		t.Errorf("outlier rate = %g, want 0.04", e.OutlierRate)
 	}
-	if e.Rebuilds.RankOne != 1 || e.Rebuilds.RankC != 1 {
-		t.Errorf("rebuilds = %+v", e.Rebuilds)
-	}
-	if snap.Sync.Rounds != 1 || snap.Sync.Commands != 4 || snap.Sync.Excluded != 1 {
+	if snap.Sync.Rounds != 1 {
 		t.Errorf("sync = %+v", snap.Sync)
 	}
 	if snap.Sync.StalenessNs <= 0 {
 		t.Errorf("staleness = %d, want > 0", snap.Sync.StalenessNs)
 	}
-	// journal: sync-plan, rebuild-shift (rank-one→rank-c), sync-send
-	if snap.Journal.Len != 3 {
-		t.Errorf("journal len = %d, want 3 (recent: %+v)", snap.Journal.Len, snap.Journal.Recent)
+	// journal: sync-plan, sync-send
+	if snap.Journal.Len != 2 {
+		t.Errorf("journal len = %d, want 2 (recent: %+v)", snap.Journal.Len, snap.Journal.Recent)
 	}
 	if snap.Gauges["sim_time_s"] != 12.5 || snap.Counters["tuples_dropped"] != 7 {
 		t.Errorf("named metrics: %+v %+v", snap.Gauges, snap.Counters)
-	}
-}
-
-func TestRebuildShiftJournalsTransitionsOnly(t *testing.T) {
-	s := NewSet()
-	e := s.Engine(1)
-	for i := 0; i < 100; i++ {
-		e.RecordRebuild(RebuildRankOne)
-	}
-	if got := s.Journal().Len(); got != 0 {
-		t.Fatalf("steady rebuilds journaled %d events, want 0", got)
-	}
-	e.RecordRebuild(RebuildRankC)
-	e.RecordRebuild(RebuildRankC)
-	e.RecordRebuild(RebuildRankOne)
-	evs := s.Journal().Events(0)
-	if len(evs) != 2 {
-		t.Fatalf("journal = %+v, want 2 transitions", evs)
-	}
-	if evs[0].Kind != EvRebuildShift || RebuildKind(evs[0].N) != RebuildRankC {
-		t.Errorf("first transition = %+v", evs[0])
-	}
-	if RebuildKind(evs[1].N) != RebuildRankOne || RebuildKind(int64(evs[1].A)) != RebuildRankC {
-		t.Errorf("second transition = %+v", evs[1])
 	}
 }
 
@@ -209,8 +177,8 @@ func TestWriteTraceLoadsAsTraceDoc(t *testing.T) {
 	if spans != 2 {
 		t.Errorf("spans = %d, want 2", spans)
 	}
-	if instants != 3 { // sync-plan, rebuild-shift, sync-send
-		t.Errorf("instants = %d, want 3", instants)
+	if instants != 2 { // sync-plan, sync-send
+		t.Errorf("instants = %d, want 2", instants)
 	}
 	if meta < 3 { // process_name + control-plane + op thread
 		t.Errorf("metadata events = %d, want ≥ 3", meta)
@@ -224,12 +192,8 @@ func TestRecordPathsDoNotAllocate(t *testing.T) {
 	vals := []float64{4, 2, 1}
 	if n := testing.AllocsPerRun(1000, func() {
 		op.RecordProcess(1, 2, 3, 4)
-		e.Sigma2.Set(1)
-		e.EffN.Set(2)
-		e.SinceSync.Set(3)
-		e.RecordEigen(vals, 2)
+		e.RecordEigen(1, 2, 3, vals, 2)
 		e.Observations.Inc()
-		e.RecordRebuild(RebuildRankOne)
 	}); n != 0 {
 		t.Fatalf("record path allocates %g allocs/op, want 0", n)
 	}

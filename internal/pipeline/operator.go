@@ -37,11 +37,13 @@ type pcaOperator struct {
 	ckptEvery int64
 	lastCkpt  []byte
 
-	// inst and journal, when non-nil (Config.Obs), receive algorithm gauges
-	// and control-plane events. restore re-attaches inst to the replacement
-	// engine so gauges survive a crash.
+	// inst and journal, when non-nil (Config.Obs), receive the engine's
+	// gauges and tallies, published once per frame (publish), and its
+	// control-plane events. rescues is the engine's rescue count at the last
+	// publish, so a rise journals a scale-rescue.
 	inst    *obs.EngineInstruments
 	journal *obs.Journal
+	rescues int64
 
 	// e2e, when non-nil, receives the end-to-end tuple latency of every
 	// traced frame: ingest stamp at the source to the outlier decision here,
@@ -80,7 +82,6 @@ func newPCAOperator(id int, cfg core.Config, syncFactor float64, set *obs.Set) (
 		op.inst = set.Engine(max(id, 0))
 		op.journal = set.Journal()
 		op.e2e = set.E2E()
-		en.SetInstruments(op.inst)
 	}
 	return op, nil
 }
@@ -123,7 +124,7 @@ func (p *pcaOperator) Process(port int, msg stream.Message, emit stream.Emit) {
 // treating data quality as a statistical property, not a fatal one. The
 // frame's storage is released back to the transport pool afterwards.
 func (p *pcaOperator) observeFrame(f stream.Frame) {
-	prev := p.processed
+	prev, prevOut := p.processed, p.outliers
 	rows, masks := p.runBuf[:0], p.maskBuf[:0]
 	for _, t := range f.Tuples {
 		rows, masks = append(rows, t.Vec), append(masks, t.Mask)
@@ -134,13 +135,40 @@ func (p *pcaOperator) observeFrame(f stream.Frame) {
 		if u.Outlier {
 			p.outliers++
 		}
+		if u.Initialized && p.journal != nil {
+			p.journal.Append(obs.Event{Kind: obs.EvEngineInit, Engine: p.id, N: u.Seq, A: u.Sigma2})
+		}
 	}
 	p.runBuf, p.maskBuf, p.updBuf = rows[:0], masks[:0], out[:0]
+	p.publish(p.processed-prev, p.outliers-prevOut)
 	p.recordE2E(f)
 	if f.Release != nil {
 		f.Release()
 	}
 	p.maybeCheckpoint(prev)
+}
+
+// publish is the engine's one telemetry writer, run once per frame: it adds
+// the frame's rows and outliers (warm-up rows included) to the tallies, sets
+// σ², N_eff, since-sync and the spectrum once the engine is ready, and
+// journals a scale-rescue when the engine's rescue count rose.
+//
+//streampca:noalloc
+func (p *pcaOperator) publish(rows, outliers int64) {
+	if p.inst == nil {
+		return
+	}
+	p.inst.Observations.Add(rows)
+	p.inst.Outliers.Add(outliers)
+	if !p.engine.Ready() {
+		return
+	}
+	vals, sigma2, effN := p.engine.Spectrum()
+	p.inst.RecordEigen(sigma2, effN, p.engine.SinceSync(), vals, p.cfg.Components)
+	if r := p.engine.Rescues(); r > p.rescues {
+		p.rescues = r
+		p.journal.Append(obs.Event{Kind: obs.EvScaleRescue, Engine: p.id, N: r, A: sigma2})
+	}
 }
 
 // recordE2E records the frame's end-to-end tuple latency: the span from the
@@ -201,10 +229,8 @@ func (p *pcaOperator) restore() {
 	p.restarts++
 	p.resumed = false
 	defer func() {
-		if p.inst != nil {
-			// The replacement engine must keep publishing to the same bundle.
-			p.engine.SetInstruments(p.inst)
-		}
+		// Rebase the rescue baseline on the replacement engine.
+		p.rescues = p.engine.Rescues()
 		if p.journal != nil {
 			resumed := 0.0
 			if p.resumed {

@@ -20,12 +20,6 @@ func TestProcessRecordsSyncInstruments(t *testing.T) {
 	if got := inst.Rounds.Load(); got != 5 {
 		t.Errorf("rounds = %d, want 5", got)
 	}
-	if got := inst.Commands.Load(); got != int64(emitted) {
-		t.Errorf("commands = %d, emitted = %d", got, emitted)
-	}
-	if got := inst.Excluded.Load(); got != 5 { // one failed peer × 5 rounds
-		t.Errorf("excluded = %d, want 5", got)
-	}
 	if inst.LastPlanNs() == 0 {
 		t.Error("staleness timestamp never set")
 	}
@@ -33,10 +27,17 @@ func TestProcessRecordsSyncInstruments(t *testing.T) {
 	if len(evs) != 5 {
 		t.Fatalf("journal has %d events, want 5 sync-plan entries", len(evs))
 	}
+	// Each sync-plan event carries its round's commands (A) and excluded
+	// failed peers (B).
+	var cmds float64
 	for i, ev := range evs {
-		if ev.Kind != obs.EvSyncPlan || ev.N != int64(i) {
-			t.Errorf("event %d = %+v, want sync-plan round %d", i, ev, i)
+		if ev.Kind != obs.EvSyncPlan || ev.N != int64(i) || ev.B != 1 {
+			t.Errorf("event %d = %+v, want sync-plan round %d excluding 1 peer", i, ev, i)
 		}
+		cmds += ev.A
+	}
+	if cmds != float64(emitted) {
+		t.Errorf("sync-plan events carry %g commands, emitted %d", cmds, emitted)
 	}
 }
 
