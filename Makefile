@@ -1,7 +1,7 @@
 GO ?= go
 FUZZTIME ?= 10s
 
-.PHONY: build test test-portable test-wire test-race fuzz-short fuzz-race bench perf obs-check lint lint-json loc check
+.PHONY: build test test-portable test-wire test-race fuzz-short fuzz-race bench bench-width perf obs-check lint lint-json loc check
 
 build:
 	$(GO) build ./...
@@ -104,6 +104,14 @@ fuzz-short:
 
 bench:
 	$(GO) test -bench . -benchtime 1x ./...
+
+# The chunk-width sweep behind mat.BlockSize's weights (DESIGN, "Chunk-width
+# cost model"): BenchmarkObserveBlock's pinned-width lanes on one core, eight
+# sweeps run one after another so that host drift spreads over every lane.
+bench-width:
+	@for i in 1 2 3 4 5 6 7 8; do \
+		$(GO) test -run '^$$' -bench 'BenchmarkObserveBlock/d-[0-9]+/c-' -cpu 1 -count 1 . | grep ns/row; \
+	done
 
 # Performance claims rest on the repo benchmark (BENCHMARK.json, benchmark/
 # — see benchmark/README.md), not on the microbenchmarks above. Produce two

@@ -164,7 +164,8 @@ func BenchmarkParallelPipeline(b *testing.B) {
 // absorbs a 64-row batch, and the reported ns/row metric (ns/op ÷ 64) is the
 // per-observation figure that compares directly with BenchmarkObserve's
 // ns/op. The d-*/c-* lanes pin Config.BlockSize to re-check the cost model's
-// chunk width (mat.BlockSize picks 11 at d=400 and 15 at d=1000).
+// chunk width (mat.BlockSize picks 6 at d=400 and d=1000; `make bench-width`
+// runs the sweep).
 func BenchmarkObserveBlock(b *testing.B) {
 	lane := func(b *testing.B, d, c int) {
 		gen, err := streampca.NewSignalGenerator(streampca.SignalConfig{Dim: d, Signals: 5, Seed: 1})
@@ -201,7 +202,7 @@ func BenchmarkObserveBlock(b *testing.B) {
 		b.Run(fmt.Sprintf("d-%d", d), func(b *testing.B) { lane(b, d, 0) })
 	}
 	for _, d := range []int{400, 1000} {
-		for _, c := range []int{4, 6, 8, 11, 12, 15, 16} {
+		for _, c := range []int{4, 5, 6, 7, 8, 9, 10, 11, 12, 15} {
 			b.Run(fmt.Sprintf("d-%d/c-%d", d, c), func(b *testing.B) { lane(b, d, c) })
 		}
 	}

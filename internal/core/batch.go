@@ -48,7 +48,7 @@ func BatchPCA(xs [][]float64, p int) (*BatchResult, error) {
 	}
 	mat.Scale(1/float64(n), mu)
 
-	basis, svals, err := leftSingular(xs, mu, p)
+	basis, svals, err := leftSingular(centered(xs, mu), p)
 	if err != nil {
 		return nil, err
 	}
@@ -61,15 +61,12 @@ func BatchPCA(xs [][]float64, p int) (*BatchResult, error) {
 	y := make([]float64, d)
 	coef := make([]float64, p)
 	for _, x := range xs {
-		mat.SubTo(y, x, mu)
-		mat.MulVecT(coef, basis, y)
-		r2 := mat.Dot(y, y) - mat.Dot(coef, coef)
-		if r2 > 0 {
+		if r2 := mat.CenterProject(y, coef, x, mu, basis) - mat.Dot(coef, coef); r2 > 0 {
 			sumR2 += r2
 		}
 	}
 	return &BatchResult{
-		Mean: mu, Vectors: basis, Values: vals,
+		Mean: mu, Vectors: basis.T(), Values: vals,
 		Sigma2: sumR2 / float64(n), Iterations: 1,
 	}, nil
 }
@@ -87,7 +84,7 @@ func BatchRobustPCA(xs [][]float64, p int, rho robust.Rho, delta float64, maxIte
 		return nil, err
 	}
 	return &BatchResult{
-		Mean: fit.mean, Vectors: fit.basis, Values: fit.vals,
+		Mean: fit.mean, Vectors: fit.basis.T(), Values: fit.vals,
 		Sigma2: fit.sigma2, Iterations: fit.iters,
 	}, nil
 }
@@ -98,7 +95,7 @@ func BatchRobustPCA(xs [][]float64, p int, rho robust.Rho, delta float64, maxIte
 // initialize the running sums v and q.
 type robustFitResult struct {
 	mean    []float64
-	basis   *mat.Dense // d×k
+	basis   *mat.Dense // k×d, component-major
 	vals    []float64  // length k, σ²·s²/Σ(w·r²) units
 	sigma2  float64
 	meanW   float64 // (1/n)·Σ wᵢ at the solution
@@ -125,7 +122,7 @@ func robustFit(xs [][]float64, p, k int, rho robust.Rho, delta float64, maxIter 
 	}
 	d := len(xs[0])
 	mu := start.Mean
-	basis := start.Vectors
+	basis := start.Vectors.T()
 	vals := start.Values
 	sigma2 := 0.0
 
@@ -139,22 +136,16 @@ func robustFit(xs [][]float64, p, k int, rho robust.Rho, delta float64, maxIter 
 	coef := make([]float64, k)
 	muBuf := make([]float64, d)
 	rowBuf := make([]float64, n*d)
-	scaled := make([][]float64, 0, n)
 	iter := 0
 	for ; iter < maxIter; iter++ {
 		// Residuals against the current p-dimensional hyperplane (the extra
 		// k−p components are carried along but do not affect the weights).
 		for i, x := range xs {
-			mat.SubTo(y, x, mu)
-			mat.MulVecT(coef, basis, y)
-			ri := mat.Dot(y, y)
+			ri := mat.CenterProject(y, coef, x, mu, basis)
 			for j := 0; j < p; j++ {
 				ri -= coef[j] * coef[j]
 			}
-			if ri < 0 {
-				ri = 0
-			}
-			r2[i] = ri
+			r2[i] = max(ri, 0)
 		}
 		s2, errS := robust.MScale(rho, r2, delta, sigma2)
 		if errS != nil {
@@ -184,7 +175,8 @@ func robustFit(xs [][]float64, p, k int, rho robust.Rho, delta float64, maxIter 
 		mu, muBuf = muBuf, mu
 
 		// Weighted covariance eigensystem (eq. 7) via the scaled data
-		// matrix: C = σ²·Yw·Ywᵀ/Σ(w·r²) with Yw columns √wᵢ·(xᵢ−µ).
+		// matrix: C = σ²·Yw·Ywᵀ/Σ(w·r²) with Yw columns √wᵢ·(xᵢ−µ), the
+		// rows of leftSingular's input.
 		var qsum float64
 		for i := range w {
 			qsum += w[i] * r2[i]
@@ -192,20 +184,16 @@ func robustFit(xs [][]float64, p, k int, rho robust.Rho, delta float64, maxIter 
 		if qsum <= 0 {
 			qsum = wsum * sigma2
 		}
-		scaled = scaled[:0]
+		m := 0
 		for i, x := range xs {
-			if w[i] == 0 {
-				continue
+			if w[i] != 0 {
+				row := rowBuf[m*d : (m+1)*d]
+				mat.SubTo(row, x, mu)
+				mat.Scale(math.Sqrt(w[i]), row)
+				m++
 			}
-			row := rowBuf[len(scaled)*d : (len(scaled)+1)*d]
-			mat.SubTo(row, x, mu)
-			mat.Scale(math.Sqrt(w[i]), row)
-			mat.Axpy(1, mu, row) // leftSingular re-centers on the mean we pass
-			scaled = append(scaled, row)
 		}
-		// Decompose around mu with zero-centering trick: pass mean = mu so
-		// rows become √w·(x−µ) again.
-		basisNew, svals, errB := leftSingular(scaled, mu, k)
+		basisNew, svals, errB := leftSingular(mat.NewDenseData(m, d, rowBuf[:m*d]), k)
 		if errB != nil {
 			return nil, errB
 		}
@@ -232,10 +220,18 @@ func robustFit(xs [][]float64, p, k int, rho robust.Rho, delta float64, maxIter 
 	}, nil
 }
 
-// affinity returns the mean squared cosine between the column spaces of two
-// orthonormal bases with equal shape.
+// centered returns the n×d matrix whose rows are xs[i] − mu.
+func centered(xs [][]float64, mu []float64) *mat.Dense {
+	y := mat.NewDense(len(xs), len(mu))
+	for i, x := range xs {
+		mat.SubTo(y.Row(i), x, mu)
+	}
+	return y
+}
+
+// affinity returns the mean squared cosine between the row spaces of two
+// orthonormal component-major bases with equal shape.
 func affinity(a, b *mat.Dense) float64 {
-	g := mat.MulTA(nil, a, b)
-	f := g.FrobeniusNorm()
-	return f * f / float64(a.Cols())
+	f := mat.MulBT(nil, a, b).FrobeniusNorm()
+	return f * f / float64(a.Rows())
 }

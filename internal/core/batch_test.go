@@ -17,7 +17,7 @@ func TestBatchPCARecoversModel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if aff := affinity(m.basis, res.Vectors); aff < 0.99 {
+	if aff := colAffinity(m.basis, res.Vectors); aff < 0.99 {
 		t.Fatalf("batch affinity = %v", aff)
 	}
 	for j, want := range []float64{9, 4, 1} {
@@ -63,8 +63,8 @@ func TestBatchRobustPCAUnderContamination(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	affC := affinity(m.basis, classic.Vectors)
-	affR := affinity(m.basis, rob.Vectors)
+	affC := colAffinity(m.basis, classic.Vectors)
+	affR := colAffinity(m.basis, rob.Vectors)
 	if affR < 0.97 {
 		t.Fatalf("robust batch affinity = %v", affR)
 	}
@@ -93,7 +93,7 @@ func TestBatchRobustMatchesBatchOnCleanData(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if aff := affinity(classic.Vectors, rob.Vectors); aff < 0.999 {
+	if aff := colAffinity(classic.Vectors, rob.Vectors); aff < 0.999 {
 		t.Fatalf("clean-data subspaces should agree: %v", aff)
 	}
 }
@@ -116,7 +116,7 @@ func TestStreamingConvergesToBatchRobust(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if aff := affinity(rob.Vectors, en.Eigensystem().Vectors.SliceCols(0, 2)); aff < 0.95 {
+	if aff := colAffinity(rob.Vectors, en.Eigensystem().Vectors.SliceCols(0, 2)); aff < 0.95 {
 		t.Fatalf("streaming vs batch-robust affinity = %v", aff)
 	}
 }
@@ -182,3 +182,7 @@ func BenchmarkBatchRobustPCA(b *testing.B) {
 		}
 	}
 }
+
+// colAffinity is affinity for bases stored as columns (d×k), the layout of
+// Eigensystem.Vectors and BatchResult.Vectors.
+func colAffinity(a, b *mat.Dense) float64 { return affinity(a.T(), b.T()) }

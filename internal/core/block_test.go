@@ -87,7 +87,7 @@ func TestObserveBlockMatchesSequential(t *testing.T) {
 		}
 		ss := seq.Eigensystem()
 		sb := blk.Eigensystem()
-		if aff := affinity(ss.Vectors, sb.Vectors); aff < 1-affTol {
+		if aff := colAffinity(ss.Vectors, sb.Vectors); aff < 1-affTol {
 			t.Fatalf("batch %d: subspaces diverged: affinity %v", batch, aff)
 		}
 		for j := range ss.Values {

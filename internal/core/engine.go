@@ -322,13 +322,13 @@ func (en *Engine) initialize() error {
 	seedData := filterGrossOutliers(en.warmup, en.cfg.Rho, en.cfg.Delta, en.cfg.OutlierT, en.k)
 
 	fit, err := robustFit(seedData, en.cfg.Components, en.k, en.cfg.Rho, en.cfg.Delta, 25)
+	var st Eigensystem
 	if err == nil && fit.sigma2 > 0 && fit.meanW > 0 {
 		// Small-sample bias correction: residuals against a basis fitted
 		// from the same n0 points underestimate the true scale.
 		if p := en.cfg.Components; n0 > p+1 {
 			fit.sigma2 *= float64(n0) / float64(n0-p)
 		}
-		en.minSigma2 = 1e-12*fit.sigma2 + math.SmallestNonzeroFloat64
 		meanWR2 := fit.meanWR2
 		if meanWR2 <= 0 {
 			meanWR2 = fit.sigma2
@@ -340,35 +340,32 @@ func (en *Engine) initialize() error {
 		// *small* eigenvalue and is rotated out by the first fresh data
 		// instead of dominating the system for N·ln(λ_bad/λ_true)
 		// observations.
-		if lam, lerr := RobustEigenvalues(fit.basis, fit.mean, en.warmup, en.cfg.Rho, en.cfg.Delta); lerr == nil {
+		vecs := fit.basis.T()
+		if lam, lerr := RobustEigenvalues(vecs, fit.mean, en.warmup, en.cfg.Rho, en.cfg.Delta); lerr == nil {
 			scale := fit.sigma2 * fit.meanW / meanWR2
 			for j := range fit.vals {
 				fit.vals[j] = lam[j] * scale
 			}
-			sortEigensystem(fit.basis, fit.vals)
+			sortEigensystem(vecs, fit.vals)
 		}
-		en.state = Eigensystem{
-			Mean:    fit.mean,
-			Vectors: fit.basis,
-			Values:  fit.vals,
-			Sigma2:  fit.sigma2,
-			SumU:    u,
-			SumV:    u * fit.meanW,
-			SumQ:    u * meanWR2,
-			Count:   int64(n0),
-		}
-		en.loadBasis()
-		en.sinceSync = int64(n0)
-		en.ready = true
-		en.warmup = nil
-		return nil
+		st = Eigensystem{Mean: fit.mean, Vectors: vecs, Values: fit.vals, Sigma2: fit.sigma2,
+			SumU: u, SumV: u * fit.meanW, SumQ: u * meanWR2}
+	} else if st, err = en.classicFit(u); err != nil {
+		return err
 	}
-	return en.classicInitialize(u)
+	st.Count = int64(n0)
+	en.state = st
+	en.minSigma2 = 1e-12*st.Sigma2 + math.SmallestNonzeroFloat64
+	en.loadBasis()
+	en.sinceSync = int64(n0)
+	en.ready = true
+	en.warmup = nil
+	return nil
 }
 
-// classicInitialize is the non-robust warm-up fallback: plain SVD of the
-// centered buffer with unit weights.
-func (en *Engine) classicInitialize(u float64) error {
+// classicFit is the non-robust warm-up fallback: plain SVD of the centered
+// buffer with unit weights.
+func (en *Engine) classicFit(u float64) (Eigensystem, error) {
 	n0 := len(en.warmup)
 	d := en.cfg.Dim
 	mu := make([]float64, d)
@@ -377,11 +374,10 @@ func (en *Engine) classicInitialize(u float64) error {
 	}
 	mat.Scale(1/float64(n0), mu)
 
-	// Centered data as a d×n0 (or transposed) matrix; take the top-k left
-	// singular vectors in R^d.
-	basis, svals, err := leftSingular(en.warmup, mu, en.k)
+	// Top-k left singular vectors of the centered buffer.
+	basis, svals, err := leftSingular(centered(en.warmup, mu), en.k)
 	if err != nil {
-		return err
+		return Eigensystem{}, err
 	}
 
 	// Residuals against the first p components seed the M-scale.
@@ -391,18 +387,13 @@ func (en *Engine) classicInitialize(u float64) error {
 	y := make([]float64, d)
 	coef := make([]float64, en.k)
 	for i, x := range en.warmup {
-		mat.SubTo(y, x, mu)
-		mat.MulVecT(coef, basis, y)
-		t := mat.Dot(y, y)
+		t := mat.CenterProject(y, coef, x, mu, basis)
 		sumY2 += t
 		for j := 0; j < p; j++ {
 			t -= coef[j] * coef[j]
 		}
-		if t < 0 {
-			t = 0
-		}
-		r2[i] = t
-		sumR2 += t
+		r2[i] = max(t, 0)
+		sumR2 += r2[i]
 	}
 	sigma2, errS := robust.MScale(en.cfg.Rho, r2, en.cfg.Delta, 0)
 	if errS != nil || sigma2 <= 0 {
@@ -410,10 +401,9 @@ func (en *Engine) classicInitialize(u float64) error {
 		// total variance so standardized residuals stay finite.
 		sigma2 = 1e-9 * sumY2 / float64(n0)
 		if sigma2 <= 0 {
-			return errors.New("core: degenerate warm-up buffer (zero variance)")
+			return Eigensystem{}, errors.New("core: degenerate warm-up buffer (zero variance)")
 		}
 	}
-	en.minSigma2 = 1e-12*sigma2 + math.SmallestNonzeroFloat64
 
 	// Eigenvalues in the units of the weighted covariance of eq. (7):
 	// C = σ²·Σyyᵀ/Σ(w·r²) with unit warm-up weights.
@@ -424,61 +414,64 @@ func (en *Engine) classicInitialize(u float64) error {
 	for j := 0; j < en.k && j < len(svals); j++ {
 		vals[j] = sigma2 * svals[j] * svals[j] / sumR2
 	}
-
 	// The α-decayed running sums treat the buffer as streamed with w=1.
-	meanR2 := sumR2 / float64(n0)
-
-	en.state = Eigensystem{
-		Mean:    mu,
-		Vectors: basis,
-		Values:  vals,
-		Sigma2:  sigma2,
-		SumU:    u,
-		SumV:    u,
-		SumQ:    u * meanR2,
-		Count:   int64(n0),
-	}
-	en.loadBasis()
-	en.sinceSync = int64(n0)
-	en.ready = true
-	en.warmup = nil
-	return nil
+	return Eigensystem{Mean: mu, Vectors: basis.T(), Values: vals, Sigma2: sigma2,
+		SumU: u, SumV: u, SumQ: u * (sumR2 / float64(n0))}, nil
 }
 
-// leftSingular returns the top-k left singular vectors (as columns of a
-// d×k matrix) and all singular values of the centered data matrix whose
-// columns are xs[i]−mu.
-func leftSingular(xs [][]float64, mu []float64, k int) (*mat.Dense, []float64, error) {
-	n := len(xs)
-	d := len(mu)
+// leftSingular returns the top-k left singular vectors of the data matrix
+// whose columns are the rows of the n×d y (centered observations),
+// component-major as the rows of a k×d matrix, and all its singular values.
+// With fewer rows than bins the n×n Gram Y·Yᵀ (SyrkRows) is the small
+// system: TridiagSym gives Y·Yᵀ = V·Λ·Vᵀ, sⱼ = √λⱼ, and only the k wanted
+// vectors uⱼ = Σᵢ Vᵢⱼ·yᵢ/sⱼ are formed, in one MulStack over Y's d-long rows.
+// Otherwise they are the right singular vectors of Y (eig.ThinSVD). A vector
+// whose singular value is numerically zero is completed to an orthonormal
+// set, as ThinSVD does.
+func leftSingular(y *mat.Dense, k int) (*mat.Dense, []float64, error) {
+	n, d := y.Dims()
+	basis := mat.NewDense(k, d)
 	if n >= d {
-		// Tall n×d matrix: rows are centered observations; left singular
-		// vectors of the d×n transpose are its right singular vectors.
-		m := mat.NewDense(n, d)
-		for i, x := range xs {
-			mat.SubTo(m.Row(i), x, mu)
-		}
-		dec, ok := eig.ThinSVD(m)
+		dec, ok := eig.ThinSVD(y)
 		if !ok {
 			return nil, nil, errors.New("core: warm-up SVD failed")
 		}
-		return dec.V.SliceCols(0, k), dec.S, nil
-	}
-	// d×n tall matrix: columns are centered observations.
-	m := mat.NewDense(d, n)
-	y := make([]float64, d)
-	for i, x := range xs {
-		mat.SubTo(y, x, mu)
-		m.SetCol(i, y)
-	}
-	dec, ok := eig.ThinSVD(m)
-	if !ok {
-		return nil, nil, errors.New("core: warm-up SVD failed")
+		for j := 0; j < k; j++ {
+			dec.V.Col(j, basis.Row(j))
+		}
+		return basis, dec.S, nil
 	}
 	if k > n {
 		return nil, nil, fmt.Errorf("core: warm-up buffer rank %d below k=%d", n, k)
 	}
-	return dec.U.SliceCols(0, k), dec.S, nil
+	g := mat.NewDense(n, n)
+	mat.SyrkRows(g, y, n)
+	lam, v, ok := eig.TridiagSym(g, nil)
+	if !ok {
+		return nil, nil, errors.New("core: warm-up SVD failed")
+	}
+	s := make([]float64, n)
+	for j, l := range lam {
+		s[j] = math.Sqrt(max(l, 0))
+	}
+	tol, null := 1e-13*s[0]*math.Sqrt(float64(d)), false
+	a := mat.NewDense(k, n)
+	for j := range s {
+		if s[j] <= tol {
+			s[j], null = 0, null || j < k
+		} else if j < k {
+			for i := 0; i < n; i++ {
+				a.Set(j, i, v.At(i, j)/s[j])
+			}
+		}
+	}
+	mat.MulStack(basis, a, y, y, 0)
+	if null {
+		cols := basis.T()
+		eig.Orthonormalize(cols)
+		basis.TransposeFrom(cols)
+	}
+	return basis, s, nil
 }
 
 // rebuildEigensystem performs the rank-one eigensystem update of eqs. 1–3:
@@ -608,11 +601,12 @@ func (en *Engine) refineGappyWarmup() {
 		if err != nil {
 			return
 		}
+		vecs := fit.basis.T()
 		for i, mask := range en.warmupMasks {
 			if mask == nil {
 				continue
 			}
-			patched, _, perr := patchLS(fit.basis, fit.mean, en.warmup[i], mask)
+			patched, _, perr := patchLS(vecs, fit.mean, en.warmup[i], mask)
 			if perr == nil {
 				en.warmup[i] = patched
 			}

@@ -76,17 +76,19 @@ func (en *Engine) observeMasked(x []float64, mask []bool, alpha float64) (Update
 // patchProject is the center/project pass for a row that carries a mask: it
 // leaves in chunk slot `slot` of ws.yMat and ws.coefs what CenterProject
 // would produce for the gap-patched row, and returns that row's ‖y‖² and the
-// number of bins patched. The row is copied into ws.xPatch with the current
-// mean in its missing bins, so there y = 0 and one pass yields
-// coef = B_obs·y_obs and ‖y_obs‖². The least-squares coefficients solve
-// G_obs·c = coef with G_obs the k×k Gram of the observed basis columns,
-// formed from whichever side of the mask is smaller: that side's columns of
-// the k×d basis are gathered into a k×n panel P, and G_obs = P·Pᵀ over the
-// observed bins or I − P·Pᵀ over the missing ones (BBᵀ = I is an engine
-// invariant). Missing bins then take y[i] = c·B[:,i] and
-// ws.xPatch[i] = µ[i] + y[i], and coef becomes c — exactly the patched row's
-// projection coef + (I − G_obs)·c. A mask without gaps is the plain pass on x
-// itself, bitwise, and leaves ws.xPatch alone.
+// number of bins patched. The mask is read once into the edges of its runs.
+// The row is copied into ws.xPatch with the current mean in those runs,
+// so there y = 0 and one pass yields coef = B_obs·y_obs and ‖y_obs‖². The
+// least-squares coefficients solve G_obs·c = coef with G_obs the k×k Gram of
+// the observed basis columns, formed from whichever side of the mask is
+// smaller: that side's columns of the k×d basis are copied run by run into a
+// k×n panel P, and G_obs = P·Pᵀ over the observed bins or I − P·Pᵀ over the
+// missing ones (BBᵀ = I is an engine invariant). Each missing run then takes
+// y = Σⱼ cⱼ·B[j,run] by one Lerp per component, accumulated in component
+// order onto the zeros the pass left there — bin for bin the sum a per-bin
+// loop would form — and ws.xPatch = µ + y, and coef becomes c: exactly the
+// patched row's projection coef + (I − G_obs)·c. A mask without gaps is the
+// plain pass on x itself, bitwise, and leaves ws.xPatch alone.
 //
 //streampca:noalloc
 func (en *Engine) patchProject(slot int, x []float64, mask []bool) (ny2 float64, nMiss int, err error) {
@@ -96,13 +98,19 @@ func (en *Engine) patchProject(slot int, x []float64, mask []bool) (ny2 float64,
 	if len(mask) != d {
 		return 0, 0, errMaskLength
 	}
-	idx := ws.gapIdx
-	for i, ok := range mask {
-		if !ok {
-			idx[nMiss] = i
-			nMiss++
+	edges, nb := ws.gapEdges, 1 // 0, each missing run's start and end, d
+	for i := 0; i < d; i++ {
+		if !mask[i] {
+			s := i
+			for i < d && !mask[i] {
+				i++
+			}
+			edges[nb], edges[nb+1] = s, i
+			nb, nMiss = nb+2, nMiss+i-s
 		}
 	}
+	edges[nb] = d
+	edges = edges[:nb+1] // observed runs start at even r, missing ones at odd r
 	mean := en.state.Mean
 	xp := x
 	if nMiss > 0 {
@@ -111,8 +119,8 @@ func (en *Engine) patchProject(slot int, x []float64, mask []bool) (ny2 float64,
 		}
 		xp = ws.xPatch
 		copy(xp, x)
-		for _, i := range idx[:nMiss] {
-			xp[i] = mean[i]
+		for r := 1; r+1 < len(edges); r += 2 {
+			copy(xp[edges[r]:edges[r+1]], mean[edges[r]:edges[r+1]])
 		}
 	}
 	ny2 = mat.CenterProject(y, coef, xp, mean, en.basis)
@@ -123,24 +131,16 @@ func (en *Engine) patchProject(slot int, x []float64, mask []bool) (ny2 float64,
 		return ny2, 0, nil
 	}
 
-	side, sign := idx[:nMiss], -1.0
-	if 2*nMiss > d { // fewer observed bins: list those after the missing ones
-		side, sign = idx[nMiss:], 1
-		t := 0
-		for i, ok := range mask {
-			if ok {
-				side[t] = i
-				t++
-			}
-		}
+	n, first, sign := nMiss, 1, -1.0
+	if 2*nMiss > d { // fewer observed bins: gather those instead
+		n, first, sign = d-nMiss, 0, 1
 	}
-	n := len(side)
 	bd := en.basis.Data()
 	pd := ws.gapP[:k*n]
 	for j := 0; j < k; j++ {
-		row, pj := bd[j*d:(j+1)*d], pd[j*n:(j+1)*n]
-		for t, i := range side {
-			pj[t] = row[i]
+		row, pj, t := bd[j*d:(j+1)*d], pd[j*n:(j+1)*n], 0
+		for r := first; r+1 < len(edges); r += 2 {
+			t += copy(pj[t:], row[edges[r]:edges[r+1]])
 		}
 	}
 	gd := ws.gapG.Data() // lower triangle only: all solveSPDInto reads
@@ -156,14 +156,16 @@ func (en *Engine) patchProject(slot int, x []float64, mask []bool) (ny2 float64,
 	if !solveSPDInto(coef, ws.gapG, coef, ws.gapL, ws.gapTmp) {
 		return 0, 0, errCholesky
 	}
-	for _, i := range idx[:nMiss] {
-		var v float64
+	for r := 1; r+1 < len(edges); r += 2 {
+		s, e := edges[r], edges[r+1]
+		yr, xr, mr := y[s:e], xp[s:e], mean[s:e]
 		for j, cj := range coef {
-			v += bd[j*d+i] * cj
+			mat.Lerp(yr, 1, yr, cj, bd[j*d+s:j*d+e])
 		}
-		y[i] = v
-		xp[i] = mean[i] + v
-		ny2 += v * v
+		for t, v := range yr {
+			xr[t] = mr[t] + v
+			ny2 += v * v
+		}
 	}
 	return ny2, nMiss, nil
 }

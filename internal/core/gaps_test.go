@@ -3,6 +3,7 @@ package core
 import (
 	"math"
 	"math/rand/v2"
+	"slices"
 	"testing"
 
 	"streampca/internal/mat"
@@ -294,5 +295,150 @@ func TestPatchVectorBeforeReadyFails(t *testing.T) {
 	en, _ := NewEngine(Config{Dim: 5, Components: 1})
 	if _, _, err := en.PatchVector(make([]float64, 5), make([]bool, 5)); err == nil {
 		t.Fatal("PatchVector before warm-up should fail")
+	}
+}
+
+// patchProjectPerBin is patchProject with its former per-bin fill, kept as
+// the bitwise reference for the run-wise one: the same pass, Gram and solve
+// over a gathered index list, then one strided k-term sum per missing bin.
+func (en *Engine) patchProjectPerBin(slot int, x []float64, mask []bool) (ny2 float64, nMiss int, err error) {
+	ws := en.ws
+	d, k := en.cfg.Dim, en.k
+	y, coef := ws.yMat.Row(slot), ws.coefs.Row(slot)
+	idx := make([]int, d)
+	for i, ok := range mask {
+		if !ok {
+			idx[nMiss] = i
+			nMiss++
+		}
+	}
+	mean := en.state.Mean
+	xp := x
+	if nMiss > 0 {
+		if d-nMiss <= k {
+			return 0, 0, errFewObserved
+		}
+		xp = ws.xPatch
+		copy(xp, x)
+		for _, i := range idx[:nMiss] {
+			xp[i] = mean[i]
+		}
+	}
+	ny2 = mat.CenterProject(y, coef, xp, mean, en.basis)
+	if math.IsNaN(ny2) || math.IsInf(ny2, 0) {
+		return 0, 0, errGapNonFinite
+	}
+	if nMiss == 0 {
+		return ny2, 0, nil
+	}
+	side, sign := idx[:nMiss], -1.0
+	if 2*nMiss > d {
+		side, sign = idx[nMiss:], 1
+		t := 0
+		for i, ok := range mask {
+			if ok {
+				side[t] = i
+				t++
+			}
+		}
+	}
+	n := len(side)
+	bd := en.basis.Data()
+	pd := make([]float64, k*n)
+	for j := 0; j < k; j++ {
+		for t, i := range side {
+			pd[j*n+t] = bd[j*d+i]
+		}
+	}
+	gd := ws.gapG.Data()
+	for a := 0; a < k; a++ {
+		for b := 0; b <= a; b++ {
+			gd[a*k+b] = sign * mat.Dot(pd[a*n:(a+1)*n], pd[b*n:(b+1)*n])
+		}
+		if sign < 0 {
+			gd[a*k+a]++
+		}
+	}
+	if !solveSPDInto(coef, ws.gapG, coef, ws.gapL, ws.gapTmp) {
+		return 0, 0, errCholesky
+	}
+	for _, i := range idx[:nMiss] {
+		var v float64
+		for j, cj := range coef {
+			v += bd[j*d+i] * cj
+		}
+		y[i] = v
+		xp[i] = mean[i] + v
+		ny2 += v * v
+	}
+	return ny2, nMiss, nil
+}
+
+// runMask builds a mask of alternating observed and missing runs, each 1 to
+// maxRun bins long, starting with a missing run when missFirst is set.
+func runMask(rng *rand.Rand, d, maxRun int, missFirst bool) []bool {
+	mask := make([]bool, d)
+	obs := !missFirst
+	for i := 0; i < d; obs = !obs {
+		for n := 1 + rng.IntN(maxRun); n > 0 && i < d; n-- {
+			mask[i] = obs
+			i++
+		}
+	}
+	return mask
+}
+
+// TestPatchProjectMatchesPerBinFill holds the run-wise patch to the per-bin
+// reference bit for bit — the patched row, ‖y‖², the coefficients and the
+// filled copy — over masks with runs at both ends, single-bin runs, long
+// runs and more than d/2 bins missing (the observed-side Gram).
+func TestPatchProjectMatchesPerBinFill(t *testing.T) {
+	rng := rand.New(rand.NewPCG(300, 3))
+	for _, d := range []int{61, 1000} {
+		m := newModel(rng, d, 3, []float64{9, 4, 1}, 0.05)
+		cfg := testConfig(d, 3)
+		cfg.Extra = 2
+		en, _ := NewEngine(cfg)
+		feedN(t, en, m, 600)
+		bits := func(v []float64) []uint64 {
+			out := make([]uint64, len(v))
+			for i, f := range v {
+				out[i] = math.Float64bits(f)
+			}
+			return out
+		}
+		for trial := 0; trial < 200; trial++ {
+			x, _ := m.sample()
+			var mask []bool
+			switch trial % 4 {
+			case 0: // single-bin runs throughout
+				mask = runMask(rng, d, 1, trial%8 == 0)
+			case 1: // heavy: most bins missing
+				mask = randomMask(rng, d, 0.6+0.3*rng.Float64())
+			case 2: // long runs, either end first
+				mask = runMask(rng, d, 1+d/4, rng.IntN(2) == 0)
+			default:
+				mask = runMask(rng, d, 1+rng.IntN(12), rng.IntN(2) == 0)
+			}
+			if trial%5 == 0 { // a run at both ends
+				mask[0], mask[d-1] = false, false
+			}
+			slot := trial % en.ws.yMat.Rows()
+			wantNy2, wantMiss, wantErr := en.patchProjectPerBin(slot, x, mask)
+			wantY, wantCoef, wantX := bits(en.ws.yMat.Row(slot)), bits(en.ws.coefs.Row(slot)), bits(en.ws.xPatch)
+			ny2, nMiss, err := en.patchProject(slot, x, mask)
+			if err != wantErr || nMiss != wantMiss {
+				t.Fatalf("d=%d trial %d: (%d, %v), per-bin (%d, %v)", d, trial, nMiss, err, wantMiss, wantErr)
+			}
+			if err != nil {
+				continue
+			}
+			if math.Float64bits(ny2) != math.Float64bits(wantNy2) ||
+				!slices.Equal(bits(en.ws.yMat.Row(slot)), wantY) ||
+				!slices.Equal(bits(en.ws.coefs.Row(slot)), wantCoef) ||
+				!slices.Equal(bits(en.ws.xPatch), wantX) {
+				t.Fatalf("d=%d trial %d (%d missing): run-wise patch differs from the per-bin fill", d, trial, nMiss)
+			}
+		}
 	}
 }

@@ -15,9 +15,9 @@ import (
 // TestEngineDigestGolden. The mat kernels have assembly on amd64 and run their
 // Go loops elsewhere; both must land on these bytes.
 var goldenDigests = map[string]string{
-	"observe-d16":       "5d2ebb21682845e1e4c1bf28a11073366e8e04a73885283e9d50a28e9e7dee0a",
-	"block-d400":        "e6864e60a163debd0595be0a27c3e2ec3137aa8a73245d92ccd2b1c3bdcce219",
-	"block-masked-d400": "a71badc610d814bc2fe8eed12bcc2b586fce7bc2c5ca0349e10415394dd7a8f3",
+	"observe-d16":       "2ae6a84479f98329a8b20b65960f1b9a49d5f95b9744a7e648605c4bb431d71a",
+	"block-d400":        "69fa815120d43f387dacd78b7e55e8b0225d87f65a843fe2c99464cb329da848",
+	"block-masked-d400": "2ba078e9f77ba1d18e0b660be1a165ba99a9cac6c4631a7ea57610d3d45da9e1",
 }
 
 // TestEngineDigestGolden pins the engine's output bytes for three fixed signal

@@ -57,13 +57,13 @@ type workspace struct {
 	bgram []*mat.Dense           // [c] → (k+c)×(k+c) analytic Gram, c = 2..blockC
 	bsym  []*eig.SymEigWorkspace // [c] → matching eigensolver workspace
 
-	// gap-patch scratch (patchProject): the missing-bin indices of the row
-	// being patched (followed by the observed ones when those are fewer), the
-	// engine-owned copy that receives the fills (caller rows stay read-only),
-	// the basis columns of the smaller side of the mask gathered into a k×n
-	// panel (n ≤ d/2), and the k×k observed-bin Gram with its Cholesky factor
-	// and substitution vector. autoMask is ObserveAuto's mask.
-	gapIdx   []int
+	// gap-patch scratch (patchProject): the edges of the row's runs (0, each
+	// missing run's start and end, d), the engine-owned copy that receives the
+	// fills (caller rows stay read-only), the basis columns of the smaller side
+	// of the mask gathered into a k×n panel (n ≤ d/2), and the k×k observed-bin
+	// Gram with its Cholesky factor and substitution vector. autoMask is
+	// ObserveAuto's mask.
+	gapEdges []int
 	xPatch   []float64
 	gapP     []float64
 	gapG     *mat.Dense
@@ -93,7 +93,7 @@ func newWorkspace(d, k, blockC int) *workspace {
 		bgram: make([]*mat.Dense, blockC+1),
 		bsym:  make([]*eig.SymEigWorkspace, blockC+1),
 
-		gapIdx:   make([]int, d),
+		gapEdges: make([]int, d+3),
 		xPatch:   make([]float64, d),
 		gapP:     make([]float64, k*(d/2)),
 		gapG:     mat.NewDense(k, k),

@@ -24,20 +24,11 @@ const jacobiMaxSweeps = 60
 // (only its upper triangle is read): a = V·diag(values)·Vᵀ with eigenvalues
 // sorted in descending order and eigenvectors as the corresponding columns
 // of V. a is not modified. ok is false when the iteration failed to
-// converge (NaN/Inf inputs).
-func SymEig(a *mat.Dense) (values []float64, v *mat.Dense, ok bool) {
-	if a.Cols() != a.Rows() {
-		panic("eig: SymEig requires a square matrix")
-	}
-	// Beyond a few dozen rows the tridiagonal route (tred2/tql2) is far
-	// faster than cyclic Jacobi, which it falls back to if QL fails to
-	// converge (essentially never for finite input).
-	const tridiagThreshold = 32
-	if a.Rows() > tridiagThreshold {
-		return TridiagSym(a, nil)
-	}
-	return JacobiSym(a, nil)
-}
+// converge (NaN/Inf inputs). It runs the tridiagonal route at every size:
+// BenchmarkSymEigCrossover reads QL ahead of cyclic Jacobi from n = 3 up
+// (DESIGN, "Eigensolver crossover and the dead ends"), and TridiagSym falls
+// back to Jacobi for n ≤ 1 and if QL fails to converge.
+func SymEig(a *mat.Dense) (values []float64, v *mat.Dense, ok bool) { return TridiagSym(a, nil) }
 
 // SymEigWorkspace holds the working copy, eigenvector accumulator and value
 // buffer for JacobiSym so repeated same-sized eigenproblems run without heap
@@ -67,7 +58,7 @@ func NewSymEigWorkspace(n int) *SymEigWorkspace {
 // JacobiSym is the workspace-accepting variant of SymEig: it computes the
 // eigendecomposition of the symmetric matrix a (upper triangle read, a
 // unmodified) entirely inside ws, performing zero heap allocations. It always
-// runs cyclic Jacobi; for matrices beyond a dozen rows TridiagSym is faster.
+// runs cyclic Jacobi; TridiagSym is faster at every size from n = 3.
 // A nil ws is allowed and allocates a fresh workspace.
 func JacobiSym(a *mat.Dense, ws *SymEigWorkspace) (values []float64, v *mat.Dense, ok bool) {
 	ws, finite := loadSym(a, ws)

@@ -1,6 +1,7 @@
 package eig
 
 import (
+	"fmt"
 	"math"
 	"math/rand/v2"
 	"sort"
@@ -122,6 +123,49 @@ func TestSymEigLargeUsesAndSurvivesTridiag(t *testing.T) {
 	}
 	if err := OrthonormalityError(v); err > 1e-9 {
 		t.Fatalf("orthonormality %v", err)
+	}
+}
+
+// TestSymEigRunsQLAtEverySize pins SymEig's dispatch to the crossover
+// BenchmarkSymEigCrossover reads: its output is TridiagSym's, bit for bit,
+// at every size from 1 up, not cyclic Jacobi's below some threshold.
+func TestSymEigRunsQLAtEverySize(t *testing.T) {
+	rng := rand.New(rand.NewPCG(905, 1))
+	for n := 1; n <= 40; n++ {
+		a := randSym(rng, n)
+		vals, v, _ := SymEig(a)
+		wantVals, wantV, _ := TridiagSym(a, nil)
+		for i, x := range wantVals {
+			if math.Float64bits(vals[i]) != math.Float64bits(x) {
+				t.Fatalf("n=%d: eigenvalue %d is %v, QL gives %v", n, i, vals[i], x)
+			}
+		}
+		for i, x := range wantV.Data() {
+			if math.Float64bits(v.Data()[i]) != math.Float64bits(x) {
+				t.Fatalf("n=%d: eigenvector entry %d differs from QL's", n, i)
+			}
+		}
+	}
+}
+
+// BenchmarkSymEigCrossover times both solvers at the sizes around SymEig's
+// dispatch threshold (symEigQLFrom), on a workspace as the engine runs them.
+func BenchmarkSymEigCrossover(b *testing.B) {
+	for _, n := range []int{3, 4, 6, 8, 11, 12, 16, 20} {
+		a := randSym(rand.New(rand.NewPCG(1, uint64(n))), n)
+		ws := NewSymEigWorkspace(n)
+		for _, s := range []struct {
+			name  string
+			solve func(*mat.Dense, *SymEigWorkspace) ([]float64, *mat.Dense, bool)
+		}{{"jacobi", JacobiSym}, {"ql", TridiagSym}} {
+			b.Run(fmt.Sprintf("n-%d/%s", n, s.name), func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					if _, _, ok := s.solve(a, ws); !ok {
+						b.Fatal("no convergence")
+					}
+				}
+			})
+		}
 	}
 }
 

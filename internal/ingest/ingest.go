@@ -20,6 +20,8 @@ import (
 	"strings"
 	"sync"
 	"unsafe"
+
+	"streampca/internal/mat"
 )
 
 // Stream yields observations until io.EOF. Implementations are not safe
@@ -144,20 +146,22 @@ func (c *CSVStream) Next() ([]float64, []bool, error) {
 }
 
 // gapMask returns nil when vec holds no NaN, and otherwise mask (allocated
-// when nil) false exactly at vec's NaN bins.
+// when nil) false exactly at vec's NaN bins. A complete record costs one
+// branch-free finiteness scan; one that fails it goes straight to the fill.
 func gapMask(vec []float64, mask []bool) []bool {
-	i := 0
-	for i < len(vec) && !math.IsNaN(vec[i]) {
-		i++
-	}
-	if i == len(vec) {
+	if mat.AllFinite(vec) {
 		return nil
 	}
 	if mask == nil {
 		mask = make([]bool, len(vec))
 	}
+	missing := false
 	for j, v := range vec {
 		mask[j] = !math.IsNaN(v)
+		missing = missing || !mask[j]
+	}
+	if !missing { // ±Inf but no NaN: a complete record
+		return nil
 	}
 	return mask
 }

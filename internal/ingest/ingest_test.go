@@ -269,6 +269,7 @@ func FuzzBinaryStream(f *testing.F) {
 	negZero, inf, negInf := uint64(1)<<63, math.Float64bits(math.Inf(1)), math.Float64bits(math.Inf(-1))
 	f.Add(uint8(3), word(math.Float64bits(1), 0x7ff8000000000001, negZero, inf, negInf, 0xfff0000000000002))
 	f.Add(uint8(1), word(0x7ff0000000000001, 0x7fffffffffffffff, math.Float64bits(-2.5)))
+	f.Add(uint8(2), word(math.Float64bits(1), inf, negInf)) // ±Inf without NaN: complete
 	f.Add(uint8(2), append(word(negZero, math.Float64bits(math.NaN())), 1, 2, 3))
 	f.Add(uint8(63), binaryRecords(gappyRows(3, 64)))
 	f.Add(uint8(0), []byte{})

@@ -267,38 +267,31 @@ func mulBTBlocked(dst, a, b *Dense) {
 }
 
 // eigToMulAdd is E in BlockSize's cost model: the cost of one n³ unit of the
-// (k+c)-sized tridiagonal eigensolve in blocked-product multiply-adds. It is
-// a constant, not a measurement, because the chunk width reaches the engine's
-// output (the rank-c fold rounds differently at c=11 and c=12 — fourth digit
-// at d=400) and so must be the same on every machine and in every process of
-// a run. 8 gives the widths a timed ratio picked most often (4 at d=16, 11 at
-// d=400, 15 at d=1000, 16 from d=2000 up, k=5) under the former row-major
-// basis kernels. Under the component-major kernels the pick is no longer the
-// fastest everywhere: a c-sweep (BenchmarkObserveBlock's d-*/c-* lanes, 2-core
-// Xeon, -cpu 1) reads c ∈ [6,11] within ±10% at d=400, but c=15 about 15%
-// slower than c=8 at d=1000. Wire lanes are sized in bytes, so a refit changes
-// only the engine's fold; it waits for paired runs of its own.
-const eigToMulAdd = 8
+// (k+c)-sized tridiagonal eigensolve in SSE2 multiply-adds. It is a constant,
+// not a measurement, because the chunk width reaches the engine's output (the
+// rank-c fold rounds differently at each width) and so must be the same on
+// every machine and in every process of a run. 4 is the least-squares fit
+// (4.1) of the model below to the committed sweep (`make bench-width`, DESIGN
+// "Chunk-width cost model"). Wire lanes are sized in bytes, so the width
+// changes only the engine's fold.
+const eigToMulAdd = 4
 
 // BlockSize returns the cost-model-optimal rank-c chunk width for a d×k
 // engine, in [2, max]. Per absorbed row the block path costs
 //
-//	d·(c+1)/8         Y·Yᵀ inner products (SyrkRows)
-//	4·d·k²/c + d·k    basis rebuild E·M product + Yᵀ·W accumulation, over c
+//	d·(c+1)/2         Y·Yᵀ inner products (SyrkRows, one triangle)
+//	d·k²/c + d·k      basis rebuild [Mᵀ | Wᵀ]·[B; Y] (MulStack), over c
 //	E·(k+c)³/c        the (k+c)-sized eigensolve, amortized over c
 //
-// in panel-kernel multiply-add equivalents, with E the eigensolver/multiply-add
-// cost ratio (eigToMulAdd). Two terms carry efficiency weights relative to
-// the square blocked product, both fitted to the former row-major kernels by
-// a c-sweep (c ∈ {4..16}, d ∈ {250..1000}): SyrkRows retired multiply-adds
-// ≈4× faster (weight ⅛ instead of ½), and the E·M rebuild product over a
-// d×k basis with k≈5-long rows ran ≈4× slower (weight 4). The component-major
-// rebuild (MulStack) runs along d-long rows and no longer pays that factor;
-// the weights stay until the refit eigToMulAdd describes.
-// The d·(k+2) center/project term is c-independent and excluded. Small c
-// wastes the amortization; large c pays quadratically in the Syrk corner and
-// cubically in the eigensolve — the argmin replaces the hardcoded chunk
-// width the engine used before.
+// in multiply-adds, with E the eigensolver/multiply-add cost ratio
+// (eigToMulAdd). Both d-long kernels run on the component-major rows in SSE2
+// and retire multiply-adds at about the same rate: a free fit of their two
+// weights to the sweep put SyrkRows at 0.51–0.62 of the rebuild's, against
+// the ½ its triangle counts, so each term is its plain count. The d·(k+2)
+// center/project term is c-independent and excluded. Small c wastes the
+// amortization; large c pays linearly in the Syrk corner and cubically in
+// the eigensolve, so for large d the pick settles near k·√2 (6 at d = 400
+// and 1000, 7 from d = 2000, 3 at d = 16 for k = 5).
 func BlockSize(d, k, max int) int {
 	if max < 2 {
 		return max
@@ -316,5 +309,5 @@ func BlockSize(d, k, max int) int {
 func blockCost(d, k, c int) float64 {
 	fd, fk, fc := float64(d), float64(k), float64(c)
 	kc := fk + fc
-	return fd*(fc+1)/8 + 4*fd*fk*fk/fc + fd*fk + eigToMulAdd*kc*kc*kc/fc
+	return fd*(fc+1)/2 + fd*fk*fk/fc + fd*fk + eigToMulAdd*kc*kc*kc/fc
 }

@@ -73,7 +73,7 @@ func TestBlockSizeModel(t *testing.T) {
 // every call, whatever the host's timings are.
 func TestBlockSizePinned(t *testing.T) {
 	for _, tc := range []struct{ d, want int }{
-		{16, 4}, {400, 11}, {1000, 15}, {2000, 16}, {4000, 16},
+		{16, 3}, {400, 6}, {1000, 6}, {2000, 7}, {4000, 7},
 	} {
 		for call := 0; call < 2; call++ {
 			if c := BlockSize(tc.d, 5, 16); c != tc.want {

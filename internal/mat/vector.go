@@ -38,6 +38,24 @@ func dotGo(x, y []float64) float64 {
 	return (s0 + s1) + (s2 + s3)
 }
 
+// AllFinite reports whether x holds no NaN or ±Inf, in one pass without a
+// branch per element: x·0 is ±0 for a finite x and NaN otherwise, summed in
+// four chains.
+func AllFinite(x []float64) bool {
+	var s0, s1, s2, s3 float64
+	i := 0
+	for ; i+3 < len(x); i += 4 {
+		s0 += x[i] * 0
+		s1 += x[i+1] * 0
+		s2 += x[i+2] * 0
+		s3 += x[i+3] * 0
+	}
+	for ; i < len(x); i++ {
+		s0 += x[i] * 0
+	}
+	return (s0+s1)+(s2+s3) == 0
+}
+
 // Norm2 returns the Euclidean norm of x, guarding against overflow and
 // underflow by scaling with the largest magnitude entry.
 func Norm2(x []float64) float64 {

@@ -48,6 +48,32 @@ func TestDotSymmetryProperty(t *testing.T) {
 	}
 }
 
+// TestAllFinite puts one non-finite value at every position of every length
+// up to 9 (all four chains and the tail) over large, tiny and signed-zero
+// finite neighbours.
+func TestAllFinite(t *testing.T) {
+	for _, fill := range []float64{1e308, -5e-324, math.Copysign(0, -1)} {
+		for n := 0; n <= 9; n++ {
+			x := make([]float64, n)
+			for i := range x {
+				x[i] = fill
+			}
+			if !AllFinite(x) {
+				t.Fatalf("fill %g n=%d: finite row reported non-finite", fill, n)
+			}
+			for i := range x {
+				for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+					x[i] = bad
+					if AllFinite(x) {
+						t.Fatalf("fill %g n=%d: %g at %d not seen", fill, n, bad, i)
+					}
+				}
+				x[i] = fill
+			}
+		}
+	}
+}
+
 func TestNorm2(t *testing.T) {
 	if got := Norm2([]float64{3, 4}); math.Abs(got-5) > 1e-15 {
 		t.Fatalf("Norm2 = %v, want 5", got)

@@ -17,10 +17,10 @@ import (
 // after TestPipelineDigestGolden's run, followed by each engine's
 // Processed/Outliers.
 var pipelineGolden = map[string]string{
-	"d16-batch0":   "7d4a80f196dbea34f7e6113d232916a7f857254f10997d6a653188fee020ebc0 488/9 497/16 520/14 495/9",
-	"d16-batch64":  "084db8bd2198051aca7df890c5f6396a15e71fc16e2079e97f9f0e86371c6a98 656/18 192/5 512/11 640/18",
-	"d400-batch0":  "bd1692c47d26b087956e735e318bb4b4be0e066ca23fc73ad897014bcb0d20b3 488/8 497/8 520/10 495/9",
-	"d400-batch64": "0708e25cc46d4a5f6fe4c27f502f05e53100da18095909a9ec2727bf8ac52e5f 656/10 192/5 512/7 640/11",
+	"d16-batch0":   "221dac871c7187096820e9123ad044f832b6c2039adc0d3fd0a1fe242c4ed224 488/9 497/16 520/14 495/9",
+	"d16-batch64":  "7cb9ddc6e294aa67137e8f27fdb57f7235e5e485684f934482828d58f0726cd2 656/18 192/5 512/11 640/18",
+	"d400-batch0":  "13185a8db2d6683074ad1a1d225dc71c7203487abb2817047b90040452f71e2c 488/8 497/8 520/10 495/9",
+	"d400-batch64": "b5ea00a433ca7dfc495663a3cea01c93f79663d48cd9510c8cdd0970fb3c599d 656/10 192/5 512/7 640/11",
 }
 
 // TestPipelineDigestGolden is the pipeline counterpart of core's

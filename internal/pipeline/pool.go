@@ -4,6 +4,7 @@ import (
 	"math"
 	"sync"
 
+	"streampca/internal/mat"
 	"streampca/internal/stream"
 )
 
@@ -31,19 +32,19 @@ func newFrameStore(dim, batch int) *frameStore {
 
 // add copies one row into the store's next slot. The packer has already
 // checked its shape: vec is dim long and mask nil or dim long. An unmasked
-// row containing NaN gets its mask derived in the same copy pass (NaN =
+// row is copied whole and scanned once for non-finite values; only a row
+// that holds one takes the per-bin pass that derives its mask (NaN =
 // missing), so every row leaves the packer complete or explicitly masked.
 func (fs *frameStore) add(seq int64, vec []float64, mask []bool) {
 	i := len(fs.tuples)
 	v := fs.buf[i*fs.dim : (i+1)*fs.dim : (i+1)*fs.dim]
+	copy(v, vec)
 	var m []bool
 	if mask != nil {
-		copy(v, vec)
 		m = fs.maskSlot(i)
 		copy(m, mask)
-	} else {
-		for j, x := range vec {
-			v[j] = x
+	} else if !mat.AllFinite(v) {
+		for j, x := range v {
 			if math.IsNaN(x) {
 				if m == nil {
 					m = fs.maskSlot(i)

@@ -116,10 +116,11 @@ func TestFramePoolCycleAllocatesNothing(t *testing.T) {
 
 // TestFrameStoreDerivesNaNMask: the packer gives an unmasked row containing
 // NaN the mask ObserveAuto would derive (NaN = missing), leaves complete rows
-// unmasked, and copies explicit masks — also into recycled storage that still
-// holds the previous frame's masks.
+// unmasked — ±Inf alone included, which the engine rejects as an observed
+// non-finite bin — and copies explicit masks, also into recycled storage
+// that still holds the previous frame's masks.
 func TestFrameStoreDerivesNaNMask(t *testing.T) {
-	nan := math.NaN()
+	nan, inf := math.NaN(), math.Inf(1)
 	rounds := []struct {
 		vecs  [][]float64
 		masks [][]bool // the source's masks
@@ -132,6 +133,10 @@ func TestFrameStoreDerivesNaNMask(t *testing.T) {
 		vecs:  [][]float64{{nan, 2, 3, 4}, {1, 2, 3, nan}, {1, 2, 3, 4}},
 		masks: [][]bool{nil, nil, nil},
 		want:  [][]bool{{false, true, true, true}, {true, true, true, false}, nil},
+	}, {
+		vecs:  [][]float64{{1, inf, 3, -inf}, {inf, nan, 3, 4}, {1, 2, 3, nan}},
+		masks: [][]bool{nil, nil, nil},
+		want:  [][]bool{nil, {true, false, true, true}, {true, true, true, false}},
 	}}
 	fs := newFrameStore(4, 3)
 	for r, round := range rounds {
