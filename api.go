@@ -163,15 +163,9 @@ type (
 	WorkerSpec = pipeline.WorkerSpec
 	// WorkerCluster is a set of spawned worker processes.
 	WorkerCluster = pipeline.Cluster
-	// WireEdge is a reconnecting TCP transport for stream messages.
-	WireEdge = wire.Edge
-	// WireEdgeOptions configures a wire edge.
-	WireEdgeOptions = wire.EdgeOptions
 	// WireEdgeStats is a point-in-time copy of an edge's transport
 	// counters (PipelineResult.Wire).
 	WireEdgeStats = wire.EdgeStats
-	// WireListener accepts coordinator sessions on a worker.
-	WireListener = wire.Listener
 	// WireHello is the connection-opening handshake frame.
 	WireHello = wire.Hello
 	// WireConnPlan injects deterministic connection faults (per-message
@@ -202,16 +196,6 @@ func LaunchWorkers(ctx context.Context, n int, spec WorkerSpec) (*WorkerCluster,
 // binary that launches workers via LaunchWorkers.
 func WireWorkerFromEnv(ctx context.Context) (bool, error) {
 	return pipeline.WorkerFromEnv(ctx)
-}
-
-// DialWireEdge returns an edge that connects to a listening peer on first
-// use and transparently reconnects with backoff.
-func DialWireEdge(addr string, opt WireEdgeOptions) *WireEdge { return wire.DialEdge(addr, opt) }
-
-// ListenWireEdge binds addr and returns a listener whose edges accept
-// coordinator connections.
-func ListenWireEdge(addr string, opt WireEdgeOptions) (*WireListener, error) {
-	return wire.ListenEdge(addr, opt)
 }
 
 // StreamMetrics is a point-in-time snapshot of one operator's counters, the
@@ -347,8 +331,6 @@ type (
 	FaultKind = fault.Kind
 	// FaultEvent records one injected fault in an injector's log.
 	FaultEvent = fault.Event
-	// FaultInjector is a seedable stream.Tap injecting faults on an edge.
-	FaultInjector = fault.Injector
 	// NodeFailure reports an operator that panicked during a run.
 	NodeFailure = stream.NodeFailure
 	// PipelineChaos configures fault injection for RunPipeline.
@@ -359,8 +341,6 @@ type (
 	ClusterCrash = cluster.CrashEvent
 	// RetryPolicy configures exponential backoff for network connectors.
 	RetryPolicy = ingest.RetryPolicy
-	// Backoff is a deterministic backoff delay generator.
-	Backoff = ingest.Backoff
 )
 
 // Fault kinds.
@@ -414,8 +394,6 @@ type (
 	ObsNodeSnapshot = obs.NodeSnapshot
 	// ObsReport is one worker's periodic observability report.
 	ObsReport = obs.Report
-	// ObsReporter builds a node's periodic reports from its ObsSet.
-	ObsReporter = obs.Reporter
 )
 
 // NewObsClusterCollector returns a cluster collector whose local node is set
@@ -424,10 +402,6 @@ type (
 func NewObsClusterCollector(set *ObsSet) *ObsClusterCollector {
 	return obs.NewClusterCollector(set)
 }
-
-// NewObsReporter returns a reporter that folds set into periodic reports
-// for the named node (the worker side of the cluster plane).
-func NewObsReporter(set *ObsSet, node string) *ObsReporter { return obs.NewReporter(set, node) }
 
 // NewObsSet returns an empty instrument bundle; pass it as
 // PipelineConfig.Obs and serve it through NewObsClusterCollector.
@@ -448,16 +422,3 @@ func ServeObs(addr string, cc *ObsClusterCollector) (*http.Server, error) {
 // WriteObsTrace writes set's spans and journal as a Chrome trace-event JSON
 // document (load it at chrome://tracing or https://ui.perfetto.dev).
 func WriteObsTrace(w io.Writer, set *ObsSet) error { return obs.WriteTrace(w, set) }
-
-// NewFaultInjector builds the deterministic injector for plan; use it as an
-// edge tap, or pass plans via PipelineChaos and let RunPipeline wire it.
-func NewFaultInjector(plan FaultPlan) *FaultInjector { return fault.NewInjector(plan) }
-
-// NewBackoff builds the policy's deterministic delay generator.
-func NewBackoff(p RetryPolicy) *Backoff { return ingest.NewBackoff(p) }
-
-// DialCSV connects to a TCP endpoint serving CSV observation lines,
-// retrying the dial with exponential backoff.
-func DialCSV(addr string, opts CSVOptions, p RetryPolicy) (Stream, io.Closer, error) {
-	return ingest.DialCSV(addr, opts, p)
-}

@@ -244,7 +244,7 @@ func (en *Engine) observeChunk(xs [][]float64, masks [][]bool, out []Update, alp
 			// (k+1)-sized fast path reads them.
 			en.rebuildEigensystem(g, bv[0], ny2First)
 		} else {
-			en.rebuildEigensystemBlock(g, nf)
+			en.rebuildEigensystemBlock(g, nf) // on failure the decayed sums still advanced
 		}
 	}
 	if cfg.ReorthEvery > 0 && en.updatesSince >= cfg.ReorthEvery {
@@ -267,28 +267,22 @@ func (en *Engine) observeChunk(xs [][]float64, masks [][]bool, out []Update, alp
 // O(d·c²/2) work (SyrkRows). The eigen decomposition V then yields the new
 // basis in one product over the stacked operand [B; Y] (installRebuild), so
 // the d-proportional work per chunk is that product and the Syrk, both on
-// d-long rows. ws.yMat, ws.coefs and ws.bvals must hold the c firing rows.
+// d-long rows. ws.yMat, ws.coefs and ws.bvals must hold the c rows (a chunk's
+// firing rows, or a merge's); false reports a failed eigensolve, which keeps
+// the previous eigensystem.
 //
 //streampca:noalloc
-func (en *Engine) rebuildEigensystemBlock(g float64, c int) {
+func (en *Engine) rebuildEigensystemBlock(g float64, c int) bool {
 	st := &en.state
 	k := en.k
 	ws := en.ws
 	scale := ws.scale
 	for j := 0; j < k; j++ {
-		lj := st.Values[j]
-		if lj < 0 {
-			lj = 0
-		}
-		scale[j] = math.Sqrt(g * lj)
+		scale[j] = math.Sqrt(g * max(st.Values[j], 0))
 	}
 	bs := scale[k : k+c]
 	for m := range bs {
-		b := ws.bvals[m]
-		if b < 0 {
-			b = 0
-		}
-		bs[m] = math.Sqrt(b)
+		bs[m] = math.Sqrt(max(ws.bvals[m], 0))
 	}
 	mat.SyrkRows(ws.syrk, ws.yMat, c)
 
@@ -319,11 +313,11 @@ func (en *Engine) rebuildEigensystemBlock(g float64, c int) {
 	}
 	// The (k+c)-sized Gram has a c×c dense corner, not an arrowhead, and sits
 	// past the Jacobi/QL crossover, so the block path uses the tridiagonal
-	// solver; only the rank-one rebuild (c = 1) is an arrowhead for ArrowSym.
+	// solver; only the rank-one row update is an arrowhead for ArrowSym.
 	lam, v, ok := eig.TridiagSym(gram, ws.bsym[c])
 	if !ok {
-		// Keep the previous eigensystem; the decayed sums still advanced.
-		return
+		return false
 	}
 	en.installRebuild(lam, v, c)
+	return true
 }

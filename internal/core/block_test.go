@@ -194,18 +194,21 @@ func TestObserveBlockMatchesObserveAcrossWidths(t *testing.T) {
 	measured := map[[2]int][3]float64{
 		{16, 2}:    {1.6e-8, 9.4e-5, 6.5e-5},
 		{16, 4}:    {1.3e-8, 3.5e-4, 1.3e-4},
+		{16, 6}:    {4.8e-9, 1.1e-3, 4.5e-4},
 		{16, 8}:    {2e-8, 1.3e-3, 5.6e-4},
 		{16, 11}:   {4.5e-8, 2.1e-3, 1e-3},
 		{16, 15}:   {9.1e-9, 3.5e-3, 1.8e-3},
 		{16, 16}:   {6.5e-8, 4.3e-3, 2e-3},
 		{400, 2}:   {3.9e-8, 1.2e-4, 4.9e-5},
 		{400, 4}:   {9.7e-8, 3.2e-4, 1.5e-4},
+		{400, 6}:   {2.2e-7, 8.2e-4, 3.5e-4},
 		{400, 8}:   {3.8e-7, 1.3e-3, 5.6e-4},
 		{400, 11}:  {5.1e-7, 1.8e-3, 7.8e-4},
 		{400, 15}:  {6.6e-7, 2.5e-3, 1.1e-3},
 		{400, 16}:  {7.8e-7, 2.6e-3, 1.1e-3},
 		{1000, 2}:  {1.1e-7, 2.8e-4, 1.1e-4},
 		{1000, 4}:  {6e-7, 8.4e-4, 3.3e-4},
+		{1000, 6}:  {7.7e-7, 1.1e-3, 4.2e-4},
 		{1000, 8}:  {1.8e-6, 2.3e-3, 8.5e-4},
 		{1000, 11}: {1.8e-6, 2.4e-3, 9.3e-4},
 		{1000, 15}: {2.7e-6, 3.4e-3, 1.4e-3},
@@ -228,7 +231,7 @@ func TestObserveBlockMatchesObserveAcrossWidths(t *testing.T) {
 		}
 		ss := seq.Eigensystem()
 		affSeq := ss.SubspaceAffinity(m.basis)
-		for _, c := range []int{2, 4, 8, 11, 15, 16} {
+		for _, c := range []int{2, 4, 6, 8, 11, 15, 16} {
 			cfg.BlockSize = c
 			blk, err := NewEngine(cfg)
 			if err != nil {

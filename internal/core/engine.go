@@ -184,7 +184,7 @@ func (en *Engine) Eigensystem() *Eigensystem {
 func (en *Engine) exportBasis() { en.state.Vectors.TransposeFrom(en.basis) }
 
 // loadBasis installs state.Vectors as the component-major basis, after
-// initialization, a resume or a merge wrote a new d×k one.
+// initialization or a resume wrote a new d×k one.
 //
 //streampca:noalloc
 func (en *Engine) loadBasis() { en.basis.TransposeFrom(en.state.Vectors) }
@@ -421,48 +421,50 @@ func (en *Engine) classicFit(u float64) (Eigensystem, error) {
 
 // leftSingular returns the top-k left singular vectors of the data matrix
 // whose columns are the rows of the n×d y (centered observations),
-// component-major as the rows of a k×d matrix, and all its singular values.
-// With fewer rows than bins the n×n Gram Y·Yᵀ (SyrkRows) is the small
-// system: TridiagSym gives Y·Yᵀ = V·Λ·Vᵀ, sⱼ = √λⱼ, and only the k wanted
+// component-major as the rows of a k×d matrix, and all its singular values,
+// from the smaller Gram. With fewer rows than bins that is the n×n Y·Yᵀ
+// (SyrkRows): TridiagSym gives Y·Yᵀ = V·Λ·Vᵀ, sⱼ = √λⱼ, and only the k wanted
 // vectors uⱼ = Σᵢ Vᵢⱼ·yᵢ/sⱼ are formed, in one MulStack over Y's d-long rows.
-// Otherwise they are the right singular vectors of Y (eig.ThinSVD). A vector
-// whose singular value is numerically zero is completed to an orthonormal
-// set, as ThinSVD does.
+// Otherwise the d×d YᵀY's eigenvectors are the wanted vectors themselves.
+// Singular values under 1e-13·s₀·√max(n, d) are zeroed, and a vector among
+// the k built from one is completed to an orthonormal set.
 func leftSingular(y *mat.Dense, k int) (*mat.Dense, []float64, error) {
 	n, d := y.Dims()
-	basis := mat.NewDense(k, d)
-	if n >= d {
-		dec, ok := eig.ThinSVD(y)
-		if !ok {
-			return nil, nil, errors.New("core: warm-up SVD failed")
-		}
-		for j := 0; j < k; j++ {
-			dec.V.Col(j, basis.Row(j))
-		}
-		return basis, dec.S, nil
-	}
 	if k > n {
 		return nil, nil, fmt.Errorf("core: warm-up buffer rank %d below k=%d", n, k)
 	}
-	g := mat.NewDense(n, n)
-	mat.SyrkRows(g, y, n)
+	g := mat.NewDense(min(n, d), min(n, d))
+	if n >= d {
+		mat.Gram(g, y)
+	} else {
+		mat.SyrkRows(g, y, n)
+	}
 	lam, v, ok := eig.TridiagSym(g, nil)
 	if !ok {
 		return nil, nil, errors.New("core: warm-up SVD failed")
 	}
-	s := make([]float64, n)
+	s := make([]float64, len(lam))
+	tol := 1e-13 * math.Sqrt(max(lam[0], 0)) * math.Sqrt(float64(max(n, d)))
 	for j, l := range lam {
-		s[j] = math.Sqrt(max(l, 0))
+		if sj := math.Sqrt(max(l, 0)); sj > tol {
+			s[j] = sj
+		}
 	}
-	tol, null := 1e-13*s[0]*math.Sqrt(float64(d)), false
-	a := mat.NewDense(k, n)
-	for j := range s {
-		if s[j] <= tol {
-			s[j], null = 0, null || j < k
-		} else if j < k {
-			for i := 0; i < n; i++ {
-				a.Set(j, i, v.At(i, j)/s[j])
-			}
+	basis := mat.NewDense(k, d)
+	if n >= d {
+		for j := 0; j < k; j++ {
+			v.Col(j, basis.Row(j))
+		}
+		return basis, s, nil
+	}
+	a, null := mat.NewDense(k, n), false
+	for j := 0; j < k; j++ {
+		if s[j] == 0 {
+			null = true
+			continue
+		}
+		for i := 0; i < n; i++ {
+			a.Set(j, i, v.At(i, j)/s[j])
 		}
 	}
 	mat.MulStack(basis, a, y, y, 0)
@@ -501,16 +503,10 @@ func (en *Engine) rebuildEigensystem(gamma2, yCoef, ny2 float64) {
 	ws := en.ws
 	scale := ws.scale
 	coef := ws.coefs.Row(0)
-	if yCoef < 0 {
-		yCoef = 0
-	}
+	yCoef = max(yCoef, 0)
 	sy := math.Sqrt(yCoef)
 	for j := 0; j < k; j++ {
-		lj := st.Values[j]
-		if lj < 0 {
-			lj = 0
-		}
-		scale[j] = math.Sqrt(gamma2 * lj)
+		scale[j] = math.Sqrt(gamma2 * max(st.Values[j], 0))
 		ws.arrowD[j] = scale[j] * scale[j]
 		ws.arrowZ[j] = scale[j] * sy * coef[j]
 	}

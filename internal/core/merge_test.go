@@ -1,10 +1,13 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"math/rand/v2"
+	"slices"
 	"testing"
 
+	"streampca/internal/eig"
 	"streampca/internal/mat"
 )
 
@@ -201,6 +204,22 @@ func TestMergeErrorCases(t *testing.T) {
 		t.Fatal("non-finite snapshot should be rejected")
 	}
 
+	// Finite peer vectors whose Gram overflows make the eigensolve fail: the
+	// merge must report it and leave the engine as it was.
+	huge := snap.Clone()
+	huge.Vectors.ScaleAll(1e200)
+	before, since := a.Eigensystem().Clone(), a.SinceSync()
+	if err := a.MergeSnapshot(huge); err != errMergeSolve {
+		t.Fatalf("merge with a failing eigensolve returned %v", err)
+	}
+	after := a.Eigensystem()
+	if !slices.Equal(after.Mean, before.Mean) || !slices.Equal(after.Values, before.Values) ||
+		!slices.Equal(after.Vectors.Data(), before.Vectors.Data()) || after.Sigma2 != before.Sigma2 ||
+		after.SumU != before.SumU || after.SumV != before.SumV || after.SumQ != before.SumQ ||
+		after.Count != before.Count || a.SinceSync() != since {
+		t.Fatal("failed merge changed the engine state")
+	}
+
 	zero := snap.Clone()
 	zero.SumV = 0
 	a.state.SumV = 0
@@ -256,5 +275,151 @@ func TestMergeAccumulatesSums(t *testing.T) {
 	}
 	if es.Count != 800 {
 		t.Fatalf("Count = %d", es.Count)
+	}
+}
+
+// denseMerge is the dense route of eqs. (15)/(16) that the engine's merge
+// replaced, kept as its oracle: it materializes the d×(2k+1) stacked
+// A = [E₁·√(γ₁Λ₁) | E₂·√(γ₂Λ₂) | √(γ₁γ₂)(µ₁−µ₂)] (d×2k without the mean
+// difference when not exact), takes the top k of eig.ThinSVD(A), and merges
+// the scalars as the engine does. st is not modified.
+func denseMerge(t *testing.T, st, o *Eigensystem, exact bool) *Eigensystem {
+	t.Helper()
+	st = st.Clone()
+	g1 := st.SumV / (st.SumV + o.SumV)
+	g2 := o.SumV / (st.SumV + o.SumV)
+	d, k := st.Dim(), st.NumComponents()
+	cols := 2 * k
+	if exact {
+		cols++
+	}
+	a := mat.NewDense(d, cols)
+	for j := 0; j < k; j++ {
+		s1, s2 := math.Sqrt(g1*max(st.Values[j], 0)), math.Sqrt(g2*max(o.Values[j], 0))
+		for i := 0; i < d; i++ {
+			a.Set(i, j, s1*st.Vectors.At(i, j))
+			a.Set(i, k+j, s2*o.Vectors.At(i, j))
+		}
+	}
+	if exact {
+		sd := math.Sqrt(g1 * g2)
+		for i := 0; i < d; i++ {
+			a.Set(i, 2*k, sd*(st.Mean[i]-o.Mean[i]))
+		}
+	}
+	dec, ok := eig.ThinSVD(a)
+	if !ok {
+		t.Fatal("oracle SVD failed")
+	}
+	mat.Lerp(st.Mean, g1, st.Mean, g2, o.Mean)
+	for j := 0; j < k; j++ {
+		st.Values[j] = dec.S[j] * dec.S[j]
+		st.Vectors.SetCol(j, dec.U.Col(j, nil))
+	}
+	st.Sigma2 = g1*st.Sigma2 + g2*o.Sigma2
+	st.SumU += o.SumU
+	st.SumV += o.SumV
+	st.SumQ += o.SumQ
+	st.Count += o.Count
+	return st
+}
+
+// checkAgainstOracle holds a merged eigensystem to denseMerge's: eigenvalues
+// within 1e-10 relative, the largest principal angle within 1e-8, and the
+// mean, σ², running sums and Count equal.
+func checkAgainstOracle(t *testing.T, name string, got, want *Eigensystem) {
+	t.Helper()
+	worst := 0.0
+	for j, w := range want.Values {
+		worst = max(worst, math.Abs(got.Values[j]-w)/w)
+	}
+	angle := maxPrincipalSine(want.Vectors, got.Vectors)
+	t.Logf("%s: eigenvalues %.1e relative, largest angle %.1e", name, worst, angle)
+	if worst > 1e-10 || angle > 1e-8 {
+		t.Errorf("%s: eigenvalues %.2e relative, angle %.2e from the dense merge", name, worst, angle)
+	}
+	if !slices.Equal(got.Mean, want.Mean) || got.Sigma2 != want.Sigma2 || got.SumU != want.SumU ||
+		got.SumV != want.SumV || got.SumQ != want.SumQ || got.Count != want.Count {
+		t.Errorf("%s: mean, σ², running sums or Count differ from the dense merge", name)
+	}
+}
+
+// TestMergeMatchesDenseOracle holds MergeSnapshot and MergeApprox to the dense
+// eq. (15)/(16) merge for two engines on a shared basis whose means lie 0, 1,
+// 2, 5 and 10 leading standard deviations apart, and MergeMany to the dense
+// merge folded left to right over four engines.
+func TestMergeMatchesDenseOracle(t *testing.T) {
+	rng := rand.New(rand.NewPCG(209, 10))
+	d := 60
+	m1 := newModel(rng, d, 3, []float64{9, 4, 1}, 0.05)
+	m2 := newModel(rng, d, 3, []float64{9, 4, 1}, 0.05)
+	copy(m2.basis.Data(), m1.basis.Data())
+	dir := make([]float64, d)
+	for i := range dir {
+		dir[i] = rng.NormFloat64()
+	}
+	mat.Normalize(dir)
+	cfg := Config{Dim: d, Components: 3, Extra: 1, Alpha: 1 - 1.0/1000}
+	for _, sep := range []float64{0, 1, 2, 5, 10} {
+		mat.Lerp(m2.mean, 1, m1.mean, 3*sep, dir)
+		a, _ := NewEngine(cfg)
+		b, _ := NewEngine(cfg)
+		feedN(t, a, m1, 1500)
+		feedN(t, b, m2, 1500)
+		sa, _ := a.Snapshot()
+		sb, _ := b.Snapshot()
+		for _, exact := range []bool{true, false} {
+			en, err := ResumeEngine(cfg, sa)
+			if err != nil {
+				t.Fatal(err)
+			}
+			merge := en.MergeApprox
+			if exact {
+				merge = en.MergeSnapshot
+			}
+			if err := merge(sb); err != nil {
+				t.Fatal(err)
+			}
+			name := fmt.Sprintf("separation %gσ exact=%v", sep, exact)
+			checkAgainstOracle(t, name, en.Eigensystem(), denseMerge(t, sa, sb, exact))
+		}
+	}
+
+	var snaps []*Eigensystem
+	for i := 0; i < 4; i++ {
+		en, _ := NewEngine(cfg)
+		feedN(t, en, m1, 800+200*i)
+		s, _ := en.Snapshot()
+		snaps = append(snaps, s)
+	}
+	got, err := MergeMany(snaps)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := snaps[0]
+	for _, s := range snaps[1:] {
+		want = denseMerge(t, want, s, true)
+	}
+	checkAgainstOracle(t, "MergeMany", got, want)
+}
+
+// TestMergeZeroAllocs asserts that MergeSnapshot and MergeApprox run in the
+// engine's workspace without allocating.
+func TestMergeZeroAllocs(t *testing.T) {
+	rng := rand.New(rand.NewPCG(210, 11))
+	m := newModel(rng, 80, 3, []float64{9, 4, 1}, 0.05)
+	a, _ := NewEngine(testConfig(80, 3))
+	b, _ := NewEngine(testConfig(80, 3))
+	feedN(t, a, m, 300)
+	feedN(t, b, m, 300)
+	snap, _ := b.Snapshot()
+	for name, merge := range map[string]func(*Eigensystem) error{"MergeSnapshot": a.MergeSnapshot, "MergeApprox": a.MergeApprox} {
+		if allocs := testing.AllocsPerRun(50, func() {
+			if err := merge(snap); err != nil {
+				t.Fatal(err)
+			}
+		}); allocs != 0 {
+			t.Errorf("%s allocated %v times per merge", name, allocs)
+		}
 	}
 }

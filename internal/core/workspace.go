@@ -19,15 +19,16 @@ const rejectedCap = 64
 // row's centered observation and projections into slot m of yMat and coefs,
 // and the chunk's one rebuild reads them after its last row — slot 0 alone
 // on the rank-one path (rebuildEigensystem), every firing slot of yMat as the
-// lower rows of the stacked operand in installRebuild. The eigensolvers' returned values and vectors live in their
-// workspaces and are only read until the end of the rebuild that produced
-// them. Nothing in the workspace is valid across Observe calls; it is
-// scratch, not state.
+// lower rows of the stacked operand in installRebuild; a merge fills the same
+// slots with its peer rows. The eigensolvers' returned values and vectors
+// live in their workspaces and are only read until the end of the rebuild
+// that produced them. Nothing in the workspace is valid across Observe
+// calls; it is scratch, not state.
 type workspace struct {
 	// scale holds the column factors of A = [E·diag(scale[:k]) |
 	// Yᵀ·diag(scale[k:k+c])]: √(γ2·λⱼ) per basis column, then √b_m per
 	// firing row (one row, √yCoef, on the rank-one path). invs holds the
-	// inverse singular values (length k), and amap the k×(k+blockC) rebuild
+	// inverse singular values (length k), and amap the k×(k+cmax) rebuild
 	// map [Mᵀ | Wᵀ] whose row j is scale_t·V[t][j]/s_j over the stacked rows
 	// t of [B; Y] (see installRebuild).
 	scale []float64
@@ -43,19 +44,24 @@ type workspace struct {
 	orth *eig.OrthoWorkspace
 	med  []float64 // rescue-median sort scratch (capacity rejectedCap)
 
-	// block-update scratch (ObserveBlock), sized by the engine's chunk
-	// width blockC: the chunk's centered rows and projections, the rank-c
+	// rank-c rebuild scratch (rebuildEigensystemBlock), sized for
+	// c ≤ cmax = max(blockC, k+1): a chunk's c ≤ blockC centered rows, or a
+	// merge's k peer rows and mean difference, with their projections and
 	// fold weights, and the small (k+c)-sized eigenproblems — one Gram
-	// matrix and eigensolver per chunk size so the solver always runs at
-	// the true dimension (see rebuildEigensystemBlock). The bgram matrices
-	// are zeroed once here: the rebuild writes only their upper triangle
-	// (all the solvers read), so the lower triangle stays zero forever.
-	yMat  *mat.Dense             // blockC×d centered rows Y of the current chunk
-	coefs *mat.Dense             // blockC×k per-row projections B·y = Eᵀy
-	bvals []float64              // fold weights b_m of the firing rows (length blockC)
-	syrk  *mat.Dense             // blockC×blockC Y·Yᵀ inner products
-	bgram []*mat.Dense           // [c] → (k+c)×(k+c) analytic Gram, c = 2..blockC
+	// matrix and eigensolver per width the engine runs (chunks 2..blockC,
+	// merges k and k+1) so the solver always runs at the true dimension.
+	// The bgram matrices are zeroed once here: the rebuild writes only their
+	// upper triangle (all the solvers read), so the lower triangle stays zero
+	// forever.
+	yMat  *mat.Dense             // cmax×d rows Y of the current rebuild
+	coefs *mat.Dense             // cmax×k per-row projections B·y = Eᵀy
+	bvals []float64              // fold weights b_m of the rows (length cmax)
+	syrk  *mat.Dense             // cmax×cmax Y·Yᵀ inner products
+	bgram []*mat.Dense           // [c] → (k+c)×(k+c) analytic Gram
 	bsym  []*eig.SymEigWorkspace // [c] → matching eigensolver workspace
+	// peer and peerCoefs view the first k rows of yMat and coefs, where a
+	// merge loads the peer's eigenvectors and their projections.
+	peer, peerCoefs *mat.Dense
 
 	// gap-patch scratch (patchProject): the edges of the row's runs (0, each
 	// missing run's start and end, d), the engine-owned copy that receives the
@@ -73,25 +79,23 @@ type workspace struct {
 }
 
 func newWorkspace(d, k, blockC int) *workspace {
-	if blockC < 1 {
-		blockC = 1
-	}
+	cmax := max(blockC, k+1)
 	ws := &workspace{
-		scale:  make([]float64, k+blockC),
+		scale:  make([]float64, k+cmax),
 		invs:   make([]float64, k),
-		amap:   mat.NewDense(k, k+blockC),
+		amap:   mat.NewDense(k, k+cmax),
 		arrowD: make([]float64, k),
 		arrowZ: make([]float64, k),
 		arrow:  eig.NewArrowWorkspace(k),
 		orth:   eig.NewOrthoWorkspace(d),
 		med:    make([]float64, rejectedCap),
 
-		yMat:  mat.NewDense(blockC, d),
-		coefs: mat.NewDense(blockC, k),
-		bvals: make([]float64, blockC),
-		syrk:  mat.NewDense(blockC, blockC),
-		bgram: make([]*mat.Dense, blockC+1),
-		bsym:  make([]*eig.SymEigWorkspace, blockC+1),
+		yMat:  mat.NewDense(cmax, d),
+		coefs: mat.NewDense(cmax, k),
+		bvals: make([]float64, cmax),
+		syrk:  mat.NewDense(cmax, cmax),
+		bgram: make([]*mat.Dense, cmax+1),
+		bsym:  make([]*eig.SymEigWorkspace, cmax+1),
 
 		gapEdges: make([]int, d+3),
 		xPatch:   make([]float64, d),
@@ -101,9 +105,13 @@ func newWorkspace(d, k, blockC int) *workspace {
 		gapTmp:   make([]float64, k),
 		autoMask: make([]bool, d),
 	}
-	for c := 2; c <= blockC; c++ {
-		ws.bgram[c] = mat.NewDense(k+c, k+c)
-		ws.bsym[c] = eig.NewSymEigWorkspace(k + c)
+	ws.peer = mat.NewDenseData(k, d, ws.yMat.Data()[:k*d])
+	ws.peerCoefs = mat.NewDenseData(k, k, ws.coefs.Data()[:k*k])
+	for c := 1; c <= cmax; c++ {
+		if c >= 2 && c <= blockC || c == k || c == k+1 {
+			ws.bgram[c] = mat.NewDense(k+c, k+c)
+			ws.bsym[c] = eig.NewSymEigWorkspace(k + c)
+		}
 	}
 	return ws
 }

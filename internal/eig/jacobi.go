@@ -4,8 +4,8 @@
 // for arrowhead matrices), the Gram-route thin SVD of tall matrices, and
 // Gram–Schmidt orthonormalization. All solvers are deterministic. The
 // streaming engine's per-observation rank-one update is one ArrowSym call on
-// a (k+1)×(k+1) arrowhead; its rank-c block update is one TridiagSym call on
-// a (k+c)×(k+c) Gram; warm-up and merges run ThinSVD.
+// a (k+1)×(k+1) arrowhead; its rank-c block updates, merges and warm-up fit
+// are each one TridiagSym call on a Gram; ThinSVD is the tests' reference.
 package eig
 
 import (

@@ -1,10 +1,6 @@
 package ingest
 
 import (
-	"errors"
-	"fmt"
-	"io"
-	"net"
 	"testing"
 	"time"
 )
@@ -54,126 +50,5 @@ func TestBackoffGrowsAndCaps(t *testing.T) {
 	b.Reset()
 	if got := b.Next(); got != time.Millisecond {
 		t.Fatalf("after Reset: %v, want 1ms", got)
-	}
-}
-
-// TestRetrySucceedsAfterFailures: op fails twice then succeeds; Retry
-// sleeps exactly twice with the backoff schedule.
-func TestRetrySucceedsAfterFailures(t *testing.T) {
-	var slept []time.Duration
-	p := RetryPolicy{MaxAttempts: 5, Base: time.Millisecond, Jitter: -1,
-		Sleep: func(d time.Duration) { slept = append(slept, d) }}
-	calls := 0
-	v, err := Retry(p, func(attempt int) (string, error) {
-		if attempt != calls {
-			t.Fatalf("attempt %d, want %d", attempt, calls)
-		}
-		calls++
-		if calls < 3 {
-			return "", errors.New("transient")
-		}
-		return "ok", nil
-	})
-	if err != nil || v != "ok" {
-		t.Fatalf("Retry = %q, %v", v, err)
-	}
-	if calls != 3 {
-		t.Fatalf("op called %d times, want 3", calls)
-	}
-	if len(slept) != 2 || slept[0] != time.Millisecond || slept[1] != 2*time.Millisecond {
-		t.Fatalf("sleep schedule %v, want [1ms 2ms]", slept)
-	}
-}
-
-func TestRetryExhaustsAttempts(t *testing.T) {
-	var slept []time.Duration
-	p := RetryPolicy{MaxAttempts: 3, Base: time.Millisecond, Jitter: -1,
-		Sleep: func(d time.Duration) { slept = append(slept, d) }}
-	calls := 0
-	_, err := Retry(p, func(int) (int, error) {
-		calls++
-		return 0, fmt.Errorf("down %d", calls)
-	})
-	if err == nil {
-		t.Fatal("want error after exhausting attempts")
-	}
-	if calls != 3 {
-		t.Fatalf("op called %d times, want 3", calls)
-	}
-	if len(slept) != 2 {
-		t.Fatalf("slept %d times, want 2 (no sleep after the last attempt)", len(slept))
-	}
-}
-
-// TestDialCSVRetriesUntilServerUp: the first dials hit a dead address; the
-// listener appears before the attempts run out and the stream then parses
-// records normally.
-func TestDialCSVRetriesUntilServerUp(t *testing.T) {
-	// Reserve an address, then close it so the first dial fails.
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	addr := ln.Addr().String()
-	ln.Close()
-
-	attempts := 0
-	p := RetryPolicy{MaxAttempts: 6, Base: time.Millisecond, Seed: 4,
-		Sleep: func(d time.Duration) {
-			attempts++
-			if attempts == 2 {
-				// Bring the server up between attempts 2 and 3.
-				l2, err := net.Listen("tcp", addr)
-				if err != nil {
-					t.Fatalf("relisten: %v", err)
-				}
-				go func() {
-					conn, err := l2.Accept()
-					if err != nil {
-						return
-					}
-					fmt.Fprintln(conn, "1.5,2.5,NaN")
-					conn.Close()
-					l2.Close()
-				}()
-			}
-		}}
-	s, closer, err := DialCSV(addr, CSVOptions{}, p)
-	if err != nil {
-		t.Fatalf("DialCSV: %v (after %d sleeps)", err, attempts)
-	}
-	defer closer.Close()
-	vec, mask, err := s.Next()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(vec) != 3 || vec[0] != 1.5 || mask == nil || mask[2] {
-		t.Fatalf("parsed %v mask %v", vec, mask)
-	}
-	if _, _, err := s.Next(); !errors.Is(err, io.EOF) {
-		t.Fatalf("want EOF after server closed, got %v", err)
-	}
-	if attempts < 2 {
-		t.Fatalf("dial succeeded after %d sleeps, expected ≥ 2", attempts)
-	}
-}
-
-func TestDialCSVGivesUp(t *testing.T) {
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	addr := ln.Addr().String()
-	ln.Close()
-	slept := 0
-	_, _, err = DialCSV(addr, CSVOptions{}, RetryPolicy{
-		MaxAttempts: 3, Base: time.Microsecond,
-		Sleep: func(time.Duration) { slept++ },
-	})
-	if err == nil {
-		t.Fatal("dial to dead address must fail")
-	}
-	if slept != 2 {
-		t.Fatalf("slept %d times, want 2", slept)
 	}
 }

@@ -17,10 +17,10 @@ import (
 // after TestPipelineDigestGolden's run, followed by each engine's
 // Processed/Outliers.
 var pipelineGolden = map[string]string{
-	"d16-batch0":   "221dac871c7187096820e9123ad044f832b6c2039adc0d3fd0a1fe242c4ed224 488/9 497/16 520/14 495/9",
-	"d16-batch64":  "7cb9ddc6e294aa67137e8f27fdb57f7235e5e485684f934482828d58f0726cd2 656/18 192/5 512/11 640/18",
-	"d400-batch0":  "13185a8db2d6683074ad1a1d225dc71c7203487abb2817047b90040452f71e2c 488/8 497/8 520/10 495/9",
-	"d400-batch64": "b5ea00a433ca7dfc495663a3cea01c93f79663d48cd9510c8cdd0970fb3c599d 656/10 192/5 512/7 640/11",
+	"d16-batch0":   "29de5669b04a3100ac8d06a4bbdb32baf708a7201c3c27149af061cfc8760ac6 488/9 497/16 520/14 495/9",
+	"d16-batch64":  "31330ac9eeb74c2446aba59403ef6af40ef31889f1545f66056c6f3521709593 656/18 192/5 512/11 640/18",
+	"d400-batch0":  "6efa6a187f14b87594d5e0acaf08518527733a0191815774391ad4dc6454fc24 488/8 497/8 520/10 495/9",
+	"d400-batch64": "8230bc721d1c7eb0e936273b1d822eb2048189b5bd09855f6c19b615f7f679fc 656/10 192/5 512/7 640/11",
 }
 
 // TestPipelineDigestGolden is the pipeline counterpart of core's
