@@ -1,7 +1,7 @@
 GO ?= go
 FUZZTIME ?= 10s
 
-.PHONY: build test test-portable test-wire test-race fuzz-short fuzz-race bench bench-width perf obs-check lint lint-json loc check
+.PHONY: build test test-portable test-wire test-race fuzz-short fuzz-race bench bench-width bench-kernels perf obs-check lint lint-json loc check
 
 build:
 	$(GO) build ./...
@@ -48,9 +48,9 @@ lint-json:
 	$(GO) run ./cmd/streamvet -json ./... > $(STREAMVET_JSON)
 	@echo "lint-json: wrote $(STREAMVET_JSON)"
 
-# Tier 1, portable path: the mat kernels have SSE2 assembly on amd64 and run
-# their Go reference loops everywhere else. The 386 run (native on an x86-64
-# Linux host) puts the Go loops under the kernel, eigensolver and engine
+# Tier 1, portable path: the mat kernels have AVX2 assembly on amd64 and run
+# their Go reference loops everywhere else and on amd64 CPUs without AVX2
+# (one path, chosen at init). The 386 run (native on an x86-64 Linux host) puts the Go loops under the kernel, eigensolver and engine
 # suites, including the golden engine digests both paths must hit; the arm64
 # vet compiles the generic kernel file and checks it without running it.
 test-portable:
@@ -112,6 +112,11 @@ bench-width:
 	@for i in 1 2 3 4 5 6 7 8; do \
 		$(GO) test -run '^$$' -bench 'BenchmarkObserveBlock/d-[0-9]+/c-' -cpu 1 -count 1 . | grep ns/row; \
 	done
+
+# Per-kernel timings of internal/mat's d-long entries (BenchmarkKernels) at
+# d = 16, 400 and 1000 on one core, eight counts for medians.
+bench-kernels:
+	$(GO) test -run '^$$' -bench '^BenchmarkKernels$$' -cpu 1 -count 8 ./internal/mat
 
 # Performance claims rest on the repo benchmark (BENCHMARK.json, benchmark/
 # — see benchmark/README.md), not on the microbenchmarks above. Produce two

@@ -118,7 +118,9 @@ func mulPanel2x4(dst, a, b, y *Dense, kk, i, j0, j1 int) {
 		if v0 == 0 && v1 == 0 {
 			continue
 		}
-		panel2x1(c0, c1, v0, v1, stackRow(b, y, k, j0, j1)[:w])
+		bk := stackRow(b, y, k, j0, j1)[:w]
+		panel1x1(c0, v0, bk)
+		panel1x1(c1, v1, bk)
 	}
 }
 
@@ -137,7 +139,9 @@ func mulPanel1x4(dst, a, b, y *Dense, kk, i, j0, j1 int) {
 			stackRow(b, y, k+2, j0, j1)[:w], stackRow(b, y, k+3, j0, j1)[:w])
 	}
 	for ; k < kk; k++ {
-		Axpy(a0[k], stackRow(b, y, k, j0, j1), c0)
+		if v := a0[k]; v != 0 {
+			panel1x1(c0, v, stackRow(b, y, k, j0, j1)[:w])
+		}
 	}
 }
 
@@ -158,18 +162,6 @@ func panel2x4Go(c0, c1, v0, v1, bk0, bk1, bk2, bk3 []float64) {
 	}
 }
 
-// panel2x1Go is mulPanel2x4's single-step loop for the last kk%4 steps:
-// c0[j] += v0·bk[j] and c1[j] += v1·bk[j] over the len(bk) columns.
-//
-//streampca:noalloc
-func panel2x1Go(c0, c1 []float64, v0, v1 float64, bk []float64) {
-	c0, c1 = c0[:len(bk)], c1[:len(bk)]
-	for j, bv := range bk {
-		c0[j] += v0 * bv
-		c1[j] += v1 * bv
-	}
-}
-
 // panel1x4Go is panel2x4Go for mulPanel1x4's lone row.
 //
 //streampca:noalloc
@@ -179,6 +171,17 @@ func panel1x4Go(c0, v, bk0, bk1, bk2, bk3 []float64) {
 	v0, v1, v2, v3 := v[0], v[1], v[2], v[3]
 	for j, b0 := range bk0 {
 		c0[j] += v0*b0 + v1*bk1[j] + v2*bk2[j] + v3*bk3[j]
+	}
+}
+
+// panel1x1Go is one destination row's single step, for the last kk%4 steps
+// of both panels: c0[j] += v·bk[j] over the len(bk) columns, as Axpy does.
+//
+//streampca:noalloc
+func panel1x1Go(c0 []float64, v float64, bk []float64) {
+	c0 = c0[:len(bk)]
+	for j, bv := range bk {
+		c0[j] += v * bv
 	}
 }
 
@@ -267,11 +270,11 @@ func mulBTBlocked(dst, a, b *Dense) {
 }
 
 // eigToMulAdd is E in BlockSize's cost model: the cost of one n³ unit of the
-// (k+c)-sized tridiagonal eigensolve in SSE2 multiply-adds. It is a constant,
+// (k+c)-sized eigensolve in d-long kernel multiply-adds. It is a constant,
 // not a measurement, because the chunk width reaches the engine's output (the
 // rank-c fold rounds differently at each width) and so must be the same on
 // every machine and in every process of a run. 4 is the least-squares fit
-// (4.1) of the model below to the committed sweep (`make bench-width`, DESIGN
+// (4.1) of the model below to the two-lane sweep (`make bench-width`, DESIGN
 // "Chunk-width cost model"). Wire lanes are sized in bytes, so the width
 // changes only the engine's fold.
 const eigToMulAdd = 4
@@ -284,7 +287,7 @@ const eigToMulAdd = 4
 //	E·(k+c)³/c        the (k+c)-sized eigensolve, amortized over c
 //
 // in multiply-adds, with E the eigensolver/multiply-add cost ratio
-// (eigToMulAdd). Both d-long kernels run on the component-major rows in SSE2
+// (eigToMulAdd). Both d-long kernels run on the component-major rows in SIMD
 // and retire multiply-adds at about the same rate: a free fit of their two
 // weights to the sweep put SyrkRows at 0.51–0.62 of the rebuild's, against
 // the ½ its triangle counts, so each term is its plain count. The d·(k+2)

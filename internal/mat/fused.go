@@ -9,7 +9,7 @@ package mat
 // CenterProject is the per-row pass of the engine: y = x − mean and ‖y‖² in
 // one sweep, then coef[j] = y·basis[j,:] for the k×d component-major basis,
 // each with [even, odd] split accumulators and several components per sweep
-// over y (two in Go, four on amd64). It returns ‖y‖²; y and coef are
+// over y (two in Go, five with AVX2). It returns ‖y‖²; y and coef are
 // overwritten. A NaN or ±Inf in x surfaces in the result.
 //
 //streampca:noalloc

@@ -6,9 +6,7 @@ package mat
 
 func dot(x, y []float64) float64 { return dotGo(x, y) }
 
-func lerp(dst []float64, a float64, x []float64, b float64, y []float64) {
-	lerpGo(dst, a, x, b, y)
-}
+func lerp(dst []float64, a float64, x []float64, b float64, y []float64) { lerpGo(dst, a, x, b, y) }
 
 func centerProject(y, coef, x, mean, bd []float64) float64 {
 	return centerProjectGo(y, coef, x, mean, bd)
@@ -20,8 +18,10 @@ func panel2x4(c0, c1, v0, v1, bk0, bk1, bk2, bk3 []float64) {
 	panel2x4Go(c0, c1, v0, v1, bk0, bk1, bk2, bk3)
 }
 
-func panel2x1(c0, c1 []float64, v0, v1 float64, bk []float64) {
-	panel2x1Go(c0, c1, v0, v1, bk)
-}
-
 func panel1x4(c0, v, bk0, bk1, bk2, bk3 []float64) { panel1x4Go(c0, v, bk0, bk1, bk2, bk3) }
+
+func panel1x1(c0 []float64, v float64, bk []float64) { panel1x1Go(c0, v, bk) }
+
+func allFinite(x []float64) bool { return allFiniteGo(x) }
+
+func copyFinite(dst, src []float64) bool { return copyFiniteGo(dst, src) }

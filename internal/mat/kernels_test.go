@@ -2,6 +2,7 @@ package mat
 
 import (
 	"encoding/binary"
+	"fmt"
 	"math"
 	"math/rand/v2"
 	"testing"
@@ -116,13 +117,22 @@ func checkKernels(t *testing.T, next kernelInput, n, off int) {
 	panel2x4Go(c0w, c1w, v0, v1, bk[0], bk[1], bk[2], bk[3])
 	sameBits(t, "panel2x4 c0", c0g, c0w)
 	sameBits(t, "panel2x4 c1", c1g, c1w)
-	panel2x1(c0g, c1g, v0[0], v1[0], bk[0])
-	panel2x1Go(c0w, c1w, v0[0], v1[0], bk[0])
-	sameBits(t, "panel2x1 c0", c0g, c0w)
-	sameBits(t, "panel2x1 c1", c1g, c1w)
 	panel1x4(c0g, v0, bk[0], bk[1], bk[2], bk[3])
 	panel1x4Go(c0w, v0, bk[0], bk[1], bk[2], bk[3])
 	sameBits(t, "panel1x4", c0g, c0w)
+	panel1x1(c0g, v1[0], bk[1])
+	panel1x1Go(c0w, v1[0], bk[1])
+	sameBits(t, "panel1x1", c0g, c0w)
+
+	if got, want := allFinite(x), allFiniteGo(x); got != want {
+		t.Fatalf("allFinite = %v, Go reference %v", got, want)
+	}
+	got, want = next.vec(n, off), make([]float64, n)
+	if f, fw := copyFinite(got, y), copyFiniteGo(want, y); f != fw {
+		t.Fatalf("copyFinite = %v, Go reference %v", f, fw)
+	}
+	sameBits(t, "copyFinite", got, want)
+	sameBits(t, "copyFinite src", got, y)
 }
 
 // TestKernelsMatchGoReference holds each kernel entry (assembly on amd64) to
@@ -166,6 +176,10 @@ func FuzzKernelsMatchGoReference(f *testing.F) {
 		varied = binary.LittleEndian.AppendUint64(varied, math.Float64bits(rng.NormFloat64()))
 	}
 	f.Add(varied, uint16(403), uint8(3))
+	// Lengths that leave 1, 2 and 3 elements after the 4-wide steps.
+	for _, n := range []uint16{9, 18, 403} {
+		f.Add(varied[8:], n, uint8(1))
+	}
 	f.Fuzz(func(t *testing.T, data []byte, n uint16, off uint8) {
 		vals := make([]float64, len(data)/8)
 		for i := range vals {
@@ -182,3 +196,36 @@ func FuzzKernelsMatchGoReference(f *testing.F) {
 		checkKernels(t, next, int(n%1100), int(off%4))
 	})
 }
+
+// BenchmarkKernels times each d-long entry on one goroutine, at the engine's
+// k = 5 and the chunk widths MulStack runs (c = 1 is the rank-one rebuild,
+// 6 the pick at d = 400 and 1000, 11 a wide chunk). `make bench-kernels`
+// runs it at -cpu 1 with eight counts.
+func BenchmarkKernels(b *testing.B) {
+	const k = 5
+	rng := rand.New(rand.NewPCG(11, 13))
+	for _, d := range []int{16, 400, 1000} {
+		x, y := randVec(rng, d), randVec(rng, d)
+		mean, dst := randVec(rng, d), make([]float64, d)
+		basis, coef := randDense(rng, k, d), make([]float64, k)
+		run := func(name string, f func()) {
+			b.Run(fmt.Sprintf("%s/d-%d", name, d), func(b *testing.B) {
+				for range b.N {
+					f()
+				}
+			})
+		}
+		run("CenterProject", func() { CenterProject(dst, coef, x, mean, basis) })
+		for _, c := range []int{1, 6, 11} {
+			a, ys, out := randDense(rng, k, k+c), randDense(rng, c, d), NewDense(k, d)
+			run(fmt.Sprintf("MulStack/c-%d", c), func() { MulStack(out, a, basis, ys, c) })
+		}
+		rows, gram := randDense(rng, 6, d), NewDense(6, 6)
+		run("SyrkRows/c-6", func() { SyrkRows(gram, rows, 6) })
+		run("Lerp", func() { Lerp(dst, 0.25, x, 0.75, y) })
+		run("AllFinite", func() { kernelSink = AllFinite(x) })
+		run("CopyFinite", func() { kernelSink = CopyFinite(dst, x) })
+	}
+}
+
+var kernelSink bool

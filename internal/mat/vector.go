@@ -39,9 +39,26 @@ func dotGo(x, y []float64) float64 {
 }
 
 // AllFinite reports whether x holds no NaN or ±Inf, in one pass without a
-// branch per element: x·0 is ±0 for a finite x and NaN otherwise, summed in
-// four chains.
-func AllFinite(x []float64) bool {
+// branch per element: x·0 is ±0 for a finite x and NaN otherwise.
+func AllFinite(x []float64) bool { return allFinite(x) }
+
+// CopyFinite copies src into dst and reports whether src holds no NaN or
+// ±Inf, reading src once. It panics if the lengths differ.
+func CopyFinite(dst, src []float64) bool {
+	if len(dst) != len(src) {
+		panic("mat: CopyFinite length mismatch")
+	}
+	return copyFinite(dst, src)
+}
+
+// copyFiniteGo is CopyFinite's reference: a copy, then allFiniteGo.
+func copyFiniteGo(dst, src []float64) bool {
+	copy(dst, src)
+	return allFiniteGo(dst)
+}
+
+// allFiniteGo is AllFinite's reference: the x·0 values summed in four chains.
+func allFiniteGo(x []float64) bool {
 	var s0, s1, s2, s3 float64
 	i := 0
 	for ; i+3 < len(x); i += 4 {
