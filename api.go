@@ -75,8 +75,6 @@ type (
 	Rho = robust.Rho
 	// Bisquare is Tukey's biweight, the default loss.
 	Bisquare = robust.Bisquare
-	// BoundedHuber is a smoothly bounded alternative loss.
-	BoundedHuber = robust.BoundedHuber
 	// Classic is the identity-weight loss that recovers classical PCA.
 	Classic = robust.Classic
 )

@@ -167,32 +167,3 @@ func TestEndToEndPeerToPeerSync(t *testing.T) {
 		t.Fatalf("affinity = %v", aff)
 	}
 }
-
-// TestEndToEndTimeWindowedMonitoring drives the time-based window API the
-// way the cluster-health scenario would: bursty telemetry with silent gaps.
-func TestEndToEndTimeWindowedMonitoring(t *testing.T) {
-	gen, err := streampca.NewSignalGenerator(streampca.SignalConfig{Dim: 40, Signals: 3, Seed: 33})
-	if err != nil {
-		t.Fatal(err)
-	}
-	en, err := streampca.NewEngine(streampca.Config{
-		Dim: 40, Components: 3, TimeWindow: 5 * time.Minute,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	now := time.Unix(2e9, 0)
-	for burst := 0; burst < 20; burst++ {
-		for i := 0; i < 150; i++ {
-			x, _ := gen.Next()
-			now = now.Add(200 * time.Millisecond)
-			if _, err := en.ObserveAt(x, now); err != nil {
-				t.Fatal(err)
-			}
-		}
-		now = now.Add(2 * time.Minute) // silence between bursts
-	}
-	if aff := en.Eigensystem().SubspaceAffinity(gen.TrueBasis()); aff < 0.95 {
-		t.Fatalf("time-windowed affinity = %v", aff)
-	}
-}

@@ -69,7 +69,7 @@ func (en *Engine) ObserveBlockMasked(xs [][]float64, masks [][]bool, out []Updat
 			if masks != nil {
 				cm = masks[i : i+c]
 			}
-			out, err = en.observeChunk(xs[i:i+c], cm, out, en.cfg.Alpha)
+			out, err = en.observeChunk(xs[i:i+c], cm, out)
 			if err != nil && firstErr == nil {
 				firstErr = err
 			}
@@ -99,8 +99,8 @@ func (en *Engine) ObserveBlockMasked(xs [][]float64, masks [][]bool, out []Updat
 
 // observeChunk folds 1 ≤ len(xs) ≤ en.blockC length-checked observations
 // (masks nil, or one possibly-nil mask per row) into the engine with one
-// deferred rank-c eigensystem rebuild, decaying the running sums by alpha per
-// row (Config.Alpha, or ObserveAt's exp(−Δt/τ)). It is the engine's one
+// deferred rank-c eigensystem rebuild, decaying the running sums by
+// Config.Alpha per row. It is the engine's one
 // implementation of the robust update of §II (eqs. 9–14); Observe and its
 // kin run it on a chunk of one. Every scalar recursion — weights, M-scale,
 // rescue, mean, running sums — runs exactly per row; only the covariance
@@ -119,7 +119,7 @@ func (en *Engine) ObserveBlockMasked(xs [][]float64, masks [][]bool, out []Updat
 // after the chunk completes.
 //
 //streampca:noalloc
-func (en *Engine) observeChunk(xs [][]float64, masks [][]bool, out []Update, alpha float64) ([]Update, error) {
+func (en *Engine) observeChunk(xs [][]float64, masks [][]bool, out []Update) ([]Update, error) {
 	st := &en.state
 	cfg := &en.cfg
 	ws := en.ws
@@ -174,8 +174,8 @@ func (en *Engine) observeChunk(xs [][]float64, masks [][]bool, out []Update, alp
 		w := cfg.Rho.W(t)
 		wstar := cfg.Rho.WStar(t)
 
-		uNew := alpha*st.SumU + 1
-		gamma3 := alpha * st.SumU / uNew
+		uNew := cfg.Alpha*st.SumU + 1
+		gamma3 := cfg.Alpha * st.SumU / uNew
 		sigma2New := gamma3*st.Sigma2 + (1-gamma3)*wstar*r2/cfg.Delta
 		if sigma2New < en.minSigma2 {
 			sigma2New = en.minSigma2
@@ -195,15 +195,15 @@ func (en *Engine) observeChunk(xs [][]float64, masks [][]bool, out []Update, alp
 			en.zeroStreak = 0
 		}
 
-		vNew := alpha*st.SumV + w
+		vNew := cfg.Alpha*st.SumV + w
 		if vNew > 0 {
-			gamma1 := alpha * st.SumV / vNew
+			gamma1 := cfg.Alpha * st.SumV / vNew
 			mat.Lerp(st.Mean, gamma1, st.Mean, 1-gamma1, row)
 		}
 
-		qNew := alpha*st.SumQ + w*r2
+		qNew := cfg.Alpha*st.SumQ + w*r2
 		if qNew > 0 && w > 0 {
-			gamma2 := alpha * st.SumQ / qNew
+			gamma2 := cfg.Alpha * st.SumQ / qNew
 			g *= gamma2
 			for m := 0; m < nf; m++ {
 				bv[m] *= gamma2

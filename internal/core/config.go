@@ -16,7 +16,6 @@ package core
 import (
 	"errors"
 	"fmt"
-	"time"
 
 	"streampca/internal/robust"
 )
@@ -42,12 +41,6 @@ type Config struct {
 	// the classic infinite-memory estimator; α = 1 − 1/N gives an effective
 	// exponential window of N observations. Default 1.
 	Alpha float64
-
-	// TimeWindow, when positive, enables time-based forgetting through
-	// ObserveAt/ObserveMaskedAt: the running sums decay by exp(−Δt/TimeWindow)
-	// per wall-clock gap instead of by α per observation (§II-B's
-	// "time-based windows"). Observe/ObserveMasked keep using Alpha.
-	TimeWindow time.Duration
 
 	// Delta is the M-scale breakdown parameter δ of eq. (5). Default 0.5.
 	Delta float64
@@ -111,9 +104,6 @@ func (c *Config) Validate() error {
 	}
 	if c.Alpha <= 0 || c.Alpha > 1 {
 		return fmt.Errorf("core: Alpha must lie in (0,1], got %v", c.Alpha)
-	}
-	if c.TimeWindow < 0 {
-		return fmt.Errorf("core: TimeWindow must be non-negative, got %v", c.TimeWindow)
 	}
 	if c.Delta == 0 {
 		if _, classic := c.Rho.(robust.Classic); classic {

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math"
 	"sort"
-	"time"
 
 	"streampca/internal/eig"
 	"streampca/internal/mat"
@@ -72,9 +71,6 @@ type Engine struct {
 	// disableWarmupRefine is a test hook for A/B-ing the gappy warm-up
 	// refinement.
 	disableWarmupRefine bool
-
-	// time-based window state (Config.TimeWindow)
-	lastObserved time.Time
 
 	// scale-collapse rescue state (see Config.RescueStreak)
 	zeroStreak int
@@ -224,29 +220,23 @@ func validateObservation(x []float64, dim int) error {
 // values; use ObserveMasked (or ObserveAuto) for gappy data.
 //
 //streampca:noalloc
-func (en *Engine) Observe(x []float64) (Update, error) { return en.observe(x, en.cfg.Alpha) }
-
-// observe is Observe with an explicit one-step decay factor: Config.Alpha,
-// or ObserveAt's exp(−Δt/τ).
-//
-//streampca:noalloc
-func (en *Engine) observe(x []float64, alpha float64) (Update, error) {
+func (en *Engine) Observe(x []float64) (Update, error) {
 	if err := validateObservation(x, en.cfg.Dim); err != nil {
 		return Update{}, err
 	}
 	if !en.ready {
 		return en.bufferWarmupMasked(x, nil)
 	}
-	return en.observeOne(x, nil, alpha)
+	return en.observeOne(x, nil)
 }
 
 // observeOne absorbs one row (mask nil when complete) into a ready engine as
 // a chunk of one, on the stack; its one append, if any, lands in ub.
 //
 //streampca:noalloc
-func (en *Engine) observeOne(x []float64, mask []bool, alpha float64) (Update, error) {
+func (en *Engine) observeOne(x []float64, mask []bool) (Update, error) {
 	xs, ms, ub := [1][]float64{x}, [1][]bool{mask}, [1]Update{}
-	_, err := en.observeChunk(xs[:], ms[:], ub[:0], alpha)
+	_, err := en.observeChunk(xs[:], ms[:], ub[:0])
 	return ub[0], err
 }
 

@@ -36,12 +36,6 @@ var (
 // the per-bin running mean of the observed values so the initial batch
 // decomposition stays unbiased in location.
 func (en *Engine) ObserveMasked(x []float64, mask []bool) (Update, error) {
-	return en.observeMasked(x, mask, en.cfg.Alpha)
-}
-
-// observeMasked is ObserveMasked with an explicit one-step decay factor, as
-// observe is Observe's.
-func (en *Engine) observeMasked(x []float64, mask []bool, alpha float64) (Update, error) {
 	d := en.cfg.Dim
 	if len(x) != d || len(mask) != d {
 		return Update{}, fmt.Errorf("core: masked observation length %d/%d, want %d", len(x), len(mask), d)
@@ -60,7 +54,7 @@ func (en *Engine) observeMasked(x []float64, mask []bool, alpha float64) (Update
 	case nObs == 0:
 		return Update{}, errAllMasked
 	case nObs == d:
-		return en.observe(x, alpha)
+		return en.Observe(x)
 	case nObs <= en.k:
 		return Update{}, errFewObserved
 	}
@@ -70,7 +64,7 @@ func (en *Engine) observeMasked(x []float64, mask []bool, alpha float64) (Update
 		u.Patched = d - nObs
 		return u, err
 	}
-	return en.observeOne(x, mask, alpha)
+	return en.observeOne(x, mask)
 }
 
 // patchProject is the center/project pass for a row that carries a mask: it

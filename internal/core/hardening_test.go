@@ -5,7 +5,6 @@ import (
 	"math"
 	"math/rand/v2"
 	"testing"
-	"time"
 
 	"streampca/internal/mat"
 	"streampca/internal/robust"
@@ -256,13 +255,11 @@ func TestOverflowingRowRejected(t *testing.T) {
 	for i := range huge {
 		huge[i], all[i] = 1e200, true
 	}
-	at := time.Unix(1e9, 0)
 	for _, tc := range []struct {
 		name    string
 		observe func(en *Engine) error
 	}{
 		{"Observe", func(en *Engine) error { _, err := en.Observe(huge); return err }},
-		{"ObserveAt", func(en *Engine) error { _, err := en.ObserveAt(huge, at); return err }},
 		{"ObserveBlock", func(en *Engine) error { _, err := en.ObserveBlock([][]float64{huge}, nil); return err }},
 		{"ObserveMasked", func(en *Engine) error { _, err := en.ObserveMasked(huge, all); return err }},
 		{"ObserveBlockMasked", func(en *Engine) error {
@@ -273,9 +270,7 @@ func TestOverflowingRowRejected(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			rng := rand.New(rand.NewPCG(509, 10))
 			m := newModel(rng, d, 2, []float64{4, 1}, 0.05)
-			cfg := testConfig(d, 2)
-			cfg.TimeWindow = time.Minute
-			en, err := NewEngine(cfg)
+			en, err := NewEngine(testConfig(d, 2))
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -6,8 +6,8 @@ package mat
 // element across two rows, while the destination panel is blocked to ncBlock
 // columns so the C segments stay L1-resident. The tile is deliberately
 // narrow — the Go compiler spills wider accumulator tiles, which costs more
-// than the saved traffic. mulRows in mul.go is the naive reference these
-// kernels are property-tested against.
+// than the saved traffic. MulStack runs the tile; the naive triple loop of
+// the tests is the reference it and mulBTBlocked are property-tested against.
 const (
 	// ncBlock bounds the destination panel width: 2 C rows + 4 B rows ×
 	// ncBlock columns ≈ 24 KiB, within L1 reach.
@@ -17,53 +17,18 @@ const (
 	blockedMinWork = 1 << 11
 )
 
-// useBlocked reports whether the blocked kernel should handle an m×kk×n
-// product.
+// useBlocked reports whether MulBT should take the tiled kernel for an
+// m×kk×n product.
 func useBlocked(m, kk, n int) bool {
 	return m >= 2 && n >= 4 && m*kk*n >= blockedMinWork
-}
-
-// mulBlocked computes rows [lo,hi) of dst = a·b with the 4-row panel kernel.
-// dst rows in [lo,hi) are fully overwritten. Semantics match mulRows.
-//
-//streampca:noalloc
-func mulBlocked(dst, a, b *Dense, lo, hi int) {
-	n := b.cols
-	kk := a.cols
-	for i := lo; i < hi; i++ {
-		ci := dst.data[i*n : (i+1)*n]
-		for j := range ci {
-			ci[j] = 0
-		}
-	}
-	for j0 := 0; j0 < n; j0 += ncBlock {
-		j1 := j0 + ncBlock
-		if j1 > n {
-			j1 = n
-		}
-		i := lo
-		for ; i+1 < hi; i += 2 {
-			mulPanel2x4(dst, a, b, b, kk, i, j0, j1)
-		}
-		for ; i < hi; i++ {
-			ci := dst.data[i*n+j0 : i*n+j1]
-			ai := a.data[i*kk : (i+1)*kk]
-			for k, aik := range ai {
-				if aik == 0 {
-					continue
-				}
-				Axpy(aik, b.data[k*n+j0:k*n+j1], ci)
-			}
-		}
-	}
 }
 
 // MulStack computes dst = A·S over the stacked operand S = [b; y[:r]] — the
 // b.rows rows of b followed by the first r rows of y — reading the leading
 // b.rows+r columns of a, without materializing S. dst is m×n, a is
 // m×(≥ b.rows+r), b and y have n columns. It is the component-major basis
-// rebuild B_new = Mᵀ·B + Wᵀ·Y with a = [Mᵀ | Wᵀ]: the 2×4 register tile of
-// Mul, run along the n-long basis rows. It performs no heap allocations.
+// rebuild B_new = Mᵀ·B + Wᵀ·Y with a = [Mᵀ | Wᵀ]: the 2×4 register tile,
+// run along the n-long basis rows. It performs no heap allocations.
 //
 //streampca:noalloc
 func MulStack(dst, a, b, y *Dense, r int) {
@@ -182,47 +147,6 @@ func panel1x1Go(c0 []float64, v float64, bk []float64) {
 	c0 = c0[:len(bk)]
 	for j, bv := range bk {
 		c0[j] += v * bv
-	}
-}
-
-// mulTABlocked computes dst = aᵀ·b (a is r×m, b is r×n, dst m×n) without
-// materializing the transpose: a 4-way unrolled rank-1 accumulation that
-// keeps four streaming B rows live per pass over the destination.
-//
-//streampca:noalloc
-func mulTABlocked(dst, a, b *Dense) {
-	m, n, r := a.cols, b.cols, a.rows
-	dst.Zero()
-	k := 0
-	for ; k+3 < r; k += 4 {
-		ak0 := a.data[k*m : (k+1)*m]
-		ak1 := a.data[(k+1)*m : (k+2)*m]
-		ak2 := a.data[(k+2)*m : (k+3)*m]
-		ak3 := a.data[(k+3)*m : (k+4)*m]
-		bk0 := b.data[k*n : (k+1)*n]
-		bk1 := b.data[(k+1)*n : (k+2)*n]
-		bk2 := b.data[(k+2)*n : (k+3)*n]
-		bk3 := b.data[(k+3)*n : (k+4)*n]
-		for i := 0; i < m; i++ {
-			v0, v1, v2, v3 := ak0[i], ak1[i], ak2[i], ak3[i]
-			if v0 == 0 && v1 == 0 && v2 == 0 && v3 == 0 {
-				continue
-			}
-			di := dst.data[i*n : (i+1)*n]
-			for j, d := range di {
-				di[j] = d + v0*bk0[j] + v1*bk1[j] + v2*bk2[j] + v3*bk3[j]
-			}
-		}
-	}
-	for ; k < r; k++ {
-		ak := a.data[k*m : (k+1)*m]
-		bk := b.data[k*n : (k+1)*n]
-		for i, aki := range ak {
-			if aki == 0 {
-				continue
-			}
-			Axpy(aki, bk, dst.data[i*n:(i+1)*n])
-		}
 	}
 }
 

@@ -23,8 +23,8 @@ var kernelShapes = []struct{ m, k, n int }{
 	{50, 6, 6}, // the engine's d×(k+1)·(k+1) SVD shape
 }
 
-// TestBlockedMulMatchesNaive asserts the blocked GEMM agrees with the naive
-// triple loop to 1e-12 over fixed edge shapes and randomized shapes.
+// TestBlockedMulMatchesNaive asserts Mul agrees with the naive triple loop to
+// 1e-12 over fixed edge shapes and randomized shapes.
 func TestBlockedMulMatchesNaive(t *testing.T) {
 	rng := rand.New(rand.NewPCG(101, 1))
 	check := func(m, k, n int) {
@@ -33,16 +33,6 @@ func TestBlockedMulMatchesNaive(t *testing.T) {
 		b := randDense(rng, k, n)
 		want := naiveMul(a, b)
 
-		got := NewDense(m, n)
-		mulBlocked(got, a, b, 0, m)
-		if !got.EqualApprox(want, 1e-12) {
-			t.Fatalf("mulBlocked mismatch at %dx%dx%d", m, k, n)
-		}
-		ref := NewDense(m, n)
-		mulRows(ref, a, b, 0, m)
-		if !ref.EqualApprox(want, 1e-12) {
-			t.Fatalf("mulRows reference mismatch at %dx%dx%d", m, k, n)
-		}
 		if !Mul(nil, a, b).EqualApprox(want, 1e-12) {
 			t.Fatalf("Mul mismatch at %dx%dx%d", m, k, n)
 		}
@@ -55,25 +45,7 @@ func TestBlockedMulMatchesNaive(t *testing.T) {
 	}
 }
 
-// TestBlockedMulPartialRows asserts the row-ranged blocked kernel fills
-// exactly its assigned rows.
-func TestBlockedMulPartialRows(t *testing.T) {
-	rng := rand.New(rand.NewPCG(101, 2))
-	a := randDense(rng, 23, 11)
-	b := randDense(rng, 11, 9)
-	want := naiveMul(a, b)
-	got := NewDense(23, 9)
-	for _, cut := range []int{0, 3, 4, 11, 20, 23} {
-		got.Zero()
-		mulBlocked(got, a, b, 0, cut)
-		mulBlocked(got, a, b, cut, 23)
-		if !got.EqualApprox(want, 1e-12) {
-			t.Fatalf("partitioned mulBlocked mismatch at cut %d", cut)
-		}
-	}
-}
-
-// TestBlockedTransposeKernels asserts the transpose-aware blocked kernels
+// TestBlockedTransposeKernels asserts MulTA, MulBT and MulBT's tiled kernel
 // match products computed through explicit transposes.
 func TestBlockedTransposeKernels(t *testing.T) {
 	rng := rand.New(rand.NewPCG(101, 3))
@@ -87,11 +59,6 @@ func TestBlockedTransposeKernels(t *testing.T) {
 		want := naiveMul(a.T(), b)
 		if got := MulTA(nil, a, b); !got.EqualApprox(want, 1e-11) {
 			t.Fatalf("MulTA mismatch at r=%d m=%d n=%d", r, m, n)
-		}
-		gotS := NewDense(m, n)
-		mulTABlocked(gotS, a, b)
-		if !gotS.EqualApprox(want, 1e-11) {
-			t.Fatalf("mulTABlocked mismatch at r=%d m=%d n=%d", r, m, n)
 		}
 
 		c := randDense(rng, m, r)
@@ -133,27 +100,4 @@ func TestMulZeroAllocs(t *testing.T) {
 	if n := testing.AllocsPerRun(50, func() { Mul(sdst, small, small) }); n != 0 {
 		t.Fatalf("small Mul with dst allocated %v times per run", n)
 	}
-}
-
-func BenchmarkMulBlocked(b *testing.B) {
-	rng := rand.New(rand.NewPCG(101, 6))
-	for _, n := range []int{64, 256} {
-		a := randDense(rng, n, n)
-		c := randDense(rng, n, n)
-		dst := NewDense(n, n)
-		b.Run(sizeName("blocked", n), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				mulBlocked(dst, a, c, 0, n)
-			}
-		})
-		b.Run(sizeName("naive", n), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				mulRows(dst, a, c, 0, n)
-			}
-		})
-	}
-}
-
-func sizeName(kind string, n int) string {
-	return kind + "-" + string(rune('0'+n/100)) + string(rune('0'+(n/10)%10)) + string(rune('0'+n%10))
 }

@@ -2,26 +2,16 @@ package mat
 
 // Mul computes C = A·B and returns C. If dst is non-nil it is used as C and
 // must have shape A.Rows()×B.Cols(); dst must not alias A or B. With a
-// provided dst, Mul performs no heap allocations. Large products go through
-// the cache-blocked 4×4 register-tiled kernel; tiny ones use the naive loop.
+// provided dst, Mul performs no heap allocations.
 func Mul(dst, a, b *Dense) *Dense {
 	if a.cols != b.rows {
 		panic("mat: Mul inner dimension mismatch")
 	}
 	dst = prepDst(dst, a.rows, b.cols)
-	if useBlocked(a.rows, a.cols, b.cols) {
-		mulBlocked(dst, a, b, 0, a.rows)
-	} else {
-		mulRows(dst, a, b, 0, a.rows)
-	}
-	return dst
-}
-
-// mulRows computes rows [lo,hi) of dst = a·b with an ikj loop order that
-// streams through b row-wise (cache friendly for row-major storage).
-func mulRows(dst, a, b *Dense, lo, hi int) {
+	// ikj loop order: streams through b row-wise (cache friendly for
+	// row-major storage).
 	n := b.cols
-	for i := lo; i < hi; i++ {
+	for i := 0; i < a.rows; i++ {
 		ci := dst.data[i*n : (i+1)*n]
 		for j := range ci {
 			ci[j] = 0
@@ -35,6 +25,7 @@ func mulRows(dst, a, b *Dense, lo, hi int) {
 			Axpy(aik, bk, ci)
 		}
 	}
+	return dst
 }
 
 // MulTA computes C = Aᵀ·B without materializing Aᵀ. A is r×m, B is r×n,
@@ -44,10 +35,6 @@ func MulTA(dst, a, b *Dense) *Dense {
 		panic("mat: MulTA row mismatch")
 	}
 	dst = prepDst(dst, a.cols, b.cols)
-	if useBlocked(a.cols, a.rows, b.cols) {
-		mulTABlocked(dst, a, b)
-		return dst
-	}
 	dst.Zero()
 	n := b.cols
 	for k := 0; k < a.rows; k++ {

@@ -26,9 +26,9 @@ func SyrkRows(dst, a *Dense, r int) {
 
 // AddMulTARows accumulates dst += Aᵀ·B using only the first r rows of a and b:
 // a is (≥r)×m, b is (≥r)×n, dst is m×n. The reduction over rows is 4-way
-// unrolled like mulTABlocked, keeping four streaming B rows live per pass over
-// the destination. No engine path calls it; the repo benchmark times it in
-// isolation (mat.addmulta_rows_us.*). It performs no heap allocations.
+// unrolled, keeping four streaming B rows live per pass over the destination.
+// No engine path calls it; the repo benchmark times it in isolation
+// (mat.addmulta_rows_us.*). It performs no heap allocations.
 //
 //streampca:noalloc
 func AddMulTARows(dst, a, b *Dense, r int) {

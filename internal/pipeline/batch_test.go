@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"streampca/internal/spectra"
-	"streampca/internal/stream"
 	"streampca/internal/syncctl"
 )
 
@@ -141,12 +140,11 @@ func TestBatchedPipelineGappySpectra(t *testing.T) {
 }
 
 // TestBatchedGappyProcessedMatchesUnbatched pins drop accounting on the
-// gappy block path: the same stream — gappy spectra with unusable rows planted
-// in it — reports the same Processed per engine batched and unbatched. The
-// split is round-robin (tuples unbatched, whole frames batched) with frames
-// that never close on the deadline, and the unusable rows sit where both
-// routings agree on the engine (i%2 == (i/batch)%2), so the per-engine counts
-// are comparable at all.
+// gappy block path: the same stream — gappy spectra with one unusable row
+// planted in every batch — reports the same Processed, summed over the
+// engines, batched and unbatched, with frames that never close on the
+// deadline. The random split routes tuples and whole frames to different
+// engines, so only the sum is comparable.
 func TestBatchedGappyProcessedMatchesUnbatched(t *testing.T) {
 	const (
 		n     = 8192
@@ -184,7 +182,7 @@ func TestBatchedGappyProcessedMatchesUnbatched(t *testing.T) {
 		cfg.Extra = 2
 		res, err := Run(context.Background(), Config{
 			Engine: cfg, NumEngines: 2, Source: src, Batch: b,
-			Split: stream.SplitRoundRobin, Seed: 5, FlushEvery: time.Hour,
+			Seed: 5, FlushEvery: time.Hour,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -193,11 +191,15 @@ func TestBatchedGappyProcessedMatchesUnbatched(t *testing.T) {
 	}
 	plain, affPlain := run(0)
 	batched, affBatched := run(batch)
-	const want = n/2 - n/(2*batch) // each engine sees one kind of unusable row
-	for e := range plain.Engines {
-		if p, b := plain.Engines[e].Processed, batched.Engines[e].Processed; p != want || b != want {
-			t.Fatalf("engine %d processed %d unbatched, %d batched, want %d both ways", e, p, b, want)
+	const want = n - n/batch // one row in every batch is unusable
+	processed := func(res *Result) (sum int64) {
+		for _, e := range res.Engines {
+			sum += e.Processed
 		}
+		return sum
+	}
+	if p, b := processed(plain), processed(batched); p != want || b != want {
+		t.Fatalf("engines processed %d unbatched, %d batched, want %d both ways", p, b, want)
 	}
 	if affPlain < 0.85 || math.Abs(affPlain-affBatched) > 0.02 {
 		t.Fatalf("affinity %v unbatched, %v batched", affPlain, affBatched)

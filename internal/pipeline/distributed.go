@@ -45,25 +45,20 @@ type DistConfig struct {
 	Workers []string
 	// Source provides the data; required.
 	Source Source
-	// Split, Seed, SyncEvery, SyncStrategy, SyncGroupSize, SyncFactor,
-	// Batch, FlushEvery and Buffer mean exactly what they mean on Config.
-	Split         stream.SplitPolicy
-	Seed          uint64
-	SyncEvery     time.Duration
-	SyncStrategy  syncctl.Strategy
-	SyncGroupSize int
-	SyncFactor    float64
-	Batch         int
-	FlushEvery    time.Duration
-	Buffer        int
+	// Seed, SyncEvery, SyncStrategy, SyncFactor, Batch and FlushEvery mean
+	// exactly what they mean on Config.
+	Seed         uint64
+	SyncEvery    time.Duration
+	SyncStrategy syncctl.Strategy
+	SyncFactor   float64
+	Batch        int
+	FlushEvery   time.Duration
 	// BarrierEvery, when positive, weaves a checkpoint barrier into the
 	// data stream every that many tuples; the split broadcasts it to every
 	// engine, which snapshots its state on arrival.
 	BarrierEvery int64
 	// Retry is the per-edge reconnect policy (ingest defaults apply).
 	Retry ingest.RetryPolicy
-	// DialTimeout bounds one dial attempt per edge.
-	DialTimeout time.Duration
 	// Chaos maps an engine index to a connection fault plan on its edge:
 	// seeded per-message resets and dial partitions. Message-level faults
 	// stay in-process, on ChaosConfig.Edge.
@@ -186,11 +181,10 @@ func edgeOptions(p *plan, cfg *DistConfig, i, sendLane int) wire.EdgeOptions {
 	opt := wire.EdgeOptions{
 		Name: fmt.Sprintf("wire-%d", i),
 		// The coordinator's hello assigns the worker its engine index.
-		Hello:       wire.Hello{Engine: i, Dim: p.Engine.Dim, Batch: p.batch, Epoch: 1},
-		Retry:       cfg.Retry,
-		DialTimeout: cfg.DialTimeout,
-		Chaos:       cfg.Chaos[i],
-		Obs:         p.Obs,
+		Hello: wire.Hello{Engine: i, Dim: p.Engine.Dim, Batch: p.batch, Epoch: 1},
+		Retry: cfg.Retry,
+		Chaos: cfg.Chaos[i],
+		Obs:   p.Obs,
 		// The send queue is the coalescing bound; the caller matches it to
 		// the node queue so one writev can gather a full lane.
 		SendLane: sendLane,
@@ -212,10 +206,8 @@ func RunCoordinator(ctx context.Context, cfg DistConfig) (*Result, error) {
 	}
 	p, err := newPlan(Config{
 		Engine: cfg.Engine, NumEngines: n, Source: cfg.Source,
-		Split: cfg.Split, Seed: cfg.Seed,
-		SyncEvery: cfg.SyncEvery, SyncStrategy: cfg.SyncStrategy,
-		SyncGroupSize: cfg.SyncGroupSize, SyncFactor: cfg.SyncFactor,
-		Batch: cfg.Batch, FlushEvery: cfg.FlushEvery, Buffer: cfg.Buffer,
+		Seed: cfg.Seed, SyncEvery: cfg.SyncEvery, SyncStrategy: cfg.SyncStrategy,
+		SyncFactor: cfg.SyncFactor, Batch: cfg.Batch, FlushEvery: cfg.FlushEvery,
 		Obs: cfg.Obs,
 	})
 	if err != nil {
@@ -301,8 +293,6 @@ type WorkerConfig struct {
 	// Batch sizes the receive pool in rows per frame, floored at 1: frames
 	// of up to Batch rows decode into recycled storage, larger ones allocate.
 	Batch int
-	// Buffer is the per-node channel buffer (default 64).
-	Buffer int
 	// Retry is the edge reconnect policy.
 	Retry ingest.RetryPolicy
 	// Obs, when non-nil, instruments the worker graph and engine.
@@ -416,9 +406,6 @@ func ServeWorkerSession(ctx context.Context, ln *wire.Listener, cfg WorkerConfig
 	if cfg.SyncFactor == 0 {
 		cfg.SyncFactor = 1.5
 	}
-	if cfg.Buffer <= 0 {
-		cfg.Buffer = 64
-	}
 
 	edge := ln.Edge()
 	defer edge.Close()
@@ -463,7 +450,7 @@ func ServeWorkerSession(ctx context.Context, ln *wire.Listener, cfg WorkerConfig
 		}
 	}
 	src := g.AddSource("wire-recv", recvFn)
-	pcaID := g.Add(fmt.Sprintf("pca%d", id), op, stream.WithBuffer(cfg.Buffer))
+	pcaID := g.Add(fmt.Sprintf("pca%d", id), op, stream.WithBuffer(nodeBuffer))
 	for _, port := range []int{portData, portControl, portSnapshot} {
 		if err := g.Connect(src, port, pcaID, port); err != nil {
 			return nil, err

@@ -22,18 +22,22 @@ import (
 // process each) and hand both to plan.run, which builds and runs everything
 // the two deployments share.
 
+// nodeBuffer is the per-node channel buffer in tuples. The in-process plan
+// turns it into a depth in messages (plan.nodeBuf); a worker's engine node
+// queues nodeBuffer messages.
+const nodeBuffer = 64
+
 // plan is a Config after normalisation: every default filled in, the engine
 // configuration validated, and the transport sizes derived from it.
 type plan struct {
 	Config
 	// batch is Config.Batch floored at 1 (1 = frames of one).
 	batch int
-	// nodeBuf is the per-node queue depth in messages. Buffer is denominated
-	// in tuples; under batched transport one queued message holds a whole
-	// frame, so the depth shrinks by the batch factor. Without this, Batch
-	// would silently multiply the pipeline's buffered-tuple capacity
-	// ~batch-fold — tens of megabytes of in-flight frame stores whose cache
-	// churn erases the transport win.
+	// nodeBuf is the per-node queue depth in messages: nodeBuffer tuples,
+	// divided by the batch factor because one queued message holds a whole
+	// frame. Without this, Batch would silently multiply the pipeline's
+	// buffered-tuple capacity ~batch-fold — tens of megabytes of in-flight
+	// frame stores whose cache churn erases the transport win.
 	nodeBuf int
 }
 
@@ -48,18 +52,15 @@ func newPlan(cfg Config) (*plan, error) {
 	if cfg.SyncFactor == 0 {
 		cfg.SyncFactor = 1.5
 	}
-	if cfg.Buffer <= 0 {
-		cfg.Buffer = 64
-	}
 	if cfg.FlushEvery <= 0 {
 		cfg.FlushEvery = 2 * time.Millisecond
 	}
 	if err := cfg.Engine.Validate(); err != nil {
 		return nil, err
 	}
-	p := &plan{Config: cfg, batch: max(cfg.Batch, 1), nodeBuf: cfg.Buffer}
+	p := &plan{Config: cfg, batch: max(cfg.Batch, 1), nodeBuf: nodeBuffer}
 	if p.batch > 1 {
-		p.nodeBuf = max((cfg.Buffer+p.batch-1)/p.batch, 2)
+		p.nodeBuf = max((nodeBuffer+p.batch-1)/p.batch, 2)
 	}
 	return p, nil
 }
@@ -94,7 +95,7 @@ func (p *plan) run(ctx context.Context, ln lanes) (*Result, error) {
 	// failures and link loss to it so sync plans exclude unreachable engines.
 	var ctl *syncctl.Controller
 	if p.SyncEvery > 0 && n > 1 {
-		ctl = &syncctl.Controller{N: n, Strategy: p.SyncStrategy, GroupSize: p.SyncGroupSize}
+		ctl = &syncctl.Controller{N: n, Strategy: p.SyncStrategy}
 		if p.Obs != nil {
 			ctl.Inst = p.Obs.Sync()
 		}
@@ -107,7 +108,7 @@ func (p *plan) run(ctx context.Context, ln lanes) (*Result, error) {
 	var tuplesIn int64
 	src := g.AddSource("source", sourceFunc(p.Source, dim, p.batch, p.FlushEvery,
 		newFramePool(dim, p.batch).get, &tuplesIn, ln.barrierEvery))
-	split := g.Add("split", &stream.Split{N: n, Policy: p.Split, Seed: p.Seed},
+	split := g.Add("split", &stream.Split{N: n, Seed: p.Seed},
 		stream.WithBuffer(ln.splitBuf))
 	if err := g.Connect(src, 0, split, 0); err != nil {
 		return nil, err

@@ -119,20 +119,19 @@ func TestRunnersShareNormalisation(t *testing.T) {
 		t.Errorf("NumEngines ≤ 0 should mean one engine: %d engines, err %v", len(res.Engines), err)
 	}
 
-	for _, tc := range []struct{ batch, buffer, wantBatch, wantNodeBuf int }{
-		{0, 0, 1, 64}, {0, 64, 1, 64}, {0, 1, 1, 1},
-		{1, 0, 1, 64}, {1, 64, 1, 64}, {1, 1, 1, 1},
+	for _, tc := range []struct{ batch, wantBatch, wantNodeBuf int }{
+		{0, 1, 64}, {1, 1, 64},
 		// A queued message holds a whole frame, so depth shrinks by the
 		// batch factor, floored at two frames.
-		{64, 0, 64, 2}, {64, 64, 64, 2}, {64, 1, 64, 2}, {8, 64, 8, 8},
+		{64, 64, 2}, {8, 8, 8}, {5, 5, 13},
 	} {
-		p, err := newPlan(Config{Source: emptySource, Engine: good, Batch: tc.batch, Buffer: tc.buffer})
+		p, err := newPlan(Config{Source: emptySource, Engine: good, Batch: tc.batch})
 		if err != nil {
 			t.Fatal(err)
 		}
 		if p.batch != tc.wantBatch || p.nodeBuf != tc.wantNodeBuf {
-			t.Errorf("Batch %d, Buffer %d: batch %d nodeBuf %d, want %d and %d",
-				tc.batch, tc.buffer, p.batch, p.nodeBuf, tc.wantBatch, tc.wantNodeBuf)
+			t.Errorf("Batch %d: batch %d nodeBuf %d, want %d and %d",
+				tc.batch, p.batch, p.nodeBuf, tc.wantBatch, tc.wantNodeBuf)
 		}
 	}
 }

@@ -37,9 +37,6 @@ type Config struct {
 	NumEngines int
 	// Source provides the data; required.
 	Source Source
-	// Split selects the load-balancing policy (default random, as in the
-	// paper).
-	Split stream.SplitPolicy
 	// Seed seeds the random split.
 	Seed uint64
 	// SyncEvery is the synchronization throttle period; 0 disables the
@@ -47,8 +44,6 @@ type Config struct {
 	SyncEvery time.Duration
 	// SyncStrategy selects the controller pattern (default ring).
 	SyncStrategy syncctl.Strategy
-	// SyncGroupSize is the group width for the Group strategy.
-	SyncGroupSize int
 	// SyncFactor is the data-driven independence criterion multiplier; an
 	// engine participates in a sync only after SyncFactor·N observations
 	// since its last one. Default 1.5 (§II-C).
@@ -67,8 +62,6 @@ type Config struct {
 	// to source progress — a source that blocks indefinitely holds its
 	// partial frame with it.
 	FlushEvery time.Duration
-	// Buffer is the per-node channel buffer (default 64).
-	Buffer int
 	// Chaos, when non-nil, injects deterministic faults into the run.
 	Chaos *ChaosConfig
 	// Obs, when non-nil, threads the observability bundle through every

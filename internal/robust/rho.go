@@ -10,8 +10,6 @@
 // average ρ (eq. 5); larger δ tolerates more contamination.
 package robust
 
-import "math"
-
 // Rho is a bounded robust loss on the squared standardized residual.
 // Implementations must satisfy Rho(0)=0, Rho(t)→1 as t→∞, Rho
 // non-decreasing, and W = dρ/dt.
@@ -79,52 +77,6 @@ func (b Bisquare) WStar(t float64) float64 {
 
 // Name implements Rho.
 func (b Bisquare) Name() string { return "bisquare" }
-
-// BoundedHuber is a smoothly bounded Huber-like loss in squared-residual
-// form: ρ(t) = 1 − exp(−t/c²). Unlike Bisquare its weights never reach
-// exactly zero, so extreme outliers retain a vanishing but non-zero
-// influence. Included for ablations against Bisquare.
-type BoundedHuber struct {
-	// C is the scale of the exponential roll-off in standardized-residual
-	// units.
-	C float64
-}
-
-// NewBoundedHuber returns a BoundedHuber with scale c; it panics if c <= 0.
-func NewBoundedHuber(c float64) BoundedHuber {
-	if c <= 0 {
-		panic("robust: huber scale must be positive")
-	}
-	return BoundedHuber{C: c}
-}
-
-// Rho implements Rho.
-func (h BoundedHuber) Rho(t float64) float64 {
-	if t <= 0 {
-		return 0
-	}
-	return 1 - math.Exp(-t/(h.C*h.C))
-}
-
-// W implements Rho.
-func (h BoundedHuber) W(t float64) float64 {
-	if t < 0 {
-		return 0
-	}
-	c2 := h.C * h.C
-	return math.Exp(-t/c2) / c2
-}
-
-// WStar implements Rho; the limit at t→0 is 1/c².
-func (h BoundedHuber) WStar(t float64) float64 {
-	if t <= 0 {
-		return 1 / (h.C * h.C)
-	}
-	return h.Rho(t) / t
-}
-
-// Name implements Rho.
-func (h BoundedHuber) Name() string { return "bounded-huber" }
 
 // Classic is the identity-weight loss that makes every robust formula
 // collapse to classical (non-robust) PCA: W ≡ 1 so all observations are

@@ -7,7 +7,7 @@ import (
 	"testing/quick"
 )
 
-var allRhos = []Rho{DefaultBisquare(), NewBisquare(2.0), NewBoundedHuber(1.5)}
+var allRhos = []Rho{DefaultBisquare(), NewBisquare(2.0)}
 
 func TestRhoBoundaryConditions(t *testing.T) {
 	for _, r := range allRhos {
@@ -77,7 +77,6 @@ func TestConstructorsPanicOnBadC(t *testing.T) {
 	for _, fn := range []func(){
 		func() { NewBisquare(0) },
 		func() { NewBisquare(-1) },
-		func() { NewBoundedHuber(0) },
 	} {
 		func() {
 			defer func() {

@@ -6,32 +6,17 @@ import (
 	"time"
 )
 
-// SplitPolicy selects how the threaded split distributes tuples across its
-// output ports.
-type SplitPolicy int
-
-const (
-	// SplitRandom sends each tuple to a uniformly random output — the
-	// paper's load balancer ("Each new data tuple is being sent to a random
-	// running PCA engine").
-	SplitRandom SplitPolicy = iota
-	// SplitRoundRobin cycles deterministically through the outputs.
-	SplitRoundRobin
-)
-
 // Split is the multithreaded split operator of §III-A2: it fans a single
-// input stream out to n engine streams, balancing load. Output ports are
-// 0..N-1.
+// input stream out to n engine streams, sending each message to a uniformly
+// random output — the paper's load balancer ("Each new data tuple is being
+// sent to a random running PCA engine"). Output ports are 0..N-1.
 type Split struct {
 	// N is the number of output ports.
 	N int
-	// Policy selects the distribution rule (default SplitRandom).
-	Policy SplitPolicy
-	// Seed makes SplitRandom reproducible.
+	// Seed makes the random choice reproducible.
 	Seed uint64
 
-	rng  *rand.Rand
-	next int
+	rng *rand.Rand
 }
 
 // Process implements Operator.
@@ -48,18 +33,10 @@ func (s *Split) Process(_ int, msg Message, emit Emit) {
 		}
 		return
 	}
-	var port int
-	switch s.Policy {
-	case SplitRoundRobin:
-		port = s.next
-		s.next = (s.next + 1) % s.N
-	default:
-		if s.rng == nil {
-			s.rng = rand.New(rand.NewPCG(s.Seed, 0x5917))
-		}
-		port = s.rng.IntN(s.N)
+	if s.rng == nil {
+		s.rng = rand.New(rand.NewPCG(s.Seed, 0x5917))
 	}
-	emit(port, msg)
+	emit(s.rng.IntN(s.N), msg)
 }
 
 // Flush implements Operator.

@@ -43,31 +43,6 @@ func TestLinearPipelineDeliversAllInOrder(t *testing.T) {
 	}
 }
 
-func TestSplitRoundRobinBalancesExactly(t *testing.T) {
-	g := NewGraph()
-	src := g.AddSource("src", intSource(300))
-	sp := g.Add("split", &Split{N: 3, Policy: SplitRoundRobin})
-	sinks := make([]*Collect, 3)
-	if err := g.Connect(src, 0, sp, 0); err != nil {
-		t.Fatal(err)
-	}
-	for i := range sinks {
-		sinks[i] = &Collect{}
-		id := g.Add(fmt.Sprintf("sink%d", i), sinks[i])
-		if err := g.Connect(sp, i, id, 0); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := g.Run(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	for i, s := range sinks {
-		if len(s.Items) != 100 {
-			t.Fatalf("sink %d got %d items", i, len(s.Items))
-		}
-	}
-}
-
 func TestSplitRandomRoughlyBalances(t *testing.T) {
 	g := NewGraph()
 	const n = 9000
@@ -575,7 +550,7 @@ func TestSplitZeroOutputsIsSafe(t *testing.T) {
 func TestSplitBroadcastsBarriers(t *testing.T) {
 	// Checkpoint barriers must reach every output port so all engines cut a
 	// consistent checkpoint; data frames still go to exactly one port.
-	sp := &Split{N: 3, Policy: SplitRoundRobin}
+	sp := &Split{N: 3, Seed: 7}
 	got := map[int][]Message{}
 	emit := func(port int, msg Message) { got[port] = append(got[port], msg) }
 	sp.Process(0, Frame{Seq: 1, Tuples: []Tuple{{Seq: 1}}}, emit)
