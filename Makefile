@@ -109,11 +109,12 @@ bench:
 	$(GO) test -bench . -benchtime 1x ./...
 
 # The chunk-width sweep behind mat.BlockSize's weights (DESIGN, "Chunk-width
-# cost model"): BenchmarkObserveBlock's pinned-width lanes on one core, eight
-# sweeps run one after another so that host drift spreads over every lane.
+# cost model"): internal/core's BenchmarkObserveBlock pinned-width lanes on
+# one core, eight sweeps run one after another so that host drift spreads
+# over every lane.
 bench-width:
 	@for i in 1 2 3 4 5 6 7 8; do \
-		$(GO) test -run '^$$' -bench 'BenchmarkObserveBlock/d-[0-9]+/c-' -cpu 1 -count 1 . | grep ns/row; \
+		$(GO) test -run '^$$' -bench 'BenchmarkObserveBlock/d-[0-9]+/c-' -cpu 1 -count 1 ./internal/core | grep ns/row; \
 	done
 
 # Per-kernel timings of internal/mat's d-long entries (BenchmarkKernels) at

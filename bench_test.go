@@ -163,16 +163,15 @@ func BenchmarkParallelPipeline(b *testing.B) {
 // sequential path at the same operating points as BenchmarkObserve: one call
 // absorbs a 64-row batch, and the reported ns/row metric (ns/op ÷ 64) is the
 // per-observation figure that compares directly with BenchmarkObserve's
-// ns/op. The d-*/c-* lanes pin Config.BlockSize to re-check the cost model's
-// chunk width (mat.BlockSize picks 6 at d=400 and d=1000; `make bench-width`
-// runs the sweep).
+// ns/op. The chunk-width sweep (d-*/c-* lanes) is internal/core's
+// BenchmarkObserveBlock.
 func BenchmarkObserveBlock(b *testing.B) {
-	lane := func(b *testing.B, d, c int) {
+	lane := func(b *testing.B, d int) {
 		gen, err := streampca.NewSignalGenerator(streampca.SignalConfig{Dim: d, Signals: 5, Seed: 1})
 		if err != nil {
 			b.Fatal(err)
 		}
-		en, err := streampca.NewEngine(streampca.Config{Dim: d, Components: 5, Alpha: 1 - 1.0/5000, BlockSize: c})
+		en, err := streampca.NewEngine(streampca.Config{Dim: d, Components: 5, Alpha: 1 - 1.0/5000})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -199,12 +198,7 @@ func BenchmarkObserveBlock(b *testing.B) {
 		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(int64(b.N)*batch), "ns/row")
 	}
 	for _, d := range []int{250, 400, 1000} {
-		b.Run(fmt.Sprintf("d-%d", d), func(b *testing.B) { lane(b, d, 0) })
-	}
-	for _, d := range []int{400, 1000} {
-		for _, c := range []int{4, 5, 6, 7, 8, 9, 10, 11, 12, 15} {
-			b.Run(fmt.Sprintf("d-%d/c-%d", d, c), func(b *testing.B) { lane(b, d, c) })
-		}
+		b.Run(fmt.Sprintf("d-%d", d), func(b *testing.B) { lane(b, d) })
 	}
 	// The science case: SDSS-like spectra, 30% of the rows gappy and patched
 	// inside their chunks. For local iteration; the repo benchmark's

@@ -11,7 +11,7 @@ import (
 // Released at most once per execution path, never touched after its release,
 // and never parked in a long-lived struct where it would outlive the pool
 // recycle. The same contract covers the pooled stores behind the frames
-// (recvStore, frameStore — any named struct type ending in "store"/"Store"):
+// (stream.FrameStore — any named struct type ending in "store"/"Store"):
 // once a store has been handed back via put/Put, its buffers belong to the
 // next user.
 //
@@ -19,12 +19,12 @@ import (
 // local (a variable of type stream.Frame or pointer-to-*store) is live or
 // released per path. Branches fork the state and re-join may-released;
 // terminated branches (return) do not flow into the join — which is exactly
-// what sanctions the RecvPool lending pattern in internal/wire/codec.go
+// what sanctions the frame-pool lending pattern in internal/wire/codec.go
 // (release-and-return on the error path, hand off via the Release closure on
 // success). Loop bodies are walked twice so a release of a loop-outer frame
 // reports on the simulated second iteration. Function literals are walked
 // independently with fresh state, since their run time is unknown — that is
-// what permits `Release: func() { pool.put(rs) }` handoffs.
+// what permits the pool's `fs.release = func() { … Put(fs) }` handoff.
 //
 // Reading the Release field itself is never a use: `if f.Release != nil` is
 // the documented guard idiom and must stay expressible after a conditional

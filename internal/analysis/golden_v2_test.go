@@ -16,11 +16,12 @@ func TestBlockingLockGolden(t *testing.T) {
 	runGolden(t, "blockinglock", "golden.test/blockinglock", []*Analyzer{LockedSend})
 }
 
-// TestFramelifeAcceptsRecvPoolLending is the cross-analyzer contract from the
-// issue: the sanctioned RecvPool lending pattern in internal/wire/codec.go —
-// release-and-return on the decode error path, ownership handoff through the
-// frame's Release closure on success — must pass framelife with no finding
-// and no framelife suppression directive anywhere in the package.
+// TestFramelifeAcceptsRecvPoolLending is the cross-analyzer contract for the
+// frame pool's lending pattern: stream.FramePool lends its stores, whose
+// Release closure puts them back, and the wire decoder in
+// internal/wire/codec.go releases and returns on its error paths and hands
+// ownership off through the frame's Release on success. Both packages must
+// pass framelife with no finding and no framelife suppression directive.
 func TestFramelifeAcceptsRecvPoolLending(t *testing.T) {
 	loader, err := NewLoader(moduleRoot)
 	if err != nil {
@@ -30,38 +31,40 @@ func TestFramelifeAcceptsRecvPoolLending(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var wire *Package
-	for _, p := range pkgs {
-		if strings.HasSuffix(p.Path, "internal/wire") {
-			wire = p
-			break
+	for _, path := range []string{"internal/stream", "internal/wire"} {
+		var pkg *Package
+		for _, p := range pkgs {
+			if strings.HasSuffix(p.Path, path) {
+				pkg = p
+				break
+			}
 		}
-	}
-	if wire == nil {
-		t.Fatal("internal/wire not found by LoadAll")
-	}
-	diags, err := Run([]*Package{wire}, []*Analyzer{Framelife})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, d := range diags {
-		if d.Analyzer != "framelife" {
-			continue
+		if pkg == nil {
+			t.Fatalf("%s not found by LoadAll", path)
 		}
-		if d.Suppressed {
-			t.Errorf("internal/wire needs a framelife suppression; the lending pattern must be accepted structurally: %s", d)
-			continue
+		diags, err := Run([]*Package{pkg}, []*Analyzer{Framelife})
+		if err != nil {
+			t.Fatal(err)
 		}
-		t.Errorf("framelife rejects internal/wire: %s", d)
-	}
-	// The package must also not carry dormant framelife directives: the
-	// lending pattern is sanctioned by the analyzer's flow rules, not by
-	// ignore comments.
-	idx, _ := collectDirectives(wire)
-	for _, dirs := range idx {
-		for _, dir := range dirs {
-			if dir.analyzer == "framelife" {
-				t.Errorf("unexpected //streamvet:ignore framelife directive at line %d", dir.line)
+		for _, d := range diags {
+			if d.Analyzer != "framelife" {
+				continue
+			}
+			if d.Suppressed {
+				t.Errorf("%s needs a framelife suppression; the lending pattern must be accepted structurally: %s", path, d)
+				continue
+			}
+			t.Errorf("framelife rejects %s: %s", path, d)
+		}
+		// The package must also not carry dormant framelife directives: the
+		// lending pattern is sanctioned by the analyzer's flow rules, not by
+		// ignore comments.
+		idx, _ := collectDirectives(pkg)
+		for _, dirs := range idx {
+			for _, dir := range dirs {
+				if dir.analyzer == "framelife" {
+					t.Errorf("%s: unexpected //streamvet:ignore framelife directive at line %d", path, dir.line)
+				}
 			}
 		}
 	}

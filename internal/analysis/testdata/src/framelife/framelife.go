@@ -9,8 +9,8 @@ import (
 	"streampca/internal/stream"
 )
 
-// recvStore mirrors the wire layer's pooled backing store: the *store naming
-// convention makes it a tracked pooled type.
+// recvStore mirrors stream.FrameStore, the pooled backing store: the *store
+// naming convention makes it a tracked pooled type.
 type recvStore struct {
 	buf []byte
 }

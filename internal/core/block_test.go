@@ -1,12 +1,25 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"math/rand/v2"
 	"testing"
 
 	"streampca/internal/eig"
+	"streampca/internal/spectra"
 )
+
+// newEngineWidth is NewEngine with the chunk width pinned to c instead of
+// the mat.BlockSize pick: the constructor of the width sweeps below.
+func newEngineWidth(tb testing.TB, cfg Config, c int) *Engine {
+	en, err := NewEngine(cfg)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	en.blockC, en.ws = c, newWorkspace(en.cfg.Dim, en.k, c)
+	return en
+}
 
 // feedBlocks drives an engine over xs through ObserveBlock in batches of
 // size p, reusing one Update buffer, and returns all updates in order.
@@ -181,7 +194,7 @@ func TestObserveBlockZeroAllocs(t *testing.T) {
 
 // TestObserveBlockMatchesObserveAcrossWidths is the chunk-width oracle: the
 // same 3000 post-warm-up rows through scalar Observe and through ObserveBlock
-// (64-row batches) at each Config.BlockSize c. The block path projects a
+// (64-row batches) at each chunk width c. The block path projects a
 // chunk's rows on its chunk-start basis, so widths differ in rounding and in
 // that approximation; each case's |Δaffinity| to the planted basis, largest
 // relative eigenvalue gap and relative σ² gap against Observe must stay under
@@ -232,11 +245,7 @@ func TestObserveBlockMatchesObserveAcrossWidths(t *testing.T) {
 		ss := seq.Eigensystem()
 		affSeq := ss.SubspaceAffinity(m.basis)
 		for _, c := range []int{2, 4, 6, 8, 11, 15, 16} {
-			cfg.BlockSize = c
-			blk, err := NewEngine(cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
+			blk := newEngineWidth(t, cfg, c)
 			feedBlocks(t, blk, xs, 64)
 			sb := blk.Eigensystem()
 			dAff := math.Abs(sb.SubspaceAffinity(m.basis) - affSeq)
@@ -249,6 +258,45 @@ func TestObserveBlockMatchesObserveAcrossWidths(t *testing.T) {
 			if m := measured[[2]int{d, c}]; dAff > 10*m[0] || dVal > 10*m[1] || dSigma > 10*m[2] {
 				t.Errorf("d=%d c=%d: block path off scalar Observe beyond 10× %v", d, c, m)
 			}
+		}
+	}
+}
+
+// BenchmarkObserveBlock re-checks the cost model's chunk width
+// (mat.BlockSize picks 6 at d=400 and d=1000): each d-*/c-* lane pins the
+// width to c and absorbs 64-row batches of the Gaussian workload, reporting
+// ns/row (ns/op ÷ 64). `make bench-width` runs the sweep; the root package's
+// BenchmarkObserveBlock times the picked width.
+func BenchmarkObserveBlock(b *testing.B) {
+	lane := func(b *testing.B, d, c int) {
+		gen, err := spectra.NewSignalGenerator(spectra.SignalConfig{Dim: d, Signals: 5, Seed: 1})
+		if err != nil {
+			b.Fatal(err)
+		}
+		en := newEngineWidth(b, Config{Dim: d, Components: 5, Alpha: 1 - 1.0/5000}, c)
+		const batch = 64
+		blocks := make([][][]float64, 4)
+		for j := range blocks {
+			blocks[j] = make([][]float64, batch)
+			for i := range blocks[j] {
+				blocks[j][i], _ = gen.Next()
+			}
+		}
+		for i := 0; i <= en.cfg.InitSize; i++ {
+			en.Observe(blocks[0][i%batch])
+		}
+		out := make([]Update, 0, batch)
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if out, err = en.ObserveBlock(blocks[i%len(blocks)], out[:0]); err != nil {
+				b.Fatal(err)
+			}
+		}
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(int64(b.N)*batch), "ns/row")
+	}
+	for _, d := range []int{400, 1000} {
+		for _, c := range []int{4, 5, 6, 7, 8, 9, 10, 11, 12, 15} {
+			b.Run(fmt.Sprintf("d-%d/c-%d", d, c), func(b *testing.B) { lane(b, d, c) })
 		}
 	}
 }

@@ -75,14 +75,6 @@ type Config struct {
 	// recent rejected observations. Default max(32, 2·InitSize); negative
 	// disables the rescue.
 	RescueStreak int
-
-	// BlockSize overrides the rank-c chunk width of ObserveBlock, in
-	// [1, 16]. 0 (the default) picks the width from the per-row cost model
-	// (mat.BlockSize, a pure function of Dim and Components+Extra), which
-	// balances basis-update amortization against the O(d·c²) Y·Yᵀ corner
-	// and the (k+c)³ eigensolve. The width changes low-order digits of the
-	// result; set it explicitly to reproduce a run made at another width.
-	BlockSize int
 }
 
 // Validate checks the configuration and fills defaulted fields in place.
@@ -162,9 +154,6 @@ func (c *Config) Validate() error {
 		if c.RescueStreak < 32 {
 			c.RescueStreak = 32
 		}
-	}
-	if c.BlockSize < 0 || c.BlockSize > blockMax {
-		return fmt.Errorf("core: BlockSize must lie in [0,%d], got %d", blockMax, c.BlockSize)
 	}
 	return nil
 }

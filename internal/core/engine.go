@@ -82,9 +82,9 @@ type Engine struct {
 	// workspace for the aliasing rules.
 	ws *workspace
 
-	// blockC is the rank-c chunk width ObserveBlock folds at
-	// (Config.BlockSize, or the mat.BlockSize cost-model pick). Results
-	// depend on blockC (a different fold width rounds differently; see
+	// blockC is the rank-c chunk width ObserveBlock folds at, the
+	// mat.BlockSize cost-model pick. Results depend on blockC (a different
+	// fold width rounds differently; see
 	// TestObserveBlockMatchesObserveAcrossWidths), which is why
 	// mat.BlockSize is a pure function of (d, k) and never timed.
 	blockC int
@@ -104,10 +104,7 @@ func NewEngine(cfg Config) (*Engine, error) {
 // workspace and chunk width.
 func newEngine(cfg Config) *Engine {
 	k := cfg.Components + cfg.Extra
-	blockC := cfg.BlockSize
-	if blockC <= 0 {
-		blockC = mat.BlockSize(cfg.Dim, k, blockMax)
-	}
+	blockC := mat.BlockSize(cfg.Dim, k, blockMax)
 	return &Engine{
 		cfg:    cfg,
 		k:      k,

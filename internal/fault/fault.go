@@ -14,7 +14,6 @@ package fault
 import (
 	"fmt"
 	"math/rand/v2"
-	"slices"
 	"strings"
 
 	"streampca/internal/stream"
@@ -214,13 +213,16 @@ func (in *Injector) Tap(msg stream.Message) ([]stream.Message, int) {
 	return out, dropped
 }
 
-// cloneFrame deep-copies f's tuples into fresh storage with a nil Release.
+// cloneFrame deep-copies f into an unpooled store: the copy's Release is nil.
 func cloneFrame(f stream.Frame) stream.Frame {
-	tuples := make([]stream.Tuple, len(f.Tuples))
+	fs := stream.NewFrameStore(len(f.Tuples[0].Vec), len(f.Tuples))
 	for i, t := range f.Tuples {
-		tuples[i] = stream.Tuple{Seq: t.Seq, Vec: slices.Clone(t.Vec), Mask: slices.Clone(t.Mask)}
+		copy(fs.Add(t.Seq, 1), t.Vec)
+		if t.Mask != nil {
+			copy(fs.Mask(i), t.Mask)
+		}
 	}
-	return stream.Frame{Seq: f.Seq, Tuples: tuples, Trace: f.Trace}
+	return fs.Frame(f.Trace)
 }
 
 // Drain implements stream.Tap: it releases everything still held so

@@ -7,21 +7,11 @@ package mat
 // columns so the C segments stay L1-resident. The tile is deliberately
 // narrow — the Go compiler spills wider accumulator tiles, which costs more
 // than the saved traffic. MulStack runs the tile; the naive triple loop of
-// the tests is the reference it and mulBTBlocked are property-tested against.
-const (
-	// ncBlock bounds the destination panel width: 2 C rows + 4 B rows ×
-	// ncBlock columns ≈ 24 KiB, within L1 reach.
-	ncBlock = 512
-	// blockedMinWork is the flop count below which the naive kernel wins
-	// (panel setup and fringe handling dominate tiny products).
-	blockedMinWork = 1 << 11
-)
+// the tests is the reference it is property-tested against.
 
-// useBlocked reports whether MulBT should take the tiled kernel for an
-// m×kk×n product.
-func useBlocked(m, kk, n int) bool {
-	return m >= 2 && n >= 4 && m*kk*n >= blockedMinWork
-}
+// ncBlock bounds the destination panel width: 2 C rows + 4 B rows × ncBlock
+// columns ≈ 24 KiB, within L1 reach.
+const ncBlock = 512
 
 // MulStack computes dst = A·S over the stacked operand S = [b; y[:r]] — the
 // b.rows rows of b followed by the first r rows of y — reading the leading
@@ -147,49 +137,6 @@ func panel1x1Go(c0 []float64, v float64, bk []float64) {
 	c0 = c0[:len(bk)]
 	for j, bv := range bk {
 		c0[j] += v * bv
-	}
-}
-
-// mulBTBlocked computes dst = a·bᵀ (a is m×kk, b is n×kk, dst m×n): each dst
-// entry is a dot of two contiguous rows, tiled 2×2 so four row streams feed
-// four accumulators per pass over kk.
-//
-//streampca:noalloc
-func mulBTBlocked(dst, a, b *Dense) {
-	m, n, kk := a.rows, b.rows, a.cols
-	i := 0
-	for ; i+1 < m; i += 2 {
-		a0 := a.data[i*kk : (i+1)*kk]
-		a1 := a.data[(i+1)*kk : (i+2)*kk]
-		j := 0
-		for ; j+1 < n; j += 2 {
-			b0 := b.data[j*kk : (j+1)*kk]
-			b1 := b.data[(j+1)*kk : (j+2)*kk]
-			var s00, s01, s10, s11 float64
-			for k, v0 := range a0 {
-				v1 := a1[k]
-				w0, w1 := b0[k], b1[k]
-				s00 += v0 * w0
-				s01 += v0 * w1
-				s10 += v1 * w0
-				s11 += v1 * w1
-			}
-			dst.data[i*n+j] = s00
-			dst.data[i*n+j+1] = s01
-			dst.data[(i+1)*n+j] = s10
-			dst.data[(i+1)*n+j+1] = s11
-		}
-		if j < n {
-			bj := b.data[j*kk : (j+1)*kk]
-			dst.data[i*n+j] = Dot(a0, bj)
-			dst.data[(i+1)*n+j] = Dot(a1, bj)
-		}
-	}
-	if i < m {
-		ai := a.data[i*kk : (i+1)*kk]
-		for j := 0; j < n; j++ {
-			dst.data[i*n+j] = Dot(ai, b.data[j*kk:(j+1)*kk])
-		}
 	}
 }
 

@@ -45,8 +45,8 @@ func TestBlockedMulMatchesNaive(t *testing.T) {
 	}
 }
 
-// TestBlockedTransposeKernels asserts MulTA, MulBT and MulBT's tiled kernel
-// match products computed through explicit transposes.
+// TestBlockedTransposeKernels asserts MulTA and MulBT match the naive
+// products of explicit transposes.
 func TestBlockedTransposeKernels(t *testing.T) {
 	rng := rand.New(rand.NewPCG(101, 3))
 	for trial := 0; trial < 40; trial++ {
@@ -66,11 +66,6 @@ func TestBlockedTransposeKernels(t *testing.T) {
 		wantBT := naiveMul(c, d.T())
 		if got := MulBT(nil, c, d); !got.EqualApprox(wantBT, 1e-11) {
 			t.Fatalf("MulBT mismatch at m=%d k=%d n=%d", m, r, n)
-		}
-		gotBT := NewDense(m, n)
-		mulBTBlocked(gotBT, c, d)
-		if !gotBT.EqualApprox(wantBT, 1e-11) {
-			t.Fatalf("mulBTBlocked mismatch at m=%d k=%d n=%d", m, r, n)
 		}
 	}
 }

@@ -51,16 +51,13 @@ func MulTA(dst, a, b *Dense) *Dense {
 }
 
 // MulBT computes C = A·Bᵀ without materializing Bᵀ. A is m×k, B is n×k,
-// C is m×n. With a provided dst it performs no heap allocations.
+// C is m×n: each entry is one Dot of two contiguous rows, so it runs on the
+// d-long kernel set. With a provided dst it performs no heap allocations.
 func MulBT(dst, a, b *Dense) *Dense {
 	if a.cols != b.cols {
 		panic("mat: MulBT column mismatch")
 	}
 	dst = prepDst(dst, a.rows, b.rows)
-	if useBlocked(a.rows, a.cols, b.rows) {
-		mulBTBlocked(dst, a, b)
-		return dst
-	}
 	for i := 0; i < a.rows; i++ {
 		ai := a.Row(i)
 		ci := dst.Row(i)

@@ -111,7 +111,7 @@ func (r *wireRouter) Process(port int, msg stream.Message, emit stream.Emit) {
 			emit(m.To, m)
 		}
 	case wire.EngineReport:
-		emit(r.n, stream.Result{Engine: m.Engine, Seq: m.Processed, Payload: EngineStats(m)})
+		emit(r.n, stream.Result{Engine: m.Engine, Seq: m.Processed, Payload: m})
 	// Clock probes never reach the router: the edge answers them at the
 	// transport layer (recvLoop stamps and replies through the sender's
 	// priority slot), so the echo cannot be lost to a full send queue the
@@ -308,17 +308,15 @@ type WorkerConfig struct {
 	ReportEvery time.Duration
 }
 
-// reportOp converts the engine's flush-time Result into a wire
-// EngineReport and forwards peer-bound snapshots unchanged — the boundary
-// where pipeline types become wire types, so the wire package itself stays
-// application-neutral.
+// reportOp unwraps the engine's flush-time Result into its EngineReport and
+// forwards peer-bound snapshots unchanged: the messages a worker sends up.
 type reportOp struct{}
 
 // Process implements stream.Operator.
 func (reportOp) Process(_ int, msg stream.Message, emit stream.Emit) {
 	switch m := msg.(type) {
 	case stream.Result:
-		emit(0, wire.EngineReport(m.Payload.(EngineStats)))
+		emit(0, m.Payload.(EngineStats))
 	case stream.Snapshot:
 		emit(0, m)
 	}

@@ -3,9 +3,11 @@ package pipeline
 import (
 	"context"
 	"errors"
+	"math"
 	"time"
 
 	"streampca/internal/core"
+	"streampca/internal/mat"
 	"streampca/internal/obs"
 	"streampca/internal/stream"
 	"streampca/internal/syncctl"
@@ -107,7 +109,7 @@ func (p *plan) run(ctx context.Context, ln lanes) (*Result, error) {
 	g := stream.NewGraph()
 	var tuplesIn int64
 	src := g.AddSource("source", sourceFunc(p.Source, dim, p.batch, p.FlushEvery,
-		newFramePool(dim, p.batch).get, &tuplesIn, ln.barrierEvery))
+		stream.NewFramePool(dim, p.batch).Get, &tuplesIn, ln.barrierEvery))
 	split := g.Add("split", &stream.Split{N: n, Seed: p.Seed},
 		stream.WithBuffer(ln.splitBuf))
 	if err := g.Connect(src, 0, split, 0); err != nil {
@@ -217,27 +219,27 @@ func instrument(g *stream.Graph, set *obs.Set) {
 // regular — equal-length rows, full-length masks, consecutive Seq. It can
 // also weave a checkpoint barrier into the data stream every barrierEvery
 // tuples.
-func sourceFunc(src Source, dim, batch int, flushEvery time.Duration, store func() *frameStore, tuplesIn *int64, barrierEvery int64) stream.SourceFunc {
+func sourceFunc(src Source, dim, batch int, flushEvery time.Duration, store func() *stream.FrameStore, tuplesIn *int64, barrierEvery int64) stream.SourceFunc {
 	// Frames of one close as they open, so they need no deadline and carry
 	// no trace stamp: a per-tuple clock read and 16 wire bytes would be a tax.
 	timed := batch > 1
 	return func(ctx context.Context, emit stream.Emit) error {
-		var fs *frameStore // the open frame; never empty while non-nil
+		var fs *stream.FrameStore // the open frame; never empty while non-nil
 		var opened time.Time
 		var seq, sinceBarrier, epoch int64
 		flush := func() {
 			if fs == nil {
 				return
 			}
-			fr := stream.Frame{Seq: fs.tuples[0].Seq, Tuples: fs.tuples, Release: fs.release}
+			var tr stream.Trace
 			if timed {
 				// The trace stamp reuses the frame-open timestamp the flush
 				// deadline already tracks — zero extra clock reads on the hot
 				// path. Origin 0: the packer always runs in the stamping
 				// (coordinator or single) process.
-				fr.Trace = stream.Trace{IngestNs: opened.UnixNano()}
+				tr.IngestNs = opened.UnixNano()
 			}
-			emit(0, fr)
+			emit(0, fs.Frame(tr))
 			fs = nil
 		}
 		for {
@@ -261,9 +263,9 @@ func sourceFunc(src Source, dim, batch int, flushEvery time.Duration, store func
 					opened = time.Now()
 				}
 			}
-			fs.add(seq, vec, mask)
+			packRow(fs, seq, vec, mask)
 			seq++
-			if len(fs.tuples) >= batch || timed && time.Since(opened) >= flushEvery {
+			if fs.Len() >= batch || timed && time.Since(opened) >= flushEvery {
 				flush()
 			}
 			if barrierEvery > 0 {
@@ -273,6 +275,34 @@ func sourceFunc(src Source, dim, batch int, flushEvery time.Duration, store func
 					emit(0, stream.Barrier{Epoch: epoch})
 					sinceBarrier = 0
 				}
+			}
+		}
+	}
+}
+
+// packRow copies one row into the store's next slot. The packer has already
+// checked its shape: vec is dim long and mask nil or dim long. The row is
+// copied and checked for non-finite values in one pass; only an unmasked
+// row that holds one takes the per-bin pass that derives its mask (NaN =
+// missing), so every row leaves the packer complete or explicitly masked.
+func packRow(fs *stream.FrameStore, seq int64, vec []float64, mask []bool) {
+	i := fs.Len()
+	v := fs.Add(seq, 1)
+	if finite := mat.CopyFinite(v, vec); mask != nil {
+		copy(fs.Mask(i), mask)
+	} else if !finite {
+		var m []bool
+		for j, x := range v {
+			if math.IsNaN(x) {
+				if m == nil {
+					m = fs.Mask(i)
+					for k := range j {
+						m[k] = true
+					}
+				}
+				m[j] = false
+			} else if m != nil {
+				m[j] = true
 			}
 		}
 	}

@@ -137,26 +137,17 @@ func TestRunnersShareNormalisation(t *testing.T) {
 }
 
 // TestWireLaneDepthFromBytes: a wire lane holds one socket buffer of frames,
-// whatever the engine's chunk width, so refitting the width cannot resize
-// the coordinator's queues. The benchmark's wire-d400 configuration (d=400,
-// Batch 64, default Buffer) gets 6-frame lanes and 12-deep sync queues.
+// so its depth follows the frame's bytes (dim × Batch). The benchmark's
+// wire-d400 configuration (d=400, Batch 64, default Buffer) gets 6-frame
+// lanes and 12-deep sync queues.
 func TestWireLaneDepthFromBytes(t *testing.T) {
-	queues := func(blockSize, dim, batch int) [2]int {
-		eng := core.Config{Dim: dim, Components: 5, Alpha: 1 - 1.0/5000, BlockSize: blockSize}
-		p, err := newPlan(Config{Source: emptySource, Engine: eng, Batch: batch})
-		if err != nil {
-			t.Fatal(err)
-		}
-		wireBuf, syncBuf := wireQueues(p)
-		return [2]int{wireBuf, syncBuf}
+	eng := core.Config{Dim: 400, Components: 5, Alpha: 1 - 1.0/5000}
+	p, err := newPlan(Config{Source: emptySource, Engine: eng, Batch: 64})
+	if err != nil {
+		t.Fatal(err)
 	}
-	for _, tc := range []struct{ dim, batch int }{{400, 64}, {400, 32}, {1000, 64}, {16, 0}} {
-		if a, b := queues(2, tc.dim, tc.batch), queues(16, tc.dim, tc.batch); a != b {
-			t.Errorf("d=%d Batch %d: queues %v at BlockSize 2, %v at 16", tc.dim, tc.batch, a, b)
-		}
-	}
-	if got := queues(0, 400, 64); got != [2]int{6, 12} {
-		t.Errorf("wire-d400 queues = %v, want [6 12]", got)
+	if wireBuf, syncBuf := wireQueues(p); wireBuf != 6 || syncBuf != 12 {
+		t.Errorf("wire-d400 queues = [%d %d], want [6 12]", wireBuf, syncBuf)
 	}
 	for _, tc := range []struct{ dim, batch, want int }{
 		{400, 64, 6}, {400, 32, 11}, {1000, 64, 4}, {400, 1, 64}, {16, 64, 64},

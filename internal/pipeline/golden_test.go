@@ -19,8 +19,8 @@ import (
 var pipelineGolden = map[string]string{
 	"d16-batch0":   "29de5669b04a3100ac8d06a4bbdb32baf708a7201c3c27149af061cfc8760ac6 488/9 497/16 520/14 495/9",
 	"d16-batch64":  "31330ac9eeb74c2446aba59403ef6af40ef31889f1545f66056c6f3521709593 656/18 192/5 512/11 640/18",
-	"d400-batch0":  "6efa6a187f14b87594d5e0acaf08518527733a0191815774391ad4dc6454fc24 488/8 497/8 520/10 495/9",
-	"d400-batch64": "8230bc721d1c7eb0e936273b1d822eb2048189b5bd09855f6c19b615f7f679fc 656/10 192/5 512/7 640/11",
+	"d400-batch0":  "db4ed477437533504450dac16d093f04fb2d8b7fd2afcb721043e08d61b142db 488/8 497/8 520/10 495/9",
+	"d400-batch64": "d8b920fe31128acd43abfda48af901333d20f4a17aa86298e62050af460897f7 656/10 192/5 512/7 640/11",
 }
 
 // TestPipelineDigestGolden is the pipeline counterpart of core's

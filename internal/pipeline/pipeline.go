@@ -90,26 +90,9 @@ type ChaosConfig struct {
 	CheckpointEvery int64
 }
 
-// EngineStats summarizes one engine's run. wire.EngineReport mirrors it field
-// for field: a worker's stats cross the socket by plain conversion.
-type EngineStats struct {
-	// Engine is the engine index.
-	Engine int
-	// Processed counts observations absorbed (including warm-up).
-	Processed int64
-	// Outliers counts observations flagged by the robust weighting.
-	Outliers int64
-	// SnapshotsSent and MergesApplied count synchronization activity.
-	SnapshotsSent, MergesApplied int64
-	// Restarts counts crash recoveries this engine went through.
-	Restarts int64
-	// ResumedFromCheckpoint reports whether the latest restart replayed a
-	// checkpoint (false for a cold restart before the first checkpoint).
-	ResumedFromCheckpoint bool
-	// Final is the engine's eigensystem at end of stream (nil if the
-	// engine never initialized).
-	Final *core.Eigensystem
-}
+// EngineStats summarizes one engine's run. It is the wire's EngineReport,
+// so a worker's stats cross the socket as they are.
+type EngineStats = wire.EngineReport
 
 // Result is the outcome of a pipeline run.
 type Result struct {

@@ -88,37 +88,11 @@ func raceBuild() bool {
 	return ok && slices.Contains(bi.Settings, debug.BuildSetting{Key: "-race", Value: "true"})
 }
 
-// releaseHandoff stands in for the goroutine a frame's Release escapes to.
-var releaseHandoff func()
-
-// TestFramePoolCycleAllocatesNothing: at steady state a pooled store's whole
-// trip — get, add a row, hand its Release to the consumer, Release — allocates
-// nothing, because the store's Release closure is built once, when the pool
-// creates the store, not once per frame.
-func TestFramePoolCycleAllocatesNothing(t *testing.T) {
-	if raceBuild() {
-		t.Skip("the race detector's sync.Pool drops Puts")
-	}
-	const dim = 16
-	fp := newFramePool(dim, 1)
-	vec := make([]float64, dim)
-	allocs := testing.AllocsPerRun(100, func() {
-		fs := fp.get()
-		fs.add(0, vec, nil)
-		f := stream.Frame{Seq: fs.tuples[0].Seq, Tuples: fs.tuples, Release: fs.release}
-		releaseHandoff = f.Release
-		releaseHandoff()
-	})
-	if allocs != 0 {
-		t.Fatalf("pooled get → add → Release allocates %v per frame, want 0", allocs)
-	}
-}
-
-// TestFrameStoreDerivesNaNMask: the packer gives an unmasked row containing
-// NaN the mask ObserveAuto would derive (NaN = missing), leaves complete rows
-// unmasked — ±Inf alone included, which the engine rejects as an observed
-// non-finite bin — and copies explicit masks, also into recycled storage
-// that still holds the previous frame's masks.
+// TestFrameStoreDerivesNaNMask: the packer's row copy gives an unmasked row
+// containing NaN the mask ObserveAuto would derive (NaN = missing), leaves
+// complete rows unmasked — ±Inf alone included, which the engine rejects as
+// an observed non-finite bin — and copies explicit masks, also into a
+// recycled store that still holds the previous frame's masks.
 func TestFrameStoreDerivesNaNMask(t *testing.T) {
 	nan, inf := math.NaN(), math.Inf(1)
 	rounds := []struct {
@@ -138,16 +112,18 @@ func TestFrameStoreDerivesNaNMask(t *testing.T) {
 		masks: [][]bool{nil, nil, nil},
 		want:  [][]bool{nil, {true, false, true, true}, {true, true, true, false}},
 	}}
-	fs := newFrameStore(4, 3)
+	fp := stream.NewFramePool(4, 3)
 	for r, round := range rounds {
-		fs.tuples = fs.tuples[:0]
+		fs := fp.Get()
 		for i := range round.vecs {
-			fs.add(int64(i), round.vecs[i], round.masks[i])
+			packRow(fs, int64(i), round.vecs[i], round.masks[i])
 		}
-		for i, tp := range fs.tuples {
+		f := fs.Frame(stream.Trace{})
+		for i, tp := range f.Tuples {
 			if !slices.Equal(tp.Mask, round.want[i]) || (tp.Mask == nil) != (round.want[i] == nil) {
 				t.Fatalf("round %d row %d: mask %v, want %v", r, i, tp.Mask, round.want[i])
 			}
 		}
+		f.Release()
 	}
 }

@@ -2,6 +2,8 @@ package stream
 
 import (
 	"context"
+	"runtime/debug"
+	"slices"
 	"testing"
 )
 
@@ -100,4 +102,48 @@ func TestSplitForwardsFramesWhole(t *testing.T) {
 	if total != frames {
 		t.Fatalf("sinks received %d frames, want %d", total, frames)
 	}
+}
+
+// releaseHandoff stands in for the goroutine a frame's Release escapes to.
+var releaseHandoff func()
+
+// TestFramePoolCycleAllocatesNothing: at steady state a pooled store's whole
+// trip — get, add a row and its mask, hand the frame's Release to the
+// consumer, Release — allocates nothing, because the store's Release closure
+// is built once, when the pool creates the store, and its mask block is kept
+// across frames. A pool sized for 0 rows holds 1, so frames of one are pooled
+// too.
+func TestFramePoolCycleAllocatesNothing(t *testing.T) {
+	if NewFramePool(0, 4) != nil {
+		t.Fatal("a dim-0 pool must disable pooling")
+	}
+	const dim = 16
+	fp := NewFramePool(dim, 0)
+	if !fp.Fits(dim, 1) || fp.Fits(dim, 2) || fp.Fits(dim+1, 1) {
+		t.Fatal("a rows-0 pool must pool frames of one row of its dim")
+	}
+	if raceBuild() {
+		t.Skip("the race detector's sync.Pool drops Puts")
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		fs := fp.Get()
+		fs.Add(7, 1)[0] = 1
+		fs.Mask(0)[0] = true
+		f := fs.Frame(Trace{})
+		if f.Seq != 7 || len(f.Tuples) != 1 || len(f.Tuples[0].Mask) != dim {
+			t.Fatalf("frame %+v", f)
+		}
+		releaseHandoff = f.Release
+		releaseHandoff()
+	})
+	if allocs != 0 {
+		t.Fatalf("pooled get → add → Release allocates %v per frame, want 0", allocs)
+	}
+}
+
+// raceBuild reports whether the test binary runs under the race detector,
+// whose sync.Pool drops a random share of Puts (so Gets allocate).
+func raceBuild() bool {
+	bi, ok := debug.ReadBuildInfo()
+	return ok && slices.Contains(bi.Settings, debug.BuildSetting{Key: "-race", Value: "true"})
 }

@@ -58,8 +58,8 @@ type Trace struct {
 // Release is non-nil the consumer must call it exactly once when finished
 // with the frame and every slice reachable from it — the transport recycles
 // the backing storage. A nil Release means the frame is garbage-collected
-// ordinarily: a decoder allocated it (a masked or oversized wire frame), or
-// a fault injector made it as the deep copy of a duplicated frame.
+// ordinarily: its FrameStore is unpooled — a wire frame that does not fit
+// the receive pool, or a fault injector's copy of a duplicated frame.
 type Frame struct {
 	// Seq is the sequence number of the first tuple in the frame.
 	Seq int64

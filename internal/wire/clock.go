@@ -49,7 +49,6 @@ type ClockEcho struct {
 type ClockState struct {
 	offsetNs atomic.Int64 // θ: coordinator clock − worker clock
 	rttNs    atomic.Int64 // rtt of the kept (minimum-delay) sample
-	samples  atomic.Int64 // echoes absorbed, kept or not
 }
 
 // AddSample absorbs one completed exchange. It keeps the offset from the
@@ -62,7 +61,6 @@ func (c *ClockState) AddSample(e ClockEcho, t4 int64) {
 	if rtt <= 0 {
 		return
 	}
-	c.samples.Add(1)
 	for {
 		best := c.rttNs.Load()
 		if best != 0 && rtt >= best {
@@ -84,6 +82,3 @@ func (c *ClockState) OffsetNs() int64 { return c.offsetNs.Load() }
 // RTTNs returns the round trip of the kept sample; the offset error bound
 // is half of it. Zero before the first sample.
 func (c *ClockState) RTTNs() int64 { return c.rttNs.Load() }
-
-// Samples returns how many echoes have been absorbed.
-func (c *ClockState) Samples() int64 { return c.samples.Load() }

@@ -9,7 +9,6 @@ import (
 	"io"
 	"math"
 	"net"
-	"sync"
 
 	"streampca/internal/core"
 	"streampca/internal/ingest"
@@ -569,52 +568,12 @@ func (e *Encoder) assembleObsReport(r ObsReport) error {
 	return nil
 }
 
-// RecvPool recycles the frame stores dense frames are decoded into,
-// mirroring the pipeline's frame pool: the consuming operator must call
-// Frame.Release exactly once. Frames whose shape does not match the pool
-// fall back to ordinary allocation with a nil Release.
-type RecvPool struct {
-	dim, batch int
-	pool       sync.Pool
-}
+// RecvPool and NewRecvPool name stream.FramePool for their one caller, the
+// benchmark module's decode timing; the decoder takes a stream.FramePool.
+type RecvPool = stream.FramePool
 
-// recvStore is one pooled frame's storage. release, built once when the pool
-// creates the store, is the decoded frame's Release.
-type recvStore struct {
-	buf     []float64
-	tuples  []stream.Tuple
-	release func()
-}
-
-// NewRecvPool returns a pool for unmasked frames of dimension dim and at most
-// batch rows, batch floored at 1 so frames of one are pooled too. It returns
-// nil (no pooling) when dim ≤ 0.
-func NewRecvPool(dim, batch int) *RecvPool {
-	if dim <= 0 {
-		return nil
-	}
-	batch = max(batch, 1)
-	rp := &RecvPool{dim: dim, batch: batch}
-	rp.pool.New = func() any {
-		rs := &recvStore{
-			buf:    make([]float64, batch*dim),
-			tuples: make([]stream.Tuple, 0, batch),
-		}
-		rs.release = func() { rp.put(rs) }
-		return rs
-	}
-	return rp
-}
-
-func (rp *RecvPool) get() *recvStore {
-	//streamvet:ignore workspace-escape intentional lending: the receiving operator calls Frame.Release exactly once, returning the store
-	return rp.pool.Get().(*recvStore)
-}
-
-func (rp *RecvPool) put(rs *recvStore) {
-	rs.tuples = rs.tuples[:0]
-	rp.pool.Put(rs)
-}
+// NewRecvPool returns stream.NewFramePool(dim, batch).
+func NewRecvPool(dim, batch int) *RecvPool { return stream.NewFramePool(dim, batch) }
 
 // Decoder reads wire messages from one reader. Not safe for concurrent
 // use. Decode never panics on malformed input and its allocations are
@@ -624,14 +583,14 @@ type Decoder struct {
 	br      *bufio.Reader
 	hdr     [headerLen]byte
 	scratch []byte
-	pool    *RecvPool
+	pool    *stream.FramePool
 	max     int
 }
 
-// NewDecoder returns a decoder reading from r, recycling dense frames via
-// pool (nil disables pooling). maxPayload caps the accepted payload size;
-// <=0 uses MaxPayload.
-func NewDecoder(r io.Reader, pool *RecvPool, maxPayload int) *Decoder {
+// NewDecoder returns a decoder reading from r, recycling the frames that fit
+// pool, masked or not (nil disables pooling). maxPayload caps the accepted
+// payload size; <=0 uses MaxPayload.
+func NewDecoder(r io.Reader, pool *stream.FramePool, maxPayload int) *Decoder {
 	if maxPayload <= 0 || maxPayload > MaxPayload {
 		maxPayload = MaxPayload
 	}
@@ -697,7 +656,11 @@ func (d *Decoder) Decode() (stream.Message, error) {
 		}
 		return parseHelloPayload(p), nil
 	case KindFrame:
-		return d.decodeFrame(flags, n)
+		f, err := d.decodeFrame(flags, n)
+		if err != nil {
+			return nil, err
+		}
+		return f, nil
 	case KindControl:
 		return d.decodeControl(n)
 	case KindSnapshot:
@@ -750,17 +713,17 @@ func (d *Decoder) Decode() (stream.Message, error) {
 	}
 }
 
-func (d *Decoder) decodeFrame(flags byte, n int) (stream.Message, error) {
+func (d *Decoder) decodeFrame(flags byte, n int) (stream.Frame, error) {
 	preLen := 16
 	traced := flags&flagTrace != 0
 	if traced {
 		preLen += 16
 	}
 	if n < preLen {
-		return nil, fmt.Errorf("wire: frame payload %d too short", n)
+		return stream.Frame{}, fmt.Errorf("wire: frame payload %d too short", n)
 	}
 	if _, err := d.readPayload(preLen); err != nil {
-		return nil, err
+		return stream.Frame{}, err
 	}
 	baseSeq := int64(binary.LittleEndian.Uint64(d.scratch[0:]))
 	count := int(binary.LittleEndian.Uint32(d.scratch[8:]))
@@ -771,7 +734,7 @@ func (d *Decoder) decodeFrame(flags byte, n int) (stream.Message, error) {
 		trace.IngestNs = int64(binary.LittleEndian.Uint64(d.scratch[24:]))
 	}
 	if count <= 0 || count > maxTuples || dim <= 0 || dim > maxWireDim {
-		return nil, fmt.Errorf("wire: implausible frame shape %dx%d", count, dim)
+		return stream.Frame{}, fmt.Errorf("wire: implausible frame shape %dx%d", count, dim)
 	}
 	floats := count * dim
 	want := preLen + floats*8
@@ -780,57 +743,49 @@ func (d *Decoder) decodeFrame(flags byte, n int) (stream.Message, error) {
 		want += floats
 	}
 	if n != want {
-		return nil, fmt.Errorf("wire: frame shape %dx%d does not match payload %d", count, dim, n)
+		return stream.Frame{}, fmt.Errorf("wire: frame shape %dx%d does not match payload %d", count, dim, n)
 	}
-	if rp := d.pool; rp != nil && dim == rp.dim && count <= rp.batch && !masked {
-		// Pooled fast path: the floats land directly in a recycled
-		// contiguous buffer (one ReadFull, no conversion on LE hosts).
-		rs := rp.get()
-		dst := rs.buf[:floats]
-		if err := ingest.ReadFloatsLE(d.br, dst); err != nil {
-			rp.put(rs)
-			return nil, fmt.Errorf("wire: reading frame payload: %w", err)
+	if d.pool.Fits(dim, count) {
+		// Pooled path: the floats land directly in a recycled contiguous
+		// buffer (one ReadFull, no conversion on LE hosts).
+		fs := d.pool.Get()
+		if err := ingest.ReadFloatsLE(d.br, fs.Add(baseSeq, count)); err != nil {
+			fs.Frame(trace).Release()
+			return stream.Frame{}, fmt.Errorf("wire: reading frame payload: %w", err)
 		}
-		rs.tuples = rs.tuples[:0]
-		for i := 0; i < count; i++ {
-			rs.tuples = append(rs.tuples, stream.Tuple{
-				Seq: baseSeq + int64(i),
-				Vec: dst[i*dim : (i+1)*dim : (i+1)*dim],
-			})
+		if masked {
+			p, err := d.readPayload(floats)
+			if err != nil {
+				fs.Frame(trace).Release()
+				return stream.Frame{}, err
+			}
+			unpackMasks(fs, p)
 		}
-		return stream.Frame{
-			Seq:     baseSeq,
-			Tuples:  rs.tuples,
-			Trace:   trace,
-			Release: rs.release,
-		}, nil
+		return fs.Frame(trace), nil
 	}
 	// Unpooled path: payload bytes are read chunk-bounded before the float
 	// buffer is sized, so allocation tracks delivered bytes.
 	p, err := d.readPayload(n - preLen)
 	if err != nil {
-		return nil, err
+		return stream.Frame{}, err
 	}
-	buf := make([]float64, floats)
-	getFloatsLE(buf, p[:floats*8])
-	tuples := make([]stream.Tuple, count)
-	var masks []bool
+	fs := stream.NewFrameStore(dim, count)
+	getFloatsLE(fs.Add(baseSeq, count), p[:floats*8])
 	if masked {
-		masks = make([]bool, floats)
-		for i, b := range p[floats*8:] {
-			masks[i] = b != 0
+		unpackMasks(fs, p[floats*8:])
+	}
+	return fs.Frame(trace), nil
+}
+
+// unpackMasks gives every row of fs its mask from the byte-per-bin block p
+// (nonzero = observed).
+func unpackMasks(fs *stream.FrameStore, p []byte) {
+	for i := range fs.Len() {
+		m := fs.Mask(i)
+		for j, b := range p[i*len(m) : (i+1)*len(m)] {
+			m[j] = b != 0
 		}
 	}
-	for i := range tuples {
-		tuples[i] = stream.Tuple{
-			Seq: baseSeq + int64(i),
-			Vec: buf[i*dim : (i+1)*dim : (i+1)*dim],
-		}
-		if masked {
-			tuples[i].Mask = masks[i*dim : (i+1)*dim : (i+1)*dim]
-		}
-	}
-	return stream.Frame{Seq: baseSeq, Tuples: tuples, Trace: trace}, nil
 }
 
 func (d *Decoder) decodeControl(n int) (stream.Message, error) {

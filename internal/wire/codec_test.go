@@ -57,7 +57,7 @@ func frameOfOne(seq int64, v float64) stream.Frame {
 	return stream.Frame{Seq: seq, Tuples: []stream.Tuple{{Seq: seq, Vec: []float64{v}}}}
 }
 
-func roundTrip(t *testing.T, msg stream.Message, pool *RecvPool) stream.Message {
+func roundTrip(t *testing.T, msg stream.Message, pool *stream.FramePool) stream.Message {
 	t.Helper()
 	var buf bytes.Buffer
 	enc := NewEncoder(&buf, false)
@@ -100,7 +100,7 @@ func TestFrameRoundTripContiguous(t *testing.T) {
 }
 
 func TestFrameRoundTripPooled(t *testing.T) {
-	pool := NewRecvPool(5, 8)
+	pool := stream.NewFramePool(5, 8)
 	f := contiguousFrame(7, 8, 5)
 	got := roundTrip(t, f, pool).(stream.Frame)
 	sameTuples(t, got.Tuples, f.Tuples)
@@ -121,30 +121,59 @@ func raceBuild() bool {
 	return ok && slices.Contains(bi.Settings, debug.BuildSetting{Key: "-race", Value: "true"})
 }
 
-// releaseHandoff stands in for the goroutine a frame's Release escapes to.
-var releaseHandoff func()
+// replayReader serves its bytes over and over: a socket that keeps
+// delivering the same message.
+type replayReader struct {
+	b   []byte
+	off int
+}
 
-// TestRecvPoolCycleAllocatesNothing: at steady state a pooled receive store's
-// whole trip — get, fill a row, hand its Release to the consumer, Release —
-// allocates nothing, because the Release closure is built once per store.
-// Batch 0 is floored at 1, so a worker pools frames of one too.
-func TestRecvPoolCycleAllocatesNothing(t *testing.T) {
+func (r *replayReader) Read(p []byte) (int, error) {
+	n := copy(p, r.b[r.off:])
+	r.off = (r.off + n) % len(r.b)
+	return n, nil
+}
+
+// TestMaskedFrameDecodesPooled: a masked frame that fits the receive pool
+// decodes into a pooled store like a dense one — the same rows and masks as
+// the unpooled decode, a Release, and a steady-state decode → Release trip
+// that allocates nothing (Decode's boxing of the frame into a Message is
+// outside the frame path).
+func TestMaskedFrameDecodesPooled(t *testing.T) {
+	f := mixedMaskFrame()
+	var buf bytes.Buffer
+	if err := NewEncoder(&buf, false).Encode(f); err != nil {
+		t.Fatal(err)
+	}
+	msg := buf.Bytes()
+	want := roundTrip(t, f, nil).(stream.Frame)
+	pool := stream.NewFramePool(3, 4)
+	got := roundTrip(t, f, pool).(stream.Frame)
+	if got.Release == nil {
+		t.Fatal("a masked frame that fits the pool must decode pooled")
+	}
+	bits := func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
+	for i, tp := range got.Tuples {
+		w := want.Tuples[i]
+		if tp.Seq != w.Seq || !slices.EqualFunc(tp.Vec, w.Vec, bits) || !slices.Equal(tp.Mask, w.Mask) {
+			t.Fatalf("tuple %d: pooled decode %+v, unpooled %+v", i, tp, w)
+		}
+	}
+	got.Release()
 	if raceBuild() {
 		t.Skip("the race detector's sync.Pool drops Puts")
 	}
-	rp := NewRecvPool(3, 0)
-	if rp == nil {
-		t.Fatal("a batch-0 receive pool must pool frames of one")
-	}
+	dec := NewDecoder(&replayReader{b: msg[headerLen:]}, pool, 0)
+	n := len(msg) - headerLen
 	allocs := testing.AllocsPerRun(100, func() {
-		rs := rp.get()
-		rs.tuples = append(rs.tuples, stream.Tuple{Seq: 1, Vec: rs.buf[:3:3]})
-		f := stream.Frame{Seq: 1, Tuples: rs.tuples, Release: rs.release}
-		releaseHandoff = f.Release
-		releaseHandoff()
+		fr, err := dec.decodeFrame(flagMask, n)
+		if err != nil || fr.Release == nil {
+			t.Fatalf("decode: %v, pooled %v", err, fr.Release != nil)
+		}
+		fr.Release()
 	})
 	if allocs != 0 {
-		t.Fatalf("pooled get → fill → Release allocates %v per frame, want 0", allocs)
+		t.Fatalf("pooled masked decode → Release allocates %v per frame, want 0", allocs)
 	}
 }
 

@@ -30,8 +30,9 @@ type EdgeOptions struct {
 	Name string
 	// Hello is announced to the peer on every (re)connect.
 	Hello Hello
-	// Dim and Batch size the receive pool (see NewRecvPool); Dim 0 disables
-	// pooling (frames then allocate per message — correct, just slower).
+	// Dim and Batch size the receive pool (see stream.NewFramePool); Dim 0
+	// disables pooling (frames then allocate per message — correct, just
+	// slower).
 	Dim, Batch int
 	// Retry is the reconnect backoff policy (ingest defaults apply).
 	Retry ingest.RetryPolicy
@@ -68,7 +69,7 @@ type Edge struct {
 	addr  string       // dial side: peer address
 	ln    net.Listener // accept side: shared listener
 	chaos *connChaos
-	pool  *RecvPool
+	pool  *stream.FramePool
 	wi    *obs.WireInstruments
 
 	// closedCh closes when the edge is Closed; it wakes the send loop out
@@ -146,7 +147,7 @@ type EdgeStats struct {
 func newEdge(opt EdgeOptions) *Edge {
 	e := &Edge{
 		opt:      opt,
-		pool:     NewRecvPool(opt.Dim, opt.Batch),
+		pool:     stream.NewFramePool(opt.Dim, opt.Batch),
 		backoff:  ingest.NewBackoff(opt.Retry),
 		closedCh: make(chan struct{}),
 		echoCh:   make(chan ClockEcho, 1),

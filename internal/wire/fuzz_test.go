@@ -84,7 +84,7 @@ func FuzzFrameCodec(f *testing.F) {
 	f.Add(chain)
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		pool := NewRecvPool(3, 4)
+		pool := stream.NewFramePool(3, 4)
 		dec := NewDecoder(bytes.NewReader(data), pool, 1<<20)
 		enc := NewEncoder(io.Discard, false)
 		for {

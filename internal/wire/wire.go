@@ -7,10 +7,10 @@
 //
 //   - a length-prefixed, versioned binary codec for every stream message
 //     kind (codec.go). Micro-batch frames are the hot path: the contiguous
-//     B×d buffer the transport pools are already wire-shaped, so on
+//     B×d buffer of a stream.FrameStore is already wire-shaped, so on
 //     little-endian hosts a dense frame is sent zero-copy (header and float
-//     payload gathered into one writev) and received straight into a pooled
-//     buffer;
+//     payload gathered into one writev), and every frame that fits the
+//     receive pool, masked or not, is read straight into a pooled store;
 //   - remote edges (edge.go): DialEdge / ListenEdge produce a send half
 //     that is a stream.Operator and a receive half that is a
 //     stream.SourceFunc, so a graph splices a TCP link exactly where a
@@ -100,32 +100,31 @@ type Hello struct {
 	Epoch int64
 }
 
-// EngineReport is a worker engine's end-of-stream report — the wire form
-// of the pipeline's per-engine statistics. It is wire's own type (not the
-// pipeline's) so the protocol layer stays application-neutral, with
-// pipeline.EngineStats's fields in the same order so that each converts to
-// the other directly.
+// EngineReport is an engine's end-of-stream report, declared once: the
+// pipeline's per-engine statistics (pipeline.EngineStats) are this type, so a
+// worker's report needs no conversion on either side of the socket.
 type EngineReport struct {
-	// Engine is the reporting engine index.
+	// Engine is the engine index.
 	Engine int
-	// Processed and Outliers count observations absorbed and flagged.
-	Processed, Outliers int64
+	// Processed counts observations absorbed (including warm-up).
+	Processed int64
+	// Outliers counts observations flagged by the robust weighting.
+	Outliers int64
 	// SnapshotsSent and MergesApplied count synchronization activity.
 	SnapshotsSent, MergesApplied int64
-	// Restarts counts crash recoveries.
+	// Restarts counts crash recoveries this engine went through.
 	Restarts int64
 	// ResumedFromCheckpoint reports whether the latest restart replayed a
-	// checkpoint.
+	// checkpoint (false for a cold restart before the first checkpoint).
 	ResumedFromCheckpoint bool
-	// Final is the engine's final eigensystem, nil when it never
-	// initialized.
+	// Final is the engine's eigensystem at end of stream (nil if the
+	// engine never initialized).
 	Final *core.Eigensystem
 }
 
 // ObsReport is a worker's periodic observability report in wire form. The
 // body is opaque to the transport — the pipeline encodes obs.Report deltas
-// as JSON — so the protocol layer stays application-neutral, exactly as
-// EngineReport keeps engine statistics out of the codec's vocabulary.
+// as JSON — so the protocol layer stays application-neutral.
 type ObsReport struct {
 	// Node is the reporting worker's node ID.
 	Node int
