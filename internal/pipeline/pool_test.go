@@ -88,6 +88,39 @@ func raceBuild() bool {
 	return ok && slices.Contains(bi.Settings, debug.BuildSetting{Key: "-race", Value: "true"})
 }
 
+// releaseHandoff stands in for the goroutine a frame's Release escapes to.
+var releaseHandoff func()
+
+// TestFramePoolCycleAllocatesNothing: at steady state the packer's whole
+// trip — get a pooled store, pack a complete row and a row whose NaN bins
+// derive a mask, hand the frame's Release to the consumer, Release —
+// allocates nothing: the store's Release is built once per store and its
+// mask block is kept across frames.
+func TestFramePoolCycleAllocatesNothing(t *testing.T) {
+	if raceBuild() {
+		t.Skip("the race detector's sync.Pool drops Puts")
+	}
+	const dim = 16
+	fp := stream.NewFramePool(dim, 2)
+	vec := make([]float64, dim)
+	gappy := make([]float64, dim)
+	gappy[3] = math.NaN()
+	allocs := testing.AllocsPerRun(100, func() {
+		fs := fp.Get()
+		packRow(fs, 0, vec, nil)
+		packRow(fs, 1, gappy, nil)
+		f := fs.Frame(stream.Trace{})
+		if len(f.Tuples) != 2 || f.Tuples[0].Mask != nil || f.Tuples[1].Mask[3] {
+			t.Fatalf("frame %+v", f)
+		}
+		releaseHandoff = f.Release
+		releaseHandoff()
+	})
+	if allocs != 0 {
+		t.Fatalf("pooled get → pack → Release allocates %v per frame, want 0", allocs)
+	}
+}
+
 // TestFrameStoreDerivesNaNMask: the packer's row copy gives an unmasked row
 // containing NaN the mask ObserveAuto would derive (NaN = missing), leaves
 // complete rows unmasked — ±Inf alone included, which the engine rejects as

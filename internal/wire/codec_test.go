@@ -121,6 +121,41 @@ func raceBuild() bool {
 	return ok && slices.Contains(bi.Settings, debug.BuildSetting{Key: "-race", Value: "true"})
 }
 
+// TestRecvPoolCycleAllocatesNothing: at steady state a receive pool's whole
+// trip — decode a dense frame of one into a pooled store, hand its Release to
+// the consumer, Release — allocates nothing. Batch 0 is floored at 1, so a
+// worker pools frames of one too.
+func TestRecvPoolCycleAllocatesNothing(t *testing.T) {
+	rp := NewRecvPool(3, 0)
+	if rp == nil {
+		t.Fatal("a batch-0 receive pool must pool frames of one")
+	}
+	var buf bytes.Buffer
+	if err := NewEncoder(&buf, false).Encode(contiguousFrame(9, 1, 3)); err != nil {
+		t.Fatal(err)
+	}
+	msg := buf.Bytes()
+	if raceBuild() {
+		t.Skip("the race detector's sync.Pool drops Puts")
+	}
+	dec := NewDecoder(&replayReader{b: msg[headerLen:]}, rp, 0)
+	n := len(msg) - headerLen
+	allocs := testing.AllocsPerRun(100, func() {
+		f, err := dec.decodeFrame(0, n)
+		if err != nil || f.Release == nil || f.Seq != 9 || len(f.Tuples) != 1 {
+			t.Fatalf("decode: %v, frame %+v", err, f)
+		}
+		releaseHandoff = f.Release
+		releaseHandoff()
+	})
+	if allocs != 0 {
+		t.Fatalf("pooled decode → Release allocates %v per frame, want 0", allocs)
+	}
+}
+
+// releaseHandoff stands in for the goroutine a frame's Release escapes to.
+var releaseHandoff func()
+
 // replayReader serves its bytes over and over: a socket that keeps
 // delivering the same message.
 type replayReader struct {
