@@ -1,7 +1,7 @@
 GO ?= go
 FUZZTIME ?= 10s
 
-.PHONY: build test test-portable test-wire test-race fuzz-short fuzz-race bench bench-width bench-kernels perf obs-check lint lint-json loc check
+.PHONY: build test test-portable test-wire test-race fuzz-short fuzz-race bench bench-width bench-kernels bench-hop perf obs-check lint lint-json loc check
 
 build:
 	$(GO) build ./...
@@ -121,6 +121,12 @@ bench-width:
 # d = 16, 400 and 1000 on one core, eight counts for medians.
 bench-kernels:
 	$(GO) test -run '^$$' -bench '^BenchmarkKernels$$' -cpu 1 -count 8 ./internal/mat
+
+# The stream runtime's per-message hop (DESIGN, "Micro-batched transport"):
+# frames of one through Split to four sinks, and one message through a
+# three-node chain, on one and two cores, eight counts for medians.
+bench-hop:
+	$(GO) test -run '^$$' -bench '^Benchmark(SplitHop|PipelineHop)$$' -benchmem -cpu 1,2 -count 8 ./internal/stream
 
 # Performance claims rest on the repo benchmark (BENCHMARK.json, benchmark/
 # — see benchmark/README.md), not on the microbenchmarks above. Produce two

@@ -3,6 +3,7 @@ package pipeline
 import (
 	"context"
 	"math"
+	"runtime"
 	"testing"
 	"time"
 
@@ -245,5 +246,54 @@ func TestBatchedFlushDeadline(t *testing.T) {
 				t.Fatalf("source tuple-weighted out = %d, want %d", m.TuplesOut, tuples)
 			}
 		}
+	}
+}
+
+// TestUnbatchedRunAllocsPerTuple: at Batch 0 (frames of one, the paper's
+// per-tuple routing) a whole Run at d = 16 allocates at most about once per
+// tuple — the Frame boxed into a stream.Message. Setup is taken out by
+// differencing two stream lengths.
+func TestUnbatchedRunAllocsPerTuple(t *testing.T) {
+	if raceBuild() {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	const d = 16
+	gen, err := spectra.NewSignalGenerator(spectra.SignalConfig{Dim: d, Signals: 3, Seed: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows := make([][]float64, 256)
+	for i := range rows {
+		rows[i], _ = gen.Next()
+	}
+	mallocs := func(n int) uint64 {
+		var i int
+		src := func() ([]float64, []bool, bool) {
+			if i == n {
+				return nil, nil, false
+			}
+			i++
+			return rows[i%len(rows)], nil, true
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		res, err := Run(context.Background(), Config{
+			Engine: engineConfig(d, 4, 3000), NumEngines: 4, Source: src, Seed: 42,
+		})
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.TuplesIn != int64(n) {
+			t.Fatalf("source returned %d/%d tuples", res.TuplesIn, n)
+		}
+		return after.Mallocs - before.Mallocs
+	}
+	const short, long = 20_000, 120_000
+	base, full := mallocs(short), mallocs(long)
+	per := float64(full-base) / (long - short)
+	t.Logf("%.3f allocations per tuple", per)
+	if per > 1.1 {
+		t.Fatalf("Run allocates %.2f times per tuple at Batch 0, want ≤ 1.1", per)
 	}
 }

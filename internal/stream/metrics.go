@@ -52,7 +52,10 @@ type MetricsSnapshot struct {
 	// a fault-injection Tap on an outgoing edge, and messages delivered to
 	// the node while it was failed.
 	Dropped int64
-	// Busy is the cumulative time spent inside Process/Flush.
+	// Busy is the cumulative time spent delivering messages and flushing:
+	// each delivery counts from its dequeue to Process's return, so a
+	// dequeue that did not block is included and a blocked wait for input
+	// is not.
 	Busy time.Duration
 	// QueueLen is the current backlog of the node's input queue at snapshot
 	// time. Zero for sources and when the graph is not running.

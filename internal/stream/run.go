@@ -32,6 +32,7 @@ type opRuntime struct {
 	// honors the EOS protocol) until revived. Owned by the goroutine.
 	failed bool
 	run    *runtime
+	emit   Emit // built once when Run starts
 }
 
 // runtime is the live state of a running graph.
@@ -40,12 +41,20 @@ type runtime struct {
 	ops    []*opRuntime // indexed by NodeID
 	ctx    context.Context
 	cancel context.CancelFunc
+	epoch  time.Time // deliveries are timed as monotonic offsets from it
 }
+
+// clock is the monotonic time since the run's epoch, in nanoseconds.
+func (rt *runtime) clock() int64 { return int64(time.Since(rt.epoch)) }
 
 // Run executes the graph until every source has finished and all data
 // (non-loop) edges have drained, or until ctx is cancelled — the normal way
 // to stop an endless or cyclic pipeline, in which case Run returns
 // ctx.Err(). It may be called once.
+//
+// Cancellation: an operator finishes its current delivery and starts no
+// other once it has seen the cancel, so a node drains at most its queue
+// after cancel, and a sender blocked on a full data edge gives up the send.
 //
 // Termination protocol: end-of-stream travels only over non-loop edges.
 // Operators flush once all their non-loop inputs have ended, and operators
@@ -66,14 +75,14 @@ func (g *Graph) Run(ctx context.Context) error {
 	}
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
-	rt := &runtime{g: g, ops: make([]*opRuntime, len(g.nodes)), ctx: ctx, cancel: cancel}
+	rt := &runtime{g: g, ops: make([]*opRuntime, len(g.nodes)), ctx: ctx, cancel: cancel, epoch: time.Now()}
 	defer func() {
 		g.mu.Lock()
 		g.live = nil
 		g.mu.Unlock()
 	}()
 	for i, n := range g.nodes {
-		p := &opRuntime{n: n, pendingEOS: n.nonLoop, run: rt}
+		p := &opRuntime{n: n, pendingEOS: n.nonLoop, run: rt, emit: rt.emitter(n)}
 		if n.src == nil {
 			p.in = make(chan envelope, n.buf)
 		}
@@ -97,9 +106,8 @@ func (g *Graph) Run(ctx context.Context) error {
 			}(p)
 			continue
 		}
-		go func(n *node) {
+		go func(n *node, emit Emit) {
 			defer wg.Done()
-			emit := rt.emitter(n)
 			err := func() (err error) {
 				defer func() {
 					if r := recover(); r != nil {
@@ -116,7 +124,7 @@ func (g *Graph) Run(ctx context.Context) error {
 				rt.cancel()
 			}
 			rt.finishNode(n)
-		}(p.n)
+		}(p.n, p.emit)
 	}
 
 	wg.Wait()
@@ -132,27 +140,43 @@ func (g *Graph) Run(ctx context.Context) error {
 }
 
 // loop is the operator goroutine body: drain envelopes until every non-loop
-// input ended or the run is cancelled.
+// input ended or the run is cancelled. A receive first tries without
+// blocking; only an empty queue also waits on ctx, and resets mark (the last
+// delivery's end, the next one's start) so idle waits never count as busy.
 func (p *opRuntime) loop() {
 	if p.n.inbound == 0 {
 		p.finish() // nothing can ever arrive: flush at once
 		return
 	}
+	done := p.run.ctx.Done()
+	mark := int64(-1)
 	for p.pendingEOS > 0 {
 		select {
-		case env := <-p.in:
-			switch {
-			case env.revive:
-				p.revive(env.reviveFn)
-			case env.eos:
-				if p.pendingEOS--; p.pendingEOS == 0 {
-					p.finish()
-				}
-			default:
-				p.deliver(env.port, env.msg)
-			}
-		case <-p.run.ctx.Done():
+		case <-done:
 			return
+		default:
+		}
+		var env envelope
+		select {
+		case env = <-p.in:
+		default:
+			mark = -1
+			select {
+			case env = <-p.in:
+			case <-done:
+				return
+			}
+		}
+		switch {
+		case env.revive:
+			p.revive(env.reviveFn)
+			mark = -1
+		case env.eos:
+			if p.pendingEOS--; p.pendingEOS == 0 {
+				p.finish()
+			}
+		default:
+			mark = p.deliver(env.port, env.msg, mark)
 		}
 	}
 }
@@ -169,36 +193,40 @@ func (p *opRuntime) revive(fn func()) {
 	p.failed = false
 }
 
-// deliver runs one message through the operator, timing it. An operator
-// panic is converted into a node-failed event: the node drops traffic
-// (counted, and dropped frames released) until revived, and the process
-// keeps running.
-func (p *opRuntime) deliver(port int, msg Message) {
+// deliver runs one message through the operator, timed from start (a clock
+// offset, or -1 to read the clock now) to the returned end (-1 if untimed).
+// An operator panic is converted into a node-failed event: the node drops
+// traffic (counted, and dropped frames released) until revived, and the
+// process keeps running.
+func (p *opRuntime) deliver(port int, msg Message, start int64) int64 {
 	n := p.n
 	if p.failed {
 		n.metrics.dropped.Add(1)
 		ReleaseFrame(msg)
-		return
+		return -1
+	}
+	if start < 0 {
+		start = p.run.clock()
 	}
 	n.metrics.in.Add(1)
 	w := tupleWeight(msg)
 	if w > 0 {
 		n.metrics.tuplesIn.Add(w)
 	}
-	start := time.Now()
 	func() {
 		defer func() {
 			if r := recover(); r != nil {
 				p.fail(fmt.Errorf("operator %q panicked: %v", n.name, r))
 			}
 		}()
-		n.op.Process(port, msg, p.run.emitter(n))
+		n.op.Process(port, msg, p.emit)
 	}()
-	dur := int64(time.Since(start))
-	n.metrics.busyNs.Add(dur)
+	end := p.run.clock()
+	n.metrics.busyNs.Add(end - start)
 	if inst := n.metrics.inst; inst != nil {
-		inst.RecordProcess(start.UnixNano(), dur, w, len(p.in))
+		inst.RecordProcess(p.run.epoch.UnixNano()+start, end-start, w, len(p.in))
 	}
+	return end
 }
 
 // fail marks the operator failed and publishes the node-failed event.
@@ -220,7 +248,7 @@ func (p *opRuntime) finish() {
 					p.fail(fmt.Errorf("operator %q panicked in flush: %v", n.name, r))
 				}
 			}()
-			n.op.Flush(p.run.emitter(n))
+			n.op.Flush(p.emit)
 		}()
 		n.metrics.busyNs.Add(int64(time.Since(start)))
 	}
@@ -270,17 +298,19 @@ func (rt *runtime) forward(n *node, e *edge, fwd []Message, dropped int) {
 // sendOnEdge moves one message into the queue of e's destination: blocking
 // for data edges (until cancellation), dropping for loop edges when the
 // queue is full so cycles can never deadlock. A dropped message counts
-// toward the sender's Dropped metric and its frame is released.
+// toward the sender's Dropped metric and its frame is released. A queue
+// with room takes the message on the first, non-blocking try.
 func (rt *runtime) sendOnEdge(n *node, e *edge, msg Message) {
 	dst := rt.ops[e.to.id].in
 	env := envelope{port: e.toPort, msg: msg}
+	select {
+	case dst <- env:
+		return
+	default:
+	}
 	if e.loop {
-		select {
-		case dst <- env:
-		default:
-			n.metrics.dropped.Add(1)
-			ReleaseFrame(msg)
-		}
+		n.metrics.dropped.Add(1)
+		ReleaseFrame(msg)
 		return
 	}
 	select {
