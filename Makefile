@@ -1,7 +1,7 @@
 GO ?= go
 FUZZTIME ?= 10s
 
-.PHONY: build test test-portable test-wire test-race fuzz-short fuzz-race bench bench-width bench-kernels bench-hop perf obs-check lint lint-json loc check
+.PHONY: build test test-portable test-wire test-race fuzz-short fuzz-race bench bench-width bench-kernels bench-arrow bench-hop perf obs-check lint lint-json loc check
 
 build:
 	$(GO) build ./...
@@ -51,14 +51,16 @@ lint-json:
 	$(GO) run ./cmd/streamvet -json ./... > $(STREAMVET_JSON)
 	@echo "lint-json: wrote $(STREAMVET_JSON)"
 
-# Tier 1, portable path: the mat kernels have AVX2 assembly on amd64 and run
-# their Go reference loops everywhere else and on amd64 CPUs without AVX2
-# (one path, chosen at init). The 386 run (native on an x86-64 Linux host) puts the Go loops under the kernel, eigensolver and engine
-# suites, including the golden engine digests both paths must hit; the arm64
-# vet compiles the generic kernel file and checks it without running it.
+# Tier 1, portable path: the mat kernels and ArrowSym's secular roots have
+# AVX2 assembly on amd64 and run their Go references everywhere else and on
+# amd64 CPUs without AVX2 (one path, chosen at init). The 386 run (native on
+# an x86-64 Linux host) puts the Go loops and root under the kernel,
+# eigensolver and engine suites, including the golden engine digests both
+# paths must hit; the arm64 vet compiles the generic files and checks them
+# without running them.
 test-portable:
 	GOARCH=386 $(GO) test ./internal/mat ./internal/eig ./internal/core
-	GOARCH=arm64 $(GO) vet ./internal/mat
+	GOARCH=arm64 $(GO) vet ./internal/mat ./internal/eig
 
 # Tier 2: the wire layer against real TCP sockets under the race detector —
 # loopback edges, reconnect chaos, and the multi-process harness tests that
@@ -121,6 +123,14 @@ bench-width:
 # d = 16, 400 and 1000 on one core, eight counts for medians.
 bench-kernels:
 	$(GO) test -run '^$$' -bench '^BenchmarkKernels$$' -cpu 1 -count 8 ./internal/mat
+
+# The rank-one row update's eigensolve on one core, eight counts for medians:
+# ArrowSym at k = 5 on benchArrow and on engine-shaped arrowheads (on the
+# path init selected and on root's scalar path), and the whole d = 16 row
+# update it sits in (BenchmarkObserve/d-16).
+bench-arrow:
+	$(GO) test -run '^$$' -bench '^Benchmark(ArrowSym6|ArrowSymEngine)$$' -cpu 1 -count 8 ./internal/eig
+	$(GO) test -run '^$$' -bench '^BenchmarkObserve$$/^d-16$$' -cpu 1 -count 8 .
 
 # The stream runtime's per-message hop (DESIGN, "Micro-batched transport"):
 # frames of one through Split to four sinks, and one message through a

@@ -1,9 +1,11 @@
 package core
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"math"
+	"unsafe"
 
 	"streampca/internal/mat"
 )
@@ -67,6 +69,36 @@ func (en *Engine) ObserveMasked(x []float64, mask []bool) (Update, error) {
 	return en.observeOne(x, mask)
 }
 
+// allObserved is eight observed bins read as one word: a Go bool is stored
+// as the byte 1 for true.
+const allObserved = 0x0101010101010101
+
+// gapRuns writes the start and end of each missing run of mask into edges
+// from index 1 on, and returns the index after the last one written and the
+// number of missing bins. It steps over eight observed bins at a time while
+// a whole word of them is observed.
+//
+//streampca:noalloc
+func gapRuns(mask []bool, edges []int) (nb, nMiss int) {
+	d, nb := len(mask), 1
+	bytes := unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(mask))), d)
+	for i := 0; i < d; i++ {
+		if i+8 <= d && binary.LittleEndian.Uint64(bytes[i:]) == allObserved {
+			i += 7
+			continue
+		}
+		if !mask[i] {
+			s := i
+			for i < d && !mask[i] {
+				i++
+			}
+			edges[nb], edges[nb+1] = s, i
+			nb, nMiss = nb+2, nMiss+i-s
+		}
+	}
+	return nb, nMiss
+}
+
 // patchProject is the center/project pass for a row that carries a mask: it
 // leaves in chunk slot `slot` of ws.yMat and ws.coefs what CenterProject
 // would produce for the gap-patched row, and returns that row's ‖y‖² and the
@@ -92,17 +124,8 @@ func (en *Engine) patchProject(slot int, x []float64, mask []bool) (ny2 float64,
 	if len(mask) != d {
 		return 0, 0, errMaskLength
 	}
-	edges, nb := ws.gapEdges, 1 // 0, each missing run's start and end, d
-	for i := 0; i < d; i++ {
-		if !mask[i] {
-			s := i
-			for i < d && !mask[i] {
-				i++
-			}
-			edges[nb], edges[nb+1] = s, i
-			nb, nMiss = nb+2, nMiss+i-s
-		}
-	}
+	edges := ws.gapEdges // 0, each missing run's start and end, d
+	nb, nMiss := gapRuns(mask, edges)
 	edges[nb] = d
 	edges = edges[:nb+1] // observed runs start at even r, missing ones at odd r
 	mean := en.state.Mean

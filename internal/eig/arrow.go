@@ -83,6 +83,7 @@ func ArrowSym(diag, z []float64, alpha float64, ws *ArrowWorkspace) (values []fl
 	}
 	// Solve at an exact power-of-two scale where no square can overflow.
 	_, e := math.Frexp(amax)
+	down, up := pow2(-e), pow2(e)
 	perm, wd, wz := ws.perm, ws.wd, ws.wz
 	for i := range perm { // insertion sort: the engine's diag is sorted already
 		perm[i] = i
@@ -92,11 +93,11 @@ func ArrowSym(diag, z []float64, alpha float64, ws *ArrowWorkspace) (values []fl
 	}
 	var dmax, z2 float64
 	for p, j := range perm {
-		wd[p], wz[p] = math.Ldexp(diag[j], -e), math.Ldexp(z[j], -e)
+		wd[p], wz[p] = scale(diag[j], down, -e), scale(z[j], down, -e)
 		dmax = max(dmax, math.Abs(wd[p]))
 		z2 += wz[p] * wz[p]
 	}
-	a, znorm := math.Ldexp(alpha, -e), math.Sqrt(z2)
+	a, znorm := scale(alpha, down, -e), math.Sqrt(z2)
 
 	// Deflate: a negligible border entry leaves (dⱼ, eⱼ) an eigenpair; a pole
 	// within tol of the previous kept one is rotated into it, zeroing its
@@ -125,11 +126,18 @@ func ArrowSym(diag, z []float64, alpha float64, ws *ArrowWorkspace) (values []fl
 		vd[row*n+col] = 1
 	}
 	kd, kz := wd[:m], wz[:m]
-	for i := 0; i <= m; i++ {
-		if m == 0 {
-			ws.values[0] = a
-		} else if ws.values[i], ok = ws.root(i, kd, kz, a, znorm); !ok {
+	switch {
+	case m == 0:
+		ws.values[0] = a
+	case useLanes:
+		if !ws.rootLanes(kd, kz, a, znorm) {
 			return ws.values, ws.v, false
+		}
+	default:
+		for i := 0; i <= m; i++ {
+			if ws.values[i], ok = ws.root(i, kd, kz, a, znorm); !ok {
+				return ws.values, ws.v, false
+			}
 		}
 	}
 	ws.vectors(kd, kz)
@@ -143,7 +151,7 @@ func ArrowSym(diag, z []float64, alpha float64, ws *ArrowWorkspace) (values []fl
 		}
 	}
 	for j := range ws.values {
-		ws.values[j] = math.Ldexp(ws.values[j], e)
+		ws.values[j] = scale(ws.values[j], up, e)
 	}
 	sortEigenDescending(ws.values, ws.v)
 	for j := 0; j < n; j++ {
@@ -172,19 +180,13 @@ func (ws *ArrowWorkspace) root(i int, kd, kz []float64, a, znorm float64) (float
 	if i == 0 || i == m {
 		// Probe at the pole itself: c = (a−σ) − Σ_{q≠pole} kz[q]²/(kd[q]−σ),
 		// then c − τ + kz[pole]²/τ = 0 gives the start.
-		pole := min(i, m-1)
-		sigma = kd[pole]
+		var pole int
+		pole, sigma, lo, hi = extremeStart(i, kd, a, znorm)
 		c := a - sigma
 		for q, d := range kd {
 			if q != pole {
 				c -= kz[q] * kz[q] / (d - sigma)
 			}
-		}
-		bound := znorm + 4*epsilon*(math.Abs(sigma)+math.Abs(a-sigma)+znorm)
-		if i == 0 {
-			lo, hi = 0, max(a-sigma, 0)+bound
-		} else {
-			lo, hi = min(a-sigma, 0)-bound, 0
 		}
 		t = quadRoot(1, -c, -kz[pole]*kz[pole], lo, hi)
 	} else {
@@ -246,6 +248,20 @@ func (ws *ArrowWorkspace) root(i int, kd, kz []float64, a, znorm float64) (float
 	return sigma + t, true
 }
 
+// extremeStart returns the pole an extreme root (i = 0 or m) is sought from,
+// σ = kd[pole], and the bracket (lo, hi) of its offset τ: within ‖z‖ of the
+// pole, above it for i = 0 and below it for i = m, widened by α−σ where that
+// points outward.
+func extremeStart(i int, kd []float64, a, znorm float64) (pole int, sigma, lo, hi float64) {
+	pole = min(i, len(kd)-1)
+	sigma = kd[pole]
+	bound := znorm + 4*epsilon*(math.Abs(sigma)+math.Abs(a-sigma)+znorm)
+	if i == 0 {
+		return pole, sigma, 0, max(a-sigma, 0) + bound
+	}
+	return pole, sigma, min(a-sigma, 0) - bound, 0
+}
+
 // secular evaluates f at λ = σ+t as (a−σ) − t − Σ kz[q]²/δ_q with
 // δ_q = (kd[q]−σ) − t stored into row, and returns with it the derivative
 // sums Σ kz[q]²/δ_q² over the poles below (q ≥ split) and above (q < split)
@@ -282,6 +298,24 @@ func quadRoot(qa, qb, qc, lo, hi float64) float64 {
 		return x
 	}
 	return math.NaN()
+}
+
+// pow2 returns 2ⁿ when that is a normal float64, and 0 otherwise.
+func pow2(n int) float64 {
+	if n < -1022 || n > 1023 {
+		return 0
+	}
+	return math.Float64frombits(uint64(1023+n) << 52)
+}
+
+// scale returns x·2ⁿ given p = pow2(n). A multiply by a normal power of two
+// rounds once, so it equals math.Ldexp(x, n) bit for bit; Ldexp runs only
+// where 2ⁿ is not a normal number (p = 0).
+func scale(x, p float64, n int) float64 {
+	if p != 0 {
+		return x * p
+	}
+	return math.Ldexp(x, n)
 }
 
 // vectors writes the eigenvectors of the secular roots into columns 0..m of

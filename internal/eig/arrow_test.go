@@ -150,9 +150,10 @@ func TestArrowSymZeroAllocs(t *testing.T) {
 	}
 }
 
-// FuzzArrowSym feeds arbitrary float64 bit patterns: non-finite input must
-// report ok=false, and any finite input must decompose with descending
-// values and residual and orthogonality within 64ε of its scale.
+// FuzzArrowSym feeds arbitrary float64 bit patterns: both paths must agree
+// bit for bit (arrowPaths), non-finite input must report ok=false, and any
+// finite input must decompose with descending values and residual and
+// orthogonality within 64ε of its scale.
 func FuzzArrowSym(f *testing.F) {
 	seed := func(xs ...float64) []byte {
 		b := make([]byte, 8*len(xs))
@@ -182,6 +183,8 @@ func FuzzArrowSym(f *testing.F) {
 		for _, x := range xs[:2*k+1] {
 			finite = finite && !math.IsNaN(x) && !math.IsInf(x, 0)
 		}
+		var paths arrowPaths
+		paths.check(t, d, z, alpha)
 		vals, v, ok := ArrowSym(d, z, alpha, NewArrowWorkspace(k))
 		if ok != finite {
 			t.Fatalf("ok=%v for finite=%v input %v", ok, finite, xs)
@@ -227,6 +230,34 @@ func BenchmarkArrowSym6(b *testing.B) {
 	}
 }
 
+// BenchmarkArrowSymEngine times ArrowSym at k = 5 on 64 engine-shaped
+// arrowheads (engineArrow) in turn, on the path init selected and on root's
+// scalar path.
+func BenchmarkArrowSymEngine(b *testing.B) {
+	rng := rand.New(rand.NewPCG(24, 6))
+	type arrow struct {
+		d, z  []float64
+		alpha float64
+	}
+	cases := make([]arrow, 64)
+	for i := range cases {
+		cases[i].d, cases[i].z, cases[i].alpha = engineArrow(rng, 5)
+	}
+	ws := NewArrowWorkspace(5)
+	run := func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			c := &cases[i%len(cases)]
+			ArrowSym(c.d, c.z, c.alpha, ws)
+		}
+	}
+	b.Run("selected", run)
+	b.Run("root", func(b *testing.B) {
+		defer func(on bool) { useLanes = on }(useLanes)
+		useLanes = false
+		run(b)
+	})
+}
+
 func BenchmarkJacobiSym6(b *testing.B) {
 	h := arrowDense(benchArrow())
 	ws := NewSymEigWorkspace(6)
@@ -239,4 +270,100 @@ func BenchmarkJacobiSym6(b *testing.B) {
 // spectrum bordered by a new vector's projections.
 func benchArrow() (d, z []float64, alpha float64) {
 	return []float64{16, 9, 4, 1, 0.25}, []float64{0.4, -0.3, 0.2, 0.1, -0.05}, 0.3
+}
+
+// engineArrow draws the arrowhead of one rank-one engine update: a decayed,
+// descending spectrum γλⱼ on the diagonal, bordered by √(γλⱼ·w)·coefⱼ for a
+// new row with projections coefⱼ ~ N(0, λⱼ) at weight w ≪ 1, and the corner
+// w·‖y‖² with a residual beyond the projections. Such arrowheads are
+// near-diagonal: every border entry is small next to the gaps.
+func engineArrow(rng *rand.Rand, k int) (d, z []float64, alpha float64) {
+	d, z = make([]float64, k), make([]float64, k)
+	lam, gamma := 1+10*rng.Float64(), 1-math.Exp(-4-5*rng.Float64())
+	w := 1 - gamma
+	y2 := rng.ExpFloat64() * lam
+	for j := range d {
+		lam *= 0.2 + 0.7*rng.Float64()
+		coef := rng.NormFloat64() * math.Sqrt(lam)
+		d[j], z[j] = gamma*lam, math.Sqrt(gamma*lam*w)*coef
+		y2 += coef * coef
+	}
+	return d, z, w * y2
+}
+
+// arrowPaths holds one workspace per k for each of ArrowSym's paths.
+type arrowPaths struct{ sel, ref map[int]*ArrowWorkspace }
+
+// check runs ArrowSym on the path init selected and on root's scalar path,
+// and fails unless ok, the values and V agree bit for bit.
+func (p *arrowPaths) check(t testing.TB, d, z []float64, alpha float64) {
+	t.Helper()
+	k := len(d)
+	if p.sel == nil {
+		p.sel, p.ref = map[int]*ArrowWorkspace{}, map[int]*ArrowWorkspace{}
+	}
+	if p.sel[k] == nil {
+		p.sel[k], p.ref[k] = NewArrowWorkspace(k), NewArrowWorkspace(k)
+	}
+	vals, v, ok := ArrowSym(d, z, alpha, p.sel[k])
+	on := useLanes
+	useLanes = false
+	rvals, rv, rok := ArrowSym(d, z, alpha, p.ref[k])
+	useLanes = on
+	if ok != rok {
+		t.Fatalf("ok=%v, root's path ok=%v for d=%v z=%v α=%v", ok, rok, d, z, alpha)
+	}
+	if !ok {
+		return
+	}
+	for j, x := range vals {
+		if math.Float64bits(x) != math.Float64bits(rvals[j]) {
+			t.Fatalf("value %d is %v, root's path %v for d=%v z=%v α=%v", j, x, rvals[j], d, z, alpha)
+		}
+	}
+	for j, x := range v.Data() {
+		if y := rv.Data()[j]; math.Float64bits(x) != math.Float64bits(y) {
+			t.Fatalf("V entry %d is %v, root's path %v for d=%v z=%v α=%v", j, x, y, d, z, alpha)
+		}
+	}
+}
+
+// TestArrowSymLanesMatchRoot holds the path init selected (the AVX2 lanes
+// on amd64 with AVX2) to root's scalar path bit for bit on 10⁵ randArrow
+// cases at k = 1…16 and 10⁵ engine-shaped ones. Where the scalar path is
+// the selected one it compares that path with itself.
+func TestArrowSymLanesMatchRoot(t *testing.T) {
+	if useLanes != mat.AVX2() {
+		t.Fatalf("useLanes = %v, mat.AVX2() = %v", useLanes, mat.AVX2())
+	}
+	t.Logf("AVX2 lanes selected: %v", useLanes)
+	rng := rand.New(rand.NewPCG(24, 4))
+	trials := 100000
+	if testing.Short() {
+		trials = 10000
+	}
+	var p arrowPaths
+	for trial := 0; trial < trials; trial++ {
+		k := 1 + trial%16
+		d, z, alpha := randArrow(rng, k)
+		p.check(t, d, z, alpha)
+		d, z, alpha = engineArrow(rng, k)
+		p.check(t, d, z, alpha)
+	}
+}
+
+// TestScaleMatchesLdexp: scale's multiply by a normal power of two is
+// math.Ldexp bit for bit, into the subnormal range and past overflow.
+func TestScaleMatchesLdexp(t *testing.T) {
+	rng := rand.New(rand.NewPCG(24, 5))
+	for trial := 0; trial < 20000; trial++ {
+		x := math.Float64frombits(rng.Uint64())
+		if math.IsNaN(x) {
+			continue
+		}
+		n := rng.IntN(2*1080) - 1080
+		if got, want := scale(x, pow2(n), n), math.Ldexp(x, n); math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("scale(%v, 2^%d) = %v, Ldexp %v", x, n, got, want)
+		}
+	}
 }

@@ -236,6 +236,13 @@ func diagNorm(w *mat.Dense) float64 {
 // order — their eigenspace basis is arbitrary regardless.
 func sortEigenDescending(values []float64, v *mat.Dense) {
 	n := len(values)
+	i := 1
+	for i < n && values[i] <= values[i-1] {
+		i++
+	}
+	if i >= n { // already descending: the selection sort would swap nothing
+		return
+	}
 	vn := v.Cols()
 	vd := v.Data()
 	rows := v.Rows()

@@ -13,12 +13,20 @@ package mat
 // columns ≈ 24 KiB, within L1 reach.
 const ncBlock = 512
 
+// stackWindow is how many stacked rows MulStack resolves into slices at a
+// time: all of them for the engine's k+c, in one window of a multiple of four
+// so that every window but the last holds whole four-step passes.
+const stackWindow = 16
+
 // MulStack computes dst = A·S over the stacked operand S = [b; y[:r]] — the
 // b.rows rows of b followed by the first r rows of y — reading the leading
 // b.rows+r columns of a, without materializing S. dst is m×n, a is
 // m×(≥ b.rows+r), b and y have n columns. It is the component-major basis
 // rebuild B_new = Mᵀ·B + Wᵀ·Y with a = [Mᵀ | Wᵀ]: the 2×4 register tile,
-// run along the n-long basis rows. It performs no heap allocations.
+// run along the n-long basis rows. The stacked rows' column panels are
+// resolved once per panel and window (one window while k+c ≤ 16), and every
+// destination element takes the steps in k order whatever the window.
+// It performs no heap allocations.
 //
 //streampca:noalloc
 func MulStack(dst, a, b, y *Dense, r int) {
@@ -28,14 +36,21 @@ func MulStack(dst, a, b, y *Dense, r int) {
 		panic("mat: MulStack shape mismatch")
 	}
 	dst.Zero()
+	var rows [stackWindow][]float64
 	for j0 := 0; j0 < n; j0 += ncBlock {
 		j1 := min(j0+ncBlock, n)
-		i := 0
-		for ; i+1 < dst.rows; i += 2 {
-			mulPanel2x4(dst, a, b, y, kk, i, j0, j1)
-		}
-		if i < dst.rows {
-			mulPanel1x4(dst, a, b, y, kk, i, j0, j1)
+		for k0 := 0; k0 < kk; k0 += stackWindow {
+			s := rows[:min(stackWindow, kk-k0)]
+			for t := range s {
+				s[t] = stackRow(b, y, k0+t, j0, j1)
+			}
+			i := 0
+			for ; i+1 < dst.rows; i += 2 {
+				mulPanel2x4(dst, a, s, i, k0, j0, j1)
+			}
+			if i < dst.rows {
+				mulPanel1x4(dst, a, s, i, k0, j0, j1)
+			}
 		}
 	}
 }
@@ -49,53 +64,47 @@ func stackRow(b, y *Dense, t, j0, j1 int) []float64 {
 	return y.data[t*y.cols+j0 : t*y.cols+j1]
 }
 
-// mulPanel2x4 accumulates dst[i..i+1, j0:j1] += a[i..i+1, :kk]·S[:kk, j0:j1]
-// with S = [b; y] (see stackRow), consuming four reduction steps per pass:
-// each visit to a C element folds in four S rows, so C read-modify-write
-// traffic drops 4× and every S segment load feeds two rows.
+// mulPanel2x4 accumulates dst[i..i+1, j0:j1] += a[i..i+1, k0:k0+len(s)]·S
+// over the resolved stacked-row panels s (steps k0 on), consuming four
+// reduction steps per pass: each visit to a C element folds in four S rows,
+// so C read-modify-write traffic drops 4× and every S segment load feeds two
+// rows.
 //
 //streampca:noalloc
-func mulPanel2x4(dst, a, b, y *Dense, kk, i, j0, j1 int) {
-	n := dst.cols
-	a0 := a.data[i*a.cols : i*a.cols+kk]
-	a1 := a.data[(i+1)*a.cols : (i+1)*a.cols+kk]
-	w := j1 - j0
-	c0 := dst.data[i*n+j0 : i*n+j1][:w]
-	c1 := dst.data[(i+1)*n+j0 : (i+1)*n+j1][:w]
+func mulPanel2x4(dst, a *Dense, s [][]float64, i, k0, j0, j1 int) {
+	n, kk := dst.cols, len(s)
+	a0 := a.data[i*a.cols+k0 : i*a.cols+k0+kk]
+	a1 := a.data[(i+1)*a.cols+k0 : (i+1)*a.cols+k0+kk]
+	c0 := dst.data[i*n+j0 : i*n+j1]
+	c1 := dst.data[(i+1)*n+j0 : (i+1)*n+j1]
 	k := 0
 	for ; k+3 < kk; k += 4 {
-		panel2x4(c0, c1, a0[k:k+4], a1[k:k+4],
-			stackRow(b, y, k, j0, j1)[:w], stackRow(b, y, k+1, j0, j1)[:w],
-			stackRow(b, y, k+2, j0, j1)[:w], stackRow(b, y, k+3, j0, j1)[:w])
+		panel2x4(c0, c1, a0[k:k+4], a1[k:k+4], s[k], s[k+1], s[k+2], s[k+3])
 	}
 	for ; k < kk; k++ {
 		v0, v1 := a0[k], a1[k]
 		if v0 == 0 && v1 == 0 {
 			continue
 		}
-		bk := stackRow(b, y, k, j0, j1)[:w]
-		panel1x1(c0, v0, bk)
-		panel1x1(c1, v1, bk)
+		panel1x1(c0, v0, s[k])
+		panel1x1(c1, v1, s[k])
 	}
 }
 
 // mulPanel1x4 is mulPanel2x4 for a lone destination row.
 //
 //streampca:noalloc
-func mulPanel1x4(dst, a, b, y *Dense, kk, i, j0, j1 int) {
-	n := dst.cols
-	a0 := a.data[i*a.cols : i*a.cols+kk]
-	w := j1 - j0
-	c0 := dst.data[i*n+j0 : i*n+j1][:w]
+func mulPanel1x4(dst, a *Dense, s [][]float64, i, k0, j0, j1 int) {
+	n, kk := dst.cols, len(s)
+	a0 := a.data[i*a.cols+k0 : i*a.cols+k0+kk]
+	c0 := dst.data[i*n+j0 : i*n+j1]
 	k := 0
 	for ; k+3 < kk; k += 4 {
-		panel1x4(c0, a0[k:k+4],
-			stackRow(b, y, k, j0, j1)[:w], stackRow(b, y, k+1, j0, j1)[:w],
-			stackRow(b, y, k+2, j0, j1)[:w], stackRow(b, y, k+3, j0, j1)[:w])
+		panel1x4(c0, a0[k:k+4], s[k], s[k+1], s[k+2], s[k+3])
 	}
 	for ; k < kk; k++ {
 		if v := a0[k]; v != 0 {
-			panel1x1(c0, v, stackRow(b, y, k, j0, j1)[:w])
+			panel1x1(c0, v, s[k])
 		}
 	}
 }

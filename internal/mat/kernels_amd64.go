@@ -11,6 +11,10 @@ package mat
 // tests force it off to run the Go path.
 var useAVX2 = hasAVX2()
 
+// AVX2 reports init's kernel choice, so that other packages' AVX2 code
+// follows the one CPUID decision.
+func AVX2() bool { return useAVX2 }
+
 // hasAVX2 reports whether CPUID leaf 7 lists AVX2 and the OS saves the YMM
 // registers: OSXSAVE set, and XCR0's SSE and AVX state bits both on.
 func hasAVX2() bool {

@@ -4,6 +4,9 @@ package mat
 
 // Off amd64 the kernels are their Go references.
 
+// AVX2 is false: off amd64 there are no AVX2 kernels.
+func AVX2() bool { return false }
+
 func dot(x, y []float64) float64 { return dotGo(x, y) }
 
 func lerp(dst []float64, a float64, x []float64, b float64, y []float64) { lerpGo(dst, a, x, b, y) }

@@ -34,6 +34,10 @@ type node struct {
 	nonLoop int             // inbound non-loop edge count
 	inbound int             // total inbound edges
 	metrics *OpMetrics
+	// blockedNs is the time this node's current delivery or flush waited
+	// in sendOnEdge for room downstream, which Busy leaves out. Only the
+	// node's own goroutine touches it.
+	blockedNs int64
 }
 
 type edge struct {

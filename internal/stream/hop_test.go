@@ -108,6 +108,35 @@ func TestBusyUnderSaturationWithinWall(t *testing.T) {
 	}
 }
 
+// TestBusyExcludesBlockedSends: a Split feeding a sink that works 1 ms per
+// message through a one-slot queue waits for room on almost every send; its
+// Busy counts its own work and not those waits.
+func TestBusyExcludesBlockedSends(t *testing.T) {
+	const n = 40
+	var calls atomic.Int64
+	g := NewGraph()
+	s := g.AddSource("src", intSource(n))
+	sp := g.Add("split", &Split{N: 1, Seed: 1})
+	o := g.Add("sink", sleeper(time.Millisecond, &calls), WithBuffer(1))
+	if err := g.Connect(s, 0, sp, 0); err != nil {
+		t.Fatal(err)
+	}
+	if err := g.Connect(sp, 0, o, 0); err != nil {
+		t.Fatal(err)
+	}
+	start := time.Now()
+	if err := g.Run(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	wall := time.Since(start)
+	if calls.Load() != n {
+		t.Fatalf("sink ran %d times, want %d", calls.Load(), n)
+	}
+	if busy := g.Metrics()[sp].Busy; busy < 0 || busy > wall/4 {
+		t.Fatalf("split Busy = %v in a %v run behind a 1 ms sink, want under a quarter of it", busy, wall)
+	}
+}
+
 // TestSpanStartsNeverDecrease: the instrumented busy spans of one node are
 // ordered and disjoint — each starts no earlier than the previous one ended
 // — whether a delivery's start was read after a blocked wait or chained

@@ -55,7 +55,8 @@ type MetricsSnapshot struct {
 	// Busy is the cumulative time spent delivering messages and flushing:
 	// each delivery counts from its dequeue to Process's return, so a
 	// dequeue that did not block is included and a blocked wait for input
-	// is not.
+	// is not, and neither is a blocked wait for room on a full data edge
+	// downstream (backpressure).
 	Busy time.Duration
 	// QueueLen is the current backlog of the node's input queue at snapshot
 	// time. Zero for sources and when the graph is not running.

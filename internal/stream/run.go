@@ -222,7 +222,8 @@ func (p *opRuntime) deliver(port int, msg Message, start int64) int64 {
 		n.op.Process(port, msg, p.emit)
 	}()
 	end := p.run.clock()
-	n.metrics.busyNs.Add(end - start)
+	n.metrics.busyNs.Add(end - start - n.blockedNs)
+	n.blockedNs = 0
 	if inst := n.metrics.inst; inst != nil {
 		inst.RecordProcess(p.run.epoch.UnixNano()+start, end-start, w, len(p.in))
 	}
@@ -250,7 +251,8 @@ func (p *opRuntime) finish() {
 			}()
 			n.op.Flush(p.emit)
 		}()
-		n.metrics.busyNs.Add(int64(time.Since(start)))
+		n.metrics.busyNs.Add(int64(time.Since(start)) - n.blockedNs)
+		n.blockedNs = 0
 	}
 	p.run.finishNode(n)
 }
@@ -299,7 +301,8 @@ func (rt *runtime) forward(n *node, e *edge, fwd []Message, dropped int) {
 // for data edges (until cancellation), dropping for loop edges when the
 // queue is full so cycles can never deadlock. A dropped message counts
 // toward the sender's Dropped metric and its frame is released. A queue
-// with room takes the message on the first, non-blocking try.
+// with room takes the message on the first, non-blocking try; a blocked
+// wait is timed, on that slow path only, and left out of the sender's Busy.
 func (rt *runtime) sendOnEdge(n *node, e *edge, msg Message) {
 	dst := rt.ops[e.to.id].in
 	env := envelope{port: e.toPort, msg: msg}
@@ -313,10 +316,12 @@ func (rt *runtime) sendOnEdge(n *node, e *edge, msg Message) {
 		ReleaseFrame(msg)
 		return
 	}
+	start := rt.clock()
 	select {
 	case dst <- env:
 	case <-rt.ctx.Done():
 	}
+	n.blockedNs += rt.clock() - start
 }
 
 // emitter returns the Emit closure for node n. Tapped edges run every
