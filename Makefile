@@ -1,7 +1,7 @@
 GO ?= go
 FUZZTIME ?= 10s
 
-.PHONY: build test test-portable test-wire test-race fuzz-short fuzz-race bench bench-width bench-kernels bench-arrow bench-hop perf obs-check lint lint-json loc check
+.PHONY: build test test-portable test-wire test-race fuzz-short fuzz-race bench bench-width bench-kernels bench-arrow bench-eig bench-hop perf obs-check lint lint-json loc check
 
 build:
 	$(GO) build ./...
@@ -51,13 +51,14 @@ lint-json:
 	$(GO) run ./cmd/streamvet -json ./... > $(STREAMVET_JSON)
 	@echo "lint-json: wrote $(STREAMVET_JSON)"
 
-# Tier 1, portable path: the mat kernels and ArrowSym's secular roots have
-# AVX2 assembly on amd64 and run their Go references everywhere else and on
-# amd64 CPUs without AVX2 (one path, chosen at init). The 386 run (native on
-# an x86-64 Linux host) puts the Go loops and root under the kernel,
+# Tier 1, portable path: the mat kernels, ArrowSym's secular roots and
+# TridiagSym's lanes (tred2 and the deferred QL rotations) have AVX2 assembly
+# on amd64 and run their Go references everywhere else and on amd64 CPUs
+# without AVX2 (one path, chosen at init). The 386 run (native on an x86-64
+# Linux host) puts the Go loops, root and tred2/tql2 under the kernel,
 # eigensolver and engine suites, including the golden engine digests both
-# paths must hit; the arm64 vet compiles the generic files and checks them
-# without running them.
+# paths must hit; the arm64 vet compiles the generic files (the _other.go
+# stubs among them) and checks them without running them.
 test-portable:
 	GOARCH=386 $(GO) test ./internal/mat ./internal/eig ./internal/core
 	GOARCH=arm64 $(GO) vet ./internal/mat ./internal/eig
@@ -76,7 +77,7 @@ test-wire:
 # (the wire decoder runs against live sockets elsewhere) would slip the gate.
 # -run with the fuzz-target names and no -fuzz flag replays seeds only.
 fuzz-race:
-	$(GO) test -race -count=1 -run '^Fuzz' ./internal/core ./internal/fault ./internal/mat ./internal/wire
+	$(GO) test -race -count=1 -run '^Fuzz' ./internal/core ./internal/eig ./internal/fault ./internal/mat ./internal/wire
 
 # The one-stop pre-commit target: every static gate plus the full test suite,
 # the line budget, the portable-path suite, the race-enabled
@@ -95,15 +96,17 @@ test-race:
 	$(GO) test -race ./...
 
 # Tier 2: short fuzzing passes over the checkpoint reader, the fault
-# injector, the wire codecs, the arrowhead eigensolver, the binary record
-# reader and the mat kernels against their Go references. Each target fuzzes for $(FUZZTIME); seed corpora alone run in plain
-# `make test`.
+# injector, the wire codecs, the arrowhead and tridiagonal eigensolvers (each
+# path against its Go reference), the binary record reader and the mat
+# kernels against their Go references. Each target fuzzes for $(FUZZTIME);
+# seed corpora alone run in plain `make test`.
 fuzz-short:
 	$(GO) test -run '^$$' -fuzz '^FuzzReadEigensystem$$' -fuzztime $(FUZZTIME) ./internal/core
 	$(GO) test -run '^$$' -fuzz '^FuzzInjector$$' -fuzztime $(FUZZTIME) ./internal/fault
 	$(GO) test -run '^$$' -fuzz '^FuzzFrameCodec$$' -fuzztime $(FUZZTIME) ./internal/wire
 	$(GO) test -run '^$$' -fuzz '^FuzzSyncMessage$$' -fuzztime $(FUZZTIME) ./internal/wire
 	$(GO) test -run '^$$' -fuzz '^FuzzArrowSym$$' -fuzztime $(FUZZTIME) ./internal/eig
+	$(GO) test -run '^$$' -fuzz '^FuzzTridiagSym$$' -fuzztime $(FUZZTIME) ./internal/eig
 	$(GO) test -run '^$$' -fuzz '^FuzzBinaryStream$$' -fuzztime $(FUZZTIME) ./internal/ingest
 	$(GO) test -run '^$$' -fuzz '^FuzzKernelsMatchGoReference$$' -fuzztime $(FUZZTIME) ./internal/mat
 
@@ -131,6 +134,17 @@ bench-kernels:
 bench-arrow:
 	$(GO) test -run '^$$' -bench '^Benchmark(ArrowSym6|ArrowSymEngine)$$' -cpu 1 -count 8 ./internal/eig
 	$(GO) test -run '^$$' -bench '^BenchmarkObserve$$/^d-16$$' -cpu 1 -count 8 .
+
+# The block update's eigensolve on one core: TridiagSym on engine-shaped
+# Grams at k = 5, c = 1…16 (n = 6…21), on the path init selected and on the
+# Go reference, then the whole d = 400 and d = 1000 chunk of six rows it sits
+# in. Eight passes of one count each, so that the two paths alternate and
+# host drift spreads over both.
+bench-eig:
+	@for i in 1 2 3 4 5 6 7 8; do \
+		$(GO) test -run '^$$' -bench '^BenchmarkTridiagSymEngine$$' -benchtime 200ms -cpu 1 -count 1 ./internal/eig | grep ns/op; \
+	done
+	$(GO) test -run '^$$' -bench '^BenchmarkObserveBlock$$/^d-(400|1000)$$/^c-6$$' -cpu 1 -count 8 ./internal/core
 
 # The stream runtime's per-message hop (DESIGN, "Micro-batched transport"):
 # frames of one through Split to four sinks, and one message through a

@@ -311,9 +311,9 @@ func (en *Engine) rebuildEigensystemBlock(g float64, c int) bool {
 			gd[(k+m)*kc+(k+m2)] = sb * bs[m2] * srow[m2]
 		}
 	}
-	// The (k+c)-sized Gram has a c×c dense corner, not an arrowhead, and sits
-	// past the Jacobi/QL crossover, so the block path uses the tridiagonal
-	// solver; only the rank-one row update is an arrowhead for ArrowSym.
+	// The (k+c)-sized Gram has a c×c dense corner, not an arrowhead, so it goes
+	// to the tridiagonal solver, ahead of cyclic Jacobi at every size (DESIGN,
+	// "Eigensolver crossover"); only the rank-one row update suits ArrowSym.
 	lam, v, ok := eig.TridiagSym(gram, ws.bsym[c])
 	if !ok {
 		return false

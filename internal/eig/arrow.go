@@ -32,9 +32,11 @@ type ArrowWorkspace struct {
 	wd, wz []float64 // scaled working diagonal and border
 	delta  []float64 // row i, stride m: kd[q]−λᵢ formed as (kd[q]−σᵢ)−τᵢ
 	rots   []givens  // deflating rotations, in the order applied
+	// wd, wz and delta have capacity for three values past their ends,
+	// which loewnerLanes reads and ignores.
 }
 
-// givens records one deflating rotation of rows p and q.
+// givens records a rotation of rows p and q: deflating, or deferred from QL.
 type givens struct {
 	p, q int
 	c, s float64
@@ -47,9 +49,9 @@ func NewArrowWorkspace(k int) *ArrowWorkspace {
 		values: make([]float64, k+1),
 		v:      mat.NewDense(k+1, k+1),
 		perm:   make([]int, k),
-		wd:     make([]float64, k),
-		wz:     make([]float64, k),
-		delta:  make([]float64, (k+1)*k),
+		wd:     make([]float64, k, k+3),
+		wz:     make([]float64, k, k+3),
+		delta:  make([]float64, (k+1)*k, (k+1)*k+3),
 		rots:   make([]givens, k),
 	}
 }
@@ -325,6 +327,11 @@ func scale(x, p float64, n int) float64 {
 func (ws *ArrowWorkspace) vectors(kd, kz []float64) {
 	m, n := len(kd), ws.k+1
 	vd := ws.v.Data()
+	if useLanes {
+		loewnerLanes(kd, kz, ws.delta)
+		normLanes(vd, n, kz, ws.delta, ws.perm)
+		return
+	}
 	// Pair each pole difference with a root difference of the same sign
 	// and size, so the running product neither overflows nor underflows.
 	for q := range kd {

@@ -70,3 +70,16 @@ func (ws *ArrowWorkspace) rootLanes(kd, kz []float64, a, znorm float64) bool {
 //
 //go:noescape
 func secularLanes(kd, kz []float64, a, thr float64, ln *lanes) bool
+
+// loewnerLanes is the first loop of vectors, four columns q at a time (see
+// arrow_amd64.s): it leaves the same ẑ in kz, bit for bit. kd and delta are
+// read in whole blocks of four past their ends (ArrowWorkspace pads them).
+//
+//go:noescape
+func loewnerLanes(kd, kz, delta []float64)
+
+// normLanes is the second loop of vectors, four roots i at a time: the same
+// columns of v, bit for bit.
+//
+//go:noescape
+func normLanes(v []float64, n int, kz, delta []float64, perm []int)

@@ -30,6 +30,13 @@ DATA lanesStep<>+16(SB)/8, $1
 DATA lanesStep<>+24(SB)/8, $1
 GLOBL lanesStep<>(SB), RODATA|NOPTR, $32
 
+// 0, 1, 2, 3: the lane numbers
+DATA lanesIota<>+0(SB)/8, $0
+DATA lanesIota<>+8(SB)/8, $1
+DATA lanesIota<>+16(SB)/8, $2
+DATA lanesIota<>+24(SB)/8, $3
+GLOBL lanesIota<>(SB), RODATA|NOPTR, $32
+
 // 1.0
 DATA lanesOne<>+0(SB)/8, $0x3ff0000000000000
 DATA lanesOne<>+8(SB)/8, $0x3ff0000000000000
@@ -317,4 +324,150 @@ done:
 fail:
 	VZEROUPPER
 	MOVB	$0, ret+72(FP)
+	RET
+
+// func loewnerLanes(kd, kz, delta []float64)
+//
+// vectors' Löwner products, one column q per lane: with m = len(kd),
+// p = −δ[0][q]·δ[m][q], then p ← p·(δ[j′][q]/(kd[q]−kd[j])) for j = 0…m−1 in
+// order, j ≠ q, where j′ = j+1 for j < q and j otherwise, and
+// kz[q] = Copysign(√|p|, kz[q]); δ's rows are m apart. The lanes past m−1
+// of the last block read what follows kd and δ and store nothing.
+TEXT ·loewnerLanes(SB), NOSPLIT, $0-72
+	MOVQ	kd_base+0(FP), SI
+	MOVQ	kd_len+8(FP), CX
+	MOVQ	kz_base+24(FP), DI
+	MOVQ	delta_base+48(FP), DX
+	TESTQ	CX, CX
+	JZ	lwdone
+	MOVQ	CX, R8
+	SHLQ	$3, R8 // a row of δ, in bytes
+	MOVQ	CX, R9
+	IMULQ	R8, R9 // row m
+	VMOVQ	CX, X0
+	VPBROADCASTQ	X0, Y15 // m
+	XORQ	R10, R10 // the block's first q
+
+lwblock:
+	VMOVQ	R10, X0
+	VPBROADCASTQ	X0, Y14
+	VPADDQ	lanesIota<>(SB), Y14, Y14 // q
+	VPCMPGTQ	Y14, Y15, Y13 // q < m
+	VMOVUPD	(SI)(R10*8), Y12 // kd[q]
+	LEAQ	(DX)(R10*8), AX // δ[0][q]
+	VMOVUPD	(AX), Y11
+	VXORPD	lanesSign<>(SB), Y11, Y11
+	VMULPD	(AX)(R9*1), Y11, Y11 // p
+	VPXOR	Y10, Y10, Y10 // j
+	XORQ	BX, BX
+
+lwj:
+	VPCMPGTQ	Y10, Y14, Y9 // j < q
+	VPCMPEQQ	Y10, Y14, Y8 // j = q
+	VMOVUPD	(AX), Y0
+	VMOVUPD	(AX)(R8*1), Y1
+	VBLENDVPD	Y9, Y1, Y0, Y0 // δ[j′][q]
+	VBROADCASTSD	(SI)(BX*8), Y2
+	VSUBPD	Y2, Y12, Y2
+	VDIVPD	Y2, Y0, Y0
+	VMULPD	Y0, Y11, Y0
+	VBLENDVPD	Y8, Y11, Y0, Y11
+	VPADDQ	lanesStep<>(SB), Y10, Y10
+	ADDQ	R8, AX
+	INCQ	BX
+	CMPQ	BX, CX
+	JLT	lwj
+	VANDPD	lanesAbs<>(SB), Y11, Y11
+	VSQRTPD	Y11, Y11
+	VANDPD	lanesAbs<>(SB), Y11, Y11
+	VMOVUPD	(DI)(R10*8), Y0
+	VANDPD	lanesSign<>(SB), Y0, Y0
+	VORPD	Y0, Y11, Y11
+	VMASKMOVPD	Y11, Y13, (DI)(R10*8)
+	ADDQ	$4, R10
+	CMPQ	R10, CX
+	JLT	lwblock
+
+lwdone:
+	VZEROUPPER
+	RET
+
+// func normLanes(v []float64, n int, kz, delta []float64, perm []int)
+//
+// vectors' columns, one root i per lane for i = 0…m (m = len(kz)):
+// x_q = −kz[q]/δ[i][q] goes to v[perm[q]][i], nrm = 1 + Σ x_q² in q order,
+// then those entries are scaled by inv = 1/√nrm and v[n−1][i] = inv. v's rows
+// are n apart and δ's m. The lanes past m of the last block take δ's row m
+// and store nothing.
+TEXT ·normLanes(SB), NOSPLIT, $0-104
+	MOVQ	v_base+0(FP), DI
+	MOVQ	n+24(FP), R8
+	MOVQ	kz_base+32(FP), SI
+	MOVQ	kz_len+40(FP), CX
+	MOVQ	delta_base+56(FP), DX
+	MOVQ	perm_base+80(FP), R9
+	LEAQ	-1(R8), R11
+	IMULQ	R8, R11
+	SHLQ	$3, R11
+	ADDQ	DI, R11 // row n−1
+	SHLQ	$3, R8 // a row of v, in bytes
+	VMOVQ	CX, X0
+	VPBROADCASTQ	X0, Y15 // m
+	VPADDQ	lanesStep<>(SB), Y15, Y14 // m+1
+	XORQ	R10, R10 // the block's first i
+
+nmblock:
+	VMOVQ	R10, X0
+	VPBROADCASTQ	X0, Y13
+	VPADDQ	lanesIota<>(SB), Y13, Y13 // i
+	VPCMPGTQ	Y13, Y14, Y12 // i ≤ m
+	VBLENDVPD	Y12, Y13, Y15, Y11
+	VPMULUDQ	Y15, Y11, Y11 // min(i, m)·m: δ's row i
+	VMOVUPD	lanesOne<>(SB), Y10 // nrm
+	TESTQ	CX, CX
+	JZ	nmroot
+	XORQ	AX, AX
+
+nmq:
+	VPCMPEQQ	Y9, Y9, Y9
+	VGATHERQPD	Y9, (DX)(Y11*8), Y0 // δ[i][q]
+	VBROADCASTSD	(SI)(AX*8), Y1
+	VXORPD	lanesSign<>(SB), Y1, Y1
+	VDIVPD	Y0, Y1, Y1 // x
+	MOVQ	(R9)(AX*8), BX
+	IMULQ	R8, BX
+	ADDQ	DI, BX
+	VMASKMOVPD	Y1, Y12, (BX)(R10*8)
+	VMULPD	Y1, Y1, Y1
+	VADDPD	Y1, Y10, Y10
+	VPADDQ	lanesStep<>(SB), Y11, Y11
+	INCQ	AX
+	CMPQ	AX, CX
+	JLT	nmq
+
+nmroot:
+	VSQRTPD	Y10, Y10
+	VMOVUPD	lanesOne<>(SB), Y1
+	VDIVPD	Y10, Y1, Y1 // inv
+	TESTQ	CX, CX
+	JZ	nmlast
+	XORQ	AX, AX
+
+nmscale:
+	MOVQ	(R9)(AX*8), BX
+	IMULQ	R8, BX
+	ADDQ	DI, BX
+	VMASKMOVPD	(BX)(R10*8), Y12, Y0
+	VMULPD	Y1, Y0, Y0
+	VMASKMOVPD	Y0, Y12, (BX)(R10*8)
+	INCQ	AX
+	CMPQ	AX, CX
+	JLT	nmscale
+
+nmlast:
+	VMASKMOVPD	Y1, Y12, (R11)(R10*8)
+	ADDQ	$4, R10
+	CMPQ	R10, CX
+	JLE	nmblock
+	VZEROUPPER
 	RET

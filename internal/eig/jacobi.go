@@ -39,6 +39,17 @@ type SymEigWorkspace struct {
 	w, v   *mat.Dense
 	values []float64
 	sub    []float64 // sub-diagonal scratch for the tridiagonal route
+	// tridiagLanes' scratch: w and v sit at the front of the padded q and
+	// a, rows n4 = n rounded up to 4 apart, which tridiagLanes uses as the
+	// accumulated transformation Z and as its working copy, then Zᵀ; t is
+	// one lane-width vector; rots[:nrot] are QL's deferred rotations; order
+	// is the sort's permutation.
+	n4    int
+	a, q  []float64
+	t     []float64
+	rots  []givens
+	nrot  int
+	order []int
 }
 
 // NewSymEigWorkspace preallocates for n×n symmetric inputs.
@@ -46,12 +57,20 @@ func NewSymEigWorkspace(n int) *SymEigWorkspace {
 	if n < 0 {
 		panic("eig: negative workspace dimension")
 	}
+	n4 := (n + 3) &^ 3
+	a, q := make([]float64, n4*n4), make([]float64, n4*n4)
 	return &SymEigWorkspace{
 		n:      n,
-		w:      mat.NewDense(n, n),
-		v:      mat.NewDense(n, n),
+		w:      mat.NewDenseData(n, n, q[:n*n]),
+		v:      mat.NewDenseData(n, n, a[:n*n]),
 		values: make([]float64, n),
 		sub:    make([]float64, n),
+		n4:     n4,
+		a:      a,
+		q:      q,
+		t:      make([]float64, n4),
+		rots:   make([]givens, 16),
+		order:  make([]int, n),
 	}
 }
 
@@ -80,17 +99,8 @@ func JacobiSym(a *mat.Dense, ws *SymEigWorkspace) (values []float64, v *mat.Dens
 // into the working copy w and a's diagonal in values, and reports whether
 // every entry is finite.
 func loadSym(a *mat.Dense, ws *SymEigWorkspace) (*SymEigWorkspace, bool) {
-	n := a.Rows()
-	if a.Cols() != n {
-		panic("eig: symmetric eigensolver requires a square matrix")
-	}
-	if ws == nil {
-		ws = NewSymEigWorkspace(n)
-	}
-	if ws.n != n {
-		panic("eig: symmetric eigensolver workspace dimension mismatch")
-	}
-	wd, ad := ws.w.Data(), a.Data()
+	ws = sizedWorkspace(a, ws)
+	n, wd, ad := ws.n, ws.w.Data(), a.Data()
 	for i := 0; i < n; i++ {
 		ws.values[i] = ad[i*n+i]
 		for j := i; j < n; j++ {
@@ -103,6 +113,22 @@ func loadSym(a *mat.Dense, ws *SymEigWorkspace) (*SymEigWorkspace, bool) {
 		}
 	}
 	return ws, true
+}
+
+// sizedWorkspace returns ws, allocated when nil, after checking that a is
+// square and of ws's size.
+func sizedWorkspace(a *mat.Dense, ws *SymEigWorkspace) *SymEigWorkspace {
+	n := a.Rows()
+	if a.Cols() != n {
+		panic("eig: symmetric eigensolver requires a square matrix")
+	}
+	if ws == nil {
+		ws = NewSymEigWorkspace(n)
+	}
+	if ws.n != n {
+		panic("eig: symmetric eigensolver workspace dimension mismatch")
+	}
+	return ws
 }
 
 // jacobiSweepsInto runs threshold-cyclic Jacobi on the symmetric working

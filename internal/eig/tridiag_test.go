@@ -1,6 +1,7 @@
 package eig
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math"
 	"math/rand/v2"
@@ -189,5 +190,263 @@ func benchSymEig(b *testing.B, n int, forceJacobi bool) {
 				b.Fatal("no convergence")
 			}
 		}
+	}
+}
+
+// tridiagPaths holds one workspace per n for each of TridiagSym's paths.
+type tridiagPaths struct{ sel, ref map[int]*SymEigWorkspace }
+
+// check runs TridiagSym on the path init selected and on the Go tred2/tql2
+// reference, and fails unless ok, the values and V agree bit for bit.
+func (p *tridiagPaths) check(t testing.TB, a *mat.Dense) {
+	t.Helper()
+	n := a.Rows()
+	if p.sel == nil {
+		p.sel, p.ref = map[int]*SymEigWorkspace{}, map[int]*SymEigWorkspace{}
+	}
+	if p.sel[n] == nil {
+		p.sel[n], p.ref[n] = NewSymEigWorkspace(n), NewSymEigWorkspace(n)
+	}
+	vals, v, ok := TridiagSym(a, p.sel[n])
+	on := useLanes
+	useLanes = false
+	rvals, rv, rok := TridiagSym(a, p.ref[n])
+	useLanes = on
+	if ok != rok {
+		t.Fatalf("n=%d: ok=%v, reference ok=%v for %v", n, ok, rok, a.Data())
+	}
+	for j, x := range vals {
+		if math.Float64bits(x) != math.Float64bits(rvals[j]) {
+			t.Fatalf("n=%d: value %d is %v, reference %v for %v", n, j, x, rvals[j], a.Data())
+		}
+	}
+	for j, x := range v.Data() {
+		if y := rv.Data()[j]; math.Float64bits(x) != math.Float64bits(y) {
+			t.Fatalf("n=%d: V entry %d is %v, reference %v for %v", n, j, x, y, a.Data())
+		}
+	}
+}
+
+// engineGram draws the (k+c)×(k+c) Gram of one block engine update
+// (core/block.go): a graded spectrum γλⱼ on a diagonal k-block, bordered by
+// √(γλⱼ·w)·coefₘⱼ for c new rows with projections coefₘⱼ ~ N(0, λⱼ) at
+// weight w, and the rows' dense c-corner w·yₘ·yₘ′, whose residual beyond
+// the basis carries r·γλₖ/w, so that λₖ₊₁/λₖ grows with r. It returns the
+// Gram and its λₖ₊₁/λₖ.
+func engineGram(rng *rand.Rand, k, c int, r float64) (*mat.Dense, float64) {
+	n := k + c
+	g := mat.NewDense(n, n)
+	lam, gamma := 1+10*rng.Float64(), 1-math.Exp(-4-5*rng.Float64())
+	w := 1 - gamma
+	lams := make([]float64, k)
+	for j := range lams {
+		lam *= 0.2 + 0.7*rng.Float64()
+		lams[j] = lam
+		g.Set(j, j, gamma*lam)
+	}
+	const extra = 8
+	coef, res := mat.NewDense(c, k), mat.NewDense(c, extra)
+	for m := 0; m < c; m++ {
+		for j := 0; j < k; j++ {
+			coef.Set(m, j, rng.NormFloat64()*math.Sqrt(lams[j]))
+			g.Set(j, k+m, math.Sqrt(gamma*lams[j]*w)*coef.At(m, j))
+		}
+		for j := 0; j < extra; j++ {
+			res.Set(m, j, rng.NormFloat64()*math.Sqrt(r*gamma*lam/(w*extra)))
+		}
+	}
+	for m := 0; m < c; m++ {
+		for m2 := m; m2 < c; m2++ {
+			g.Set(k+m, k+m2, w*(mat.Dot(coef.Row(m), coef.Row(m2))+mat.Dot(res.Row(m), res.Row(m2))))
+		}
+	}
+	for i := 0; i < n; i++ {
+		for j := 0; j < i; j++ {
+			g.Set(i, j, g.At(j, i))
+		}
+	}
+	vals, _, _ := SymEig(g)
+	return g, vals[k] / vals[k-1]
+}
+
+// mergeGram draws the 2k×2k Gram of merging two nearby k-bases with graded
+// spectra λ and μ: [[diag(λ), Λ^½·C·M^½], [·ᵀ, diag(μ)]], C a near-identity
+// rotation scaled by the bases' overlap.
+func mergeGram(rng *rand.Rand, k int) *mat.Dense {
+	rot := mat.NewDense(k, k)
+	for i := 0; i < k; i++ {
+		for j := 0; j < k; j++ {
+			rot.Set(i, j, 0.05*rng.NormFloat64())
+		}
+		rot.Set(i, i, 1+rot.At(i, i))
+	}
+	Orthonormalize(rot)
+	overlap := 1 - 0.01*rng.Float64()
+	lam, mu := make([]float64, k), make([]float64, k)
+	l, m := 1+10*rng.Float64(), 1+10*rng.Float64()
+	for j := 0; j < k; j++ {
+		l *= 0.2 + 0.7*rng.Float64()
+		m *= 0.2 + 0.7*rng.Float64()
+		lam[j], mu[j] = l, m
+	}
+	g := mat.NewDense(2*k, 2*k)
+	for i := 0; i < k; i++ {
+		g.Set(i, i, lam[i])
+		g.Set(k+i, k+i, mu[i])
+		for j := 0; j < k; j++ {
+			x := math.Sqrt(lam[i]*mu[j]) * overlap * rot.At(i, j)
+			g.Set(i, k+j, x)
+			g.Set(k+j, i, x)
+		}
+	}
+	return g
+}
+
+// gradedTridiag draws a small tridiagonal matrix whose entries span 10⁻³¹⁰
+// to 10¹⁵⁰ with exact zeros, the inputs on which tql2's rotation chain meets
+// r = 0 and deflates early.
+func gradedTridiag(rng *rand.Rand) *mat.Dense {
+	vals := []float64{0, 0, 0, 1, -1, 2, 3, 1e-200, 1e-300, -1e-300, 1e-310, 1e150, 1e-160}
+	n := 2 + rng.IntN(5)
+	a := mat.NewDense(n, n)
+	for i := 0; i < n; i++ {
+		for j := i; j < n && j <= i+1; j++ {
+			x := vals[rng.IntN(len(vals))]
+			a.Set(i, j, x)
+			a.Set(j, i, x)
+		}
+	}
+	return a
+}
+
+// TestTridiagSymLanesMatchReference holds the path init selected (the AVX2
+// lanes with deferred rotations on amd64 with AVX2) to the Go tred2/tql2
+// reference bit for bit: on random symmetric matrices at n = 1…24 (from
+// n = 24 the rotation log fills and flushes mid-solve) and at n = 64 and
+// 100, on engine-shaped Grams at k = 5, c = 1…16 with λ₆/λ₅ spanning 0.03 to
+// 0.85, on merge-shaped Grams, on repeated eigenvalues and diagonal
+// input, and on graded tridiagonals where QL's chain breaks at r = 0. Where
+// the Go path is the selected one it compares that path with itself.
+func TestTridiagSymLanesMatchReference(t *testing.T) {
+	if useLanes != mat.AVX2() {
+		t.Fatalf("useLanes = %v, mat.AVX2() = %v", useLanes, mat.AVX2())
+	}
+	t.Logf("AVX2 lanes selected: %v", useLanes)
+	rng := rand.New(rand.NewPCG(44, 1))
+	trials := 400
+	if testing.Short() {
+		trials = 40
+	}
+	var p tridiagPaths
+	for trial := 0; trial < trials; trial++ {
+		for n := 1; n <= 24; n++ {
+			p.check(t, randSym(rng, n))
+		}
+		p.check(t, mergeGram(rng, 5))
+		p.check(t, gradedTridiag(rng))
+	}
+	p.check(t, randSym(rng, 64))
+	p.check(t, randSym(rng, 100))
+	lo, hi := 1.0, 0.0
+	for trial := 0; trial < trials; trial++ {
+		for c := 1; c <= 16; c++ {
+			g, ratio := engineGram(rng, 5, c, math.Pow(10, -2.5+2*rng.Float64()))
+			lo, hi = min(lo, ratio), max(hi, ratio)
+			p.check(t, g)
+		}
+	}
+	if lo > 0.03 || hi < 0.85 {
+		t.Fatalf("engine Grams span λ₆/λ₅ %.3f–%.3f, not 0.03–0.85", lo, hi)
+	}
+	for _, spec := range [][]float64{
+		{4, 4, 4, 0, 0, 1},
+		{1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1},
+		{3, 3, 2, 2, 1, 1, 0, 0, -1, -1, -1},
+	} {
+		a, _ := symFromSpectrum(rng, spec)
+		p.check(t, a)
+	}
+	for n := 2; n <= 12; n++ {
+		a := mat.NewDense(n, n)
+		for i := 0; i < n; i++ {
+			a.Set(i, i, float64(i%3))
+		}
+		p.check(t, a)
+	}
+}
+
+// FuzzTridiagSym feeds arbitrary float64 bit patterns as the upper triangle
+// of an n×n symmetric matrix, n ≤ 24: both paths must agree bit for bit
+// (tridiagPaths), and non-finite input must report ok=false.
+func FuzzTridiagSym(f *testing.F) {
+	seed := func(xs ...float64) []byte {
+		b := make([]byte, 8*len(xs))
+		for i, x := range xs {
+			binary.LittleEndian.PutUint64(b[8*i:], math.Float64bits(x))
+		}
+		return b
+	}
+	f.Add(seed(2, 1, 0, 3, 1, 4))
+	f.Add(seed(1, 0, 0, 0, 1, 0, 0, 1, 0, 1))
+	f.Add(seed(1e300, -1e-300, 5e-324, 1e300, 0, -1e300))
+	f.Add(seed(0, 1e-300, 1e-300, 1e150, 0, 1e-310))
+	f.Add(seed(math.NaN(), 1, 2))
+	f.Add(seed(1, math.Inf(-1), 2))
+	f.Fuzz(func(t *testing.T, b []byte) {
+		xs := make([]float64, 0, 300)
+		for len(b) >= 8 && len(xs) < 300 {
+			xs = append(xs, math.Float64frombits(binary.LittleEndian.Uint64(b)))
+			b = b[8:]
+		}
+		n := 0
+		for (n+1)*(n+2)/2 <= len(xs) {
+			n++
+		}
+		if n == 0 {
+			return
+		}
+		a := mat.NewDense(n, n)
+		finite := true
+		for _, x := range xs[:n*(n+1)/2] {
+			finite = finite && !math.IsNaN(x) && !math.IsInf(x, 0)
+		}
+		at := 0
+		for i := 0; i < n; i++ {
+			for j := i; j < n; j++ {
+				a.Set(i, j, xs[at])
+				a.Set(j, i, xs[at])
+				at++
+			}
+		}
+		var paths tridiagPaths
+		paths.check(t, a)
+		if _, _, ok := TridiagSym(a, nil); !finite && ok {
+			t.Fatalf("ok for non-finite input %v", xs)
+		}
+	})
+}
+
+// BenchmarkTridiagSymEngine times TridiagSym on 64 engine-shaped Grams
+// (engineGram) in turn at k = 5, c = 1…16 (n = 6…21), on the path init
+// selected and on the Go reference.
+func BenchmarkTridiagSymEngine(b *testing.B) {
+	rng := rand.New(rand.NewPCG(44, 2))
+	for c := 1; c <= 16; c++ {
+		grams := make([]*mat.Dense, 64)
+		for i := range grams {
+			grams[i], _ = engineGram(rng, 5, c, math.Pow(10, -2.5+2*rng.Float64()))
+		}
+		ws := NewSymEigWorkspace(5 + c)
+		run := func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				TridiagSym(grams[i%len(grams)], ws)
+			}
+		}
+		b.Run(fmt.Sprintf("n-%d/selected", 5+c), run)
+		b.Run(fmt.Sprintf("n-%d/reference", 5+c), func(b *testing.B) {
+			defer func(on bool) { useLanes = on }(useLanes)
+			useLanes = false
+			run(b)
+		})
 	}
 }
