@@ -1,11 +1,11 @@
-// Command streamvet runs the repo's static-analysis suite: six analyzers
-// that enforce the hot-path, determinism, concurrency, and pooled-lifetime
-// contracts the paper's claims rest on (see internal/analysis). It exits
-// non-zero when any unsuppressed diagnostic is found.
+// Command streamvet runs the repo's static-analysis suite: five analyzers
+// that enforce the determinism, concurrency, and pooled-lifetime contracts
+// the paper's claims rest on (see internal/analysis). It exits non-zero when
+// any unsuppressed diagnostic is found.
 //
 // Usage:
 //
-//	streamvet [-json] [-escape] [-budget file] [-C dir] [package-dir ...]
+//	streamvet [-json] [-budget file] [-C dir] [package-dir ...]
 //
 // With no package arguments (or "./...") every package in the module is
 // analyzed. Arguments name package directories relative to the module root
@@ -18,19 +18,12 @@
 // (see `make lint-json`). The exit status considers unsuppressed
 // diagnostics only.
 //
-// -escape additionally rebuilds the module with -gcflags=-m and cross-checks
-// the //streampca:noalloc annotations against the compiler's escape
-// analysis.
-//
 // -budget FILE prints the live //streamvet:ignore count per analyzer and
 // fails when any count exceeds the checked-in baseline (see
 // internal/analysis/suppressions.txt): suppressions only grow through an
 // explicit diff.
 //
-// Unused //streamvet:ignore directives are reported as findings. Directives
-// naming noalloc are audited only under -escape, because several noalloc
-// suppressions silence compiler-level escape findings that the AST pass
-// alone cannot see.
+// Unused //streamvet:ignore directives are reported as findings.
 package main
 
 import (
@@ -46,7 +39,6 @@ import (
 
 func main() {
 	jsonOut := flag.Bool("json", false, "emit diagnostics as JSON (suppressed included, flagged)")
-	escape := flag.Bool("escape", false, "cross-check //streampca:noalloc functions with go build -gcflags=-m")
 	budget := flag.String("budget", "", "suppression-budget baseline file; print live counts and fail when any exceeds it")
 	chdir := flag.String("C", "", "module root directory (default: nearest go.mod from the working directory)")
 	flag.Parse()
@@ -73,19 +65,8 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	if *escape {
-		esc, err := analysis.EscapeCheck(loader.Root(), pkgs)
-		if err != nil {
-			fatal(err)
-		}
-		diags = append(diags, esc...)
-	}
-	// Audit directives against the full (pre-filter) diagnostic set; noalloc
-	// directives can only be judged when the escape findings are present.
+	// Audit directives against the full (pre-filter) diagnostic set.
 	for _, u := range analysis.FindUnusedDirectives(pkgs, diags) {
-		if u.Analyzer == "noalloc" && !*escape {
-			continue
-		}
 		diags = append(diags, u.Diagnostic())
 	}
 	budgetFailed := false

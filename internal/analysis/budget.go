@@ -35,10 +35,8 @@ func (u UnusedDirective) Diagnostic() Diagnostic {
 }
 
 // FindUnusedDirectives returns every well-formed directive in pkgs that does
-// not suppress at least one diagnostic in diags. diags must be the complete
-// diagnostic set for the directives being audited: auditing noalloc
-// directives requires the escape cross-check's findings too, since several
-// noalloc suppressions target compiler-level escapes with no AST-level twin.
+// not suppress at least one diagnostic in diags, which must be the complete
+// diagnostic set of the analyzers the directives name.
 func FindUnusedDirectives(pkgs []*Package, diags []Diagnostic) []UnusedDirective {
 	type key struct {
 		file     string

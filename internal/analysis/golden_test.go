@@ -81,10 +81,6 @@ func runGolden(t *testing.T, dir, importPath string, analyzers []*Analyzer) {
 	}
 }
 
-func TestNoAllocGolden(t *testing.T) {
-	runGolden(t, "noalloc", "golden.test/noalloc", []*Analyzer{NoAlloc})
-}
-
 func TestDeterminismGolden(t *testing.T) {
 	runGolden(t, "determinism", "golden.test/internal/core", []*Analyzer{Determinism})
 }
@@ -121,9 +117,9 @@ func TestWorkspaceEscapeGolden(t *testing.T) {
 	runGolden(t, "wsescape", "golden.test/wsescape", []*Analyzer{WorkspaceEscape})
 }
 
-// TestDirectives exercises the //streamvet:ignore machinery on its fixture:
-// a reasoned directive suppresses and records its reason; a reasonless
-// directive is itself reported and suppresses nothing.
+// TestDirectives exercises the //streamvet:ignore machinery on its fixture,
+// under lockedsend: a reasoned directive suppresses and records its reason; a
+// reasonless directive is itself reported and suppresses nothing.
 func TestDirectives(t *testing.T) {
 	loader, err := NewLoader(moduleRoot)
 	if err != nil {
@@ -133,20 +129,20 @@ func TestDirectives(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	diags, err := Run([]*Package{pkg}, []*Analyzer{NoAlloc})
+	diags, err := Run([]*Package{pkg}, []*Analyzer{LockedSend})
 	if err != nil {
 		t.Fatal(err)
 	}
-	var suppressed, unsuppressedMake, malformed int
+	var suppressed, unsuppressedSend, malformed int
 	for _, d := range diags {
 		switch {
-		case d.Analyzer == "noalloc" && d.Suppressed:
+		case d.Analyzer == "lockedsend" && d.Suppressed:
 			suppressed++
 			if d.Reason != "fixture exercises the suppression path" {
 				t.Errorf("suppressed diagnostic lost its reason: %+v", d)
 			}
-		case d.Analyzer == "noalloc":
-			unsuppressedMake++
+		case d.Analyzer == "lockedsend":
+			unsuppressedSend++
 		case d.Analyzer == "streamvet":
 			malformed++
 			if !strings.Contains(d.Message, "malformed directive") {
@@ -160,10 +156,10 @@ func TestDirectives(t *testing.T) {
 		}
 	}
 	if suppressed != 1 {
-		t.Errorf("suppressed noalloc findings = %d, want 1", suppressed)
+		t.Errorf("suppressed lockedsend findings = %d, want 1", suppressed)
 	}
-	if unsuppressedMake != 1 {
-		t.Errorf("unsuppressed noalloc findings = %d, want 1 (reasonless directive must not suppress)", unsuppressedMake)
+	if unsuppressedSend != 1 {
+		t.Errorf("unsuppressed lockedsend findings = %d, want 1 (reasonless directive must not suppress)", unsuppressedSend)
 	}
 	if malformed != 1 {
 		t.Errorf("malformed-directive findings = %d, want 1", malformed)

@@ -30,20 +30,6 @@ func Run(pkgs []*Package, analyzers []*Analyzer) ([]Diagnostic, error) {
 	return diags, nil
 }
 
-// Suppress applies the //streamvet:ignore directives found in pkgs to an
-// externally produced diagnostic list (the escape cross-check uses it, whose
-// findings come from compiler output rather than an analyzer pass).
-func Suppress(pkgs []*Package, diags []Diagnostic) []Diagnostic {
-	idx := make(suppressionIndex)
-	for _, pkg := range pkgs {
-		dirs, _ := collectDirectives(pkg)
-		idx.merge(dirs)
-	}
-	idx.apply(diags)
-	sortDiagnostics(diags)
-	return diags
-}
-
 func sortDiagnostics(diags []Diagnostic) {
 	sort.Slice(diags, func(i, j int) bool {
 		a, b := diags[i], diags[j]

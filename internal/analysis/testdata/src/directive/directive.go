@@ -5,16 +5,18 @@
 // since a trailing comment would be parsed as part of the directive).
 package directive
 
-//streampca:noalloc
-func suppressed(n int) []int {
-	//streamvet:ignore noalloc fixture exercises the suppression path
-	s := make([]int, n)
-	return s
+import "sync"
+
+func suppressed(mu *sync.Mutex, ch chan int) {
+	mu.Lock()
+	//streamvet:ignore lockedsend fixture exercises the suppression path
+	ch <- 1
+	mu.Unlock()
 }
 
-//streampca:noalloc
-func reasonless(n int) []int {
-	//streamvet:ignore noalloc
-	s := make([]int, n)
-	return s
+func reasonless(mu *sync.Mutex, ch chan int) {
+	mu.Lock()
+	//streamvet:ignore lockedsend
+	ch <- 1
+	mu.Unlock()
 }

@@ -31,6 +31,11 @@ type BatchResult struct {
 // sample covariance eigensystem via SVD of the centered data matrix. It is
 // the paper's classical baseline.
 func BatchPCA(xs [][]float64, p int) (*BatchResult, error) {
+	return batchPCA(xs, p, new(gramScratch))
+}
+
+// batchPCA is BatchPCA on the caller's Gram scratch.
+func batchPCA(xs [][]float64, p int, sc *gramScratch) (*BatchResult, error) {
 	n := len(xs)
 	if n < 2 {
 		return nil, errors.New("core: BatchPCA needs at least 2 observations")
@@ -48,7 +53,7 @@ func BatchPCA(xs [][]float64, p int) (*BatchResult, error) {
 	}
 	mat.Scale(1/float64(n), mu)
 
-	basis, svals, err := leftSingular(centered(xs, mu), p)
+	basis, svals, err := leftSingular(centered(xs, mu), p, sc)
 	if err != nil {
 		return nil, err
 	}
@@ -116,7 +121,8 @@ func robustFit(xs [][]float64, p, k int, rho robust.Rho, delta float64, maxIter 
 	if k < p {
 		k = p
 	}
-	start, err := BatchPCA(xs, k)
+	sc := new(gramScratch)
+	start, err := batchPCA(xs, k, sc)
 	if err != nil {
 		return nil, err
 	}
@@ -193,7 +199,7 @@ func robustFit(xs [][]float64, p, k int, rho robust.Rho, delta float64, maxIter 
 				m++
 			}
 		}
-		basisNew, svals, errB := leftSingular(mat.NewDenseData(m, d, rowBuf[:m*d]), k)
+		basisNew, svals, errB := leftSingular(mat.NewDenseData(m, d, rowBuf[:m*d]), k, sc)
 		if errB != nil {
 			return nil, errB
 		}

@@ -21,8 +21,6 @@ const blockMax = 16
 
 // ObserveBlock absorbs a batch of complete observation vectors: the all-nil
 // case of ObserveBlockMasked, rejecting any row with a non-finite entry.
-//
-//streampca:noalloc
 func (en *Engine) ObserveBlock(xs [][]float64, out []Update) ([]Update, error) {
 	return en.ObserveBlockMasked(xs, nil, out)
 }
@@ -47,8 +45,6 @@ func (en *Engine) ObserveBlock(xs [][]float64, out []Update) ([]Update, error) {
 // step fails are skipped, mirroring how the pipeline drops malformed tuples;
 // the first such error is returned after the rest of the batch has been
 // processed.
-//
-//streampca:noalloc
 func (en *Engine) ObserveBlockMasked(xs [][]float64, masks [][]bool, out []Update) ([]Update, error) {
 	if masks != nil && len(masks) != len(xs) {
 		return out, errMaskLength
@@ -87,7 +83,6 @@ func (en *Engine) ObserveBlockMasked(xs [][]float64, masks [][]bool, out []Updat
 			u, err = en.Observe(xs[i])
 		}
 		if err == nil {
-			//streamvet:ignore noalloc appends into the caller-provided Update buffer; steady state passes spare capacity (AllocsPerRun-verified)
 			out = append(out, u)
 		} else if firstErr == nil {
 			firstErr = err
@@ -117,8 +112,6 @@ func (en *Engine) ObserveBlockMasked(xs [][]float64, masks [][]bool, out []Updat
 // center/project pass and are skipped before any state is touched, as are
 // rows whose mask patchProject rejects; the first such error is returned
 // after the chunk completes.
-//
-//streampca:noalloc
 func (en *Engine) observeChunk(xs [][]float64, masks [][]bool, out []Update) ([]Update, error) {
 	st := &en.state
 	cfg := &en.cfg
@@ -181,7 +174,6 @@ func (en *Engine) observeChunk(xs [][]float64, masks [][]bool, out []Update) ([]
 			sigma2New = en.minSigma2
 		}
 		if w == 0 && cfg.RescueStreak > 0 {
-			//streamvet:ignore noalloc inlined recordRejected lazily allocates its ring buffer once, on the first rejected row
 			en.recordRejected(r2)
 			en.zeroStreak++
 			if en.zeroStreak >= cfg.RescueStreak {
@@ -225,7 +217,6 @@ func (en *Engine) observeChunk(xs [][]float64, masks [][]bool, out []Update) ([]
 		en.sinceSync++
 		en.updatesSince++
 
-		//streamvet:ignore noalloc appends into the caller-provided Update buffer; steady state passes spare capacity (AllocsPerRun-verified)
 		out = append(out, Update{
 			Seq:       st.Count,
 			Weight:    w,
@@ -270,8 +261,6 @@ func (en *Engine) observeChunk(xs [][]float64, masks [][]bool, out []Update) ([]
 // d-long rows. ws.yMat, ws.coefs and ws.bvals must hold the c rows (a chunk's
 // firing rows, or a merge's); false reports a failed eigensolve, which keeps
 // the previous eigensystem.
-//
-//streampca:noalloc
 func (en *Engine) rebuildEigensystemBlock(g float64, c int) bool {
 	st := &en.state
 	k := en.k

@@ -30,8 +30,6 @@ func solveSPD(g *mat.Dense, b []float64) ([]float64, error) {
 // x (which may alias b), l (k×k) receives the Cholesky factor and tmp (length
 // k) the forward substitution. Only the lower triangle of g is read. It
 // reports false when G stays non-positive-definite through every jitter retry.
-//
-//streampca:noalloc
 func solveSPDInto(x []float64, g *mat.Dense, b []float64, l *mat.Dense, tmp []float64) bool {
 	k := g.Rows()
 	gd, ld := g.Data(), l.Data()

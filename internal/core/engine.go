@@ -172,21 +172,15 @@ func (en *Engine) Eigensystem() *Eigensystem {
 // exportBasis refreshes state.Vectors (d×k) from the component-major basis:
 // the seam where the engine's layout meets the d×k one of Eigensystem,
 // checkpoints and snapshots.
-//
-//streampca:noalloc
 func (en *Engine) exportBasis() { en.state.Vectors.TransposeFrom(en.basis) }
 
 // loadBasis installs state.Vectors as the component-major basis, after
 // initialization or a resume wrote a new d×k one.
-//
-//streampca:noalloc
 func (en *Engine) loadBasis() { en.basis.TransposeFrom(en.state.Vectors) }
 
 // reorthonormalize restores an orthonormal basis (completing any zeroed
 // direction) through its d×k export, so one orthonormalizer serves every
 // caller; it costs O(d·k) beyond the orthonormalization itself.
-//
-//streampca:noalloc
 func (en *Engine) reorthonormalize() {
 	en.exportBasis()
 	eig.OrthonormalizeWS(en.state.Vectors, en.ws.orth)
@@ -215,8 +209,6 @@ func validateObservation(x []float64, dim int) error {
 // Observe absorbs one complete observation vector and returns the update
 // report. The vector must have length Config.Dim and contain only finite
 // values; use ObserveMasked (or ObserveAuto) for gappy data.
-//
-//streampca:noalloc
 func (en *Engine) Observe(x []float64) (Update, error) {
 	if err := validateObservation(x, en.cfg.Dim); err != nil {
 		return Update{}, err
@@ -229,8 +221,6 @@ func (en *Engine) Observe(x []float64) (Update, error) {
 
 // observeOne absorbs one row (mask nil when complete) into a ready engine as
 // a chunk of one, on the stack; its one append, if any, lands in ub.
-//
-//streampca:noalloc
 func (en *Engine) observeOne(x []float64, mask []bool) (Update, error) {
 	xs, ms, ub := [1][]float64{x}, [1][]bool{mask}, [1]Update{}
 	_, err := en.observeChunk(xs[:], ms[:], ub[:0])
@@ -362,7 +352,7 @@ func (en *Engine) classicFit(u float64) (Eigensystem, error) {
 	mat.Scale(1/float64(n0), mu)
 
 	// Top-k left singular vectors of the centered buffer.
-	basis, svals, err := leftSingular(centered(en.warmup, mu), en.k)
+	basis, svals, err := leftSingular(centered(en.warmup, mu), en.k, new(gramScratch))
 	if err != nil {
 		return Eigensystem{}, err
 	}
@@ -414,19 +404,20 @@ func (en *Engine) classicFit(u float64) (Eigensystem, error) {
 // vectors uⱼ = Σᵢ Vᵢⱼ·yᵢ/sⱼ are formed, in one MulStack over Y's d-long rows.
 // Otherwise the d×d YᵀY's eigenvectors are the wanted vectors themselves.
 // Singular values under 1e-13·s₀·√max(n, d) are zeroed, and a vector among
-// the k built from one is completed to an orthonormal set.
-func leftSingular(y *mat.Dense, k int) (*mat.Dense, []float64, error) {
+// the k built from one is completed to an orthonormal set. The Gram and its
+// eigensolver workspace come from sc, so one fit's calls share them.
+func leftSingular(y *mat.Dense, k int, sc *gramScratch) (*mat.Dense, []float64, error) {
 	n, d := y.Dims()
 	if k > n {
 		return nil, nil, fmt.Errorf("core: warm-up buffer rank %d below k=%d", n, k)
 	}
-	g := mat.NewDense(min(n, d), min(n, d))
+	g, ws := sc.sized(min(n, d))
 	if n >= d {
 		mat.Gram(g, y)
 	} else {
 		mat.SyrkRows(g, y, n)
 	}
-	lam, v, ok := eig.TridiagSym(g, nil)
+	lam, v, ok := eig.TridiagSym(g, ws)
 	if !ok {
 		return nil, nil, errors.New("core: warm-up SVD failed")
 	}
@@ -463,6 +454,22 @@ func leftSingular(y *mat.Dense, k int) (*mat.Dense, []float64, error) {
 	return basis, s, nil
 }
 
+// gramScratch is leftSingular's Gram and eigensolver workspace, built once
+// per fit and reused by its calls; it is rebuilt only when the Gram's size
+// changes (a reweighting pass that drops rows shrinks it).
+type gramScratch struct {
+	g  *mat.Dense
+	ws *eig.SymEigWorkspace
+}
+
+// sized returns the n×n Gram and its workspace.
+func (sc *gramScratch) sized(n int) (*mat.Dense, *eig.SymEigWorkspace) {
+	if sc.g == nil || sc.g.Rows() != n {
+		sc.g, sc.ws = mat.NewDense(n, n), eig.NewSymEigWorkspace(n)
+	}
+	return sc.g, sc.ws
+}
+
 // rebuildEigensystem performs the rank-one eigensystem update of eqs. 1–3:
 // conceptually it decomposes the d×(k+1) matrix A with columns eⱼ·√(γ2·λⱼ)
 // and y·√(yCoef) and installs the top-k left singular system (E = U,
@@ -482,8 +489,6 @@ func leftSingular(y *mat.Dense, k int) (*mat.Dense, []float64, error) {
 // for. That matrix is a symmetric arrowhead, whose eigenproblem eig.ArrowSym
 // solves in O(k²) through its secular equation. It gives Λ directly, and
 // installRebuild forms the new basis in one O(d·k) pass.
-//
-//streampca:noalloc
 func (en *Engine) rebuildEigensystem(gamma2, yCoef, ny2 float64) {
 	st := &en.state
 	k := en.k
@@ -519,8 +524,6 @@ func (en *Engine) rebuildEigensystem(gamma2, yCoef, ny2 float64) {
 // written into en.next, which then swaps with en.basis. Directions whose
 // singular value falls under the threshold are zeroed and completed to an
 // orthonormal set.
-//
-//streampca:noalloc
 func (en *Engine) installRebuild(lam []float64, v *mat.Dense, c int) {
 	st := &en.state
 	ws := en.ws

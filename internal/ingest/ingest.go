@@ -171,8 +171,6 @@ func gapMask(vec []float64, mask []bool) []bool {
 var HostLE = binary.NativeEndian.Uint16([]byte{0x34, 0x12}) == 0x1234
 
 // FloatBytes reinterprets a float64 slice as its in-memory byte view.
-//
-//streampca:noalloc
 func FloatBytes(f []float64) []byte {
 	if len(f) == 0 {
 		return nil

@@ -27,8 +27,6 @@ const stackWindow = 16
 // resolved once per panel and window (one window while k+c ≤ 16), and every
 // destination element takes the steps in k order whatever the window.
 // It performs no heap allocations.
-//
-//streampca:noalloc
 func MulStack(dst, a, b, y *Dense, r int) {
 	kk := b.rows + r
 	n := dst.cols
@@ -69,8 +67,6 @@ func stackRow(b, y *Dense, t, j0, j1 int) []float64 {
 // reduction steps per pass: each visit to a C element folds in four S rows,
 // so C read-modify-write traffic drops 4× and every S segment load feeds two
 // rows.
-//
-//streampca:noalloc
 func mulPanel2x4(dst, a *Dense, s [][]float64, i, k0, j0, j1 int) {
 	n, kk := dst.cols, len(s)
 	a0 := a.data[i*a.cols+k0 : i*a.cols+k0+kk]
@@ -92,8 +88,6 @@ func mulPanel2x4(dst, a *Dense, s [][]float64, i, k0, j0, j1 int) {
 }
 
 // mulPanel1x4 is mulPanel2x4 for a lone destination row.
-//
-//streampca:noalloc
 func mulPanel1x4(dst, a *Dense, s [][]float64, i, k0, j0, j1 int) {
 	n, kk := dst.cols, len(s)
 	a0 := a.data[i*a.cols+k0 : i*a.cols+k0+kk]
@@ -112,8 +106,6 @@ func mulPanel1x4(dst, a *Dense, s [][]float64, i, k0, j0, j1 int) {
 // panel2x4Go is mulPanel2x4's four-step loop over the len(bk0) columns:
 // c0[j] += v0[0]·bk0[j] + … + v0[3]·bk3[j], and likewise c1 with v1. Every
 // slice holds at least len(bk0) entries and v0, v1 at least four (see dotGo).
-//
-//streampca:noalloc
 func panel2x4Go(c0, c1, v0, v1, bk0, bk1, bk2, bk3 []float64) {
 	w := len(bk0)
 	c0, c1, bk1, bk2, bk3 = c0[:w], c1[:w], bk1[:w], bk2[:w], bk3[:w]
@@ -127,8 +119,6 @@ func panel2x4Go(c0, c1, v0, v1, bk0, bk1, bk2, bk3 []float64) {
 }
 
 // panel1x4Go is panel2x4Go for mulPanel1x4's lone row.
-//
-//streampca:noalloc
 func panel1x4Go(c0, v, bk0, bk1, bk2, bk3 []float64) {
 	w := len(bk0)
 	c0, bk1, bk2, bk3 = c0[:w], bk1[:w], bk2[:w], bk3[:w]
@@ -140,8 +130,6 @@ func panel1x4Go(c0, v, bk0, bk1, bk2, bk3 []float64) {
 
 // panel1x1Go is one destination row's single step, for the last kk%4 steps
 // of both panels: c0[j] += v·bk[j] over the len(bk) columns, as Axpy does.
-//
-//streampca:noalloc
 func panel1x1Go(c0 []float64, v float64, bk []float64) {
 	c0 = c0[:len(bk)]
 	for j, bv := range bk {

@@ -160,8 +160,6 @@ func (m *Dense) T() *Dense {
 
 // TransposeFrom overwrites m with the transpose of src, which must be
 // m.Cols()×m.Rows() and must not alias m. It performs no heap allocations.
-//
-//streampca:noalloc
 func (m *Dense) TransposeFrom(src *Dense) {
 	if m.rows != src.cols || m.cols != src.rows {
 		panic("mat: TransposeFrom shape mismatch")

@@ -11,8 +11,6 @@ package mat
 // each with [even, odd] split accumulators and several components per sweep
 // over y (two in Go, five with AVX2). It returns ‖y‖²; y and coef are
 // overwritten. A NaN or ±Inf in x surfaces in the result.
-//
-//streampca:noalloc
 func CenterProject(y, coef, x, mean []float64, basis *Dense) float64 {
 	k, d := basis.rows, basis.cols
 	if len(x) != d || len(y) != d || len(mean) != d || len(coef) != k {
@@ -23,8 +21,6 @@ func CenterProject(y, coef, x, mean []float64, basis *Dense) float64 {
 
 // centerProjectGo is CenterProject's loops over the k×d basis data bd, with
 // k = len(coef) and d = len(x) = len(y) = len(mean) (see dotGo).
-//
-//streampca:noalloc
 func centerProjectGo(y, coef, x, mean, bd []float64) float64 {
 	k, d := len(coef), len(x)
 	y, mean = y[:len(x)], mean[:len(x)]
@@ -70,8 +66,6 @@ func centerProjectGo(y, coef, x, mean, bd []float64) float64 {
 // copied into scratch, the r panel values Y[m][i] are gathered, and each new
 // entry is one Dot against Mᵀ's row plus the ordered rank-c correction.
 // scratch needs k+r floats.
-//
-//streampca:noalloc
 func basisUpdateSpan(vecs, mt, y, w *Dense, r, lo, hi int, scratch []float64) {
 	k := vecs.cols
 	dy := y.cols
@@ -101,8 +95,6 @@ func basisUpdateSpan(vecs, mt, y, w *Dense, r, lo, hi int, scratch []float64) {
 // addMulTARowsSpan accumulates destination rows [ilo, ihi) of
 // dst += Aᵀ·B over the first r rows of a and b — AddMulTARows restricted to
 // an output-row range, same 4-way unrolled reduction order per row.
-//
-//streampca:noalloc
 func addMulTARowsSpan(dst, a, b *Dense, r, ilo, ihi int) {
 	m, n := a.cols, b.cols
 	k := 0
@@ -144,8 +136,6 @@ func addMulTARowsSpan(dst, a, b *Dense, r, ilo, ihi int) {
 // (upper entries plus their mirrors). Each entry is one independent dot;
 // the j loop is 2-way unrolled, so two dots per pass share the loaded a-row
 // stream (see dotGo).
-//
-//streampca:noalloc
 func syrkRowsGo(dd, ad []float64, n, kk, r int) {
 	for i := 0; i < r; i++ {
 		ai := ad[i*kk : (i+1)*kk]

@@ -12,8 +12,6 @@ package mat
 // of a, exploiting symmetry (each off-diagonal dot is computed once and
 // mirrored). dst must be at least r×r; entries outside the leading block are
 // left untouched. It performs no heap allocations.
-//
-//streampca:noalloc
 func SyrkRows(dst, a *Dense, r int) {
 	if r < 0 || r > a.rows {
 		panic("mat: SyrkRows row count out of range")
@@ -29,8 +27,6 @@ func SyrkRows(dst, a *Dense, r int) {
 // unrolled, keeping four streaming B rows live per pass over the destination.
 // No engine path calls it; the repo benchmark times it in isolation
 // (mat.addmulta_rows_us.*). It performs no heap allocations.
-//
-//streampca:noalloc
 func AddMulTARows(dst, a, b *Dense, r int) {
 	if r < 0 || r > a.rows || r > b.rows {
 		panic("mat: AddMulTARows row count out of range")

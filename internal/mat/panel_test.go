@@ -65,16 +65,23 @@ func TestAddMulTARowsMatchesMulTA(t *testing.T) {
 }
 
 // TestPanelKernelsZeroAlloc pins the no-allocation contract both kernels are
-// used under in the engine's block rebuild.
+// used under in the engine's block rebuild, and that of the Go references
+// behind SyrkRows and MulStack's panels, called directly so that the contract
+// is held on hosts whose init picked the assembly.
 func TestPanelKernelsZeroAlloc(t *testing.T) {
 	rng := rand.New(rand.NewPCG(71, 3))
 	a := randomDense(rng, 8, 200)
 	b := randomDense(rng, 8, 6)
 	syrk := NewDense(8, 8)
 	dst := NewDense(200, 6)
+	c0, c1, v := dst.Row(0), dst.Row(1), a.Row(7)
 	allocs := testing.AllocsPerRun(50, func() {
 		SyrkRows(syrk, a, 7)
 		AddMulTARows(dst, a, b, 7)
+		syrkRowsGo(syrk.data, a.data, 8, 200, 7)
+		panel2x4Go(c0, c1, v[:4], v[4:], b.Row(0), b.Row(1), b.Row(2), b.Row(3))
+		panel1x4Go(c0, v, b.Row(4), b.Row(5), b.Row(6), b.Row(7))
+		panel1x1Go(c1, v[0], b.Row(7))
 	})
 	if allocs != 0 {
 		t.Fatalf("panel kernels allocated %v times per run", allocs)
@@ -144,7 +151,8 @@ func TestMulStackPanelMatchesMul(t *testing.T) {
 }
 
 // TestComponentMajorKernelsZeroAllocs pins the no-allocation contract of the
-// engine's per-row and per-rebuild kernels and of the export/load transpose.
+// engine's per-row and per-rebuild kernels, CenterProject's Go reference, and
+// the export/load transpose.
 func TestComponentMajorKernelsZeroAllocs(t *testing.T) {
 	rng := rand.New(rand.NewPCG(71, 6))
 	const d, k, r = 400, 5, 11
@@ -156,6 +164,7 @@ func TestComponentMajorKernelsZeroAllocs(t *testing.T) {
 	export := NewDense(d, k)
 	allocs := testing.AllocsPerRun(50, func() {
 		CenterProject(yv, coef, x, mean, basis)
+		centerProjectGo(yv, coef, x, mean, basis.data)
 		MulStack(next, a, basis, y, r)
 		export.TransposeFrom(next)
 		basis.TransposeFrom(export)

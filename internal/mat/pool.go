@@ -33,8 +33,6 @@ func (p *Pool) Close() {}
 // row-wise on a d×k basis: vecs is E (updated in place), mt the k×k
 // TRANSPOSED map Mᵀ (mt[j][l] = M[l][j]), y the (≥r)×d panel of centered
 // rows, w the (≥r)×k update coefficients. Requires Reserve(k+r) scratch.
-//
-//streampca:noalloc
 func (p *Pool) BasisUpdate(vecs, mt, y, w *Dense, r int) {
 	k := vecs.cols
 	if mt.rows != k || mt.cols != k {

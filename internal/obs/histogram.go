@@ -34,8 +34,6 @@ func NewHistogram(bounds []int64) *Histogram {
 }
 
 // Record adds one sample.
-//
-//streampca:noalloc
 func (h *Histogram) Record(v int64) {
 	i := 0
 	for i < len(h.bounds) && v > h.bounds[i] {

@@ -37,8 +37,6 @@ func newOpInstruments(name string) *OpInstruments {
 // RecordProcess records one Process call: its wall start time and duration
 // in nanoseconds, the tuple weight of the message, and the input backlog
 // observed when it was dequeued.
-//
-//streampca:noalloc
 func (o *OpInstruments) RecordProcess(startNs, durNs, weight int64, queueLen int) {
 	o.Latency.Record(durNs)
 	o.BatchSize.Record(weight)
@@ -82,8 +80,6 @@ type EngineInstruments struct {
 // the M-scale σ², the effective N, the observations since the last sync, the
 // leading eigenvalues (up to MaxEigGauges) and the eigengap λ_p − λ_{p+1}
 // for component count p.
-//
-//streampca:noalloc
 func (e *EngineInstruments) RecordEigen(sigma2, effN float64, sinceSync int64, vals []float64, p int) {
 	e.Sigma2.Set(sigma2)
 	e.EffN.Set(effN)

@@ -16,7 +16,7 @@
 //     every layer (stream, core, syncctl, pipeline, cmds) can depend on it.
 //   - The record path is allocation free and lock free: histograms, gauges,
 //     counters and span rings are arrays of atomics written by the hot path
-//     (//streampca:noalloc, enforced by streamvet) and read by snapshots.
+//     (TestRecordPathsDoNotAllocate holds it) and read by snapshots.
 //   - The journal is mutex-guarded but bounded and allocation free after
 //     construction; control-plane event rates (sync rounds, failures,
 //     checkpoints) are orders of magnitude below the data rate.
@@ -33,13 +33,9 @@ type Counter struct {
 }
 
 // Add increments the counter by n.
-//
-//streampca:noalloc
 func (c *Counter) Add(n int64) { c.v.Add(n) }
 
 // Inc increments the counter by one.
-//
-//streampca:noalloc
 func (c *Counter) Inc() { c.v.Add(1) }
 
 // Load returns the current count.
@@ -53,8 +49,6 @@ type Gauge struct {
 }
 
 // Set publishes v.
-//
-//streampca:noalloc
 func (g *Gauge) Set(v float64) { g.bits.Store(math.Float64bits(v)) }
 
 // Get returns the last published value (0 before the first Set).

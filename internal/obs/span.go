@@ -39,8 +39,6 @@ func NewSpanRing(capacity int) *SpanRing {
 }
 
 // Record retains one span.
-//
-//streampca:noalloc
 func (r *SpanRing) Record(startNs, durNs int64) {
 	i := int(r.next.Add(1)-1) % len(r.start)
 	r.start[i].Store(startNs)

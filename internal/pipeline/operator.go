@@ -152,8 +152,6 @@ func (p *pcaOperator) observeFrame(f stream.Frame) {
 // the frame's rows and outliers (warm-up rows included) to the tallies, sets
 // σ², N_eff, since-sync and the spectrum once the engine is ready, and
 // journals a scale-rescue when the engine's rescue count rose.
-//
-//streampca:noalloc
 func (p *pcaOperator) publish(rows, outliers int64) {
 	if p.inst == nil {
 		return
@@ -178,8 +176,6 @@ func (p *pcaOperator) publish(rows, outliers int64) {
 // is wrong by at most the offset error (≤ rtt/2 of the kept probe). One
 // sample per frame: every tuple in the frame shares the ingest stamp and
 // finished in the same ObserveBlock pass.
-//
-//streampca:noalloc
 func (p *pcaOperator) recordE2E(f stream.Frame) {
 	if p.e2e == nil || f.Trace.IngestNs == 0 {
 		return

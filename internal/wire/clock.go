@@ -54,8 +54,6 @@ type ClockState struct {
 // AddSample absorbs one completed exchange. It keeps the offset from the
 // minimum-rtt sample seen so far: smaller round trip, tighter error bound.
 // Samples with non-positive rtt (clock stepped mid-exchange) are dropped.
-//
-//streampca:noalloc
 func (c *ClockState) AddSample(e ClockEcho, t4 int64) {
 	rtt := (t4 - e.T1) - (e.T3 - e.T2)
 	if rtt <= 0 {
@@ -75,8 +73,6 @@ func (c *ClockState) AddSample(e ClockEcho, t4 int64) {
 
 // OffsetNs returns the current offset estimate θ (coordinator − worker),
 // zero before the first sample lands.
-//
-//streampca:noalloc
 func (c *ClockState) OffsetNs() int64 { return c.offsetNs.Load() }
 
 // RTTNs returns the round trip of the kept sample; the offset error bound

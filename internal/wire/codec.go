@@ -66,8 +66,6 @@ const (
 // putFloatsLE writes src into dst as little-endian float64 bytes — the
 // encode path for frames not sent as zero-copy views (big-endian hosts,
 // masked frames).
-//
-//streampca:noalloc
 func putFloatsLE(dst []byte, src []float64) {
 	for i, v := range src {
 		binary.LittleEndian.PutUint64(dst[8*i:8*i+8], math.Float64bits(v))
@@ -75,8 +73,6 @@ func putFloatsLE(dst []byte, src []float64) {
 }
 
 // getFloatsLE fills dst from little-endian float64 bytes.
-//
-//streampca:noalloc
 func getFloatsLE(dst []float64, src []byte) {
 	for i := range dst {
 		dst[i] = math.Float64frombits(binary.LittleEndian.Uint64(src[8*i : 8*i+8]))
@@ -116,8 +112,6 @@ func parseHello(raw []byte) (Hello, error) {
 }
 
 // putHeader packs one wire header.
-//
-//streampca:noalloc
 func putHeader(dst []byte, kind Kind, flags byte, payloadLen int) {
 	dst[0] = magicByte
 	dst[1] = Version

@@ -212,6 +212,67 @@ func TestMaskedFrameDecodesPooled(t *testing.T) {
 	}
 }
 
+// TestEncoderSteadyStateAllocatesNothing: once its arena and gather lists
+// have grown, the encoder's Append+Flush of a dense frame (header plus
+// zero-copy float views) and of a masked frame (floats copied by putFloatsLE)
+// allocates nothing. Each frame is boxed into a stream.Message once, outside
+// the measured closure: boxing a Frame costs one allocation per Append.
+func TestEncoderSteadyStateAllocatesNothing(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		msg  stream.Message
+	}{
+		{"dense", contiguousFrame(7, 8, 5)},
+		{"masked", mixedMaskFrame()},
+	} {
+		enc := NewEncoder(io.Discard, false)
+		allocs := testing.AllocsPerRun(100, func() {
+			if err := enc.Append(c.msg); err != nil {
+				t.Fatal(err)
+			}
+			if err := enc.Flush(); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs != 0 {
+			t.Errorf("%s: Append+Flush allocates %v per frame, want 0", c.name, allocs)
+		}
+	}
+}
+
+// TestGetFloatsLEAllocatesNothing: the unpooled decode's float copy restores
+// putFloatsLE's bytes bit for bit, without allocating.
+func TestGetFloatsLEAllocatesNothing(t *testing.T) {
+	src := []float64{1, -2.5, math.Pi, math.Inf(-1), math.SmallestNonzeroFloat64}
+	b := make([]byte, 8*len(src))
+	putFloatsLE(b, src)
+	dst := make([]float64, len(src))
+	allocs := testing.AllocsPerRun(100, func() { getFloatsLE(dst, b) })
+	if !slices.Equal(dst, src) {
+		t.Fatalf("getFloatsLE = %v, want %v", dst, src)
+	}
+	if allocs != 0 {
+		t.Fatalf("getFloatsLE allocates %v per call, want 0", allocs)
+	}
+}
+
+// TestClockStateAllocatesNothing: absorbing a tighter sample and reading the
+// offset back, the frame-observe path's clock work, allocates nothing.
+func TestClockStateAllocatesNothing(t *testing.T) {
+	var c ClockState
+	t4 := int64(1 << 40)
+	allocs := testing.AllocsPerRun(100, func() {
+		t4-- // each sample's round trip is one shorter, so each is kept
+		c.AddSample(ClockEcho{T1: 0, T2: 100, T3: 110}, t4)
+		if c.OffsetNs() != (100+110-t4)/2 {
+			t.Fatalf("offset %d after a tighter sample, want %d", c.OffsetNs(), (100+110-t4)/2)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("AddSample+OffsetNs allocates %v per sample, want 0", allocs)
+	}
+}
+
 func TestFrameRoundTripNonContiguous(t *testing.T) {
 	// Per-tuple allocations: still dense-encodable, via the gather path.
 	tuples := make([]stream.Tuple, 4)
