@@ -9,9 +9,9 @@
 // M-scale weighting), forgets old data at a configurable rate (exponential
 // window), patches missing entries from its own basis, and merges with
 // eigensystems estimated on other sub-streams, which is what makes the
-// parallel pipeline (RunPipeline) scale: a threaded split distributes
-// tuples across engines whose states are periodically synchronized under a
-// data-driven independence criterion.
+// parallel pipeline (RunPipeline) scale: the source's random split
+// distributes tuples across engines whose states are periodically
+// synchronized under a data-driven independence criterion.
 //
 // The package re-exports the repository's internal building blocks as a
 // stable facade: the estimator (core), robust losses (robust), synthetic
@@ -148,8 +148,8 @@ func RunPipeline(ctx context.Context, cfg PipelineConfig) (*PipelineResult, erro
 }
 
 // Distributed runtime types: the Figure-2 graph spread over OS processes,
-// with TCP edges spliced where the split→engine and engine→sink channels
-// used to be. The coordinator keeps the source, split, sync controller and
+// with TCP edges spliced where the source→engine and engine→sink channels
+// used to be. The coordinator keeps source and split, sync controller and
 // sink; each worker runs one PCA engine behind a reconnecting wire edge.
 type (
 	// DistConfig assembles a distributed streaming-PCA run.

@@ -255,7 +255,7 @@ func checkPrometheus(base string) error {
 	text := string(body)
 	for _, want := range []string{
 		"# TYPE streampca_op_latency_ns histogram",
-		`streampca_op_latency_ns_bucket{op="split",le="+Inf"}`,
+		`streampca_op_latency_ns_bucket{op="pca0",le="+Inf"}`,
 		"streampca_op_latency_ns_count",
 		`streampca_engine_sigma2{engine="0"}`,
 		`streampca_engine_eigenvalue{engine="1",rank="0"}`,
@@ -564,7 +564,7 @@ func checkClusterPrometheus(base string) error {
 		`streampca_node_clock_offset_seconds{node="worker-0"}`,
 		`streampca_node_clock_rtt_seconds{node="worker-1"}`,
 		`streampca_node_engine_observations_total{node="worker-0",engine=`,
-		`streampca_node_op_latency_ns_bucket{node="coordinator",op="split",le=`,
+		`streampca_node_op_latency_ns_bucket{node="coordinator",op="wire-send-0",le=`,
 		`streampca_node_wire_wire_0_bytes_per_writev{node="coordinator"}`,
 		`streampca_node_wire_wire_worker_bytes_per_writev{node="worker-0"}`,
 		"# TYPE streampca_e2e_latency_ns histogram",

@@ -143,8 +143,8 @@ func main() {
 		var res *streampca.PipelineResult
 		if *peers != "" {
 			// Distributed mode: the listed workers each run one engine
-			// behind a TCP wire edge; this process keeps the source, the
-			// split, the sync controller and the sink.
+			// behind a TCP wire edge; this process keeps the source (which
+			// runs the split), the sync controller and the sink.
 			res, err = streampca.RunCoordinator(context.Background(), streampca.DistConfig{
 				Engine:       engCfg,
 				Workers:      strings.Split(*peers, ","),

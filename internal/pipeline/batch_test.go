@@ -4,16 +4,18 @@ import (
 	"context"
 	"math"
 	"runtime"
+	"strings"
 	"testing"
 	"time"
 
 	"streampca/internal/spectra"
+	"streampca/internal/stream"
 	"streampca/internal/syncctl"
 )
 
 // TestBatchedPipelineConverges runs the micro-batched transport end to end:
 // no tuples lost, same convergence as the unbatched path, and the metrics
-// prove the batching actually happened — the split moves far fewer messages
+// prove the batching actually happened — the source emits far fewer messages
 // than tuples while the tuple-weighted counters still account for every
 // observation.
 func TestBatchedPipelineConverges(t *testing.T) {
@@ -50,21 +52,29 @@ func TestBatchedPipelineConverges(t *testing.T) {
 	if aff := res.Merged.SubspaceAffinity(gen.TrueBasis()); aff < 0.9 {
 		t.Fatalf("merged affinity = %v", aff)
 	}
-	for _, m := range res.Metrics {
-		if m.Name != "split" {
-			continue
+	var src *stream.MetricsSnapshot
+	var enginesIn int64
+	for i, m := range res.Metrics {
+		switch {
+		case m.Name == "source":
+			src = &res.Metrics[i]
+		case strings.HasPrefix(m.Name, "pca"):
+			enginesIn += m.TuplesIn
 		}
-		// A fast in-memory source fills nearly every frame; allow slack for
-		// deadline-flushed partials but require an order-of-magnitude win.
-		if m.In > tuples/batch*4 {
-			t.Fatalf("split consumed %d messages for %d tuples — transport not batched", m.In, tuples)
-		}
-		if m.TuplesIn != tuples {
-			t.Fatalf("split tuple-weighted in = %d, want %d", m.TuplesIn, tuples)
-		}
-		if m.TuplesOut != tuples {
-			t.Fatalf("split tuple-weighted out = %d, want %d", m.TuplesOut, tuples)
-		}
+	}
+	if src == nil {
+		t.Fatal("metrics have no source node")
+	}
+	// A fast in-memory source fills nearly every frame; allow slack for
+	// deadline-flushed partials but require an order-of-magnitude win.
+	if src.Out > tuples/batch*4 {
+		t.Fatalf("source emitted %d messages for %d tuples — transport not batched", src.Out, tuples)
+	}
+	if enginesIn != tuples {
+		t.Fatalf("engines' tuple-weighted in = %d, want %d", enginesIn, tuples)
+	}
+	if src.TuplesOut != tuples {
+		t.Fatalf("source tuple-weighted out = %d, want %d", src.TuplesOut, tuples)
 	}
 }
 

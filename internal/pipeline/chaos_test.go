@@ -12,7 +12,8 @@ import (
 )
 
 // TestChaosDropLogged: an edge drop plan produces a non-empty deterministic
-// fault log and the dropped tuples show up in the split's stream metrics.
+// fault log and the dropped tuples show up in the source's stream metrics
+// (a tap's drops are charged to the edge's sender).
 func TestChaosDropLogged(t *testing.T) {
 	run := func() *Result {
 		gen, err := spectra.NewSignalGenerator(spectra.SignalConfig{Dim: 30, Signals: 3, Seed: 5})
@@ -41,12 +42,12 @@ func TestChaosDropLogged(t *testing.T) {
 	}
 	var injected int64
 	for _, m := range res.Metrics {
-		if m.Name == "split" {
+		if m.Name == "source" {
 			injected = m.Dropped
 		}
 	}
 	if injected == 0 {
-		t.Fatal("injected drops not visible in split metrics")
+		t.Fatal("injected drops not visible in source metrics")
 	}
 	if res.Engines[0].Processed+res.Engines[1].Processed >= res.TuplesIn {
 		t.Fatalf("processed %d+%d with drops injected, source emitted %d",
@@ -166,12 +167,12 @@ func TestChaosBatchedTransport(t *testing.T) {
 	}
 	var dropped int64
 	for _, m := range res.Metrics {
-		if m.Name == "split" {
+		if m.Name == "source" {
 			dropped = m.Dropped
 		}
 	}
 	if dropped == 0 {
-		t.Fatal("frame drops not visible in split metrics")
+		t.Fatal("frame drops not visible in source metrics")
 	}
 	var processed int64
 	for _, eng := range res.Engines {

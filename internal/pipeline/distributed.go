@@ -17,14 +17,14 @@ import (
 )
 
 // This file is the multi-process deployment of the Figure-2 graph: the
-// coordinator keeps the source, split, sync controller and sink, while each
-// PCA engine runs in its own process behind a wire.Edge. The graph shape is
-// unchanged — TCP edges are spliced exactly where the split→engine and
-// engine→sink channels used to be, and the sync fabric's control and
-// snapshot messages ride the same sockets.
+// coordinator keeps the source (with its split), sync controller and sink,
+// while each PCA engine runs in its own process behind a wire.Edge. The
+// graph shape is unchanged — TCP edges are spliced exactly where the
+// source→engine and engine→sink channels used to be, and the sync fabric's
+// control and snapshot messages ride the same sockets.
 //
 //	coordinator                                 worker i
-//	source ─ split ─┬─ send₀ ══════ TCP ══════ recv ─┬─ pca ─ report ─ send
+//	        source ─┬─ send₀ ══════ TCP ══════ recv ─┬─ pca ─ send
 //	 ticker ─ ctl ─▷│   …                            │◁ control/snapshot
 //	        router ─┴─ sendᵢ (loop edges)            ╵
 //	   ▲────┴── recvᵢ (snapshots, reports) ◁═══════ engine's send half
@@ -54,8 +54,8 @@ type DistConfig struct {
 	Batch        int
 	FlushEvery   time.Duration
 	// BarrierEvery, when positive, weaves a checkpoint barrier into the
-	// data stream every that many tuples; the split broadcasts it to every
-	// engine, which snapshots its state on arrival.
+	// data stream every that many tuples; the source's split broadcasts it
+	// to every engine, which snapshots its state on arrival.
 	BarrierEvery int64
 	// Retry is the per-edge reconnect policy (ingest defaults apply).
 	Retry ingest.RetryPolicy
@@ -111,7 +111,7 @@ func (r *wireRouter) Process(port int, msg stream.Message, emit stream.Emit) {
 			emit(m.To, m)
 		}
 	case wire.EngineReport:
-		emit(r.n, stream.Result{Engine: m.Engine, Seq: m.Processed, Payload: m})
+		emit(r.n, m)
 	// Clock probes never reach the router: the edge answers them at the
 	// transport layer (recvLoop stamps and replies through the sender's
 	// priority slot), so the echo cannot be lost to a full send queue the
@@ -137,14 +137,14 @@ func wireLaneFrames(dim, batch int) int {
 }
 
 // wireQueues returns the coordinator's queue depths in messages: wireBuf for
-// the split and each edge's send queue, syncBuf for the nodes that also carry
-// the control plane.
+// each edge's send queue, syncBuf for the nodes that also carry the control
+// plane.
 //
 // The in-process queue heuristic (nodeBuf, as shallow as 2 frames) is tuned
 // for operators whose consumer is a local goroutine. A wire send node's
 // consumer is a TCP socket: its writes block for the whole window-update
 // round trip whenever the kernel buffer fills, and with a 2-deep queue that
-// stall backs up through the split and idles every other edge (and, on a
+// stall backs up into the source and idles every other edge (and, on a
 // saturated host, the engines themselves). The floor that keeps each edge's
 // lane full across those stalls is one socket buffer of frames
 // (wireLaneFrames), so it scales with the frame size rather than being
@@ -231,10 +231,10 @@ func RunCoordinator(ctx context.Context, cfg DistConfig) (*Result, error) {
 		}
 	}()
 	wireBuf, syncBuf := wireQueues(p)
-	// Lane i is a TCP edge to worker i: the split feeds its send half, its
+	// Lane i is a TCP edge to worker i: the source feeds its send half, its
 	// receive half feeds the router, and the router switches sync traffic
 	// back down the edges and engine reports on to the sink.
-	attach := func(_ context.Context, g *stream.Graph, split stream.NodeID,
+	attach := func(_ context.Context, g *stream.Graph, src stream.NodeID,
 		ctl *syncctl.Controller) (control, results []port, err error) {
 		routerID := g.Add("wire-router", &wireRouter{n: n, cluster: cfg.Cluster},
 			stream.WithBuffer(syncBuf))
@@ -254,7 +254,7 @@ func RunCoordinator(ctx context.Context, cfg DistConfig) (*Result, error) {
 			edges[i] = wire.DialEdge(addr, opt)
 			sendID := g.Add(fmt.Sprintf("wire-send-%d", i), edges[i].Operator(),
 				stream.WithBuffer(syncBuf))
-			if err := g.Connect(split, i, sendID, 0); err != nil {
+			if err := g.Connect(src, i, sendID, 0); err != nil {
 				return nil, nil, err
 			}
 			recvID := g.AddSource(fmt.Sprintf("wire-recv-%d", i), edges[i].Source(nil))
@@ -273,7 +273,7 @@ func RunCoordinator(ctx context.Context, cfg DistConfig) (*Result, error) {
 		return at, at, nil
 	}
 
-	res, err := p.run(ctx, lanes{splitBuf: wireBuf, barrierEvery: cfg.BarrierEvery, attach: attach})
+	res, err := p.run(ctx, lanes{barrierEvery: cfg.BarrierEvery, attach: attach})
 	if err != nil {
 		return nil, err
 	}
@@ -307,23 +307,6 @@ type WorkerConfig struct {
 	// runtime instruments.
 	ReportEvery time.Duration
 }
-
-// reportOp unwraps the engine's flush-time Result into its EngineReport and
-// forwards peer-bound snapshots unchanged: the messages a worker sends up.
-type reportOp struct{}
-
-// Process implements stream.Operator.
-func (reportOp) Process(_ int, msg stream.Message, emit stream.Emit) {
-	switch m := msg.(type) {
-	case stream.Result:
-		emit(0, m.Payload.(EngineStats))
-	case stream.Snapshot:
-		emit(0, m)
-	}
-}
-
-// Flush implements stream.Operator.
-func (reportOp) Flush(stream.Emit) {}
 
 // telemetryOp is the worker's observability pump. Port 0 carries ticks from
 // the telemetry ticker, port 1 the coordinator's clock echoes routed off the
@@ -454,16 +437,11 @@ func ServeWorkerSession(ctx context.Context, ln *wire.Listener, cfg WorkerConfig
 			return nil, err
 		}
 	}
-	trans := g.Add("wire-report", reportOp{})
-	if err := g.Connect(pcaID, portResult, trans, 0); err != nil {
-		return nil, err
-	}
-	if err := g.Connect(pcaID, portSnapshotOut, trans, 1); err != nil {
-		return nil, err
-	}
 	send := g.Add("wire-send", edge.Operator())
-	if err := g.Connect(trans, 0, send, 0); err != nil {
-		return nil, err
+	for _, port := range []int{portResult, portSnapshotOut} {
+		if err := g.Connect(pcaID, port, send, 0); err != nil {
+			return nil, err
+		}
 	}
 	if tel != nil {
 		telID := g.Add("wire-telemetry", tel)

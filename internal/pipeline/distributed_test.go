@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"os"
+	"runtime"
 	"testing"
 	"time"
 
@@ -397,13 +398,19 @@ func TestDESAgreesWithMeasuredWireRun(t *testing.T) {
 // re-carries the tail, so a report killed mid-flight costs nothing once a
 // later one lands), redeliveries are discarded as dups rather than merged
 // twice, and the cluster-wide end-to-end latency histogram is exactly the
-// bucket-wise sum of the per-worker ones.
+// bucket-wise sum of the per-worker ones. Once the run returns and the
+// workers exit, every goroutine the test started (graph nodes, edge send and
+// receive loops, the harness's stdout drains) must exit too: an edge that
+// leaks one fails here rather than by starving the run.
 func TestDistributedChaosObsReports(t *testing.T) {
 	const n, tuples = 4, 16000
 	gen, err := spectra.NewSignalGenerator(spectra.SignalConfig{Dim: 40, Signals: 3, Seed: 6})
 	if err != nil {
 		t.Fatal(err)
 	}
+	// Taken before the launch: the harness's drains end with the workers,
+	// which serve one session each, so they cannot mask a leaked goroutine.
+	baseline := runtime.NumGoroutine()
 	cl := launchCluster(t, n, WorkerSpec{
 		Dim: 40, Components: 3, Alpha: 1 - 1.0/300, Batch: 16,
 		ReportEvery: 5 * time.Millisecond,
@@ -475,5 +482,12 @@ func TestDistributedChaosObsReports(t *testing.T) {
 	if cs.E2ELatency == nil || cs.E2ELatency.Count != e2eTotal {
 		t.Fatalf("merged e2e histogram count = %+v, want sum of per-node counts %d",
 			cs.E2ELatency, e2eTotal)
+	}
+	deadline := time.Now().Add(10 * time.Second)
+	for runtime.NumGoroutine() > baseline {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines after the run, baseline %d", runtime.NumGoroutine(), baseline)
+		}
+		time.Sleep(time.Millisecond)
 	}
 }

@@ -15,9 +15,13 @@ import (
 
 // This file is the one assembly of the paper's Figure-2 graph:
 //
-//	source ─ split ─┬─ lane 0 ─┬─ sink
+//	        source ─┬─ lane 0 ─┬─ sink
 //	                ├─   …     │
 //	 ticker ─ ctl ─▷└─ lane n-1┘
+//
+// The source runs the paper's split in line (stream.Split): it only routes,
+// so it gets no queue of its own, as InfoSphere fuses it into its source's
+// processing element (§III-D).
 //
 // Run and RunCoordinator normalise their configuration into a plan, describe
 // their engine lanes (a local pcaOperator each, or a TCP edge to a worker
@@ -74,18 +78,16 @@ type port struct {
 }
 
 // lanes is what differs between the two deployments of the graph: how the N
-// engine lanes hang between the split and the sink.
+// engine lanes hang between the source and the sink.
 type lanes struct {
-	// splitBuf is the split's queue depth in messages.
-	splitBuf int
 	// barrierEvery, when positive, weaves a checkpoint barrier into the data
 	// stream every that many tuples.
 	barrierEvery int64
-	// attach adds the lanes to g — lane i consumes split output i — and
+	// attach adds the lanes to g — lane i consumes source output i — and
 	// returns where sync-controller commands enter them (loop-edge targets;
 	// unused when ctl is nil, i.e. sync is off) and where the engines'
-	// flush-time Results leave them. ctx is cancelled when the run ends.
-	attach func(ctx context.Context, g *stream.Graph, split stream.NodeID,
+	// flush-time reports leave them. ctx is cancelled when the run ends.
+	attach func(ctx context.Context, g *stream.Graph, src stream.NodeID,
 		ctl *syncctl.Controller) (control, results []port, err error)
 }
 
@@ -109,13 +111,9 @@ func (p *plan) run(ctx context.Context, ln lanes) (*Result, error) {
 	g := stream.NewGraph()
 	var tuplesIn int64
 	src := g.AddSource("source", sourceFunc(p.Source, dim, p.batch, p.FlushEvery,
-		stream.NewFramePool(dim, p.batch).Get, &tuplesIn, ln.barrierEvery))
-	split := g.Add("split", &stream.Split{N: n, Seed: p.Seed},
-		stream.WithBuffer(ln.splitBuf))
-	if err := g.Connect(src, 0, split, 0); err != nil {
-		return nil, err
-	}
-	control, results, err := ln.attach(runCtx, g, split, ctl)
+		stream.NewFramePool(dim, p.batch).Get, &tuplesIn, ln.barrierEvery,
+		&stream.Split{N: n, Seed: p.Seed}))
+	control, results, err := ln.attach(runCtx, g, src, ctl)
 	if err != nil {
 		return nil, err
 	}
@@ -136,14 +134,14 @@ func (p *plan) run(ctx context.Context, ln lanes) (*Result, error) {
 		}
 	}
 
-	// Result sink: collects each engine's flush-time Result and cancels the
+	// Result sink: collects each engine's flush-time report and cancels the
 	// run once every result edge has drained — Flush fires even when a
-	// crashed engine never emitted its Result, so graphs with a live sync
+	// crashed engine never emitted its report, so graphs with a live sync
 	// ticker still terminate deterministically.
 	engines := make([]EngineStats, n)
 	snk := g.Add("sink", &stream.Collect{
 		OnItem: func(msg stream.Message) {
-			st := msg.(stream.Result).Payload.(EngineStats)
+			st := msg.(EngineStats)
 			// The index may have crossed a socket; don't trust it blindly.
 			if st.Engine >= 0 && st.Engine < n {
 				engines[st.Engine] = st
@@ -218,8 +216,9 @@ func instrument(g *stream.Graph, set *obs.Set) {
 // long, counts in tuplesIn and is dropped, so every frame in the graph is
 // regular — equal-length rows, full-length masks, consecutive Seq. It can
 // also weave a checkpoint barrier into the data stream every barrierEvery
-// tuples.
-func sourceFunc(src Source, dim, batch int, flushEvery time.Duration, store func() *stream.FrameStore, tuplesIn *int64, barrierEvery int64) stream.SourceFunc {
+// tuples. Every frame and barrier leaves through split, which picks the
+// frame's output port (engine lane) and broadcasts barriers to all of them.
+func sourceFunc(src Source, dim, batch int, flushEvery time.Duration, store func() *stream.FrameStore, tuplesIn *int64, barrierEvery int64, split *stream.Split) stream.SourceFunc {
 	// Frames of one close as they open, so they need no deadline and carry
 	// no trace stamp: a per-tuple clock read and 16 wire bytes would be a tax.
 	timed := batch > 1
@@ -239,7 +238,7 @@ func sourceFunc(src Source, dim, batch int, flushEvery time.Duration, store func
 				// (coordinator or single) process.
 				tr.IngestNs = opened.UnixNano()
 			}
-			emit(0, fs.Frame(tr))
+			split.Process(0, fs.Frame(tr), emit)
 			fs = nil
 		}
 		for {
@@ -272,7 +271,7 @@ func sourceFunc(src Source, dim, batch int, flushEvery time.Duration, store func
 				if sinceBarrier++; sinceBarrier >= barrierEvery {
 					flush()
 					epoch++
-					emit(0, stream.Barrier{Epoch: epoch})
+					split.Process(0, stream.Barrier{Epoch: epoch}, emit)
 					sinceBarrier = 0
 				}
 			}

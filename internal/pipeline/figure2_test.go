@@ -4,12 +4,14 @@ import (
 	"context"
 	"fmt"
 	"net"
+	"slices"
 	"testing"
 	"time"
 
 	"streampca/internal/core"
 	"streampca/internal/obs"
 	"streampca/internal/spectra"
+	"streampca/internal/stream"
 )
 
 // emptySource is an already exhausted stream.
@@ -74,17 +76,97 @@ func TestCoordinatorExposesOpCounters(t *testing.T) {
 	}
 
 	ops := opsByName(set)
-	for _, name := range []string{"split", "wire-send-0"} {
-		if c := ops[name].Counters; c == nil || c.TuplesIn <= 0 {
-			t.Errorf("coordinator operator %q: counters = %+v, want tuples_in > 0", name, c)
-		}
+	if c := ops["source"].Counters; c == nil || c.TuplesOut <= 0 {
+		t.Errorf("coordinator source: counters = %+v, want tuples_out > 0", c)
+	} else if c.TuplesOut != res.TuplesIn {
+		t.Errorf("source counted %d tuples, run emitted %d", c.TuplesOut, res.TuplesIn)
 	}
-	if got := ops["split"].Counters; got != nil && got.TuplesIn != res.TuplesIn {
-		t.Errorf("split counted %d tuples, run emitted %d", got.TuplesIn, res.TuplesIn)
+	if c := ops["wire-send-0"].Counters; c == nil || c.TuplesIn <= 0 {
+		t.Errorf("coordinator operator %q: counters = %+v, want tuples_in > 0", "wire-send-0", c)
 	}
 	for i, ws := range workerSets {
-		if c := opsByName(ws)[fmt.Sprintf("pca%d", i)].Counters; c == nil || c.TuplesIn <= 0 {
+		wops := opsByName(ws)
+		if c := wops[fmt.Sprintf("pca%d", i)].Counters; c == nil || c.TuplesIn <= 0 {
 			t.Errorf("worker %d engine operator: counters = %+v, want tuples_in > 0", i, c)
+		}
+		// The engine's report and snapshots go straight to the edge.
+		if _, ok := wops["wire-send"]; !ok {
+			t.Errorf("worker %d graph has no wire-send node", i)
+		}
+		if _, ok := wops["wire-report"]; ok {
+			t.Errorf("worker %d graph still has a wire-report node", i)
+		}
+	}
+}
+
+// TestSourceRoutesThroughSplit: the source runs the split in line, so every
+// frame leaves on the port a fresh stream.Split with the same seed picks for
+// the same message sequence, and every checkpoint barrier reaches all ports.
+func TestSourceRoutesThroughSplit(t *testing.T) {
+	const n, dim, rows, batch, barrierEvery, seed = 3, 4, 50, 2, 7, 11
+	type sent struct {
+		port int
+		msg  stream.Message
+	}
+	var got []sent
+	record := func(port int, msg stream.Message) { got = append(got, sent{port, msg}) }
+	left := rows
+	src := func() ([]float64, []bool, bool) {
+		if left--; left < 0 {
+			return nil, nil, false
+		}
+		return make([]float64, dim), nil, true
+	}
+	var tuplesIn int64
+	run := sourceFunc(src, dim, batch, time.Hour, func() *stream.FrameStore {
+		return stream.NewFrameStore(dim, batch)
+	}, &tuplesIn, barrierEvery, &stream.Split{N: n, Seed: seed})
+	if err := run(context.Background(), record); err != nil {
+		t.Fatal(err)
+	}
+	if tuplesIn != rows {
+		t.Fatalf("tuplesIn = %d, want %d", tuplesIn, rows)
+	}
+
+	// Replay the source's messages through a reference split: frames one
+	// record each, barriers one record per port.
+	ref := &stream.Split{N: n, Seed: seed}
+	var want []int // the reference split's port for each record
+	var framesOn [n]int
+	var tuples int
+	barriers := map[int64][]int{}
+	for i := 0; i < len(got); i = len(want) {
+		ref.Process(0, got[i].msg, func(port int, _ stream.Message) { want = append(want, port) })
+		if len(want) > len(got) {
+			t.Fatalf("source sent %d messages, reference split sends at least %d", len(got), len(want))
+		}
+		for j := i; j < len(want); j++ {
+			if got[j].port != want[j] {
+				t.Fatalf("message %d: source sent it to port %d, reference split to %d", j, got[j].port, want[j])
+			}
+			switch m := got[j].msg.(type) {
+			case stream.Frame:
+				framesOn[got[j].port]++
+				tuples += len(m.Tuples)
+			case stream.Barrier:
+				barriers[m.Epoch] = append(barriers[m.Epoch], got[j].port)
+			}
+		}
+	}
+	if tuples != rows {
+		t.Fatalf("frames carried %d tuples, want %d", tuples, rows)
+	}
+	for p, f := range framesOn {
+		if f == 0 {
+			t.Errorf("port %d received no frame", p)
+		}
+	}
+	if len(barriers) != rows/barrierEvery {
+		t.Fatalf("%d barrier epochs, want %d", len(barriers), rows/barrierEvery)
+	}
+	for epoch, ports := range barriers {
+		if !slices.Equal(ports, []int{0, 1, 2}) {
+			t.Errorf("barrier %d reached ports %v, want all three", epoch, ports)
 		}
 	}
 }

@@ -51,7 +51,7 @@ func testPipelineThreadsObservability(t *testing.T, batch int) {
 	for _, op := range snap.Operators {
 		ops[op.Name] = op
 	}
-	for _, name := range []string{"source", "split", "pca0", "pca1", "pca2", "sink"} {
+	for _, name := range []string{"source", "pca0", "pca1", "pca2", "sink"} {
 		op, ok := ops[name]
 		if !ok {
 			t.Fatalf("operator %q missing from snapshot (have %d ops)", name, len(snap.Operators))
@@ -63,9 +63,9 @@ func testPipelineThreadsObservability(t *testing.T, batch int) {
 			t.Errorf("operator %q has no runtime counters", name)
 		}
 	}
-	if ops["split"].Counters.TuplesIn != res.TuplesIn {
-		t.Errorf("split counters saw %d tuples, run emitted %d",
-			ops["split"].Counters.TuplesIn, res.TuplesIn)
+	if ops["source"].Counters.TuplesOut != res.TuplesIn {
+		t.Errorf("source counters sent %d tuples, run emitted %d",
+			ops["source"].Counters.TuplesOut, res.TuplesIn)
 	}
 
 	// Algorithm layer: each engine published σ², eigenvalues and tallies that

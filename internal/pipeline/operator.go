@@ -13,12 +13,12 @@ import (
 // Engine operator port layout. Data and results are forward edges; control
 // and snapshots ride the loop fabric.
 const (
-	portData     = 0 // in: stream.Frame (and stream.Barrier) from the split
+	portData     = 0 // in: stream.Frame (and stream.Barrier) from the source
 	portControl  = 1 // in: stream.Control from the sync controller
 	portSnapshot = 2 // in: stream.Snapshot from peer engines
 	portClock    = 3 // in (worker recv only): wire.ClockEcho toward telemetry
 
-	portResult      = 0 // out: stream.Result at flush
+	portResult      = 0 // out: EngineStats at flush
 	portSnapshotOut = 1 // out: stream.Snapshot toward peers
 )
 
@@ -337,5 +337,5 @@ func (p *pcaOperator) Flush(emit stream.Emit) {
 	if snap, err := p.engine.Snapshot(); err == nil {
 		st.Final = snap
 	}
-	emit(portResult, stream.Result{Engine: p.id, Seq: p.processed, Payload: st})
+	emit(portResult, st)
 }

@@ -1,5 +1,5 @@
 // Package pipeline wires the paper's analysis graph (Figure 2): an input
-// source feeding a multithreaded split, N stateful streaming-PCA engines, a
+// source whose split feeds N stateful streaming-PCA engines, a
 // throttled synchronization controller, and a result sink. Engines exchange
 // eigensystem snapshots over loop edges exactly as InfoSphere control ports
 // carry sync messages, and the final eigensystem "can be obtained from any
@@ -77,7 +77,7 @@ type Config struct {
 // configuration and source produce identical fault schedules.
 type ChaosConfig struct {
 	// Edge maps an engine index to a fault plan interposed on its
-	// split→engine data edge (drop/duplicate/delay/reorder).
+	// source→engine data edge (drop/duplicate/delay/reorder).
 	Edge map[int]fault.Plan
 	// Engine maps an engine index to a fault plan whose PanicAfter crashes
 	// that engine's operator mid-stream.
@@ -157,9 +157,9 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 	engines := make([]*pcaOperator, n)
 	injectors := make([]*fault.Injector, n)
 	var restarts atomic.Int64
-	// Lane i is engine i's operator on the split's output i, with its chaos
+	// Lane i is engine i's operator on the source's output i, with its chaos
 	// taps; snapshots travel engine → engine over loop edges.
-	attach := func(runCtx context.Context, g *stream.Graph, split stream.NodeID,
+	attach := func(runCtx context.Context, g *stream.Graph, src stream.NodeID,
 		ctl *syncctl.Controller) (control, results []port, err error) {
 		engIDs := make([]stream.NodeID, n)
 		for i := range engines {
@@ -178,13 +178,13 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 				}
 			}
 			engIDs[i] = g.Add(fmt.Sprintf("pca%d", i), node, stream.WithBuffer(p.nodeBuf))
-			if err := g.Connect(split, i, engIDs[i], portData); err != nil {
+			if err := g.Connect(src, i, engIDs[i], portData); err != nil {
 				return nil, nil, err
 			}
 			if chaos != nil {
 				if plan, ok := chaos.Edge[i]; ok {
 					inj := fault.NewInjector(plan)
-					if err := g.TapEdge(split, i, engIDs[i], portData, inj); err != nil {
+					if err := g.TapEdge(src, i, engIDs[i], portData, inj); err != nil {
 						return nil, nil, err
 					}
 					injectors[i] = inj
@@ -262,7 +262,7 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 		return control, results, nil
 	}
 
-	res, err := p.run(ctx, lanes{splitBuf: p.nodeBuf, attach: attach})
+	res, err := p.run(ctx, lanes{attach: attach})
 	if err != nil {
 		return nil, err
 	}

@@ -3,6 +3,7 @@ package pipeline
 import (
 	"context"
 	"math"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -259,23 +260,22 @@ func TestMetricsExposeAnalysisGraph(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	names := map[string]bool{}
+	// The split runs inside the source, so the graph is exactly Figure 2's
+	// source, engines and sink: no pass-through node between them.
+	var names []string
+	var sourceOut int64
 	for _, m := range res.Metrics {
-		names[m.Name] = true
-	}
-	for _, want := range []string{"source", "split", "pca0", "pca1", "sink"} {
-		if !names[want] {
-			t.Fatalf("metrics missing node %q (have %v)", want, names)
+		names = append(names, m.Name)
+		if m.Name == "source" {
+			sourceOut = m.Out
 		}
 	}
-	var splitOut int64
-	for _, m := range res.Metrics {
-		if m.Name == "split" {
-			splitOut = m.Out
-		}
+	slices.Sort(names)
+	if want := []string{"pca0", "pca1", "sink", "source"}; !slices.Equal(names, want) {
+		t.Fatalf("graph nodes = %v, want %v", names, want)
 	}
-	if splitOut != 2000 {
-		t.Fatalf("split emitted %d", splitOut)
+	if sourceOut != 2000 {
+		t.Fatalf("source emitted %d", sourceOut)
 	}
 }
 

@@ -9,7 +9,8 @@ import (
 // Split is the multithreaded split operator of §III-A2: it fans a single
 // input stream out to n engine streams, sending each message to a uniformly
 // random output — the paper's load balancer ("Each new data tuple is being
-// sent to a random running PCA engine"). Output ports are 0..N-1.
+// sent to a random running PCA engine"). Output ports are 0..N-1. It can run
+// as a node or inside a source, which calls Process with its own Emit.
 type Split struct {
 	// N is the number of output ports.
 	N int

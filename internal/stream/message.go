@@ -6,7 +6,9 @@
 // Execution model: every operator runs on its own goroutine and drains its
 // own input queue; sources run their own goroutines too. InfoSphere's
 // operator fusion (several operators on one processing element, exchanging
-// data by direct call) has no counterpart: an in-process edge already hands
+// data by direct call) has one case: a Split, which only routes and is not
+// CPU-bound, may run inside its source by direct call to Process instead of
+// as a node. Other operators are not fused: an in-process edge already hands
 // over a message in memory, and putting CPU-bound operators on one goroutine
 // only serializes them. Data edges propagate end-of-stream; loop edges
 // (cycles, used by the synchronization fabric) never block — a full loop
@@ -31,7 +33,7 @@ type Tuple struct {
 }
 
 // Trace is the compact cross-process trace context stamped on a frame at
-// ingest. It rides the frame through split, wire edges and worker observe so
+// ingest. It rides the frame through wire edges and worker observe so
 // the far end can compute end-to-end tuple latency (ingest to outlier
 // decision) and attribute a frame to its origin lane in a merged cluster
 // trace. The zero value means "no trace context"; transports omit it on the
@@ -80,12 +82,11 @@ func ReleaseFrame(msg Message) {
 }
 
 // Barrier is a checkpoint-barrier marker injected into the data stream
-// (Chandy–Lamport style): when a source emits one, Split broadcasts it to
-// every output port so each engine observes the same stream prefix before
-// checkpointing. Engines treat it as a zero-weight control message and cut
-// a checkpoint on arrival; remote edges forward it through reconnects so a
-// multi-process deployment can take a consistent cut without pausing the
-// stream.
+// (Chandy–Lamport style): Split broadcasts it to every output port so each
+// engine observes the same stream prefix before checkpointing. Engines treat
+// it as a zero-weight control message and cut a checkpoint on arrival;
+// remote edges forward it through reconnects so a multi-process deployment
+// can take a consistent cut without pausing the stream.
 type Barrier struct {
 	// Epoch numbers the barrier wave (strictly increasing per source).
 	Epoch int64
@@ -116,15 +117,4 @@ type Snapshot struct {
 	// State is the shared eigensystem (a *core.Eigensystem in the
 	// application; kept as Message to keep the engine application-neutral).
 	State Message
-}
-
-// Result is an engine's periodic output (eigensystem digest, throughput
-// counters) flowing to sinks.
-type Result struct {
-	// Engine is the producing engine index.
-	Engine int
-	// Seq is the number of observations the engine had absorbed.
-	Seq int64
-	// Payload is application-defined.
-	Payload Message
 }
