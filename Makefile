@@ -1,7 +1,7 @@
 GO ?= go
 FUZZTIME ?= 10s
 
-.PHONY: build test test-portable test-wire test-race fuzz-short fuzz-race bench bench-width bench-kernels bench-arrow bench-eig bench-hop perf obs-check lint lint-json loc check
+.PHONY: build test test-portable test-wire test-race fuzz-short fuzz-race bench bench-width bench-kernels bench-arrow bench-eig bench-hop perf obs-check lint loc check
 
 build:
 	$(GO) build ./...
@@ -13,20 +13,18 @@ test:
 # Static gates: formatting, go vet over the root and benchmark modules (vet's
 # copylocks check covers by-value copies of atomic-bearing structs), and the
 # streamvet analyzer suite — all five analyzers over every internal/ and cmd/
-# package — with the unused-directive audit and the committed suppression
-# budget (see internal/analysis and the "Static guarantees" section of
-# DESIGN.md). The zero-allocation steady state is held by the AllocsPerRun
-# tests that `make test` runs. ./... covers cmd/ too; the explicit trailing
-# ./cmd argument makes the gate fail loudly if the loader ever stops seeing
-# the commands.
+# package, failing on any finding; there are no suppressions (see
+# internal/analysis and the "Static guarantees" section of DESIGN.md). The
+# zero-allocation steady state is held by the AllocsPerRun tests that
+# `make test` runs. ./... covers cmd/ too; TestRepoClean (internal/analysis)
+# fails if the loader ever stops seeing the commands.
 lint:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "gofmt -l found unformatted files:"; echo "$$out"; exit 1; fi
 	$(GO) vet ./...
 	$(GO) vet -C benchmark ./...
-	$(GO) run ./cmd/streamvet -budget internal/analysis/suppressions.txt ./... ./cmd
+	$(GO) run ./cmd/streamvet ./...
 
-# Non-test line budget (internal/analysis/loc_budget.txt, beside the
-# suppression budget): fails when a package, the facade (./api.go) or the
+# Non-test line budget (internal/analysis/loc_budget.txt): fails when a package, the facade (./api.go) or the
 # commands (./cmd) hold more non-test Go and assembly lines than their
 # committed count, or when a directory under internal/ has no count. The last
 # line is the budgeted internal total (the internal/ packages, without the
@@ -42,15 +40,6 @@ loc:
 	for dir in internal/*/; do pkg=$$(basename $$dir); \
 		if ! grep -q "^$$pkg " internal/analysis/loc_budget.txt; then echo "loc: internal/$$pkg has no budget line"; fail=1; fi; \
 	done; echo "loc: internal total $$total/$$budget"; exit $$fail
-
-# Machine-readable diagnostics: the full streamvet finding list as JSON,
-# suppressed findings included and flagged with their //streamvet:ignore
-# reasons. The exit status still reflects unsuppressed findings only.
-# STREAMVET_JSON names the artifact file; `make check` publishes one.
-STREAMVET_JSON ?= streamvet.json
-lint-json:
-	$(GO) run ./cmd/streamvet -json ./... > $(STREAMVET_JSON)
-	@echo "lint-json: wrote $(STREAMVET_JSON)"
 
 # Tier 1, portable path: the mat kernels, ArrowSym's secular roots and
 # TridiagSym's lanes (tred2 and the deferred QL rotations) have AVX2 assembly
@@ -82,10 +71,9 @@ fuzz-race:
 
 # The one-stop pre-commit target: every static gate plus the full test suite,
 # the line budget, the portable-path suite, the race-enabled
-# stream/wire/transport suite, the race-mode fuzz-corpus replay, the
-# end-to-end observability probe, and the machine-readable diagnostics
-# artifact ($(STREAMVET_JSON)).
-check: lint loc test test-portable test-wire fuzz-race obs-check lint-json
+# stream/wire/transport suite, the race-mode fuzz-corpus replay and the
+# end-to-end observability probe.
+check: lint loc test test-portable test-wire fuzz-race obs-check
 
 # Tier 2: the same suite under the race detector (the chaos tests exercise
 # panic recovery, revive, and the failure supervisor concurrently), with the

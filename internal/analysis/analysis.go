@@ -1,7 +1,9 @@
 // Package analysis is a stdlib-only static-analysis framework for this
 // repository: a small Analyzer interface, a loader that parses and
 // type-checks every repo package once (sharing one token.FileSet and one
-// types.Info across all analyzers), and an inline suppression directive.
+// types.Info across all analyzers), and a runner. There is no suppression
+// directive: every finding fails the build, and a false positive is fixed in
+// its analyzer, with a fixture case that pins the fix.
 //
 // The framework exists because some properties the paper's claims rest on —
 // bitwise-reproducible eigensystem updates, deadlock-free operator
@@ -22,18 +24,13 @@ import (
 	"go/token"
 )
 
-// Diagnostic is one finding, positioned at file:line:col. Suppressed
-// diagnostics carry the reason string of the //streamvet:ignore directive
-// that silenced them; they are reported in -json output but do not fail the
-// build.
+// Diagnostic is one finding, positioned at file:line:col.
 type Diagnostic struct {
-	Analyzer   string `json:"analyzer"`
-	File       string `json:"file"`
-	Line       int    `json:"line"`
-	Col        int    `json:"col"`
-	Message    string `json:"message"`
-	Suppressed bool   `json:"suppressed,omitempty"`
-	Reason     string `json:"reason,omitempty"`
+	Analyzer string
+	File     string
+	Line     int
+	Col      int
+	Message  string
 }
 
 // String renders the diagnostic in the conventional file:line:col form.
@@ -43,8 +40,7 @@ func (d Diagnostic) String() string {
 
 // Analyzer is one named check run over a type-checked package.
 type Analyzer struct {
-	// Name identifies the analyzer in diagnostics and in
-	// //streamvet:ignore directives.
+	// Name identifies the analyzer in diagnostics.
 	Name string
 	// Doc is a one-paragraph description of the invariant the analyzer
 	// enforces and why it matters.
@@ -84,15 +80,4 @@ func All() []*Analyzer {
 		WorkspaceEscape,
 		Framelife,
 	}
-}
-
-// Unsuppressed filters diags down to the findings that should fail a build.
-func Unsuppressed(diags []Diagnostic) []Diagnostic {
-	out := make([]Diagnostic, 0, len(diags))
-	for _, d := range diags {
-		if !d.Suppressed {
-			out = append(out, d)
-		}
-	}
-	return out
 }

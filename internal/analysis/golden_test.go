@@ -40,10 +40,9 @@ func collectWants(t *testing.T, pkg *Package) map[string][]string {
 }
 
 // runGolden loads the fixture package in testdata/src/<dir> under the given
-// import path, runs the analyzers over it, and requires the unsuppressed
-// diagnostics to match the fixture's want comments exactly — every
-// diagnostic wanted, every want diagnosed. Matching is by file, line, and
-// message substring.
+// import path, runs the analyzers over it, and requires the diagnostics to
+// match the fixture's want comments exactly — every diagnostic wanted, every
+// want diagnosed. Matching is by file, line, and message substring.
 func runGolden(t *testing.T, dir, importPath string, analyzers []*Analyzer) {
 	t.Helper()
 	loader, err := NewLoader(moduleRoot)
@@ -59,7 +58,7 @@ func runGolden(t *testing.T, dir, importPath string, analyzers []*Analyzer) {
 		t.Fatal(err)
 	}
 	wants := collectWants(t, pkg)
-	for _, d := range Unsuppressed(diags) {
+	for _, d := range diags {
 		key := fmt.Sprintf("%s:%d", d.File, d.Line)
 		matched := -1
 		for i, w := range wants[key] {
@@ -115,53 +114,4 @@ func TestGoroutineLifecycleGolden(t *testing.T) {
 
 func TestWorkspaceEscapeGolden(t *testing.T) {
 	runGolden(t, "wsescape", "golden.test/wsescape", []*Analyzer{WorkspaceEscape})
-}
-
-// TestDirectives exercises the //streamvet:ignore machinery on its fixture,
-// under lockedsend: a reasoned directive suppresses and records its reason; a
-// reasonless directive is itself reported and suppresses nothing.
-func TestDirectives(t *testing.T) {
-	loader, err := NewLoader(moduleRoot)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pkg, err := loader.LoadDir(filepath.Join("testdata", "src", "directive"), "golden.test/directive")
-	if err != nil {
-		t.Fatal(err)
-	}
-	diags, err := Run([]*Package{pkg}, []*Analyzer{LockedSend})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var suppressed, unsuppressedSend, malformed int
-	for _, d := range diags {
-		switch {
-		case d.Analyzer == "lockedsend" && d.Suppressed:
-			suppressed++
-			if d.Reason != "fixture exercises the suppression path" {
-				t.Errorf("suppressed diagnostic lost its reason: %+v", d)
-			}
-		case d.Analyzer == "lockedsend":
-			unsuppressedSend++
-		case d.Analyzer == "streamvet":
-			malformed++
-			if !strings.Contains(d.Message, "malformed directive") {
-				t.Errorf("unexpected streamvet diagnostic: %s", d)
-			}
-			if d.Suppressed {
-				t.Errorf("malformed-directive diagnostic must not be suppressible: %+v", d)
-			}
-		default:
-			t.Errorf("unexpected diagnostic: %s", d)
-		}
-	}
-	if suppressed != 1 {
-		t.Errorf("suppressed lockedsend findings = %d, want 1", suppressed)
-	}
-	if unsuppressedSend != 1 {
-		t.Errorf("unsuppressed lockedsend findings = %d, want 1 (reasonless directive must not suppress)", unsuppressedSend)
-	}
-	if malformed != 1 {
-		t.Errorf("malformed-directive findings = %d, want 1", malformed)
-	}
 }

@@ -11,10 +11,11 @@ import (
 // guards the code as it is today, not just its fixture. Each row copies one
 // real package's non-test files, applies one textual edit that breaks the
 // analyzer's contract, and requires the full suite to report that analyzer
-// alone, on the edited line. A row whose old snippet no longer occurs exactly
-// once fails, so the table moves with the code it mutates. Every analyzer
-// needs two rows; DESIGN ("Static guarantees") records which of them
-// `go test ./...` also catches.
+// alone, on the edited line; a row may carry a second edit of the same file
+// that the first needs (an import, a field). A row whose old snippet no
+// longer occurs exactly once fails, so the table moves with the code it
+// mutates. Every analyzer needs two rows; DESIGN ("Static guarantees")
+// records which of them `go test ./...` also catches.
 func TestAnalyzersCatchLiveMutations(t *testing.T) {
 	rows := []struct {
 		name     string
@@ -22,15 +23,17 @@ func TestAnalyzersCatchLiveMutations(t *testing.T) {
 		pkg      string // package directory relative to the module root
 		file     string
 		old, new string
-		at       string // the substring of new whose line must be reported
-		want     string // a substring of the expected message
+		also     [2]string // an optional second old→new edit of file
+		at       string    // the substring of new whose line must be reported
+		want     string    // a substring of the expected message
 	}{
 		{
-			name: "map range in Engine.Ready", analyzer: "determinism",
+			name: "null directions drawn from global rand", analyzer: "determinism",
 			pkg: "internal/core", file: "engine.go",
-			old: "func (en *Engine) Ready() bool { return en.ready }",
-			new: "func (en *Engine) Ready() bool {\n\tfor range map[int]bool{} {\n\t}\n\treturn en.ready\n}",
-			at:  "for range", want: "map iteration order is nondeterministic",
+			old:  "\tif null {\n\t\tcols := basis.T()\n",
+			new:  "\tif null {\n\t\tfor j := range k {\n\t\t\tif s[j] == 0 {\n\t\t\t\trow := basis.Row(j)\n\t\t\t\tfor i := range row {\n\t\t\t\t\trow[i] = rand.NormFloat64()\n\t\t\t\t}\n\t\t\t}\n\t\t}\n\t\tcols := basis.T()\n",
+			also: [2]string{"import (\n", "import (\n\t\"math/rand/v2\"\n"},
+			at:   "rand.NormFloat64", want: "uses the shared global source",
 		},
 		{
 			name: "peers merged in map order by MergeMany", analyzer: "determinism",
@@ -52,6 +55,14 @@ func TestAnalyzersCatchLiveMutations(t *testing.T) {
 			old: "\txp := make([]float64, d)\n\tfor i := 0; i < d; i++ {\n\t\tif mask[i] {\n\t\t\txp[i] = x[i]\n\t\t} else if en.binCount[i] > 0 {\n\t\t\txp[i] = en.binSum[i] / en.binCount[i]\n\t\t}\n\t}\n\treturn xp\n",
 			new: "\txp := en.ws.xPatch\n\tfor i := 0; i < d; i++ {\n\t\tif mask[i] {\n\t\t\txp[i] = x[i]\n\t\t} else if en.binCount[i] > 0 {\n\t\t\txp[i] = en.binSum[i] / en.binCount[i]\n\t\t}\n\t}\n\treturn xp\n",
 			at:  "return xp", want: "must not be returned",
+		},
+		{
+			name: "lent store kept by FramePool.Get", analyzer: "workspace-escape",
+			pkg: "internal/stream", file: "store.go",
+			old:  "\treturn fp.pool.Get().(*FrameStore)\n",
+			new:  "\tfp.last = fp.pool.Get().(*FrameStore)\n\treturn fp.last\n",
+			also: [2]string{"\tpool      sync.Pool\n}", "\tpool      sync.Pool\n\tlast      *FrameStore\n}"},
+			at:   "fp.last =", want: "must not be stored into a struct field",
 		},
 		{
 			name: "unbounded goroutine in Edge.Close", analyzer: "goroutine-lifecycle",
@@ -125,6 +136,12 @@ func TestAnalyzersCatchLiveMutations(t *testing.T) {
 				}
 				text := string(data)
 				if name == r.file {
+					if r.also[0] != "" {
+						if n := strings.Count(text, r.also[0]); n != 1 {
+							t.Fatalf("%s/%s: also snippet occurs %d times, want 1; update the row", r.pkg, r.file, n)
+						}
+						text = strings.Replace(text, r.also[0], r.also[1], 1)
+					}
 					if n := strings.Count(text, r.old); n != 1 {
 						t.Fatalf("%s/%s: old snippet occurs %d times, want 1; update the row", r.pkg, r.file, n)
 					}
@@ -152,7 +169,7 @@ func TestAnalyzersCatchLiveMutations(t *testing.T) {
 				t.Fatal(err)
 			}
 			found := false
-			for _, d := range Unsuppressed(diags) {
+			for _, d := range diags {
 				if d.Analyzer != r.analyzer || filepath.Base(d.File) != r.file || d.Line != line {
 					t.Errorf("unexpected diagnostic: %s", d)
 					continue

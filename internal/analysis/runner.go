@@ -5,16 +5,11 @@ import (
 	"sort"
 )
 
-// Run executes every analyzer over every package it matches, applies the
-// //streamvet:ignore suppression directives, and returns the diagnostics
-// (suppressed ones included, flagged) sorted by position.
+// Run executes every analyzer over every package it matches and returns the
+// diagnostics sorted by position.
 func Run(pkgs []*Package, analyzers []*Analyzer) ([]Diagnostic, error) {
 	var diags []Diagnostic
-	idx := make(suppressionIndex)
 	for _, pkg := range pkgs {
-		dirs, malformed := collectDirectives(pkg)
-		idx.merge(dirs)
-		diags = append(diags, malformed...)
 		for _, a := range analyzers {
 			if a.Match != nil && !a.Match(pkg.Path) {
 				continue
@@ -25,7 +20,6 @@ func Run(pkgs []*Package, analyzers []*Analyzer) ([]Diagnostic, error) {
 			}
 		}
 	}
-	idx.apply(diags)
 	sortDiagnostics(diags)
 	return diags, nil
 }

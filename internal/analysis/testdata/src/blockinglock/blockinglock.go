@@ -66,10 +66,3 @@ func (e *edge) goodLitIndependent() func() (int, error) {
 	defer e.mu.Unlock()
 	return func() (int, error) { return e.conn.Write(e.buf) }
 }
-
-func (e *edge) suppressedWrite(p []byte) (int, error) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	//streamvet:ignore lockedsend fixture exercises the suppression path
-	return e.conn.Write(p)
-}

@@ -124,14 +124,6 @@ func badDeferAfterRelease(f stream.Frame, err bool) { // want "released by a def
 	}
 }
 
-// suppressedDouble shows the escape hatch: a reasoned directive silences the
-// finding.
-func suppressedDouble(f stream.Frame) {
-	f.Release()
-	//streamvet:ignore framelife fixture exercises the suppression path
-	f.Release()
-}
-
 // goodReassign gives the variable a fresh frame between releases.
 func goodReassign(f stream.Frame, next func() stream.Frame) {
 	f.Release()

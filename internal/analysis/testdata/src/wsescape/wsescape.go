@@ -66,3 +66,26 @@ func newScratch(n int) *scratchWorkspace {
 func (p *wsPool) lend() *scratchWorkspace {
 	return p.pool.Get().(*scratchWorkspace) // fine: declared lender
 }
+
+// store is pooled under a name that is not a workspace, so lending it
+// rests on the pooled-object rule alone.
+type store struct {
+	buf []float64
+}
+
+type storePool struct {
+	pool sync.Pool
+}
+
+// Get hands out the pooled object itself: fine, the borrower returns it.
+func (p *storePool) Get() *store {
+	return p.pool.Get().(*store)
+}
+
+func (p *storePool) getSlice() []float64 {
+	return p.pool.Get().([]float64) // want "must not be returned"
+}
+
+func (p *storePool) getBuf() []float64 {
+	return p.pool.Get().(*store).buf // want "must not be returned"
+}

@@ -18,11 +18,12 @@ import (
 // the eig workspace kernels (the caller owns the workspace and knows the
 // lifetime) — and (b) (*sync.Pool).Get results. Taint flows through
 // assignments into reference-typed locals; sinks are returns (except from
-// functions that declare a workspace-typed result, i.e. constructors),
-// channel sends, and stores into struct fields or maps outside the
-// workspace itself. Only reference-typed values (slices, pointers, maps,
-// channels, funcs, interfaces) can re-expose scratch memory, so scalar
-// reads (an element, a length, an accumulated float) never taint.
+// functions that declare a workspace-typed result, i.e. constructors, and
+// of a pooled object handed out whole, see lendsPooled), channel sends, and
+// stores into struct fields or maps outside the workspace itself. Only
+// reference-typed values (slices, pointers, maps, channels, funcs,
+// interfaces) can re-expose scratch memory, so scalar reads (an element, a
+// length, an accumulated float) never taint.
 var WorkspaceEscape = &Analyzer{
 	Name: "workspace-escape",
 	Doc: "forbid workspace/sync.Pool scratch memory from being stored into struct " +
@@ -166,6 +167,9 @@ func checkWorkspaceEscape(pass *Pass, fd *ast.FuncDecl) {
 				return true
 			}
 			for _, res := range n.Results {
+				if c.lendsPooled(res) {
+					continue
+				}
 				if c.containsTaint(res) && isRefType(c.info.TypeOf(res)) {
 					c.pass.Reportf(res.Pos(), "workspace/pool scratch memory must not be returned; it aliases the next user after release")
 				}
@@ -231,6 +235,23 @@ func (c *wsEscapeChecker) isSource(e ast.Expr) bool {
 		}
 	}
 	return false
+}
+
+// lendsPooled reports whether e is a (*sync.Pool).Get result asserted to a
+// pointer type: returning it hands out the pooled object itself, whose
+// borrower returns it to the pool (stream.FramePool.Get lends its stores
+// this way), so it is no escape. A slice asserted out of a pool, or memory
+// read out of a lent object, is not the object and stays a source.
+func (c *wsEscapeChecker) lendsPooled(e ast.Expr) bool {
+	ta, ok := ast.Unparen(e).(*ast.TypeAssertExpr)
+	if !ok {
+		return false
+	}
+	if _, ok := c.info.TypeOf(ta).(*types.Pointer); !ok {
+		return false
+	}
+	call, ok := ta.X.(*ast.CallExpr)
+	return ok && c.isSource(call)
 }
 
 // containsTaint reports whether any subexpression of e is a source or a

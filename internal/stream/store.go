@@ -90,6 +90,5 @@ func (fp *FramePool) Fits(dim, n int) bool {
 
 // Get returns an empty store, lent until its frame's Release.
 func (fp *FramePool) Get() *FrameStore {
-	//streamvet:ignore workspace-escape intentional lending: the frame's final consumer calls Frame.Release exactly once, returning the store
 	return fp.pool.Get().(*FrameStore)
 }
