@@ -137,9 +137,12 @@ bench-eig:
 
 # The stream runtime's per-message hop (DESIGN, "Micro-batched transport"):
 # frames of one through Split to four sinks, and one message through a
-# three-node chain, on one and two cores, eight counts for medians.
+# three-node chain, on one and two cores, eight counts for medians. Then the
+# wire hop: frames from a dial edge's send half to an accept edge's receive
+# half over loopback TCP, at d = 16 frames of one and d = 400 frames of 64.
 bench-hop:
 	$(GO) test -run '^$$' -bench '^Benchmark(SplitHop|PipelineHop)$$' -benchmem -cpu 1,2 -count 8 ./internal/stream
+	$(GO) test -run '^$$' -bench '^BenchmarkEdgeHop$$' -benchmem -cpu 1,2 -count 8 ./internal/wire
 
 # Performance claims rest on the repo benchmark (BENCHMARK.json, benchmark/
 # — see benchmark/README.md), not on the microbenchmarks above. Produce two

@@ -52,8 +52,8 @@ func OrthonormalizeWS(a *mat.Dense, ws *OrthoWorkspace) int {
 		}
 		n := mat.Norm2(col)
 		if n <= 1e-10*math.Max(1, orig) {
-			a.SetCol(j, col) // zero-ish; will be rebuilt
-			fillOrthonormalColumnInto(a, j, ws.cand, ws.othr)
+			a.SetCol(j, col) // zero-ish; rebuilt against the j orthonormal ones
+			fillOrthonormalColumnInto(a, j, j, ws.cand, ws.othr)
 			replaced++
 			continue
 		}

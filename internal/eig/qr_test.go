@@ -33,6 +33,21 @@ func TestOrthonormalizeDependentColumns(t *testing.T) {
 	if err := OrthonormalityError(a); err > 1e-10 {
 		t.Fatalf("not orthonormal: %v", err)
 	}
+	// Random dependent columns: the replacement for column 1 must be
+	// orthogonal to column 0, not to the raw column 2 behind it.
+	rng := rand.New(rand.NewPCG(47, 48))
+	for trial := 0; trial < 5; trial++ {
+		a := randTall(rng, 8, 3)
+		for i := 0; i < 8; i++ {
+			a.Set(i, 1, 2*a.At(i, 0))
+		}
+		if replaced := Orthonormalize(a); replaced != 1 {
+			t.Fatalf("trial %d: replaced = %d, want 1", trial, replaced)
+		}
+		if err := OrthonormalityError(a); err > 1e-12 {
+			t.Fatalf("trial %d: not orthonormal: %v", trial, err)
+		}
+	}
 }
 
 func TestOrthonormalizePreservesSpan(t *testing.T) {

@@ -68,7 +68,7 @@ func ThinSVD(a *mat.Dense) (SVD, bool) {
 		cand, othr := make([]float64, r), make([]float64, r)
 		for j := 0; j < c; j++ {
 			if s[j] == 0 {
-				fillOrthonormalColumnInto(u, j, cand, othr)
+				fillOrthonormalColumnInto(u, j, c, cand, othr)
 			}
 		}
 	}
@@ -76,17 +76,17 @@ func ThinSVD(a *mat.Dense) (SVD, bool) {
 }
 
 // fillOrthonormalColumnInto replaces column j of u with a unit vector
-// orthogonal to all other columns, probing the standard basis with
-// Gram–Schmidt in caller-owned scratch (both length u.Rows()); it performs no
-// heap allocations.
-func fillOrthonormalColumnInto(u *mat.Dense, j int, cand, other []float64) {
-	r, c := u.Dims()
+// orthogonal to the other of its first n columns (orthonormal or zero), probing
+// the standard basis with Gram–Schmidt in caller-owned scratch (both length
+// u.Rows()); it performs no heap allocations.
+func fillOrthonormalColumnInto(u *mat.Dense, j, n int, cand, other []float64) {
+	r := u.Rows()
 	for probe := 0; probe < r; probe++ {
 		for k := range cand {
 			cand[k] = 0
 		}
 		cand[probe] = 1
-		for k := 0; k < c; k++ {
+		for k := 0; k < n; k++ {
 			if k == j {
 				continue
 			}

@@ -9,13 +9,12 @@ import (
 
 // TestWirePrometheusGauges pins the exposition names of the wire transport
 // gauges: an edge named wire-0 must surface its coalescing telemetry as
-// streampca_wire_wire_0_{bytes,frames}_per_writev and _cork_stalls.
+// streampca_wire_wire_0_{bytes,frames}_per_writev.
 func TestWirePrometheusGauges(t *testing.T) {
 	s := NewSet()
 	wi := s.Wire("wire-0")
 	wi.BytesPerWritev.Set(4096)
 	wi.FramesPerWritev.Set(3.5)
-	wi.CorkStalls.Set(2)
 
 	var buf bytes.Buffer
 	WritePrometheus(&buf, s.Snapshot())
@@ -23,7 +22,6 @@ func TestWirePrometheusGauges(t *testing.T) {
 	for _, want := range []string{
 		"streampca_wire_wire_0_bytes_per_writev 4096",
 		"streampca_wire_wire_0_frames_per_writev 3.5",
-		"streampca_wire_wire_0_cork_stalls 2",
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("prometheus output missing %q", want)
@@ -39,7 +37,6 @@ func workerReport(t *testing.T, node string, seq int64, offsetNs int64) Report {
 	wi := s.Wire("wire-worker")
 	wi.BytesPerWritev.Set(1024)
 	wi.FramesPerWritev.Set(2)
-	wi.CorkStalls.Set(1)
 	e := s.Engine(0)
 	e.Observations.Add(500)
 	e.Outliers.Add(10)
@@ -86,7 +83,6 @@ func TestClusterPrometheusNodeLabels(t *testing.T) {
 		`streampca_node_engine_observations_total{node="worker-1",engine="0"} 500`,
 		`streampca_node_wire_wire_worker_bytes_per_writev{node="worker-0"} 1024`,
 		`streampca_node_wire_wire_worker_frames_per_writev{node="worker-1"} 2`,
-		`streampca_node_wire_wire_worker_cork_stalls{node="worker-0"} 1`,
 		`streampca_e2e_latency_ns_count{} 4`,
 		`streampca_node_e2e_latency_ns_count{node="worker-0"} 2`,
 	} {

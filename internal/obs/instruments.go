@@ -246,13 +246,11 @@ func (s *Set) Gauge(name string) *Gauge {
 }
 
 // WireInstruments bundles one edge's syscall-amortization gauges: how many
-// payload bytes and frames each writev carried, and how often a coalescing
-// cork expired without amortizing anything. The edge's sender goroutine
+// payload bytes and frames each writev carried. The edge's sender goroutine
 // refreshes them after every delivered batch.
 type WireInstruments struct {
 	BytesPerWritev  *Gauge
 	FramesPerWritev *Gauge
-	CorkStalls      *Gauge
 }
 
 // Wire returns (creating on first use) the wire gauges for one named edge,
@@ -262,7 +260,6 @@ func (s *Set) Wire(name string) *WireInstruments {
 	return &WireInstruments{
 		BytesPerWritev:  s.Gauge("wire." + name + ".bytes_per_writev"),
 		FramesPerWritev: s.Gauge("wire." + name + ".frames_per_writev"),
-		CorkStalls:      s.Gauge("wire." + name + ".cork_stalls"),
 	}
 }
 

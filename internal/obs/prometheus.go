@@ -203,8 +203,8 @@ func writeFamilies(w io.Writer, prefix string, fams []family, nodes []NodeSnapsh
 }
 
 // namedFamilies turns the nodes' ad-hoc gauges and counters into one family
-// per name, sorted by name (the wire edges' bytes_per_writev,
-// frames_per_writev and cork_stalls land here).
+// per name, sorted by name (the wire edges' bytes_per_writev and
+// frames_per_writev land here).
 func namedFamilies(nodes []NodeSnapshot) []family {
 	typ := map[string]string{}
 	for _, n := range nodes {

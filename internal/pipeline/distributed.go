@@ -45,12 +45,12 @@ type DistConfig struct {
 	Workers []string
 	// Source provides the data; required.
 	Source Source
-	// Seed, SyncEvery, SyncStrategy, SyncFactor, Batch and FlushEvery mean
-	// exactly what they mean on Config.
+	// Seed, SyncEvery, SyncStrategy, Batch and FlushEvery mean exactly what
+	// they mean on Config. The independence criterion runs inside each
+	// engine, so its multiplier is the workers' WorkerConfig.SyncFactor.
 	Seed         uint64
 	SyncEvery    time.Duration
 	SyncStrategy syncctl.Strategy
-	SyncFactor   float64
 	Batch        int
 	FlushEvery   time.Duration
 	// BarrierEvery, when positive, weaves a checkpoint barrier into the
@@ -157,28 +157,10 @@ func wireQueues(p *plan) (wireBuf, syncBuf int) {
 	return wireBuf, max(wireBuf, 2*lane)
 }
 
-// corkFromFlush maps the packer's flush deadline to a wire cork deadline:
-// the cork must be short enough that a corked lone frame still meets the
-// producer's latency budget (an eighth of the deadline), but long enough
-// to actually bridge an inter-frame gap (50µs floor), and never more than
-// 1ms — past that, corking trades too much latency for amortization.
-func corkFromFlush(d time.Duration) time.Duration {
-	c := d / 8
-	if c < 50*time.Microsecond {
-		c = 50 * time.Microsecond
-	}
-	if c > time.Millisecond {
-		c = time.Millisecond
-	}
-	return c
-}
-
 // edgeOptions builds the coordinator's end of engine i's edge. Batching has
-// one control, Batch/FlushEvery: under batched transport the edge's
-// coalescing cork is derived from the flush deadline, and without it a lone
-// message is never held back.
+// one control, the packer's Batch/FlushEvery: the edge holds no message back.
 func edgeOptions(p *plan, cfg *DistConfig, i, sendLane int) wire.EdgeOptions {
-	opt := wire.EdgeOptions{
+	return wire.EdgeOptions{
 		Name: fmt.Sprintf("wire-%d", i),
 		// The coordinator's hello assigns the worker its engine index.
 		Hello: wire.Hello{Engine: i, Dim: p.Engine.Dim, Batch: p.batch, Epoch: 1},
@@ -189,10 +171,6 @@ func edgeOptions(p *plan, cfg *DistConfig, i, sendLane int) wire.EdgeOptions {
 		// the node queue so one writev can gather a full lane.
 		SendLane: sendLane,
 	}
-	if p.batch > 1 {
-		opt.Cork = corkFromFlush(p.FlushEvery)
-	}
-	return opt
 }
 
 // RunCoordinator drives a distributed run against already-listening
@@ -207,8 +185,7 @@ func RunCoordinator(ctx context.Context, cfg DistConfig) (*Result, error) {
 	p, err := newPlan(Config{
 		Engine: cfg.Engine, NumEngines: n, Source: cfg.Source,
 		Seed: cfg.Seed, SyncEvery: cfg.SyncEvery, SyncStrategy: cfg.SyncStrategy,
-		SyncFactor: cfg.SyncFactor, Batch: cfg.Batch, FlushEvery: cfg.FlushEvery,
-		Obs: cfg.Obs,
+		Batch: cfg.Batch, FlushEvery: cfg.FlushEvery, Obs: cfg.Obs,
 	})
 	if err != nil {
 		return nil, err
@@ -472,8 +449,8 @@ func ServeWorkerSession(ctx context.Context, ln *wire.Listener, cfg WorkerConfig
 // listener's port.
 func RunWorker(ctx context.Context, addr string, sessions int, cfg WorkerConfig, ready func(net.Addr)) error {
 	// With reporting on, the instrument set must exist before the listener so
-	// the worker edge's transport gauges (bytes/frames per writev, cork
-	// stalls) land in the set the reports ship.
+	// the worker edge's transport gauges (bytes and frames per writev) land
+	// in the set the reports ship.
 	if cfg.ReportEvery > 0 && cfg.Obs == nil {
 		cfg.Obs = obs.NewSet()
 	}

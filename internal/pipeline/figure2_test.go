@@ -239,38 +239,3 @@ func TestWireLaneDepthFromBytes(t *testing.T) {
 		}
 	}
 }
-
-// TestEdgeOptionsCork: Batch/FlushEvery is the one batching control — the
-// wire cork is derived from the flush deadline under batched transport and
-// off without it.
-func TestEdgeOptionsCork(t *testing.T) {
-	for _, tc := range []struct {
-		batch int
-		flush time.Duration
-		want  time.Duration
-	}{
-		{64, 0, corkFromFlush(2 * time.Millisecond)},
-		{64, 400 * time.Microsecond, corkFromFlush(400 * time.Microsecond)},
-		{64, 20 * time.Millisecond, corkFromFlush(20 * time.Millisecond)},
-		{1, 0, 0},
-		{0, 5 * time.Millisecond, 0},
-	} {
-		p, err := newPlan(Config{
-			Source: emptySource, Engine: engineConfig(8, 2, 50), NumEngines: 2,
-			Batch: tc.batch, FlushEvery: tc.flush,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		opt := edgeOptions(p, &DistConfig{}, 1, 16)
-		if opt.Cork != tc.want {
-			t.Errorf("Batch %d, FlushEvery %v: Cork = %v, want %v", tc.batch, tc.flush, opt.Cork, tc.want)
-		}
-		if opt.Hello.Engine != 1 || opt.Hello.Batch != p.batch {
-			t.Errorf("Batch %d: hello = %+v", tc.batch, opt.Hello)
-		}
-	}
-	if got := corkFromFlush(2 * time.Millisecond); got != 250*time.Microsecond {
-		t.Errorf("corkFromFlush(2ms) = %v, want 250µs", got)
-	}
-}

@@ -52,11 +52,6 @@ type EdgeOptions struct {
 	// SendLane sizes the edge's send queue in messages (default 16). The
 	// sender drains up to a full lane into one coalesced writev.
 	SendLane int
-	// Cork is the coalescing deadline: when a single message is pending
-	// and nothing is queued behind it, the sender holds the writev up to
-	// this long to pick up a following burst. 0 disables corking (a lone
-	// message flushes immediately).
-	Cork time.Duration
 }
 
 // Edge is one full-duplex TCP link a graph splices in place of a channel
@@ -73,7 +68,7 @@ type Edge struct {
 	wi    *obs.WireInstruments
 
 	// closedCh closes when the edge is Closed; it wakes the send loop out
-	// of its cork and empty-queue waits.
+	// of its empty-queue wait.
 	closedCh chan struct{}
 
 	// echoCh hands clock echoes from the receive loop to the send loop:
@@ -112,7 +107,6 @@ type Edge struct {
 	msgsIn     atomic.Int64
 	bytesOut   atomic.Int64
 	writevs    atomic.Int64
-	corkStalls atomic.Int64
 }
 
 // EdgeStats is a point-in-time copy of an edge's cumulative counters. They
@@ -134,8 +128,8 @@ type EdgeStats struct {
 	// write calls that carried them — BytesSent/Writevs is the syscall
 	// amortization the coalescing sender exists to maximize.
 	BytesSent, Writevs int64
-	// CorkStalls counts coalescing deadlines that expired without a second
-	// message arriving (the cork cost latency and amortized nothing).
+	// CorkStalls is always 0: the sender holds no message back waiting for
+	// a burst. The field stays for readers that still report it.
 	CorkStalls int64
 	// Resets and Partitions count injected connection faults (chaos only).
 	Resets, Partitions int64
@@ -269,7 +263,6 @@ func (e *Edge) Stats() EdgeStats {
 		MsgsRecv:   e.msgsIn.Load(),
 		BytesSent:  e.bytesOut.Load(),
 		Writevs:    e.writevs.Load(),
-		CorkStalls: e.corkStalls.Load(),
 		PeerEpoch:  peerEpoch,
 	}
 	if e.chaos != nil {
@@ -534,10 +527,9 @@ func (e *Edge) handshake(c net.Conn) (Hello, error) {
 	return parseHello(raw[:])
 }
 
-// defaultLane is the receive queue depth and the send queue depth when
-// SendLane is zero (messages). On receive it lets decoding run up to a lane
-// ahead of the consuming operator; on send it is also the coalescing bound:
-// at most one lane of messages is gathered into a single writev.
+// defaultLane is the send queue depth when SendLane is zero (messages). It
+// is also the coalescing bound: at most one lane of messages is gathered
+// into a single writev.
 const defaultLane = 16
 
 // markSent counts one delivered message and recycles its frame storage.
@@ -622,10 +614,12 @@ func (s *sendOp) Flush(stream.Emit) {
 	<-s.exited
 }
 
-// sendLoop is the edge's sender goroutine: it drains the queue in lanes,
-// corks lone messages briefly to let a burst accumulate, and hands each
-// batch to the delivery state machine. It exits on EOS, terminal link
-// failure, or edge close, closing done before it abandons what is left.
+// sendLoop is the edge's sender goroutine: it takes one message blocking,
+// then whatever else is queued up to a lane, and hands that batch to the
+// delivery state machine as one gathered writev. Nothing is held back
+// waiting for a burst; the packer's Batch/FlushEvery is the only timed
+// batching. It exits on EOS, terminal link failure, or edge close, closing
+// done before it abandons what is left.
 func (e *Edge) sendLoop(s *sendOp) {
 	defer func() {
 		close(s.done)
@@ -634,12 +628,6 @@ func (e *Edge) sendLoop(s *sendOp) {
 	}()
 	snd := &edgeSender{e: e}
 	buf := make([]stream.Message, 0, cap(s.q))
-	var cork *time.Timer
-	defer func() {
-		if cork != nil {
-			cork.Stop()
-		}
-	}()
 	for {
 		// Pending clock echo first: it is one tiny message, it never waits
 		// behind a saturated data queue, and answering promptly is what keeps
@@ -663,13 +651,6 @@ func (e *Edge) sendLoop(s *sendOp) {
 			return
 		}
 		buf = takeQueued(s.q, buf)
-		if len(buf) == 1 {
-			if _, isEOS := buf[0].(EOS); !isEOS {
-				if d := e.opt.Cork; d > 0 {
-					buf = e.corkWait(s.q, &cork, d, buf)
-				}
-			}
-		}
 		_, eos := buf[len(buf)-1].(EOS)
 		if !snd.deliver(buf) || eos {
 			return
@@ -687,34 +668,6 @@ func takeQueued(q chan stream.Message, buf []stream.Message) []stream.Message {
 		default:
 			return buf
 		}
-	}
-	return buf
-}
-
-// corkWait holds a lone message for up to d waiting for followers, then
-// takes whatever arrived. A stall (deadline expired, nothing arrived) is
-// counted — it is the signal that the cork deadline exceeds the producer's
-// inter-message gap.
-func (e *Edge) corkWait(q chan stream.Message, cork **time.Timer, d time.Duration, buf []stream.Message) []stream.Message {
-	if *cork == nil {
-		*cork = time.NewTimer(d)
-	} else {
-		(*cork).Reset(d)
-	}
-	fired := false
-	select {
-	case m := <-q:
-		buf = append(buf, m)
-	case <-(*cork).C:
-		fired = true
-	case <-e.closedCh:
-	}
-	if !fired && !(*cork).Stop() {
-		<-(*cork).C
-	}
-	buf = takeQueued(q, buf)
-	if len(buf) == 1 {
-		e.corkStalls.Add(1)
 	}
 	return buf
 }
@@ -782,7 +735,6 @@ func (s *edgeSender) syncWireStats(enc *Encoder, gen int) {
 			wi.BytesPerWritev.Set(float64(s.e.bytesOut.Load()) / float64(w))
 			wi.FramesPerWritev.Set(float64(s.e.framesOut.Load()) / float64(w))
 		}
-		wi.CorkStalls.Set(float64(s.e.corkStalls.Load()))
 	}
 }
 
@@ -866,55 +818,28 @@ func (s *edgeSender) deliverGathered(c net.Conn, enc *Encoder, batch []stream.Me
 }
 
 // Source returns the edge's receive half: a stream.SourceFunc that decodes
-// messages until the peer's EOS, reconnecting on link loss. Decoding runs
-// in its own goroutine feeding a buffered channel, so socket reads and
-// payload decodes overlap with downstream processing. route maps each
-// message to an output port (nil routes everything to port 0). The
-// returned func closes the edge when ctx is cancelled.
+// messages until the peer's EOS, reconnecting on link loss, and emits each
+// one as it decodes it, on the source's own goroutine. The hop has one
+// queue, the consuming node's; the socket's receive buffer is the only
+// read-ahead. route maps each message to an output port (nil routes
+// everything to port 0). The returned func closes the edge when ctx is
+// cancelled, which unblocks a pending read.
 func (e *Edge) Source(route func(stream.Message) int) stream.SourceFunc {
 	return func(ctx context.Context, emit stream.Emit) error {
 		stop := context.AfterFunc(ctx, e.Close)
 		defer stop()
-		q := make(chan stream.Message, defaultLane)
-		gone := make(chan struct{})
-		var end error
-		go func() {
-			end = e.recvLoop(q, gone)
-			close(q)
-			// Frames decoded but never emitted go back to the pool once the
-			// source has returned.
-			<-gone
-			for m := range q {
-				stream.ReleaseFrame(m)
-			}
-		}()
-		defer close(gone)
-		for {
-			select {
-			case msg, ok := <-q:
-				if !ok {
-					if err := ctx.Err(); err != nil {
-						return err
-					}
-					return end
-				}
-				port := 0
-				if route != nil {
-					port = route(msg)
-				}
-				emit(port, msg)
-			case <-ctx.Done():
-				return ctx.Err()
-			}
+		end := e.recvLoop(route, emit)
+		if err := ctx.Err(); err != nil {
+			return err
 		}
+		return end
 	}
 }
 
-// recvLoop is the edge's receive goroutine: it owns the decoder and the
-// reconnect loop, counts what it decodes, and queues messages on q until
-// the peer's EOS, edge close (both nil), a hard failure (its error), or
-// the source going away.
-func (e *Edge) recvLoop(q chan<- stream.Message, gone <-chan struct{}) error {
+// recvLoop is the receive half's body: it owns the decoder and the
+// reconnect loop, counts what it decodes and emits it, until the peer's
+// EOS, edge close (both nil) or a hard failure (its error).
+func (e *Edge) recvLoop(route func(stream.Message) int, emit stream.Emit) error {
 	after := 0
 	for {
 		_, _, dec, gen, err := e.link(after)
@@ -950,7 +875,8 @@ func (e *Edge) recvLoop(q chan<- stream.Message, gone <-chan struct{}) error {
 			// Answered here, at the lowest layer that sees the probe: the
 			// stamp is taken at decode and the reply never queues behind
 			// data frames, which keeps the sampled RTT close to the true
-			// path time and makes echo delivery independent of graph load.
+			// path time and makes echo delivery independent of the send
+			// queue's load.
 			now := time.Now().UnixNano()
 			e.offerEcho(ClockEcho{T1: m.T1, T2: now, T3: now})
 			continue
@@ -959,11 +885,10 @@ func (e *Edge) recvLoop(q chan<- stream.Message, gone <-chan struct{}) error {
 			e.tuplesIn.Add(int64(len(m.Tuples)))
 		}
 		e.msgsIn.Add(1)
-		select {
-		case q <- msg:
-		case <-gone:
-			stream.ReleaseFrame(msg)
-			return nil
+		port := 0
+		if route != nil {
+			port = route(msg)
 		}
+		emit(port, msg)
 	}
 }

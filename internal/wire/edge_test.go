@@ -211,7 +211,7 @@ func TestEdgeSurvivesInjectedResets(t *testing.T) {
 // TestEdgeResetRollsPerMessageInsideBatch pins the per-message reset
 // schedule of the gathered sender: every message rolls once, in send order,
 // whatever batch it was coalesced into. The seed is chosen so the schedule
-// fires exactly once, at frame j in the middle of a corked burst: frames
+// fires exactly once, at frame j in the middle of a coalesced burst: frames
 // 0..j-1 must reach the peer on the first connection, and frame j onward
 // after the reconnect, each exactly once.
 func TestEdgeResetRollsPerMessageInsideBatch(t *testing.T) {
@@ -256,18 +256,20 @@ func TestEdgeResetRollsPerMessageInsideBatch(t *testing.T) {
 		Name:  "dial",
 		Hello: Hello{Engine: -1, Dim: 3, Batch: batch, Epoch: 1},
 		Retry: fastRetry,
-		Cork:  100 * time.Millisecond,
 		Chaos: &plan,
 	})
 	defer dial.Close()
 
-	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-	defer cancel()
-	wait, _ := runSource(ctx, worker)
+	// The burst is queued before the accept side starts receiving: the
+	// sender blocks in the handshake with what it took first, and the
+	// frames behind wait in the send lane and leave as one gathered writev.
 	op := dial.Operator()
 	for i := 0; i < frames; i++ {
 		op.Process(0, contiguousFrame(int64(i*batch), batch, 3), nil)
 	}
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	wait, _ := runSource(ctx, worker)
 	op.Flush(nil)
 	got, err := wait()
 	if err != nil {
@@ -434,9 +436,6 @@ func TestEdgeCoalescedResetMidWritevStatsExact(t *testing.T) {
 		Name:  "dial",
 		Hello: Hello{Engine: 0, Dim: 3, Batch: 4, Epoch: 1},
 		Retry: fastRetry,
-		// A generous cork so the frames below coalesce into one gathered
-		// flush even if the sender goroutine pops the first one early.
-		Cork: 100 * time.Millisecond,
 	})
 	defer dial.Close()
 	var writes atomic.Int64
@@ -447,16 +446,18 @@ func TestEdgeCoalescedResetMidWritevStatsExact(t *testing.T) {
 		return &failNthWriteConn{Conn: c, calls: &writes, failAt: 5}
 	}
 
-	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-	defer cancel()
-	wait, tups := runSource(ctx, worker)
-
+	// The frames are queued before the accept side starts receiving, so
+	// the ones behind what the sender took into the handshake coalesce into
+	// one gathered flush.
 	const frames, batch = 6, 4
 	op := dial.Operator()
 	for i := 0; i < frames; i++ {
 		f := contiguousFrame(int64(i*batch), batch, 3)
 		op.Process(0, f, nil)
 	}
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	wait, tups := runSource(ctx, worker)
 	op.Flush(nil)
 
 	got, err := wait()
@@ -629,8 +630,7 @@ func TestEdgeSendAccountsEveryMessageOnClose(t *testing.T) {
 
 // TestEdgeSourceCancelStopsReceiver cancels a source while its peer is still
 // streaming frames: the source must return the context's error promptly and
-// its receive goroutine must exit rather than keep decoding into a queue
-// nobody reads.
+// leave no goroutine behind decoding a stream nobody reads.
 func TestEdgeSourceCancelStopsReceiver(t *testing.T) {
 	ln, err := ListenEdge("127.0.0.1:0", EdgeOptions{Name: "accept", Dim: 3, Batch: 4, Retry: fastRetry})
 	if err != nil {
