@@ -47,11 +47,12 @@ loc:
 # without AVX2 (one path, chosen at init). The 386 run (native on an x86-64
 # Linux host) puts the Go loops, root and tred2/tql2 under the kernel,
 # eigensolver and engine suites, including the golden engine digests both
-# paths must hit; the arm64 vet compiles the generic files (the _other.go
+# paths must hit, and the NaN-mask reference under ingest's fuzz and
+# allocation tests; the arm64 vet compiles the generic files (the _other.go
 # stubs among them) and checks them without running them.
 test-portable:
-	GOARCH=386 $(GO) test ./internal/mat ./internal/eig ./internal/core
-	GOARCH=arm64 $(GO) vet ./internal/mat ./internal/eig
+	GOARCH=386 $(GO) test ./internal/mat ./internal/eig ./internal/core ./internal/ingest
+	GOARCH=arm64 $(GO) vet ./internal/mat ./internal/eig ./internal/ingest
 
 # Tier 2: the wire layer against real TCP sockets under the race detector —
 # loopback edges, reconnect chaos, and the multi-process harness tests that

@@ -302,4 +302,40 @@ func BenchmarkObserveBlock(b *testing.B) {
 			b.Run(fmt.Sprintf("d-%d/c-%d", d, c), func(b *testing.B) { lane(b, d, c) })
 		}
 	}
+	b.Run("gappy/d-1000", benchObserveGappy)
+}
+
+// benchObserveGappy is BenchmarkObserveBlock's gappy lane: 64-row batches of
+// d = 1000 synthetic spectra, 30% of them with coverage gaps, through
+// ObserveBlockMasked at the width the cost model picks, in ns/row.
+func benchObserveGappy(b *testing.B) {
+	const d, batch = 1000, 64
+	gen, err := spectra.NewGenerator(spectra.GeneratorConfig{Grid: spectra.SDSSGrid(d), GapRate: 0.3, Seed: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	en, err := NewEngine(Config{Dim: d, Components: 5, Alpha: 1 - 1.0/5000})
+	if err != nil {
+		b.Fatal(err)
+	}
+	xs, masks := make([][][]float64, 4), make([][][]bool, 4)
+	for j := range xs {
+		xs[j], masks[j] = make([][]float64, batch), make([][]bool, batch)
+		for i := range xs[j] {
+			o := gen.Next()
+			xs[j][i], masks[j][i] = o.Flux, o.Mask
+		}
+	}
+	out := make([]Update, 0, batch)
+	for j := 0; !en.Ready(); j++ {
+		out, _ = en.ObserveBlockMasked(xs[j%len(xs)], masks[j%len(xs)], out[:0])
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		j := i % len(xs)
+		if out, err = en.ObserveBlockMasked(xs[j], masks[j], out[:0]); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(int64(b.N)*batch), "ns/row")
 }

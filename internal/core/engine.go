@@ -233,13 +233,8 @@ func (en *Engine) ObserveAuto(x []float64) (Update, error) {
 	if len(x) != en.cfg.Dim {
 		return en.Observe(x) // rejected there for its length
 	}
-	mask, gaps := en.ws.autoMask, 0
-	for i, v := range x {
-		if mask[i] = !math.IsNaN(v); !mask[i] {
-			gaps++
-		}
-	}
-	if gaps == 0 {
+	mask := en.ws.autoMask
+	if mat.NaNMask(mask, x) == 0 {
 		return en.Observe(x)
 	}
 	return en.ObserveMasked(x, mask)

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"unsafe"
 
 	"streampca/internal/mat"
@@ -42,6 +43,13 @@ func (en *Engine) ObserveMasked(x []float64, mask []bool) (Update, error) {
 	if len(x) != d || len(mask) != d {
 		return Update{}, fmt.Errorf("core: masked observation length %d/%d, want %d", len(x), len(mask), d)
 	}
+	if en.ready { // patchProject rejects what the scan below would, from its runs and ‖y‖²
+		u, err := en.observeOne(x, mask)
+		if err == errFewObserved && !slices.Contains(mask, true) {
+			err = errAllMasked
+		}
+		return u, err
+	}
 	nObs := 0
 	for i, ok := range mask {
 		if !ok {
@@ -60,13 +68,10 @@ func (en *Engine) ObserveMasked(x []float64, mask []bool) (Update, error) {
 	case nObs <= en.k:
 		return Update{}, errFewObserved
 	}
-	if !en.ready {
-		xp := en.fillWithBinMeans(x, mask)
-		u, err := en.bufferWarmupMasked(xp, mask)
-		u.Patched = d - nObs
-		return u, err
-	}
-	return en.observeOne(x, mask)
+	xp := en.fillWithBinMeans(x, mask)
+	u, err := en.bufferWarmupMasked(xp, mask)
+	u.Patched = d - nObs
+	return u, err
 }
 
 // allObserved is eight observed bins read as one word: a Go bool is stored
@@ -75,8 +80,8 @@ const allObserved = 0x0101010101010101
 
 // gapRuns writes the start and end of each missing run of mask into edges
 // from index 1 on, and returns the index after the last one written and the
-// number of missing bins. It steps over eight observed bins at a time while
-// a whole word of them is observed.
+// number of missing bins. It steps over eight bins at a time while a whole
+// word of them is observed, or, inside a missing run, missing.
 func gapRuns(mask []bool, edges []int) (nb, nMiss int) {
 	d, nb := len(mask), 1
 	bytes := unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(mask))), d)
@@ -88,7 +93,11 @@ func gapRuns(mask []bool, edges []int) (nb, nMiss int) {
 		if !mask[i] {
 			s := i
 			for i < d && !mask[i] {
-				i++
+				if i+8 <= d && binary.LittleEndian.Uint64(bytes[i:]) == 0 {
+					i += 8
+				} else {
+					i++
+				}
 			}
 			edges[nb], edges[nb+1] = s, i
 			nb, nMiss = nb+2, nMiss+i-s
@@ -101,18 +110,19 @@ func gapRuns(mask []bool, edges []int) (nb, nMiss int) {
 // leaves in chunk slot `slot` of ws.yMat and ws.coefs what CenterProject
 // would produce for the gap-patched row, and returns that row's ‖y‖² and the
 // number of bins patched. The mask is read once into the edges of its runs.
-// The row is copied into ws.xPatch with the current mean in those runs,
-// so there y = 0 and one pass yields coef = B_obs·y_obs and ‖y_obs‖². The
-// least-squares coefficients solve G_obs·c = coef with G_obs the k×k Gram of
-// the observed basis columns, formed from whichever side of the mask is
-// smaller: that side's columns of the k×d basis are copied run by run into a
-// k×n panel P, and G_obs = P·Pᵀ over the observed bins or I − P·Pᵀ over the
-// missing ones (BBᵀ = I is an engine invariant). Each missing run then takes
-// y = Σⱼ cⱼ·B[j,run] by one Lerp per component, accumulated in component
-// order onto the zeros the pass left there — bin for bin the sum a per-bin
-// loop would form — and ws.xPatch = µ + y, and coef becomes c: exactly the
-// patched row's projection coef + (I − G_obs)·c. A mask without gaps is the
-// plain pass on x itself, bitwise, and leaves ws.xPatch alone.
+// One masked pass (mat.CenterProjectMasked) centers the row with y = +0 in
+// the missing bins, as the current mean there would give, copies x into
+// ws.xPatch, and yields coef = B_obs·y_obs and ‖y_obs‖². The least-squares
+// coefficients solve G_obs·c = coef with G_obs the k×k Gram of the observed
+// basis columns, formed from whichever side of the mask is smaller: that
+// side's columns of the k×d basis are copied run by run into a k×n panel P,
+// and G_obs = P·Pᵀ over the observed bins or I − P·Pᵀ over the missing ones
+// (BBᵀ = I is an engine invariant), four entries per pass over P
+// (mat.GramLower). Each missing run then takes y = Σⱼ cⱼ·B[j,run] in one
+// pass (mat.AddRowCombination), added in component order onto the zeros
+// there — bin for bin the sum a per-bin loop would form — ws.xPatch = µ + y
+// there, and coef becomes c: the patched row's projection coef + (I − G_obs)·c.
+// A mask without gaps is the plain pass on x, bitwise, leaving ws.xPatch.
 func (en *Engine) patchProject(slot int, x []float64, mask []bool) (ny2 float64, nMiss int, err error) {
 	ws := en.ws
 	d, k := en.cfg.Dim, en.k
@@ -124,19 +134,15 @@ func (en *Engine) patchProject(slot int, x []float64, mask []bool) (ny2 float64,
 	nb, nMiss := gapRuns(mask, edges)
 	edges[nb] = d
 	edges = edges[:nb+1] // observed runs start at even r, missing ones at odd r
-	mean := en.state.Mean
-	xp := x
-	if nMiss > 0 {
-		if d-nMiss <= k {
-			return 0, 0, errFewObserved // an all-false mask included
-		}
-		xp = ws.xPatch
-		copy(xp, x)
-		for r := 1; r+1 < len(edges); r += 2 {
-			copy(xp[edges[r]:edges[r+1]], mean[edges[r]:edges[r+1]])
-		}
+	mean, xp := en.state.Mean, ws.xPatch
+	switch {
+	case nMiss == 0:
+		ny2 = mat.CenterProject(y, coef, x, mean, en.basis)
+	case d-nMiss <= k:
+		return 0, 0, errFewObserved // an all-false mask included
+	default:
+		ny2 = mat.CenterProjectMasked(y, coef, xp, x, mean, mask, en.basis)
 	}
-	ny2 = mat.CenterProject(y, coef, xp, mean, en.basis)
 	if math.IsNaN(ny2) || math.IsInf(ny2, 0) {
 		return 0, 0, errGapNonFinite
 	}
@@ -157,13 +163,14 @@ func (en *Engine) patchProject(slot int, x []float64, mask []bool) (ny2 float64,
 		}
 	}
 	gd := ws.gapG.Data() // lower triangle only: all solveSPDInto reads
+	mat.GramLower(gd, k, pd)
 	for a := 0; a < k; a++ {
-		pa := pd[a*n : (a+1)*n]
-		for b := 0; b <= a; b++ {
-			gd[a*k+b] = sign * mat.Dot(pa, pd[b*n:(b+1)*n])
+		ga := gd[a*k : a*k+a+1]
+		for b, v := range ga {
+			ga[b] = sign * v
 		}
 		if sign < 0 {
-			gd[a*k+a]++
+			ga[a]++
 		}
 	}
 	if !solveSPDInto(coef, ws.gapG, coef, ws.gapL, ws.gapTmp) {
@@ -172,9 +179,7 @@ func (en *Engine) patchProject(slot int, x []float64, mask []bool) (ny2 float64,
 	for r := 1; r+1 < len(edges); r += 2 {
 		s, e := edges[r], edges[r+1]
 		yr, xr, mr := y[s:e], xp[s:e], mean[s:e]
-		for j, cj := range coef {
-			mat.Lerp(yr, 1, yr, cj, bd[j*d+s:j*d+e])
-		}
+		mat.AddRowCombination(yr, coef, en.basis, s)
 		for t, v := range yr {
 			xr[t] = mr[t] + v
 			ny2 += v * v

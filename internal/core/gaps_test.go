@@ -391,7 +391,8 @@ func runMask(rng *rand.Rand, d, maxRun int, missFirst bool) []bool {
 // TestPatchProjectMatchesPerBinFill holds the run-wise patch to the per-bin
 // reference bit for bit — the patched row, ‖y‖², the coefficients and the
 // filled copy — over masks with runs at both ends, single-bin runs, long
-// runs and more than d/2 bins missing (the observed-side Gram).
+// runs, more than d/2 bins missing (the observed-side Gram), whole missing
+// words and runs across word boundaries.
 func TestPatchProjectMatchesPerBinFill(t *testing.T) {
 	rng := rand.New(rand.NewPCG(300, 3))
 	for _, d := range []int{61, 1000} {
@@ -406,6 +407,25 @@ func TestPatchProjectMatchesPerBinFill(t *testing.T) {
 				out[i] = math.Float64bits(f)
 			}
 			return out
+		}
+		check := func(trial int, x []float64, mask []bool) {
+			t.Helper()
+			slot := trial % en.ws.yMat.Rows()
+			wantNy2, wantMiss, wantErr := en.patchProjectPerBin(slot, x, mask)
+			wantY, wantCoef, wantX := bits(en.ws.yMat.Row(slot)), bits(en.ws.coefs.Row(slot)), bits(en.ws.xPatch)
+			ny2, nMiss, err := en.patchProject(slot, x, mask)
+			if err != wantErr || nMiss != wantMiss {
+				t.Fatalf("d=%d trial %d: (%d, %v), per-bin (%d, %v)", d, trial, nMiss, err, wantMiss, wantErr)
+			}
+			if err != nil {
+				return
+			}
+			if math.Float64bits(ny2) != math.Float64bits(wantNy2) ||
+				!slices.Equal(bits(en.ws.yMat.Row(slot)), wantY) ||
+				!slices.Equal(bits(en.ws.coefs.Row(slot)), wantCoef) ||
+				!slices.Equal(bits(en.ws.xPatch), wantX) {
+				t.Fatalf("d=%d trial %d (%d missing): run-wise patch differs from the per-bin fill", d, trial, nMiss)
+			}
 		}
 		for trial := 0; trial < 200; trial++ {
 			x, _ := m.sample()
@@ -423,22 +443,38 @@ func TestPatchProjectMatchesPerBinFill(t *testing.T) {
 			if trial%5 == 0 { // a run at both ends
 				mask[0], mask[d-1] = false, false
 			}
-			slot := trial % en.ws.yMat.Rows()
-			wantNy2, wantMiss, wantErr := en.patchProjectPerBin(slot, x, mask)
-			wantY, wantCoef, wantX := bits(en.ws.yMat.Row(slot)), bits(en.ws.coefs.Row(slot)), bits(en.ws.xPatch)
-			ny2, nMiss, err := en.patchProject(slot, x, mask)
-			if err != wantErr || nMiss != wantMiss {
-				t.Fatalf("d=%d trial %d: (%d, %v), per-bin (%d, %v)", d, trial, nMiss, err, wantMiss, wantErr)
+			check(trial, x, mask)
+		}
+		// Runs the word-at-a-time scan steps through: whole missing words
+		// (aligned runs of 8, 16 and 64 bins, and a run covering every word
+		// but the first and last), and runs that straddle a word boundary.
+		for trial := 0; trial < 24; trial++ {
+			x, _ := m.sample()
+			mask := make([]bool, d)
+			for i := range mask {
+				mask[i] = true
 			}
-			if err != nil {
-				continue
+			miss := func(s, n int) {
+				for i := s; i < s+n && i < d; i++ {
+					mask[i] = false
+				}
 			}
-			if math.Float64bits(ny2) != math.Float64bits(wantNy2) ||
-				!slices.Equal(bits(en.ws.yMat.Row(slot)), wantY) ||
-				!slices.Equal(bits(en.ws.coefs.Row(slot)), wantCoef) ||
-				!slices.Equal(bits(en.ws.xPatch), wantX) {
-				t.Fatalf("d=%d trial %d (%d missing): run-wise patch differs from the per-bin fill", d, trial, nMiss)
+			switch trial % 4 {
+			case 0:
+				miss(8*(1+rng.IntN(d/16)), 8<<(trial%3))
+				miss(8*(d/16+rng.IntN(d/32)), 64)
+			case 1:
+				miss(8, d/8*8-16)
+			case 2: // straddling: start 1 to 7 bins before a word boundary
+				for s := 8 - 1 - trial%7; s+20 < d; s += 24 + 8*rng.IntN(4) {
+					miss(s, 2+rng.IntN(18))
+				}
+			default: // an aligned whole word next to a straddling run
+				s := 8 * (1 + rng.IntN(d/16))
+				miss(s, 8)
+				miss(s+11, 9+rng.IntN(8))
 			}
+			check(200+trial, x, mask)
 		}
 	}
 }

@@ -16,6 +16,7 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -87,12 +88,16 @@ type CSVOptions struct {
 }
 
 // CSVStream parses comma-separated observations from r, one per line.
-// Empty entries and the literals NaN/nan are treated as missing bins.
+// Empty entries and the literals NaN/nan are treated as missing bins. Each
+// record is parsed into the stream's own row and mask, which the next call
+// overwrites.
 type CSVStream struct {
 	opts CSVOptions
 	sc   *bufio.Scanner
 	line int
 	dim  int
+	vec  []float64
+	mask []bool
 }
 
 // NewCSVStream wraps r as a CSV observation stream.
@@ -105,39 +110,47 @@ func NewCSVStream(r io.Reader, opts CSVOptions) *CSVStream {
 	return &CSVStream{opts: opts, sc: sc, dim: opts.Dim}
 }
 
-// Next implements Stream.
+// Next implements Stream. The line is read in place (a string over the
+// scanner's buffer, valid until the next Scan; strconv copies any text it
+// puts into an error) and split field by field, so a record allocates
+// nothing once the row and mask exist.
 func (c *CSVStream) Next() ([]float64, []bool, error) {
 	for c.sc.Scan() {
 		c.line++
-		text := strings.TrimSpace(c.sc.Text())
+		b := c.sc.Bytes()
+		text := strings.TrimSpace(unsafe.String(unsafe.SliceData(b), len(b)))
 		if text == "" || strings.HasPrefix(text, c.opts.Comment) {
 			continue
 		}
-		fields := strings.Split(text, ",")
-		if c.opts.MetaColumns > 0 {
-			if len(fields) <= c.opts.MetaColumns {
-				return nil, nil, &RecordError{c.line, "fewer fields than MetaColumns"}
-			}
-			fields = fields[c.opts.MetaColumns:]
+		n := strings.Count(text, ",") + 1 - c.opts.MetaColumns
+		if n <= 0 {
+			return nil, nil, &RecordError{c.line, "fewer fields than MetaColumns"}
 		}
 		if c.dim == 0 {
-			c.dim = len(fields)
+			c.dim = n
 		}
-		if len(fields) != c.dim {
-			return nil, nil, &RecordError{c.line, fmt.Sprintf("got %d values, want %d", len(fields), c.dim)}
+		if n != c.dim {
+			return nil, nil, &RecordError{c.line, fmt.Sprintf("got %d values, want %d", n, c.dim)}
 		}
-		vec := make([]float64, c.dim)
-		for i, f := range fields {
-			vec[i] = math.NaN() // an empty entry is missing; ParseFloat reads "NaN" in any case
+		if len(c.vec) != c.dim {
+			c.vec, c.mask = make([]float64, c.dim), make([]bool, c.dim)
+		}
+		for i := -c.opts.MetaColumns; i < n; i++ { // metadata fields have i < 0
+			var f string
+			f, text, _ = strings.Cut(text, ",")
+			if i < 0 {
+				continue
+			}
+			c.vec[i] = math.NaN() // an empty entry is missing; ParseFloat reads "NaN" in any case
 			if f = strings.TrimSpace(f); f != "" {
 				v, err := strconv.ParseFloat(f, 64)
 				if err != nil {
 					return nil, nil, &RecordError{c.line, fmt.Sprintf("column %d: %v", i+1, err)}
 				}
-				vec[i] = v
+				c.vec[i] = v
 			}
 		}
-		return vec, gapMask(vec, nil), nil
+		return c.vec, gapMask(c.vec, c.mask), nil
 	}
 	if err := c.sc.Err(); err != nil {
 		return nil, nil, err
@@ -145,22 +158,10 @@ func (c *CSVStream) Next() ([]float64, []bool, error) {
 	return nil, nil, io.EOF
 }
 
-// gapMask returns nil when vec holds no NaN, and otherwise mask (allocated
-// when nil) false exactly at vec's NaN bins. A complete record costs one
-// branch-free finiteness scan; one that fails it goes straight to the fill.
+// gapMask fills mask false exactly at vec's NaN bins in one pass and returns
+// it, or nil when vec holds no NaN (±Inf alone is a complete record).
 func gapMask(vec []float64, mask []bool) []bool {
-	if mat.AllFinite(vec) {
-		return nil
-	}
-	if mask == nil {
-		mask = make([]bool, len(vec))
-	}
-	missing := false
-	for j, v := range vec {
-		mask[j] = !math.IsNaN(v)
-		missing = missing || !mask[j]
-	}
-	if !missing { // ±Inf but no NaN: a complete record
+	if mat.NaNMask(mask, vec) == 0 {
 		return nil
 	}
 	return mask
@@ -398,8 +399,10 @@ func (s *TCPServer) acceptLoop(opts CSVOptions) {
 					return
 				default:
 				}
+				// The record waits in the queue past cs's next call, which
+				// reuses vec and mask: queue copies.
 				select {
-				case s.records <- tcpRecord{vec, mask, err}:
+				case s.records <- tcpRecord{slices.Clone(vec), slices.Clone(mask), err}:
 				case <-s.closing:
 					return
 				}

@@ -253,6 +253,50 @@ func TestBinaryStreamReadsWithoutAllocating(t *testing.T) {
 	}
 }
 
+// TestCSVStreamReadsWithoutAllocating: in steady state a CSV record with
+// gaps (an empty entry and a NaN) costs no allocation.
+func TestCSVStreamReadsWithoutAllocating(t *testing.T) {
+	s := NewCSVStream(&loopReader{buf: []byte("0.5, ,2.25,NaN,-1e3,7\n")}, CSVOptions{})
+	if _, mask, err := s.Next(); err != nil || mask == nil || mask[1] || mask[3] || !mask[0] {
+		t.Fatalf("mask %v, err %v", mask, err)
+	}
+	allocs := testing.AllocsPerRun(200, func() {
+		if _, _, err := s.Next(); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("gappy CSV record: %v allocations per Next, want 0", allocs)
+	}
+}
+
+// TestTCPServerQueuesCopies: a producer's records wait in the server's queue
+// while its CSVStream reuses its row and mask for the next line, so each
+// queued record must be a copy.
+func TestTCPServerQueuesCopies(t *testing.T) {
+	srv, err := NewTCPServer("127.0.0.1:0", CSVOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	conn, err := net.Dial("tcp", srv.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	fmt.Fprint(conn, "1,NaN,3\n4,5,6\n")
+	conn.Close()
+	v1, m1, err := srv.Next()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := srv.Next(); err != nil {
+		t.Fatal(err)
+	}
+	if v1[0] != 1 || !math.IsNaN(v1[1]) || v1[2] != 3 || m1 == nil || m1[1] || !m1[0] {
+		t.Fatalf("first record changed after the second arrived: %v %v", v1, m1)
+	}
+}
+
 // FuzzBinaryStream holds BinaryStream to the reference decode: every whole
 // record is bitwise math.Float64frombits(binary.LittleEndian.Uint64(·)) of
 // its bytes (NaN payloads, −0 and ±Inf included), its mask is nil when it

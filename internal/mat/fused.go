@@ -22,20 +22,24 @@ func CenterProject(y, coef, x, mean []float64, basis *Dense) float64 {
 // centerProjectGo is CenterProject's loops over the k×d basis data bd, with
 // k = len(coef) and d = len(x) = len(y) = len(mean) (see dotGo).
 func centerProjectGo(y, coef, x, mean, bd []float64) float64 {
-	k, d := len(coef), len(x)
 	y, mean = y[:len(x)], mean[:len(x)]
+	for i := range y {
+		y[i] = x[i] - mean[i]
+	}
+	return projectGo(coef, y, bd)
+}
+
+// projectGo is the rest of centerProjectGo: ‖y‖² in [even, odd] chains, and
+// coef[j] = y·bd[j,:] two components per sweep.
+func projectGo(coef, y, bd []float64) float64 {
+	k, d := len(coef), len(y)
 	var s0, s1 float64
-	for i := 1; i < len(x); i += 2 {
-		y0 := x[i-1] - mean[i-1]
-		y1 := x[i] - mean[i]
-		y[i-1], y[i] = y0, y1
-		s0 += y0 * y0
-		s1 += y1 * y1
+	for i := 1; i < len(y); i += 2 {
+		s0 += y[i-1] * y[i-1]
+		s1 += y[i] * y[i]
 	}
 	if d%2 == 1 {
-		yi := x[d-1] - mean[d-1]
-		y[d-1] = yi
-		s0 += yi * yi
+		s0 += y[d-1] * y[d-1]
 	}
 	j := 0
 	for ; j+1 < k; j += 2 {
@@ -59,6 +63,78 @@ func centerProjectGo(y, coef, x, mean, bd []float64) float64 {
 		coef[j] = dotGo(y, bd[j*d:(j+1)*d])
 	}
 	return s0 + s1
+}
+
+// CenterProjectMasked is CenterProject for a row whose false mask bins are
+// missing: y = x − mean where the mask is true and +0 where it is false —
+// what centering the row with the mean in its gaps gives, for a finite mean —
+// then coef and the returned ‖y‖² in CenterProject's order. x is copied into
+// xp in the same pass. x may hold anything in the missing bins.
+func CenterProjectMasked(y, coef, xp, x, mean []float64, mask []bool, basis *Dense) float64 {
+	k, d := basis.rows, basis.cols
+	if len(x) != d || len(y) != d || len(xp) != d || len(mean) != d || len(mask) != d || len(coef) != k {
+		panic("mat: CenterProjectMasked length mismatch")
+	}
+	return centerProjectMasked(y, coef, x, mean, basis.data, xp, mask)
+}
+
+// centerProjectMaskedGo is CenterProjectMasked's reference: the copy and y,
+// then projectGo.
+func centerProjectMaskedGo(y, coef, x, mean, bd, xp []float64, mask []bool) float64 {
+	copy(xp, x)
+	y = y[:len(x)]
+	for i, ok := range mask[:len(x)] {
+		if y[i] = 0; ok {
+			y[i] = x[i] - mean[i]
+		}
+	}
+	return projectGo(coef, y, bd)
+}
+
+// GramLower sets g[a·k+b] = Dot(p_a, p_b) for b ≤ a < k, where p_a is row a
+// of the k×n row-major panel p (n = len(p)/k), each entry in Dot's
+// four-chain order; the AVX2 kernel forms four entries per pass over their
+// rows. The upper triangle of the k×k g is left alone. It panics unless k
+// divides len(p) and g holds k×k values.
+func GramLower(g []float64, k int, p []float64) {
+	if k < 0 || len(g) != k*k || k > 0 && len(p)%k != 0 {
+		panic("mat: GramLower length mismatch")
+	}
+	if k > 0 {
+		gramLower(g, k, p)
+	}
+}
+
+// gramLowerGo is GramLower's reference: one dotGo per entry.
+func gramLowerGo(g []float64, k int, p []float64) {
+	n := len(p) / k
+	for a := 0; a < k; a++ {
+		for b := 0; b <= a; b++ {
+			g[a*k+b] = dotGo(p[a*n:(a+1)*n], p[b*n:(b+1)*n])
+		}
+	}
+}
+
+// AddRowCombination adds Σ_j coef[j]·b[j, off:off+len(dst)] into dst, one
+// pass over dst with each element's terms added in j order: bit for bit one
+// Lerp(dst, 1, dst, coef[j], row j) per j. It panics if the span leaves b's
+// columns or coef is not one value per row of b.
+func AddRowCombination(dst, coef []float64, b *Dense, off int) {
+	if len(coef) != b.rows || off < 0 || off+len(dst) > b.cols {
+		panic("mat: AddRowCombination out of range")
+	}
+	addRowCombination(dst, coef, b.data[off:], b.cols)
+}
+
+// addRowCombinationGo is AddRowCombination's reference over bd, whose row j
+// starts at bd[j·stride].
+func addRowCombinationGo(dst, coef, bd []float64, stride int) {
+	for j, c := range coef {
+		row := bd[j*stride:][:len(dst)]
+		for i, v := range row {
+			dst[i] += c * v
+		}
+	}
 }
 
 // basisUpdateSpan applies rows [lo, hi) of the fused in-place rank-c basis

@@ -88,18 +88,71 @@ func panel1x1(c0 []float64, v float64, bk []float64) {
 	}
 }
 
-func allFinite(x []float64) bool {
-	if useAVX2 {
-		return allFiniteAVX2(x)
-	}
-	return allFiniteGo(x)
-}
-
 func copyFinite(dst, src []float64) bool {
 	if useAVX2 {
 		return copyFiniteAVX2(dst, src)
 	}
 	return copyFiniteGo(dst, src)
+}
+
+func nanMask(mask []bool, x []float64) int {
+	if useAVX2 {
+		return nanMaskAVX2(mask, x)
+	}
+	return nanMaskGo(mask, x)
+}
+
+func centerProjectMasked(y, coef, x, mean, bd, xp []float64, mask []bool) float64 {
+	if useAVX2 {
+		return centerProjectMaskedAVX2(y, coef, x, mean, bd, xp, mask)
+	}
+	return centerProjectMaskedGo(y, coef, x, mean, bd, xp, mask)
+}
+
+func gramLower(g []float64, k int, p []float64) {
+	if useAVX2 && len(p) > 0 {
+		gramLowerAVX2(g, k, p)
+	} else {
+		gramLowerGo(g, k, p)
+	}
+}
+
+// gramLowerAVX2 runs gramLowerGo's entries e = a·k+b four at a time through
+// dot4AVX2, in order; the last group's idle slots read row 0 twice.
+func gramLowerAVX2(g []float64, k int, p []float64) {
+	n, m := len(p)/k, 0
+	var out [4]float64
+	var at, off [4]int // entry, and the offset of its row b; row a's is at/k·n
+	for e := 0; e < k*k; e++ {
+		if e%k > e/k {
+			continue
+		}
+		at[m], off[m] = e, e%k*n
+		if m++; m == 4 || e == k*k-1 {
+			a := func(i int) *float64 { return &p[at[i]/k*n] }
+			dot4AVX2(&out, a(0), &p[off[0]], a(1), &p[off[1]], a(2), &p[off[2]], a(3), &p[off[3]], n)
+			for i := range m {
+				g[at[i]] = out[i]
+			}
+			at, off, m = [4]int{}, [4]int{}, 0
+		}
+	}
+}
+
+// addRowCombination takes the rows four at a time, then one at a time
+// through panel1x1AVX2 (c0 += v·bk).
+func addRowCombination(dst, coef, bd []float64, stride int) {
+	if !useAVX2 {
+		addRowCombinationGo(dst, coef, bd, stride)
+		return
+	}
+	j := 0
+	for ; j+4 <= len(coef); j += 4 {
+		addRows4AVX2(dst, coef[j:j+4], bd[j*stride:], stride)
+	}
+	for ; j < len(coef); j++ {
+		panel1x1AVX2(dst, coef[j], bd[j*stride:][:len(dst)])
+	}
 }
 
 //go:noescape
@@ -124,7 +177,16 @@ func panel1x4AVX2(c0, v, bk0, bk1, bk2, bk3 []float64)
 func panel1x1AVX2(c0 []float64, v float64, bk []float64)
 
 //go:noescape
-func allFiniteAVX2(x []float64) bool
+func copyFiniteAVX2(dst, src []float64) bool
 
 //go:noescape
-func copyFiniteAVX2(dst, src []float64) bool
+func nanMaskAVX2(mask []bool, x []float64) int
+
+//go:noescape
+func centerProjectMaskedAVX2(y, coef, x, mean, bd, xp []float64, mask []bool) float64
+
+//go:noescape
+func dot4AVX2(out *[4]float64, x0, y0, x1, y1, x2, y2, x3, y3 *float64, n int)
+
+//go:noescape
+func addRows4AVX2(dst, coef, bd []float64, stride int)

@@ -132,25 +132,40 @@ DONE: \
 #define PLAIN1 VMOVSD (DI)(AX*8), X4
 
 // CENTER4, CENTER2 and CENTER1 form y = x − mean (x at SI, mean at DX), store
-// it at DI and add y² into ‖y‖²'s [s0, s1] lanes in X3.
-#define CENTER4 \
-	VMOVUPD	(SI)(AX*8), Y4; \
-	VSUBPD	(DX)(AX*8), Y4, Y4; \
+// it at DI and add y² into ‖y‖²'s [s0, s1] lanes in X3; CENTERY4, CENTERY2
+// and CENTERY1 are their last part, from y in Y4 or X4.
+#define CENTERY4 \
 	VMOVUPD	Y4, (DI)(AX*8); \
 	VMULPD	Y4, Y4, Y12; \
 	VEXTRACTF128	$1, Y12, X13; \
 	VADDPD	X12, X3, X3; \
 	VADDPD	X13, X3, X3
-#define CENTER2 \
-	VMOVUPD	(SI)(AX*8), X4; \
-	VSUBPD	(DX)(AX*8), X4, X4; \
+#define CENTERY2 \
 	VMOVUPD	X4, (DI)(AX*8); \
 	ADDPROD(VMULPD, VADDPD, X4, X4, X3, X12)
-#define CENTER1 \
-	VMOVSD	(SI)(AX*8), X4; \
-	VSUBSD	(DX)(AX*8), X4, X4; \
+#define CENTERY1 \
 	VMOVSD	X4, (DI)(AX*8); \
 	ADDPROD(VMULSD, VADDSD, X4, X4, X3, X12)
+#define CENTER4 VMOVUPD (SI)(AX*8), Y4; VSUBPD (DX)(AX*8), Y4, Y4; CENTERY4
+#define CENTER2 VMOVUPD (SI)(AX*8), X4; VSUBPD (DX)(AX*8), X4, X4; CENTERY2
+#define CENTER1 VMOVSD (SI)(AX*8), X4; VSUBSD (DX)(AX*8), X4, X4; CENTERY1
+
+// MCENTER4, MCENTER2 and MCENTER1 are CENTER4, CENTER2 and CENTER1 with x
+// also stored at R11 and y cleared to +0 where the mask (bytes at R10) is
+// false. Each lane takes the step's mask bytes by a broadcast load (of only
+// those bytes) and keeps its own through Y15's 0xff << 8i; it equals Y14's
+// zero exactly in a missing bin, where VANDNPD clears y.
+#define MCENTER(BCAST, MOV, SUB, M, Z, L, V) BCAST (R10)(AX*1), M; VPAND L, M, M; VPCMPEQQ Z, M, M; \
+	MOV (SI)(AX*8), V; MOV V, (R11)(AX*8); SUB (DX)(AX*8), V, V; VANDNPD V, M, V
+#define MCENTER4 MCENTER(VPBROADCASTD, VMOVUPD, VSUBPD, Y12, Y14, Y15, Y4); CENTERY4
+#define MCENTER2 MCENTER(VPBROADCASTW, VMOVUPD, VSUBPD, X12, X14, X15, X4); CENTERY2
+#define MCENTER1 MCENTER(VPBROADCASTB, VMOVSD, VSUBSD, X12, X14, X15, X4); CENTERY1
+
+DATA laneBytes<>+0(SB)/8, $0xff
+DATA laneBytes<>+8(SB)/8, $0xff00
+DATA laneBytes<>+16(SB)/8, $0xff0000
+DATA laneBytes<>+24(SB)/8, $0xff000000
+GLOBL laneBytes<>(SB), RODATA|NOPTR, $32
 
 // ROWS points the slots at outputs O.. of M, the first of them at row R8
 // (rows R11 bytes apart): pair A takes two [even, odd] outputs when two
@@ -177,6 +192,40 @@ DONE: \
 	CMOVQLT	DI, R14; \
 	LEAQ	(R14)(R11*1), R15; \
 	CMOVQLT	DI, R15
+
+// PROJECT is centerProject's sweeps after the first: from store, it stores
+// the sweep's outputs to coef and runs the next sweep over y (DI) until every
+// output is stored. Used once per TEXT block, as DOTCORE.
+#define PROJECT \
+sweep: \
+	ROWS(coef_len+32(FP), R10); \
+	SWEEP(loop, split, odd, done, PLAIN4, PLAIN2, PLAIN1); \
+store: \
+	MOVQ	coef_base+24(FP), SI; \
+	MOVQ	coef_len+32(FP), AX; \
+	SUBQ	R10, AX; \
+	CMPQ	AX, $2; \
+	JLT	lone; \
+	VMOVSD	X0, (SI)(R10*8); \
+	VMOVSD	X5, 8(SI)(R10*8); \
+	CMPQ	AX, $4; \
+	JLT	lone; \
+	VMOVSD	X1, 16(SI)(R10*8); \
+	VMOVSD	X6, 24(SI)(R10*8); \
+lone: \
+	CMPQ	AX, $5; \
+	JGT	next; \
+	TESTQ	$1, AX; \
+	JZ	projectdone; \
+	ADDQ	R10, AX; \
+	VMOVSD	X2, -8(SI)(AX*8); \
+projectdone: \
+	VZEROUPPER; \
+	RET; \
+next: \
+	ADDQ	$4, R10; \
+	LEAQ	(R8)(R11*4), R8; \
+	JMP	sweep
 
 // func dotAVX2(x, y []float64) float64
 TEXT ·dotAVX2(SB), NOSPLIT, $0-56
@@ -238,39 +287,37 @@ TEXT ·centerProjectAVX2(SB), NOSPLIT, $0-128
 	VMOVSD	X3, ret+120(FP)
 	JMP	store
 
-sweep:
+	PROJECT
+
+// func centerProjectMaskedAVX2(y, coef, x, mean, bd, xp []float64, mask []bool) float64
+//
+// centerProjectAVX2 with MCENTER in the first sweep, during which R10 and R11
+// hold the mask and xp (ROWS has already placed the slots), Y14 is zero and
+// Y15 holds laneBytes.
+TEXT ·centerProjectMaskedAVX2(SB), NOSPLIT, $0-176
+	MOVQ	y_base+0(FP), DI
+	MOVQ	x_base+48(FP), SI
+	MOVQ	x_len+56(FP), CX
+	MOVQ	mean_base+72(FP), DX
+	MOVQ	bd_base+96(FP), R8
+	MOVQ	CX, R11
+	SHLQ	$3, R11
+	XORQ	R10, R10
 	ROWS(coef_len+32(FP), R10)
-	SWEEP(loop, split, odd, done, PLAIN4, PLAIN2, PLAIN1)
+	VXORPD	X3, X3, X3
+	VPXOR	Y14, Y14, Y14
+	VMOVDQU	laneBytes<>(SB), Y15
+	MOVQ	xp_base+120(FP), R11
+	MOVQ	mask_base+144(FP), R10
+	SWEEP(fusedloop, fusedsplit, fusedodd, fuseddone, MCENTER4, MCENTER2, MCENTER1)
+	XORQ	R10, R10
+	MOVQ	CX, R11
+	SHLQ	$3, R11
+	HSUM(X3, X8)
+	VMOVSD	X3, ret+168(FP)
+	JMP	store
 
-store:
-	MOVQ	coef_base+24(FP), SI
-	MOVQ	coef_len+32(FP), AX
-	SUBQ	R10, AX
-	CMPQ	AX, $2
-	JLT	lone
-	VMOVSD	X0, (SI)(R10*8)
-	VMOVSD	X5, 8(SI)(R10*8)
-	CMPQ	AX, $4
-	JLT	lone
-	VMOVSD	X1, 16(SI)(R10*8)
-	VMOVSD	X6, 24(SI)(R10*8)
-
-lone:
-	CMPQ	AX, $5
-	JGT	next
-	TESTQ	$1, AX
-	JZ	projectdone
-	ADDQ	R10, AX
-	VMOVSD	X2, -8(SI)(AX*8)
-
-projectdone:
-	VZEROUPPER
-	RET
-
-next:
-	ADDQ	$4, R10
-	LEAQ	(R8)(R11*4), R8
-	JMP	sweep
+	PROJECT
 
 // func syrkRowsAVX2(dd, ad []float64, n, kk, r int)
 //
@@ -485,19 +532,8 @@ finitedone: \
 	VORPD	X2, X0, X0; \
 	VUCOMISD	X0, X0
 
-#define LOAD4 VMOVUPD (SI)(AX*8), Y2
-#define LOAD1 VMOVSD (SI)(AX*8), X2
-#define COPY4 LOAD4; VMOVUPD Y2, (DI)(AX*8)
-#define COPY1 LOAD1; VMOVSD X2, (DI)(AX*8)
-
-// func allFiniteAVX2(x []float64) bool
-TEXT ·allFiniteAVX2(SB), NOSPLIT, $0-25
-	MOVQ	x_base+0(FP), SI
-	MOVQ	x_len+8(FP), CX
-	FINITE(LOAD4, LOAD1)
-	SETPC	ret+24(FP)
-	VZEROUPPER
-	RET
+#define COPY4 VMOVUPD (SI)(AX*8), Y2; VMOVUPD Y2, (DI)(AX*8)
+#define COPY1 VMOVSD (SI)(AX*8), X2; VMOVSD X2, (DI)(AX*8)
 
 // func copyFiniteAVX2(dst, src []float64) bool
 TEXT ·copyFiniteAVX2(SB), NOSPLIT, $0-49
@@ -506,6 +542,173 @@ TEXT ·copyFiniteAVX2(SB), NOSPLIT, $0-49
 	MOVQ	src_len+32(FP), CX
 	FINITE(COPY4, COPY1)
 	SETPC	ret+48(FP)
+	VZEROUPPER
+	RET
+
+DATA maskBytes<>+0(SB)/4, $0x01010101
+DATA maskBytes<>+4(SB)/4, $0x01010100
+DATA maskBytes<>+8(SB)/4, $0x01010001
+DATA maskBytes<>+12(SB)/4, $0x01010000
+DATA maskBytes<>+16(SB)/4, $0x01000101
+DATA maskBytes<>+20(SB)/4, $0x01000100
+DATA maskBytes<>+24(SB)/4, $0x01000001
+DATA maskBytes<>+28(SB)/4, $0x01000000
+DATA maskBytes<>+32(SB)/4, $0x00010101
+DATA maskBytes<>+36(SB)/4, $0x00010100
+DATA maskBytes<>+40(SB)/4, $0x00010001
+DATA maskBytes<>+44(SB)/4, $0x00010000
+DATA maskBytes<>+48(SB)/4, $0x00000101
+DATA maskBytes<>+52(SB)/4, $0x00000100
+DATA maskBytes<>+56(SB)/4, $0x00000001
+DATA maskBytes<>+60(SB)/4, $0x00000000
+GLOBL maskBytes<>(SB), RODATA|NOPTR, $64
+
+// func nanMaskAVX2(mask []bool, x []float64) int
+//
+// Four bins per step: VCMPPD's unordered test sets a lane to all ones at a
+// NaN, which VPSUBQ counts in Y1's lanes, and the four NaN bits from
+// VMOVMSKPD index maskBytes (R9), whose entry m holds byte i = 1 where bit i
+// of m is clear.
+TEXT ·nanMaskAVX2(SB), NOSPLIT, $0-56
+	MOVQ	mask_base+0(FP), DI
+	MOVQ	x_base+24(FP), SI
+	MOVQ	x_len+32(FP), CX
+	VPXOR	Y1, Y1, Y1
+	XORQ	DX, DX
+	LEAQ	maskBytes<>(SB), R9
+	QUADS(tail)
+
+loop:
+	VMOVUPD	(SI)(AX*8), Y0
+	VCMPPD	$3, Y0, Y0, Y0
+	VPSUBQ	Y0, Y1, Y1
+	VMOVMSKPD	Y0, R8
+	MOVL	(R9)(R8*4), R8
+	MOVL	R8, (DI)(AX*1)
+	NEXT4(loop)
+
+tail:
+	TAILCHECK(done)
+	VMOVSD	(SI)(AX*8), X0
+	VUCOMISD	X0, X0
+	SETPC	(DI)(AX*1)
+	INCQ	DX
+	MOVBQZX	(DI)(AX*1), R8
+	SUBQ	R8, DX
+	NEXT1(tail)
+
+done:
+	VEXTRACTI128	$1, Y1, X2
+	VPADDQ	X2, X1, X1
+	VPSHUFD	$0x4e, X1, X2
+	VPADDQ	X2, X1, X1
+	VMOVQ	X1, AX
+	ADDQ	DX, AX
+	MOVQ	AX, ret+48(FP)
+	VZEROUPPER
+	RET
+
+// DOTSTEP adds one element step of XP·YP (loaded through T) into ACC,
+// packed or scalar as MOV, MUL and ADD are. DOTCLOSE closes an output's
+// lanes [s0, s1] in S01 and [s2, s3] in S23 into S01's (s0+s1) + (s2+s3).
+#define DOTSTEP(MOV, MUL, ADD, XP, YP, ACC, T) MOV (XP)(AX*8), T; MUL (YP)(AX*8), T, T; ADD T, ACC, ACC
+#define DOTCLOSE(S01, S23) HSUM(S01, X12); HSUM(S23, X12); VADDSD S23, S01, S01
+
+// func dot4AVX2(out *[4]float64, x0, y0, x1, y1, x2, y2, x3, y3 *float64, n int)
+//
+// Four dotGo outputs xᵢ·yᵢ over n elements in one pass: output i's lanes in
+// Yi, then [s0, s1] in Xi and [s2, s3] in X(8+i), the tail added to s0.
+TEXT ·dot4AVX2(SB), NOSPLIT, $0-80
+	MOVQ	x0+8(FP), R8
+	MOVQ	y0+16(FP), R9
+	MOVQ	x1+24(FP), R10
+	MOVQ	y1+32(FP), R11
+	MOVQ	x2+40(FP), R12
+	MOVQ	y2+48(FP), R13
+	MOVQ	x3+56(FP), R14
+	MOVQ	y3+64(FP), R15
+	MOVQ	n+72(FP), CX
+	VXORPD	Y0, Y0, Y0
+	VXORPD	Y1, Y1, Y1
+	VXORPD	Y2, Y2, Y2
+	VXORPD	Y3, Y3, Y3
+	QUADS(split)
+
+loop:
+	DOTSTEP(VMOVUPD, VMULPD, VADDPD, R8, R9, Y0, Y4)
+	DOTSTEP(VMOVUPD, VMULPD, VADDPD, R10, R11, Y1, Y5)
+	DOTSTEP(VMOVUPD, VMULPD, VADDPD, R12, R13, Y2, Y6)
+	DOTSTEP(VMOVUPD, VMULPD, VADDPD, R14, R15, Y3, Y7)
+	NEXT4(loop)
+
+split:
+	VEXTRACTF128	$1, Y0, X8
+	VEXTRACTF128	$1, Y1, X9
+	VEXTRACTF128	$1, Y2, X10
+	VEXTRACTF128	$1, Y3, X11
+
+tail:
+	TAILCHECK(close)
+	DOTSTEP(VMOVSD, VMULSD, VADDSD, R8, R9, X0, X4)
+	DOTSTEP(VMOVSD, VMULSD, VADDSD, R10, R11, X1, X5)
+	DOTSTEP(VMOVSD, VMULSD, VADDSD, R12, R13, X2, X6)
+	DOTSTEP(VMOVSD, VMULSD, VADDSD, R14, R15, X3, X7)
+	NEXT1(tail)
+
+close:
+	MOVQ	out+0(FP), DI
+	DOTCLOSE(X0, X8)
+	DOTCLOSE(X1, X9)
+	DOTCLOSE(X2, X10)
+	DOTCLOSE(X3, X11)
+	VMOVSD	X0, (DI)
+	VMOVSD	X1, 8(DI)
+	VMOVSD	X2, 16(DI)
+	VMOVSD	X3, 24(DI)
+	VZEROUPPER
+	RET
+
+#define FOURTERMS(MUL, ADD, ACC, T, C0, C1, C2, C3) \
+	ADDPROD(MUL, ADD, C0, (R12)(AX*8), ACC, T); \
+	ADDPROD(MUL, ADD, C1, (R13)(AX*8), ACC, T); \
+	ADDPROD(MUL, ADD, C2, (R14)(AX*8), ACC, T); \
+	ADDPROD(MUL, ADD, C3, (R15)(AX*8), ACC, T)
+
+// func addRows4AVX2(dst, coef, bd []float64, stride int)
+//
+// dst += c0·row0 + c1·row1 + c2·row2 + c3·row3 in one pass, each element
+// taking the four terms in turn: the coefficients broadcast in Y5-Y8, row j
+// at R12-R15, stride elements apart.
+TEXT ·addRows4AVX2(SB), NOSPLIT, $0-80
+	MOVQ	dst_base+0(FP), DI
+	MOVQ	dst_len+8(FP), CX
+	MOVQ	coef_base+24(FP), SI
+	MOVQ	bd_base+48(FP), R12
+	MOVQ	stride+72(FP), R11
+	SHLQ	$3, R11
+	VBROADCASTSD	(SI), Y5
+	VBROADCASTSD	8(SI), Y6
+	VBROADCASTSD	16(SI), Y7
+	VBROADCASTSD	24(SI), Y8
+	LEAQ	(R12)(R11*1), R13
+	LEAQ	(R12)(R11*2), R14
+	LEAQ	(R13)(R11*2), R15
+	QUADS(tail)
+
+loop:
+	VMOVUPD	(DI)(AX*8), Y0
+	FOURTERMS(VMULPD, VADDPD, Y0, Y1, Y5, Y6, Y7, Y8)
+	VMOVUPD	Y0, (DI)(AX*8)
+	NEXT4(loop)
+
+tail:
+	TAILCHECK(done)
+	VMOVSD	(DI)(AX*8), X0
+	FOURTERMS(VMULSD, VADDSD, X0, X1, X5, X6, X7, X8)
+	VMOVSD	X0, (DI)(AX*8)
+	NEXT1(tail)
+
+done:
 	VZEROUPPER
 	RET
 

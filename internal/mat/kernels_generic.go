@@ -25,6 +25,16 @@ func panel1x4(c0, v, bk0, bk1, bk2, bk3 []float64) { panel1x4Go(c0, v, bk0, bk1,
 
 func panel1x1(c0 []float64, v float64, bk []float64) { panel1x1Go(c0, v, bk) }
 
-func allFinite(x []float64) bool { return allFiniteGo(x) }
-
 func copyFinite(dst, src []float64) bool { return copyFiniteGo(dst, src) }
+
+func nanMask(mask []bool, x []float64) int { return nanMaskGo(mask, x) }
+
+func centerProjectMasked(y, coef, x, mean, bd, xp []float64, mask []bool) float64 {
+	return centerProjectMaskedGo(y, coef, x, mean, bd, xp, mask)
+}
+
+func gramLower(g []float64, k int, p []float64) { gramLowerGo(g, k, p) }
+
+func addRowCombination(dst, coef, bd []float64, stride int) {
+	addRowCombinationGo(dst, coef, bd, stride)
+}

@@ -124,9 +124,8 @@ func checkKernels(t *testing.T, next kernelInput, n, off int) {
 	panel1x1Go(c0w, v1[0], bk[1])
 	sameBits(t, "panel1x1", c0g, c0w)
 
-	if got, want := allFinite(x), allFiniteGo(x); got != want {
-		t.Fatalf("allFinite = %v, Go reference %v", got, want)
-	}
+	checkMaskedKernels(t, next, n, off)
+
 	got, want = next.vec(n, off), make([]float64, n)
 	if f, fw := copyFinite(got, y), copyFiniteGo(want, y); f != fw {
 		t.Fatalf("copyFinite = %v, Go reference %v", f, fw)
@@ -135,18 +134,82 @@ func checkKernels(t *testing.T, next kernelInput, n, off int) {
 	sameBits(t, "copyFinite src", got, y)
 }
 
+// nanAt returns a NaN whose sign and payload vary with i, quiet or
+// signalling.
+func nanAt(i int) float64 {
+	return math.Float64frombits(0x7ff0000000000001 | uint64(i%2)<<63 | uint64(i%5)<<51 | uint64(i)<<8)
+}
+
+// checkMaskedKernels is checkKernels for the gap kernels: the mask comes
+// from the low bit of drawn values, x holds NaNs of several payloads where
+// the mask is false, and a mask starts off bytes into its backing array.
+func checkMaskedKernels(t *testing.T, next kernelInput, n, off int) {
+	t.Helper()
+	mask := make([]bool, off+n)[off:]
+	x := next.vec(n, off)
+	for i := range mask {
+		if mask[i] = math.Float64bits(next())&1 == 0; !mask[i] {
+			x[i] = nanAt(i)
+		}
+	}
+	mg, mw := make([]bool, off+n)[off:], make([]bool, n)
+	if got, want := nanMask(mg, x), nanMaskGo(mw, x); got != want {
+		t.Fatalf("nanMask = %d NaNs, Go reference %d", got, want)
+	}
+	for i := range mw {
+		if mg[i] != mw[i] || mw[i] != (x[i] == x[i]) {
+			t.Fatalf("nanMask[%d] = %v, Go reference %v, x %v", i, mg[i], mw[i], x[i])
+		}
+	}
+
+	mean := next.vec(n, off)
+	for k := 0; k <= 9; k++ {
+		bd := next.vec(k*n, off)
+		yg, cg, xg := next.vec(n, off), next.vec(k, off), next.vec(n, off)
+		yw, cw, xw := clone(yg), clone(cg), clone(xg)
+		sameScalar(t, "centerProjectMasked", centerProjectMasked(yg, cg, x, mean, bd, xg, mask),
+			centerProjectMaskedGo(yw, cw, x, mean, bd, xw, mask))
+		sameBits(t, "centerProjectMasked y", yg, yw)
+		sameBits(t, "centerProjectMasked coef", cg, cw)
+		sameBits(t, "centerProjectMasked xp", xg, xw)
+	}
+
+	for k := 1; k <= 9; k++ {
+		p := next.vec(k*n, off)
+		gg := next.vec(k*k, off)
+		gw := clone(gg)
+		gramLower(gg, k, p)
+		gramLowerGo(gw, k, p)
+		sameBits(t, "gramLower", gg, gw)
+	}
+
+	stride := n + 3
+	for k := 1; k <= 9; k++ {
+		bd, coef := next.vec(k*stride, off), next.vec(k, off)
+		dg := next.vec(n, off)
+		dw, dl := clone(dg), clone(dg)
+		addRowCombination(dg, coef, bd[2:], stride)
+		addRowCombinationGo(dw, coef, bd[2:], stride)
+		sameBits(t, "addRowCombination", dg, dw)
+		for j, c := range coef {
+			lerpGo(dl, 1, dl, c, bd[2+j*stride:][:n])
+		}
+		sameBits(t, "addRowCombination against Lerp", dw, dl)
+	}
+}
+
 // TestKernelsMatchGoReference holds each kernel entry (assembly on amd64) to
 // its Go reference bit for bit, across every tail length up to 67, the
 // engine's d, odd d, and unaligned starts.
 func TestKernelsMatchGoReference(t *testing.T) {
 	rng := rand.New(rand.NewPCG(3, 5))
 	next := specialInput(rng)
-	lengths := []int{400, 1000, 1001}
+	lengths := []int{400, 1000, 1001, 1100}
 	for n := 0; n <= 67; n++ {
 		lengths = append(lengths, n)
 	}
 	for _, n := range lengths {
-		for _, off := range []int{0, 1, 3} {
+		for _, off := range []int{0, 1, 2, 3} {
 			checkKernels(t, next, n, off)
 		}
 	}
@@ -223,9 +286,24 @@ func BenchmarkKernels(b *testing.B) {
 		rows, gram := randDense(rng, 6, d), NewDense(6, 6)
 		run("SyrkRows/c-6", func() { SyrkRows(gram, rows, 6) })
 		run("Lerp", func() { Lerp(dst, 0.25, x, 0.75, y) })
-		run("AllFinite", func() { kernelSink = AllFinite(x) })
+		// A gappy row: 30% of its bins missing in one run.
+		m0, m1 := d/4, d/4+3*d/10
+		mask, xg, xp := make([]bool, d), clone(x), make([]float64, d)
+		for i := range mask {
+			if mask[i] = i < m0 || i >= m1; !mask[i] {
+				xg[i] = math.NaN()
+			}
+		}
+		g := make([]float64, k*k)
+		run("NaNMask", func() { kernelCount = NaNMask(mask, xg) })
+		run("CenterProjectMasked", func() { CenterProjectMasked(dst, coef, xp, xg, mean, mask, basis) })
+		run("GramLower/k-5", func() { GramLower(g, k, basis.Data()[:k*(m1-m0)]) })
+		run("AddRowCombination", func() { AddRowCombination(dst[m0:m1], coef, basis, m0) })
 		run("CopyFinite", func() { kernelSink = CopyFinite(dst, x) })
 	}
 }
 
-var kernelSink bool
+var (
+	kernelSink  bool
+	kernelCount int
+)

@@ -38,12 +38,9 @@ func dotGo(x, y []float64) float64 {
 	return (s0 + s1) + (s2 + s3)
 }
 
-// AllFinite reports whether x holds no NaN or ±Inf, in one pass without a
-// branch per element: x·0 is ±0 for a finite x and NaN otherwise.
-func AllFinite(x []float64) bool { return allFinite(x) }
-
 // CopyFinite copies src into dst and reports whether src holds no NaN or
-// ±Inf, reading src once. It panics if the lengths differ.
+// ±Inf, reading src once and without a branch per element: x·0 is ±0 for a
+// finite x and NaN otherwise. It panics if the lengths differ.
 func CopyFinite(dst, src []float64) bool {
 	if len(dst) != len(src) {
 		panic("mat: CopyFinite length mismatch")
@@ -57,7 +54,7 @@ func copyFiniteGo(dst, src []float64) bool {
 	return allFiniteGo(dst)
 }
 
-// allFiniteGo is AllFinite's reference: the x·0 values summed in four chains.
+// allFiniteGo is copyFiniteGo's check: the x·0 values summed in four chains.
 func allFiniteGo(x []float64) bool {
 	var s0, s1, s2, s3 float64
 	i := 0
@@ -71,6 +68,29 @@ func allFiniteGo(x []float64) bool {
 		s0 += x[i] * 0
 	}
 	return (s0+s1)+(s2+s3) == 0
+}
+
+// NaNMask sets mask[i] = !IsNaN(x[i]) (true = observed; ±Inf counts as
+// observed) and returns the number of NaN bins, in one pass. It panics if the
+// lengths differ.
+func NaNMask(mask []bool, x []float64) int {
+	if len(mask) != len(x) {
+		panic("mat: NaNMask length mismatch")
+	}
+	return nanMask(mask, x)
+}
+
+// nanMaskGo is NaNMask's reference (see dotGo).
+func nanMaskGo(mask []bool, x []float64) int {
+	mask = mask[:len(x)]
+	n := 0
+	for i, v := range x {
+		mask[i] = v == v
+		if v != v {
+			n++
+		}
+	}
+	return n
 }
 
 // Norm2 returns the Euclidean norm of x, guarding against overflow and

@@ -48,23 +48,23 @@ func TestDotSymmetryProperty(t *testing.T) {
 	}
 }
 
-// TestAllFinite puts one non-finite value at every position of every length
+// TestCopyFinite puts one non-finite value at every position of every length
 // up to 9 (all four chains and the tail) over large, tiny and signed-zero
 // finite neighbours.
-func TestAllFinite(t *testing.T) {
+func TestCopyFinite(t *testing.T) {
 	for _, fill := range []float64{1e308, -5e-324, math.Copysign(0, -1)} {
 		for n := 0; n <= 9; n++ {
-			x := make([]float64, n)
+			x, dst := make([]float64, n), make([]float64, n)
 			for i := range x {
 				x[i] = fill
 			}
-			if !AllFinite(x) {
+			if !CopyFinite(dst, x) {
 				t.Fatalf("fill %g n=%d: finite row reported non-finite", fill, n)
 			}
 			for i := range x {
 				for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
 					x[i] = bad
-					if AllFinite(x) {
+					if CopyFinite(dst, x) {
 						t.Fatalf("fill %g n=%d: %g at %d not seen", fill, n, bad, i)
 					}
 				}

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"math"
+	"slices"
 	"time"
 
 	"streampca/internal/core"
@@ -282,27 +283,15 @@ func sourceFunc(src Source, dim, batch int, flushEvery time.Duration, store func
 // packRow copies one row into the store's next slot. The packer has already
 // checked its shape: vec is dim long and mask nil or dim long. The row is
 // copied and checked for non-finite values in one pass; only an unmasked
-// row that holds one takes the per-bin pass that derives its mask (NaN =
-// missing), so every row leaves the packer complete or explicitly masked.
+// row that holds a NaN takes the pass that derives its mask (NaN = missing),
+// so every row leaves the packer complete or explicitly masked. A row whose
+// only non-finite values are ±Inf keeps no mask.
 func packRow(fs *stream.FrameStore, seq int64, vec []float64, mask []bool) {
 	i := fs.Len()
 	v := fs.Add(seq, 1)
 	if finite := mat.CopyFinite(v, vec); mask != nil {
 		copy(fs.Mask(i), mask)
-	} else if !finite {
-		var m []bool
-		for j, x := range v {
-			if math.IsNaN(x) {
-				if m == nil {
-					m = fs.Mask(i)
-					for k := range j {
-						m[k] = true
-					}
-				}
-				m[j] = false
-			} else if m != nil {
-				m[j] = true
-			}
-		}
+	} else if !finite && slices.ContainsFunc(v, math.IsNaN) {
+		mat.NaNMask(fs.Mask(i), v)
 	}
 }
